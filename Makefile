@@ -1,22 +1,23 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-smoke bench-full bench-figures ingest-demo docs-check kernel-check faults-smoke obs-smoke streaming-smoke hierarchy-smoke
+.PHONY: test bench-smoke bench-full bench-figures ingest-demo docs-check faults-smoke obs-smoke streaming-smoke hierarchy-smoke
 
-## Tier-1 verification: the full test + benchmark suite.
+## Tier-1 verification: the full test + benchmark suite (writes no file).
 test:
 	$(PYTHON) -m pytest -x -q
 
-## Quick throughput regression gate: replays a small (20k-request) trace on
-## the fast path and fails if it is >30% slower than the baseline recorded
-## in BENCH_perf.json.
+## Quick throughput regression gate: replays a small (20k-request) trace
+## and fails if it is >30% slower than the baseline recorded in
+## BENCH_perf.json.
 bench-smoke:
 	$(PYTHON) -m pytest -q benchmarks/test_bench_perf_throughput.py -k smoke
 
-## Full throughput measurement: 200k-request replay on both paths,
-## rewrites BENCH_perf.json (the repo's performance trajectory).
+## Full throughput measurement: 200k-request replay plus every subsystem
+## section, bounds asserted; the only writer of BENCH_perf.json (the
+## repo's performance trajectory).
 bench-full:
-	$(PYTHON) -m pytest -q benchmarks/test_bench_perf_throughput.py
+	$(PYTHON) -m benchmarks.test_bench_perf_throughput
 
 ## The paper-figure benchmarks (pytest-benchmark timings, printed tables).
 bench-figures:
@@ -33,14 +34,7 @@ ingest-demo:
 docs-check:
 	$(PYTHON) scripts/check_docs.py
 
-## Kernel-seam gate: the replay drivers in repro.sim.simulator must reach
-## every subsystem through repro.sim.kernel (serve_request/serve_batch +
-## kernel_hooks), never directly — the seam that keeps the four replay
-## paths bit-identical.
-kernel-check:
-	$(PYTHON) scripts/check_kernel.py
-
-## Fault-injection smoke: the fault test suite (replay-path bit-identity,
+## Fault-injection smoke: the fault test suite (golden bit-identity,
 ## retry/backoff semantics, reactive behaviour under fault storms) plus a
 ## CLI replay with a stochastic outage/flap schedule end-to-end.
 faults-smoke:
@@ -63,7 +57,7 @@ obs-smoke:
 	$(PYTHON) scripts/check_obs.py .obs-smoke/metrics.json .obs-smoke/trace.jsonl
 
 ## Streaming smoke: the streaming test suite (engine semantics,
-## replay-path bit-identity with sessions on, the golden QoE fixture, the
+## golden bit-identity with sessions on, the golden QoE fixture, the
 ## prefix-vs-whole ablation) plus one CLI replay with segment-aware
 ## sessions and the QoE report end-to-end (docs/streaming.md).
 streaming-smoke:
@@ -72,7 +66,7 @@ streaming-smoke:
 		--client-clouds 8 --streaming-fraction 1.0 --streaming-prefetch 2
 
 ## Hierarchy smoke: the hierarchy test suite (tier-chain semantics,
-## replay-path bit-identity with the fleet on, the golden ablation
+## golden bit-identity with the fleet on, the golden ablation
 ## fixture, sharded-replay determinism) plus one sharded 2-tier CLI
 ## replay that prints the per-tier report end-to-end (docs/hierarchy.md).
 hierarchy-smoke:

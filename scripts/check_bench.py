@@ -21,11 +21,6 @@ before the benchmark rewrites the file):
   metrics) are skipped.  Ratios that compare differently shaped code
   paths (and therefore move with the machine profile, not the code)
   carry a wider per-key tolerance in :data:`RATIO_KEYS`.
-* **Absolute ceilings** — a few ratios are acceptance criteria rather
-  than trajectory numbers (the kernel refactor's
-  ``kernel.overhead_ratio_vs_pre_kernel`` must stay at or below 1.05);
-  these carry an absolute ceiling in :data:`RATIO_KEYS` that applies
-  whenever the current file records the ratio, baseline or not.
 
 Used by the CI bench-smoke job (see ``.github/workflows/ci.yml``), which
 also uploads the fresh file as a workflow artifact so the perf trajectory
@@ -47,15 +42,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: overheads) and an optional per-key tolerance override.  Absolute
 #: requests/sec numbers are deliberately not gated: they measure the
 #: runner, not the code.  The overridden keys compare two *differently
-#: shaped* code paths (interpreter-bound event calendar vs numpy-bound
-#: fast loop; process spawn vs pickle), so their ratio shifts with the
+#: shaped* code paths (interpreter-bound engines vs the numpy-bound
+#: columnar loop; process spawn vs pickle), so their ratio shifts with the
 #: machine profile itself — observed run-to-run deltas approach 25% with
 #: no code change, which would put the default gate at the flake
 #: boundary.  Same-shaped overhead ratios keep the tight default.
 RATIO_KEYS: Dict[str, tuple] = {
-    "speedup": ("higher", 0.40),
-    "columnar_speedup_vs_fast_path": ("higher", None),
-    "columnar_event_speedup_vs_event_path": ("higher", 0.40),
     # The remeasurement and reactive overheads are dominated by per-request
     # interpreter work layered on the numpy-bound columnar-event baseline,
     # so interpreter state (and whether the benchmark runs standalone or
@@ -92,14 +84,6 @@ RATIO_KEYS: Dict[str, tuple] = {
     "observability.overhead_ratio_vs_baseline": ("lower", 0.40),
     "observability.timeline_overhead_ratio_vs_baseline": ("lower", 0.40),
     "dispatch.shm_vs_pickle_ratio": ("lower", 0.40),
-    # The kernel-vs-pre-kernel ratio compares two near-identical columnar
-    # loops back-to-back in one process, so it is the least noisy ratio in
-    # the record — and it is the acceptance criterion of the kernel
-    # refactor, so beyond the usual baseline-relative check it carries an
-    # *absolute* ceiling (third element): the unified kernel may never
-    # cost the columnar fast path more than 5%, whatever the baseline
-    # happened to record.
-    "kernel.overhead_ratio_vs_pre_kernel": ("lower", 0.40, 1.05),
 }
 
 #: A ratio may be this fraction worse than the committed baseline before
@@ -138,23 +122,12 @@ def ratio_regressions(
     A ratio is checked against the baseline only when the *baseline*
     records it — newly added ratios have no baseline to regress from.  A
     ratio the baseline records but the current file lost is reported by
-    :func:`missing_keys`, not here.  Keys carrying an absolute ceiling
-    (a third element in their :data:`RATIO_KEYS` entry) are additionally
-    checked against that ceiling whenever the current file records them,
-    baseline or not.
+    :func:`missing_keys`, not here.
     """
     failures: List[str] = []
-    for dotted, spec in RATIO_KEYS.items():
-        better, override = spec[0], spec[1]
-        absolute_ceiling = spec[2] if len(spec) > 2 else None
+    for dotted, (better, override) in RATIO_KEYS.items():
         recorded = _lookup(baseline, dotted)
         measured = _lookup(current, dotted)
-        if measured is not None and absolute_ceiling is not None:
-            if measured > absolute_ceiling:
-                failures.append(
-                    f"{dotted}: {measured:.3f} exceeds the absolute ceiling "
-                    f"{absolute_ceiling:.3f}"
-                )
         if recorded is None or measured is None:
             continue
         allowed = tolerance if override is None else max(override, tolerance)

@@ -85,8 +85,8 @@ def build_workload(
     """Generate the Table 1 workload at the requested scale.
 
     The trace is columnar (numpy-native) by default: metrics are
-    bit-identical to the object-per-request representation, the replay loop
-    skips ``Request`` boxing, and ``n_jobs > 1`` runs ship the trace to
+    bit-identical to the object-per-request representation, the replay
+    uses the columns without converting them, and ``n_jobs > 1`` runs ship the trace to
     workers through shared memory instead of per-worker pickles.  Pass
     ``columnar=False`` for the legacy object trace.  ``num_clients > 1``
     assigns each request a client id (drawn after every other column, so

@@ -94,18 +94,11 @@ class SimulationJob:
         identical bandwidth assignments); when False the simulator draws the
         topology inside :meth:`~repro.sim.simulator.ProxyCacheSimulator.run`
         (the :func:`~repro.sim.runner.run_replications` protocol).
-    replay:
-        Which replay driver the worker forces — one of
-        :data:`~repro.sim.simulator.REPLAY_PATHS`, or ``None``/``"auto"``
-        (default) to pick automatically.  All drivers produce
-        bit-identical metrics, so forcing one only matters when
-        benchmarking a specific loop.
     """
 
     config: SimulationConfig
     policy_factory: Callable[[], object]
     share_topology: bool = True
-    replay: Optional[str] = None
 
 
 #: Workload installed in each worker process by the pool initializer.
@@ -148,7 +141,7 @@ def _execute_job(job: SimulationJob) -> SimulationMetrics:
     topology = None
     if job.share_topology:
         topology = simulator.build_topology(np.random.default_rng(job.config.seed))
-    result = simulator.run(job.policy_factory(), topology=topology, replay=job.replay)
+    result = simulator.run(job.policy_factory(), topology=topology)
     return result.metrics
 
 
@@ -385,7 +378,6 @@ class FleetShardJob:
     policy_factory: Callable[[], object]
     shard: int
     num_shards: int
-    replay: Optional[str] = None
 
 
 def _execute_fleet_shard(job: FleetShardJob) -> SimulationResult:
@@ -405,7 +397,7 @@ def _execute_fleet_shard(job: FleetShardJob) -> SimulationResult:
     shard_workload = replace(workload, trace=shard_trace)
     simulator = ProxyCacheSimulator(shard_workload, job.config)
     topology = simulator.build_topology(np.random.default_rng(job.config.seed))
-    return simulator.run(job.policy_factory(), topology=topology, replay=job.replay)
+    return simulator.run(job.policy_factory(), topology=topology)
 
 
 def merge_shard_results(
@@ -473,8 +465,6 @@ def merge_shard_results(
         ),
         final_cached_objects=sum(result.final_cached_objects for result in results),
         warmup_requests=sum(result.warmup_requests for result in results),
-        used_fast_path=all(result.used_fast_path for result in results),
-        replay_path=reference.replay_path,
         auxiliary_events_fired=sum(
             result.auxiliary_events_fired for result in results
         ),
@@ -503,7 +493,6 @@ def run_sharded_fleet(
     num_shards: int,
     n_jobs: Optional[int] = 1,
     transport: str = "auto",
-    replay: Optional[str] = None,
 ) -> FleetReplayResult:
     """Replay a workload as ``num_shards`` client-group shards and reduce.
 
@@ -521,13 +510,6 @@ def run_sharded_fleet(
     :mod:`repro.sim.hierarchy` exactly as long as pops do not read each
     other's caches; ``sibling_lookup`` couples pops cross-shard and is
     therefore rejected here.
-
-    ``replay`` forces a specific replay driver in every shard (see
-    :data:`~repro.sim.simulator.REPLAY_PATHS`); leave it ``None`` to let
-    each shard pick automatically — a shard's trace is a client slice
-    whose object-id density can differ from the full trace's, so a
-    driver that is legal on the whole workload may be rejected on a
-    shard.
     """
     if num_shards <= 0:
         raise ConfigurationError(
@@ -546,7 +528,6 @@ def run_sharded_fleet(
             policy_factory=policy_factory,
             shard=shard,
             num_shards=num_shards,
-            replay=replay,
         )
         for shard in range(num_shards)
     ]

@@ -46,13 +46,17 @@ flags steer the stderr diagnostics through :mod:`repro.obs.log`.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence
 
 from repro.analysis import experiments as exp
 from repro.analysis.report import format_timeline, render_experiment
 from repro.core.policies import PolicySpec, make_policy
+from repro.exceptions import ReproError
 from repro.network.distributions import NLANRBandwidthDistribution
 from repro.obs import ObservabilityConfig
 from repro.obs.log import configure as _configure_logging
@@ -65,7 +69,7 @@ from repro.network.variability import (
 from repro.sim.config import BandwidthKnowledge, ClientCloudConfig, SimulationConfig
 from repro.sim.events import RemeasurementConfig
 from repro.sim.faults import FaultConfig
-from repro.sim.simulator import REPLAY_PATHS, ProxyCacheSimulator
+from repro.sim.simulator import ProxyCacheSimulator
 from repro.sim.streaming import StreamingConfig
 from repro.workload.gismo import GismoWorkloadGenerator, WorkloadConfig
 
@@ -127,8 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "averages (oracle) or passive per-transfer estimates")
     run.add_argument("--remeasure-every", type=float, default=None, metavar="SECONDS",
                      help="periodically re-measure every path's bandwidth between "
-                          "requests on this cadence (feeds the passive estimator; "
-                          "implies the event-capable replay path)")
+                          "requests on this cadence (feeds the passive estimator)")
     run.add_argument("--reactive-threshold", type=float, default=None, metavar="FRACTION",
                      help="re-key the policy's heap entries as soon as a path's "
                           "believed bandwidth shifts by more than this fraction "
@@ -256,15 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="time the run's stages (workload draw, topology "
                           "build, replay, policy ops, estimator, fault "
                           "evaluation) and print a wall-clock breakdown")
-    run.add_argument("--replay", choices=REPLAY_PATHS, default=None,
-                     metavar="PATH",
-                     help="force a specific replay driver instead of "
-                          f"auto-selection: one of {', '.join(REPLAY_PATHS)} "
-                          "(all drivers produce bit-identical metrics; "
-                          "'fast' and 'columnar' reject runs that schedule "
-                          "auxiliary events, and the columnar drivers "
-                          "require the dense-id columnar trace the CLI "
-                          "builds)")
     run.add_argument("--seed", type=int, default=0)
 
     experiment = subparsers.add_parser(
@@ -478,9 +472,8 @@ def _run_single(args: argparse.Namespace) -> int:
         workload_config = replace(workload_config, num_clients=hierarchy.num_pops)
     if args.shards is not None and args.shards > workload_config.num_clients:
         workload_config = replace(workload_config, num_clients=args.shards)
-    # Columnar workload: metrics are bit-identical to the object trace, the
-    # replay skips Request boxing, and re-measurement runs take the columnar
-    # event path instead of the classic calendar.
+    # Columnar workload: metrics are bit-identical to the object trace, and
+    # the replay uses the columns without converting them.
     draw_started = _time.perf_counter()
     workload = GismoWorkloadGenerator(workload_config).generate(columnar=True)
     workload_draw_s = _time.perf_counter() - draw_started
@@ -510,14 +503,6 @@ def _run_single(args: argparse.Namespace) -> int:
         if args.shards < 1:
             _log.error("--shards must be at least 1, got %d", args.shards)
             raise SystemExit(2)
-        if args.replay is not None and args.replay != "auto":
-            # Shard traces are per-client slices whose object-id density
-            # differs from the full trace, so a forced driver that is legal
-            # on the whole workload can be illegal on a shard.
-            _log.error("--replay %s cannot be combined with --shards; "
-                       "each shard picks its driver automatically",
-                       args.replay)
-            raise SystemExit(2)
         fleet = run_sharded_fleet(
             workload,
             config,
@@ -528,13 +513,10 @@ def _run_single(args: argparse.Namespace) -> int:
         result = fleet.merged
     else:
         policy = make_policy(args.policy, estimator_e=args.estimator_e)
-        result = ProxyCacheSimulator(workload, config).run(
-            policy, replay=args.replay
-        )
+        result = ProxyCacheSimulator(workload, config).run(policy)
     print(f"policy: {result.policy_name}")
     print(f"cache size: {args.cache_gb} GB "
           f"({config.cache_fraction_of(workload.catalog.total_size):.1%} of unique bytes)")
-    print(f"replay path: {result.replay_path}")
     if remeasurement is not None:
         print(f"bandwidth re-measurements: {result.auxiliary_events_fired} "
               f"(every {args.remeasure_every:g} s per path)")
@@ -613,7 +595,6 @@ def _run_single(args: argparse.Namespace) -> int:
         _log.debug("policy heap: %s", result.heap_statistics)
     if result.timeline is not None and args.metrics_out:
         import json as _json
-        from pathlib import Path
 
         payload = result.timeline.as_dict()
         Path(args.metrics_out).write_text(_json.dumps(payload) + "\n")
@@ -695,7 +676,6 @@ def _run_ingest(args: argparse.Namespace) -> int:
 
     if args.out:
         import json
-        from pathlib import Path
 
         import numpy as np
 
@@ -768,14 +748,13 @@ def _run_ingest(args: argparse.Namespace) -> int:
                     sidecar.name,
                 )
             stitched = ColumnarTrace.concat([existing, new_trace], rebase=True)
-            # Archive first, sidecar second: a failure in between leaves a
-            # map that merely lacks the newest URLs (repairable by
-            # re-appending) rather than ids the archive never received.
-            stitched.to_npz(out_path)
+            writes = [(out_path, stitched.to_npz)]
             if merged is not None:
-                sidecar.write_text(
+                writes.append((sidecar, lambda path: path.write_text(
                     json.dumps({"urls": merged, "clients": merged_clients})
-                )
+                )))
+            _replace_files(writes)
+            if merged is not None:
                 print(f"url map: {archived_count} archived urls, "
                       f"{len(merged) - archived_count} new ({sidecar.name})")
                 print(f"client map: {archived_clients} archived clients, "
@@ -783,9 +762,13 @@ def _run_ingest(args: argparse.Namespace) -> int:
             print(f"trace appended: {args.out} ({len(existing)} archived + "
                   f"{len(new_trace)} new = {len(stitched)} requests)")
         else:
-            result.trace.to_npz(out_path)
-            sidecar.write_text(
-                json.dumps({"urls": result.url_ids, "clients": result.client_ids})
+            _replace_files(
+                [
+                    (out_path, result.trace.to_npz),
+                    (sidecar, lambda path: path.write_text(json.dumps(
+                        {"urls": result.url_ids, "clients": result.client_ids}
+                    ))),
+                ]
             )
             print(f"trace written: {args.out} ({len(result.trace)} requests)")
 
@@ -830,19 +813,53 @@ def _run_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
+def _replace_files(writes) -> None:
+    """Write each ``(path, write)`` pair, all or none.
+
+    ``write(tmp)`` fills a temporary sibling of ``path`` (same directory,
+    same suffix); only once every write succeeded are the temporaries
+    renamed over their targets with :func:`os.replace`.  A failure midway
+    therefore leaves every target as it was.  The archive is renamed
+    before its sidecar, so the one remaining window — between the two
+    renames — leaves a map that merely lacks the newest URLs (repairable
+    by re-appending) rather than ids the archive never received.
+    """
+    temporaries = []
+    try:
+        for path, write in writes:
+            handle, name = tempfile.mkstemp(
+                dir=path.parent, prefix=f".{path.name}.", suffix=path.suffix
+            )
+            os.close(handle)
+            temporaries.append((Path(name), path))
+            write(Path(name))
+        for temporary, path in temporaries:
+            os.replace(temporary, path)
+    finally:
+        for temporary, _ in temporaries:
+            temporary.unlink(missing_ok=True)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point used by the ``repro-sim`` console script."""
+    """Entry point used by the ``repro-sim`` console script.
+
+    Invalid input the library rejects (a :class:`~repro.exceptions.
+    ReproError`, e.g. a negative cache size or an unknown policy) prints
+    one ``error: <message>`` line on stderr and exits with status 2.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     _configure_logging(verbosity=args.verbose, quiet=args.quiet)
-    if args.command == "run":
-        return _run_single(args)
-    if args.command == "experiment":
-        return _run_experiment(args)
-    if args.command == "ingest":
-        return _run_ingest(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    commands = {
+        "run": _run_single,
+        "experiment": _run_experiment,
+        "ingest": _run_ingest,
+    }
+    try:
+        return commands[args.command](args)
+    except ReproError as error:
+        _log.error("%s", error)
+        return 2
 
 
 if __name__ == "__main__":

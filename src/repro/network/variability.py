@@ -37,10 +37,10 @@ class BandwidthVariabilityModel:
     #: generator identically to ``n`` consecutive ``size=1`` calls.  True for
     #: every model in this module (they draw with vectorised numpy samplers,
     #: whose stream consumption is element-sequential).  The simulator's
-    #: fast replay path pre-draws all per-request ratios in one batch when
+    #: replay kernel pre-draws all per-request ratios in one batch when
     #: this holds; subclasses whose batched draws consume the generator
-    #: differently must set it to False to keep replay results identical to
-    #: the per-request event path.
+    #: differently must set it to False, and the kernel then draws per
+    #: request from the live generator.
     iid_batch_equivalent: bool = True
 
     def sample_ratio(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:

@@ -10,8 +10,8 @@ keeps):
   (:class:`~repro.obs.timeline.MetricsTimeline`) — hit ratio, byte-hit
   ratio, mean latency, cache occupancy, evictions, reactive shifts /
   re-keys, and fault state bucketed into fixed sim-time windows,
-  recorded at identical sequence points on all four replay paths and
-  attached to ``SimulationResult.timeline``;
+  recorded by the replay kernel at window boundaries and attached to
+  ``SimulationResult.timeline``;
 * **structured event tracing**
   (:class:`~repro.obs.tracing.TraceSink`) — an opt-in JSONL file of
   admissions, evictions, re-keys, fault episodes, and retries with

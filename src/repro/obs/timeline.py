@@ -1,8 +1,8 @@
 """Windowed time-series metrics: the :class:`MetricsTimeline` recorder.
 
-The replay loops keep their per-request accumulators in local variables
-for speed, so the timeline cannot poll them from outside; instead every
-loop checks one precomputed boundary time per request and, when a window
+The replay kernel keeps its per-request accumulators in local variables
+for speed, so the timeline cannot poll them from outside; instead the
+kernel checks one precomputed boundary time per request and, when a window
 boundary has passed, hands the recorder a *cumulative snapshot* of the
 fourteen core accumulators (the exact tuple order of
 :meth:`repro.sim.metrics.MetricsCollector.snapshot`).  The recorder
@@ -17,15 +17,15 @@ acceptance criteria cheap to satisfy:
 * per-window deltas are differences of exact cumulatives, so integer
   deltas sum back to the aggregate exactly and float deltas telescope to
   it by construction;
-* all four replay paths take the snapshot at the same sequence point
-  (after pending auxiliary events fire, before the request is served),
-  so the markers — and every derived series — are path-identical.
+* the kernel takes the snapshot at one sequence point (after pending
+  auxiliary events fire, before the request is served), so the markers —
+  and every derived series — do not depend on how the trace is chunked.
 
 Windows are fixed-width in simulated time, anchored at the trace start.
 A marker taken at time ``t`` closes every window that ended at or before
 ``t``; counter movement between two requests (e.g. probe-driven re-keys
-fired from the auxiliary calendar) is attributed to the window of the
-request that follows it, identically on every path.  Derived per-window
+fired between requests) is attributed to the window of the request that
+follows it.  Derived per-window
 series (hit ratio, byte-hit ratio, mean latency, fault state, ...) are
 computed lazily with numpy and never stored, so a finished timeline
 pickles as plain Python data and compares by value.

@@ -1,6 +1,5 @@
 """Trace-driven simulation of the caching-accelerator architecture.
 
-* :mod:`repro.sim.engine` — a small discrete-event simulation engine,
 * :mod:`repro.sim.events` — typed periodic auxiliary events (periodic
   bandwidth re-measurement) merged into the request stream,
 * :mod:`repro.sim.config` — simulation configuration,
@@ -9,13 +8,12 @@
 * :mod:`repro.sim.hierarchy` — multi-tier cache hierarchies (edge pops,
   parents, optional ICP-style sibling lookup) composed with the
   bottleneck bandwidth model,
-* :mod:`repro.sim.kernel` — the shared per-request service kernel every
-  replay driver delegates to (the canonical stage sequence, assembled
-  once per run into a :class:`~repro.sim.kernel.KernelContext`),
+* :mod:`repro.sim.kernel` — the per-request service kernel the replay
+  driver delegates to (the canonical stage sequence, assembled once per
+  run into a :class:`~repro.sim.kernel.KernelContext`),
 * :mod:`repro.sim.metrics` — the paper's performance metrics (Section 3.3),
 * :mod:`repro.sim.simulator` — the proxy-cache simulator proper, with its
-  four bit-identical replay drivers (event calendar / fast / columnar
-  fast / columnar event; see ``docs/architecture.md``),
+  one chunked replay driver (see ``docs/architecture.md``),
 * :mod:`repro.sim.runner` — multi-run averaging and parameter sweeps,
 * :mod:`repro.sim.sharing` — the stream-sharing analyzer,
 * :mod:`repro.sim.streaming` — segment-aware streaming sessions with
@@ -23,7 +21,6 @@
 """
 
 from repro.sim.config import BandwidthKnowledge, ClientCloudConfig, SimulationConfig
-from repro.sim.engine import Event, EventQueue, SimulationEngine
 from repro.sim.events import (
     AuxiliarySchedule,
     BandwidthRemeasurement,
@@ -46,12 +43,11 @@ from repro.sim.kernel import (
     KernelContext,
     build_context,
     serve_batch,
-    serve_request,
 )
 from repro.sim.metrics import MetricsCollector, SimulationMetrics
 from repro.sim.runner import PolicyComparison, SweepResult, compare_policies, run_replications, sweep_cache_sizes
 from repro.sim.sharing import SharingReport, StreamSharingAnalyzer, prefix_function_for_bandwidth
-from repro.sim.simulator import REPLAY_PATHS, ProxyCacheSimulator, SimulationResult
+from repro.sim.simulator import ProxyCacheSimulator, SimulationResult
 from repro.sim.streaming import (
     StreamingConfig,
     StreamingDeliveryEngine,
@@ -65,8 +61,6 @@ __all__ = [
     "BandwidthRemeasurement",
     "CacheTier",
     "ClientCloudConfig",
-    "Event",
-    "EventQueue",
     "FAULT_KINDS",
     "FaultConfig",
     "FaultEpisode",
@@ -81,12 +75,10 @@ __all__ = [
     "PeriodicEvent",
     "PolicyComparison",
     "ProxyCacheSimulator",
-    "REPLAY_PATHS",
     "ReactiveRekeyer",
     "RemeasurementConfig",
     "SharingReport",
     "SimulationConfig",
-    "SimulationEngine",
     "SimulationMetrics",
     "SimulationResult",
     "StreamSharingAnalyzer",
@@ -98,7 +90,6 @@ __all__ = [
     "build_remeasurement_events",
     "select_stream_ids",
     "serve_batch",
-    "serve_request",
     "compare_policies",
     "prefix_function_for_bandwidth",
     "run_replications",

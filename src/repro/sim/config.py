@@ -144,9 +144,7 @@ class SimulationConfig:
         path is sampled on its cadence and the samples feed the passive
         estimator (under ``BandwidthKnowledge.PASSIVE``) and the run's
         :class:`~repro.network.measurement.BandwidthMeasurementLog`.
-        Scheduling re-measurement routes the replay through an
-        event-capable path (the columnar event loop for dense columnar
-        traces, the classic event calendar otherwise); see
+        The replay driver fires the probes between request chunks; see
         ``docs/events.md``.
     client_clouds:
         Optional :class:`ClientCloudConfig` modeling per-client last-mile
@@ -167,7 +165,7 @@ class SimulationConfig:
         ``docs/events.md``.
     reactive_passive:
         When True, the passive per-request observations themselves drive
-        the reactive hook on every replay path — the paper's "free"
+        the reactive hook — the paper's "free"
         measurements can move heap keys without waiting for a probe.
         Requires ``reactive_threshold``.
     reactive_hysteresis:
@@ -184,8 +182,8 @@ class SimulationConfig:
         Optional :class:`~repro.sim.faults.FaultConfig` injecting origin
         outages, last-mile link failures, and bandwidth flaps into the
         replay, together with the fetch timeout / retry / serve-stale
-        model.  ``None`` (default) replays a fault-free network and keeps
-        every replay path bit-identical to the pre-fault simulator; see
+        model.  ``None`` (default) replays a fault-free network,
+        bit-identical to the pre-fault simulator; see
         ``docs/faults.md``.
     streaming:
         Optional :class:`~repro.sim.streaming.StreamingConfig` serving a
@@ -194,15 +192,15 @@ class SimulationConfig:
         :class:`~repro.streaming.segmentation.SegmentedPrefix`,
         session-position prefetch, and the wait / degrade / abandon QoE
         model of :class:`~repro.sim.streaming.StreamingDeliveryEngine`.
-        ``None`` (default) keeps every replay path bit-identical to the
-        pre-streaming simulator; see ``docs/streaming.md``.
+        ``None`` (default) is bit-identical to the pre-streaming
+        simulator; see ``docs/streaming.md``.
     hierarchy:
         Optional :class:`~repro.sim.hierarchy.HierarchyConfig` replacing
         the single proxy with a multi-cache fleet: per-pop edge caches,
         parent tiers joined by static uplinks, and optional ICP-style
         sibling lookups, each tier running its own store and policy
-        instance.  ``None`` (default) keeps every replay path
-        bit-identical to the single-proxy simulator.  Incompatible with
+        instance.  ``None`` (default) is bit-identical to the
+        single-proxy simulator.  Incompatible with
         ``streaming`` and the reactive re-keying machinery (both assume
         the single proxy store); see ``docs/hierarchy.md``.
     observability:
@@ -210,7 +208,7 @@ class SimulationConfig:
         on the run's observability layers: the windowed metrics timeline
         (``SimulationResult.timeline``), the JSONL event trace, and the
         per-stage profiler (``SimulationResult.profile``).  ``None``
-        (default) records nothing and keeps the replay loops on their
+        (default) records nothing and keeps the replay kernel on its
         uninstrumented hot path — simulated results are bit-identical
         either way; see ``docs/observability.md``.
     seed:

@@ -18,13 +18,11 @@ Three pieces:
   and a tie-break priority relative to the request stream.
 * :class:`BandwidthRemeasurement` — one periodic probe stream for one
   cache-to-server path, drawing from its own random generator so the
-  request stream's bandwidth draws are untouched (this is what keeps the
-  no-auxiliary-event replay bit-identical across all paths).
-* :class:`AuxiliarySchedule` — a deterministic merge structure that can
-  either register its events on the discrete-event engine (the classic
-  event-calendar path) or hand them to the simulator's columnar event loop,
-  which merges them with the numpy request columns by ``(time, priority)``
-  without boxing a single ``Request``.
+  request stream's bandwidth draws are untouched (this is what keeps a
+  run without auxiliary events bit-identical to one that never had them).
+* :class:`AuxiliarySchedule` — a deterministic merge heap the simulator's
+  replay driver interleaves with the request columns by ``(time,
+  priority)``.
 
 Cadence is configured through :class:`RemeasurementConfig`, carried on
 :attr:`repro.sim.config.SimulationConfig.remeasurement`; see
@@ -46,7 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.network.measurement import BandwidthMeasurementLog, PassiveEstimator
     from repro.network.path import NetworkPath
     from repro.network.topology import DeliveryTopology
-    from repro.sim.engine import SimulationEngine
 
 #: Entropy tag mixed into the re-measurement generator's seed so its stream
 #: never collides with the request stream's (which is seeded with the bare
@@ -139,9 +136,8 @@ class PeriodicEvent:
     """A typed auxiliary event that fires every ``interval`` seconds.
 
     Subclasses implement :meth:`fire`.  The event owns its own clock state
-    (``next_time``) so the same instance drives both replay paths: the
-    discrete-event engine re-schedules it after each firing, and the
-    columnar event loop keeps it on a merge heap.
+    (``next_time``); :class:`AuxiliarySchedule` keeps it on a merge heap
+    and advances it after each firing.
 
     ``priority`` orders the event against requests sharing its timestamp
     (negative fires before the request, positive after); zero is reserved
@@ -195,10 +191,9 @@ class BandwidthRemeasurement(PeriodicEvent):
     (:meth:`~repro.network.path.NetworkPath.sample_observed`), so a firing
     usually costs a list index instead of a size-1 numpy draw; batch
     refills happen in firing order from the stream's own generator, so
-    results stay deterministic and identical across replay paths.  The
-    event never draws from the request stream's generator: with
-    re-measurement disabled the request draws are untouched, which is what
-    keeps all replay paths bit-identical in that case.
+    results stay deterministic.  The event never draws from the request
+    stream's generator: with re-measurement disabled the request draws are
+    untouched.
     """
 
     __slots__ = ("path", "estimator", "log", "rng", "listener", "_samples", "_sample_pos")
@@ -280,12 +275,10 @@ class ReactiveRekeyer:
       :meth:`notify` with no group (the origin view);
     * **passive-driven** — with
       :attr:`~repro.sim.config.SimulationConfig.reactive_passive` enabled,
-      every replay loop calls :meth:`observe_request` after the request's
+      the kernel calls :meth:`observe_request` after every request's
       estimator update, tagged with the requesting client group.
 
-    All replay paths process requests (and fire probes) in the same order,
-    so reactive runs stay bit-identical across them (asserted in
-    ``tests/test_sim_reactive.py``).  Churn is bounded two ways:
+    Churn is bounded two ways:
 
     * ``hysteresis`` — after a re-key the shifted view is *disarmed*; it
       re-arms only once its believed value re-enters the band
@@ -445,8 +438,7 @@ class ReactiveRekeyer:
 
         ``observe_request`` is called after every request's estimator
         update (the kernel's *passive* stage) when the run is
-        passive-driven reactive, in the same position on every replay
-        driver.
+        passive-driven reactive.
         """
         return {"observe_request": self.observe_request}
 
@@ -570,20 +562,12 @@ class ReactiveRekeyer:
 class AuxiliarySchedule:
     """A deterministic collection of :class:`PeriodicEvent` streams.
 
-    The schedule is the bridge between typed auxiliary events and the two
-    event-capable replay paths:
-
-    * :meth:`schedule_into` registers every stream on a
-      :class:`~repro.sim.engine.SimulationEngine` (the classic
-      event-calendar path); each firing re-schedules the next one.
-    * :meth:`begin` / :meth:`fire_before` / :meth:`drain` expose the same
-      streams as a ``(time, priority, sequence)`` merge heap for the
-      simulator's columnar event loop, which interleaves them with the
-      trace's numpy columns directly.
-
-    Both drivers fire the same events in the same order (ties broken by
-    priority, then by scheduling order), so the two paths stay
-    bit-identical; :attr:`fired` counts total firings either way.
+    :meth:`begin` / :meth:`fire_before` / :meth:`drain` expose the streams
+    as a ``(time, priority, sequence)`` merge heap for the simulator's
+    replay driver, which interleaves them with the trace's numpy columns
+    directly: ties in time are broken by priority (the request stream is
+    priority 0), then by scheduling order.  :attr:`fired` counts total
+    firings.
     """
 
     def __init__(self, events: Sequence[PeriodicEvent] = ()):
@@ -603,27 +587,6 @@ class AuxiliarySchedule:
         """The registered event streams (in scheduling order)."""
         return list(self._events)
 
-    # ------------------------------------------------------------------
-    # Driver 1: the discrete-event engine (classic event-calendar path).
-    # ------------------------------------------------------------------
-    def schedule_into(self, engine: "SimulationEngine") -> None:
-        """Register every stream's next firing on the engine."""
-        for event in self._events:
-            if event.next_time <= event.end_time:
-                engine.schedule(
-                    event.next_time, self._engine_fire, event, priority=event.priority
-                )
-
-    def _engine_fire(self, engine: "SimulationEngine", event: PeriodicEvent) -> None:
-        event.fire(engine.now)
-        self.fired += 1
-        next_time = event.advance()
-        if next_time is not None:
-            engine.schedule(next_time, self._engine_fire, event, priority=event.priority)
-
-    # ------------------------------------------------------------------
-    # Driver 2: the columnar event loop (merge heap by (time, priority)).
-    # ------------------------------------------------------------------
     def begin(self) -> List[Tuple[float, int, int, PeriodicEvent]]:
         """Build the merge heap from every stream's next firing time.
 
@@ -643,9 +606,8 @@ class AuxiliarySchedule:
     def fire_before(self, time: float, priority: int = 0) -> None:
         """Fire every event ordered before ``(time, priority)``.
 
-        The columnar loop calls this with each request's timestamp (and the
-        request stream's priority, 0), reproducing exactly the interleaving
-        the discrete-event engine would have produced.
+        The replay driver calls this with a request's timestamp (and the
+        request stream's priority, 0), firing everything due first.
         """
         heap = self._heap
         while heap and (heap[0][0], heap[0][1]) < (time, priority):
@@ -680,8 +642,8 @@ def build_remeasurement_events(
     same path interleave evenly.  All streams share one random generator
     seeded independently of the simulation's request stream (mixing
     ``base_seed``, ``config.seed``, and a fixed stream tag), and firing
-    order is deterministic, so results are reproducible across replay paths
-    and process boundaries.  ``listener`` (a :class:`ReactiveRekeyer`) is
+    order is deterministic, so results are reproducible across process
+    boundaries.  ``listener`` (a :class:`ReactiveRekeyer`) is
     attached to every stream so estimate shifts can re-key the policy.
     """
     start = config.start_time if config.start_time is not None else float(trace_start)

@@ -28,10 +28,9 @@ stochastically generated) by :class:`FaultConfig` /
 request stream's random generator: scripted and stochastic episodes draw
 from a dedicated stream (:data:`_FAULT_STREAM_TAG`), so with
 ``faults=None`` the simulator's arithmetic — and with faults enabled the
-request stream's bandwidth draws — are untouched.  The simulator calls
-:meth:`FaultInjector.intercept` once per request on every replay path, at
-the same sequence point, which is what keeps the four replay loops
-bit-identical with faults enabled too (``tests/test_sim_faults.py``).
+request stream's bandwidth draws — are untouched.  The replay kernel
+calls :meth:`FaultInjector.intercept` once per request, at its *faults*
+stage (``tests/test_sim_faults.py`` pins the results to goldens).
 
 Outages are visible to the learning machinery as *bandwidth collapse*:
 while an origin is unreachable the passive estimator is fed the
@@ -78,9 +77,7 @@ def stale_quality(
     With the origin unreachable, the supported rate is the cached prefix
     spread over the playout duration — no origin stream contributes.  The
     quantisation mirrors the layered-encoding arithmetic of
-    :meth:`~repro.workload.catalog.MediaObject.stream_quality`; every
-    replay path calls this one helper so stale serves stay bit-identical
-    across loops.
+    :meth:`~repro.workload.catalog.MediaObject.stream_quality`.
     """
     supported_rate = cached / duration
     fraction = supported_rate / bitrate
@@ -226,9 +223,9 @@ class FaultConfig:
     ``1 / timeout_factor`` would exceed ``timeout_factor x`` the expected
     transfer time and times out; up to ``max_retries`` retries follow, the
     ``k``-th waiting ``backoff_base_s * 2**(k-1)`` seconds (deterministic
-    exponential backoff — no jitter, so every replay path sees identical
-    timings).  When all attempts fail, ``serve_stale`` streams the cached
-    prefix (counted as a stale serve) instead of failing the request.
+    exponential backoff — no jitter, so replays are deterministic).  When
+    all attempts fail, ``serve_stale`` streams the cached prefix (counted
+    as a stale serve) instead of failing the request.
 
     ``recovery_fraction`` parameterises the mean-time-to-recovery metric:
     after an origin outage ends, its estimate counts as recovered at the
@@ -439,8 +436,8 @@ class FaultReport:
 class FaultInjector:
     """Apply a :class:`FaultSchedule` to the replay, one request at a time.
 
-    The simulator calls :meth:`intercept` for every request, at the same
-    sequence point on all four replay paths.  The injector keeps a
+    The replay kernel calls :meth:`intercept` for every request, at its
+    *faults* stage.  The injector keeps a
     monotone pointer over the schedule's start/end boundaries (requests
     arrive in non-decreasing time), so the per-request cost when no fault
     is active is one comparison.
@@ -645,9 +642,7 @@ class FaultInjector:
         ``intercept`` runs every fetch through the fault model at the
         kernel's *faults* stage; ``record_unserved`` accounts a
         post-retry failure; ``serve_stale`` is the configured
-        stale-serving flag.  Binding through this seam (instead of
-        reaching into the injector from each replay driver) is what
-        ``scripts/check_kernel.py`` enforces.
+        stale-serving flag.
         """
         return {
             "intercept": self.intercept,

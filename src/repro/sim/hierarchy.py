@@ -39,10 +39,8 @@ Fleet semantics
 
 Determinism
 -----------
-The engine draws **no** random numbers and is invoked by all four replay
-loops at the identical per-request sequence point, so metrics, timelines,
-and hierarchy reports are bit-identical across the event, fast,
-columnar-fast, and columnar-event paths.  With ``hierarchy=None`` the
+The engine draws **no** random numbers and is invoked by the replay
+kernel at its *residency* stage.  With ``hierarchy=None`` the
 engine is never constructed and the simulator's arithmetic (and RNG
 consumption) is exactly the pre-hierarchy code; a **degenerate** hierarchy
 (one tier, infinite uplink, one pop, no siblings) reproduces the
@@ -304,14 +302,12 @@ def tier_prefix_function(snapshot: Dict[int, float]) -> Callable:
 
 
 class HierarchyEngine:
-    """Shared per-request hierarchy machinery for every replay loop.
+    """Per-request hierarchy machinery for the replay kernel.
 
     One instance is built per :meth:`~repro.sim.simulator.
     ProxyCacheSimulator.run` when the configuration carries a
-    :class:`HierarchyConfig`.  All four replay loops call :meth:`serve` at
-    the identical sequence point (right after the fault disposition, before
-    the delivery-outcome arithmetic), so the stores, the per-tier policies,
-    and the report counters evolve identically on every path.
+    :class:`HierarchyConfig`.  The kernel calls :meth:`serve` right after
+    the fault disposition, before the delivery-outcome arithmetic.
 
     The engine performs no random draws; every bandwidth composition is a
     floating-point ``min`` applied as ``if cap < value`` so infinite caps
@@ -389,9 +385,7 @@ class HierarchyEngine:
         at the kernel's *residency* stage, ``edge_cached`` reads the
         client pop's cached prefix for a failed one, and
         ``verify_consistency`` replaces the flat store's check at the
-        *verify* stage.  Binding through this seam (instead of reaching
-        into the engine from each replay driver) is what
-        ``scripts/check_kernel.py`` enforces.
+        *verify* stage.
         """
         return {
             "serve": self.serve,
@@ -400,7 +394,7 @@ class HierarchyEngine:
         }
 
     # ------------------------------------------------------------------
-    # The per-request entry point (hot path for all four replay drivers).
+    # The per-request entry point (the kernel's hot path).
     # ------------------------------------------------------------------
     def serve(
         self,

@@ -1,11 +1,8 @@
-"""The shared per-request service kernel behind all four replay drivers.
+"""The per-request service kernel behind the simulator's replay driver.
 
-Every replay path in :mod:`repro.sim.simulator` — event calendar, fast,
-columnar fast, columnar event — used to carry its own copy of the
-per-request service sequence, hand-matched at "identical sequence points"
-and guarded only by bit-identity tests.  This module is that sequence's
-single home.  The drivers own *iteration* (trace order, auxiliary-event
-merging, pre-drawn column access); the kernel owns *service*:
+This module is the single home of the per-request service sequence.  The
+driver in :mod:`repro.sim.simulator` owns *iteration* (trace order and
+auxiliary-event merging); the kernel owns *service*:
 
 1. **window** — close due metrics-timeline windows,
 2. **warmup** — flip from warm-up to measurement at the cutoff index,
@@ -22,24 +19,18 @@ merging, pre-drawn column access); the kernel owns *service*:
 11. **passive** — passive bandwidth observation + reactive trigger,
 12. **verify** — optional store-consistency verification.
 
-:data:`KERNEL_STAGES` lists the stages in canonical order;
-``tests/test_sim_kernel.py`` asserts that every driver emits them in that
-order, per request, with identical traces across drivers.
+:data:`KERNEL_STAGES` lists the stages in canonical order.
 
-The kernel has two entry points with bit-identical arithmetic:
-
-* :func:`serve_request` — the scalar path, used per request by the
-  event-calendar driver (and by every driver when a ``stage_observer``
-  is installed, so instrumentation never perturbs the hot loop), and
-* :func:`serve_batch` — the chunk-oriented path the three tight-loop
-  drivers feed with ``[start, stop)`` runs of the trace.  Chunks are the
-  seam for later vectorisation: a driver hands over the longest run of
-  requests uninterrupted by auxiliary events, and the kernel is free to
-  process it however it likes as long as the observable sequence is
-  preserved.  Metric accumulators are *carried across chunks* on the
-  context and merged into the collector exactly once
-  (:meth:`KernelContext.finish`) — floating-point addition order is part
-  of the bit-identity contract.
+The kernel's one entry point is :func:`serve_batch`, which the driver
+feeds with ``[start, stop)`` runs of the trace: the longest runs
+uninterrupted by auxiliary events.  Chunks are the seam for later
+vectorisation — the kernel is free to process a run however it likes as
+long as the observable sequence is preserved, and splitting a run at any
+request must not change a bit of the result (``tests/test_sim_kernel.py``
+checks this down to one request per chunk).  Metric accumulators are
+*carried across chunks* on the context and merged into the collector
+exactly once (:meth:`KernelContext.finish`) — floating-point addition
+order is part of the bit-identity contract.
 
 A :class:`KernelContext` is assembled once per run by
 :func:`build_context` from the simulator's configured subsystems.  Each
@@ -49,31 +40,28 @@ subsystem exposes its seam through a ``kernel_hooks()`` method
 :class:`~repro.sim.streaming.StreamingDeliveryEngine`,
 :class:`~repro.sim.events.ReactiveRekeyer`,
 :class:`~repro.obs.timeline.MetricsTimeline`) — adding a subsystem to
-the simulator means adding one stage hook here, not four hand-matched
-loop edits (see ``docs/architecture.md``).
+the simulator means adding one stage hook here (see
+``docs/architecture.md``).
 
-All pre-draw logic also lives here (it used to be duplicated across the
-loops): :func:`predraw_ratios` (batched bandwidth-variability draws),
-:func:`last_mile_sequences` (per-request last-mile base / observed /
-group), and :func:`pop_sequence` (per-request hierarchy pop affinity)
-are resolved once by :func:`build_context` before replay starts, which
-is what makes the composition bit-identical across drivers by
-construction.
+All pre-draw logic also lives here: :func:`predraw_ratios` (batched
+bandwidth-variability draws), :func:`last_mile_sequences` (per-request
+last-mile base / observed / group), and :func:`pop_sequence`
+(per-request hierarchy pop affinity) are resolved once by
+:func:`build_context` before replay starts, so chunk boundaries never
+move a random draw.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.sim.faults import stale_quality
-from repro.trace.columnar import ColumnarTrace
 
-#: The canonical per-request stage order.  A request's emitted stages are
-#: always a subsequence of this tuple (stages whose subsystem is disabled,
-#: or that a branch skips — e.g. ``policy`` on a failed fetch — do not
-#: fire), and the emitted trace is identical across all four drivers.
+#: The canonical per-request stage order.  A request runs a subsequence of
+#: these stages: those whose subsystem is disabled, or that a branch skips
+#: (e.g. ``policy`` on a failed fetch), do not run.
 KERNEL_STAGES = (
     "window",
     "warmup",
@@ -103,9 +91,9 @@ def predraw_ratios(
     Only legal when every path shares one variability model whose batched
     draws consume the generator exactly like per-request draws
     (``iid_batch_equivalent``) — the batch is then elementwise
-    IEEE-identical to the scalar draws it replaces, on *every* driver.
-    Returns ``None`` otherwise, in which case the kernel falls back to
-    per-request sampling from the live generator.
+    IEEE-identical to the scalar draws it replaces.  Returns ``None``
+    otherwise, in which case the kernel falls back to per-request sampling
+    from the live generator.
     """
     model = None
     for path in topology.paths:
@@ -143,13 +131,7 @@ def last_mile_sequences(topology, trace, seed: tuple) -> Optional[tuple]:
     if not paths:
         return None
     total = len(trace)
-    if isinstance(trace, ColumnarTrace):
-        client_ids = trace.client_ids_array.astype(np.int64, copy=False)
-    else:
-        client_ids = np.fromiter(
-            (request.client_id for request in trace), dtype=np.int64, count=total
-        )
-    groups = client_ids % len(paths)
+    groups = trace.client_ids_array.astype(np.int64, copy=False) % len(paths)
     base_lut = np.array([path.base_bandwidth for path in paths], dtype=np.float64)
     base = base_lut[groups]
 
@@ -177,11 +159,7 @@ def pop_sequence(trace, num_pops: int) -> Optional[List[int]]:
     """
     if num_pops <= 1:
         return None
-    if isinstance(trace, ColumnarTrace):
-        return (
-            trace.client_ids_array.astype(np.int64, copy=False) % num_pops
-        ).tolist()
-    return [request.client_id % num_pops for request in trace]
+    return (trace.client_ids_array.astype(np.int64, copy=False) % num_pops).tolist()
 
 
 # ----------------------------------------------------------------------
@@ -210,37 +188,16 @@ def _make_entry(catalog_get, path_for, object_id: int) -> tuple:
     )
 
 
-class _LazyEntries(dict):
-    """Per-object entry cache that resolves objects on first touch.
-
-    Used when the trace's object ids are not dense enough for the
-    prefilled lookup list — ``entries[object_id]`` stays a plain
-    subscript in the hot loop either way.
-    """
-
-    __slots__ = ("_catalog_get", "_path_for")
-
-    def __init__(self, catalog_get, path_for):
-        super().__init__()
-        self._catalog_get = catalog_get
-        self._path_for = path_for
-
-    def __missing__(self, object_id):
-        entry = _make_entry(self._catalog_get, self._path_for, object_id)
-        self[object_id] = entry
-        return entry
-
-
 # ----------------------------------------------------------------------
 # The per-run kernel context.
 # ----------------------------------------------------------------------
 class KernelContext:
     """Everything one run's service sequence needs, bound once.
 
-    Built by :func:`build_context`; consumed by :func:`serve_request` /
-    :func:`serve_batch`.  The ``m_*`` metric accumulators and the
-    ``measuring`` / ``tl_boundary`` cursors are *run state* carried
-    across driver chunks; everything else is read-only for the run.
+    Built by :func:`build_context`; consumed by :func:`serve_batch`.  The
+    ``m_*`` metric accumulators and the ``measuring`` / ``tl_boundary``
+    cursors are *run state* carried across driver chunks; everything else
+    is read-only for the run.
     Call :meth:`finish` exactly once after the driver completes to merge
     the accumulated metrics into the collector.
     """
@@ -270,13 +227,10 @@ class KernelContext:
         "rng",
         "entries",
         "observed_seq",
-        "ratios",
         "lm_base",
         "lm_observed",
         "lm_groups",
         "pops",
-        "dense_bound",
-        "stage_observer",
         # Run state (carried across chunks).
         "measuring",
         "tl_boundary",
@@ -297,26 +251,6 @@ class KernelContext:
         "warmup_count",
         "hits_by_object",
     )
-
-    def snapshot_core(self) -> tuple:
-        """The fourteen core accumulators, in ``MetricsCollector.snapshot``
-        order — the payload of every metrics-timeline marker."""
-        return (
-            self.m_requests,
-            self.m_bytes_cache,
-            self.m_bytes_server,
-            self.m_delay,
-            self.m_quality,
-            self.m_value,
-            self.m_hits,
-            self.m_immediate,
-            self.m_delayed,
-            self.m_delay_delayed,
-            self.m_failed,
-            self.m_stale,
-            self.m_retried,
-            self.m_retries,
-        )
 
     def finish(self) -> None:
         """Merge the carried accumulators into the collector, once.
@@ -363,28 +297,20 @@ def build_context(
     streaming=None,
     hierarchy=None,
     rng: np.random.Generator,
-    mode: str,
-    dense_bound: Optional[int],
     warmup_cutoff: int,
     verify_store: bool,
     num_pops: int = 1,
     client_cloud_seed: tuple = (0,),
-    stage_observer=None,
 ) -> KernelContext:
-    """Assemble the per-run :class:`KernelContext`.
+    """Assemble the per-run :class:`KernelContext` for a columnar ``trace``.
 
     Binds each configured subsystem through its ``kernel_hooks()`` seam,
-    resolves every pre-drawn sequence (variability ratios, last-mile
-    draws, pop affinity), and — for dense-id columnar traces on a
-    tight-loop ``mode`` — prefills the per-object entry table and the
-    fully vectorised observed-bandwidth column.
+    resolves every pre-drawn sequence (last-mile draws, pop affinity),
+    prefills the per-object entry table, and — when the variability model
+    allows batched draws — vectorises the whole observed-bandwidth column.
 
     ``rekeyer`` is the *passive-reactive* rekeyer (already gated by the
-    config); ``mode`` is the resolved replay path, which decides the
-    entry-table representation.  ``stage_observer``, when given, is
-    called as ``observer(index, stage)`` at every executed stage — the
-    drivers then route each request through the scalar path so the hot
-    loop never carries instrumentation branches.
+    config).
     """
     catalog_get = catalog.get
     path_for = topology.path_for
@@ -401,8 +327,6 @@ def build_context(
     ctx.estimator_estimate = estimator.estimate if estimator is not None else None
     ctx.estimator_observe = estimator.observe if estimator is not None else None
     ctx.rng = rng
-    ctx.dense_bound = dense_bound
-    ctx.stage_observer = stage_observer
 
     rekeyer_hooks = rekeyer.kernel_hooks() if rekeyer is not None else None
     ctx.rekeyer_request = (
@@ -447,43 +371,41 @@ def build_context(
         ctx.tl_close = None
         ctx.tl_boundary = _INF
 
-    # Pre-drawn sequences: one home for all four drivers.
+    # Pre-drawn sequences.
     last_mile = last_mile_sequences(topology, trace, client_cloud_seed)
     ctx.lm_base, ctx.lm_observed, ctx.lm_groups = (
         last_mile if last_mile is not None else (None, None, None)
     )
     ctx.pops = pop_sequence(trace, num_pops) if hierarchy is not None else None
 
-    ratio_array = predraw_ratios(topology, rng, total)
-    ctx.ratios = ratio_array.tolist() if ratio_array is not None else None
-    ctx.observed_seq = None
-
-    dense = (
-        mode in ("fast", "columnar", "columnar-event")
-        and dense_bound is not None
-        and isinstance(trace, ColumnarTrace)
-    )
-    if dense:
-        # Resolve every distinct object once (dense ids, list-indexed)
-        # and — when the variability model allows batched draws —
-        # vectorise the whole observed-bandwidth column (elementwise
-        # IEEE-identical to the scalar form).
-        ids_array = trace.object_ids_array
-        entries: List[Optional[tuple]] = [None] * (dense_bound + 1)
-        for object_id in np.unique(ids_array).tolist() if total else []:
-            entries[object_id] = _make_entry(catalog_get, path_for, object_id)
-        ctx.entries = entries
-        if ratio_array is not None and total:
-            base_lut = np.zeros(dense_bound + 1, dtype=np.float64)
-            for object_id, entry in enumerate(entries):
-                if entry is not None:
-                    base_lut[object_id] = entry[1]
-            observed_array = base_lut[ids_array] * ratio_array
-            np.maximum(observed_array, 1.0, out=observed_array)
-            ctx.observed_seq = observed_array.tolist()
-            ctx.ratios = None
+    # Resolve every distinct object once.  Dense ids (0..N-1 for
+    # generated and ingested catalogs) index a list; sparse ids key a
+    # dict, so ``entries[object_id]`` serves both without a remap.
+    ids_array = trace.object_ids_array
+    object_ids = np.unique(ids_array).tolist()
+    if object_ids and (object_ids[0] < 0 or object_ids[-1] >= 4 * total + 1024):
+        entries = {}
     else:
-        ctx.entries = _LazyEntries(catalog_get, path_for)
+        entries = [None] * (object_ids[-1] + 1 if object_ids else 0)
+    for object_id in object_ids:
+        entries[object_id] = _make_entry(catalog_get, path_for, object_id)
+    ctx.entries = entries
+
+    # With batched draws, vectorise the whole observed-bandwidth column
+    # (elementwise IEEE-identical to the scalar base * ratio, floor 1.0).
+    ratio_array = predraw_ratios(topology, rng, total)
+    ctx.observed_seq = None
+    if ratio_array is not None and total:
+        if isinstance(entries, list):
+            base_lut = np.zeros(len(entries), dtype=np.float64)
+            for object_id in object_ids:
+                base_lut[object_id] = entries[object_id][1]
+            base = base_lut[ids_array]
+        else:
+            base = np.array([entries[oid][1] for oid in ids_array.tolist()])
+        observed_array = base * ratio_array
+        np.maximum(observed_array, 1.0, out=observed_array)
+        ctx.observed_seq = observed_array.tolist()
 
     # Run state.
     ctx.measuring = collector.measuring
@@ -507,277 +429,6 @@ def build_context(
 
 
 # ----------------------------------------------------------------------
-# The scalar service path.
-# ----------------------------------------------------------------------
-def serve_request(ctx: KernelContext, index: int, object_id: int, now: float) -> None:
-    """Serve one request through the canonical stage sequence.
-
-    Bit-identical to one iteration of :func:`serve_batch` (the batch
-    loop is this function with the context unpacked into locals).  Used
-    per request by the event-calendar driver, and by every driver when
-    ``ctx.stage_observer`` is installed.
-    """
-    observer = ctx.stage_observer
-
-    if now >= ctx.tl_boundary:
-        if observer is not None:
-            observer(index, "window")
-        ctx.tl_boundary = ctx.tl_close(now, ctx.snapshot_core())
-    if index == ctx.warmup_cutoff:
-        if observer is not None:
-            observer(index, "warmup")
-        ctx.measuring = True
-        ctx.collector.measuring = True
-    measuring = ctx.measuring
-
-    if observer is not None:
-        observer(index, "resolve")
-    entry = ctx.entries[object_id]
-    obj, base_bw, size, duration, bitrate, quantum, value, server_id, path = entry
-
-    if observer is not None:
-        observer(index, "bandwidth")
-    observed_seq = ctx.observed_seq
-    ratios = ctx.ratios
-    if observed_seq is not None:
-        observed = observed_seq[index]
-    elif ratios is not None:
-        observed = base_bw * ratios[index]
-        if observed < 1.0:
-            observed = 1.0
-    else:
-        observed = path.observed_bandwidth(ctx.rng)
-    origin_observed = observed
-    lm_observed = ctx.lm_observed
-    if lm_observed is not None:
-        cap = lm_observed[index]
-        if cap < observed:
-            observed = cap
-
-    if observer is not None:
-        observer(index, "belief")
-    estimator_estimate = ctx.estimator_estimate
-    if estimator_estimate is not None:
-        believed = estimator_estimate(server_id)
-    else:
-        believed = base_bw
-    prior_estimate = believed
-    lm_base = ctx.lm_base
-    if lm_base is not None:
-        cap = lm_base[index]
-        if cap < believed:
-            believed = cap
-    lm_groups = ctx.lm_groups
-
-    disposition = None
-    intercept = ctx.intercept
-    if intercept is not None:
-        if observer is not None:
-            observer(index, "faults")
-        disposition = intercept(
-            now,
-            server_id,
-            lm_groups[index] if lm_groups is not None else None,
-            origin_observed,
-            lm_observed[index] if lm_observed is not None else None,
-        )
-
-    hier_serve = ctx.hier_serve
-    pops = ctx.pops
-    if disposition is None or disposition[0] == 0:  # FETCH_OK
-        if disposition is not None:
-            observed = disposition[1]
-            origin_observed = disposition[2]
-        if hier_serve is not None:
-            if observer is not None:
-                observer(index, "residency")
-            cached, observed = hier_serve(
-                pops[index] if pops is not None else 0,
-                object_id,
-                obj,
-                size,
-                observed,
-                lm_observed[index] if lm_observed is not None else None,
-                believed,
-                prior_estimate,
-                now,
-                measuring,
-            )
-        stream_serve = ctx.stream_serve
-        if stream_serve is not None and object_id in ctx.stream_ids:
-            if observer is not None:
-                observer(index, "delivery")
-            s_cache, s_server, s_delay, s_quality, s_full = stream_serve(
-                object_id,
-                observed,
-                now,
-                measuring,
-                disposition[3] if disposition is not None else 0.0,
-            )
-            if measuring:
-                if observer is not None:
-                    observer(index, "metrics")
-                ctx.m_requests += 1
-                ctx.m_bytes_cache += s_cache
-                ctx.m_bytes_server += s_server
-                ctx.m_delay += s_delay
-                ctx.m_quality += s_quality
-                if s_delay <= 0.0:
-                    if s_full:
-                        ctx.m_value += value
-                    ctx.m_immediate += 1
-                else:
-                    ctx.m_delayed += 1
-                    ctx.m_delay_delayed += s_delay
-                if s_cache > 0:
-                    ctx.m_hits += 1
-                    hits_by_object = ctx.hits_by_object
-                    hits_by_object[object_id] = hits_by_object.get(object_id, 0) + 1
-                if disposition is not None and disposition[4]:
-                    ctx.m_retried += 1
-                    ctx.m_retries += disposition[4]
-            else:
-                ctx.warmup_count += 1
-        elif measuring:
-            if hier_serve is None:
-                if observer is not None:
-                    observer(index, "residency")
-                cached = ctx.store_cached(object_id)
-
-            if observer is not None:
-                observer(index, "delivery")
-            # DeliverySession.outcome(), with identical floating-point
-            # operation order.
-            if cached > size:
-                cached = size
-            missing = size - duration * observed - cached
-            if missing <= 0:
-                delay = 0.0
-            elif observed <= 0:
-                delay = _INF
-            else:
-                delay = missing / observed
-            supported_rate = cached / duration + (observed if observed > 0.0 else 0.0)
-            fraction = supported_rate / bitrate
-            if fraction >= 1.0:
-                quality = 1.0
-            else:
-                quality = int(fraction / quantum + 1e-9) * quantum
-            if disposition is not None and disposition[3] > 0.0:
-                # Retry backoff delays playout start.
-                delay = delay + disposition[3]
-
-            if observer is not None:
-                observer(index, "metrics")
-            # MetricsCollector.record(), in the same order.
-            ctx.m_requests += 1
-            ctx.m_bytes_cache += cached
-            ctx.m_bytes_server += size - cached
-            ctx.m_delay += delay
-            ctx.m_quality += quality
-            if delay <= 0.0:
-                ctx.m_value += value
-                ctx.m_immediate += 1
-            else:
-                ctx.m_delayed += 1
-                ctx.m_delay_delayed += delay
-            if cached > 0:
-                ctx.m_hits += 1
-                hits_by_object = ctx.hits_by_object
-                hits_by_object[object_id] = hits_by_object.get(object_id, 0) + 1
-            if disposition is not None and disposition[4]:
-                ctx.m_retried += 1
-                ctx.m_retries += disposition[4]
-        else:
-            ctx.warmup_count += 1
-
-        if hier_serve is None:
-            if observer is not None:
-                observer(index, "policy")
-            ctx.policy_on_request(obj, believed, now, ctx.store)
-        estimator_observe = ctx.estimator_observe
-        if estimator_observe is not None:
-            if observer is not None:
-                observer(index, "passive")
-            estimator_observe(server_id, origin_observed)
-            rekeyer_request = ctx.rekeyer_request
-            if rekeyer_request is not None:
-                rekeyer_request(
-                    now,
-                    server_id,
-                    lm_groups[index] if lm_groups is not None else None,
-                    prior_estimate,
-                    observed,
-                )
-    else:
-        # Fetch failed after the retry budget: serve the cached prefix
-        # stale, or fail the request outright.  No policy stage — the
-        # origin is unreachable, so there is nothing to fetch or admit.
-        if observer is not None:
-            observer(index, "residency")
-        hier_edge = ctx.hier_edge
-        if hier_edge is not None:
-            cached = hier_edge(pops[index] if pops is not None else 0, object_id)
-        else:
-            cached = ctx.store_cached(object_id)
-        if observer is not None:
-            observer(index, "delivery")
-        if cached > size:
-            cached = size
-        stale = ctx.serve_stale and cached > 0.0
-        ctx.record_unserved(stale)
-        if measuring:
-            if observer is not None:
-                observer(index, "metrics")
-            waited = disposition[3]
-            ctx.m_requests += 1
-            if stale:
-                sq = stale_quality(cached, duration, bitrate, quantum)
-                ctx.m_bytes_cache += cached
-                ctx.m_quality += sq
-                ctx.m_hits += 1
-                hits_by_object = ctx.hits_by_object
-                hits_by_object[object_id] = hits_by_object.get(object_id, 0) + 1
-                ctx.m_stale += 1
-            else:
-                sq = 0.0
-                ctx.m_failed += 1
-            ctx.m_delay += waited
-            ctx.m_delayed += 1
-            ctx.m_delay_delayed += waited
-            if disposition[4]:
-                ctx.m_retried += 1
-                ctx.m_retries += disposition[4]
-            stream_failed = ctx.stream_failed
-            if stream_failed is not None and object_id in ctx.stream_ids:
-                stream_failed(waited, sq)
-        else:
-            ctx.warmup_count += 1
-        estimator_observe = ctx.estimator_observe
-        if estimator_observe is not None:
-            if observer is not None:
-                observer(index, "passive")
-            estimator_observe(server_id, disposition[2])
-            rekeyer_request = ctx.rekeyer_request
-            if rekeyer_request is not None:
-                rekeyer_request(
-                    now,
-                    server_id,
-                    lm_groups[index] if lm_groups is not None else None,
-                    prior_estimate,
-                    disposition[1],
-                )
-    if ctx.verify_store:
-        if observer is not None:
-            observer(index, "verify")
-        if not ctx.verify_consistency():
-            raise AssertionError(
-                "cache store accounting became inconsistent "
-                f"after request {index} (object {object_id})"
-            )
-
-
-# ----------------------------------------------------------------------
 # The chunk-oriented service path.
 # ----------------------------------------------------------------------
 def serve_batch(
@@ -789,20 +440,12 @@ def serve_batch(
 ) -> None:
     """Serve the trace run ``[start, stop)`` through the kernel.
 
-    The drivers guarantee no auxiliary event is due inside the run, so
+    The driver guarantees no auxiliary event is due inside the run, so
     the kernel owns the whole chunk: the context is unpacked into locals
-    once per chunk, the per-request sequence is the inlined twin of
-    :func:`serve_request` (same floating-point operation order — the
-    bit-identity contract), and the carried accumulators are written
-    back once at the end.  With a ``stage_observer`` installed the chunk
-    is routed through the scalar path instead, so the hot loop never
-    pays an instrumentation branch.
+    once per chunk, the stages run inline per request, and the carried
+    accumulators are written back once at the end.
     """
     if stop <= start:
-        return
-    if ctx.stage_observer is not None:
-        for index in range(start, stop):
-            serve_request(ctx, index, ids[index], times[index])
         return
 
     # Unpack the context once per chunk.
@@ -828,7 +471,6 @@ def serve_batch(
     rng = ctx.rng
     entries = ctx.entries
     observed_seq = ctx.observed_seq
-    ratios = ctx.ratios
     lm_base = ctx.lm_base
     lm_observed = ctx.lm_observed
     lm_groups = ctx.lm_groups
@@ -886,10 +528,6 @@ def serve_batch(
 
         if observed_seq is not None:
             observed = observed_seq[index]
-        elif ratios is not None:
-            observed = base_bw * ratios[index]
-            if observed < 1.0:
-                observed = 1.0
         else:
             observed = path.observed_bandwidth(rng)
         origin_observed = observed
@@ -937,9 +575,8 @@ def serve_batch(
                 )
             if stream_serve is not None and object_id in stream_ids:
                 # Segment-aware session through the shared streaming
-                # engine; the accumulation below mirrors
-                # MetricsCollector.record_streaming() operation-for-
-                # operation.
+                # engine; value accrues only for immediate full-quality
+                # sessions (Section 2.6's full-quality condition).
                 s_cache, s_server, s_delay, s_quality, s_full = stream_serve(
                     object_id,
                     observed,

@@ -156,130 +156,6 @@ class MetricsCollector:
                 self._per_object_hits.get(outcome.object_id, 0) + 1
             )
 
-    def record_served_fault(
-        self,
-        object_id: int,
-        bytes_from_cache: float,
-        bytes_from_server: float,
-        delay: float,
-        quality: float,
-        value: float,
-        retries: int,
-    ) -> None:
-        """Record one request served through the fault machinery.
-
-        Same accumulation as :meth:`record` — the caller has already
-        folded any retry-backoff wait into ``delay`` (a request that
-        waited is by definition not immediate) — plus the retry counters.
-        Used by the event-calendar replay path; the tight loops inline the
-        identical arithmetic (:mod:`repro.sim.faults`).
-        """
-        if not self.measuring:
-            self._warmup_requests += 1
-            return
-        self._requests += 1
-        self._bytes_from_cache += bytes_from_cache
-        self._bytes_from_server += bytes_from_server
-        self._delay_sum += delay
-        self._quality_sum += quality
-        if delay <= 0.0:
-            self._value_sum += value
-            self._immediate += 1
-        else:
-            self._delayed += 1
-            self._delay_sum_delayed += delay
-        if bytes_from_cache > 0:
-            self._hits += 1
-            self._per_object_hits[object_id] = (
-                self._per_object_hits.get(object_id, 0) + 1
-            )
-        if retries:
-            self._retried += 1
-            self._total_retries += retries
-
-    def record_streaming(
-        self,
-        object_id: int,
-        bytes_from_cache: float,
-        bytes_from_server: float,
-        delay: float,
-        quality: float,
-        value: float,
-        full_quality: bool,
-        retries: int,
-    ) -> None:
-        """Record one streaming session served by the delivery engine.
-
-        Same accumulation shape as :meth:`record_served_fault`, except
-        value accrues only for immediate *full-quality* sessions — a
-        session that degraded to fewer layers starts instantly but does
-        not earn the object's revenue (Section 2.6's full-quality
-        condition).  Used by the event-calendar replay path; the tight
-        loops inline the identical arithmetic.
-        """
-        if not self.measuring:
-            self._warmup_requests += 1
-            return
-        self._requests += 1
-        self._bytes_from_cache += bytes_from_cache
-        self._bytes_from_server += bytes_from_server
-        self._delay_sum += delay
-        self._quality_sum += quality
-        if delay <= 0.0:
-            if full_quality:
-                self._value_sum += value
-            self._immediate += 1
-        else:
-            self._delayed += 1
-            self._delay_sum_delayed += delay
-        if bytes_from_cache > 0:
-            self._hits += 1
-            self._per_object_hits[object_id] = (
-                self._per_object_hits.get(object_id, 0) + 1
-            )
-        if retries:
-            self._retried += 1
-            self._total_retries += retries
-
-    def record_unserved(
-        self,
-        object_id: int,
-        cached: float,
-        delay: float,
-        quality: float,
-        retries: int,
-        stale: bool,
-    ) -> None:
-        """Record one request whose fetch failed after every retry.
-
-        ``stale`` means the cached prefix was served in place of the
-        unreachable origin (a stale serve: cache bytes and quality count,
-        the request is a hit, but it is never immediate and earns no
-        value); otherwise the request failed outright and contributes only
-        its backoff ``delay``.  Both count as delayed — a client that
-        waited through the retry budget did not get immediate service.
-        """
-        if not self.measuring:
-            self._warmup_requests += 1
-            return
-        self._requests += 1
-        if stale:
-            self._bytes_from_cache += cached
-            self._quality_sum += quality
-            self._hits += 1
-            self._per_object_hits[object_id] = (
-                self._per_object_hits.get(object_id, 0) + 1
-            )
-            self._stale_served += 1
-        else:
-            self._failed += 1
-        self._delay_sum += delay
-        self._delayed += 1
-        self._delay_sum_delayed += delay
-        if retries:
-            self._retried += 1
-            self._total_retries += retries
-
     @property
     def warmup_requests(self) -> int:
         """Number of requests processed during warm-up."""
@@ -291,8 +167,8 @@ class MetricsCollector:
         Order matches the keyword order of :meth:`absorb` (minus the
         warm-up counter and per-object hit map); this is the core of
         each :class:`repro.obs.timeline.MetricsTimeline` marker, so the
-        fast replay paths build the identical tuple from their local
-        accumulators without calling this method.
+        kernel builds the identical tuple from its local accumulators
+        without calling this method.
         """
         return (
             self._requests,
@@ -333,7 +209,7 @@ class MetricsCollector:
     ) -> None:
         """Merge pre-accumulated totals into the collector.
 
-        The simulator's fast replay path accumulates per-request quantities
+        The simulator's replay kernel accumulates per-request quantities
         in local variables (in exactly the order :meth:`record` would have
         added them, so floating-point sums are bit-identical) and merges
         them here once per run instead of paying a method call per request.

@@ -21,10 +21,10 @@ controls how the workload reaches the workers: columnar traces travel via
 shared memory by default instead of being re-pickled per worker (see
 :mod:`repro.trace.shm`).
 
-Every run replays through whichever path
-:meth:`~repro.sim.simulator.ProxyCacheSimulator.run` selects for the job's
-config — including the columnar event path when the config schedules
-periodic bandwidth re-measurement (:mod:`repro.sim.events`); a
+Every run replays through
+:meth:`~repro.sim.simulator.ProxyCacheSimulator.run` with the job's
+config — including periodic bandwidth re-measurement
+(:mod:`repro.sim.events`) when the config schedules it; a
 :class:`~repro.sim.events.RemeasurementConfig` travels inside the pickled
 :class:`~repro.sim.config.SimulationConfig`, so parallel and serial
 execution stay byte-identical.  The same holds for fault injection: a

@@ -13,39 +13,22 @@ policy, following the paper's methodology (Sections 3 and 4.1):
   outcome *before* letting the policy react, so metrics reflect the cache
   state a real client would have found.
 
-Since the kernel refactor, the per-request service sequence lives in one
-place — :mod:`repro.sim.kernel` — and the simulator's replay paths are
-thin *drivers* that own only iteration order, auxiliary-event merging,
-and pre-drawn column access (see ``docs/architecture.md`` for the
-kernel + drivers diagram).  All four produce bit-identical metrics:
-
-* the **event-calendar driver** (:meth:`ProxyCacheSimulator._replay_events`)
-  dispatches every request through the discrete-event engine, so arbitrary
-  auxiliary events (anything a subclass schedules through
-  :meth:`ProxyCacheSimulator.schedule_auxiliary_events`) compose naturally
-  with the request stream; each request is served by
-  :func:`repro.sim.kernel.serve_request`,
-* the **fast driver**, used automatically when no auxiliary events are
-  scheduled, hands the whole trace to
-  :func:`repro.sim.kernel.serve_batch` as one chunk — no per-request
-  ``Event`` allocation, no heap churn, per-request bandwidth-variability
-  draws pre-batched through numpy,
-* the **columnar fast driver**, used when the workload carries a dense-id
-  :class:`~repro.trace.columnar.ColumnarTrace`: the kernel context
-  carries prefilled per-object entries and a fully vectorised
-  observed-bandwidth column, skipping ``Request`` objects entirely, and
-* the **columnar event driver**, used when *typed* periodic events
-  (:mod:`repro.sim.events`, e.g. periodic bandwidth re-measurement from
-  :attr:`~repro.sim.config.SimulationConfig.remeasurement`) are scheduled
-  over a dense-id columnar trace: the driver splits the trace into the
-  longest runs uninterrupted by auxiliary events — merged by ``(time,
-  priority)`` exactly as the discrete-event engine orders them — and
-  serves each run through :func:`repro.sim.kernel.serve_batch`.
+The per-request service sequence lives in one place —
+:func:`repro.sim.kernel.serve_batch` — and the simulator owns one thin
+*driver* (:meth:`ProxyCacheSimulator._replay`, see
+``docs/architecture.md``).  Every run converts its trace to a
+:class:`~repro.trace.columnar.ColumnarTrace` (a no-op for columnar
+workloads), and the kernel context prefills one entry per distinct object
+plus a vectorised observed-bandwidth column.  The driver then splits the
+trace into the longest runs uninterrupted by *typed* auxiliary events
+(:mod:`repro.sim.events`, e.g. periodic bandwidth re-measurement from
+:attr:`~repro.sim.config.SimulationConfig.remeasurement`), merged by
+``(time, priority)``, and serves each run through ``serve_batch``; with
+no events scheduled the whole trace is one chunk.
 
 Per-client last-mile bandwidth
-(:attr:`~repro.sim.config.SimulationConfig.client_clouds`) composes onto
-every path identically: the last-mile sequences are resolved once per run
-by the kernel context builder
+(:attr:`~repro.sim.config.SimulationConfig.client_clouds`) is resolved
+once per run by the kernel context builder
 (:func:`repro.sim.kernel.last_mile_sequences`), and each request's
 delivered bandwidth becomes the bottleneck of its two hops — see
 ``docs/clients.md``.
@@ -55,19 +38,17 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.core.store import CacheStore
-from repro.exceptions import SimulationError
 from repro.network.measurement import BandwidthMeasurementLog, PassiveEstimator
 from repro.network.topology import DeliveryTopology
 from repro.obs.profiling import StageProfiler
 from repro.obs.timeline import MetricsTimeline
 from repro.obs.tracing import ObservedCacheStore, TraceSink
 from repro.sim.config import BandwidthKnowledge, SimulationConfig
-from repro.sim.engine import SimulationEngine
 from repro.sim.events import (
     AuxiliarySchedule,
     ReactiveRekeyer,
@@ -75,18 +56,11 @@ from repro.sim.events import (
 )
 from repro.sim.faults import FaultInjector, FaultReport
 from repro.sim.hierarchy import HierarchyEngine, HierarchyReport
-from repro.sim.kernel import KernelContext, build_context, serve_batch, serve_request
+from repro.sim.kernel import KernelContext, build_context, serve_batch
 from repro.sim.metrics import MetricsCollector, SimulationMetrics
 from repro.sim.streaming import StreamingDeliveryEngine, StreamingReport
 from repro.trace.columnar import ColumnarTrace
 from repro.workload.gismo import Workload
-
-
-#: Replay-path names accepted by :meth:`ProxyCacheSimulator.run`'s
-#: ``replay`` argument (``"auto"`` resolves to one of the others;
-#: ``"columnar"`` forces the dense columnar loop explicitly and is never
-#: picked by ``"auto"``, which reports the equivalent run as ``"fast"``).
-REPLAY_PATHS = ("auto", "event", "fast", "columnar", "columnar-event")
 
 #: Entropy tag mixed into the client-cloud generator's seed so last-mile
 #: construction and per-request last-mile draws never collide with the
@@ -98,13 +72,10 @@ _CLIENT_CLOUD_STREAM_TAG = 0x434C49
 class SimulationResult:
     """Everything a single simulation run produces.
 
-    ``replay_path`` records which replay driver ran (``"event"``,
-    ``"fast"``, ``"columnar"``, or ``"columnar-event"``);
-    ``used_fast_path`` is kept as the legacy boolean view of the same
-    fact (true for both tight-loop drivers).  ``auxiliary_events_fired``
-    counts typed periodic-event firings (e.g. bandwidth re-measurements),
-    and ``measurement_log`` carries their per-server sample statistics
-    when the run had re-measurement configured.  ``reactive_shifts`` /
+    ``auxiliary_events_fired`` counts typed periodic-event firings (e.g.
+    bandwidth re-measurements), and ``measurement_log`` carries their
+    per-server sample statistics when the run had re-measurement
+    configured.  ``reactive_shifts`` /
     ``reactive_rekeys`` count the threshold crossings and heap entries
     re-keyed by the reactive hook
     (:attr:`~repro.sim.config.SimulationConfig.reactive_threshold`);
@@ -131,8 +102,8 @@ class SimulationResult:
     config carries an
     :attr:`~repro.sim.config.SimulationConfig.observability` block:
     ``timeline`` is the finished windowed
-    :class:`~repro.obs.timeline.MetricsTimeline` (path-identical across
-    all four replay drivers), and ``profile`` the per-stage wall-clock
+    :class:`~repro.obs.timeline.MetricsTimeline`, and ``profile`` the
+    per-stage wall-clock
     report of :class:`~repro.obs.profiling.StageProfiler`.
     ``heap_statistics`` is recorded on every run whose policy exposes it
     (the heap-backed paper policies do): peak/live/stale entry counts and
@@ -146,8 +117,6 @@ class SimulationResult:
     final_cache_occupancy: float
     final_cached_objects: int
     warmup_requests: int
-    used_fast_path: bool = False
-    replay_path: str = "fast"
     auxiliary_events_fired: int = 0
     measurement_log: Optional[BandwidthMeasurementLog] = None
     reactive_shifts: int = 0
@@ -172,24 +141,6 @@ class SimulationResult:
             }
         )
         return data
-
-
-def _dense_id_bound(trace: ColumnarTrace) -> Optional[int]:
-    """Largest object id when the trace's ids are dense and non-negative.
-
-    Dense means the ids fit a modest lookup table (bounded by a small
-    multiple of the trace length) — true for generated and ingested
-    catalogs, whose ids are 0..N-1.  Returns ``None`` otherwise, sending
-    the replay down the generic loop.
-    """
-    ids = trace.object_ids_array
-    if ids.size == 0:
-        return 0
-    min_id = int(ids.min())
-    max_id = int(ids.max())
-    if min_id >= 0 and max_id < 4 * ids.size + 1024:
-        return max_id
-    return None
 
 
 class ProxyCacheSimulator:
@@ -245,22 +196,6 @@ class ProxyCacheSimulator:
             cloud_seed & 0xFFFFFFFF,
         )
 
-    def schedule_auxiliary_events(
-        self,
-        engine: SimulationEngine,
-        topology: DeliveryTopology,
-        store: CacheStore,
-        collector: MetricsCollector,
-    ) -> None:
-        """Extension hook: schedule non-request events before replay starts.
-
-        Subclasses override this to add periodic bandwidth re-measurement,
-        prefetch completions, consistency timers, etc.  Scheduling anything
-        here makes :meth:`run` take the event-calendar path so the auxiliary
-        events interleave correctly with the request stream; the default
-        (no auxiliary events) lets the replay use the fast path.
-        """
-
     def build_auxiliary_schedule(
         self,
         topology: DeliveryTopology,
@@ -274,10 +209,7 @@ class ProxyCacheSimulator:
         (:attr:`~repro.sim.config.SimulationConfig.remeasurement`), with
         ``rekeyer`` attached to every stream when the run is reactive
         (:attr:`~repro.sim.config.SimulationConfig.reactive_threshold`);
-        subclasses adding further *typed* event families extend this and
-        keep access to the columnar event path, whereas arbitrary engine
-        events go through :meth:`schedule_auxiliary_events` and force the
-        classic event-calendar path.
+        subclasses adding further typed event families extend this.
         """
         if self.config.remeasurement is None:
             return AuxiliarySchedule()
@@ -299,9 +231,6 @@ class ProxyCacheSimulator:
         self,
         policy,
         topology: Optional[DeliveryTopology] = None,
-        use_fast_path: Optional[bool] = None,
-        replay: Optional[str] = None,
-        stage_observer=None,
     ) -> SimulationResult:
         """Run the simulation for one policy.
 
@@ -315,27 +244,6 @@ class ProxyCacheSimulator:
             Optionally reuse a pre-built topology so several policies can be
             compared on *identical* bandwidth assignments; when omitted a new
             topology is drawn from the config's seed.
-        use_fast_path:
-            Legacy boolean view of ``replay``: ``True`` maps to
-            ``replay="fast"``, ``False`` to ``replay="event"``.  Ignored
-            when ``replay`` is given.
-        replay:
-            Which replay driver to use — one of :data:`REPLAY_PATHS`.
-            ``None``/``"auto"`` (default) picks automatically: the fast
-            path when no auxiliary events exist, the columnar event path
-            when only *typed* periodic events are scheduled over a dense-id
-            columnar trace, the classic event-calendar path otherwise.
-            Forcing ``"fast"`` or ``"columnar"`` raises
-            :class:`~repro.exceptions.SimulationError` if auxiliary events
-            would be dropped; ``"columnar"`` and ``"columnar-event"``
-            additionally require a dense-id columnar workload trace.  All
-            drivers produce bit-identical metrics.
-        stage_observer:
-            Kernel-conformance instrumentation hook: a callable invoked as
-            ``observer(index, stage)`` at every executed kernel stage (see
-            :data:`repro.sim.kernel.KERNEL_STAGES`).  Installing one routes
-            every request through the scalar kernel path —
-            bit-identical, but slower; intended for tests.
         """
         obs = self.config.observability
         profiler: Optional[StageProfiler] = None
@@ -429,7 +337,7 @@ class ProxyCacheSimulator:
             topology, estimator, measurement_log, rekeyer
         )
 
-        trace = self.workload.trace
+        trace = ColumnarTrace.from_trace(self.workload.trace)
         total_requests = len(trace)
         warmup_cutoff = int(self.config.warmup_fraction * total_requests)
         if warmup_cutoff == 0:
@@ -464,18 +372,6 @@ class ProxyCacheSimulator:
             if injector is not None:
                 injector.trace = sink
 
-        engine = SimulationEngine()
-        self.schedule_auxiliary_events(engine, topology, store, collector)
-        have_hook_events = len(engine.queue) > 0
-        have_typed_events = bool(schedule)
-        dense_bound = (
-            _dense_id_bound(trace) if isinstance(trace, ColumnarTrace) else None
-        )
-
-        mode = self._resolve_replay_path(
-            replay, use_fast_path, have_hook_events, have_typed_events, dense_bound
-        )
-
         if profiler is not None:
             # Instance-attribute wrappers shadow the bound methods the
             # kernel context binds; detach_all() removes them again so
@@ -489,11 +385,10 @@ class ProxyCacheSimulator:
             if injector is not None:
                 profiler.attach(injector, "intercept", "fault_evaluation")
 
-        # One kernel context per run: every driver delegates the whole
+        # One kernel context per run: the driver delegates the whole
         # per-request service sequence (repro.sim.kernel) to it, and the
         # passive-driven rekeyer is notified after every request's
-        # estimator update, in the same position on every driver
-        # (docs/events.md).
+        # estimator update (docs/events.md).
         ctx = build_context(
             catalog=self.workload.catalog,
             trace=trace,
@@ -508,15 +403,12 @@ class ProxyCacheSimulator:
             streaming=streaming,
             hierarchy=hierarchy,
             rng=rng,
-            mode=mode,
-            dense_bound=dense_bound,
             warmup_cutoff=warmup_cutoff,
             verify_store=self.config.verify_store,
             num_pops=(
                 self.config.hierarchy.num_pops if hierarchy is not None else 1
             ),
             client_cloud_seed=self._client_cloud_seed(1),
-            stage_observer=stage_observer,
         )
 
         if sink is not None:
@@ -525,22 +417,13 @@ class ProxyCacheSimulator:
                 "run-start",
                 trace.start_time if total_requests else 0.0,
                 policy=getattr(policy, "name", type(policy).__name__),
-                replay=mode,
                 seed=self.config.seed,
                 requests=total_requests,
             )
 
         replay_started = _time.perf_counter() if profiler is not None else 0.0
         try:
-            if mode == "fast":
-                self._replay_fast(ctx)
-            elif mode == "columnar":
-                self._replay_fast_columnar(ctx)
-            elif mode == "columnar-event":
-                self._replay_events_columnar(ctx, schedule)
-            else:
-                schedule.schedule_into(engine)
-                self._replay_events(ctx, engine)
+            self._replay(ctx, trace, schedule)
             ctx.finish()
 
             if timeline is not None:
@@ -585,8 +468,6 @@ class ProxyCacheSimulator:
                 len(store) if hierarchy is None else hierarchy.total_cached_objects()
             ),
             warmup_requests=collector.warmup_requests,
-            used_fast_path=mode in ("fast", "columnar"),
-            replay_path=mode,
             auxiliary_events_fired=schedule.fired,
             measurement_log=measurement_log,
             reactive_shifts=rekeyer.shifts if rekeyer is not None else 0,
@@ -607,133 +488,27 @@ class ProxyCacheSimulator:
             ),
         )
 
+    # ------------------------------------------------------------------
+    # The replay driver: chunked replay + auxiliary events.
+    # ------------------------------------------------------------------
     @staticmethod
-    def _resolve_replay_path(
-        replay: Optional[str],
-        use_fast_path: Optional[bool],
-        have_hook_events: bool,
-        have_typed_events: bool,
-        dense_bound: Optional[int],
-    ) -> str:
-        """Pick the replay driver from the request and the scheduled events."""
-        if replay is None:
-            replay = {None: "auto", True: "fast", False: "event"}[use_fast_path]
-        if replay not in REPLAY_PATHS:
-            raise SimulationError(
-                f"unknown replay path {replay!r}; expected one of {REPLAY_PATHS}"
-            )
-        if replay == "auto":
-            if have_hook_events:
-                return "event"
-            if have_typed_events:
-                return "columnar-event" if dense_bound is not None else "event"
-            return "fast"
-        if replay in ("fast", "columnar") and (have_hook_events or have_typed_events):
-            raise SimulationError(
-                f"replay={replay!r} but auxiliary events are scheduled; "
-                "this driver would not dispatch them"
-            )
-        if replay == "columnar" and dense_bound is None:
-            raise SimulationError(
-                "replay='columnar' requires a dense-id ColumnarTrace "
-                "workload; use replay='fast' for this trace"
-            )
-        if replay == "columnar-event":
-            if have_hook_events:
-                raise SimulationError(
-                    "replay='columnar-event' cannot dispatch untyped events "
-                    "from schedule_auxiliary_events; use replay='event'"
-                )
-            if dense_bound is None:
-                raise SimulationError(
-                    "replay='columnar-event' requires a dense-id ColumnarTrace "
-                    "workload; use replay='event' for this trace"
-                )
-        return replay
-
-    # ------------------------------------------------------------------
-    # The event-calendar driver.
-    # ------------------------------------------------------------------
-    def _replay_events(self, ctx: KernelContext, engine: SimulationEngine) -> None:
-        """Dispatch every request through the discrete-event engine.
-
-        The driver owns scheduling only: every request becomes one engine
-        event, interleaved with whatever auxiliary events were scheduled,
-        and the handler delegates the entire service sequence to
-        :func:`repro.sim.kernel.serve_request`.  The engine fires
-        same-time auxiliary events (negative priority) before the request
-        handler, so the kernel's timeline snapshot sits at exactly the
-        sequence point the columnar drivers snapshot at — that is what
-        makes the markers path-identical.
-        """
-
-        def handle_request(engine: SimulationEngine, payload) -> None:
-            index, request = payload
-            serve_request(ctx, index, request.object_id, engine.now)
-
-        for index, request in enumerate(self.workload.trace):
-            engine.schedule(request.time, handle_request, (index, request))
-        engine.run()
-
-    # ------------------------------------------------------------------
-    # The fast driver.
-    # ------------------------------------------------------------------
-    def _replay_fast(self, ctx: KernelContext) -> None:
-        """Serve the whole trace as one kernel chunk, no event calendar.
-
-        The driver owns column extraction only: it pulls the two request
-        fields the kernel needs (object id, time) into flat lists — one
-        batch ``tolist`` per column for a columnar trace, one attribute
-        pass for ``Request`` objects — and hands the full range to
-        :func:`repro.sim.kernel.serve_batch`.  Dense-id columnar traces
-        take the dedicated columnar driver, whose kernel context carries
-        prefilled entries and a vectorised bandwidth column.
-        """
-        trace = self.workload.trace
-        if isinstance(trace, ColumnarTrace):
-            if ctx.dense_bound is not None:
-                return self._replay_fast_columnar(ctx)
-            ids = trace.object_ids_array.tolist()
-            times = trace.times_array.tolist()
-        else:
-            ids = [request.object_id for request in trace]
-            times = [request.time for request in trace]
-        serve_batch(ctx, ids, times, 0, len(ids))
-
-    # ------------------------------------------------------------------
-    # The columnar fast driver.
-    # ------------------------------------------------------------------
-    def _replay_fast_columnar(self, ctx: KernelContext) -> None:
-        """Array-native replay for dense-id :class:`ColumnarTrace` workloads.
-
-        This is :meth:`_replay_events_columnar` with an empty auxiliary
-        schedule: the event merge degenerates to a single full-trace
-        kernel chunk, so one driver serves both the columnar fast path
-        and the columnar event path.
-        """
-        self._replay_events_columnar(ctx, AuxiliarySchedule())
-
-    # ------------------------------------------------------------------
-    # The columnar event driver: chunked replay + auxiliary events.
-    # ------------------------------------------------------------------
-    def _replay_events_columnar(
-        self, ctx: KernelContext, schedule: AuxiliarySchedule
+    def _replay(
+        ctx: KernelContext, trace: ColumnarTrace, schedule: AuxiliarySchedule
     ) -> None:
-        """Event-capable replay over a dense-id columnar trace.
+        """Serve the trace in chunks, firing auxiliary events between them.
 
         The driver owns the auxiliary-event merge only: it splits the
         trace into the longest runs of requests uninterrupted by an
-        auxiliary event — ordered by ``(time, priority)`` exactly as the
-        discrete-event engine would interleave them (auxiliary priorities
-        are non-zero by construction, so the merge is never ambiguous) —
-        fires the due events between runs, and serves each run through
+        auxiliary event — ordered by ``(time, priority)``, with the
+        request stream at priority 0 (auxiliary priorities are non-zero
+        by construction, so the merge is never ambiguous) — fires the due
+        events between runs, and serves each run through
         :func:`repro.sim.kernel.serve_batch`.  Auxiliary events draw from
         their own random generators (see :mod:`repro.sim.events`), so the
-        kernel's pre-drawn bandwidth ratios stay valid even while events
+        kernel's pre-drawn bandwidth draws stay valid even while events
         fire between chunks.  With no auxiliary events scheduled the
-        whole trace is one chunk — the columnar fast path.
+        whole trace is one chunk.
         """
-        trace: ColumnarTrace = self.workload.trace
         times_array = trace.times_array
         ids = trace.object_ids_array.tolist()
         times = times_array.tolist()
@@ -750,15 +525,14 @@ class ProxyCacheSimulator:
             head_time = aux_heap[0][0]
             head_priority = aux_heap[0][1]
             if (head_time, head_priority) < (times[start], 0):
-                # The engine would run this event before the next
-                # request (strictly earlier time, or same time with a
-                # negative priority).
+                # The event runs before the next request (strictly
+                # earlier time, or same time with a negative priority).
                 fire_before(times[start])
                 continue
             # The longest run the head event does not interrupt: requests
-            # strictly before the event under the engine's (time,
-            # priority) order.  Guaranteed non-empty — the head is not
-            # due before request ``start`` (checked above).
+            # strictly before the event in (time, priority) order.
+            # Guaranteed non-empty — the head is not due before request
+            # ``start`` (checked above).
             stop = int(
                 np.searchsorted(
                     times_array,
@@ -771,6 +545,5 @@ class ProxyCacheSimulator:
             serve_batch(ctx, ids, times, start, stop)
             start = stop
 
-        # Auxiliary events scheduled after the last request still fire,
-        # just as the engine would have drained them.
+        # Auxiliary events scheduled after the last request still fire.
         schedule.drain()

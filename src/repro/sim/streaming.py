@@ -31,12 +31,10 @@ whole-object delivery arithmetic:
   the paper's assumption that VBR objects are smoothed before caching
   decisions are made.
 
-All of the above happens inside shared engine methods invoked at the
-identical per-request sequence point by every replay loop, so QoE
-metrics and timelines are bit-identical across the event, fast,
-columnar-fast, and columnar-event paths; with ``streaming=None`` the
-engine is never constructed and the simulator's arithmetic (and RNG
-consumption) is exactly the pre-streaming code.
+All of the above happens inside engine methods the replay kernel invokes
+at its *delivery* stage; with ``streaming=None`` the engine is never
+constructed and the simulator's arithmetic (and RNG consumption) is
+exactly the pre-streaming code.
 """
 
 from __future__ import annotations
@@ -247,8 +245,7 @@ def select_stream_ids(
     sorted catalog ids drawn from a dedicated tagged RNG stream — seeded by
     ``(tag, config.seed, sim_seed)``, never by the bare simulation seed —
     so flipping streaming on cannot perturb any other random stream, and
-    the same ``(config, seed)`` pair always marks the same objects on
-    every replay path.
+    the same ``(config, seed)`` pair always marks the same objects.
     """
     all_ids = sorted(obj.object_id for obj in catalog)
     if config.fraction >= 1.0 and config.vbr_fraction <= 0.0:
@@ -270,18 +267,15 @@ def select_stream_ids(
 
 
 class StreamingDeliveryEngine:
-    """Segment-aware session delivery shared by every replay loop.
+    """Segment-aware session delivery for the replay kernel.
 
-    One engine is constructed per run.  The replay loops call
-    :meth:`serve` for every ``FETCH_OK`` request of a stream object (and
+    One engine is constructed per run.  The kernel calls :meth:`serve` for
+    every ``FETCH_OK`` request of a stream object (and
     :meth:`record_failed` for fetches that failed outright), at the exact
     sequence point where non-stream requests run the plain delivery
     arithmetic; the simulator additionally installs
     :meth:`admission_target` and :meth:`trim_victim` as the policy's
-    streaming hooks.  Because every path funnels through these shared
-    methods with identical inputs, the QoE counters — and the metrics
-    derived from them — are bit-identical across replay paths by
-    construction.
+    streaming hooks.
     """
 
     def __init__(self, config: StreamingConfig, catalog, store, sim_seed: int = 0):
@@ -351,9 +345,7 @@ class StreamingDeliveryEngine:
         ``serve`` runs a stream object's request as a segment-aware
         session at the kernel's *delivery* stage, ``record_failed``
         accounts a failed-fetch session, and ``stream_ids`` is the
-        frozen set deciding which object ids stream.  Binding through
-        this seam (instead of reaching into the engine from each replay
-        driver) is what ``scripts/check_kernel.py`` enforces.
+        frozen set deciding which object ids stream.
         """
         return {
             "serve": self.serve,
@@ -479,8 +471,7 @@ class StreamingDeliveryEngine:
         and got (at most) the stale cached prefix — the session counts as
         abandoned, its wait as both startup delay and rebuffering, and the
         stale-serve ``quality`` (zero when nothing was cached) as the
-        delivered quality.  Called only during the measurement phase, at
-        the same sequence point on every replay path.
+        delivered quality.  Called only during the measurement phase.
         """
         self.sessions += 1
         self.abandoned += 1

@@ -5,7 +5,7 @@
 instead of one :class:`~repro.workload.trace.Request` object per request.
 On million-request traces this removes roughly 100 bytes per request of
 object overhead, makes slicing zero-copy (slices are numpy views on the
-parent's buffers), and lets the simulator's fast replay path and the
+parent's buffers), and lets the simulator's replay driver and the
 shared-memory parallel transport (:mod:`repro.trace.shm`) consume the
 arrays directly.
 
@@ -89,7 +89,7 @@ class ColumnarTrace:
         self._owner = _owner
 
     # ------------------------------------------------------------------
-    # Raw column access (the simulator fast path and shm transport).
+    # Raw column access (the simulator replay and shm transport).
     # ------------------------------------------------------------------
     @property
     def times_array(self) -> np.ndarray:

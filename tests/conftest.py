@@ -1,8 +1,11 @@
-"""Shared fixtures and replay-path helpers for the test suite."""
+"""Shared fixtures and the replay-golden helpers for the test suite."""
 
 from __future__ import annotations
 
-from dataclasses import replace as _replace
+import hashlib
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,84 +15,122 @@ from repro.network.distributions import ConstantBandwidthDistribution
 from repro.network.topology import DeliveryTopology
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import ProxyCacheSimulator
-from repro.trace.columnar import ColumnarTrace
 from repro.workload.catalog import Catalog, MediaObject
 from repro.workload.gismo import GismoWorkloadGenerator, WorkloadConfig
 
-#: Labels of the four replay loop code paths, in reference order: the
-#: classic event calendar and the plain fast loop run on the
-#: object-per-request trace, the columnar fast and columnar event loops
-#: on the numpy-native columnar trace.
-REPLAY_PATH_LABELS = ("event", "fast", "columnar-fast", "columnar-event")
+#: Recorded replay results, one entry per golden key.  Re-record with
+#: ``PYTHONPATH=src:tests python -m pytest -p record_goldens tests`` (see
+#: ``tests/record_goldens.py``) only at a commit whose replay behaviour is
+#: trusted: the file is the contract every later change is held to.
+GOLDEN_PATH = Path(__file__).parent / "data" / "replay_goldens.json"
+
+#: Lists longer than this are stored as a sha256 digest of their values.
+INLINE_LIST_MAX = 16
 
 
-def run_replay_paths(workload, config, policy_name="PB", hierarchy=None):
-    """Run the same simulation once per replay loop code path.
+def _digest(value) -> str:
+    payload = json.dumps(value, sort_keys=True).encode()
+    return "sha256:" + hashlib.sha256(payload).hexdigest()
 
-    Returns ``{label: SimulationResult}`` for the four
-    :data:`REPLAY_PATH_LABELS`.  The workload may carry either trace
-    representation; the other is derived via the lossless
-    ``ColumnarTrace`` conversions, so all four loops replay the
-    identical request stream.  Topology construction is deterministic in
-    ``config.seed``, so every run sees the same paths.  ``hierarchy``
-    (a :class:`~repro.sim.hierarchy.HierarchyConfig`) is applied to the
-    config before replaying, so every path runs the same tier chain.
+
+def _canonical(value):
+    """JSON-stable form: exact floats, ``"nan"`` for NaN, long lists digested."""
+    if isinstance(value, dict):
+        return {str(key): _canonical(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        items = [_canonical(item) for item in value]
+        return _digest(items) if len(items) > INLINE_LIST_MAX else items
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and math.isnan(value):
+        return "nan"
+    return value
+
+
+def result_record(result) -> dict:
+    """The recorded view of one run: metrics, counters and every report."""
+    record = {
+        "result": result.as_dict(),
+        "auxiliary_events_fired": result.auxiliary_events_fired,
+        "reactive": [
+            result.reactive_shifts,
+            result.reactive_rekeys,
+            result.reactive_suppressed,
+            sorted(result.reactive_rekeys_by_server.items()),
+        ],
+    }
+    for name, report in (
+        ("timeline", result.timeline),
+        ("faults", result.fault_report),
+        ("streaming", result.streaming_report),
+        ("hierarchy", result.hierarchy_report),
+    ):
+        if report is not None:
+            record[name] = report.as_dict()
+    if result.measurement_log is not None:
+        record["measurement_log"] = _digest(
+            _canonical(result.measurement_log.as_dict())
+        )
+    return _canonical(record)
+
+
+class ReplayGoldens:
+    """Compare runs against :data:`GOLDEN_PATH`, or record them.
+
+    Recording is switched on by loading the ``record_goldens`` plugin; a
+    key recorded twice must produce the same record both times, so two
+    call sites cannot silently share a key.
+    """
+
+    def __init__(self) -> None:
+        self.recording = False
+        self.recorded: dict = {}
+        self._golden = None
+
+    def check(self, key: str, result) -> None:
+        record = result_record(result)
+        if self.recording:
+            assert self.recorded.setdefault(key, record) == record, key
+            return
+        if self._golden is None:
+            self._golden = json.loads(GOLDEN_PATH.read_text())
+        assert key in self._golden, f"no replay golden recorded for {key!r}"
+        assert record == self._golden[key], key
+
+    def write(self) -> None:
+        GOLDEN_PATH.write_text(
+            json.dumps(self.recorded, indent=1, sort_keys=True) + "\n"
+        )
+
+
+GOLDENS = ReplayGoldens()
+
+
+def pytest_configure(config):
+    GOLDENS.recording = config.pluginmanager.has_plugin("record_goldens")
+
+
+def pytest_sessionfinish(session, exitstatus):
+    if GOLDENS.recording:
+        GOLDENS.write()
+
+
+def assert_golden(key: str, result) -> None:
+    """Assert one run's result, timeline and reports match golden ``key``."""
+    GOLDENS.check(key, result)
+
+
+def replay_golden(key, workload, config, policy_name="PB", hierarchy=None):
+    """Replay ``workload`` once, assert it matches golden ``key``, return it.
+
+    ``hierarchy`` (a :class:`~repro.sim.hierarchy.HierarchyConfig`) is
+    applied to the config first.
     """
     if hierarchy is not None:
         config = config.with_hierarchy(hierarchy)
-    trace = workload.trace
-    if isinstance(trace, ColumnarTrace):
-        columnar = workload
-        plain = _replace(workload, trace=trace.to_request_trace())
-    else:
-        columnar = _replace(workload, trace=ColumnarTrace.from_request_trace(trace))
-        plain = workload
-    grid = (
-        ("event", plain, "event"),
-        ("fast", plain, "fast"),
-        ("columnar-fast", columnar, "columnar"),
-        ("columnar-event", columnar, "columnar-event"),
-    )
-    return {
-        label: ProxyCacheSimulator(wl, config).run(
-            make_policy(policy_name), replay=replay
-        )
-        for label, wl, replay in grid
-    }
-
-
-def assert_replay_paths_identical(workload, config, policy_name="PB", hierarchy=None):
-    """Assert all four replay paths are bit-identical; return the results.
-
-    Metrics must match exactly; when the reference run carries a
-    timeline, fault report, streaming report, or hierarchy report, those
-    must match across the paths too (fault reports via ``approx`` for
-    NaN-valued recovery fields).  Returns the ``{label:
-    SimulationResult}`` dict so callers can make further assertions on
-    any path's result.
-    """
-    results = run_replay_paths(workload, config, policy_name, hierarchy=hierarchy)
-    reference = results["event"]
-    for label, result in results.items():
-        assert result.metrics == reference.metrics, (policy_name, label)
-        assert result.as_dict() == reference.as_dict(), (policy_name, label)
-        if reference.timeline is not None:
-            assert result.timeline == reference.timeline, (policy_name, label)
-        if reference.fault_report is not None:
-            assert result.fault_report.as_dict() == pytest.approx(
-                reference.fault_report.as_dict(), nan_ok=True
-            ), (policy_name, label)
-        if reference.streaming_report is not None:
-            assert result.streaming_report == reference.streaming_report, (
-                policy_name,
-                label,
-            )
-        if reference.hierarchy_report is not None:
-            assert result.hierarchy_report == reference.hierarchy_report, (
-                policy_name,
-                label,
-            )
-    return results
+    result = ProxyCacheSimulator(workload, config).run(make_policy(policy_name))
+    assert_golden(key, result)
+    return result
 
 
 @pytest.fixture

@@ -130,9 +130,18 @@ class TestCLI:
         assert exit_code == 0
         assert "Traffic Reduction Ratio" in capsys.readouterr().out
 
-    def test_unknown_policy_fails_cleanly(self):
-        with pytest.raises(Exception):
-            main(["run", "--policy", "BOGUS", "--scale", "0.01"])
+    def test_unknown_policy_fails_cleanly(self, capsys):
+        assert main(["run", "--policy", "BOGUS", "--scale", "0.01"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown policy 'BOGUS'")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_negative_cache_size_fails_cleanly(self, capsys):
+        assert main(["run", "--cache-gb", "-1", "--scale", "0.01"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: cache_size_gb must be non-negative, got -1.0\n"
+        assert captured.out == ""
 
     def test_run_command_with_streaming_prints_qoe(self, capsys):
         exit_code = main(

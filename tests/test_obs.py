@@ -3,9 +3,9 @@
 Pinned guarantees, mirroring the acceptance criteria of the subsystem:
 
 * **Path identity** — with the timeline enabled, the per-window metrics
-  are bit-identical across all four replay paths (event calendar, object
-  fast path, columnar fast path, columnar event path) under the richest
-  configuration (passive knowledge + reactive re-keying + faults).
+  are bit-identical for object and columnar traces and match the
+  recorded golden, under the richest configuration (passive knowledge +
+  reactive re-keying + faults).
 * **Zero drift** — a run with observability absent, with a
   configured-but-disabled :class:`ObservabilityConfig`, and with the
   timeline enabled all produce bit-identical metrics; observation is
@@ -48,7 +48,7 @@ from repro.sim.faults import FaultConfig
 from repro.sim.simulator import ProxyCacheSimulator
 from repro.workload.gismo import GismoWorkloadGenerator, WorkloadConfig
 
-from conftest import run_replay_paths
+from conftest import replay_golden
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -85,29 +85,35 @@ def _rich_config(**overrides):
 
 @pytest.fixture(scope="module")
 def path_results(workloads):
-    """One observed run per replay path under the rich configuration."""
+    """One observed, golden-checked run per trace representation under the
+    rich configuration."""
     config = _rich_config(observability=ObservabilityConfig(window_s=WINDOW_S))
-    return run_replay_paths(workloads["columnar"], config)
+    return {
+        name: replay_golden("obs/rich-timeline", workload, config)
+        for name, workload in workloads.items()
+    }
 
 
 # ----------------------------------------------------------------------
 # Timeline identity and exactness
 # ----------------------------------------------------------------------
 class TestTimelineAcrossPaths:
+    """The paths compared are the two trace representations."""
+
     def test_metrics_identical_across_paths(self, path_results):
-        reference = path_results["event"]
+        reference = path_results["object"]
         for key, result in path_results.items():
             assert result.metrics.as_dict() == reference.metrics.as_dict(), key
 
     def test_timelines_identical_across_paths(self, path_results):
-        reference = path_results["event"].timeline
+        reference = path_results["object"].timeline
         assert reference is not None and reference.finished
         assert reference.num_windows > 2
         for key, result in path_results.items():
             assert result.timeline == reference, key
 
     def test_series_identical_across_paths(self, path_results):
-        reference = path_results["event"].timeline.series()
+        reference = path_results["object"].timeline.series()
         for key, result in path_results.items():
             series = result.timeline.series()
             assert set(series) == set(reference)
@@ -117,12 +123,12 @@ class TestTimelineAcrossPaths:
                 )
 
     def test_fault_and_reactive_windows_present(self, path_results):
-        series = path_results["event"].timeline.series()
+        series = path_results["object"].timeline.series()
         assert int(series["fault_state"].max()) >= 1
         assert int(series["reactive_rekeys"].sum()) > 0
 
     def test_totals_are_the_aggregates(self, path_results):
-        result = path_results["columnar-fast"]
+        result = path_results["columnar"]
         totals = result.timeline.totals()
         metrics = result.metrics
         assert totals["requests"] == metrics.requests
@@ -141,7 +147,7 @@ class TestTimelineAcrossPaths:
         assert totals["hits"] / totals["requests"] == metrics.hit_ratio
 
     def test_integer_deltas_sum_exactly(self, path_results):
-        timeline = path_results["columnar-event"].timeline
+        timeline = path_results["columnar"].timeline
         totals = timeline.totals()
         for field in sorted(_INTEGER_FIELDS):
             deltas = timeline.delta(field)
@@ -149,13 +155,13 @@ class TestTimelineAcrossPaths:
             assert int(deltas.sum()) == totals[field], field
 
     def test_cumulative_ends_at_totals(self, path_results):
-        timeline = path_results["columnar-fast"].timeline
+        timeline = path_results["columnar"].timeline
         totals = timeline.totals()
         for field in CUMULATIVE_FIELDS:
             assert timeline.cumulative(field)[-1] == totals[field], field
 
     def test_window_grid_consistent(self, path_results):
-        timeline = path_results["fast"].timeline
+        timeline = path_results["object"].timeline
         starts = timeline.window_starts()
         assert len(starts) == timeline.num_windows
         assert starts[0] == timeline.start_time
@@ -164,7 +170,7 @@ class TestTimelineAcrossPaths:
             assert len(values) == timeline.num_windows, name
 
     def test_as_dict_schema(self, path_results):
-        payload = path_results["event"].timeline.as_dict()
+        payload = path_results["object"].timeline.as_dict()
         assert payload["schema"] == 1
         assert payload["num_windows"] == len(payload["window_starts"])
         for values in payload["series"].values():
@@ -172,7 +178,7 @@ class TestTimelineAcrossPaths:
         assert payload["totals"]["requests"] == sum(payload["series"]["requests"])
 
     def test_pickle_round_trip_preserves_value(self, path_results):
-        timeline = path_results["columnar-fast"].timeline
+        timeline = path_results["columnar"].timeline
         clone = pickle.loads(pickle.dumps(timeline))
         assert clone == timeline
         assert clone.as_dict() == timeline.as_dict()

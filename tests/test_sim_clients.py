@@ -5,11 +5,10 @@ Three families of guarantees are pinned here:
 * **Bit-identity when nothing binds** — a single homogeneous client cloud
   (the default, effectively infinite last mile) routed *through* the
   composition code is bit-identical to the pre-change simulator
-  (``client_clouds=None``) on every replay path (property-tested over
-  seeds), and attaching a cloud never perturbs origin-path construction.
-* **Bit-identity across paths when clouds bind** — with heterogeneous
-  per-group last-mile bandwidth enabled, the event calendar, the fast
-  path, and the columnar event path still produce identical metrics, per
+  (``client_clouds=None``) (property-tested over seeds), and attaching a
+  cloud never perturbs origin-path construction.
+* **Recorded behaviour when clouds bind** — with heterogeneous per-group
+  last-mile bandwidth enabled, runs match their recorded goldens, per
   policy, for columnar and object traces alike — including runs that add
   re-measurement and reactive re-keying on top.
 * **Reactive re-keying semantics** — threshold gating, the
@@ -40,7 +39,7 @@ from repro.sim.simulator import ProxyCacheSimulator
 from repro.trace.ingest import ingest_access_log
 from repro.workload.gismo import GismoWorkloadGenerator, WorkloadConfig
 
-from conftest import assert_replay_paths_identical, run_replay_paths
+from conftest import assert_golden, replay_golden
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_SQUID = REPO_ROOT / "examples" / "data" / "sample_squid.log"
@@ -129,7 +128,7 @@ class TestClientCloudConfig:
 
 # ----------------------------------------------------------------------
 # Property: a single homogeneous cloud is bit-identical to the
-# pre-change simulator on every replay path.
+# pre-change simulator.
 # ----------------------------------------------------------------------
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**16), groups=st.integers(1, 5))
@@ -138,10 +137,9 @@ def test_homogeneous_cloud_bit_identical_to_unmodeled(seed, groups):
     workload = GismoWorkloadGenerator(config).generate(columnar=True)
     plain = _config(seed=seed)
     clouded = plain.with_client_clouds(ClientCloudConfig(groups=groups))
-    for mode in ("event", "fast", "columnar-event"):
-        a = ProxyCacheSimulator(workload, plain).run(make_policy("PB"), replay=mode)
-        b = ProxyCacheSimulator(workload, clouded).run(make_policy("PB"), replay=mode)
-        assert a.as_dict() == b.as_dict(), mode
+    a = ProxyCacheSimulator(workload, plain).run(make_policy("PB"))
+    b = ProxyCacheSimulator(workload, clouded).run(make_policy("PB"))
+    assert a.as_dict() == b.as_dict()
 
 
 def test_homogeneous_cloud_bit_identical_for_every_policy(client_workload):
@@ -171,29 +169,27 @@ def test_cloud_attachment_never_perturbs_origin_paths(client_workload):
 
 
 # ----------------------------------------------------------------------
-# Heterogeneous clouds: all replay paths agree, and the hop binds.
+# Heterogeneous clouds: runs match their goldens, and the hop binds.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("policy_name", sorted(POLICY_REGISTRY))
 def test_heterogeneous_cloud_bit_identical_across_paths(client_workload, policy_name):
     config = _config().with_client_clouds(
         ClientCloudConfig(groups=8, distribution=NLANRBandwidthDistribution())
     )
-    assert_replay_paths_identical(client_workload, config, policy_name)
+    replay_golden(f"clients/hetero/{policy_name}", client_workload, config, policy_name)
 
 
 def test_heterogeneous_cloud_on_object_trace_agrees(client_workload):
-    """The non-columnar loops resolve client ids from Request objects.
-
-    ``run_replay_paths`` derives the object-per-request trace from the
-    columnar one, so the identity assertion covers both the in-loop
-    client-id resolution styles and the trace conversion itself.
-    """
+    """An object-per-request trace resolves its client ids through the
+    conversion to columns, so it replays to the columnar trace's golden."""
     config = _config().with_client_clouds(
         ClientCloudConfig(groups=8, distribution=NLANRBandwidthDistribution())
     )
-    results = assert_replay_paths_identical(client_workload, config)
-    assert results["fast"].replay_path == "fast"
-    assert results["columnar-fast"].used_fast_path
+    object_workload = replace(
+        client_workload, trace=client_workload.trace.to_request_trace()
+    )
+    for workload in (client_workload, object_workload):
+        replay_golden("clients/hetero/PB", workload, config)
 
 
 def test_binding_cloud_changes_outcomes_and_monotonically_hurts(client_workload):
@@ -217,12 +213,9 @@ def test_heterogeneous_cloud_with_remeasurement_paths_agree(client_workload):
     )
     simulator = ProxyCacheSimulator(client_workload, config)
     topology = simulator.build_topology(np.random.default_rng(config.seed))
-    calendar = simulator.run(make_policy("PB"), topology=topology, replay="event")
-    colev = simulator.run(
-        make_policy("PB"), topology=topology, replay="columnar-event"
-    )
-    assert calendar.auxiliary_events_fired == colev.auxiliary_events_fired > 0
-    assert calendar.as_dict() == colev.as_dict()
+    result = simulator.run(make_policy("PB"), topology=topology)
+    assert result.auxiliary_events_fired > 0
+    assert_golden("clients/hetero-remeasure", result)
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +249,7 @@ class TestReactiveRekeying:
         )
         assert result.reactive_shifts > 0
         assert result.reactive_rekeys > 0
-        assert result.replay_path == "columnar-event"
+        assert result.auxiliary_events_fired > 0
 
     def test_rekeying_changes_eviction_outcomes(self, client_workload):
         reactive = ProxyCacheSimulator(client_workload, _reactive_config()).run(
@@ -278,13 +271,9 @@ class TestReactiveRekeying:
         config = _reactive_config()
         simulator = ProxyCacheSimulator(client_workload, config)
         topology = simulator.build_topology(np.random.default_rng(config.seed))
-        calendar = simulator.run(make_policy("PB"), topology=topology, replay="event")
-        colev = simulator.run(
-            make_policy("PB"), topology=topology, replay="columnar-event"
-        )
-        assert calendar.as_dict() == colev.as_dict()
-        assert calendar.reactive_shifts == colev.reactive_shifts > 0
-        assert calendar.reactive_rekeys == colev.reactive_rekeys
+        result = simulator.run(make_policy("PB"), topology=topology)
+        assert result.reactive_shifts > 0
+        assert_golden("clients/reactive-remeasure", result)
 
     def test_threshold_gates_rekeying(self, client_workload):
         tight = ProxyCacheSimulator(
@@ -346,7 +335,7 @@ class TestReactiveRekeying:
 
 
 # ----------------------------------------------------------------------
-# End-to-end: real ingested log -> per-client clouds -> all replay paths.
+# End-to-end: real ingested log -> per-client clouds -> replay.
 # ----------------------------------------------------------------------
 def test_ingested_log_heterogeneity_end_to_end():
     result = ingest_access_log(SAMPLE_SQUID)
@@ -363,8 +352,7 @@ def test_ingested_log_heterogeneity_end_to_end():
         ),
         seed=5,
     )
-    results = assert_replay_paths_identical(workload, config)
-    reference = results["event"].as_dict()
+    reference = replay_golden("clients/ingested-log", workload, config).as_dict()
     # The same pipeline without the clouds differs: heterogeneity binds.
     plain = ProxyCacheSimulator(workload, config.with_client_clouds(None)).run(
         make_policy("PB")

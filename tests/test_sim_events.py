@@ -1,13 +1,13 @@
-"""The auxiliary-event subsystem: periodic bandwidth re-measurement and the
-columnar event path.
+"""The auxiliary-event subsystem: periodic bandwidth re-measurement merged
+into the chunked replay.
 
 Two families of guarantees are pinned here:
 
-* **Equivalence** — with no auxiliary events scheduled, the columnar event
-  path is bit-identical to the fast, columnar-fast, and event-calendar
-  paths for *every registered policy*; with re-measurement enabled, the
-  classic event calendar and the columnar event path still agree
-  bit-for-bit (same events, same order, same estimator trajectory).
+* **Equivalence** — with and without re-measurement, the replay matches
+  the goldens recorded from the event-calendar driver before it was
+  deleted, for *every registered policy* (same events, same order, same
+  estimator trajectory), whether the trace is columnar or
+  object-per-request.
 * **Re-measurement semantics** — cadence windows (longer than the trace,
   explicit start/end), per-path overrides, probing-client staggering,
   warm-up interaction, empty traces, and the measurement log's accounting.
@@ -19,11 +19,10 @@ import numpy as np
 import pytest
 
 from repro.core.policies import POLICY_REGISTRY, make_policy
-from repro.exceptions import ConfigurationError, SimulationError
+from repro.exceptions import ConfigurationError
 from repro.network.measurement import BandwidthMeasurementLog
 from repro.network.variability import NLANRRatioVariability
 from repro.sim.config import BandwidthKnowledge, SimulationConfig
-from repro.sim.engine import SimulationEngine
 from repro.sim.events import (
     AuxiliarySchedule,
     BandwidthRemeasurement,
@@ -35,7 +34,7 @@ from repro.sim.simulator import ProxyCacheSimulator
 from repro.trace.columnar import ColumnarTrace
 from repro.workload.gismo import GismoWorkloadGenerator, Workload, WorkloadConfig
 
-from conftest import assert_replay_paths_identical
+from conftest import assert_golden, replay_golden
 
 
 @pytest.fixture(scope="module")
@@ -56,45 +55,31 @@ def _passive_config(**overrides):
 
 
 # ----------------------------------------------------------------------
-# Equivalence: no auxiliary events -> all four invocations bit-identical.
+# Equivalence: no auxiliary events, every policy matches its golden.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("policy_name", sorted(POLICY_REGISTRY))
 def test_columnar_event_path_bit_identical_per_policy(columnar_workload, policy_name):
     config = SimulationConfig(
         cache_size_gb=0.5, variability=NLANRRatioVariability(), seed=11
     )
-    results = assert_replay_paths_identical(
-        columnar_workload, config, policy_name
+    result = replay_golden(
+        f"events/no-events/{policy_name}", columnar_workload, config, policy_name
     )
-    colev = results["columnar-event"]
-    assert colev.replay_path == "columnar-event"
-    assert not colev.used_fast_path
-    assert colev.auxiliary_events_fired == 0
+    assert result.auxiliary_events_fired == 0
 
 
-def test_auto_prefers_fast_without_events_and_columnar_event_with(columnar_workload):
-    plain = ProxyCacheSimulator(columnar_workload, _passive_config())
-    assert plain.run(make_policy("PB")).replay_path == "fast"
-
-    remeasuring = ProxyCacheSimulator(
-        columnar_workload,
-        _passive_config(remeasurement=RemeasurementConfig(interval=200.0)),
-    )
-    result = remeasuring.run(make_policy("PB"))
-    assert result.replay_path == "columnar-event"
-    assert result.auxiliary_events_fired > 0
-
-
-def test_auto_falls_back_to_event_calendar_for_object_traces():
+def test_object_traces_fire_auxiliary_events(columnar_workload):
+    """An object-per-request trace is converted to columns, so its
+    re-measurement run matches the columnar one event for event."""
     workload = GismoWorkloadGenerator(WorkloadConfig(seed=7).scaled(0.02)).generate()
     config = _passive_config(remeasurement=RemeasurementConfig(interval=200.0))
-    result = ProxyCacheSimulator(workload, config).run(make_policy("PB"))
-    assert result.replay_path == "event"
-    assert result.auxiliary_events_fired > 0
+    for trace_workload in (workload, columnar_workload):
+        result = replay_golden("events/remeasure-200", trace_workload, config)
+        assert result.auxiliary_events_fired > 0
 
 
 # ----------------------------------------------------------------------
-# Equivalence: re-measurement on, both event-capable paths agree.
+# Equivalence: re-measurement on, the recorded event-calendar run holds.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("policy_name", ["PB", "IB", "LRU"])
 def test_event_and_columnar_event_agree_under_remeasurement(
@@ -103,18 +88,10 @@ def test_event_and_columnar_event_agree_under_remeasurement(
     config = _passive_config(remeasurement=RemeasurementConfig(interval=150.0))
     simulator = ProxyCacheSimulator(columnar_workload, config)
     topology = simulator.build_topology(np.random.default_rng(config.seed))
-
-    calendar = simulator.run(
-        make_policy(policy_name), topology=topology, replay="event"
-    )
-    colev = simulator.run(
-        make_policy(policy_name), topology=topology, replay="columnar-event"
-    )
-
-    assert calendar.auxiliary_events_fired == colev.auxiliary_events_fired > 0
-    assert calendar.as_dict() == colev.as_dict()
-    # The measurement logs saw the same samples in the same order.
-    assert calendar.measurement_log.as_dict() == colev.measurement_log.as_dict()
+    result = simulator.run(make_policy(policy_name), topology=topology)
+    assert result.auxiliary_events_fired > 0
+    # The golden includes the measurement log: same samples, same order.
+    assert_golden(f"events/remeasure-150/{policy_name}", result)
 
 
 def test_remeasurement_changes_passive_estimates(columnar_workload):
@@ -151,44 +128,6 @@ def test_remeasurement_keeps_request_draws_untouched(columnar_workload):
     ).run(make_policy("PB"), topology=topology)
     assert remeasured_result.auxiliary_events_fired > 0
     assert remeasured_result.as_dict() == plain.as_dict()
-
-
-# ----------------------------------------------------------------------
-# Forcing replay paths.
-# ----------------------------------------------------------------------
-def test_forced_fast_path_raises_with_remeasurement(columnar_workload):
-    config = _passive_config(remeasurement=RemeasurementConfig(interval=200.0))
-    simulator = ProxyCacheSimulator(columnar_workload, config)
-    with pytest.raises(SimulationError):
-        simulator.run(make_policy("PB"), use_fast_path=True)
-    with pytest.raises(SimulationError):
-        simulator.run(make_policy("PB"), replay="fast")
-
-
-def test_forced_columnar_event_requires_columnar_trace():
-    workload = GismoWorkloadGenerator(WorkloadConfig(seed=7).scaled(0.02)).generate()
-    simulator = ProxyCacheSimulator(workload, _passive_config())
-    with pytest.raises(SimulationError):
-        simulator.run(make_policy("PB"), replay="columnar-event")
-
-
-def test_unknown_replay_path_rejected(columnar_workload):
-    simulator = ProxyCacheSimulator(columnar_workload, _passive_config())
-    with pytest.raises(SimulationError):
-        simulator.run(make_policy("PB"), replay="warp")
-
-
-class _HookSimulator(ProxyCacheSimulator):
-    def schedule_auxiliary_events(self, engine, topology, store, collector):
-        engine.schedule(0.0, lambda engine, payload: None)
-
-
-def test_hook_events_force_classic_event_path(columnar_workload):
-    simulator = _HookSimulator(columnar_workload, _passive_config())
-    result = simulator.run(make_policy("PB"))
-    assert result.replay_path == "event"
-    with pytest.raises(SimulationError):
-        simulator.run(make_policy("PB"), replay="columnar-event")
 
 
 # ----------------------------------------------------------------------
@@ -238,15 +177,11 @@ def test_explicit_window_fires_past_last_request(columnar_workload):
     )
     simulator = ProxyCacheSimulator(columnar_workload, config)
     topology = simulator.build_topology(np.random.default_rng(config.seed))
-    calendar = simulator.run(make_policy("PB"), topology=topology, replay="event")
-    colev = simulator.run(
-        make_policy("PB"), topology=topology, replay="columnar-event"
-    )
+    result = simulator.run(make_policy("PB"), topology=topology)
     window = config.remeasurement.end_time - start
     expected = int(window / 100.0)
-    assert calendar.auxiliary_events_fired == colev.auxiliary_events_fired
-    assert abs(calendar.auxiliary_events_fired - expected) <= 1
-    assert calendar.as_dict() == colev.as_dict()
+    assert abs(result.auxiliary_events_fired - expected) <= 1
+    assert_golden("events/explicit-window", result)
 
 
 def test_warmup_boundary_samples_feed_estimator_but_not_metrics(columnar_workload):
@@ -355,31 +290,22 @@ class _CountingEvent(PeriodicEvent):
         self.times.append(now)
 
 
-def test_schedule_drivers_fire_identically():
-    """The engine driver and the merge-heap driver fire the same events at
-    the same times."""
-
-    def fresh():
-        return [
-            _CountingEvent(interval=3.0, first_time=3.0, end_time=10.0),
-            _CountingEvent(interval=5.0, first_time=5.0, end_time=10.0),
-        ]
-
-    engine_events = fresh()
-    engine_schedule = AuxiliarySchedule(engine_events)
-    engine = SimulationEngine()
-    engine_schedule.schedule_into(engine)
-    engine.run()
-
-    heap_events = fresh()
-    heap_schedule = AuxiliarySchedule(heap_events)
-    heap_schedule.begin()
-    heap_schedule.drain()
-
-    assert engine_schedule.fired == heap_schedule.fired == 5
-    assert [e.times for e in engine_events] == [e.times for e in heap_events]
-    assert engine_events[0].times == [3.0, 6.0, 9.0]
-    assert engine_events[1].times == [5.0, 10.0]
+def test_schedule_fires_every_stream_on_its_cadence():
+    """The merge heap fires each stream at its own times, in time order,
+    up to and including the window end."""
+    events = [
+        _CountingEvent(interval=3.0, first_time=3.0, end_time=10.0),
+        _CountingEvent(interval=5.0, first_time=5.0, end_time=10.0),
+    ]
+    schedule = AuxiliarySchedule(events)
+    schedule.begin()
+    schedule.fire_before(6.0)
+    # t=3, t=5 and t=6: a negative priority fires before a same-time request.
+    assert schedule.fired == 3
+    schedule.drain()
+    assert schedule.fired == 5
+    assert events[0].times == [3.0, 6.0, 9.0]
+    assert events[1].times == [5.0, 10.0]
 
 
 def test_measurement_log_statistics():

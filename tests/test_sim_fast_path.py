@@ -1,16 +1,17 @@
-"""Fast-path replay vs the event-calendar path: bit-identical metrics.
+"""The replay loop against its recorded goldens.
 
-The simulator promises that its two replay paths are interchangeable: the
-fast path is an optimisation, never a behavioural change.  These tests pin
-that promise down for every registered policy, for every bundled
-variability model, and for passive bandwidth estimation — using strict
-``==`` on the full metrics dictionary, not approximate comparison.
+These tests pin the replay to ``tests/data/replay_goldens.json`` for every
+registered policy, for every bundled variability model, and for passive
+bandwidth estimation — using strict ``==`` on the full recorded result,
+not approximate comparison.  The workload is an object-per-request trace,
+so the conversion to columns at the start of every run is covered too.
 """
 
+import numpy as np
 import pytest
 
+from repro.analysis.experiments import build_workload
 from repro.core.policies import POLICY_REGISTRY, make_policy
-from repro.exceptions import SimulationError
 from repro.network.variability import (
     ConstantVariability,
     MeasuredPathVariability,
@@ -20,18 +21,13 @@ from repro.sim.config import BandwidthKnowledge, SimulationConfig
 from repro.sim.simulator import ProxyCacheSimulator
 from repro.workload.gismo import GismoWorkloadGenerator, WorkloadConfig
 
+from conftest import assert_golden, replay_golden
+
 
 @pytest.fixture(scope="module")
 def workload():
     config = WorkloadConfig(seed=7).scaled(0.02)  # 100 objects, 2000 requests
     return GismoWorkloadGenerator(config).generate()
-
-
-def _run_both(workload, policy_name, config):
-    simulator = ProxyCacheSimulator(workload, config)
-    event = simulator.run(make_policy(policy_name), use_fast_path=False)
-    fast = simulator.run(make_policy(policy_name), use_fast_path=True)
-    return event, fast
 
 
 @pytest.mark.parametrize("policy_name", sorted(POLICY_REGISTRY))
@@ -42,19 +38,15 @@ def _run_both(workload, policy_name, config):
 )
 def test_fast_path_bit_identical_for_every_policy(workload, policy_name, variability):
     config = SimulationConfig(cache_size_gb=0.5, variability=variability, seed=11)
-    event, fast = _run_both(workload, policy_name, config)
-    assert not event.used_fast_path
-    assert fast.used_fast_path
-    assert fast.as_dict() == event.as_dict()
-    assert fast.metrics == event.metrics
+    name = type(variability).__name__
+    replay_golden(f"fast-path/{name}/{policy_name}", workload, config, policy_name)
 
 
 def test_fast_path_bit_identical_measured_paths(workload):
     config = SimulationConfig(
         cache_size_gb=0.5, variability=MeasuredPathVariability("average"), seed=3
     )
-    event, fast = _run_both(workload, "PB", config)
-    assert fast.as_dict() == event.as_dict()
+    replay_golden("fast-path/measured-paths", workload, config)
 
 
 def test_fast_path_bit_identical_with_passive_estimation(workload):
@@ -64,58 +56,32 @@ def test_fast_path_bit_identical_with_passive_estimation(workload):
         bandwidth_knowledge=BandwidthKnowledge.PASSIVE,
         seed=5,
     )
-    event, fast = _run_both(workload, "PB", config)
-    assert fast.as_dict() == event.as_dict()
+    replay_golden("fast-path/passive", workload, config)
 
 
 def test_fast_path_bit_identical_with_zero_warmup(workload):
     config = SimulationConfig(
         cache_size_gb=0.5, variability=NLANRRatioVariability(), warmup_fraction=0.0, seed=2
     )
-    event, fast = _run_both(workload, "IB", config)
-    assert fast.as_dict() == event.as_dict()
-    assert fast.metrics.requests == len(workload.trace)
-
-
-def test_fast_path_is_the_default(workload):
-    config = SimulationConfig(cache_size_gb=0.5, seed=1)
-    result = ProxyCacheSimulator(workload, config).run(make_policy("PB"))
-    assert result.used_fast_path
-
-
-class _ReMeasuringSimulator(ProxyCacheSimulator):
-    """A simulator extension that schedules one auxiliary (no-op) event."""
-
-    def schedule_auxiliary_events(self, engine, topology, store, collector):
-        self.aux_ran = False
-
-        def tick(engine, payload):
-            self.aux_ran = True
-
-        engine.schedule(0.0, tick)
-
-
-def test_auxiliary_events_force_the_event_path(workload):
-    config = SimulationConfig(cache_size_gb=0.5, seed=1)
-    simulator = _ReMeasuringSimulator(workload, config)
-    result = simulator.run(make_policy("PB"))
-    assert not result.used_fast_path
-    assert simulator.aux_ran
-    # The auxiliary event must not change the metrics: the plain simulator
-    # agrees on both of its paths.
-    plain = ProxyCacheSimulator(workload, config).run(make_policy("PB"))
-    assert result.metrics == plain.metrics
-
-
-def test_forcing_fast_path_with_auxiliary_events_raises(workload):
-    config = SimulationConfig(cache_size_gb=0.5, seed=1)
-    simulator = _ReMeasuringSimulator(workload, config)
-    with pytest.raises(SimulationError):
-        simulator.run(make_policy("PB"), use_fast_path=True)
+    result = replay_golden("fast-path/zero-warmup", workload, config, "IB")
+    assert result.metrics.requests == len(workload.trace)
 
 
 def test_fast_path_respects_verify_store(workload):
     config = SimulationConfig(cache_size_gb=0.5, seed=1, verify_store=True)
     result = ProxyCacheSimulator(workload, config).run(make_policy("PB"))
-    assert result.used_fast_path
     assert result.metrics.requests > 0
+
+
+def test_200k_pb_replay_matches_golden():
+    """The throughput benchmark's configuration: 200k requests, PB under
+    NLANR variability."""
+    workload = build_workload(scale=2.0, seed=0)
+    config = SimulationConfig(
+        cache_size_gb=16.0, variability=NLANRRatioVariability(), seed=0
+    )
+    simulator = ProxyCacheSimulator(workload, config)
+    topology = simulator.build_topology(np.random.default_rng(0))
+    result = simulator.run(make_policy("PB"), topology=topology)
+    assert result.metrics.requests + result.warmup_requests == 200_000
+    assert_golden("perf/200k-pb", result)

@@ -3,11 +3,10 @@
 Pinned guarantees:
 
 * **Bit-identity, faults off** — a config with ``faults=None`` replays
-  exactly like a config that never mentions faults, on all four replay
-  paths, per policy.
-* **Bit-identity, faults on** — with an active fault schedule all four
-  replay paths still agree exactly, because every path calls the injector
-  at the same sequence point with the same arguments.
+  exactly like a config that never mentions faults, and both match the
+  recorded golden.
+* **Bit-identity, faults on** — with an active fault schedule runs match
+  their recorded goldens, fault report included.
 * **Fetch model semantics** — the timeout threshold, the exponential
   retry backoff (and its budget), serve-stale classification, and the
   bandwidth-floor sample fed to the estimator on failure.
@@ -38,7 +37,7 @@ from repro.sim.faults import (
 from repro.sim.simulator import ProxyCacheSimulator
 from repro.workload.gismo import GismoWorkloadGenerator, WorkloadConfig
 
-from conftest import assert_replay_paths_identical, run_replay_paths
+from conftest import replay_golden
 
 
 @pytest.fixture(scope="module")
@@ -76,10 +75,8 @@ def _passive_config(**overrides):
     return SimulationConfig(**base)
 
 
-def _run(workload, config, replay, policy="PB"):
-    return ProxyCacheSimulator(workload, config).run(
-        make_policy(policy), replay=replay
-    )
+def _run(workload, config):
+    return ProxyCacheSimulator(workload, config).run(make_policy("PB"))
 
 
 # ----------------------------------------------------------------------
@@ -282,31 +279,26 @@ class TestInjector:
 
 
 # ----------------------------------------------------------------------
-# Replay-path bit-identity, faults off and on
+# Golden bit-identity, faults off and on
 # ----------------------------------------------------------------------
 class TestReplayIdentity:
     def test_faults_none_identical_to_default_config(self, workload):
         """``faults=None`` must replay exactly like a pre-fault config."""
-        explicit = run_replay_paths(workload, _passive_config(faults=None))
-        default = run_replay_paths(workload, _passive_config())
-        for label, a in explicit.items():
-            b = default[label]
-            assert a.metrics == b.metrics
-            assert a.fault_report is None
-            assert a.metrics.availability == 1.0
-            assert a.metrics.failed_requests == 0
+        for config in (_passive_config(faults=None), _passive_config()):
+            result = replay_golden("faults/off", workload, config)
+            assert result.fault_report is None
+            assert result.metrics.availability == 1.0
+            assert result.metrics.failed_requests == 0
 
     @pytest.mark.parametrize("policy_name", ["PB", "IB", "LRU", "IB-V"])
     def test_all_paths_identical_with_outage(
         self, workload, outage_schedule, policy_name
     ):
         config = _passive_config(faults=FaultConfig(episodes=outage_schedule))
-        results = assert_replay_paths_identical(workload, config, policy_name)
-        auto = _run(workload, config, None, policy=policy_name)
-        assert auto.metrics == results["event"].metrics
-        assert auto.fault_report.as_dict() == pytest.approx(
-            results["event"].fault_report.as_dict(), nan_ok=True
+        result = replay_golden(
+            f"faults/outage/{policy_name}", workload, config, policy_name
         )
+        assert result.fault_report.failed_fetches > 0
 
     def test_all_paths_identical_with_stochastic_faults(self, workload):
         config = _passive_config(
@@ -318,8 +310,8 @@ class TestReplayIdentity:
                 seed=7,
             )
         )
-        results = assert_replay_paths_identical(workload, config)
-        assert results["event"].fault_report.episodes == 5
+        result = replay_golden("faults/stochastic", workload, config)
+        assert result.fault_report.episodes == 5
 
     def test_all_paths_identical_with_link_faults_and_reactive(self, workload):
         outage = FaultEpisode("link-down", 2000.0, 3000.0, group_id=1)
@@ -332,10 +324,8 @@ class TestReplayIdentity:
             reactive_hysteresis=0.05,
             faults=FaultConfig(episodes=(outage,)),
         )
-        results = assert_replay_paths_identical(workload, config)
-        reference = results["event"]
-        for result in results.values():
-            assert result.reactive_shifts == reference.reactive_shifts
+        result = replay_golden("faults/link-reactive", workload, config)
+        assert result.fault_report.link_episodes == 1
 
 
 # ----------------------------------------------------------------------
@@ -346,7 +336,7 @@ class TestOutageSemantics:
         self, workload, outage_schedule
     ):
         config = _passive_config(faults=FaultConfig(episodes=outage_schedule))
-        result = _run(workload, config, "fast")
+        result = _run(workload, config)
         metrics = result.metrics
         report = result.fault_report
         assert report.failed_fetches > 0
@@ -368,8 +358,8 @@ class TestOutageSemantics:
         stale_off = _passive_config(
             faults=FaultConfig(episodes=outage_schedule, serve_stale=False)
         )
-        on = _run(workload, stale_on, "fast")
-        off = _run(workload, stale_off, "fast")
+        on = _run(workload, stale_on)
+        off = _run(workload, stale_off)
         assert on.fault_report.stale_serves > 0
         assert off.fault_report.stale_serves == 0
         # Same fetches fail either way; only their resolution changes: every
@@ -383,7 +373,7 @@ class TestOutageSemantics:
 
     def test_fault_metrics_surface_in_as_dict(self, workload, outage_schedule):
         config = _passive_config(faults=FaultConfig(episodes=outage_schedule))
-        table = _run(workload, config, "fast").metrics.as_dict()
+        table = _run(workload, config).metrics.as_dict()
         for key in (
             "availability",
             "failed_requests",
@@ -498,8 +488,7 @@ class TestFaultStorms:
             reactive_rekey_cap=cap,
             faults=FaultConfig(episodes=episodes),
         )
-        results = assert_replay_paths_identical(workload, config)
-        result = results["event"]
+        result = replay_golden("faults/storm-rekey-cap", workload, config)
         assert result.fault_report.failed_fetches > 0
         server_count = len(workload.catalog.server_ids())
         assert result.reactive_shifts <= cap * server_count

@@ -1,5 +1,5 @@
 """Cache hierarchies in the simulator: tier chains, pops, siblings, and
-sharded fleet replay on all four replay paths.
+sharded fleet replay.
 
 Five families of guarantees are pinned here:
 
@@ -8,9 +8,8 @@ Five families of guarantees are pinned here:
   single-proxy simulator, per policy (every bandwidth cap is applied as
   ``if cap < value``, a no-op for infinite caps).
 * **Bit-identity, hierarchy on** — multi-tier chains, pops, sibling
-  lookups, client clouds, faults, and observability all produce identical
-  metrics, timelines, and hierarchy reports across the event, fast,
-  columnar-fast, and columnar-event loops.
+  lookups, client clouds, faults, and observability all reproduce their
+  recorded metrics, timelines, and hierarchy reports.
 * **Engine semantics** — escalation over cumulative prefixes, the
   bottleneck bandwidth composition per serve shape (edge hit / sibling /
   tier-absorbed / origin), read-only sibling serves, and the per-tier
@@ -52,11 +51,7 @@ from repro.trace.columnar import ColumnarTrace
 from repro.workload.gismo import GismoWorkloadGenerator, WorkloadConfig
 from repro.workload.trace import Request, RequestTrace
 
-from conftest import (
-    REPLAY_PATH_LABELS,
-    assert_replay_paths_identical,
-    run_replay_paths,
-)
+from conftest import replay_golden
 
 
 @pytest.fixture(scope="module")
@@ -163,27 +158,26 @@ class TestDegenerateTierEquivalence:
         degenerate = HierarchyConfig(
             tiers=(CacheTier(name="edge", cache_kb=config.cache_size_kb),)
         )
-        plain = run_replay_paths(workload, config, policy_name)
-        wrapped = assert_replay_paths_identical(
-            workload, config, policy_name, hierarchy=degenerate
+        plain = ProxyCacheSimulator(workload, config).run(make_policy(policy_name))
+        wrapped = replay_golden(
+            f"hierarchy/degenerate/{policy_name}",
+            workload,
+            config,
+            policy_name,
+            hierarchy=degenerate,
         )
-        for label in REPLAY_PATH_LABELS:
-            assert wrapped[label].metrics == plain[label].metrics, (
-                policy_name,
-                label,
-            )
+        assert wrapped.metrics == plain.metrics, policy_name
 
     def test_degenerate_matches_under_client_clouds(self, workload):
         config = _config(client_clouds=ClientCloudConfig(groups=8, bandwidth=30.0))
         degenerate = HierarchyConfig(
             tiers=(CacheTier(name="edge", cache_kb=config.cache_size_kb),)
         )
-        plain = run_replay_paths(workload, config, "PB")
-        wrapped = assert_replay_paths_identical(
-            workload, config, "PB", hierarchy=degenerate
+        plain = ProxyCacheSimulator(workload, config).run(make_policy("PB"))
+        wrapped = replay_golden(
+            "hierarchy/degenerate-clouds", workload, config, hierarchy=degenerate
         )
-        for label in REPLAY_PATH_LABELS:
-            assert wrapped[label].metrics == plain[label].metrics, label
+        assert wrapped.metrics == plain.metrics
 
     def test_degenerate_report_accounts_every_byte(self, workload):
         config = _config()
@@ -202,15 +196,21 @@ class TestDegenerateTierEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Bit-identity across all four replay paths, hierarchy on
+# Golden bit-identity, hierarchy on
 # ----------------------------------------------------------------------
 class TestFourPathIdentity:
+    """Each case is pinned to the golden its four former replay drivers
+    agreed on."""
+
     @pytest.mark.parametrize("policy_name", ["PB", "LRU"])
     def test_two_tier_four_pops(self, workload, policy_name):
-        results = assert_replay_paths_identical(
-            workload, _config(), policy_name, hierarchy=_hierarchy()
-        )
-        report = results["event"].hierarchy_report
+        report = replay_golden(
+            f"hierarchy/two-tier/{policy_name}",
+            workload,
+            _config(),
+            policy_name,
+            hierarchy=_hierarchy(),
+        ).hierarchy_report
         assert report.tier_names == ("edge", "parent")
         assert report.requests > 0
 
@@ -223,11 +223,11 @@ class TestFourPathIdentity:
                 groups=8, distribution=NLANRBandwidthDistribution()
             )
         )
-        results = assert_replay_paths_identical(
-            workload, config, "LRU", hierarchy=hierarchy
+        result = replay_golden(
+            "hierarchy/siblings-clouds", workload, config, "LRU", hierarchy=hierarchy
         )
         # Whole-object edges must actually exercise the lateral path.
-        assert results["event"].hierarchy_report.sibling_hits > 0
+        assert result.hierarchy_report.sibling_hits > 0
 
     def test_per_tier_policy_override(self, workload):
         hierarchy = HierarchyConfig(
@@ -242,17 +242,17 @@ class TestFourPathIdentity:
             ),
             num_pops=2,
         )
-        results = assert_replay_paths_identical(
-            workload, _config(), "PB", hierarchy=hierarchy
+        result = replay_golden(
+            "hierarchy/tier-policy", workload, _config(), hierarchy=hierarchy
         )
-        assert results["event"].hierarchy_report.tier_bytes[1] > 0.0
+        assert result.hierarchy_report.tier_bytes[1] > 0.0
 
     def test_composed_with_observability_timeline(self, workload):
         config = _config(observability=ObservabilityConfig(window_s=1800.0))
-        results = assert_replay_paths_identical(
-            workload, config, "PB", hierarchy=_hierarchy()
+        result = replay_golden(
+            "hierarchy/timeline", workload, config, hierarchy=_hierarchy()
         )
-        assert results["event"].timeline is not None
+        assert result.timeline is not None
 
     def test_composed_with_faults(self, workload):
         config = _config(
@@ -260,10 +260,10 @@ class TestFourPathIdentity:
                 random_origin_outages=2, random_bandwidth_flaps=2
             )
         )
-        results = assert_replay_paths_identical(
-            workload, config, "PB", hierarchy=_hierarchy()
+        result = replay_golden(
+            "hierarchy/faults", workload, config, hierarchy=_hierarchy()
         )
-        assert results["event"].fault_report is not None
+        assert result.fault_report is not None
 
 
 # ----------------------------------------------------------------------

@@ -1,62 +1,54 @@
-"""Conformance suite for the unified request-service kernel.
+"""Conformance suite for the request-service kernel.
 
 The kernel contract (:mod:`repro.sim.kernel`) has three observable
 promises, each pinned here:
 
-* **Canonical stage order** — every request's executed stages, as seen by
-  a ``stage_observer``, are a subsequence of
-  :data:`~repro.sim.kernel.KERNEL_STAGES`, and the full emitted trace is
-  *identical* across all four replay drivers — the drivers own iteration
-  order, never the service sequence.
+* **Recorded behaviour** — every config in :data:`STAGE_CONFIGS` (one per
+  optional subsystem) replays bit-identically to its recorded golden
+  (``tests/data/replay_goldens.json``).
+* **Chunk boundaries are invisible** — the driver hands the kernel the
+  longest runs uninterrupted by auxiliary events; splitting those runs
+  anywhere, down to one request per chunk, must not move a single bit of
+  the result, timeline or reports.
 * **Degenerate transparency** — with every optional subsystem off, the
-  kernel-unified simulator reproduces the pre-kernel seed behaviour
-  bit-for-bit (golden fixture captured before the refactor).
-* **Observer transparency** — installing a ``stage_observer`` routes
-  requests through the scalar kernel path; the metrics must not move.
-
-The seam itself (drivers must not call subsystem internals) is enforced
-statically by ``scripts/check_kernel.py`` (``make kernel-check``), whose
-detector is exercised against synthetic violations at the bottom.
+  kernel reproduces the pre-kernel seed behaviour bit-for-bit (golden
+  fixture captured before the kernel refactor).
 """
 
 from __future__ import annotations
 
 import json
-import sys
-from dataclasses import replace as _replace
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import run_replay_paths
+import repro.sim.simulator as simulator_module
+from conftest import replay_golden, result_record
 from repro.core.policies import make_policy
 from repro.network.distributions import NLANRBandwidthDistribution
 from repro.sim.config import BandwidthKnowledge, ClientCloudConfig, SimulationConfig
+from repro.sim.events import RemeasurementConfig
 from repro.sim.faults import FaultConfig
 from repro.sim.hierarchy import CacheTier, HierarchyConfig
-from repro.sim.kernel import KERNEL_STAGES
 from repro.sim.simulator import ProxyCacheSimulator
 from repro.sim.streaming import StreamingConfig
-from repro.trace.columnar import ColumnarTrace
 from repro.workload.gismo import GismoWorkloadGenerator, WorkloadConfig
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "scripts"))
-
-import check_kernel  # noqa: E402  (scripts/ is not a package)
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "kernel_degenerate_golden.json"
 
-_STAGE_INDEX = {stage: position for position, stage in enumerate(KERNEL_STAGES)}
+#: Requests in the conformance workload.
+REQUESTS = 1_500
 
 
 @lru_cache(maxsize=None)
 def _workload(seed: int = 7):
     return GismoWorkloadGenerator(
-        WorkloadConfig(num_objects=50, num_requests=1_500, num_servers=10, seed=seed)
+        WorkloadConfig(
+            num_objects=50, num_requests=REQUESTS, num_servers=10, seed=seed
+        )
     ).generate()
 
 
@@ -66,8 +58,7 @@ def _config(**overrides) -> SimulationConfig:
     return SimulationConfig(**base)
 
 
-#: Config variants that light up different kernel stages: each optional
-#: subsystem must emit the same stage trace on every driver.
+#: Config variants that light up different kernel stages.
 STAGE_CONFIGS = {
     "plain": lambda: _config(),
     "passive-reactive": lambda: _config(
@@ -102,104 +93,72 @@ STAGE_CONFIGS = {
 }
 
 
-def _stage_traces(workload, config, policy_name="PB"):
-    """Replay on all four drivers with a recording stage observer.
+#: The stage configs plus periodic re-measurement feeding passive-driven
+#: re-keying, so auxiliary events split the trace before the test does.
+CHUNK_CONFIGS = {
+    **STAGE_CONFIGS,
+    "remeasure-reactive": lambda: _config(
+        bandwidth_knowledge=BandwidthKnowledge.PASSIVE,
+        remeasurement=RemeasurementConfig(interval=150.0),
+        reactive_threshold=0.15,
+        reactive_passive=True,
+        reactive_hysteresis=0.05,
+    ),
+}
 
-    Returns ``{label: [(index, stage), ...]}`` — the full per-run stage
-    emission in execution order, plus the results for metric checks.
-    """
-    trace = workload.trace
-    if isinstance(trace, ColumnarTrace):
-        columnar, plain = workload, _replace(
-            workload, trace=trace.to_request_trace()
-        )
-    else:
-        columnar = _replace(
-            workload, trace=ColumnarTrace.from_request_trace(trace)
-        )
-        plain = workload
-    grid = (
-        ("event", plain, "event"),
-        ("fast", plain, "fast"),
-        ("columnar-fast", columnar, "columnar"),
-        ("columnar-event", columnar, "columnar-event"),
-    )
-    traces, results = {}, {}
-    for label, wl, replay in grid:
-        emitted = []
-        results[label] = ProxyCacheSimulator(wl, config).run(
-            make_policy(policy_name),
-            replay=replay,
-            stage_observer=lambda index, stage, _out=emitted: _out.append(
-                (index, stage)
-            ),
-        )
-        traces[label] = emitted
-    return traces, results
+#: Chunk cut points; ``None`` cuts every request into its own chunk.
+CUTS = st.one_of(
+    st.none(),
+    st.lists(st.integers(min_value=1, max_value=REQUESTS - 1), max_size=40),
+)
 
 
-def _assert_canonical(trace) -> None:
-    """Every request's stages are ordered as KERNEL_STAGES orders them."""
-    last_position = {}
-    for index, stage in trace:
-        assert stage in _STAGE_INDEX, stage
-        position = _STAGE_INDEX[stage]
-        if index in last_position:
-            assert position >= last_position[index], (
-                f"request {index}: stage {stage!r} fired after a "
-                f"later-canonical stage"
-            )
-        last_position[index] = position
+def _replay(config, cuts=()):
+    """Replay the conformance workload, splitting every kernel chunk at
+    ``cuts`` (``None``: at every request)."""
+    serve_batch = simulator_module.serve_batch
+
+    def split(ctx, ids, times, start, stop):
+        inside = range(start + 1, stop) if cuts is None else cuts
+        bounds = sorted({start, stop, *(c for c in inside if start < c < stop)})
+        for low, high in zip(bounds, bounds[1:]):
+            serve_batch(ctx, ids, times, low, high)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator_module, "serve_batch", split)
+        return ProxyCacheSimulator(_workload(), config).run(make_policy("PB"))
+
+
+@lru_cache(maxsize=None)
+def _unsplit_record(variant: str) -> str:
+    return json.dumps(result_record(_replay(CHUNK_CONFIGS[variant]())))
 
 
 @pytest.mark.parametrize("variant", sorted(STAGE_CONFIGS))
-def test_stage_traces_canonical_and_driver_identical(variant):
-    """All four drivers emit the same stages in the same canonical order."""
-    traces, results = _stage_traces(_workload(), STAGE_CONFIGS[variant]())
-    reference = traces["event"]
-    assert reference, "observer saw no stages"
-    served = {stage for _, stage in reference}
-    assert "resolve" in served and "delivery" in served
-    _assert_canonical(reference)
-    for label, trace in traces.items():
-        assert trace == reference, (variant, label)
-    # Observation must not perturb the simulation itself.
-    metrics_reference = results["event"].as_dict()
-    for label, result in results.items():
-        assert result.as_dict() == metrics_reference, (variant, label)
+def test_stage_config_matches_golden(variant):
+    replay_golden(f"kernel/{variant}", _workload(), STAGE_CONFIGS[variant]())
 
 
-def test_subsystem_stages_fire_only_when_configured():
-    """The optional stages appear exactly when their subsystem is on."""
-    plain_traces, _ = _stage_traces(_workload(), STAGE_CONFIGS["plain"]())
-    plain_stages = {stage for _, stage in plain_traces["event"]}
-    assert "faults" not in plain_stages
-    assert "passive" not in plain_stages
-    assert "verify" in plain_stages  # verify_store=True in the base config
-
-    fault_traces, _ = _stage_traces(_workload(), STAGE_CONFIGS["faults"]())
-    assert "faults" in {stage for _, stage in fault_traces["event"]}
-    hier_traces, _ = _stage_traces(_workload(), STAGE_CONFIGS["hierarchy"]())
-    assert "residency" in {stage for _, stage in hier_traces["event"]}
-    passive_traces, _ = _stage_traces(
-        _workload(), STAGE_CONFIGS["passive-reactive"]()
-    )
-    assert "passive" in {stage for _, stage in passive_traces["event"]}
+@pytest.mark.parametrize("variant", sorted(CHUNK_CONFIGS))
+@settings(max_examples=6, deadline=None)
+@given(cuts=CUTS)
+@example(cuts=None)
+def test_chunk_boundaries_are_invisible(variant, cuts):
+    """Splitting kernel chunks anywhere, even one request per chunk, leaves
+    the result, the timeline and every report bit-identical."""
+    split = _replay(CHUNK_CONFIGS[variant](), cuts)
+    assert json.dumps(result_record(split)) == _unsplit_record(variant)
 
 
 @settings(max_examples=5, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=1_000))
-def test_stage_trace_identity_holds_for_any_simulation_seed(seed):
-    """Driver-identical stage traces are a property of the kernel, not of
-    one lucky seed: the simulation seed moves bandwidths, warmup draws,
-    and cache contents, and the trace must stay path-identical."""
-    traces, _ = _stage_traces(
-        _workload(), SimulationConfig(cache_size_gb=1.0, seed=seed)
-    )
-    reference = traces["event"]
-    _assert_canonical(reference)
-    for label, trace in traces.items():
-        assert trace == reference, (seed, label)
+@given(seed=st.integers(min_value=0, max_value=1_000), cuts=CUTS)
+def test_chunking_is_invisible_for_any_simulation_seed(seed, cuts):
+    """Chunk invariance is a property of the kernel, not of one lucky
+    seed: the simulation seed moves bandwidths, warmup draws and cache
+    contents, and the split replay must still match the unsplit one."""
+    config = SimulationConfig(cache_size_gb=1.0, seed=seed)
+    split = _replay(config, cuts)
+    assert result_record(split) == result_record(_replay(config))
 
 
 def test_degenerate_all_off_matches_pre_kernel_golden():
@@ -216,88 +175,3 @@ def test_degenerate_all_off_matches_pre_kernel_golden():
             make_policy(policy_name)
         )
         assert json.loads(json.dumps(result.as_dict())) == expected, policy_name
-
-
-def test_observer_mode_is_bit_identical_to_batch_mode():
-    """The observer routes requests through the scalar kernel path; the
-    metrics must be exactly those of the uninstrumented batch path."""
-    workload = _workload()
-    config = STAGE_CONFIGS["streaming"]()
-    plain = run_replay_paths(workload, config)
-    _, observed_results = _stage_traces(workload, config)
-    for label, result in observed_results.items():
-        assert result.as_dict() == plain[label].as_dict(), label
-
-
-# ----------------------------------------------------------------------
-# The static seam gate (scripts/check_kernel.py).
-# ----------------------------------------------------------------------
-def test_kernel_gate_passes_on_current_drivers():
-    assert check_kernel.check_file() == []
-
-
-def test_kernel_gate_counts_the_four_drivers(tmp_path):
-    stub = tmp_path / "simulator.py"
-    stub.write_text(
-        "class ProxyCacheSimulator:\n"
-        "    def _replay_events(self, ctx, engine):\n"
-        "        serve_request(ctx, 0, 0, 0.0)\n"
-    )
-    problems = check_kernel.check_file(stub)
-    assert any("expected the four replay drivers" in p for p in problems)
-
-
-VIOLATIONS = {
-    "subsystem class": (
-        "        injector_cls = FaultInjector\n",
-        "names subsystem class",
-    ),
-    "subsystem instance": (
-        "        injector.intercept(0.0, 1, 2.0)\n",
-        "reads subsystem instance",
-    ),
-    "self state": (
-        "        self.config.seed\n",
-        "touches self.config",
-    ),
-    "kernel state": (
-        "        ctx.collector.record(None)\n",
-        "reads ctx.collector",
-    ),
-}
-
-
-@pytest.mark.parametrize("violation", sorted(VIOLATIONS))
-def test_kernel_gate_flags_driver_violations(tmp_path, violation):
-    body, expected = VIOLATIONS[violation]
-    stub = tmp_path / "simulator.py"
-    stub.write_text(
-        "class ProxyCacheSimulator:\n"
-        + "".join(
-            f"    def _replay_{name}(self, ctx):\n"
-            "        serve_batch(ctx, [], [], 0, 0)\n"
-            for name in ("events", "fast", "fast_columnar")
-        )
-        + "    def _replay_events_columnar(self, ctx):\n"
-        "        serve_batch(ctx, [], [], 0, 0)\n" + body
-    )
-    problems = check_kernel.check_file(stub)
-    assert any(expected in p for p in problems), problems
-
-
-def test_kernel_gate_requires_delegation(tmp_path):
-    stub = tmp_path / "simulator.py"
-    stub.write_text(
-        "class ProxyCacheSimulator:\n"
-        + "".join(
-            f"    def _replay_{name}(self, ctx):\n"
-            "        serve_batch(ctx, [], [], 0, 0)\n"
-            for name in ("events", "fast", "fast_columnar")
-        )
-        + "    def _replay_events_columnar(self, ctx):\n"
-        "        pass\n"
-    )
-    problems = check_kernel.check_file(stub)
-    assert any(
-        "never calls serve_request/serve_batch" in p for p in problems
-    ), problems

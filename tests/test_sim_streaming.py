@@ -41,7 +41,7 @@ from repro.sim.streaming import (
 from repro.workload.catalog import Catalog, MediaObject
 from repro.workload.gismo import GismoWorkloadGenerator, WorkloadConfig
 
-from conftest import assert_replay_paths_identical, run_replay_paths
+from conftest import replay_golden
 
 
 @pytest.fixture(scope="module")
@@ -320,29 +320,28 @@ class TestAdmissionAndTrim:
 
 
 # ----------------------------------------------------------------------
-# Replay-path bit-identity, streaming off and on
+# Golden bit-identity, streaming off and on
 # ----------------------------------------------------------------------
 class TestReplayIdentity:
     def test_streaming_none_identical_to_default_config(self, workload):
         """``streaming=None`` must replay exactly like a pre-streaming config."""
-        explicit = run_replay_paths(workload, _config(streaming=None))
-        default = run_replay_paths(workload, _config())
-        for label, a in explicit.items():
-            b = default[label]
-            assert a.metrics == b.metrics, label
-            assert a.streaming_report is None
+        for config in (_config(streaming=None), _config()):
+            result = replay_golden("streaming/off", workload, config)
+            assert result.streaming_report is None
 
     @pytest.mark.parametrize("policy_name", sorted(POLICY_REGISTRY))
     def test_all_paths_identical_per_policy(self, workload, policy_name):
         config = _config(streaming=_streaming())
-        results = assert_replay_paths_identical(workload, config, policy_name)
-        report = results["event"].streaming_report
+        result = replay_golden(
+            f"streaming/{policy_name}", workload, config, policy_name
+        )
+        report = result.streaming_report
         assert report is not None and report.sessions > 0
 
     def test_all_paths_identical_whole_object_mode(self, workload):
         config = _config(streaming=_streaming(prefix_caching=False))
-        results = assert_replay_paths_identical(workload, config)
-        report = results["event"].streaming_report
+        result = replay_golden("streaming/whole-object", workload, config)
+        report = result.streaming_report
         assert report.pressure_trimmed_kb == 0.0
         assert report.prefetch_extensions == 0
 
@@ -354,8 +353,7 @@ class TestReplayIdentity:
             ),
             observability=ObservabilityConfig(window_s=1800.0),
         )
-        results = assert_replay_paths_identical(workload, config)
-        timeline = results["event"].timeline
+        timeline = replay_golden("streaming/clouds-timeline", workload, config).timeline
         assert timeline is not None and timeline.finished
 
     def test_all_paths_identical_with_faults(self, workload):
@@ -376,8 +374,7 @@ class TestReplayIdentity:
             streaming=_streaming(),
             faults=FaultConfig(episodes=(outage,)),
         )
-        results = assert_replay_paths_identical(workload, config)
-        reference = results["event"]
+        reference = replay_golden("streaming/faults", workload, config)
         assert reference.fault_report.failed_fetches > 0
         # Failed stream fetches are accounted as abandoned sessions.
         assert reference.streaming_report.abandoned_sessions > 0
@@ -429,14 +426,14 @@ class TestStreamingTimeline:
 
 
 # ----------------------------------------------------------------------
-# Golden QoE fixture: committed headline values, byte-exact on all paths
+# Golden QoE fixture: committed headline values, byte-exact
 # ----------------------------------------------------------------------
 
 #: Expected streaming report for the fixed golden configuration below
 #: (workload seed 7 at scale 0.02; streaming fraction 0.5, VBR 0.25,
 #: seed 3; homogeneous 30 KB/s client clouds; PB at 0.5 GB, sim seed 11).
-#: Values are asserted with ``==`` — any drift in the engine or in any of
-#: the four replay loops must show up as a diff here before it ships.
+#: Values are asserted with ``==`` — any drift in the engine or in the
+#: replay loop must show up as a diff here before it ships.
 #: Regenerate by running this config once and updating the literals.
 GOLDEN_QOE = {
     "stream_objects": 50.0,
@@ -463,10 +460,10 @@ class TestGoldenQoE:
         )
 
     def test_golden_qoe_values_identical_on_all_paths(self, workload):
-        results = run_replay_paths(workload, self._golden_config())
-        for label, result in results.items():
-            observed = result.streaming_report.as_dict()
-            assert observed == GOLDEN_QOE, label
+        result = ProxyCacheSimulator(workload, self._golden_config()).run(
+            make_policy("PB")
+        )
+        assert result.streaming_report.as_dict() == GOLDEN_QOE
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,9 @@ Three promises are pinned here:
   a hypothesis round-trip property),
 * slicing is zero-copy (views share the parent's buffers),
 * the simulator produces **bit-identical** metrics whether a workload's
-  trace is object-per-request or columnar, on both replay paths, for every
-  registered policy.
+  trace is object-per-request or columnar (it converts to columns at run
+  start), matching the recorded replay goldens for every registered
+  policy.
 """
 
 import numpy as np
@@ -16,14 +17,15 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from repro.core.policies import POLICY_REGISTRY, make_policy
+from repro.core.policies import POLICY_REGISTRY
 from repro.exceptions import ConfigurationError, TraceFormatError
 from repro.network.variability import NLANRRatioVariability
 from repro.sim.config import SimulationConfig
-from repro.sim.simulator import ProxyCacheSimulator
 from repro.trace.columnar import ColumnarTrace
 from repro.workload.gismo import GismoWorkloadGenerator, Workload, WorkloadConfig
 from repro.workload.trace import Request, RequestTrace
+
+from conftest import replay_golden
 
 
 def make_pair():
@@ -220,26 +222,12 @@ def workload_pair():
 
 @pytest.mark.parametrize("policy_name", sorted(POLICY_REGISTRY))
 def test_columnar_replay_bit_identical_per_policy(workload_pair, policy_name):
-    """Event path, object fast path, and columnar fast path all agree."""
-    object_workload, columnar_workload = workload_pair
+    """Object and columnar traces both replay to the recorded golden."""
     config = SimulationConfig(
         cache_size_gb=0.5, variability=NLANRRatioVariability(), seed=11
     )
-    event = ProxyCacheSimulator(object_workload, config).run(
-        make_policy(policy_name), use_fast_path=False
-    )
-    fast = ProxyCacheSimulator(object_workload, config).run(
-        make_policy(policy_name), use_fast_path=True
-    )
-    columnar = ProxyCacheSimulator(columnar_workload, config).run(
-        make_policy(policy_name), use_fast_path=True
-    )
-    columnar_event = ProxyCacheSimulator(columnar_workload, config).run(
-        make_policy(policy_name), use_fast_path=False
-    )
-    assert fast.as_dict() == event.as_dict()
-    assert columnar.as_dict() == event.as_dict()
-    assert columnar_event.as_dict() == event.as_dict()
+    for workload in workload_pair:
+        replay_golden(f"columnar/{policy_name}", workload, config, policy_name)
 
 
 @pytest.mark.parametrize(
@@ -254,7 +242,7 @@ def test_columnar_replay_bit_identical_per_policy(workload_pair, policy_name):
     ids=["passive-estimator", "zero-warmup", "late-warmup", "measured-paths", "verify"],
 )
 def test_columnar_replay_bit_identical_edge_configs(workload_pair, config_kwargs):
-    """The specialized columnar loop agrees under estimator/warmup variants."""
+    """Object and columnar traces agree under estimator/warmup variants."""
     from repro.network.variability import MeasuredPathVariability
     from repro.sim.config import BandwidthKnowledge
 
@@ -266,18 +254,13 @@ def test_columnar_replay_bit_identical_edge_configs(workload_pair, config_kwargs
             value = MeasuredPathVariability("average")
         kwargs[key] = value
     config = SimulationConfig(**kwargs)
-    object_workload, columnar_workload = workload_pair
-    fast = ProxyCacheSimulator(object_workload, config).run(
-        make_policy("PB"), use_fast_path=True
-    )
-    columnar = ProxyCacheSimulator(columnar_workload, config).run(
-        make_policy("PB"), use_fast_path=True
-    )
-    assert columnar.as_dict() == fast.as_dict()
+    key = "columnar/edge/" + "-".join(f"{k}={v}" for k, v in config_kwargs.items())
+    for workload in workload_pair:
+        replay_golden(key, workload, config)
 
 
 def test_columnar_replay_bit_identical_sparse_ids():
-    """Non-dense object ids fall back to the generic loop, still identical."""
+    """Sparse object ids get a dict entry table, still bit-identical."""
     from repro.workload.catalog import Catalog, MediaObject
 
     sparse_ids = [10_000_000, 20_000_000, 30_000_000]
@@ -301,10 +284,5 @@ def test_columnar_replay_bit_identical_sparse_ids():
     config = SimulationConfig(
         cache_size_gb=0.01, variability=NLANRRatioVariability(), seed=2
     )
-    fast = ProxyCacheSimulator(object_workload, config).run(
-        make_policy("PB"), use_fast_path=True
-    )
-    columnar = ProxyCacheSimulator(columnar_workload, config).run(
-        make_policy("PB"), use_fast_path=True
-    )
-    assert columnar.as_dict() == fast.as_dict()
+    for workload in (object_workload, columnar_workload):
+        replay_golden("columnar/sparse-ids", workload, config)

@@ -274,3 +274,33 @@ def test_cli_append_survives_legacy_url_only_sidecar(tmp_path):
     assert stitched.client_ids_array.tolist() == [0, 1]
     upgraded = json.loads(sidecar_path.read_text())
     assert "clients" in upgraded and upgraded["clients"]["10.0.0.1"] == 1
+
+
+def test_cli_append_failure_leaves_archive_and_sidecar_untouched(tmp_path, monkeypatch):
+    """A crash partway through rewriting the archive loses no archived day:
+    both files are written to temporaries and renamed into place only once
+    every write succeeded."""
+    from repro.cli import main
+
+    url = "http://media.bu.edu/media/clip00.rm"
+    archive = tmp_path / "rolling.npz"
+    sidecar = tmp_path / "rolling.urls.json"
+    day1 = tmp_path / "day1.log"
+    day1.write_text(_squid_line(100.0, "10.0.0.3", url) + "\n")
+    assert main(["ingest", str(day1), "--out", str(archive)]) == 0
+    before = {path: path.read_bytes() for path in (archive, sidecar)}
+
+    def crash_midway(self, path):
+        Path(path).write_bytes(b"PK\x03\x04 half an archive")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(ColumnarTrace, "to_npz", crash_midway)
+    day2 = tmp_path / "day2.log"
+    day2.write_text(_squid_line(200.0, "10.0.0.1", url) + "\n")
+    with pytest.raises(OSError, match="disk full"):
+        main(["ingest", str(day2), "--out", str(archive), "--append"])
+    assert {path: path.read_bytes() for path in before} == before
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "day1.log", "day2.log", "rolling.npz", "rolling.urls.json"
+    ]
+
