@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-smoke bench-full bench-figures ingest-demo docs-check faults-smoke obs-smoke streaming-smoke hierarchy-smoke
+.PHONY: test bench-smoke bench-full bench-goldens bench-figures ingest-demo docs-check faults-smoke obs-smoke streaming-smoke hierarchy-smoke
 
 ## Tier-1 verification: the full test + benchmark suite (writes no file).
 test:
@@ -18,6 +18,20 @@ bench-smoke:
 ## repo's performance trajectory).
 bench-full:
 	$(PYTHON) -m benchmarks.test_bench_perf_throughput
+
+## Benchmark golden check: one round of every bench/ workload for seeds
+## 0 and 1, compared with bench/golden/seed-{0,1}.json.  run.py exits 0
+## even when samples fail, so its last stdout line decides: it must
+## report "correct": true.
+bench-goldens:
+	@for seed in 0 1; do \
+		out=$$($(PYTHON) bench/run.py --seed $$seed --repeats 1 --trace 0); \
+		status=$$?; \
+		printf '%s\n' "$$out"; \
+		[ $$status -eq 0 ] && printf '%s\n' "$$out" | tail -n 1 | $(PYTHON) -c \
+			'import json, sys; sys.exit(0 if json.loads(sys.stdin.read())["correct"] is True else 1)' \
+			|| { echo "bench-goldens: seed $$seed failed its checks" >&2; exit 1; }; \
+	done
 
 ## The paper-figure benchmarks (pytest-benchmark timings, printed tables).
 bench-figures:

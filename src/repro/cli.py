@@ -634,7 +634,6 @@ def _run_experiment(args: argparse.Namespace) -> int:
 
 
 def _run_ingest(args: argparse.Namespace) -> int:
-    from repro.exceptions import TraceFormatError
     from repro.trace.ingest import ingest_access_log
     from repro.units import DEFAULT_BITRATE_KBPS
 
@@ -653,17 +652,13 @@ def _run_ingest(args: argparse.Namespace) -> int:
     if args.methods and args.methods.strip() != "*":
         methods = tuple(m.strip().upper() for m in args.methods.split(",") if m.strip())
     bitrate = args.bitrate if args.bitrate is not None else DEFAULT_BITRATE_KBPS
-    try:
-        result = ingest_access_log(
-            args.logfile,
-            log_format=args.format,
-            methods=methods,
-            status_range=(100, args.max_status),
-            max_errors=args.max_errors,
-        )
-    except TraceFormatError as error:
-        _log.error("%s", error)
-        return 1
+    result = ingest_access_log(
+        args.logfile,
+        log_format=args.format,
+        methods=methods,
+        status_range=(100, args.max_status),
+        max_errors=args.max_errors,
+    )
     for key, value in result.summary.as_dict().items():
         if key == "malformed_samples":
             for sample in value:

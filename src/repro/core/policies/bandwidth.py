@@ -17,8 +17,8 @@ These are the paper's contribution (Sections 2.3–2.5):
   PB; ``e → 0`` approaches IB (Figure 9).
 
 Where the bandwidth ``b_i`` comes from is the simulator's concern, not the
-policy's: each request's ``PolicyContext.bandwidth`` is the value the cache
-currently *believes* — the oracle long-term average under
+policy's: the ``bandwidth`` each request passes to ``plan`` is the value
+the cache currently *believes* — the oracle long-term average under
 ``BandwidthKnowledge.ORACLE``, or the passive EWMA estimate under
 ``BandwidthKnowledge.PASSIVE``, optionally refreshed *between* requests by
 periodic re-measurement (:mod:`repro.sim.events`, ``docs/events.md``).
@@ -36,9 +36,10 @@ ablated jointly by the Figure 9/12 experiments'
 
 from __future__ import annotations
 
-from repro.core.policies.base import CachePolicy, PolicyContext
+from typing import Tuple
+
+from repro.core.policies.base import CachePolicy
 from repro.exceptions import ConfigurationError
-from repro.units import positive_part
 from repro.workload.catalog import MediaObject
 
 
@@ -69,17 +70,15 @@ class HybridPartialBandwidthPolicy(CachePolicy):
         self.estimator_e = float(estimator_e)
         self.name = f"PB(e={self.estimator_e:g})"
 
-    def effective_bandwidth(self, ctx: PolicyContext) -> float:
-        """The deliberately conservative bandwidth estimate ``e * b``."""
-        effective = ctx.bandwidth * self.estimator_e
-        return effective if effective > 1e-9 else 1e-9
-
-    def utility(self, obj: MediaObject, ctx: PolicyContext) -> float:
-        return ctx.frequency / self.effective_bandwidth(ctx)
-
-    def target_cache_bytes(self, obj: MediaObject, ctx: PolicyContext) -> float:
-        deficit = positive_part(obj.bitrate - self.effective_bandwidth(ctx))
-        return deficit * obj.duration
+    def plan(
+        self, obj: MediaObject, bandwidth: float, frequency: float, now: float
+    ) -> Tuple[float, float]:
+        # Plan as if the path sustained only the conservative ``e * b``.
+        effective = bandwidth * self.estimator_e
+        effective = effective if effective > 1e-9 else 1e-9
+        deficit = obj.bitrate - effective
+        target = (deficit if deficit > 0.0 else 0.0) * obj.duration
+        return target, frequency / effective
 
 
 class PartialBandwidthPolicy(HybridPartialBandwidthPolicy):
@@ -105,10 +104,8 @@ class IntegralBandwidthPolicy(CachePolicy):
     allows_partial = False
     bandwidth_keyed = True
 
-    def utility(self, obj: MediaObject, ctx: PolicyContext) -> float:
-        return ctx.frequency / max(ctx.bandwidth, 1e-9)
-
-    def target_cache_bytes(self, obj: MediaObject, ctx: PolicyContext) -> float:
-        if obj.bitrate <= ctx.bandwidth:
-            return 0.0
-        return obj.size
+    def plan(
+        self, obj: MediaObject, bandwidth: float, frequency: float, now: float
+    ) -> Tuple[float, float]:
+        target = 0.0 if obj.bitrate <= bandwidth else obj.size
+        return target, frequency / max(bandwidth, 1e-9)

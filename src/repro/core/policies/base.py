@@ -5,13 +5,15 @@ maintain a per-object *utility* value, estimate request frequency online,
 and on each request try to cache a per-object *target* number of bytes,
 evicting the lowest-utility cached content to make room — but never
 evicting content whose utility is at least that of the requested object.
-Concrete policies differ only in two functions:
+Concrete policies differ only in one function, :meth:`CachePolicy.plan`,
+which maps a request's believed bandwidth, frequency estimate and time to
+two numbers:
 
-* :meth:`CachePolicy.utility` — the priority key (e.g. ``F`` for IF,
-  ``F / b`` for PB/IB, ``F V / (T r − T b)`` for PB-V), and
-* :meth:`CachePolicy.target_cache_bytes` — how much of the object is worth
-  caching (the whole object for integral policies, the
-  ``(r − b) T`` prefix for partial ones, zero when bandwidth is abundant).
+* the *target* — how much of the object is worth caching (the whole
+  object for integral policies, the ``(r − b) T`` prefix for partial ones,
+  zero when bandwidth is abundant), and
+* the *utility* — the priority key (e.g. ``F`` for IF, ``F / b`` for
+  PB/IB, ``F V / (T r − T b)`` for PB-V).
 
 The engine implements the replacement loop once, with the priority queue
 ("heap which uses the utility value as the key", Section 2.4) shared by all
@@ -39,23 +41,11 @@ _EPSILON_KB = 1e-6
 
 @dataclass(frozen=True, slots=True)
 class PolicyContext:
-    """Per-request information a policy's utility/target functions may use.
+    """The scalar inputs of one :meth:`CachePolicy.plan` call.
 
-    Frozen (hashable) as before; ``__slots__`` keeps the one-per-request
-    construction cheap.
-
-    Attributes
-    ----------
-    now:
-        Simulation time of the request (seconds).
-    bandwidth:
-        The bandwidth (KB/s) the cache currently *believes* the path to the
-        object's origin server has.  Depending on the simulator's
-        configuration this is the oracle base bandwidth or a passive
-        estimate; hybrid policies additionally scale it by ``estimator_e``.
-    frequency:
-        The object's request-frequency estimate ``F_i`` including the
-        current request.
+    The request path passes ``now``, ``bandwidth`` and ``frequency`` as
+    plain arguments; this bundle only serves the introspection helpers
+    :meth:`CachePolicy.utility` and :meth:`CachePolicy.target_cache_bytes`.
     """
 
     now: float
@@ -66,9 +56,9 @@ class PolicyContext:
 class CachePolicy(ABC):
     """Base class for online replacement policies.
 
-    Subclasses set :attr:`allows_partial` and implement :meth:`utility` and
-    :meth:`target_cache_bytes`; everything else (frequency tracking, the
-    priority heap, eviction planning) is shared.
+    Subclasses set :attr:`allows_partial` and implement :meth:`plan`;
+    everything else (frequency tracking, the priority heap, eviction
+    planning) is shared.
     """
 
     #: Human-readable policy name, used in reports and plots.
@@ -77,7 +67,7 @@ class CachePolicy(ABC):
     #: Whether the policy may cache and evict fractions of objects.
     allows_partial: bool = False
 
-    #: Whether :meth:`utility` depends on ``ctx.bandwidth``.  Only
+    #: Whether the utility :meth:`plan` returns depends on the bandwidth.  Only
     #: bandwidth-keyed policies react to out-of-band bandwidth shifts
     #: (:meth:`on_bandwidth_shift`); for the others a re-key would either be
     #: a no-op (frequency-keyed utilities) or outright wrong (recency-keyed
@@ -122,15 +112,31 @@ class CachePolicy(ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
     # ------------------------------------------------------------------
-    # The two hooks concrete policies implement.
+    # The hook concrete policies implement.
     # ------------------------------------------------------------------
     @abstractmethod
-    def utility(self, obj: MediaObject, ctx: PolicyContext) -> float:
-        """Priority key: higher utility content is kept in preference."""
+    def plan(
+        self, obj: MediaObject, bandwidth: float, frequency: float, now: float
+    ) -> Tuple[float, float]:
+        """The policy's decision for one request: ``(target_kb, utility)``.
 
-    @abstractmethod
+        ``target_kb`` is how many KB of the object the policy would like
+        cached and ``utility`` its priority key (higher-utility content is
+        kept in preference).  ``bandwidth`` is what the cache currently
+        *believes* the path to the object's origin sustains (KB/s): the
+        oracle base bandwidth or a passive estimate, depending on the
+        simulator's configuration.  ``frequency`` is the object's
+        request-frequency estimate ``F_i`` including the current request,
+        and ``now`` the request's simulation time (seconds).
+        """
+
+    def utility(self, obj: MediaObject, ctx: PolicyContext) -> float:
+        """The utility :meth:`plan` gives ``obj`` under ``ctx``."""
+        return self.plan(obj, ctx.bandwidth, ctx.frequency, ctx.now)[1]
+
     def target_cache_bytes(self, obj: MediaObject, ctx: PolicyContext) -> float:
-        """How many KB of this object the policy would like cached."""
+        """The target :meth:`plan` gives ``obj`` under ``ctx`` (KB)."""
+        return self.plan(obj, ctx.bandwidth, ctx.frequency, ctx.now)[0]
 
     def on_evict(self, object_id: int, utility: float) -> None:
         """Hook invoked whenever the engine evicts a whole object.
@@ -186,20 +192,19 @@ class CachePolicy(ABC):
         """
         if not self.bandwidth_keyed or self._catalog is None:
             return 0
+        bandwidth = float(bandwidth)
         catalog_get = self._catalog.get
         frequency = self.frequencies.frequency
+        plan = self.plan
         utilities = self._utilities
         rekeyed = 0
         for object_id in self._objects_on_server(server_id):
             old_utility = utilities.get(object_id)
             if old_utility is None:
                 continue
-            ctx = PolicyContext(
-                now=now,
-                bandwidth=float(bandwidth),
-                frequency=frequency(object_id, now),
-            )
-            utility = self.utility(catalog_get(object_id), ctx)
+            utility = plan(
+                catalog_get(object_id), bandwidth, frequency(object_id, now), now
+            )[1]
             if utility != old_utility:
                 self._set_utility(object_id, utility)
                 rekeyed += 1
@@ -241,61 +246,6 @@ class CachePolicy(ABC):
         heapq.heapify(self._heap)
         self._compactions += 1
 
-    def _pop_lowest(
-        self,
-        store: CacheStore,
-        exclude: int = -1,
-        held_out: Optional[List[Tuple[float, int]]] = None,
-    ) -> Optional[Tuple[int, float]]:
-        """Pop the valid lowest-utility cached object (excluding ``exclude``).
-
-        Lazily discards stale heap entries (superseded sequence numbers or
-        objects no longer cached).  Returns ``None`` when no candidate
-        remains.  The returned object is *not* yet evicted; the caller either
-        commits the eviction or pushes the entry back via :meth:`_restore`.
-
-        When the *live* entry of ``exclude`` is reached it is popped once
-        into ``held_out`` as ``(utility, seq)`` — still referenced by
-        ``_entry_seq``, just physically out of the heap — so the caller can
-        reinstate it verbatim with :meth:`_reinstate_held`.  The sequence
-        check guarantees this happens at most once per eviction loop.
-        Without ``held_out`` the held entry is reinstated before returning,
-        so a standalone call leaves the heap intact.
-        """
-        heap = self._heap
-        entry_seq = self._entry_seq
-        reinstate = held_out is None
-        held: List[Tuple[float, int]] = [] if reinstate else held_out
-        result: Optional[Tuple[int, float]] = None
-        while heap:
-            utility, seq, object_id = heapq.heappop(heap)
-            if entry_seq.get(object_id) != seq:
-                continue
-            if object_id == exclude:
-                held.append((utility, seq))
-                continue
-            if object_id not in store:
-                # Defensive: tracked but no longer cached.  Consume the live
-                # entry so a later compaction cannot resurrect it.
-                entry_seq.pop(object_id, None)
-                continue
-            result = (object_id, utility)
-            break
-        if reinstate and held:
-            self._reinstate_held(exclude, held)
-        return result
-
-    def _reinstate_held(self, object_id: int, held: List[Tuple[float, int]]) -> None:
-        """Push a held-aside live entry back exactly as it was.
-
-        The entry keeps its original sequence number (``_entry_seq`` never
-        stopped referencing it), so heap order is exactly as if it had never
-        been held.
-        """
-        for utility, seq in held:
-            heapq.heappush(self._heap, (utility, seq, object_id))
-        held.clear()
-
     def _restore(self, object_id: int, utility: float) -> None:
         """Push a popped-but-not-evicted candidate back onto the heap."""
         seq = next(self._heap_counter)
@@ -313,18 +263,18 @@ class CachePolicy(ABC):
         bandwidth: float,
         now: float,
         store: CacheStore,
-    ) -> PolicyContext:
+    ) -> None:
         """Handle one request: update state and adjust the cache contents.
 
-        Returns the :class:`PolicyContext` built for the request so callers
-        (and tests) can inspect the frequency and bandwidth the decision used.
+        The request's frequency estimate lands in :attr:`frequencies` and,
+        when the object is (or becomes) cached, its new priority key in
+        :meth:`cached_utility`.
         """
         object_id = obj.object_id
         frequency = self.frequencies.record(object_id, now)
-        ctx = PolicyContext(now=now, bandwidth=float(bandwidth), frequency=frequency)
+        target, utility = self.plan(obj, bandwidth, frequency, now)
         current = store.touch_and_bytes(object_id, now)
 
-        target = self.target_cache_bytes(obj, ctx)
         size = obj.size
         if target > size:
             target = size
@@ -334,65 +284,73 @@ class CachePolicy(ABC):
 
         if current > 0:
             # Refresh the requester's key: its frequency just increased.
-            utility = self.utility(obj, ctx)
             self._set_utility(object_id, utility)
             if target <= current + _EPSILON_KB:
-                return ctx
-        else:
-            if target <= _EPSILON_KB:
-                # Nothing cached and nothing wanted: the (possibly costly)
-                # utility function need not run at all.
-                return ctx
-            utility = self.utility(obj, ctx)
+                return
+        elif target <= _EPSILON_KB:
+            return
 
-        needed = target - current
-        if needed <= store.free_kb + _EPSILON_KB:
+        free = store.free_kb
+        if target - current <= free + _EPSILON_KB:
             store.set_cached_bytes(object_id, target, now)
             self._set_utility(object_id, utility)
-            return ctx
+            return
 
-        self._evict_and_admit(obj, ctx, store, target, utility)
-        return ctx
+        self._evict_and_admit(obj, store, target, utility, current, free, now)
 
     def _evict_and_admit(
         self,
         obj: MediaObject,
-        ctx: PolicyContext,
         store: CacheStore,
         target: float,
         utility: float,
+        current: float,
+        free: float,
+        now: float,
     ) -> None:
         """Plan evictions of lower-utility content, then admit the object.
 
-        Integral policies admit all-or-nothing; partial policies trim the
-        marginal victim and may admit the requested object partially when
-        only some of the needed space can be reclaimed.
+        ``current`` and ``free`` are the requester's cached KB and the
+        store's free KB as :meth:`on_request` read them.  Integral policies
+        admit all-or-nothing; partial policies trim the marginal victim and
+        may admit the requested object partially when only some of the
+        needed space can be reclaimed.
+
+        The plan pops heap entries in utility order: stale ones are
+        dropped, the requester's own live entry is held aside once (and
+        reinstated verbatim unless the object is re-keyed), lower-utility
+        entries become victims, and the first entry that outranks the
+        requester blocks.  Victims that survive and the blocker go back
+        through :meth:`_restore`, which gives them fresh sequence numbers;
+        those numbers break ties between equal utilities, so the restore
+        order is part of every later eviction decision.
         """
         object_id = obj.object_id
-        current = store.cached_bytes(object_id)
-        needed = target - current
-        shortfall = needed - store.free_kb
-
-        # The requester's own live heap entry is held aside at most *once*
-        # for the whole eviction loop (see _pop_lowest), instead of being
-        # popped and re-pushed on every iteration.
-        held: List[Tuple[float, int]] = []
-
+        shortfall = target - current - free
+        heap = self._heap
+        entry_seq = self._entry_seq
+        held: Optional[Tuple[float, int, int]] = None
+        blocker: Optional[Tuple[float, int, int]] = None
         planned: List[Tuple[int, float, float]] = []  # (victim_id, utility, bytes)
         reclaimed = 0.0
-        blocked_candidate: Optional[Tuple[int, float]] = None
 
-        while shortfall - reclaimed > _EPSILON_KB:
-            candidate = self._pop_lowest(store, exclude=object_id, held_out=held)
-            if candidate is None:
-                break
-            victim_id, victim_utility = candidate
-            if victim_utility >= utility:
-                blocked_candidate = candidate
-                break
+        while shortfall - reclaimed > _EPSILON_KB and heap:
+            entry = heapq.heappop(heap)
+            victim_utility, seq, victim_id = entry
+            if entry_seq.get(victim_id) != seq:
+                continue  # superseded by a later re-key
+            if victim_id == object_id:
+                held = entry
+                continue
             victim_bytes = store.cached_bytes(victim_id)
             if victim_bytes <= 0:
+                # Defensive: tracked but no longer cached.  Consume the live
+                # entry so a later compaction cannot resurrect it.
+                del entry_seq[victim_id]
                 continue
+            if victim_utility >= utility:
+                blocker = entry  # it outranks the requester
+                break
             planned.append((victim_id, victim_utility, victim_bytes))
             reclaimed += victim_bytes
 
@@ -402,13 +360,14 @@ class CachePolicy(ABC):
             # Integral policies refuse partial admission: undo the plan.
             for victim_id, victim_utility, _ in planned:
                 self._restore(victim_id, victim_utility)
-            if blocked_candidate is not None:
-                self._restore(*blocked_candidate)
-            self._reinstate_held(object_id, held)
+            if blocker is not None:
+                self._restore(blocker[2], blocker[0])
+            if held is not None:
+                heapq.heappush(self._heap, held)
             return
 
-        if blocked_candidate is not None:
-            self._restore(*blocked_candidate)
+        if blocker is not None:
+            self._restore(blocker[2], blocker[0])
 
         # Commit evictions.  With full satisfaction a partial policy only
         # trims the marginal (last) victim by what is actually required.
@@ -449,17 +408,20 @@ class CachePolicy(ABC):
                 self._drop_utility(victim_id)
                 self.on_evict(victim_id, victim_utility)
                 still_needed -= victim_bytes
+        if planned:
+            free = store.free_kb
 
-        grow_to = target if fully_satisfied else current + store.free_kb
+        grow_to = target if fully_satisfied else current + free
         if grow_to <= current + _EPSILON_KB:
-            self._reinstate_held(object_id, held)
+            if held is not None:
+                heapq.heappush(self._heap, held)
             return
-        if grow_to - current > store.free_kb + _EPSILON_KB:
+        if grow_to - current > free + _EPSILON_KB:
             raise PolicyError(
                 f"policy {self.name}: planned growth of object {object_id} exceeds "
-                f"free space ({grow_to - current:.1f} KB > {store.free_kb:.1f} KB)"
+                f"free space ({grow_to - current:.1f} KB > {free:.1f} KB)"
             )
-        store.set_cached_bytes(object_id, min(grow_to, obj.size), ctx.now)
+        store.set_cached_bytes(object_id, min(grow_to, obj.size), now)
         self._set_utility(object_id, utility)
 
     # ------------------------------------------------------------------

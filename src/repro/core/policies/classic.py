@@ -10,7 +10,9 @@ baselines in addition to the paper's IF strawman.
 
 from __future__ import annotations
 
-from repro.core.policies.base import CachePolicy, PolicyContext
+from typing import Tuple
+
+from repro.core.policies.base import CachePolicy
 from repro.workload.catalog import MediaObject
 
 
@@ -24,11 +26,10 @@ class LRUPolicy(CachePolicy):
     name = "LRU"
     allows_partial = False
 
-    def utility(self, obj: MediaObject, ctx: PolicyContext) -> float:
-        return ctx.now
-
-    def target_cache_bytes(self, obj: MediaObject, ctx: PolicyContext) -> float:
-        return obj.size
+    def plan(
+        self, obj: MediaObject, bandwidth: float, frequency: float, now: float
+    ) -> Tuple[float, float]:
+        return obj.size, now
 
 
 class LFUPolicy(CachePolicy):
@@ -41,8 +42,7 @@ class LFUPolicy(CachePolicy):
     name = "LFU"
     allows_partial = False
 
-    def utility(self, obj: MediaObject, ctx: PolicyContext) -> float:
-        return ctx.frequency
-
-    def target_cache_bytes(self, obj: MediaObject, ctx: PolicyContext) -> float:
-        return obj.size
+    def plan(
+        self, obj: MediaObject, bandwidth: float, frequency: float, now: float
+    ) -> Tuple[float, float]:
+        return obj.size, frequency

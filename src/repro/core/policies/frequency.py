@@ -11,7 +11,9 @@ fine straight from their servers.
 
 from __future__ import annotations
 
-from repro.core.policies.base import CachePolicy, PolicyContext
+from typing import Tuple
+
+from repro.core.policies.base import CachePolicy
 from repro.workload.catalog import MediaObject
 
 
@@ -21,8 +23,7 @@ class IntegralFrequencyPolicy(CachePolicy):
     name = "IF"
     allows_partial = False
 
-    def utility(self, obj: MediaObject, ctx: PolicyContext) -> float:
-        return ctx.frequency
-
-    def target_cache_bytes(self, obj: MediaObject, ctx: PolicyContext) -> float:
-        return obj.size
+    def plan(
+        self, obj: MediaObject, bandwidth: float, frequency: float, now: float
+    ) -> Tuple[float, float]:
+        return obj.size, frequency

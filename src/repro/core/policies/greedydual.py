@@ -24,9 +24,9 @@ replacement engine, with a pluggable *cost model*:
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
-from repro.core.policies.base import CachePolicy, PolicyContext
+from repro.core.policies.base import CachePolicy
 from repro.exceptions import ConfigurationError
 from repro.units import positive_part
 from repro.workload.catalog import MediaObject
@@ -35,14 +35,14 @@ from repro.workload.catalog import MediaObject
 COST_MODELS = ("uniform", "size", "delay")
 
 
-def _object_cost(obj: MediaObject, ctx: PolicyContext, cost_model: str) -> float:
+def _object_cost(obj: MediaObject, bandwidth: float, cost_model: str) -> float:
     """Fetch cost of an object under the given cost model."""
     if cost_model == "uniform":
         return 1.0
     if cost_model == "size":
         return obj.size
     # "delay": the startup delay a miss would incur at the believed bandwidth.
-    bandwidth = max(ctx.bandwidth, 1e-9)
+    bandwidth = max(bandwidth, 1e-9)
     return positive_part(obj.size - obj.duration * bandwidth) / bandwidth
 
 
@@ -57,7 +57,7 @@ class GreedyDualSizePolicy(CachePolicy):
         objects) or ``"size"`` (credit ``L + 1``, which degenerates to
         FIFO-with-inflation).
 
-    Only the ``"delay"`` cost model reads ``ctx.bandwidth``, so only that
+    Only the ``"delay"`` cost model reads the bandwidth, so only that
     variant is ``bandwidth_keyed``: under passive bandwidth knowledge its
     heap keys go stale between requests exactly like PB/IB's, and the
     reactive hook (``docs/events.md``) may re-key them.  The re-key is
@@ -86,15 +86,14 @@ class GreedyDualSizePolicy(CachePolicy):
         self._keyed_inflation: Dict[int, float] = {}
         self.name = f"GDS({cost_model})"
 
-    def credit(self, obj: MediaObject, ctx: PolicyContext) -> float:
+    def credit(self, obj: MediaObject, bandwidth: float, frequency: float) -> float:
         """The GreedyDual credit of the object, before inflation is added."""
-        return _object_cost(obj, ctx, self.cost_model) / obj.size
+        return _object_cost(obj, bandwidth, self.cost_model) / obj.size
 
-    def utility(self, obj: MediaObject, ctx: PolicyContext) -> float:
-        return self.inflation + self.credit(obj, ctx)
-
-    def target_cache_bytes(self, obj: MediaObject, ctx: PolicyContext) -> float:
-        return obj.size
+    def plan(
+        self, obj: MediaObject, bandwidth: float, frequency: float, now: float
+    ) -> Tuple[float, float]:
+        return obj.size, self.inflation + self.credit(obj, bandwidth, frequency)
 
     def on_evict(self, object_id: int, utility: float) -> None:
         # Classic GreedyDual aging: the inflation rises to the evicted
@@ -121,6 +120,7 @@ class GreedyDualSizePolicy(CachePolicy):
         """
         if not self.bandwidth_keyed or self._catalog is None:
             return 0
+        bandwidth = float(bandwidth)
         catalog_get = self._catalog.get
         frequency = self.frequencies.frequency
         utilities = self._utilities
@@ -131,12 +131,9 @@ class GreedyDualSizePolicy(CachePolicy):
             if old_utility is None:
                 continue
             entry_inflation = keyed_inflation.get(object_id, self.inflation)
-            ctx = PolicyContext(
-                now=now,
-                bandwidth=float(bandwidth),
-                frequency=frequency(object_id, now),
+            utility = entry_inflation + self.credit(
+                catalog_get(object_id), bandwidth, frequency(object_id, now)
             )
-            utility = entry_inflation + self.credit(catalog_get(object_id), ctx)
             if utility != old_utility:
                 self._set_utility(object_id, utility)
                 # _set_utility stamps the current global inflation; restore
@@ -158,5 +155,5 @@ class PopularityAwareGreedyDualSizePolicy(GreedyDualSizePolicy):
         super().__init__(cost_model=cost_model, **kwargs)
         self.name = f"GDSP({cost_model})"
 
-    def credit(self, obj: MediaObject, ctx: PolicyContext) -> float:
-        return ctx.frequency * _object_cost(obj, ctx, self.cost_model) / obj.size
+    def credit(self, obj: MediaObject, bandwidth: float, frequency: float) -> float:
+        return frequency * _object_cost(obj, bandwidth, self.cost_model) / obj.size

@@ -26,9 +26,10 @@ shifts a path's estimate past the configured threshold.
 
 from __future__ import annotations
 
-from repro.core.policies.base import CachePolicy, PolicyContext
+from typing import Tuple
+
+from repro.core.policies.base import CachePolicy
 from repro.exceptions import ConfigurationError
-from repro.units import positive_part
 from repro.workload.catalog import MediaObject
 
 
@@ -52,24 +53,17 @@ class HybridPartialBandwidthValuePolicy(CachePolicy):
         self.estimator_e = float(estimator_e)
         self.name = f"PB-V(e={self.estimator_e:g})"
 
-    def effective_bandwidth(self, ctx: PolicyContext) -> float:
-        """The conservative bandwidth estimate ``e * b``."""
-        return max(ctx.bandwidth * self.estimator_e, 1e-9)
-
-    def _required_prefix(self, obj: MediaObject, ctx: PolicyContext) -> float:
-        deficit = positive_part(obj.bitrate - self.effective_bandwidth(ctx))
-        return deficit * obj.duration
-
-    def utility(self, obj: MediaObject, ctx: PolicyContext) -> float:
-        prefix = self._required_prefix(obj, ctx)
+    def plan(
+        self, obj: MediaObject, bandwidth: float, frequency: float, now: float
+    ) -> Tuple[float, float]:
+        # The required prefix at the conservative bandwidth ``e * b``.
+        deficit = obj.bitrate - max(bandwidth * self.estimator_e, 1e-9)
+        prefix = (deficit if deficit > 0.0 else 0.0) * obj.duration
         if prefix <= 0:
             # The object needs no cache space to earn its value, so it should
             # never displace anything: give it the lowest possible priority.
-            return 0.0
-        return ctx.frequency * obj.value / prefix
-
-    def target_cache_bytes(self, obj: MediaObject, ctx: PolicyContext) -> float:
-        return self._required_prefix(obj, ctx)
+            return prefix, 0.0
+        return prefix, frequency * obj.value / prefix
 
 
 class PartialBandwidthValuePolicy(HybridPartialBandwidthValuePolicy):
@@ -95,11 +89,9 @@ class IntegralBandwidthValuePolicy(CachePolicy):
     allows_partial = False
     bandwidth_keyed = True
 
-    def utility(self, obj: MediaObject, ctx: PolicyContext) -> float:
-        denominator = obj.size * max(ctx.bandwidth, 1e-9)
-        return ctx.frequency * obj.value / denominator
-
-    def target_cache_bytes(self, obj: MediaObject, ctx: PolicyContext) -> float:
-        if obj.bitrate <= ctx.bandwidth:
-            return 0.0
-        return obj.size
+    def plan(
+        self, obj: MediaObject, bandwidth: float, frequency: float, now: float
+    ) -> Tuple[float, float]:
+        target = 0.0 if obj.bitrate <= bandwidth else obj.size
+        denominator = obj.size * max(bandwidth, 1e-9)
+        return target, frequency * obj.value / denominator

@@ -99,6 +99,8 @@ class AccessLogRecord:
 
 _URL_HOST_RE = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.-]*://(?P<host>[^/?#:]+)")
 
+_INF = float("inf")
+
 #: CLF / Combined Log Format; trailing combined fields are ignored.
 _CLF_RE = re.compile(
     r"^(?P<host>\S+)\s+(?P<ident>\S+)\s+(?P<user>\S+)\s+"
@@ -152,7 +154,9 @@ def parse_squid_line(line: str) -> Optional[AccessLogRecord]:
         size_bytes = int(parts[4])
     except ValueError:
         return None
-    if timestamp < 0 or elapsed_ms < 0 or size_bytes < 0:
+    # float() accepts "nan" and "inf"; both chained comparisons are false
+    # for them, as for negatives.
+    if not (0.0 <= timestamp < _INF and 0.0 <= elapsed_ms < _INF) or size_bytes < 0:
         return None
     return AccessLogRecord(
         timestamp=timestamp,

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.policies import make_policy
+from repro.core.policies import POLICY_REGISTRY, PolicySpec
 from repro.network.distributions import ConstantBandwidthDistribution
 from repro.network.topology import DeliveryTopology
 from repro.sim.config import SimulationConfig
@@ -26,6 +26,15 @@ GOLDEN_PATH = Path(__file__).parent / "data" / "replay_goldens.json"
 
 #: Lists longer than this are stored as a sha256 digest of their values.
 INLINE_LIST_MAX = 16
+
+#: Per-policy golden cases by key label: every registry name, plus the
+#: estimator-``e`` hybrids of Figures 9 and 12, which no name alone
+#: can express.
+GOLDEN_POLICIES = {
+    **{name: name for name in POLICY_REGISTRY},
+    "PB(e=0.5)": PolicySpec("PB", estimator_e=0.5),
+    "PB-V(e=0.5)": PolicySpec("PB-V", estimator_e=0.5),
+}
 
 
 def _digest(value) -> str:
@@ -120,15 +129,19 @@ def assert_golden(key: str, result) -> None:
     GOLDENS.check(key, result)
 
 
-def replay_golden(key, workload, config, policy_name="PB", hierarchy=None):
+def replay_golden(key, workload, config, policy="PB", hierarchy=None):
     """Replay ``workload`` once, assert it matches golden ``key``, return it.
 
-    ``hierarchy`` (a :class:`~repro.sim.hierarchy.HierarchyConfig`) is
-    applied to the config first.
+    ``policy`` is a registry name or a
+    :class:`~repro.core.policies.PolicySpec`, which can also carry an
+    ``estimator_e``.  ``hierarchy`` (a
+    :class:`~repro.sim.hierarchy.HierarchyConfig`) is applied to the
+    config first.
     """
     if hierarchy is not None:
         config = config.with_hierarchy(hierarchy)
-    result = ProxyCacheSimulator(workload, config).run(make_policy(policy_name))
+    spec = PolicySpec(policy) if isinstance(policy, str) else policy
+    result = ProxyCacheSimulator(workload, config).run(spec())
     assert_golden(key, result)
     return result
 

@@ -44,7 +44,7 @@ class TestGreedyDualSize:
         fast = policy.utility(large_object, ctx(bandwidth=40.0))
         assert slow > fast
         # No delay saved when the path covers the bit-rate.
-        assert policy.credit(large_object, ctx(bandwidth=96.0)) == 0.0
+        assert policy.credit(large_object, 96.0, 1.0) == 0.0
 
     def test_unknown_cost_model_rejected(self):
         with pytest.raises(ConfigurationError):

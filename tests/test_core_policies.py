@@ -191,13 +191,38 @@ class TestReplacementEngine:
         assert store.cached_bytes(0) == pytest.approx(1200.0)
         assert store.verify_consistency()
 
-    def test_on_request_returns_context(self, obj):
+    def test_on_request_records_frequency_and_utility(self, obj):
         policy = PartialBandwidthPolicy()
         store = CacheStore(10_000.0)
-        returned = policy.on_request(obj, bandwidth=24.0, now=3.0, store=store)
-        assert returned.now == 3.0
-        assert returned.bandwidth == 24.0
-        assert returned.frequency == 1.0
+        assert policy.on_request(obj, bandwidth=24.0, now=3.0, store=store) is None
+        assert policy.frequencies.frequency(obj.object_id, 3.0) == 1.0
+        assert policy.frequencies.total_requests == 1
+        # The heap key is F / b at the request's bandwidth.
+        assert policy.cached_utility(obj.object_id) == 1.0 / 24.0
+        policy.on_request(obj, bandwidth=12.0, now=4.0, store=store)
+        assert policy.frequencies.frequency(obj.object_id, 4.0) == 2.0
+        assert policy.cached_utility(obj.object_id) == 2.0 / 12.0
+
+    def test_blocker_requeues_behind_equal_utilities(self):
+        """A blocked candidate is re-keyed behind entries of equal utility.
+
+        A and B are cached with the same utility, A first.  C's first
+        request ties with A, so A blocks; A's entry then moves behind B's,
+        exactly as if it had been popped and pushed back.  C's second
+        request outranks both and evicts B, not A.
+        """
+        objects = [
+            MediaObject(object_id=i, duration=100.0, bitrate=48.0, server_id=0)
+            for i in range(3)
+        ]
+        policy = PartialBandwidthPolicy()
+        store = CacheStore(2 * 2400.0)
+        for now, obj in enumerate(objects):
+            policy.on_request(obj, bandwidth=24.0, now=float(now), store=store)
+        assert store.snapshot() == {0: 2400.0, 1: 2400.0}
+        policy.on_request(objects[2], bandwidth=24.0, now=3.0, store=store)
+        assert store.snapshot() == {0: 2400.0, 2: 2400.0}
+        assert store.verify_consistency()
 
     def test_reset_clears_frequencies(self, obj):
         policy = PartialBandwidthPolicy()

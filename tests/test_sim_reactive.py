@@ -29,7 +29,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.policies import make_policy
-from repro.core.policies.base import PolicyContext
 from repro.core.policies.greedydual import (
     GreedyDualSizePolicy,
     PopularityAwareGreedyDualSizePolicy,
@@ -462,12 +461,10 @@ class TestGreedyDualSafeRekey:
             obj = catalog.get(object_id)
             if obj.server_id == 0:
                 # ... and re-keyed entries are exactly inflation + new credit.
-                ctx = PolicyContext(
-                    now=10.0,
-                    bandwidth=5.0,
-                    frequency=policy.frequencies.frequency(object_id, 10.0),
+                frequency = policy.frequencies.frequency(object_id, 10.0)
+                assert utility == entry_inflation[object_id] + policy.credit(
+                    obj, 5.0, frequency
                 )
-                assert utility == entry_inflation[object_id] + policy.credit(obj, ctx)
             else:
                 assert utility == tracked[object_id]
 

@@ -24,7 +24,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.policies import POLICY_REGISTRY, make_policy
+from repro.core.policies import make_policy
 from repro.core.store import CacheStore
 from repro.exceptions import ConfigurationError
 from repro.network.distributions import NLANRBandwidthDistribution
@@ -41,7 +41,7 @@ from repro.sim.streaming import (
 from repro.workload.catalog import Catalog, MediaObject
 from repro.workload.gismo import GismoWorkloadGenerator, WorkloadConfig
 
-from conftest import replay_golden
+from conftest import GOLDEN_POLICIES, replay_golden
 
 
 @pytest.fixture(scope="module")
@@ -329,11 +329,11 @@ class TestReplayIdentity:
             result = replay_golden("streaming/off", workload, config)
             assert result.streaming_report is None
 
-    @pytest.mark.parametrize("policy_name", sorted(POLICY_REGISTRY))
+    @pytest.mark.parametrize("policy_name", sorted(GOLDEN_POLICIES))
     def test_all_paths_identical_per_policy(self, workload, policy_name):
         config = _config(streaming=_streaming())
         result = replay_golden(
-            f"streaming/{policy_name}", workload, config, policy_name
+            f"streaming/{policy_name}", workload, config, GOLDEN_POLICIES[policy_name]
         )
         report = result.streaming_report
         assert report is not None and report.sessions > 0

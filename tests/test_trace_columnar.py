@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from repro.core.policies import POLICY_REGISTRY
 from repro.exceptions import ConfigurationError, TraceFormatError
 from repro.network.variability import NLANRRatioVariability
 from repro.sim.config import SimulationConfig
@@ -25,7 +24,7 @@ from repro.trace.columnar import ColumnarTrace
 from repro.workload.gismo import GismoWorkloadGenerator, Workload, WorkloadConfig
 from repro.workload.trace import Request, RequestTrace
 
-from conftest import replay_golden
+from conftest import GOLDEN_POLICIES, replay_golden
 
 
 def make_pair():
@@ -220,14 +219,16 @@ def workload_pair():
     return object_workload, columnar_workload
 
 
-@pytest.mark.parametrize("policy_name", sorted(POLICY_REGISTRY))
+@pytest.mark.parametrize("policy_name", sorted(GOLDEN_POLICIES))
 def test_columnar_replay_bit_identical_per_policy(workload_pair, policy_name):
     """Object and columnar traces both replay to the recorded golden."""
     config = SimulationConfig(
         cache_size_gb=0.5, variability=NLANRRatioVariability(), seed=11
     )
     for workload in workload_pair:
-        replay_golden(f"columnar/{policy_name}", workload, config, policy_name)
+        replay_golden(
+            f"columnar/{policy_name}", workload, config, GOLDEN_POLICIES[policy_name]
+        )
 
 
 @pytest.mark.parametrize(

@@ -82,6 +82,13 @@ class TestLineParsers:
         assert parse_squid_line(SQUID_LINES[-1]) is None
         assert parse_squid_line("") is None
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "NaN", "Infinity"])
+    @pytest.mark.parametrize("field", [0, 1], ids=["timestamp", "elapsed"])
+    def test_squid_non_finite_fields_are_malformed(self, field, value):
+        parts = SQUID_LINES[0].split()
+        parts[field] = value
+        assert parse_squid_line(" ".join(parts)) is None
+
     def test_clf_well_formed(self):
         record = parse_clf_line(CLF_LINES[0])
         assert record.client == "192.168.7.2"
@@ -246,6 +253,21 @@ class TestCli:
         assert "requests: 5" in captured
         assert out.exists()
         assert len(ColumnarTrace.from_npz(out)) == 5
+
+    def test_non_finite_line_counts_against_max_errors(self, tmp_path, capsys):
+        lines = list(SQUID_LINES[:5])
+        lines[2] = "nan" + lines[2][len("987654322.000"):]
+        log = tmp_path / "access.log"
+        log.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "trace.npz"
+        exit_code = cli_main(
+            ["ingest", str(log), "--out", str(out), "--max-errors", "0"]
+        )
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith("error: ") and "line 3: nan" in captured.err
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == [log]
 
     def test_ingest_compare_runs_policies(self, squid_log, capsys):
         exit_code = cli_main(
