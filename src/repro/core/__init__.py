@@ -20,7 +20,6 @@ from repro.core.policies import (
     LRUPolicy,
     PartialBandwidthPolicy,
     PartialBandwidthValuePolicy,
-    PolicyContext,
     StaticAllocationPolicy,
     make_policy,
     optimal_allocation,
@@ -41,7 +40,6 @@ __all__ = [
     "LRUPolicy",
     "PartialBandwidthPolicy",
     "PartialBandwidthValuePolicy",
-    "PolicyContext",
     "SizeThresholdAdmission",
     "StaticAllocationPolicy",
     "make_policy",

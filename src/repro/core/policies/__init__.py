@@ -16,7 +16,7 @@ Class                           Paper name
 ==============================  =========================================
 """
 
-from repro.core.policies.base import CachePolicy, PolicyContext
+from repro.core.policies.base import CachePolicy
 from repro.core.policies.bandwidth import (
     HybridPartialBandwidthPolicy,
     IntegralBandwidthPolicy,
@@ -53,7 +53,6 @@ __all__ = [
     "POLICY_REGISTRY",
     "PartialBandwidthPolicy",
     "PartialBandwidthValuePolicy",
-    "PolicyContext",
     "PolicySpec",
     "PopularityAwareGreedyDualSizePolicy",
     "StaticAllocationPolicy",

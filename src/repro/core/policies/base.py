@@ -27,7 +27,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.frequency import FrequencyTracker
@@ -37,20 +36,6 @@ from repro.workload.catalog import MediaObject
 
 #: Byte tolerance below which two cache sizes are considered equal.
 _EPSILON_KB = 1e-6
-
-
-@dataclass(frozen=True, slots=True)
-class PolicyContext:
-    """The scalar inputs of one :meth:`CachePolicy.plan` call.
-
-    The request path passes ``now``, ``bandwidth`` and ``frequency`` as
-    plain arguments; this bundle only serves the introspection helpers
-    :meth:`CachePolicy.utility` and :meth:`CachePolicy.target_cache_bytes`.
-    """
-
-    now: float
-    bandwidth: float
-    frequency: float
 
 
 class CachePolicy(ABC):
@@ -129,14 +114,6 @@ class CachePolicy(ABC):
         request-frequency estimate ``F_i`` including the current request,
         and ``now`` the request's simulation time (seconds).
         """
-
-    def utility(self, obj: MediaObject, ctx: PolicyContext) -> float:
-        """The utility :meth:`plan` gives ``obj`` under ``ctx``."""
-        return self.plan(obj, ctx.bandwidth, ctx.frequency, ctx.now)[1]
-
-    def target_cache_bytes(self, obj: MediaObject, ctx: PolicyContext) -> float:
-        """The target :meth:`plan` gives ``obj`` under ``ctx`` (KB)."""
-        return self.plan(obj, ctx.bandwidth, ctx.frequency, ctx.now)[0]
 
     def on_evict(self, object_id: int, utility: float) -> None:
         """Hook invoked whenever the engine evicts a whole object.

@@ -39,6 +39,7 @@ exactly the pre-streaming code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -121,15 +122,15 @@ class StreamingConfig:
             raise ConfigurationError(
                 f"fraction must be in (0, 1], got {self.fraction}"
             )
-        if self.base_segment_kb <= 0:
+        if not 0.0 < self.base_segment_kb < math.inf:
             raise ConfigurationError(
-                f"base_segment_kb must be positive, got {self.base_segment_kb}"
+                f"base_segment_kb must be positive and finite, got {self.base_segment_kb}"
             )
         if self.prefetch_segments < 0:
             raise ConfigurationError(
                 f"prefetch_segments must be non-negative, got {self.prefetch_segments}"
             )
-        if self.abandon_after_s <= 0:
+        if not self.abandon_after_s > 0:
             raise ConfigurationError(
                 f"abandon_after_s must be positive, got {self.abandon_after_s}"
             )
@@ -141,7 +142,7 @@ class StreamingConfig:
             raise ConfigurationError(
                 f"vbr_burstiness must be in [0, 1), got {self.vbr_burstiness}"
             )
-        if self.smoothing_buffer_s < 0:
+        if not self.smoothing_buffer_s >= 0:
             raise ConfigurationError(
                 f"smoothing_buffer_s must be non-negative, got {self.smoothing_buffer_s}"
             )

@@ -18,6 +18,7 @@ real proxy would keep on disk:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -58,18 +59,18 @@ class SegmentationScheme:
     """
 
     def __init__(self, base_segment_kb: float = 256.0, exponential: bool = True):
-        if base_segment_kb <= 0:
+        if not 0.0 < base_segment_kb < math.inf:
             raise ConfigurationError(
-                f"base_segment_kb must be positive, got {base_segment_kb}"
+                f"base_segment_kb must be positive and finite, got {base_segment_kb}"
             )
         self.base_segment_kb = float(base_segment_kb)
         self.exponential = bool(exponential)
 
     def segments(self, object_size_kb: float) -> List[Segment]:
         """The full segment list covering ``[0, object_size_kb)``."""
-        if object_size_kb < 0:
+        if not 0.0 <= object_size_kb < math.inf:
             raise ConfigurationError(
-                f"object_size_kb must be non-negative, got {object_size_kb}"
+                f"object_size_kb must be non-negative and finite, got {object_size_kb}"
             )
         segments: List[Segment] = []
         start = 0.0
@@ -96,32 +97,41 @@ class SegmentedPrefix:
     The class keeps the invariant that cached segments always form a prefix
     (segment ``k`` is only resident if all earlier segments are), which is
     what makes joint delivery with the origin server straightforward.
+
+    Residency is one count of leading segments, read against a table of
+    cumulative boundary sums built once per object: entry ``k`` is the
+    builtin :func:`sum` of the first ``k`` segment sizes, so every byte
+    count equals the sum over :attr:`resident_segments` bit for bit.
     """
 
     def __init__(self, object_size_kb: float, scheme: SegmentationScheme = None):
-        if object_size_kb <= 0:
+        if not 0.0 < object_size_kb < math.inf:
             raise ConfigurationError(
-                f"object_size_kb must be positive, got {object_size_kb}"
+                f"object_size_kb must be positive and finite, got {object_size_kb}"
             )
         self.object_size_kb = float(object_size_kb)
         self.scheme = scheme or SegmentationScheme()
-        self._segments = self.scheme.segments(self.object_size_kb)
+        sizes = [segment.size for segment in self.scheme.segments(self.object_size_kb)]
+        # sum() over each prefix of the list, not a running total: from
+        # Python 3.12 sum() compensates float rounding, so a running total
+        # can differ from it in the last bit.
+        self._cum = tuple(sum(sizes[:k]) for k in range(len(sizes) + 1))
         self._resident = 0  # number of fully resident leading segments
 
     @property
     def resident_segments(self) -> List[Segment]:
         """The segments currently held by the cache."""
-        return self._segments[: self._resident]
+        return self.scheme.segments(self.object_size_kb)[: self._resident]
 
     @property
     def cached_bytes(self) -> float:
         """Total KB held (the sum of resident segment sizes)."""
-        return sum(segment.size for segment in self.resident_segments)
+        return self._cum[self._resident]
 
     @property
     def total_segments(self) -> int:
         """Number of segments the whole object divides into."""
-        return len(self._segments)
+        return len(self._cum) - 1
 
     def grow_to(self, target_kb: float) -> float:
         """Admit whole segments until at least ``target_kb`` KB are resident.
@@ -132,17 +142,24 @@ class SegmentedPrefix:
         if target_kb < 0:
             raise ConfigurationError(f"target_kb must be non-negative, got {target_kb}")
         target_kb = min(target_kb, self.object_size_kb)
-        while self.cached_bytes < target_kb and self._resident < len(self._segments):
-            self._resident += 1
-        return self.cached_bytes
+        cum = self._cum
+        last = len(cum) - 1
+        resident = self._resident
+        while cum[resident] < target_kb and resident < last:
+            resident += 1
+        self._resident = resident
+        return cum[resident]
 
     def trim_to(self, target_kb: float) -> float:
         """Drop trailing segments until at most ``target_kb`` KB remain."""
         if target_kb < 0:
             raise ConfigurationError(f"target_kb must be non-negative, got {target_kb}")
-        while self._resident > 0 and self.cached_bytes > target_kb:
-            self._resident -= 1
-        return self.cached_bytes
+        cum = self._cum
+        resident = self._resident
+        while resident > 0 and cum[resident] > target_kb:
+            resident -= 1
+        self._resident = resident
+        return cum[resident]
 
     def missing_ranges(self) -> List[Tuple[float, float]]:
         """Byte ranges (KB offsets) that must be fetched from the origin server."""
@@ -161,4 +178,4 @@ class SegmentedPrefix:
         With exponential segmentation this is O(log(size)), the practical
         argument for that layout.
         """
-        return len(self._segments)
+        return len(self._cum) - 1

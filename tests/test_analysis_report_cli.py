@@ -143,6 +143,15 @@ class TestCLI:
         assert captured.err == "error: cache_size_gb must be non-negative, got -1.0\n"
         assert captured.out == ""
 
+    def test_nan_streaming_segment_size_fails_cleanly(self, capsys):
+        args = ["run", "--scale", "0.01", "--streaming-fraction", "1.0"]
+        assert main(args + ["--streaming-segment-kb", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: base_segment_kb must be positive and finite, got nan\n"
+        )
+        assert captured.out == ""
+
     def test_run_command_with_streaming_prints_qoe(self, capsys):
         exit_code = main(
             [

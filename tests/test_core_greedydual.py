@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.policies import (
     GreedyDualSizePolicy,
-    PolicyContext,
     PopularityAwareGreedyDualSizePolicy,
     make_policy,
 )
@@ -13,8 +12,9 @@ from repro.exceptions import ConfigurationError
 from repro.workload.catalog import MediaObject
 
 
-def ctx(now=0.0, bandwidth=24.0, frequency=1.0):
-    return PolicyContext(now=now, bandwidth=bandwidth, frequency=frequency)
+def plan(policy, obj, now=0.0, bandwidth=24.0, frequency=1.0):
+    """``policy.plan`` for one request: ``(target_kb, utility)``."""
+    return policy.plan(obj, bandwidth, frequency, now)
 
 
 @pytest.fixture
@@ -30,18 +30,18 @@ def large_object():
 class TestGreedyDualSize:
     def test_uniform_cost_prefers_small_objects(self, small_object, large_object):
         policy = GreedyDualSizePolicy(cost_model="uniform")
-        assert policy.utility(small_object, ctx()) > policy.utility(large_object, ctx())
+        assert plan(policy, small_object)[1] > plan(policy, large_object)[1]
 
     def test_size_cost_is_size_neutral(self, small_object, large_object):
         policy = GreedyDualSizePolicy(cost_model="size")
-        assert policy.utility(small_object, ctx()) == pytest.approx(
-            policy.utility(large_object, ctx())
+        assert plan(policy, small_object)[1] == pytest.approx(
+            plan(policy, large_object)[1]
         )
 
     def test_delay_cost_prefers_slow_paths(self, large_object):
         policy = GreedyDualSizePolicy(cost_model="delay")
-        slow = policy.utility(large_object, ctx(bandwidth=10.0))
-        fast = policy.utility(large_object, ctx(bandwidth=40.0))
+        slow = plan(policy, large_object, bandwidth=10.0)[1]
+        fast = plan(policy, large_object, bandwidth=40.0)[1]
         assert slow > fast
         # No delay saved when the path covers the bit-rate.
         assert policy.credit(large_object, 96.0, 1.0) == 0.0
@@ -81,8 +81,8 @@ class TestGreedyDualSize:
 class TestPopularityAwareGDS:
     def test_frequency_scales_credit(self, small_object):
         policy = PopularityAwareGreedyDualSizePolicy()
-        low = policy.utility(small_object, ctx(frequency=1.0))
-        high = policy.utility(small_object, ctx(frequency=5.0))
+        low = plan(policy, small_object, frequency=1.0)[1]
+        high = plan(policy, small_object, frequency=5.0)[1]
         assert high > low
 
     def test_name_includes_cost_model(self):

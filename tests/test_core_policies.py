@@ -11,7 +11,6 @@ from repro.core.policies import (
     LRUPolicy,
     PartialBandwidthPolicy,
     PartialBandwidthValuePolicy,
-    PolicyContext,
     make_policy,
 )
 from repro.core.policies.value_based import HybridPartialBandwidthValuePolicy
@@ -20,8 +19,9 @@ from repro.exceptions import ConfigurationError
 from repro.workload.catalog import MediaObject
 
 
-def ctx(now=0.0, bandwidth=24.0, frequency=1.0):
-    return PolicyContext(now=now, bandwidth=bandwidth, frequency=frequency)
+def plan(policy, obj, now=0.0, bandwidth=24.0, frequency=1.0):
+    """``policy.plan`` for one request: ``(target_kb, utility)``."""
+    return policy.plan(obj, bandwidth, frequency, now)
 
 
 @pytest.fixture
@@ -33,30 +33,30 @@ def obj():
 class TestUtilityAndTargets:
     def test_if_policy_caches_whole_object_regardless_of_bandwidth(self, obj):
         policy = IntegralFrequencyPolicy()
-        assert policy.utility(obj, ctx(frequency=3.0)) == 3.0
-        assert policy.target_cache_bytes(obj, ctx(bandwidth=500.0)) == obj.size
+        assert plan(policy, obj, frequency=3.0)[1] == 3.0
+        assert plan(policy, obj, bandwidth=500.0)[0] == obj.size
 
     def test_pb_policy_targets_required_prefix_only(self, obj):
         policy = PartialBandwidthPolicy()
-        assert policy.target_cache_bytes(obj, ctx(bandwidth=24.0)) == pytest.approx(2400.0)
-        assert policy.target_cache_bytes(obj, ctx(bandwidth=48.0)) == 0.0
-        assert policy.target_cache_bytes(obj, ctx(bandwidth=100.0)) == 0.0
+        assert plan(policy, obj, bandwidth=24.0)[0] == pytest.approx(2400.0)
+        assert plan(policy, obj, bandwidth=48.0)[0] == 0.0
+        assert plan(policy, obj, bandwidth=100.0)[0] == 0.0
 
     def test_pb_utility_prefers_slower_paths(self, obj):
         policy = PartialBandwidthPolicy()
-        slow = policy.utility(obj, ctx(bandwidth=10.0, frequency=1.0))
-        fast = policy.utility(obj, ctx(bandwidth=40.0, frequency=1.0))
+        slow = plan(policy, obj, bandwidth=10.0, frequency=1.0)[1]
+        fast = plan(policy, obj, bandwidth=40.0, frequency=1.0)[1]
         assert slow > fast
 
     def test_ib_policy_targets_whole_object_when_bottlenecked(self, obj):
         policy = IntegralBandwidthPolicy()
-        assert policy.target_cache_bytes(obj, ctx(bandwidth=24.0)) == obj.size
-        assert policy.target_cache_bytes(obj, ctx(bandwidth=60.0)) == 0.0
+        assert plan(policy, obj, bandwidth=24.0)[0] == obj.size
+        assert plan(policy, obj, bandwidth=60.0)[0] == 0.0
 
     def test_hybrid_interpolates_between_pb_and_ib(self, obj):
-        pb_target = PartialBandwidthPolicy().target_cache_bytes(obj, ctx(bandwidth=24.0))
+        pb_target = plan(PartialBandwidthPolicy(), obj, bandwidth=24.0)[0]
         hybrid = HybridPartialBandwidthPolicy(estimator_e=0.5)
-        hybrid_target = hybrid.target_cache_bytes(obj, ctx(bandwidth=24.0))
+        hybrid_target = plan(hybrid, obj, bandwidth=24.0)[0]
         # e=0.5 treats the 24 KB/s path as 12 KB/s: prefix (48-12)*100 = 3600.
         assert hybrid_target == pytest.approx(3600.0)
         assert pb_target < hybrid_target < obj.size
@@ -69,36 +69,36 @@ class TestUtilityAndTargets:
 
     def test_pbv_utility_is_profit_density(self, obj):
         policy = PartialBandwidthValuePolicy()
-        utility = policy.utility(obj, ctx(bandwidth=24.0, frequency=2.0))
+        utility = plan(policy, obj, bandwidth=24.0, frequency=2.0)[1]
         # F * V / required prefix = 2 * 5 / 2400
         assert utility == pytest.approx(10.0 / 2400.0)
-        assert policy.target_cache_bytes(obj, ctx(bandwidth=24.0)) == pytest.approx(2400.0)
+        assert plan(policy, obj, bandwidth=24.0)[0] == pytest.approx(2400.0)
 
     def test_pbv_ignores_objects_with_enough_bandwidth(self, obj):
         policy = PartialBandwidthValuePolicy()
-        assert policy.utility(obj, ctx(bandwidth=60.0)) == 0.0
-        assert policy.target_cache_bytes(obj, ctx(bandwidth=60.0)) == 0.0
+        assert plan(policy, obj, bandwidth=60.0)[1] == 0.0
+        assert plan(policy, obj, bandwidth=60.0)[0] == 0.0
 
     def test_ibv_utility_prefers_low_bandwidth_high_value_small(self):
         policy = IntegralBandwidthValuePolicy()
         small_valuable = MediaObject(object_id=1, duration=50.0, bitrate=48.0, value=9.0)
         big_cheap = MediaObject(object_id=2, duration=500.0, bitrate=48.0, value=1.0)
-        assert policy.utility(small_valuable, ctx(bandwidth=10.0)) > policy.utility(
-            big_cheap, ctx(bandwidth=10.0)
-        )
-        assert policy.utility(small_valuable, ctx(bandwidth=10.0)) > policy.utility(
-            small_valuable, ctx(bandwidth=40.0)
-        )
+        assert plan(policy, small_valuable, bandwidth=10.0)[1] > plan(
+            policy, big_cheap, bandwidth=10.0
+        )[1]
+        assert plan(policy, small_valuable, bandwidth=10.0)[1] > plan(
+            policy, small_valuable, bandwidth=40.0
+        )[1]
 
     def test_lru_utility_is_access_time(self, obj):
         policy = LRUPolicy()
-        assert policy.utility(obj, ctx(now=42.0)) == 42.0
-        assert policy.target_cache_bytes(obj, ctx()) == obj.size
+        assert plan(policy, obj, now=42.0)[1] == 42.0
+        assert plan(policy, obj)[0] == obj.size
 
     def test_lfu_matches_if(self, obj):
-        assert LFUPolicy().utility(obj, ctx(frequency=7.0)) == IntegralFrequencyPolicy().utility(
-            obj, ctx(frequency=7.0)
-        )
+        assert plan(LFUPolicy(), obj, frequency=7.0)[1] == plan(
+            IntegralFrequencyPolicy(), obj, frequency=7.0
+        )[1]
 
 
 class TestReplacementEngine:

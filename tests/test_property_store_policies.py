@@ -16,7 +16,6 @@ from repro.core.policies import (
     IntegralFrequencyPolicy,
     PartialBandwidthPolicy,
     PartialBandwidthValuePolicy,
-    PolicyContext,
 )
 from repro.core.store import CacheStore
 from repro.exceptions import CapacityError
@@ -87,11 +86,13 @@ objects = st.builds(
     server_id=st.integers(min_value=0, max_value=50),
     value=st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
 )
-contexts = st.builds(
-    PolicyContext,
-    now=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-    bandwidth=st.floats(min_value=0.5, max_value=1_000.0, allow_nan=False),
-    frequency=st.floats(min_value=1.0, max_value=1e4, allow_nan=False),
+#: Keyword arguments of one ``CachePolicy.plan`` call besides the object.
+plan_inputs = st.fixed_dictionaries(
+    {
+        "now": st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+        "bandwidth": st.floats(min_value=0.5, max_value=1_000.0, allow_nan=False),
+        "frequency": st.floats(min_value=1.0, max_value=1e4, allow_nan=False),
+    }
 )
 
 ALL_POLICIES = [
@@ -102,33 +103,33 @@ ALL_POLICIES = [
 ]
 
 
-@given(obj=objects, ctx=contexts)
+@given(obj=objects, inputs=plan_inputs)
 @settings(max_examples=200, deadline=None)
-def test_targets_are_bounded_and_utilities_nonnegative(obj, ctx):
+def test_targets_are_bounded_and_utilities_nonnegative(obj, inputs):
     for factory in ALL_POLICIES:
-        policy = factory()
-        target = policy.target_cache_bytes(obj, ctx)
+        target, utility = factory().plan(obj, **inputs)
         assert target >= 0.0
         # No policy ever wants more than the whole object.
         assert min(target, obj.size) <= obj.size + 1e-9
-        assert policy.utility(obj, ctx) >= 0.0
+        assert utility >= 0.0
 
 
-@given(obj=objects, ctx=contexts)
+@given(obj=objects, inputs=plan_inputs)
 @settings(max_examples=200, deadline=None)
-def test_bandwidth_aware_policies_skip_well_connected_objects(obj, ctx):
-    if obj.bitrate <= ctx.bandwidth:
+def test_bandwidth_aware_policies_skip_well_connected_objects(obj, inputs):
+    if obj.bitrate <= inputs["bandwidth"]:
         for factory in (PartialBandwidthPolicy, IntegralBandwidthPolicy, PartialBandwidthValuePolicy):
-            assert factory().target_cache_bytes(obj, ctx) == 0.0
+            assert factory().plan(obj, **inputs)[0] == 0.0
 
 
-@given(obj=objects, ctx=contexts)
+@given(obj=objects, inputs=plan_inputs)
 @settings(max_examples=200, deadline=None)
-def test_pb_target_is_exactly_the_delay_hiding_prefix(obj, ctx):
-    target = PartialBandwidthPolicy().target_cache_bytes(obj, ctx)
-    assert target == pytest.approx(obj.minimum_prefix_for_bandwidth(ctx.bandwidth))
+def test_pb_target_is_exactly_the_delay_hiding_prefix(obj, inputs):
+    bandwidth = inputs["bandwidth"]
+    target = PartialBandwidthPolicy().plan(obj, **inputs)[0]
+    assert target == pytest.approx(obj.minimum_prefix_for_bandwidth(bandwidth))
     # Caching the target leaves zero startup delay at the believed bandwidth.
-    assert obj.startup_delay(ctx.bandwidth, min(target, obj.size)) == pytest.approx(0.0, abs=1e-6)
+    assert obj.startup_delay(bandwidth, min(target, obj.size)) == pytest.approx(0.0, abs=1e-6)
 
 
 request_streams = st.lists(

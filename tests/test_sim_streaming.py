@@ -1,22 +1,21 @@
 """Streaming sessions in the simulator: segment-aware delivery, partial-
-object caching, and QoE metrics on all four replay paths.
+object caching, and QoE metrics through the replay driver.
 
 Four families of guarantees are pinned here:
 
 * **Bit-identity, streaming off** — ``streaming=None`` replays exactly
-  like a config that never mentions streaming, on all four replay paths,
-  for every registered policy (the engine is never constructed, so no
-  extra RNG draws happen).
+  like a config that never mentions streaming, for every registered
+  policy (the engine is never constructed, so no extra RNG draws happen).
 * **Bit-identity, streaming on** — prefix and whole-object modes, VBR
-  mixes, client clouds, faults, and observability all produce identical
-  metrics, timelines, and streaming reports across the event, fast,
-  columnar-fast, and columnar-event loops.
+  mixes, a uniform multi-segment layout, client clouds, faults, and
+  observability each reproduce the metrics, timelines, and streaming
+  reports recorded in ``tests/data/replay_goldens.json``.
 * **Session semantics** — the deterministic wait / degrade / abandon
   client choice, byte accounting, fragment trims, prefetch entitlements,
   and pressure trims of :class:`~repro.sim.streaming.StreamingDeliveryEngine`.
 * **Golden QoE values** — one committed fixture pins the headline QoE
-  numbers byte-exactly, so a change to any replay loop or the engine
-  shows up as a diff here before it ships.
+  numbers byte-exactly, so a change to the kernel or the engine shows up
+  as a diff here before it ships.
 """
 
 from dataclasses import replace
@@ -77,12 +76,16 @@ class TestStreamingConfig:
             {"fraction": 0.0},
             {"fraction": 1.5},
             {"base_segment_kb": 0.0},
+            {"base_segment_kb": float("nan")},
+            {"base_segment_kb": float("inf")},
             {"prefetch_segments": -1},
             {"abandon_after_s": 0.0},
+            {"abandon_after_s": float("nan")},
             {"vbr_fraction": -0.1},
             {"vbr_fraction": 1.1},
             {"vbr_burstiness": 1.0},
             {"smoothing_buffer_s": -1.0},
+            {"smoothing_buffer_s": float("nan")},
         ],
     )
     def test_validation(self, kwargs):
@@ -344,6 +347,25 @@ class TestReplayIdentity:
         report = result.streaming_report
         assert report.pressure_trimmed_kb == 0.0
         assert report.prefetch_extensions == 0
+
+    def test_uniform_layout_with_multi_segment_prefetch(self, workload):
+        """Fixed-size segments: many per object, several prefetch steps each.
+
+        The default exponential layout keeps objects at a dozen segments
+        or fewer; this one walks far longer segment runs on admission,
+        fragment trims and pressure trims.  The base is a power of two, so
+        the boundary sums carry no rounding that sum() could resolve
+        differently from one Python version to the next.
+        """
+        config = _config(
+            streaming=_streaming(
+                exponential_segments=False, base_segment_kb=1024.0, prefetch_segments=2
+            )
+        )
+        report = replay_golden("streaming/uniform", workload, config).streaming_report
+        assert report.prefetch_extensions > 0
+        assert report.fragment_trims > 0
+        assert report.pressure_trimmed_kb > 0.0
 
     def test_all_paths_identical_with_clouds_and_observability(self, workload):
         config = _config(

@@ -50,6 +50,17 @@ class TestSegmentationScheme:
         with pytest.raises(ConfigurationError):
             SegmentationScheme().segments(-1.0)
 
+    @pytest.mark.parametrize("base", [float("nan"), float("inf")])
+    def test_non_finite_base_rejected(self, base):
+        with pytest.raises(ConfigurationError):
+            SegmentationScheme(base_segment_kb=base)
+
+    @pytest.mark.parametrize("exponential", [False, True])
+    @pytest.mark.parametrize("size", [float("nan"), float("inf")])
+    def test_non_finite_object_size_rejected(self, size, exponential):
+        with pytest.raises(ConfigurationError):
+            SegmentationScheme(exponential=exponential).segments(size)
+
 
 class TestSegmentedPrefix:
     def make(self, size=1_000.0, base=100.0, exponential=False):
@@ -100,6 +111,11 @@ class TestSegmentedPrefix:
         with pytest.raises(ConfigurationError):
             prefix.trim_to(-1.0)
 
+    @pytest.mark.parametrize("size", [float("nan"), float("inf")])
+    def test_non_finite_object_size_rejected(self, size):
+        with pytest.raises(ConfigurationError):
+            SegmentedPrefix(size)
+
 
 # ----------------------------------------------------------------------
 # Randomized property tests (seeded; hypothesis shrinks on failure)
@@ -108,8 +124,9 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 # Keep size/base ratios small enough that uniform layouts stay at a few
-# hundred segments per object — grow_to/trim_to walk segment by segment,
-# so unbounded ratios turn each example quadratic.
+# hundred segments per object — SegmentedPrefix builds its boundary table
+# with one sum() per prefix, so unbounded ratios turn each example
+# quadratic.
 _sizes = st.floats(min_value=1.0, max_value=32_768.0, allow_nan=False)
 _bases = st.floats(min_value=256.0, max_value=4096.0, allow_nan=False)
 _targets = st.floats(min_value=0.0, max_value=65_536.0, allow_nan=False)
