@@ -1,11 +1,18 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-smoke bench-full bench-goldens bench-figures ingest-demo docs-check faults-smoke obs-smoke streaming-smoke hierarchy-smoke
+.PHONY: test spawn-smoke bench-smoke bench-full bench-goldens bench-figures ingest-demo docs-check faults-smoke obs-smoke streaming-smoke hierarchy-smoke
 
 ## Tier-1 verification: the full test + benchmark suite (writes no file).
 test:
 	$(PYTHON) -m pytest -x -q
+
+## The process-pool tests under the spawn start method, where each worker
+## unpickles the workload its initializer receives instead of inheriting
+## it as a forked worker does (macOS, Windows, and Linux from Python 3.14
+## start workers this way).
+spawn-smoke:
+	$(PYTHON) -c 'import multiprocessing, sys; multiprocessing.set_start_method("spawn"); import pytest; sys.exit(pytest.main(["-q", "tests/test_analysis_parallel.py", "tests/test_sim_hierarchy.py::TestShardedFleet"]))'
 
 ## Quick throughput regression gate: replays a small (20k-request) trace
 ## and fails if it is >30% slower than the baseline recorded in

@@ -16,9 +16,7 @@ records the cost of per-client last-mile bandwidth composition
 delivery session against the same replay with streaming disabled
 (``docs/streaming.md``), an ``observability`` section the cost of a
 configured-but-disabled and of a timeline-enabled run against the bare
-replay (``docs/observability.md``), a ``dispatch`` section the
-parallel-dispatch overhead of shipping the workload to worker processes
-via shared memory versus pickling, and a ``hierarchy`` section the cost of
+replay (``docs/observability.md``), and a ``hierarchy`` section the cost of
 routing every request through a 2-tier pop fleet plus the wall-clock
 speedup of sharding the fleet replay across worker processes
 (``docs/hierarchy.md``).
@@ -45,11 +43,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.experiments import build_workload
-from repro.analysis.parallel import (
-    replication_jobs,
-    run_sharded_fleet,
-    run_simulation_jobs,
-)
+from repro.analysis.parallel import run_sharded_fleet
 from repro.core.policies import PolicySpec, make_policy
 from repro.network.distributions import NLANRBandwidthDistribution
 from repro.network.variability import NLANRRatioVariability
@@ -80,10 +74,6 @@ BENCH_SEED = 0
 #: A smoke run slower than ``1 - SMOKE_REGRESSION_TOLERANCE`` times the
 #: recorded baseline fails the gate.
 SMOKE_REGRESSION_TOLERANCE = 0.30
-
-#: Jobs and workers used by the dispatch-overhead (shm vs pickle) section.
-DISPATCH_RUNS = 2
-DISPATCH_WORKERS = 2
 
 #: Client population / last-mile groups of the per-client-draw section.
 CLIENT_COUNT = 256
@@ -438,39 +428,6 @@ def measure_throughput() -> dict:
         f"{requests / obs_best['absent']:,.0f} req/s)"
     )
 
-    # Parallel-dispatch overhead: fan the same replication grid out over a
-    # small pool with the trace shipped via shared memory vs pickled into
-    # the initializer.  Results must be identical; only the transport cost
-    # differs.
-    dispatch_workload = build_workload(scale=SMOKE_SCALE, seed=BENCH_SEED, columnar=True)
-    dispatch_config = SimulationConfig(
-        cache_size_gb=BENCH_CACHE_GB,
-        variability=NLANRRatioVariability(),
-        seed=BENCH_SEED,
-    )
-    jobs = replication_jobs(dispatch_config, PolicySpec(BENCH_POLICY), DISPATCH_RUNS)
-    dispatch_seconds = {"shm": None, "pickle": None}
-    dispatch_results = {}
-    # Alternating rounds, best-of each: the process's very first pool pays
-    # worker spawn + import warm-up, which must not be billed to whichever
-    # transport happens to run first.
-    for round_index in range(2):
-        order = ("shm", "pickle") if round_index % 2 == 0 else ("pickle", "shm")
-        for transport in order:
-            start = time.perf_counter()
-            dispatch_results[transport] = run_simulation_jobs(
-                dispatch_workload, jobs, n_jobs=DISPATCH_WORKERS, transport=transport
-            )
-            elapsed = time.perf_counter() - start
-            if (
-                dispatch_seconds[transport] is None
-                or elapsed < dispatch_seconds[transport]
-            ):
-                dispatch_seconds[transport] = elapsed
-    shm_seconds = dispatch_seconds["shm"]
-    pickle_seconds = dispatch_seconds["pickle"]
-    assert dispatch_results["shm"] == dispatch_results["pickle"]
-
     # Hierarchy overhead: the same multi-client columnar replay routed
     # through a 2-tier, 4-pop fleet vs hierarchy disabled.  With
     # hierarchy=None the loops skip the engine entirely (one `is not
@@ -635,14 +592,6 @@ def measure_throughput() -> dict:
             "timeline_overhead_ratio_vs_baseline": round(
                 timeline_overhead, 3
             ),
-        },
-        "dispatch": {
-            "requests": len(dispatch_workload.trace),
-            "jobs": len(jobs),
-            "workers": DISPATCH_WORKERS,
-            "shm_seconds": round(shm_seconds, 3),
-            "pickle_seconds": round(pickle_seconds, 3),
-            "shm_vs_pickle_ratio": round(shm_seconds / pickle_seconds, 3),
         },
         "hierarchy": {
             "tiers": 2,

@@ -43,10 +43,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: requests/sec numbers are deliberately not gated: they measure the
 #: runner, not the code.  The overridden keys compare two *differently
 #: shaped* code paths (interpreter-bound engines vs the numpy-bound
-#: columnar loop; process spawn vs pickle), so their ratio shifts with the
-#: machine profile itself — observed run-to-run deltas approach 25% with
-#: no code change, which would put the default gate at the flake
-#: boundary.  Same-shaped overhead ratios keep the tight default.
+#: columnar loop; worker processes vs one in-process loop), so their
+#: ratio shifts with the machine profile itself — observed run-to-run
+#: deltas approach 25% with no code change, which would put the default
+#: gate at the flake boundary.  Same-shaped overhead ratios keep the tight
+#: default.
 RATIO_KEYS: Dict[str, tuple] = {
     # The remeasurement and reactive overheads are dominated by per-request
     # interpreter work layered on the numpy-bound columnar-event baseline,
@@ -74,16 +75,15 @@ RATIO_KEYS: Dict[str, tuple] = {
     # ratio moves with the machine's interpreter profile, not the code.
     "hierarchy.overhead_ratio_vs_baseline": ("lower", 0.50),
     # Serial vs pooled shard replay compares in-process loops against
-    # process spawn + per-worker imports — the dispatch argument, but
-    # with the whole speedup (not just transport) exposed to the machine
-    # profile: a 1-core runner can legitimately land below 1.0.
+    # worker start-up + per-worker imports, so the whole speedup is
+    # exposed to the machine profile: a 1-core runner can legitimately
+    # land below 1.0.
     "hierarchy.sharded_speedup_vs_serial": ("higher", 0.50),
     # Disabled observability is the same dead branch on both sides, so the
     # true ratio is 1.0 and the measurement is pure timer noise — same
     # flake argument as the faults ratio above.
     "observability.overhead_ratio_vs_baseline": ("lower", 0.40),
     "observability.timeline_overhead_ratio_vs_baseline": ("lower", 0.40),
-    "dispatch.shm_vs_pickle_ratio": ("lower", 0.40),
 }
 
 #: A ratio may be this fraction worse than the committed baseline before

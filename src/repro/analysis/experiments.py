@@ -19,6 +19,7 @@ results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -85,16 +86,15 @@ def build_workload(
     """Generate the Table 1 workload at the requested scale.
 
     The trace is columnar (numpy-native) by default: metrics are
-    bit-identical to the object-per-request representation, the replay
-    uses the columns without converting them, and ``n_jobs > 1`` runs ship the trace to
-    workers through shared memory instead of per-worker pickles.  Pass
+    bit-identical to the object-per-request representation, and the
+    replay uses the columns without converting them.  Pass
     ``columnar=False`` for the legacy object trace.  ``num_clients > 1``
     assigns each request a client id (drawn after every other column, so
     the catalog and request stream are unchanged) — the substrate for the
     client-heterogeneity experiments (``docs/clients.md``).
     """
-    if scale <= 0:
-        raise ConfigurationError(f"scale must be positive, got {scale}")
+    if not 0 < scale < math.inf:
+        raise ConfigurationError(f"scale must be positive and finite, got {scale}")
     config = WorkloadConfig(zipf_alpha=zipf_alpha, seed=seed, num_clients=num_clients)
     if scale != 1.0:
         config = config.scaled(scale)

@@ -12,16 +12,10 @@ produces byte-identical tables to ``n_jobs=1``.
 
 Design notes
 ------------
-* The (potentially large) workload is shipped to each worker **once**, via
-  the executor's initializer, rather than being pickled into every job.
-* When the workload carries a :class:`~repro.trace.columnar.ColumnarTrace`
-  (or ``transport="shm"`` forces a conversion), the trace is published once
-  into POSIX shared memory (:mod:`repro.trace.shm`) and workers attach
-  zero-copy by name — the initializer then pickles only the catalog and a
-  tiny descriptor, so fan-out cost no longer scales with trace length.
-  The segment is unlinked in a ``finally`` even when workers crash, and the
-  transport silently falls back to pickling when shared memory is
-  unavailable.
+* The (potentially large) workload reaches each worker **once**, as the
+  argument of the executor's initializer, rather than being pickled into
+  every job: a forked worker inherits it with no copy, and a spawned or
+  forkserver worker unpickles it once.
 * Jobs that share a topology (policy comparisons) rebuild it inside the
   worker from the job's seed — bandwidth assignment is a deterministic
   function of the seed, so every policy still faces identical network
@@ -54,24 +48,7 @@ from repro.sim.hierarchy import HierarchyReport
 from repro.sim.metrics import MetricsCollector, SimulationMetrics
 from repro.sim.simulator import ProxyCacheSimulator, SimulationResult
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.shm import (
-    SharedTraceDescriptor,
-    attach_trace,
-    publish_trace,
-    shm_available,
-)
 from repro.workload.gismo import Workload
-
-#: Accepted values of the ``transport`` argument of
-#: :func:`run_simulation_jobs`.
-TRANSPORTS = ("auto", "shm", "pickle")
-
-#: Below this trace payload size, ``transport="auto"`` pickles instead of
-#: publishing to shared memory: for small traces the segment create/copy/
-#: attach round-trip costs more than the pickling it saves.  4 MiB is about
-#: a 200k-request trace.  ``transport="shm"`` forces shared memory at any
-#: size.
-SHM_MIN_TRACE_BYTES = 4 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -110,28 +87,6 @@ def _init_worker(workload: Workload) -> None:
     _WORKER_WORKLOAD = workload
 
 
-def _init_worker_shm(
-    catalog,
-    config,
-    expected_rates,
-    descriptor: SharedTraceDescriptor,
-) -> None:
-    """Pool initializer for the shared-memory transport.
-
-    Receives everything *except* the trace by pickle and attaches to the
-    published trace by name; the reconstructed workload's trace columns are
-    zero-copy views on the shared block, which the trace's owner reference
-    keeps mapped for the worker's lifetime.
-    """
-    global _WORKER_WORKLOAD
-    _WORKER_WORKLOAD = Workload(
-        catalog=catalog,
-        trace=attach_trace(descriptor),
-        config=config,
-        expected_rates=expected_rates,
-    )
-
-
 def _execute_job(job: SimulationJob) -> SimulationMetrics:
     """Run one job against the worker's installed workload."""
     workload = _WORKER_WORKLOAD
@@ -153,12 +108,12 @@ _RETRY_BACKOFF_S = 0.5
 def _run_pool(
     jobs: Sequence[object],
     workers: int,
-    initializer: Callable,
-    initargs: tuple,
+    workload: Workload,
     execute: Callable = _execute_job,
 ) -> Tuple[Dict[int, object], List[int]]:
     """Run jobs on one process pool, absorbing worker-crash failures.
 
+    Each worker receives ``workload`` once, through the pool initializer.
     ``execute`` is the module-level function each job is submitted
     through (:func:`_execute_job` for metric sweeps,
     :func:`_execute_fleet_shard` for sharded fleet replay — it must be
@@ -174,7 +129,7 @@ def _run_pool(
     results: Dict[int, object] = {}
     crashed: List[int] = []
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=initializer, initargs=initargs
+        max_workers=workers, initializer=_init_worker, initargs=(workload,)
     ) as executor:
         try:
             futures = [executor.submit(execute, job) for job in jobs]
@@ -210,53 +165,29 @@ def run_simulation_jobs(
     workload: Workload,
     jobs: Sequence[SimulationJob],
     n_jobs: Optional[int] = 1,
-    transport: str = "auto",
 ) -> List[SimulationMetrics]:
     """Execute a grid of simulation jobs, serially or on a process pool.
 
     Results are returned in job order regardless of completion order, so
     any downstream averaging is order-stable and the output is independent
-    of ``n_jobs`` and ``transport``.
-
-    ``transport`` selects how the workload reaches the workers:
-
-    * ``"auto"`` (default) — shared memory when the trace is columnar, at
-      least :data:`SHM_MIN_TRACE_BYTES` big, and the platform supports it;
-      pickling otherwise;
-    * ``"shm"`` — force shared memory, converting an object trace to
-      columnar first (raises if shared memory is unusable);
-    * ``"pickle"`` — always pickle the whole workload into the pool
-      initializer (the pre-shm behaviour).
+    of ``n_jobs``.
     """
-    return _dispatch_jobs(workload, jobs, n_jobs, transport, _execute_job)
+    return _dispatch_jobs(workload, jobs, n_jobs, _execute_job)
 
 
 def _dispatch_jobs(
     workload: Workload,
     jobs: Sequence[object],
     n_jobs: Optional[int],
-    transport: str,
     execute: Callable,
 ) -> List[object]:
     """Shared dispatch core of the job-grid and fleet-shard entry points.
 
-    Handles transport validation, the serial in-process shortcut, the
-    shared-memory publish/attach round-trip, and the crash-retry protocol
+    Handles the serial in-process shortcut and the crash-retry protocol
     identically for every job type; ``execute`` is the module-level
     per-job function submitted to the pool.  Results come back in job
     order regardless of completion order.
     """
-    if transport not in TRANSPORTS:
-        raise ConfigurationError(
-            f"transport must be one of {TRANSPORTS}, got {transport!r}"
-        )
-    if transport == "shm" and not shm_available():
-        # Checked before the serial shortcut so the contract holds for
-        # every worker count, not only when a pool is actually spawned.
-        raise ConfigurationError(
-            "transport='shm' requested but multiprocessing.shared_memory "
-            "is unavailable on this platform"
-        )
     jobs = list(jobs)
     if not jobs:
         return []
@@ -270,66 +201,34 @@ def _dispatch_jobs(
         finally:
             _WORKER_WORKLOAD = previous
 
-    shared = None
-    if shm_available() and (
-        transport == "shm"
-        or (
-            transport == "auto"
-            and isinstance(workload.trace, ColumnarTrace)
-            and workload.trace.nbytes >= SHM_MIN_TRACE_BYTES
+    results, broken = _run_pool(jobs, workers, workload, execute)
+    if broken:
+        # A worker process died (OOM kill, segfault, machine hiccup) and
+        # took the whole pool with it — every job still in flight failed
+        # collectively, not individually.  One deliberate retry on a fresh
+        # pool salvages the sweep from a transient crash; the jittered
+        # pause keeps respawned workers from slamming into the same memory
+        # spike in lockstep.
+        time.sleep(_RETRY_BACKOFF_S * (1.0 + random.random()))
+        retried, still_broken = _run_pool(
+            [jobs[index] for index in broken],
+            min(workers, len(broken)),
+            workload,
+            execute,
         )
-    ):
-        try:
-            shared = publish_trace(ColumnarTrace.from_trace(workload.trace))
-        except (OSError, ConfigurationError):
-            if transport == "shm":
-                raise
-            shared = None  # auto: fall back to pickling the workload
-
-    if shared is not None:
-        initializer, initargs = _init_worker_shm, (
-            workload.catalog,
-            workload.config,
-            workload.expected_rates,
-            shared.descriptor,
-        )
-    else:
-        initializer, initargs = _init_worker, (workload,)
-    try:
-        results, broken = _run_pool(jobs, workers, initializer, initargs, execute)
-        if broken:
-            # A worker process died (OOM kill, segfault, machine hiccup)
-            # and took the whole pool with it — every job still in flight
-            # failed collectively, not individually.  One deliberate retry
-            # on a fresh pool salvages the sweep from a transient crash;
-            # the jittered pause keeps respawned workers from slamming
-            # into the same memory spike in lockstep.
-            time.sleep(_RETRY_BACKOFF_S * (1.0 + random.random()))
-            retried, still_broken = _run_pool(
-                [jobs[index] for index in broken],
-                min(workers, len(broken)),
-                initializer,
-                initargs,
-                execute,
+        for position, index in enumerate(broken):
+            if position in retried:
+                results[index] = retried[position]
+        if still_broken:
+            failed = sorted(broken[position] for position in still_broken)
+            raise SimulationError(
+                f"{len(failed)} of {len(jobs)} simulation jobs lost to "
+                f"worker crashes even after a retry on a fresh pool "
+                f"(job indices {failed[:10]}"
+                + ("..." if len(failed) > 10 else "")
+                + "); the workload may not fit the configured worker count"
             )
-            for position, index in enumerate(broken):
-                if position in retried:
-                    results[index] = retried[position]
-            if still_broken:
-                failed = sorted(broken[position] for position in still_broken)
-                raise SimulationError(
-                    f"{len(failed)} of {len(jobs)} simulation jobs lost to "
-                    f"worker crashes even after a retry on a fresh pool "
-                    f"(job indices {failed[:10]}"
-                    + ("..." if len(failed) > 10 else "")
-                    + "); the workload may not fit the configured worker count"
-                )
-        return [results[index] for index in range(len(jobs))]
-    finally:
-        # Guaranteed reclamation of the shared segment, including when a
-        # worker died mid-job and both pool attempts above raised.
-        if shared is not None:
-            shared.unlink()
+    return [results[index] for index in range(len(jobs))]
 
 
 def replication_jobs(
@@ -369,9 +268,9 @@ class FleetShardJob:
     (:meth:`~repro.trace.columnar.ColumnarTrace.client_shard`) — the same
     affinity rule that pins clients to hierarchy pops — and replays only
     that slice.  Shipping ``(shard, num_shards)`` instead of the
-    sub-trace keeps the fan-out cost independent of trace length: the
-    full trace travels once (shared memory when columnar and large), and
-    each worker's selection is a local mask over the attached columns.
+    sub-trace keeps the per-job cost independent of trace length: the
+    full trace reaches each worker once, and each worker's selection is
+    a local mask over its columns.
     """
 
     config: SimulationConfig
@@ -492,18 +391,16 @@ def run_sharded_fleet(
     policy_factory: Callable[[], object],
     num_shards: int,
     n_jobs: Optional[int] = 1,
-    transport: str = "auto",
 ) -> FleetReplayResult:
     """Replay a workload as ``num_shards`` client-group shards and reduce.
 
     Each shard replays the clients with ``client_id % num_shards ==
     shard`` in its own job — in-process when ``n_jobs`` resolves to one
-    worker, otherwise across a process pool fed by the same workload
-    transports as :func:`run_simulation_jobs` (shared memory for large
-    columnar traces).  The merged result is produced by
-    :func:`merge_shard_results` and is identical for every ``n_jobs`` and
-    ``transport`` choice: the partition, each shard's replay, and the
-    reduction order are all deterministic in ``config.seed``.
+    worker, otherwise across a process pool that receives the workload
+    the way :func:`run_simulation_jobs` does.  The merged result is
+    produced by :func:`merge_shard_results` and is identical for every
+    ``n_jobs``: the partition, each shard's replay, and the reduction
+    order are all deterministic in ``config.seed``.
 
     Hierarchy configs compose per shard — every shard runs its own full
     tier chain, which matches the per-pop fleet semantics of
@@ -531,7 +428,7 @@ def run_sharded_fleet(
         )
         for shard in range(num_shards)
     ]
-    results = _dispatch_jobs(workload, jobs, n_jobs, transport, _execute_fleet_shard)
+    results = _dispatch_jobs(workload, jobs, n_jobs, _execute_fleet_shard)
     merged = merge_shard_results(list(enumerate(results)))
     return FleetReplayResult(
         merged=merged,

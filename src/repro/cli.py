@@ -56,7 +56,7 @@ from typing import Callable, Dict, Optional, Sequence
 from repro.analysis import experiments as exp
 from repro.analysis.report import format_timeline, render_experiment
 from repro.core.policies import PolicySpec, make_policy
-from repro.exceptions import ReproError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.network.distributions import NLANRBandwidthDistribution
 from repro.obs import ObservabilityConfig
 from repro.obs.log import configure as _configure_logging
@@ -454,9 +454,19 @@ def _observability_config(args: argparse.Namespace) -> Optional[ObservabilityCon
     )
 
 
+def _require_directory(flag: str, path: Optional[str]) -> None:
+    """Reject an output file whose directory does not exist, before any work."""
+    if path is not None and not Path(path).parent.is_dir():
+        raise ConfigurationError(
+            f"{flag} {path}: directory {Path(path).parent} does not exist"
+        )
+
+
 def _run_single(args: argparse.Namespace) -> int:
     import time as _time
 
+    _require_directory("--metrics-out", args.metrics_out)
+    _require_directory("--trace-out", args.trace_out)
     workload_config = WorkloadConfig(seed=args.seed)
     if args.scale != 1.0:
         workload_config = workload_config.scaled(args.scale)
@@ -640,6 +650,7 @@ def _run_ingest(args: argparse.Namespace) -> int:
     if args.append and not args.out:
         _log.error("--append requires --out")
         return 2
+    _require_directory("--out", args.out)
     # Validate the shared client-cloud flags up front (the bandwidth-
     # without-groups error in particular), and be loud about the one case
     # where they would otherwise be silently ignored.
@@ -839,8 +850,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point used by the ``repro-sim`` console script.
 
     Invalid input the library rejects (a :class:`~repro.exceptions.
-    ReproError`, e.g. a negative cache size or an unknown policy) prints
-    one ``error: <message>`` line on stderr and exits with status 2.
+    ReproError`, e.g. a negative cache size or an unknown policy) and a
+    file that cannot be read or written (an :class:`OSError`, e.g. a
+    missing log) print one ``error: <message>`` line on stderr and exit
+    with status 2.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -852,7 +865,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return commands[args.command](args)
-    except ReproError as error:
+    except (ReproError, OSError) as error:
         _log.error("%s", error)
         return 2
 

@@ -87,7 +87,7 @@ class ClientCloudConfig:
             raise ConfigurationError(
                 "give either a homogeneous bandwidth or a distribution, not both"
             )
-        if self.bandwidth is not None and self.bandwidth <= 0:
+        if self.bandwidth is not None and not self.bandwidth > 0:
             raise ConfigurationError(
                 f"client-cloud bandwidth must be positive, got {self.bandwidth}"
             )
@@ -242,7 +242,7 @@ class SimulationConfig:
     verify_store: bool = False
 
     def __post_init__(self) -> None:
-        if self.cache_size_gb < 0:
+        if not self.cache_size_gb >= 0:
             raise ConfigurationError(
                 f"cache_size_gb must be non-negative, got {self.cache_size_gb}"
             )
@@ -250,7 +250,7 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"warmup_fraction must be in [0, 1), got {self.warmup_fraction}"
             )
-        if self.min_path_bandwidth < 0:
+        if not self.min_path_bandwidth >= 0:
             raise ConfigurationError(
                 f"min_path_bandwidth must be non-negative, got {self.min_path_bandwidth}"
             )
@@ -259,7 +259,7 @@ class SimulationConfig:
                 f"passive_smoothing must be in (0, 1], got {self.passive_smoothing}"
             )
         if self.reactive_threshold is not None:
-            if self.reactive_threshold <= 0:
+            if not self.reactive_threshold > 0:
                 raise ConfigurationError(
                     f"reactive_threshold must be positive, got {self.reactive_threshold}"
                 )

@@ -98,12 +98,12 @@ class RemeasurementConfig:
     priority: int = -1
 
     def __post_init__(self) -> None:
-        if self.interval <= 0:
+        if not self.interval > 0:
             raise ConfigurationError(
                 f"remeasurement interval must be positive, got {self.interval}"
             )
         for server_id, interval in self.per_path_intervals.items():
-            if interval <= 0:
+            if not interval > 0:
                 raise ConfigurationError(
                     f"remeasurement interval for server {server_id} must be "
                     f"positive, got {interval}"

@@ -257,7 +257,7 @@ class FaultConfig:
                 raise ConfigurationError(
                     f"{name} must be non-negative, got {getattr(self, name)}"
                 )
-        if self.mean_duration_s <= 0:
+        if not self.mean_duration_s > 0:
             raise ConfigurationError(
                 f"mean_duration_s must be positive, got {self.mean_duration_s}"
             )
@@ -265,7 +265,7 @@ class FaultConfig:
             raise ConfigurationError(
                 f"severity must be in (0, 1), got {self.severity}"
             )
-        if self.timeout_factor <= 1.0:
+        if not self.timeout_factor > 1.0:
             raise ConfigurationError(
                 f"timeout_factor must be > 1, got {self.timeout_factor}"
             )
@@ -273,7 +273,7 @@ class FaultConfig:
             raise ConfigurationError(
                 f"max_retries must be non-negative, got {self.max_retries}"
             )
-        if self.backoff_base_s <= 0:
+        if not self.backoff_base_s > 0:
             raise ConfigurationError(
                 f"backoff_base_s must be positive, got {self.backoff_base_s}"
             )

@@ -99,12 +99,12 @@ class CacheTier:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("tier name must be non-empty")
-        if self.cache_kb < 0:
+        if not self.cache_kb >= 0:
             raise ConfigurationError(
                 f"tier {self.name!r}: cache_kb must be non-negative, "
                 f"got {self.cache_kb}"
             )
-        if self.uplink_bandwidth <= 0:
+        if not self.uplink_bandwidth > 0:
             raise ConfigurationError(
                 f"tier {self.name!r}: uplink_bandwidth must be positive, "
                 f"got {self.uplink_bandwidth}"
@@ -153,7 +153,7 @@ class HierarchyConfig:
                 "sibling_lookup needs num_pops >= 2 (siblings are the "
                 "other pops' edge caches)"
             )
-        if self.sibling_bandwidth <= 0:
+        if not self.sibling_bandwidth > 0:
             raise ConfigurationError(
                 f"sibling_bandwidth must be positive, got {self.sibling_bandwidth}"
             )

@@ -16,10 +16,8 @@ All three accept ``n_jobs``: with ``n_jobs > 1`` the independent
 order-stable averaging, so the results are byte-identical to the serial
 ones.  Policy factories must then be picklable — use
 :class:`~repro.core.policies.registry.PolicySpec` rather than lambdas.
-They also accept ``transport`` (``"auto"``/``"shm"``/``"pickle"``), which
-controls how the workload reaches the workers: columnar traces travel via
-shared memory by default instead of being re-pickled per worker (see
-:mod:`repro.trace.shm`).
+The workload reaches each worker once, through the pool's initializer,
+not once per job.
 
 Every run replays through
 :meth:`~repro.sim.simulator.ProxyCacheSimulator.run` with the job's
@@ -109,7 +107,6 @@ def run_replications(
     config: SimulationConfig,
     num_runs: int = 10,
     n_jobs: int = 1,
-    transport: str = "auto",
 ) -> SimulationMetrics:
     """Run one policy ``num_runs`` times with different seeds and average."""
     if num_runs <= 0:
@@ -121,7 +118,7 @@ def run_replications(
 
         jobs = replication_jobs(config, policy_factory, num_runs, share_topology=False)
         return SimulationMetrics.average(
-            run_simulation_jobs(workload, jobs, n_jobs, transport=transport)
+            run_simulation_jobs(workload, jobs, n_jobs)
         )
     results: List[SimulationMetrics] = []
     for run_index in range(num_runs):
@@ -138,7 +135,6 @@ def compare_policies(
     config: SimulationConfig,
     num_runs: int = 3,
     n_jobs: int = 1,
-    transport: str = "auto",
 ) -> PolicyComparison:
     """Run several policies over the same seeds and network assignments.
 
@@ -173,7 +169,7 @@ def compare_policies(
                     )
                 )
                 order.append(name)
-        results = run_simulation_jobs(workload, jobs, n_jobs, transport=transport)
+        results = run_simulation_jobs(workload, jobs, n_jobs)
         for name, metrics in zip(order, results):
             per_policy[name].append(metrics)
     else:
@@ -198,7 +194,6 @@ def sweep_cache_sizes(
     config: Optional[SimulationConfig] = None,
     num_runs: int = 3,
     n_jobs: int = 1,
-    transport: str = "auto",
 ) -> SweepResult:
     """Sweep the cache size, comparing all policies at each point.
 
@@ -234,7 +229,7 @@ def sweep_cache_sizes(
                             share_topology=True,
                         )
                     )
-        results = iter(run_simulation_jobs(workload, jobs, n_jobs, transport=transport))
+        results = iter(run_simulation_jobs(workload, jobs, n_jobs))
         for _ in cache_sizes_gb:
             per_policy: Dict[str, List[SimulationMetrics]] = {
                 name: [] for name in policy_factories

@@ -1,20 +1,18 @@
-"""Columnar trace subsystem: numpy-native traces, shared-memory transport,
-and real access-log ingestion.
+"""Columnar trace subsystem: numpy-native traces and real access-log
+ingestion.
 
-Three modules:
+Two modules:
 
 * :mod:`repro.trace.columnar` — :class:`ColumnarTrace`, a request trace
   stored as parallel numpy arrays with the full ``RequestTrace`` protocol,
   zero-copy slicing, CSV/``.npz`` round-trips, and multi-day segment
   stitching (:meth:`ColumnarTrace.concat`, ``repro ingest --append``),
-* :mod:`repro.trace.shm` — publish a columnar trace once into POSIX shared
-  memory and attach zero-copy from worker processes
-  (used by :mod:`repro.analysis.parallel` to stop re-pickling traces),
 * :mod:`repro.trace.ingest` — streaming Squid / Common-Log-Format access
   log adapters that emit columnar traces, simulation-ready workloads, and
   :class:`~repro.network.loganalysis.ProxyLogAnalyzer` substrates.
 
-See ``docs/traces.md`` for the formats and transport semantics.
+See ``docs/traces.md`` for the formats and how traces reach worker
+processes.
 """
 
 from repro.trace.columnar import COLUMN_DTYPES, ColumnarTrace
@@ -29,13 +27,6 @@ from repro.trace.ingest import (
     parse_clf_line,
     parse_squid_line,
 )
-from repro.trace.shm import (
-    SharedTrace,
-    SharedTraceDescriptor,
-    attach_trace,
-    publish_trace,
-    shm_available,
-)
 
 __all__ = [
     "COLUMN_DTYPES",
@@ -44,14 +35,9 @@ __all__ = [
     "IngestResult",
     "IngestSummary",
     "LOG_FORMATS",
-    "SharedTrace",
-    "SharedTraceDescriptor",
-    "attach_trace",
     "detect_log_format",
     "ingest_access_log",
     "iter_access_records",
     "parse_clf_line",
     "parse_squid_line",
-    "publish_trace",
-    "shm_available",
 ]

@@ -6,7 +6,7 @@ instead of one :class:`~repro.workload.trace.Request` object per request.
 On million-request traces this removes roughly 100 bytes per request of
 object overhead, makes slicing zero-copy (slices are numpy views on the
 parent's buffers), and lets the simulator's replay driver and the
-shared-memory parallel transport (:mod:`repro.trace.shm`) consume the
+parallel sharded replay (:mod:`repro.analysis.parallel`) consume the
 arrays directly.
 
 The class implements the full ``RequestTrace`` protocol — ``len``/``iter``/
@@ -45,7 +45,7 @@ COLUMN_DTYPES: Tuple[Tuple[str, np.dtype], ...] = (
 class ColumnarTrace:
     """An ordered request trace stored as parallel numpy arrays."""
 
-    __slots__ = ("_times", "_object_ids", "_client_ids", "_owner")
+    __slots__ = ("_times", "_object_ids", "_client_ids")
 
     def __init__(
         self,
@@ -54,7 +54,6 @@ class ColumnarTrace:
         client_ids=None,
         *,
         validate: bool = True,
-        _owner: Optional[object] = None,
     ):
         times_arr = np.asarray(times, dtype=np.float64)
         ids_arr = np.asarray(object_ids, dtype=np.int64)
@@ -84,12 +83,9 @@ class ColumnarTrace:
         self._times = times_arr
         self._object_ids = ids_arr
         self._client_ids = clients_arr
-        # Anything that must outlive the arrays (e.g. the SharedMemory block
-        # the columns are views on); None for ordinary heap-backed traces.
-        self._owner = _owner
 
     # ------------------------------------------------------------------
-    # Raw column access (the simulator replay and shm transport).
+    # Raw column access (the simulator replay and the fleet shards).
     # ------------------------------------------------------------------
     @property
     def times_array(self) -> np.ndarray:
@@ -105,11 +101,6 @@ class ColumnarTrace:
     def client_ids_array(self) -> np.ndarray:
         """Client ids as an int32 array (a view, not a copy)."""
         return self._client_ids
-
-    @property
-    def nbytes(self) -> int:
-        """Total payload size of the three columns in bytes."""
-        return self._times.nbytes + self._object_ids.nbytes + self._client_ids.nbytes
 
     # ------------------------------------------------------------------
     # The RequestTrace protocol.
@@ -140,7 +131,6 @@ class ColumnarTrace:
                 self._object_ids[index],
                 self._client_ids[index],
                 validate=False,
-                _owner=self._owner,
             )
         return Request(
             time=self._times[index].item(),

@@ -101,12 +101,14 @@ _URL_HOST_RE = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.-]*://(?P<host>[^/?#:]+)")
 
 _INF = float("inf")
 
-#: CLF / Combined Log Format; trailing combined fields are ignored.
+#: CLF / Combined Log Format; trailing combined fields are ignored.  The
+#: size must be the whole token and ASCII (``\d`` also matches other
+#: scripts' digits, which ``int()`` then reads).
 _CLF_RE = re.compile(
     r"^(?P<host>\S+)\s+(?P<ident>\S+)\s+(?P<user>\S+)\s+"
     r"\[(?P<timestamp>[^\]]+)\]\s+"
     r'"(?P<method>[A-Za-z]+)\s+(?P<url>\S+)(?:\s+(?P<protocol>[^"]*))?"\s+'
-    r"(?P<status>\d{3})\s+(?P<size>\d+|-)"
+    r"(?P<status>\d{3})\s+(?P<size>[0-9]+|-)(?:\s|$)"
 )
 
 #: CLF month abbreviations, mapped explicitly so parsing is independent of
@@ -145,18 +147,18 @@ def parse_squid_line(line: str) -> Optional[AccessLogRecord]:
     if len(parts) < 7:
         return None
     code_status = parts[3].split("/", 1)
-    if len(code_status) != 2:
+    # int() would also read "1_000", "+5" and non-ASCII digits.
+    if len(code_status) != 2 or not (parts[4].isascii() and parts[4].isdigit()):
         return None
     try:
         timestamp = float(parts[0])
         elapsed_ms = float(parts[1])
         status = int(code_status[1])
-        size_bytes = int(parts[4])
     except ValueError:
         return None
     # float() accepts "nan" and "inf"; both chained comparisons are false
     # for them, as for negatives.
-    if not (0.0 <= timestamp < _INF and 0.0 <= elapsed_ms < _INF) or size_bytes < 0:
+    if not (0.0 <= timestamp < _INF and 0.0 <= elapsed_ms < _INF):
         return None
     return AccessLogRecord(
         timestamp=timestamp,
@@ -164,7 +166,7 @@ def parse_squid_line(line: str) -> Optional[AccessLogRecord]:
         method=parts[5].upper(),
         url=parts[6],
         status=status,
-        size_bytes=size_bytes,
+        size_bytes=int(parts[4]),
         elapsed_ms=elapsed_ms,
         cache_code=code_status[0],
     )

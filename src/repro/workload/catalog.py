@@ -16,6 +16,7 @@ object id.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
@@ -55,13 +56,16 @@ class MediaObject:
     layers: int = 4
 
     def __post_init__(self) -> None:
+        # Bitrate first: a non-finite bitrate also spoils a duration derived
+        # from it (``size / bitrate``), and the bitrate is the input to name.
+        if not 0 < self.bitrate < math.inf:
+            raise ConfigurationError(
+                f"object {self.object_id}: bitrate must be positive and finite, "
+                f"got {self.bitrate}"
+            )
         if self.duration <= 0:
             raise ConfigurationError(
                 f"object {self.object_id}: duration must be positive, got {self.duration}"
-            )
-        if self.bitrate <= 0:
-            raise ConfigurationError(
-                f"object {self.object_id}: bitrate must be positive, got {self.bitrate}"
             )
         if self.value < 0:
             raise ConfigurationError(

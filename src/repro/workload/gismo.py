@@ -18,6 +18,7 @@ Section 4.4.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -114,8 +115,10 @@ class WorkloadConfig:
         Useful for quick smoke tests and CI runs that keep the workload's
         shape but shrink its volume.
         """
-        if factor <= 0:
-            raise ConfigurationError(f"factor must be positive, got {factor}")
+        if not 0 < factor < math.inf:
+            raise ConfigurationError(
+                f"factor must be positive and finite, got {factor}"
+            )
         return replace(
             self,
             num_objects=max(1, int(self.num_objects * factor)),
@@ -207,8 +210,7 @@ class GismoWorkloadGenerator:
 
         With ``columnar=True`` the trace is emitted as a
         :class:`~repro.trace.columnar.ColumnarTrace` built directly from the
-        sampled numpy arrays — no per-request ``Request`` boxing, and the
-        workload becomes eligible for the shared-memory parallel transport.
+        sampled numpy arrays — no per-request ``Request`` boxing.
         Both modes draw from the generator identically and produce
         value-identical traces.
         """

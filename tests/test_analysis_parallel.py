@@ -49,6 +49,12 @@ def workload():
 
 
 @pytest.fixture(scope="module")
+def columnar_workload():
+    config = WorkloadConfig(seed=0).scaled(0.02)
+    return GismoWorkloadGenerator(config).generate(columnar=True)
+
+
+@pytest.fixture(scope="module")
 def sim_config():
     return SimulationConfig(
         cache_size_gb=0.5, variability=NLANRRatioVariability(), seed=0
@@ -95,7 +101,9 @@ def test_jobs_carry_the_serial_seed_schedule(sim_config):
     assert not any(job.share_topology for job in jobs)
 
 
-def test_run_simulation_jobs_preserves_job_order(workload, sim_config):
+def test_run_simulation_jobs_preserves_job_order(
+    workload, columnar_workload, sim_config
+):
     jobs = [
         SimulationJob(
             config=sim_config.with_seed(seed),
@@ -104,10 +112,13 @@ def test_run_simulation_jobs_preserves_job_order(workload, sim_config):
         )
         for seed in (0, 1)
     ]
-    serial = run_simulation_jobs(workload, jobs, n_jobs=1)
-    parallel = run_simulation_jobs(workload, jobs, n_jobs=2)
-    assert parallel == serial
-    assert serial[0] != serial[1]  # different seeds, different runs
+    # Both trace forms cross a real pool: the columnar one is what
+    # build_workload hands the CLI's experiments.
+    for pooled_workload in (workload, columnar_workload):
+        serial = run_simulation_jobs(pooled_workload, jobs, n_jobs=1)
+        parallel = run_simulation_jobs(pooled_workload, jobs, n_jobs=2)
+        assert parallel == serial
+        assert serial[0] != serial[1]  # different seeds, different runs
 
 
 def test_resolve_n_jobs():
@@ -178,9 +189,9 @@ def test_job_raised_exceptions_propagate_without_retry(
     attempts = []
     real_run_pool = parallel_mod._run_pool
 
-    def counting_run_pool(jobs, workers, initializer, initargs, execute):
+    def counting_run_pool(jobs, workers, workload, execute):
         attempts.append(len(jobs))
-        return real_run_pool(jobs, workers, initializer, initargs, execute)
+        return real_run_pool(jobs, workers, workload, execute)
 
     monkeypatch.setattr(parallel_mod, "_run_pool", counting_run_pool)
     bad_config = sim_config  # valid config; the factory itself raises

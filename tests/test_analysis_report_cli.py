@@ -143,6 +143,47 @@ class TestCLI:
         assert captured.err == "error: cache_size_gb must be non-negative, got -1.0\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--scale", "nan"], "factor must be positive and finite, got nan"),
+            (["run", "--scale", "inf"], "factor must be positive and finite, got inf"),
+            (
+                ["experiment", "fig7", "--scale", "nan", "--runs", "1"],
+                "scale must be positive and finite, got nan",
+            ),
+        ],
+        ids=["run-nan", "run-inf", "experiment-nan"],
+    )
+    def test_non_finite_scale_fails_cleanly(
+        self, argv, message, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--metrics-out", "--trace-out"])
+    def test_output_in_missing_directory_fails_before_the_replay(
+        self, flag, tmp_path, capsys
+    ):
+        target = tmp_path / "missing" / "out.json"
+        assert main(["run", "--scale", "0.01", flag, str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {flag} {target}: directory {target.parent} does not exist\n"
+        )
+        assert captured.out == ""  # nothing replayed, nothing printed
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nan_cache_size_fails_cleanly(self, capsys):
+        assert main(["run", "--scale", "0.01", "--cache-gb", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: cache_size_gb must be non-negative, got nan\n"
+        assert captured.out == ""
+
     def test_nan_streaming_segment_size_fails_cleanly(self, capsys):
         args = ["run", "--scale", "0.01", "--streaming-fraction", "1.0"]
         assert main(args + ["--streaming-segment-kb", "nan"]) == 2

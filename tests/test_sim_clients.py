@@ -114,6 +114,8 @@ class TestClientCloudConfig:
             ClientCloudConfig(groups=0)
         with pytest.raises(ConfigurationError):
             ClientCloudConfig(bandwidth=0.0)
+        with pytest.raises(ConfigurationError):
+            ClientCloudConfig(bandwidth=float("nan"))
 
     def test_default_builds_non_binding_cloud(self):
         cloud = ClientCloudConfig(groups=3).build_cloud(np.random.default_rng(0))

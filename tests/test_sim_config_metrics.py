@@ -64,6 +64,16 @@ class TestSimulationConfig:
             SimulationConfig(min_path_bandwidth=-1.0)
         with pytest.raises(ConfigurationError):
             SimulationConfig(passive_smoothing=0.0)
+        # NaN slips past `x < 0` and `x <= 0`; every bound must reject it.
+        for field in ("cache_size_gb", "min_path_bandwidth"):
+            with pytest.raises(ConfigurationError):
+                SimulationConfig(**{field: float("nan")})
+        with pytest.raises(ConfigurationError):
+            SimulationConfig(
+                bandwidth_knowledge=BandwidthKnowledge.PASSIVE,
+                reactive_passive=True,
+                reactive_threshold=float("nan"),
+            )
 
 
 class TestMetricsCollector:

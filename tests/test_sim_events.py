@@ -263,6 +263,8 @@ def test_unknown_per_path_override_rejected(columnar_workload):
         dict(interval=10.0, probing_clients=0),
         dict(interval=10.0, priority=0),
         dict(interval=10.0, start_time=100.0, end_time=50.0),
+        dict(interval=float("nan")),
+        dict(interval=10.0, per_path_intervals={3: float("nan")}),
     ],
 )
 def test_remeasurement_config_validation(kwargs):

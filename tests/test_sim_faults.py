@@ -120,6 +120,9 @@ class TestValidation:
             FaultConfig(max_retries=-1)
         with pytest.raises(ConfigurationError):
             FaultConfig(recovery_fraction=0.0)
+        for field in ("mean_duration_s", "timeout_factor", "backoff_base_s"):
+            with pytest.raises(ConfigurationError):
+                FaultConfig(**{field: float("nan")})
 
     def test_backoff_budget(self):
         config = FaultConfig(max_retries=3, backoff_base_s=2.0)

@@ -96,6 +96,8 @@ class TestHierarchyConfig:
             {"cache_kb": -1.0},
             {"uplink_bandwidth": 0.0},
             {"uplink_bandwidth": -5.0},
+            {"cache_kb": float("nan")},
+            {"uplink_bandwidth": float("nan")},
         ],
     )
     def test_tier_validation(self, kwargs):
@@ -111,6 +113,7 @@ class TestHierarchyConfig:
             {"num_pops": 0},
             {"sibling_lookup": True},  # needs num_pops >= 2
             {"num_pops": 2, "sibling_lookup": True, "sibling_bandwidth": 0.0},
+            {"num_pops": 2, "sibling_lookup": True, "sibling_bandwidth": float("nan")},
         ],
     )
     def test_hierarchy_validation(self, kwargs):
@@ -499,7 +502,6 @@ class TestShardedFleet:
             PolicySpec("PB"),
             num_shards=4,
             n_jobs=2,
-            transport="pickle",
         )
         assert pooled.merged.metrics == fleet.merged.metrics
         assert pooled.merged.hierarchy_report == fleet.merged.hierarchy_report

@@ -276,10 +276,12 @@ def test_cli_append_survives_legacy_url_only_sidecar(tmp_path):
     assert "clients" in upgraded and upgraded["clients"]["10.0.0.1"] == 1
 
 
-def test_cli_append_failure_leaves_archive_and_sidecar_untouched(tmp_path, monkeypatch):
+def test_cli_append_failure_leaves_archive_and_sidecar_untouched(
+    tmp_path, monkeypatch, capsys
+):
     """A crash partway through rewriting the archive loses no archived day:
     both files are written to temporaries and renamed into place only once
-    every write succeeded."""
+    every write succeeded.  The CLI reports the failure as one error line."""
     from repro.cli import main
 
     url = "http://media.bu.edu/media/clip00.rm"
@@ -297,8 +299,9 @@ def test_cli_append_failure_leaves_archive_and_sidecar_untouched(tmp_path, monke
     monkeypatch.setattr(ColumnarTrace, "to_npz", crash_midway)
     day2 = tmp_path / "day2.log"
     day2.write_text(_squid_line(200.0, "10.0.0.1", url) + "\n")
-    with pytest.raises(OSError, match="disk full"):
-        main(["ingest", str(day2), "--out", str(archive), "--append"])
+    capsys.readouterr()
+    assert main(["ingest", str(day2), "--out", str(archive), "--append"]) == 2
+    assert capsys.readouterr().err == "error: disk full\n"
     assert {path: path.read_bytes() for path in before} == before
     assert sorted(path.name for path in tmp_path.iterdir()) == [
         "day1.log", "day2.log", "rolling.npz", "rolling.urls.json"

@@ -5,8 +5,10 @@ malformed Squid and CLF lines — plus the acceptance path: a sample log
 ingests into a columnar trace that runs through ``compare_policies``.
 """
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.cli import main as cli_main
 from repro.core.policies import PolicySpec
@@ -46,6 +48,20 @@ CLF_LINES = [
     "not a clf line at all",
 ]
 
+#: Size tokens a log line can carry that are not a plain byte count:
+#: each line holding one is malformed.
+GARBLED_SIZES = ["12abc", "1e400", "5.5", "0x10", "100garbage", "1_000", "+5", "٣٣"]
+
+
+def _with_size(parser, token: str) -> str:
+    """A well-formed line of ``parser``'s format with its size token replaced."""
+    if parser is parse_squid_line:
+        parts = SQUID_LINES[0].split()
+        parts[4] = token
+        return " ".join(parts)
+    # The combined line: the size is followed by the referer and agent.
+    return CLF_LINES[1].replace(" 2097152 ", f" {token} ")
+
 
 @pytest.fixture
 def squid_log(tmp_path):
@@ -81,6 +97,8 @@ class TestLineParsers:
         assert parse_squid_line("utterly corrupt line") is None
         assert parse_squid_line(SQUID_LINES[-1]) is None
         assert parse_squid_line("") is None
+        for token in GARBLED_SIZES:
+            assert parse_squid_line(_with_size(parse_squid_line, token)) is None, token
 
     @pytest.mark.parametrize("value", ["nan", "inf", "NaN", "Infinity"])
     @pytest.mark.parametrize("field", [0, 1], ids=["timestamp", "elapsed"])
@@ -112,6 +130,27 @@ class TestLineParsers:
     def test_clf_malformed(self):
         assert parse_clf_line("not a clf line at all") is None
         assert parse_clf_line(SQUID_LINES[0]) is None
+        for token in GARBLED_SIZES + ["-abc"]:
+            assert parse_clf_line(_with_size(parse_clf_line, token)) is None, token
+        assert parse_clf_line(CLF_LINES[0] + "garbage") is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        token=st.one_of(
+            st.from_regex(r"[0-9]{1,30}", fullmatch=True),
+            st.just("-"),
+            st.text(st.characters().filter(lambda c: not c.isspace()), min_size=1),
+        ),
+        parser=st.sampled_from([parse_squid_line, parse_clf_line]),
+    )
+    def test_size_token_is_read_only_when_ascii_digits(self, token, parser):
+        record = parser(_with_size(parser, token))
+        if token.isascii() and token.isdigit():
+            assert record.size_bytes == int(token)
+        elif token == "-" and parser is parse_clf_line:
+            assert record.size_bytes == 0
+        else:
+            assert record is None
 
 
 class TestDetection:
@@ -268,6 +307,39 @@ class TestCli:
         assert captured.err.startswith("error: ") and "line 3: nan" in captured.err
         assert not out.exists()
         assert list(tmp_path.iterdir()) == [log]
+
+    def test_missing_log_fails_cleanly(self, tmp_path, capsys):
+        missing = tmp_path / "missing.log"
+        assert cli_main(["ingest", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        )
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_in_missing_directory_fails_before_parsing(
+        self, squid_log, tmp_path, capsys
+    ):
+        out = tmp_path / "missing" / "trace.npz"
+        assert cli_main(["ingest", str(squid_log), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --out {out}: directory {out.parent} does not exist\n"
+        )
+        assert captured.out == ""  # no summary: the log was never parsed
+        assert list(tmp_path.iterdir()) == [squid_log]
+
+    def test_non_finite_bitrate_fails_cleanly(self, squid_log, tmp_path, capsys):
+        exit_code = cli_main(
+            ["ingest", str(squid_log), "--bitrate", "nan", "--compare", "--runs", "1"]
+        )
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err == (
+            "error: object 0: bitrate must be positive and finite, got nan\n"
+        )
+        assert list(tmp_path.iterdir()) == [squid_log]
 
     def test_ingest_compare_runs_policies(self, squid_log, capsys):
         exit_code = cli_main(
