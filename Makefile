@@ -66,8 +66,9 @@ faults-smoke:
 
 ## Observability smoke: one faulted reactive replay with the windowed
 ## metrics timeline, the JSONL event trace, and the stage profiler all
-## switched on, then a schema check over the two files it wrote
-## (docs/observability.md).  Artifacts land in .obs-smoke/.
+## switched on, then one streaming replay whose debug trace also records
+## stream trims; after each, a schema and payload check over the two
+## files it wrote (docs/observability.md).  Artifacts land in .obs-smoke/.
 obs-smoke:
 	mkdir -p .obs-smoke
 	$(PYTHON) -m repro run --policy PB --scale 0.05 --knowledge passive \
@@ -76,6 +77,11 @@ obs-smoke:
 		--metrics-out .obs-smoke/metrics.json --metrics-window 1800 \
 		--trace-out .obs-smoke/trace.jsonl --trace-level debug --profile
 	$(PYTHON) scripts/check_obs.py .obs-smoke/metrics.json .obs-smoke/trace.jsonl
+	$(PYTHON) -m repro run --policy PB --scale 0.05 --knowledge passive \
+		--client-clouds 8 --streaming-fraction 1.0 \
+		--metrics-out .obs-smoke/stream-metrics.json --metrics-window 1800 \
+		--trace-out .obs-smoke/stream-trace.jsonl --trace-level debug
+	$(PYTHON) scripts/check_obs.py .obs-smoke/stream-metrics.json .obs-smoke/stream-trace.jsonl
 
 ## Streaming smoke: the streaming test suite (engine semantics,
 ## golden bit-identity with sessions on, the golden QoE fixture, the

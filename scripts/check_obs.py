@@ -9,7 +9,9 @@ switched on:
   totals that carry the run's aggregate counters;
 * the ``--trace-out`` JSONL event trace — every line parses, carries
   the required envelope fields (``t``/``event``/``level``), uses a
-  known level, and the file is bracketed by ``run-start``/``run-end``.
+  known level, and the file is bracketed by ``run-start``/``run-end``;
+  every ``cache-*`` event names an object and a ``prev`` -> ``bytes``
+  transition its name allows (:data:`CACHE_TRANSITIONS`).
 
 Event timestamps are deliberately *not* required to be monotone:
 fault-episode boundaries are emitted when the injector first looks past
@@ -50,6 +52,15 @@ REQUIRED_SERIES = (
 TRACE_ENVELOPE = ("t", "event", "level")
 
 TRACE_LEVELS = ("debug", "info")
+
+#: The store change each ``cache-*`` event may describe, as a test on its
+#: cached KB before (``prev``) and after (``bytes``).
+CACHE_TRANSITIONS = {
+    "cache-admission": lambda prev, now: prev == 0 < now,
+    "cache-grow": lambda prev, now: 0 < prev < now,
+    "cache-trim": lambda prev, now: 0 < now < prev,
+    "cache-eviction": lambda prev, now: now == 0 < prev,
+}
 
 
 def check_metrics(path: Path) -> List[str]:
@@ -116,6 +127,8 @@ def check_trace(path: Path) -> List[str]:
             failures.append(
                 f"{path}:{number}: unknown level {record.get('level')!r}"
             )
+        if str(record.get("event")).startswith("cache-"):
+            failures.extend(check_cache_event(f"{path}:{number}", record))
         records.append(record)
     if records:
         if records[0].get("event") != "run-start":
@@ -129,6 +142,29 @@ def check_trace(path: Path) -> List[str]:
                 "expected 'run-end'"
             )
     return failures
+
+
+def check_cache_event(where: str, record: dict) -> List[str]:
+    """Check one ``cache-*`` record's payload against its event name."""
+    event = record["event"]
+    allowed = CACHE_TRANSITIONS.get(event)
+    if allowed is None:
+        return [f"{where}: unknown cache event {event!r}"]
+    object_id = record.get("object")
+    prev, now = record.get("prev"), record.get("bytes")
+    if not isinstance(object_id, int) or isinstance(object_id, bool):
+        return [f"{where}: {event} without an integer object id"]
+    if not all(
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        for value in (prev, now)
+    ):
+        return [f"{where}: {event} of object {object_id} lacks numeric bytes/prev"]
+    if not allowed(prev, now):
+        return [
+            f"{where}: {event} of object {object_id} goes from {prev!r} KB "
+            f"to {now!r} KB"
+        ]
+    return []
 
 
 def main(argv: List[str]) -> int:

@@ -5,11 +5,9 @@
 * :mod:`repro.core.frequency` — online request-frequency estimation,
 * :mod:`repro.core.policies` — the cache management policies compared in the
   paper (IF, PB, IB, hybrid estimator-e, PB-V, IB-V, LRU/LFU baselines, and
-  the offline optimal fractional-knapsack solution),
-* :mod:`repro.core.admission` — optional admission filters.
+  the offline optimal fractional-knapsack solution).
 """
 
-from repro.core.admission import AdmissionFilter, AlwaysAdmit, SizeThresholdAdmission
 from repro.core.frequency import FrequencyTracker
 from repro.core.policies import (
     CachePolicy,
@@ -24,14 +22,11 @@ from repro.core.policies import (
     make_policy,
     optimal_allocation,
 )
-from repro.core.store import CacheStore, CachedObjectState
+from repro.core.store import CacheStore
 
 __all__ = [
-    "AdmissionFilter",
-    "AlwaysAdmit",
     "CachePolicy",
     "CacheStore",
-    "CachedObjectState",
     "FrequencyTracker",
     "HybridPartialBandwidthPolicy",
     "IntegralBandwidthPolicy",
@@ -40,7 +35,6 @@ __all__ = [
     "LRUPolicy",
     "PartialBandwidthPolicy",
     "PartialBandwidthValuePolicy",
-    "SizeThresholdAdmission",
     "StaticAllocationPolicy",
     "make_policy",
     "optimal_allocation",

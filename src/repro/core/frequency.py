@@ -3,88 +3,73 @@
 The paper's replacement algorithms approximate the unknown request arrival
 rate ``lambda_i`` of each object by "recording the number (or frequency) of
 requests to each object", denoted ``F_i`` (Section 2.4).  The tracker below
-supports both the plain cumulative count the paper describes and an optional
-exponential decay so long-running deployments can age out stale popularity
-(an extension the paper lists under future work on long-term popularity).
+keeps exactly that: a cumulative request count per object.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from repro.exceptions import ConfigurationError
+from repro.workload.catalog import id_table_get, id_table_items, id_table_set
 
 
 class FrequencyTracker:
-    """Track per-object request frequencies ``F_i``.
+    """Track per-object request counts ``F_i`` in one id-indexed table.
 
-    Parameters
-    ----------
-    decay_half_life:
-        When ``None`` (the default, and the paper's behaviour) frequencies
-        are plain cumulative counts.  When set to a positive number of
-        seconds, each count decays exponentially with that half-life, so
-        ``F_i`` estimates a recent request *rate* rather than an all-time
-        count.
+    The table, :attr:`counts`, has exactly one writer.  A tracker used on
+    its own is written by :meth:`record`.  The tracker of a
+    :class:`~repro.core.policies.base.CachePolicy` is written by the
+    policy's request path, which increments ``counts`` in place and never
+    calls :meth:`record`.
     """
 
-    def __init__(self, decay_half_life: float = None):
-        if decay_half_life is not None and decay_half_life <= 0:
-            raise ConfigurationError(
-                f"decay_half_life must be positive, got {decay_half_life}"
-            )
-        self.decay_half_life = decay_half_life
-        self._counts: Dict[int, float] = {}
-        self._last_update: Dict[int, float] = {}
-        self._total_requests = 0
+    def __init__(self) -> None:
+        #: Object id -> requests recorded (a float, 0.0 for none yet).  A
+        #: dict of the ids seen so far until :meth:`reserve` gives every
+        #: catalog object a slot.
+        self.counts = {}
+
+    def reserve(self, catalog) -> None:
+        """Give every catalog object a slot in :attr:`counts`, keeping counts.
+
+        The table becomes a list when the catalog's ids are dense and a
+        dict otherwise (:meth:`~repro.workload.catalog.Catalog.id_table`).
+        """
+        held = self._recorded()
+        self.counts = catalog.id_table(0.0)
+        for object_id, count in held:
+            id_table_set(self.counts, object_id, count)
+
+    def _recorded(self) -> List[Tuple[int, float]]:
+        """``(object_id, count)`` for every object with a recorded request."""
+        return [item for item in id_table_items(self.counts) if item[1] > 0.0]
 
     @property
     def total_requests(self) -> int:
         """Number of requests recorded so far."""
-        return self._total_requests
+        return int(sum(count for _, count in self._recorded()))
 
-    def _decayed(self, object_id: int, now: float) -> float:
-        count = self._counts.get(object_id, 0.0)
-        if count == 0.0 or self.decay_half_life is None:
-            return count
-        elapsed = max(now - self._last_update.get(object_id, now), 0.0)
-        if elapsed == 0.0:
-            return count
-        return count * math.pow(0.5, elapsed / self.decay_half_life)
-
-    def record(self, object_id: int, now: float = 0.0) -> float:
+    def record(self, object_id: int) -> float:
         """Record one request and return the updated frequency."""
-        self._total_requests += 1
-        if self.decay_half_life is None:
-            # Hot path: plain cumulative counts need no decay bookkeeping.
-            updated = self._counts.get(object_id, 0.0) + 1.0
-            self._counts[object_id] = updated
-            return updated
-        updated = self._decayed(object_id, now) + 1.0
-        self._counts[object_id] = updated
-        self._last_update[object_id] = now
+        updated = self.frequency(object_id) + 1.0
+        id_table_set(self.counts, object_id, updated)
         return updated
 
-    def frequency(self, object_id: int, now: float = 0.0) -> float:
+    def frequency(self, object_id: int) -> float:
         """Current frequency estimate ``F_i`` (0 for never-seen objects)."""
-        return self._decayed(object_id, now)
+        return id_table_get(self.counts, object_id)
 
     def known_objects(self) -> List[int]:
         """Objects with at least one recorded request."""
-        return list(self._counts.keys())
+        return [object_id for object_id, _ in self._recorded()]
 
-    def top(self, count: int = 10, now: float = 0.0) -> List[Tuple[int, float]]:
+    def top(self, count: int = 10) -> List[Tuple[int, float]]:
         """The ``count`` most frequently requested objects."""
-        ranked = sorted(
-            ((oid, self._decayed(oid, now)) for oid in self._counts),
-            key=lambda item: item[1],
-            reverse=True,
-        )
+        ranked = sorted(self._recorded(), key=lambda item: item[1], reverse=True)
         return ranked[:count]
 
     def reset(self) -> None:
-        """Forget all recorded requests."""
-        self._counts.clear()
-        self._last_update.clear()
-        self._total_requests = 0
+        """Forget all recorded requests (the table keeps its slots)."""
+        table = self.counts
+        for object_id, _ in self._recorded():
+            table[object_id] = 0.0

@@ -61,12 +61,12 @@ class HybridPartialBandwidthPolicy(CachePolicy):
     allows_partial = True
     bandwidth_keyed = True
 
-    def __init__(self, estimator_e: float = 1.0, **kwargs):
+    def __init__(self, estimator_e: float = 1.0):
         if not 0.0 < estimator_e <= 1.0:
             raise ConfigurationError(
                 f"estimator_e must be in (0, 1], got {estimator_e}"
             )
-        super().__init__(**kwargs)
+        super().__init__()
         self.estimator_e = float(estimator_e)
         self.name = f"PB(e={self.estimator_e:g})"
 
@@ -86,8 +86,8 @@ class PartialBandwidthPolicy(HybridPartialBandwidthPolicy):
 
     name = "PB"
 
-    def __init__(self, **kwargs):
-        super().__init__(estimator_e=1.0, **kwargs)
+    def __init__(self):
+        super().__init__(estimator_e=1.0)
         self.name = "PB"
 
 

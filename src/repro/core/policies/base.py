@@ -71,15 +71,20 @@ class CachePolicy(ABC):
     #: again afterwards.  ``stream_quantize(object_id, target_kb, size_kb)``
     #: reshapes the admission target of stream objects (segment-boundary
     #: quantisation plus session prefetch, or whole-object in the ablation
-    #: baseline); ``stream_trim(victim_id, needed_kb)`` reclaims space from
-    #: a stream victim by dropping tail segments, returning ``(reclaimed,
-    #: emptied)``, or ``None`` for non-stream victims.  Both default to
+    #: baseline); ``stream_trim(victim_id, needed_kb, now)`` reclaims space
+    #: from a stream victim by dropping tail segments at request time
+    #: ``now``, returning ``(reclaimed, emptied)``, or ``None`` for
+    #: non-stream victims.  Both default to
     #: ``None`` so the streaming-off request path costs one attribute test.
     stream_quantize = None
     stream_trim = None
 
-    def __init__(self, frequency_tracker: Optional[FrequencyTracker] = None):
-        self.frequencies = frequency_tracker or FrequencyTracker()
+    def __init__(self) -> None:
+        #: Request counts ``F_i``.  The engine is the only writer of the
+        #: tracker's table: :meth:`on_request` increments it in place
+        #: through ``_counts``, which :meth:`install` binds.
+        self.frequencies = FrequencyTracker()
+        self._counts = self.frequencies.counts
         self._catalog = None
         self._server_objects: Optional[Dict[int, List[int]]] = None
         self._utilities: Dict[int, float] = {}
@@ -122,15 +127,20 @@ class CachePolicy(ABC):
         update their inflation value (the utility of the last victim).
         """
 
-    def install(self, store: CacheStore, catalog=None) -> None:
+    def install(self, store: CacheStore, catalog) -> None:
         """Give the policy its pre-replay context (called by the simulator).
 
-        The base implementation only remembers the catalog, which is what
-        lets :meth:`on_bandwidth_shift` resolve tracked object ids back to
-        their origin servers.  Subclasses that pre-populate the store
-        (:class:`~repro.core.policies.optimal.StaticAllocationPolicy`)
+        Sizes the store's KB table and the frequency table to the catalog,
+        so :meth:`on_request` indexes both by object id with no bounds
+        check; it must run before the first request.  The catalog is also
+        what lets :meth:`on_bandwidth_shift` resolve tracked object ids
+        back to their origin servers.  Subclasses that pre-populate the
+        store (:class:`~repro.core.policies.optimal.StaticAllocationPolicy`)
         override this wholesale.
         """
+        store.reserve(catalog)
+        self.frequencies.reserve(catalog)
+        self._counts = self.frequencies.counts
         self._catalog = catalog
         self._server_objects = None
 
@@ -171,7 +181,7 @@ class CachePolicy(ABC):
             return 0
         bandwidth = float(bandwidth)
         catalog_get = self._catalog.get
-        frequency = self.frequencies.frequency
+        counts = self._counts
         plan = self.plan
         utilities = self._utilities
         rekeyed = 0
@@ -180,7 +190,7 @@ class CachePolicy(ABC):
             if old_utility is None:
                 continue
             utility = plan(
-                catalog_get(object_id), bandwidth, frequency(object_id, now), now
+                catalog_get(object_id), bandwidth, counts[object_id], now
             )[1]
             if utility != old_utility:
                 self._set_utility(object_id, utility)
@@ -245,12 +255,15 @@ class CachePolicy(ABC):
 
         The request's frequency estimate lands in :attr:`frequencies` and,
         when the object is (or becomes) cached, its new priority key in
-        :meth:`cached_utility`.
+        :meth:`cached_utility`.  Both tables are read by object id, so
+        :meth:`install` must have sized them to the catalog.
         """
         object_id = obj.object_id
-        frequency = self.frequencies.record(object_id, now)
+        counts = self._counts
+        frequency = counts[object_id] + 1.0
+        counts[object_id] = frequency
         target, utility = self.plan(obj, bandwidth, frequency, now)
-        current = store.touch_and_bytes(object_id, now)
+        current = store.cached_kb[object_id]
 
         size = obj.size
         if target > size:
@@ -293,41 +306,51 @@ class CachePolicy(ABC):
         may admit the requested object partially when only some of the
         needed space can be reclaimed.
 
-        The plan pops heap entries in utility order: stale ones are
-        dropped, the requester's own live entry is held aside once (and
-        reinstated verbatim unless the object is re-keyed), lower-utility
-        entries become victims, and the first entry that outranks the
-        requester blocks.  Victims that survive and the blocker go back
-        through :meth:`_restore`, which gives them fresh sequence numbers;
-        those numbers break ties between equal utilities, so the restore
-        order is part of every later eviction decision.
+        The plan reads heap entries in utility order, looking at the top
+        entry before it pops anything: stale ones are dropped, the
+        requester's own live entry is held aside once (and reinstated
+        verbatim unless the object is re-keyed), lower-utility entries
+        become victims, and the first entry that outranks the requester
+        blocks.  The blocker stays on top of the heap and only gets a fresh
+        sequence number, which moves it behind its equals; victims that
+        survive go back through :meth:`_restore`, which does the same for
+        them.  Sequence numbers break ties between equal utilities, so the
+        renewal order is part of every later eviction decision; a victim
+        ranks strictly below the blocker, so renewing the blocker first
+        decides the same ties as renewing it last.
         """
         object_id = obj.object_id
         shortfall = target - current - free
         heap = self._heap
         entry_seq = self._entry_seq
+        cached_kb = store.cached_kb
+        heappop = heapq.heappop
         held: Optional[Tuple[float, int, int]] = None
-        blocker: Optional[Tuple[float, int, int]] = None
         planned: List[Tuple[int, float, float]] = []  # (victim_id, utility, bytes)
         reclaimed = 0.0
 
         while shortfall - reclaimed > _EPSILON_KB and heap:
-            entry = heapq.heappop(heap)
-            victim_utility, seq, victim_id = entry
+            victim_utility, seq, victim_id = heap[0]
             if entry_seq.get(victim_id) != seq:
-                continue  # superseded by a later re-key
-            if victim_id == object_id:
-                held = entry
+                heappop(heap)  # superseded by a later re-key
                 continue
-            victim_bytes = store.cached_bytes(victim_id)
+            if victim_id == object_id:
+                held = heappop(heap)
+                continue
+            victim_bytes = cached_kb[victim_id]
             if victim_bytes <= 0:
                 # Defensive: tracked but no longer cached.  Consume the live
                 # entry so a later compaction cannot resurrect it.
+                heappop(heap)
                 del entry_seq[victim_id]
                 continue
             if victim_utility >= utility:
-                blocker = entry  # it outranks the requester
+                # It outranks the requester: renew it in place and stop.
+                seq = next(self._heap_counter)
+                entry_seq[victim_id] = seq
+                heapq.heapreplace(heap, (victim_utility, seq, victim_id))
                 break
+            heappop(heap)
             planned.append((victim_id, victim_utility, victim_bytes))
             reclaimed += victim_bytes
 
@@ -337,14 +360,9 @@ class CachePolicy(ABC):
             # Integral policies refuse partial admission: undo the plan.
             for victim_id, victim_utility, _ in planned:
                 self._restore(victim_id, victim_utility)
-            if blocker is not None:
-                self._restore(blocker[2], blocker[0])
             if held is not None:
-                heapq.heappush(self._heap, held)
+                heapq.heappush(heap, held)
             return
-
-        if blocker is not None:
-            self._restore(blocker[2], blocker[0])
 
         # Commit evictions.  With full satisfaction a partial policy only
         # trims the marginal (last) victim by what is actually required.
@@ -361,7 +379,7 @@ class CachePolicy(ABC):
                     if self.allows_partial and fully_satisfied and is_last
                     else victim_bytes
                 )
-                trimmed = stream_trim(victim_id, want)
+                trimmed = stream_trim(victim_id, want, now)
                 if trimmed is not None:
                     reclaimed_kb, emptied = trimmed
                     if emptied:
@@ -372,16 +390,16 @@ class CachePolicy(ABC):
                     still_needed -= reclaimed_kb
                     continue
             if self.allows_partial and fully_satisfied and is_last:
-                trimmed = store.trim(victim_id, still_needed)
-                if store.cached_bytes(victim_id) <= _EPSILON_KB:
-                    store.evict(victim_id)
+                trimmed = store.trim(victim_id, still_needed, now)
+                if cached_kb[victim_id] <= _EPSILON_KB:
+                    store.evict(victim_id, now)
                     self._drop_utility(victim_id)
                     self.on_evict(victim_id, victim_utility)
                 else:
                     self._restore(victim_id, victim_utility)
                 still_needed -= trimmed
             else:
-                store.evict(victim_id)
+                store.evict(victim_id, now)
                 self._drop_utility(victim_id)
                 self.on_evict(victim_id, victim_utility)
                 still_needed -= victim_bytes
@@ -391,7 +409,7 @@ class CachePolicy(ABC):
         grow_to = target if fully_satisfied else current + free
         if grow_to <= current + _EPSILON_KB:
             if held is not None:
-                heapq.heappush(self._heap, held)
+                heapq.heappush(heap, held)
             return
         if grow_to - current > free + _EPSILON_KB:
             raise PolicyError(

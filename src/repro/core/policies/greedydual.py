@@ -72,12 +72,12 @@ class GreedyDualSizePolicy(CachePolicy):
 
     allows_partial = False
 
-    def __init__(self, cost_model: str = "uniform", **kwargs):
+    def __init__(self, cost_model: str = "uniform"):
         if cost_model not in COST_MODELS:
             raise ConfigurationError(
                 f"unknown cost model {cost_model!r}; expected one of {COST_MODELS}"
             )
-        super().__init__(**kwargs)
+        super().__init__()
         self.cost_model = cost_model
         self.bandwidth_keyed = cost_model == "delay"
         self.inflation = 0.0
@@ -122,7 +122,7 @@ class GreedyDualSizePolicy(CachePolicy):
             return 0
         bandwidth = float(bandwidth)
         catalog_get = self._catalog.get
-        frequency = self.frequencies.frequency
+        counts = self._counts
         utilities = self._utilities
         keyed_inflation = self._keyed_inflation
         rekeyed = 0
@@ -132,7 +132,7 @@ class GreedyDualSizePolicy(CachePolicy):
                 continue
             entry_inflation = keyed_inflation.get(object_id, self.inflation)
             utility = entry_inflation + self.credit(
-                catalog_get(object_id), bandwidth, frequency(object_id, now)
+                catalog_get(object_id), bandwidth, counts[object_id]
             )
             if utility != old_utility:
                 self._set_utility(object_id, utility)
@@ -151,8 +151,8 @@ class GreedyDualSizePolicy(CachePolicy):
 class PopularityAwareGreedyDualSizePolicy(GreedyDualSizePolicy):
     """GDSP: GreedyDual-Size with the credit scaled by request frequency."""
 
-    def __init__(self, cost_model: str = "uniform", **kwargs):
-        super().__init__(cost_model=cost_model, **kwargs)
+    def __init__(self, cost_model: str = "uniform"):
+        super().__init__(cost_model=cost_model)
         self.name = f"GDSP({cost_model})"
 
     def credit(self, obj: MediaObject, bandwidth: float, frequency: float) -> float:

@@ -18,7 +18,7 @@ wraps a fixed allocation so the trace-driven simulator can run the optimal
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 from repro.core.frequency import FrequencyTracker
 from repro.core.store import CacheStore
@@ -125,22 +125,26 @@ class StaticAllocationPolicy:
         self.name = name
         self.frequencies = FrequencyTracker()
 
-    def install(self, store: CacheStore, catalog: Optional[Catalog] = None) -> None:
-        """Populate ``store`` with the allocation (clearing it first)."""
+    def install(self, store: CacheStore, catalog: Catalog) -> None:
+        """Populate ``store`` with the allocation (clearing it first).
+
+        The store's table is sized to the catalog first, as
+        :meth:`CachePolicy.install <repro.core.policies.base.CachePolicy.install>`
+        does, and each allocation is capped at its object's size.
+        """
         store.clear()
+        store.reserve(catalog)
         for object_id, cached_bytes in self.allocation.items():
             if cached_bytes <= 0:
                 continue
-            if catalog is not None:
-                cached_bytes = min(cached_bytes, catalog.get(object_id).size)
+            cached_bytes = min(cached_bytes, catalog.get(object_id).size)
             store.set_cached_bytes(object_id, cached_bytes)
 
     def on_request(
         self, obj: MediaObject, bandwidth: float, now: float, store: CacheStore
     ) -> None:
         """Record the request; never changes the cache content."""
-        self.frequencies.record(obj.object_id, now)
-        store.touch(obj.object_id, now)
+        self.frequencies.record(obj.object_id)
 
     def reset(self) -> None:
         """Forget recorded frequencies (the installed allocation is kept)."""

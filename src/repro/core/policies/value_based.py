@@ -44,12 +44,12 @@ class HybridPartialBandwidthValuePolicy(CachePolicy):
     allows_partial = True
     bandwidth_keyed = True
 
-    def __init__(self, estimator_e: float = 1.0, **kwargs):
+    def __init__(self, estimator_e: float = 1.0):
         if not 0.0 < estimator_e <= 1.0:
             raise ConfigurationError(
                 f"estimator_e must be in (0, 1], got {estimator_e}"
             )
-        super().__init__(**kwargs)
+        super().__init__()
         self.estimator_e = float(estimator_e)
         self.name = f"PB-V(e={self.estimator_e:g})"
 
@@ -71,8 +71,8 @@ class PartialBandwidthValuePolicy(HybridPartialBandwidthValuePolicy):
 
     name = "PB-V"
 
-    def __init__(self, **kwargs):
-        super().__init__(estimator_e=1.0, **kwargs)
+    def __init__(self):
+        super().__init__(estimator_e=1.0)
         self.name = "PB-V"
 
 

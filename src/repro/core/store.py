@@ -10,24 +10,10 @@ consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.exceptions import CapacityError, ConfigurationError
-
-
-@dataclass(slots=True)
-class CachedObjectState:
-    """Book-keeping for one (partially) cached object.
-
-    ``__slots__`` matters here: one instance exists per cached object and
-    the replacement loop reads/writes them on every request.
-    """
-
-    object_id: int
-    cached_bytes: float
-    last_access_time: float = 0.0
-    insertions: int = 0
+from repro.workload.catalog import id_table_get, id_table_items, id_table_set
 
 
 class CacheStore:
@@ -39,13 +25,23 @@ class CacheStore:
         Total cache capacity ``C`` in KB.  A zero-capacity store is legal
         (it models the no-cache baseline) — every admission attempt simply
         fails.
+
+    The cached KB of every object lives in one table, :attr:`cached_kb`.
+    Request paths read it directly (``store.cached_kb[object_id]``); every
+    write goes through :meth:`set_cached_bytes` (which :meth:`grow`,
+    :meth:`trim` and :meth:`evict` call), so a subclass sees each change.
     """
 
     def __init__(self, capacity_kb: float):
         if capacity_kb < 0:
             raise ConfigurationError(f"capacity must be non-negative, got {capacity_kb}")
         self.capacity_kb = float(capacity_kb)
-        self._entries: Dict[int, CachedObjectState] = {}
+        #: Object id -> cached prefix KB (0.0 when nothing is cached).  A
+        #: dict of the ids ever cached until :meth:`reserve` gives every
+        #: catalog object a slot; only then may a reader index it with any
+        #: catalog id.
+        self.cached_kb = {}
+        self._count = 0
         self._used = 0.0
         #: Monotone count of complete removals (an object's cached prefix
         #: shrinking to zero through :meth:`set_cached_bytes`, which is
@@ -53,14 +49,23 @@ class CacheStore:
         #: not count: it resets a run, it is not a replacement decision.
         self.evictions = 0
 
+    def reserve(self, catalog) -> None:
+        """Give every catalog object a slot in :attr:`cached_kb`.
+
+        The table becomes a list when the catalog's ids are dense and a
+        dict otherwise (:meth:`~repro.workload.catalog.Catalog.id_table`);
+        cached prefixes are kept.
+        """
+        held = self.snapshot()
+        self.cached_kb = catalog.id_table(0.0)
+        for object_id, kb in held.items():
+            id_table_set(self.cached_kb, object_id, kb)
+
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._count
 
     def __contains__(self, object_id: int) -> bool:
-        return object_id in self._entries
-
-    def __iter__(self) -> Iterator[CachedObjectState]:
-        return iter(self._entries.values())
+        return self.cached_bytes(object_id) > 0.0
 
     @property
     def used_kb(self) -> float:
@@ -81,49 +86,28 @@ class CacheStore:
         return self._used / self.capacity_kb
 
     def cached_bytes(self, object_id: int) -> float:
-        """KB of the object's prefix currently cached (0 if absent)."""
-        entry = self._entries.get(object_id)
-        return entry.cached_bytes if entry is not None else 0.0
-
-    def state(self, object_id: int) -> CachedObjectState:
-        """Return the book-keeping entry, raising ``KeyError`` if absent."""
-        return self._entries[object_id]
+        """KB of the object's prefix currently cached (0 for any other id)."""
+        return id_table_get(self.cached_kb, object_id)
 
     def object_ids(self) -> List[int]:
         """Ids of all objects with a cached prefix."""
-        return list(self._entries.keys())
-
-    def touch(self, object_id: int, now: float) -> None:
-        """Record an access time for recency-based policies; no-op if absent."""
-        entry = self._entries.get(object_id)
-        if entry is not None:
-            entry.last_access_time = now
-
-    def touch_and_bytes(self, object_id: int, now: float) -> float:
-        """Record an access and return the cached prefix KB, in one lookup.
-
-        Equivalent to :meth:`touch` followed by :meth:`cached_bytes`; the
-        replacement engine calls this once per request, so the single dict
-        probe matters.
-        """
-        entry = self._entries.get(object_id)
-        if entry is None:
-            return 0.0
-        entry.last_access_time = now
-        return entry.cached_bytes
+        return list(self.snapshot())
 
     def set_cached_bytes(self, object_id: int, target_bytes: float, now: float = 0.0) -> None:
         """Set the cached prefix of an object to exactly ``target_bytes`` KB.
 
-        Growing beyond the available free space raises
+        ``now`` is the simulation time of the change; the store itself
+        ignores it, a tracing subclass stamps its events with it.  Growing
+        beyond the available free space raises
         :class:`~repro.exceptions.CapacityError`; shrinking to zero removes
-        the entry entirely.
+        the object.
         """
         if target_bytes < 0:
             raise ConfigurationError(
                 f"target_bytes must be non-negative, got {target_bytes}"
             )
-        current = self.cached_bytes(object_id)
+        table = self.cached_kb
+        current = id_table_get(table, object_id)
         delta = target_bytes - current
         # The tolerance is relative to the capacity: callers legitimately grow
         # an object by exactly the remaining free space, and the float
@@ -134,21 +118,17 @@ class CacheStore:
                 f"cannot grow object {object_id} by {delta:.1f} KB; "
                 f"only {self.free_kb:.1f} KB free"
             )
-        if target_bytes <= 0:
-            if self._entries.pop(object_id, None) is not None:
+        if current > 0:
+            # A cached object already has its slot: update it in place.
+            if target_bytes > 0:
+                table[object_id] = target_bytes
+            else:
+                table[object_id] = 0.0
+                self._count -= 1
                 self.evictions += 1
-        else:
-            entry = self._entries.get(object_id)
-            if entry is None:
-                entry = CachedObjectState(
-                    object_id=object_id,
-                    cached_bytes=0.0,
-                    last_access_time=now,
-                )
-                self._entries[object_id] = entry
-            entry.cached_bytes = target_bytes
-            entry.last_access_time = now
-            entry.insertions += 1 if delta > 0 else 0
+        elif target_bytes > 0:
+            id_table_set(table, object_id, target_bytes)
+            self._count += 1
         self._used = max(self._used + delta, 0.0)
 
     def grow(self, object_id: int, additional_bytes: float, now: float = 0.0) -> None:
@@ -159,48 +139,62 @@ class CacheStore:
             )
         self.set_cached_bytes(object_id, self.cached_bytes(object_id) + additional_bytes, now)
 
-    def trim(self, object_id: int, bytes_to_remove: float) -> float:
+    def trim(self, object_id: int, bytes_to_remove: float, now: float = 0.0) -> float:
         """Remove up to ``bytes_to_remove`` KB from an object's cached prefix.
 
         Returns the number of KB actually reclaimed (0 if the object is not
-        cached).  Trimming everything removes the entry.
+        cached).  Trimming everything removes the object.
         """
         if bytes_to_remove < 0:
             raise ConfigurationError(
                 f"bytes_to_remove must be non-negative, got {bytes_to_remove}"
             )
-        current = self.cached_bytes(object_id)
+        current = id_table_get(self.cached_kb, object_id)
         if current <= 0:
             return 0.0
         reclaimed = min(current, bytes_to_remove)
-        self.set_cached_bytes(object_id, current - reclaimed)
+        self.set_cached_bytes(object_id, current - reclaimed, now)
         return reclaimed
 
-    def evict(self, object_id: int) -> float:
+    def evict(self, object_id: int, now: float = 0.0) -> float:
         """Remove an object entirely; returns the KB reclaimed."""
-        return self.trim(object_id, float("inf"))
+        return self.trim(object_id, float("inf"), now)
 
     def clear(self) -> None:
-        """Empty the cache."""
-        self._entries.clear()
+        """Empty the cache (the table keeps its slots)."""
+        table = self.cached_kb
+        for object_id in self.snapshot():
+            table[object_id] = 0.0
+        self._count = 0
         self._used = 0.0
 
     def snapshot(self) -> Dict[int, float]:
         """Map of object id to cached KB (a copy, safe to mutate)."""
-        return {oid: entry.cached_bytes for oid, entry in self._entries.items()}
+        return {
+            object_id: kb
+            for object_id, kb in id_table_items(self.cached_kb)
+            if kb > 0.0
+        }
 
     def verify_consistency(self) -> bool:
         """Check that the used-bytes counter matches the sum of entries.
 
-        Used by tests and by the simulator's optional integrity checks.
+        Used by tests and by the simulator's optional integrity checks,
+        which run it after every request: it sums the table in C rather
+        than building a snapshot.
         """
-        total = sum(entry.cached_bytes for entry in self._entries.values())
-        return abs(total - self._used) < 1e-6 and self._used <= self.capacity_kb + 1e-6
+        table = self.cached_kb
+        values = list(table.values()) if isinstance(table, dict) else table
+        return (
+            len(values) - values.count(0.0) == self._count
+            and abs(sum(values) - self._used) < 1e-6
+            and self._used <= self.capacity_kb + 1e-6
+        )
 
     def largest_entries(self, count: int = 10) -> List[Tuple[int, float]]:
         """The ``count`` largest cached prefixes, for diagnostics."""
         ranked = sorted(
-            ((oid, entry.cached_bytes) for oid, entry in self._entries.items()),
+            self.snapshot().items(),
             key=lambda item: item[1],
             reverse=True,
         )

@@ -102,41 +102,27 @@ class ObservedCacheStore(CacheStore):
     """A :class:`CacheStore` that traces admissions, growth, trims, and
     evictions to a :class:`TraceSink` at debug level.
 
-    Allocation changes arrive through :meth:`set_cached_bytes`, which the
-    replacement engine does not always call with a timestamp; the store
-    therefore tracks a best-effort clock from the per-request
-    :meth:`touch_and_bytes` / :meth:`touch` calls and stamps clock-less
-    changes with the last request time seen.  The subclass changes no
-    caching behaviour — byte accounting and eviction order are inherited
-    unchanged — so simulated metrics are identical with or without it.
+    Every allocation change arrives through :meth:`set_cached_bytes` with
+    the simulation time of the request that caused it, which stamps the
+    event.  The subclass changes no caching behaviour — byte accounting
+    and eviction order are inherited unchanged — so simulated metrics are
+    identical with or without it.
     """
 
     def __init__(self, capacity_kb: float, sink: TraceSink) -> None:
         """Create a store of ``capacity_kb`` KB reporting to ``sink``."""
         super().__init__(capacity_kb)
         self._sink = sink
-        self._clock = 0.0
-
-    def touch(self, object_id: int, now: float) -> None:
-        """Record an access (and advance the trace clock)."""
-        self._clock = now
-        super().touch(object_id, now)
-
-    def touch_and_bytes(self, object_id: int, now: float) -> float:
-        """Record an access and return cached bytes (advancing the clock)."""
-        self._clock = now
-        return super().touch_and_bytes(object_id, now)
 
     def set_cached_bytes(
         self, object_id: int, target_bytes: float, now: float = 0.0
     ) -> None:
-        """Apply an allocation change and trace the transition."""
+        """Apply an allocation change and trace the transition at ``now``."""
         before = self.cached_bytes(object_id)
         super().set_cached_bytes(object_id, target_bytes, now)
         after = self.cached_bytes(object_id)
         if after == before:
             return
-        stamp = now if now > 0.0 else self._clock
         if before == 0.0:
             event = "cache-admission"
         elif after == 0.0:
@@ -146,5 +132,5 @@ class ObservedCacheStore(CacheStore):
         else:
             event = "cache-grow"
         self._sink.emit(
-            "debug", event, stamp, object=object_id, bytes=after, prev=before
+            "debug", event, now, object=object_id, bytes=after, prev=before
         )

@@ -365,6 +365,11 @@ class HierarchyEngine:
                 policies.append(policy)
             self._stores.append(stores)
             self._policies.append(policies)
+        # Each store's id -> KB table, sized by its policy's install: the
+        # residency reads of serve() index these directly.
+        self._tables: List[List[object]] = [
+            [store.cached_kb for store in stores] for stores in self._stores
+        ]
         # Measurement-phase counters (per tier, summed over pops).
         self._requests = 0
         self._tier_requests = [0] * self._num_tiers
@@ -424,8 +429,8 @@ class HierarchyEngine:
         caller's delivery-outcome arithmetic consumes.
         """
         stores = self._stores[pop]
-        edge_store = stores[0]
-        edge_cached = edge_store.cached_bytes(object_id)
+        tables = self._tables[pop]
+        edge_cached = tables[0][object_id]
         if edge_cached > size:
             edge_cached = size
         covered = edge_cached
@@ -437,14 +442,14 @@ class HierarchyEngine:
                 for sibling in range(self._num_pops):
                     if sibling == pop:
                         continue
-                    if self._stores[sibling][0].cached_bytes(object_id) >= size:
+                    if self._tables[sibling][0][object_id] >= size:
                         sibling_hit = True
                         break
             if not sibling_hit:
                 best = covered
                 for k in range(1, self._num_tiers):
                     consulted_top = k
-                    tier_cached = stores[k].cached_bytes(object_id)
+                    tier_cached = tables[k][object_id]
                     if tier_cached > size:
                         tier_cached = size
                     if tier_cached > best:
@@ -505,7 +510,7 @@ class HierarchyEngine:
         cap = self._chain_caps[0]
         if cap < edge_believed:
             edge_believed = cap
-        policies[0].on_request(obj, edge_believed, now, edge_store)
+        policies[0].on_request(obj, edge_believed, now, stores[0])
         if edge_cached < size and not sibling_hit:
             for k in range(1, consulted_top + 1):
                 tier_believed = prior_estimate
@@ -528,7 +533,7 @@ class HierarchyEngine:
         reach deeper tiers is answered from whatever the edge holds,
         without consulting any policy.
         """
-        return self._stores[pop][0].cached_bytes(object_id)
+        return self._tables[pop][0][object_id]
 
     # ------------------------------------------------------------------
     # Run finalization.

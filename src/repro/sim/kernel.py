@@ -58,6 +58,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.sim.faults import stale_quality
+from repro.workload.catalog import id_table
 
 #: The canonical per-request stage order.  A request runs a subsequence of
 #: these stages: those whose subsystem is disabled, or that a branch skips
@@ -178,7 +179,7 @@ def _make_entry(catalog_get, path_for, object_id: int) -> tuple:
     return (
         obj,
         path.base_bandwidth,
-        obj.duration * obj.bitrate,
+        obj.size,
         obj.duration,
         obj.bitrate,
         1.0 / obj.layers,
@@ -208,7 +209,7 @@ class KernelContext:
         "verify_store",
         "verify_consistency",
         "store",
-        "store_cached",
+        "store_kb",
         "policy",
         "policy_on_request",
         "collector",
@@ -320,7 +321,8 @@ def build_context(
     ctx.warmup_cutoff = warmup_cutoff
     ctx.verify_store = verify_store
     ctx.store = store
-    ctx.store_cached = store.cached_bytes
+    # The flat store's id -> KB table, sized by the policy's install.
+    ctx.store_kb = store.cached_kb
     ctx.policy = policy
     ctx.policy_on_request = policy.on_request
     ctx.collector = collector
@@ -383,10 +385,7 @@ def build_context(
     # dict, so ``entries[object_id]`` serves both without a remap.
     ids_array = trace.object_ids_array
     object_ids = np.unique(ids_array).tolist()
-    if object_ids and (object_ids[0] < 0 or object_ids[-1] >= 4 * total + 1024):
-        entries = {}
-    else:
-        entries = [None] * (object_ids[-1] + 1 if object_ids else 0)
+    entries = id_table(object_ids, total, None)
     for object_id in object_ids:
         entries[object_id] = _make_entry(catalog_get, path_for, object_id)
     ctx.entries = entries
@@ -453,7 +452,7 @@ def serve_batch(
     verify_store = ctx.verify_store
     verify_consistency = ctx.verify_consistency
     store = ctx.store
-    store_cached = ctx.store_cached
+    store_kb = ctx.store_kb
     policy_on_request = ctx.policy_on_request
     collector = ctx.collector
     estimator_estimate = ctx.estimator_estimate
@@ -609,7 +608,7 @@ def serve_batch(
                     warmup_count += 1
             elif measuring:
                 if hier_serve is None:
-                    cached = store_cached(object_id)
+                    cached = store_kb[object_id]
 
                 # DeliverySession.outcome(), inlined with identical
                 # floating-point operation order.
@@ -677,7 +676,7 @@ def serve_batch(
                     pops[index] if pops is not None else 0, object_id
                 )
             else:
-                cached = store_cached(object_id)
+                cached = store_kb[object_id]
             if cached > size:
                 cached = size
             stale = serve_stale and cached > 0.0

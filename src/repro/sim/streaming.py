@@ -395,7 +395,7 @@ class StreamingDeliveryEngine:
             entry.prefix.grow_to(cached)
             floored = entry.prefix.trim_to(cached)
             if floored < cached - entry.tolerance:
-                store.trim(object_id, cached - floored)
+                store.trim(object_id, cached - floored, now)
                 self.fragment_trims += 1
                 cached = floored
             elif cached > entry.size:
@@ -521,16 +521,17 @@ class StreamingDeliveryEngine:
         return min(extended, size_kb)
 
     def trim_victim(
-        self, victim_id: int, needed_kb: float
+        self, victim_id: int, needed_kb: float, now: float = 0.0
     ) -> Optional[Tuple[float, bool]]:
         """Reclaim space from a stream victim by dropping tail segments.
 
         Returns ``None`` for non-stream victims (the policy then runs its
         ordinary eviction arithmetic).  For a stream victim, residency is
         floored to a boundary and trailing segments are dropped via
-        ``trim_to`` until at least ``needed_kb`` KB are reclaimed; the
-        return value is ``(reclaimed_kb, emptied)`` so the policy can
-        either retire the victim's heap entry (``emptied``) or restore it.
+        ``trim_to`` until at least ``needed_kb`` KB are reclaimed, a store
+        change at request time ``now``; the return value is
+        ``(reclaimed_kb, emptied)`` so the policy can either retire the
+        victim's heap entry (``emptied``) or restore it.
         """
         entry = self._entries.get(victim_id)
         if entry is None:
@@ -547,7 +548,7 @@ class StreamingDeliveryEngine:
         remaining = entry.prefix.trim_to(keep)
         reclaimed = current - remaining
         if reclaimed > 0.0:
-            store.trim(victim_id, reclaimed)
+            store.trim(victim_id, reclaimed, now)
             self.pressure_trimmed_kb += reclaimed
         return reclaimed, remaining <= 1e-6
 

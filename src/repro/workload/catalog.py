@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.exceptions import ConfigurationError, UnknownObjectError
 from repro.units import kb_to_gb
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MediaObject:
     """A single streaming media object available from an origin server.
 
@@ -46,6 +46,9 @@ class MediaObject:
         Number of encoding layers for quality degradation.  The paper's
         stream-quality metric assumes a layered encoding; with ``layers``
         layers, quality is quantised to multiples of ``1 / layers``.
+    size:
+        Total object size ``T_i * r_i`` in KB, computed once from
+        ``duration`` and ``bitrate`` (not a constructor argument).
     """
 
     object_id: int
@@ -54,6 +57,7 @@ class MediaObject:
     server_id: int = 0
     value: float = 1.0
     layers: int = 4
+    size: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Bitrate first: a non-finite bitrate also spoils a duration derived
@@ -75,11 +79,10 @@ class MediaObject:
             raise ConfigurationError(
                 f"object {self.object_id}: layers must be >= 1, got {self.layers}"
             )
-
-    @property
-    def size(self) -> float:
-        """Total object size ``T_i * r_i`` in KB."""
-        return self.duration * self.bitrate
+        # A field, not a property: the replacement engine reads it on
+        # every request.  Slots keep an object with the extra field
+        # smaller than an unslotted one without it.
+        object.__setattr__(self, "size", self.duration * self.bitrate)
 
     @property
     def frames(self) -> float:
@@ -139,6 +142,43 @@ class MediaObject:
         return supported_layers * quantum
 
 
+def id_table(ids: Sequence[int], count: int, fill) -> Union[list, dict]:
+    """A table with a ``fill`` slot for every id in the sorted ``ids``.
+
+    Dense ids (none negative, the largest below ``4 * count + 1024``, where
+    ``count`` is the size of the population they come from) index a list
+    of ``ids[-1] + 1`` slots, so ``table[object_id]`` is one list
+    subscript.  Sparse ids key a dict holding the same slots, so a few huge
+    ids never allocate a list up to the largest one.  Either way every id
+    in ``ids`` can be read and written without a bounds check.
+    """
+    if ids and (ids[0] < 0 or ids[-1] >= 4 * count + 1024):
+        return dict.fromkeys(ids, fill)
+    return [fill] * (ids[-1] + 1 if ids else 0)
+
+
+def id_table_get(table: Union[list, dict], object_id: int) -> float:
+    """``table[object_id]``, or 0.0 for an id without a slot."""
+    if isinstance(table, dict):
+        return table.get(object_id, 0.0)
+    return table[object_id] if 0 <= object_id < len(table) else 0.0
+
+
+def id_table_set(table: Union[list, dict], object_id: int, value: float) -> None:
+    """``table[object_id] = value``; a list table grows (with 0.0 slots)
+    for ids past its end."""
+    if isinstance(table, list) and not 0 <= object_id < len(table):
+        if object_id < 0:
+            raise UnknownObjectError(object_id)
+        table.extend([0.0] * (object_id + 1 - len(table)))
+    table[object_id] = value
+
+
+def id_table_items(table: Union[list, dict]) -> Iterable:
+    """``(object_id, value)`` for every slot of the table."""
+    return table.items() if isinstance(table, dict) else enumerate(table)
+
+
 class Catalog:
     """An indexed, iterable collection of :class:`MediaObject` instances."""
 
@@ -168,6 +208,10 @@ class Catalog:
     def object_ids(self) -> List[int]:
         """Return all object ids in insertion order."""
         return list(self._objects.keys())
+
+    def id_table(self, fill) -> Union[list, dict]:
+        """A fresh :func:`id_table` with a ``fill`` slot per catalog object."""
+        return id_table(sorted(self._objects), len(self._objects), fill)
 
     def server_ids(self) -> List[int]:
         """Return the sorted set of distinct origin-server ids."""

@@ -30,7 +30,7 @@ from repro.exceptions import ConfigurationError, SimulationError
 from repro.network.variability import NLANRRatioVariability
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import compare_policies, run_replications, sweep_cache_sizes
-from repro.workload.catalog import MediaObject
+from repro.workload.catalog import Catalog, MediaObject
 from repro.workload.gismo import GismoWorkloadGenerator, WorkloadConfig
 
 HEADLINE_METRICS = (
@@ -266,6 +266,7 @@ def test_heap_and_utilities_stay_consistent(policy_name, stream):
     ]
     policy = make_policy(policy_name)
     store = CacheStore(capacity_kb=4_000.0)
+    policy.install(store, Catalog(objects))
     now = 0.0
     for object_index, bandwidth in stream:
         now += 1.0
@@ -286,6 +287,7 @@ def test_held_requester_entry_survives_blocked_eviction():
     mid = MediaObject(object_id=3, duration=100.0, bitrate=10.0)
     policy = make_policy("PB")  # partial; utility F/b, target (r - b) T
     store = CacheStore(capacity_kb=1_000.0)
+    policy.install(store, Catalog([cold, hot, mid]))
     # Fill the cache: cold caches 500 KB (utility 1/5), hot caches 500 KB
     # and is re-requested to utility 5/5 = 1.0.
     policy.on_request(cold, 5.0, 0.0, store)
@@ -311,6 +313,7 @@ def test_compaction_bounds_heap_under_repeated_refreshes():
     obj = MediaObject(object_id=0, duration=60.0, bitrate=48.0)
     policy = make_policy("LFU")
     store = CacheStore(capacity_kb=10_000.0)
+    policy.install(store, Catalog([obj]))
     for step in range(5_000):
         policy.on_request(obj, 10.0, float(step), store)
     stats = policy.heap_statistics()

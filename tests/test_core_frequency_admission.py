@@ -1,15 +1,7 @@
-"""Tests for frequency tracking and admission filters."""
+"""Tests for frequency tracking."""
 
-import pytest
-
-from repro.core.admission import (
-    AlwaysAdmit,
-    BandwidthThresholdAdmission,
-    SizeThresholdAdmission,
-)
 from repro.core.frequency import FrequencyTracker
-from repro.exceptions import ConfigurationError
-from repro.workload.catalog import MediaObject
+from repro.workload.catalog import Catalog, MediaObject
 
 
 class TestFrequencyTracker:
@@ -43,55 +35,33 @@ class TestFrequencyTracker:
         assert tracker.total_requests == 0
         assert tracker.frequency(1) == 0.0
 
-    def test_decay_halves_after_half_life(self):
-        tracker = FrequencyTracker(decay_half_life=100.0)
-        tracker.record(1, now=0.0)
-        assert tracker.frequency(1, now=100.0) == pytest.approx(0.5)
-        assert tracker.frequency(1, now=200.0) == pytest.approx(0.25)
-
-    def test_decay_applied_before_increment(self):
-        tracker = FrequencyTracker(decay_half_life=100.0)
-        tracker.record(1, now=0.0)
-        updated = tracker.record(1, now=100.0)
-        assert updated == pytest.approx(1.5)
-
     def test_no_decay_by_default(self):
         tracker = FrequencyTracker()
-        tracker.record(1, now=0.0)
-        assert tracker.frequency(1, now=1e9) == 1.0
+        tracker.record(1)
+        assert tracker.frequency(1) == 1.0
 
-    def test_invalid_half_life_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FrequencyTracker(decay_half_life=0.0)
+    def test_reserve_keeps_counts_on_a_list_for_dense_ids(self):
+        catalog = Catalog(
+            [MediaObject(object_id=i, duration=10.0, bitrate=48.0) for i in range(4)]
+        )
+        tracker = FrequencyTracker()
+        tracker.record(2)
+        tracker.reserve(catalog)
+        assert tracker.counts == [0.0, 0.0, 1.0, 0.0]
+        assert tracker.record(2) == 2.0
+        # Ids without a slot still read as unseen.
+        assert tracker.frequency(-1) == 0.0 and tracker.frequency(99) == 0.0
+        assert tracker.total_requests == 2
 
-
-class TestAdmissionFilters:
-    obj_small = MediaObject(object_id=1, duration=10.0, bitrate=48.0)
-    obj_large = MediaObject(object_id=2, duration=10_000.0, bitrate=48.0)
-
-    def test_always_admit(self):
-        assert AlwaysAdmit().admits(self.obj_large, bandwidth=1.0)
-
-    def test_size_threshold(self):
-        filter_ = SizeThresholdAdmission(max_size_kb=1_000.0)
-        assert filter_.admits(self.obj_small, bandwidth=10.0)
-        assert not filter_.admits(self.obj_large, bandwidth=10.0)
-
-    def test_size_threshold_validation(self):
-        with pytest.raises(ConfigurationError):
-            SizeThresholdAdmission(max_size_kb=0.0)
-
-    def test_bandwidth_threshold(self):
-        filter_ = BandwidthThresholdAdmission()
-        assert filter_.admits(self.obj_small, bandwidth=24.0)  # deficit 24 > 0
-        assert not filter_.admits(self.obj_small, bandwidth=48.0)
-        assert not filter_.admits(self.obj_small, bandwidth=100.0)
-
-    def test_bandwidth_threshold_with_margin(self):
-        filter_ = BandwidthThresholdAdmission(min_deficit_kbps=30.0)
-        assert not filter_.admits(self.obj_small, bandwidth=24.0)  # deficit only 24
-        assert filter_.admits(self.obj_small, bandwidth=10.0)
-
-    def test_bandwidth_threshold_validation(self):
-        with pytest.raises(ConfigurationError):
-            BandwidthThresholdAdmission(min_deficit_kbps=-1.0)
+    def test_reserve_keys_a_dict_for_sparse_ids(self):
+        catalog = Catalog(
+            [
+                MediaObject(object_id=object_id, duration=10.0, bitrate=48.0)
+                for object_id in (3, 30_000_000)
+            ]
+        )
+        tracker = FrequencyTracker()
+        tracker.reserve(catalog)
+        assert tracker.counts == {3: 0.0, 30_000_000: 0.0}
+        tracker.record(30_000_000)
+        assert tracker.top(1) == [(30_000_000, 1.0)]

@@ -9,7 +9,7 @@ from repro.core.policies import (
 )
 from repro.core.store import CacheStore
 from repro.exceptions import ConfigurationError
-from repro.workload.catalog import MediaObject
+from repro.workload.catalog import Catalog, MediaObject
 
 
 def plan(policy, obj, now=0.0, bandwidth=24.0, frequency=1.0):
@@ -55,6 +55,7 @@ class TestGreedyDualSize:
         large = MediaObject(object_id=0, duration=100.0, bitrate=48.0)
         small = MediaObject(object_id=1, duration=50.0, bitrate=48.0)
         store = CacheStore(large.size)  # room for the large object only
+        policy.install(store, Catalog([large, small]))
         assert policy.inflation == 0.0
         policy.on_request(large, bandwidth=24.0, now=0.0, store=store)
         # Under the uniform cost model the smaller object has the higher
@@ -74,6 +75,7 @@ class TestGreedyDualSize:
     def test_caches_whole_objects(self, small_object):
         policy = GreedyDualSizePolicy()
         store = CacheStore(10_000.0)
+        policy.install(store, Catalog([small_object]))
         policy.on_request(small_object, bandwidth=24.0, now=0.0, store=store)
         assert store.cached_bytes(small_object.object_id) == pytest.approx(small_object.size)
 

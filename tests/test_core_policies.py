@@ -16,7 +16,7 @@ from repro.core.policies import (
 from repro.core.policies.value_based import HybridPartialBandwidthValuePolicy
 from repro.core.store import CacheStore
 from repro.exceptions import ConfigurationError
-from repro.workload.catalog import MediaObject
+from repro.workload.catalog import Catalog, MediaObject
 
 
 def plan(policy, obj, now=0.0, bandwidth=24.0, frequency=1.0):
@@ -112,18 +112,21 @@ class TestReplacementEngine:
     def test_admission_when_space_available(self, obj):
         policy = PartialBandwidthPolicy()
         store = CacheStore(10_000.0)
+        policy.install(store, Catalog([obj]))
         policy.on_request(obj, bandwidth=24.0, now=0.0, store=store)
         assert store.cached_bytes(obj.object_id) == pytest.approx(2400.0)
 
     def test_integral_policy_caches_whole_object(self, obj):
         policy = IntegralBandwidthPolicy()
         store = CacheStore(10_000.0)
+        policy.install(store, Catalog([obj]))
         policy.on_request(obj, bandwidth=24.0, now=0.0, store=store)
         assert store.cached_bytes(obj.object_id) == pytest.approx(obj.size)
 
     def test_no_caching_when_bandwidth_sufficient(self, obj):
         for policy in (PartialBandwidthPolicy(), IntegralBandwidthPolicy()):
             store = CacheStore(10_000.0)
+            policy.install(store, Catalog([obj]))
             policy.on_request(obj, bandwidth=96.0, now=0.0, store=store)
             assert store.cached_bytes(obj.object_id) == 0.0
 
@@ -134,6 +137,7 @@ class TestReplacementEngine:
         ]
         policy = IntegralFrequencyPolicy()
         store = CacheStore(objects[0].size)  # room for exactly one object
+        policy.install(store, Catalog(objects))
         policy.on_request(objects[0], bandwidth=24.0, now=0.0, store=store)
         assert store.cached_bytes(0) > 0
         # Object 1 requested twice: now more frequent than object 0.
@@ -149,6 +153,7 @@ class TestReplacementEngine:
         ]
         policy = IntegralFrequencyPolicy()
         store = CacheStore(objects[0].size + 100.0)
+        policy.install(store, Catalog(objects))
         policy.on_request(objects[0], bandwidth=24.0, now=0.0, store=store)
         policy.on_request(objects[0], bandwidth=24.0, now=1.0, store=store)
         # Object 1 is less frequent; it must not displace object 0, and the
@@ -165,6 +170,7 @@ class TestReplacementEngine:
         policy = PartialBandwidthPolicy()
         # Capacity holds object 0's full 2400 KB prefix plus 500 KB extra.
         store = CacheStore(2900.0)
+        policy.install(store, Catalog(objects))
         policy.on_request(objects[0], bandwidth=24.0, now=0.0, store=store)
         policy.on_request(objects[0], bandwidth=24.0, now=1.0, store=store)
         policy.on_request(objects[1], bandwidth=24.0, now=2.0, store=store)
@@ -179,6 +185,7 @@ class TestReplacementEngine:
         ]
         policy = PartialBandwidthPolicy()
         store = CacheStore(2400.0 + 1200.0)
+        policy.install(store, Catalog(objects))
         # Object 0 cached fully (2400), object 1 gets leftover 1200.
         policy.on_request(objects[0], bandwidth=24.0, now=0.0, store=store)
         policy.on_request(objects[1], bandwidth=24.0, now=1.0, store=store)
@@ -194,13 +201,14 @@ class TestReplacementEngine:
     def test_on_request_records_frequency_and_utility(self, obj):
         policy = PartialBandwidthPolicy()
         store = CacheStore(10_000.0)
+        policy.install(store, Catalog([obj]))
         assert policy.on_request(obj, bandwidth=24.0, now=3.0, store=store) is None
-        assert policy.frequencies.frequency(obj.object_id, 3.0) == 1.0
+        assert policy.frequencies.frequency(obj.object_id) == 1.0
         assert policy.frequencies.total_requests == 1
         # The heap key is F / b at the request's bandwidth.
         assert policy.cached_utility(obj.object_id) == 1.0 / 24.0
         policy.on_request(obj, bandwidth=12.0, now=4.0, store=store)
-        assert policy.frequencies.frequency(obj.object_id, 4.0) == 2.0
+        assert policy.frequencies.frequency(obj.object_id) == 2.0
         assert policy.cached_utility(obj.object_id) == 2.0 / 12.0
 
     def test_blocker_requeues_behind_equal_utilities(self):
@@ -217,6 +225,7 @@ class TestReplacementEngine:
         ]
         policy = PartialBandwidthPolicy()
         store = CacheStore(2 * 2400.0)
+        policy.install(store, Catalog(objects))
         for now, obj in enumerate(objects):
             policy.on_request(obj, bandwidth=24.0, now=float(now), store=store)
         assert store.snapshot() == {0: 2400.0, 1: 2400.0}
@@ -224,9 +233,38 @@ class TestReplacementEngine:
         assert store.snapshot() == {0: 2400.0, 2: 2400.0}
         assert store.verify_consistency()
 
+    def test_integral_give_up_requeues_blocker_behind_its_peer(self):
+        """An integral plan that gives up renews its blocker's sequence.
+
+        IB keys on ``F / b``.  V and V2 tie at 0.25, B and B2 at 1.0, each
+        pair admitted in that order.  R (0.5) needs three objects' room:
+        its plan collects V and V2, meets B and gives up.  X (1/3) then
+        evicts V, the older of the renewed victims.  W (2.0) needs three
+        objects' room: it evicts V2 and X, then B2 and not B, because B's
+        renewal moved it behind its equal.
+        """
+        sizes = {0: 100.0, 1: 100.0, 2: 100.0, 3: 100.0, 4: 300.0, 5: 100.0, 6: 300.0}
+        objects = {
+            object_id: MediaObject(object_id=object_id, duration=duration, bitrate=10.0)
+            for object_id, duration in sizes.items()
+        }
+        policy = IntegralBandwidthPolicy()
+        store = CacheStore(4_000.0)
+        policy.install(store, Catalog(objects.values()))
+        requests = [(0, 4.0), (1, 4.0), (2, 1.0), (3, 1.0), (4, 2.0)]
+        for now, (object_id, bandwidth) in enumerate(requests):
+            policy.on_request(objects[object_id], bandwidth, float(now), store)
+        assert store.snapshot() == {0: 1000.0, 1: 1000.0, 2: 1000.0, 3: 1000.0}
+        policy.on_request(objects[5], bandwidth=3.0, now=5.0, store=store)
+        assert store.snapshot() == {1: 1000.0, 2: 1000.0, 3: 1000.0, 5: 1000.0}
+        policy.on_request(objects[6], bandwidth=0.5, now=6.0, store=store)
+        assert store.snapshot() == {2: 1000.0, 6: 3000.0}
+        assert store.verify_consistency()
+
     def test_reset_clears_frequencies(self, obj):
         policy = PartialBandwidthPolicy()
         store = CacheStore(10_000.0)
+        policy.install(store, Catalog([obj]))
         policy.on_request(obj, bandwidth=24.0, now=0.0, store=store)
         policy.reset()
         assert policy.frequencies.total_requests == 0
@@ -247,6 +285,7 @@ class TestReplacementEngine:
         ):
             policy = factory()
             store = CacheStore(4_000.0)
+            policy.install(store, Catalog(objects))
             for step in range(100):
                 obj = objects[step % len(objects)]
                 policy.on_request(obj, bandwidth=20.0, now=float(step), store=store)

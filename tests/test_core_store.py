@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.store import CacheStore
 from repro.exceptions import CapacityError, ConfigurationError
+from repro.workload.catalog import Catalog, MediaObject
 
 
 class TestCacheStoreBasics:
@@ -88,13 +89,6 @@ class TestSetGrowTrim:
 
 
 class TestBookkeeping:
-    def test_touch_updates_last_access(self):
-        store = CacheStore(1_000.0)
-        store.set_cached_bytes(1, 100.0, now=1.0)
-        store.touch(1, 5.0)
-        assert store.state(1).last_access_time == 5.0
-        store.touch(99, 5.0)  # no-op for absent objects
-
     def test_snapshot_is_a_copy(self):
         store = CacheStore(1_000.0)
         store.set_cached_bytes(1, 100.0)
@@ -129,8 +123,44 @@ class TestBookkeeping:
         store.set_cached_bytes(1, 250.0)
         assert store.occupancy == pytest.approx(0.25)
 
-    def test_iteration_yields_states(self):
+
+class TestTable:
+    @staticmethod
+    def catalog(*object_ids):
+        return Catalog(
+            [MediaObject(object_id=i, duration=10.0, bitrate=10.0) for i in object_ids]
+        )
+
+    def test_reserve_gives_dense_ids_a_list_and_keeps_content(self):
         store = CacheStore(1_000.0)
-        store.set_cached_bytes(4, 10.0)
-        ids = [entry.object_id for entry in store]
-        assert ids == [4]
+        store.set_cached_bytes(2, 40.0)
+        store.reserve(self.catalog(0, 1, 2, 3))
+        assert store.cached_kb == [0.0, 0.0, 40.0, 0.0]
+        assert len(store) == 1 and 2 in store and 3 not in store
+        assert store.object_ids() == [2]
+        assert store.verify_consistency()
+
+    def test_reserve_gives_sparse_ids_a_dict(self):
+        store = CacheStore(1_000.0)
+        store.reserve(self.catalog(5, 30_000_000))
+        assert store.cached_kb == {5: 0.0, 30_000_000: 0.0}
+        store.set_cached_bytes(30_000_000, 10.0)
+        assert store.snapshot() == {30_000_000: 10.0}
+
+    def test_cold_methods_accept_ids_outside_the_catalog(self):
+        store = CacheStore(1_000.0)
+        store.reserve(self.catalog(0, 1))
+        assert store.cached_bytes(-1) == 0.0 and store.cached_bytes(7) == 0.0
+        store.set_cached_bytes(7, 30.0)
+        assert store.cached_kb[7] == 30.0
+        assert store.trim(-1, 5.0) == 0.0
+        assert store.verify_consistency()
+
+    def test_clear_keeps_the_table(self):
+        store = CacheStore(1_000.0)
+        store.reserve(self.catalog(0, 1))
+        table = store.cached_kb
+        store.set_cached_bytes(1, 30.0)
+        store.clear()
+        assert store.cached_kb is table and table == [0.0, 0.0]
+        assert len(store) == 0 and store.verify_consistency()

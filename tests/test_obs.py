@@ -24,6 +24,7 @@ import importlib.util
 import io
 import json
 import pickle
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +44,10 @@ from repro.obs import (
 )
 from repro.obs.log import configure, get_logger
 from repro.obs.timeline import _INTEGER_FIELDS
-from repro.sim.config import BandwidthKnowledge, SimulationConfig
+from repro.sim.config import BandwidthKnowledge, ClientCloudConfig, SimulationConfig
 from repro.sim.faults import FaultConfig
 from repro.sim.simulator import ProxyCacheSimulator
+from repro.sim.streaming import StreamingConfig
 from repro.workload.gismo import GismoWorkloadGenerator, WorkloadConfig
 
 from conftest import replay_golden
@@ -262,21 +264,59 @@ class TestTraceSink:
         path = tmp_path / "t.jsonl"
         with TraceSink(path, level="debug") as sink:
             store = ObservedCacheStore(100.0, sink)
-            store.touch(7, 5.0)
-            store.set_cached_bytes(7, 50.0)           # admission
+            store.set_cached_bytes(7, 50.0, now=5.0)  # admission
             store.set_cached_bytes(7, 80.0)           # grow
-            store.set_cached_bytes(7, 20.0)           # trim
-            store.set_cached_bytes(7, 0.0, now=9.0)   # eviction
+            store.trim(7, 60.0, now=6.0)              # trim
+            store.evict(7, now=9.0)                   # eviction
             store.set_cached_bytes(7, 0.0)            # no-op: no event
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert [r["event"] for r in records] == [
             "cache-admission", "cache-grow", "cache-trim", "cache-eviction",
         ]
-        # Clock-less changes are stamped with the last request time seen;
-        # explicit timestamps win.
-        assert records[0]["t"] == 5.0
-        assert records[-1]["t"] == 9.0
+        # Every change is stamped with the time it was made at.
+        assert [r["t"] for r in records] == [5.0, 0.0, 6.0, 9.0]
         assert store.evictions == 1
+
+    def test_stream_trims_carry_their_request_time(self, tmp_path):
+        """A session trims a mid-segment fragment of the object it serves
+        before the policy runs; the trace stamps that trim with the time
+        of the request being served, not with an earlier request's."""
+        workload_config = replace(WorkloadConfig(seed=0).scaled(0.05), num_clients=8)
+        workload = GismoWorkloadGenerator(workload_config).generate(columnar=True)
+        trace_path = tmp_path / "stream.jsonl"
+        config = SimulationConfig(
+            cache_size_gb=8.0,
+            bandwidth_knowledge=BandwidthKnowledge.PASSIVE,
+            client_clouds=ClientCloudConfig(groups=8),
+            streaming=StreamingConfig(fraction=1.0),
+            observability=ObservabilityConfig(
+                timeline=False, trace_path=str(trace_path), trace_level="debug"
+            ),
+            seed=0,
+        )
+        result = ProxyCacheSimulator(workload, config).run(make_policy("PB"))
+        requested = {}
+        for time, object_id in zip(
+            workload.trace.times_array.tolist(),
+            workload.trace.object_ids_array.tolist(),
+        ):
+            requested.setdefault(time, set()).add(object_id)
+        changes = [
+            json.loads(line)
+            for line in trace_path.read_text().splitlines()
+            if '"event":"cache-' in line
+        ]
+        # Every store change happens while some request is served.
+        assert changes and all(record["t"] in requested for record in changes)
+        own_trims = [
+            record
+            for record in changes
+            if record["event"] == "cache-trim"
+            and record["object"] in requested[record["t"]]
+        ]
+        fragment_trims = result.streaming_report.fragment_trims
+        assert fragment_trims > 0
+        assert len(own_trims) == fragment_trims
 
     def test_simulator_trace_file_end_to_end(self, workloads, tmp_path):
         trace_path = tmp_path / "run.jsonl"
@@ -478,6 +518,26 @@ class TestCLI:
         check_obs = _load_check_obs()
         assert check_obs.check_metrics(metrics_path) == []
         assert check_obs.check_trace(trace_path) == []
+
+    def test_trace_check_rejects_cache_events_their_payload_contradicts(self):
+        check = _load_check_obs().check_cache_event
+        good = [
+            {"event": "cache-admission", "object": 1, "bytes": 5.0, "prev": 0.0},
+            {"event": "cache-grow", "object": 1, "bytes": 9.0, "prev": 5.0},
+            {"event": "cache-trim", "object": 1, "bytes": 2.0, "prev": 9.0},
+            {"event": "cache-eviction", "object": 1, "bytes": 0.0, "prev": 2.0},
+        ]
+        assert [check("t", record) for record in good] == [[]] * 4
+        bad = [
+            {"event": "cache-grow", "object": 1, "bytes": 2.0, "prev": 9.0},
+            {"event": "cache-trim", "object": 1, "bytes": 0.0, "prev": 9.0},
+            {"event": "cache-admission", "object": 1, "bytes": 9.0, "prev": 2.0},
+            {"event": "cache-eviction", "object": 1, "bytes": 0.0, "prev": 0.0},
+            {"event": "cache-trim", "bytes": 2.0, "prev": 9.0},
+            {"event": "cache-trim", "object": 1, "prev": 9.0},
+            {"event": "cache-evict", "object": 1, "bytes": 0.0, "prev": 2.0},
+        ]
+        assert all(len(check("t", record)) == 1 for record in bad)
 
     def test_default_output_unchanged_without_flags(self, capsys):
         from repro.cli import main

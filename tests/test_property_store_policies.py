@@ -19,7 +19,7 @@ from repro.core.policies import (
 )
 from repro.core.store import CacheStore
 from repro.exceptions import CapacityError
-from repro.workload.catalog import MediaObject
+from repro.workload.catalog import Catalog, MediaObject
 
 # ----------------------------------------------------------------------
 # CacheStore invariants
@@ -152,9 +152,10 @@ def test_policies_never_violate_capacity_over_request_streams(stream):
     for factory in ALL_POLICIES:
         policy = factory()
         store = CacheStore(2_500.0)
+        policy.install(store, Catalog(catalog))
         for step, (index, bandwidth) in enumerate(stream):
             policy.on_request(catalog[index], bandwidth, float(step), store)
             assert store.verify_consistency()
             assert store.used_kb <= store.capacity_kb + 1e-6
-            for entry in store:
-                assert entry.cached_bytes <= catalog[entry.object_id].size + 1e-6
+            for object_id, cached_kb in store.snapshot().items():
+                assert cached_kb <= catalog[object_id].size + 1e-6

@@ -461,7 +461,7 @@ class TestGreedyDualSafeRekey:
             obj = catalog.get(object_id)
             if obj.server_id == 0:
                 # ... and re-keyed entries are exactly inflation + new credit.
-                frequency = policy.frequencies.frequency(object_id, 10.0)
+                frequency = policy.frequencies.frequency(object_id)
                 assert utility == entry_inflation[object_id] + policy.credit(
                     obj, 5.0, frequency
                 )
