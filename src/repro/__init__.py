@@ -86,7 +86,6 @@ from repro.workload import (
     GismoWorkloadGenerator,
     MediaObject,
     Request,
-    RequestTrace,
     Workload,
     WorkloadConfig,
     ZipfPopularity,
@@ -133,7 +132,6 @@ __all__ = [
     "RemeasurementConfig",
     "ReproError",
     "Request",
-    "RequestTrace",
     "SegmentedPrefix",
     "SimulationConfig",
     "SimulationError",

@@ -85,20 +85,23 @@ def build_workload(
 ) -> Workload:
     """Generate the Table 1 workload at the requested scale.
 
-    The trace is columnar (numpy-native) by default: metrics are
-    bit-identical to the object-per-request representation, and the
-    replay uses the columns without converting them.  Pass
-    ``columnar=False`` for the legacy object trace.  ``num_clients > 1``
-    assigns each request a client id (drawn after every other column, so
-    the catalog and request stream are unchanged) — the substrate for the
-    client-heterogeneity experiments (``docs/clients.md``).
+    ``num_clients > 1`` assigns each request a client id (drawn after
+    every other column, so the catalog and request stream are unchanged) —
+    the substrate for the client-heterogeneity experiments
+    (``docs/clients.md``).  The trace is always a
+    :class:`~repro.trace.columnar.ColumnarTrace`; ``columnar`` accepts
+    only ``True`` and is kept for callers that still pass it.
     """
+    if columnar is not True:
+        raise ConfigurationError(
+            f"columnar must be True (every trace is columnar), got {columnar!r}"
+        )
     if not 0 < scale < math.inf:
         raise ConfigurationError(f"scale must be positive and finite, got {scale}")
     config = WorkloadConfig(zipf_alpha=zipf_alpha, seed=seed, num_clients=num_clients)
     if scale != 1.0:
         config = config.scaled(scale)
-    return GismoWorkloadGenerator(config).generate(columnar=columnar)
+    return GismoWorkloadGenerator(config).generate()
 
 
 def cache_sizes_gb_for(workload: Workload, fractions: Sequence[float]) -> List[float]:
@@ -875,8 +878,9 @@ def experiment_fault_tolerance(
     # Measurement window for the recovery metric: warm-up extended to the
     # first request after the outage ends, so byte-hit is measured purely
     # on the post-outage tail.
-    times = np.asarray([request.time for request in trace], dtype=np.float64)
-    post_outage_index = int(np.searchsorted(times, outage_end, side="right"))
+    post_outage_index = int(
+        np.searchsorted(trace.times_array, outage_end, side="right")
+    )
     recovery_warmup = min(post_outage_index / max(len(trace), 1), 0.95)
     comparisons: Dict[str, Dict[str, PolicyComparison]] = {}
     fault_counters: Dict[str, Dict[str, Dict[str, Dict[str, float]]]] = {}

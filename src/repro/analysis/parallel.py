@@ -47,7 +47,6 @@ from repro.sim.config import SimulationConfig
 from repro.sim.hierarchy import HierarchyReport
 from repro.sim.metrics import MetricsCollector, SimulationMetrics
 from repro.sim.simulator import ProxyCacheSimulator, SimulationResult
-from repro.trace.columnar import ColumnarTrace
 from repro.workload.gismo import Workload
 
 
@@ -290,9 +289,7 @@ def _execute_fleet_shard(job: FleetShardJob) -> SimulationResult:
     workload = _WORKER_WORKLOAD
     if workload is None:  # pragma: no cover - defensive
         raise ConfigurationError("worker has no workload installed")
-    shard_trace = ColumnarTrace.from_trace(workload.trace).client_shard(
-        job.shard, job.num_shards
-    )
+    shard_trace = workload.trace.client_shard(job.shard, job.num_shards)
     shard_workload = replace(workload, trace=shard_trace)
     simulator = ProxyCacheSimulator(shard_workload, job.config)
     topology = simulator.build_topology(np.random.default_rng(job.config.seed))

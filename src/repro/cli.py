@@ -482,10 +482,8 @@ def _run_single(args: argparse.Namespace) -> int:
         workload_config = replace(workload_config, num_clients=hierarchy.num_pops)
     if args.shards is not None and args.shards > workload_config.num_clients:
         workload_config = replace(workload_config, num_clients=args.shards)
-    # Columnar workload: metrics are bit-identical to the object trace, and
-    # the replay uses the columns without converting them.
     draw_started = _time.perf_counter()
-    workload = GismoWorkloadGenerator(workload_config).generate(columnar=True)
+    workload = GismoWorkloadGenerator(workload_config).generate()
     workload_draw_s = _time.perf_counter() - draw_started
     remeasurement = None
     if args.remeasure_every is not None:

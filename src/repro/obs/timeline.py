@@ -167,16 +167,6 @@ class MetricsTimeline:
             streaming.abandoned if streaming is not None else 0,
         )
 
-    def kernel_hooks(self) -> dict:
-        """The window-stage hooks for :mod:`repro.sim.kernel`.
-
-        ``close`` records a boundary crossing at the kernel's *window*
-        stage; ``first_boundary`` seeds the kernel context's boundary
-        cursor (one float compare per request — with no timeline the
-        cursor is ``+inf`` and the stage never fires).
-        """
-        return {"close": self.close, "first_boundary": self.first_boundary}
-
     def close(self, now: float, core: tuple) -> float:
         """Record a boundary crossing observed at simulated time ``now``.
 

@@ -27,6 +27,19 @@ from repro.sim.streaming import StreamingConfig
 from repro.units import gb_to_kb
 
 
+def _check_model(name: str, value, expected: type) -> None:
+    """Reject a model field that is neither ``None`` nor an ``expected``.
+
+    A wrong-typed model (a string such as ``"nlanr"``) would otherwise be
+    accepted here and fail deep inside a replay.  ``None`` selects the
+    field's default.
+    """
+    if value is not None and not isinstance(value, expected):
+        raise ConfigurationError(
+            f"{name} must be a {expected.__name__}, got {value!r}"
+        )
+
+
 class BandwidthKnowledge(enum.Enum):
     """How the cache learns the bandwidth of each cache-to-server path."""
 
@@ -81,6 +94,8 @@ class ClientCloudConfig:
     estimate_last_mile: bool = False
 
     def __post_init__(self) -> None:
+        _check_model("distribution", self.distribution, BandwidthDistribution)
+        _check_model("variability", self.variability, BandwidthVariabilityModel)
         if self.groups <= 0:
             raise ConfigurationError(f"groups must be positive, got {self.groups}")
         if self.bandwidth is not None and self.distribution is not None:
@@ -242,6 +257,15 @@ class SimulationConfig:
     verify_store: bool = False
 
     def __post_init__(self) -> None:
+        _check_model(
+            "bandwidth_distribution", self.bandwidth_distribution, BandwidthDistribution
+        )
+        _check_model("variability", self.variability, BandwidthVariabilityModel)
+        if not isinstance(self.bandwidth_knowledge, BandwidthKnowledge):
+            raise ConfigurationError(
+                "bandwidth_knowledge must be a BandwidthKnowledge, "
+                f"got {self.bandwidth_knowledge!r}"
+            )
         if not self.cache_size_gb >= 0:
             raise ConfigurationError(
                 f"cache_size_gb must be non-negative, got {self.cache_size_gb}"
@@ -331,15 +355,6 @@ class SimulationConfig:
         """Copy of this config with a different variability model."""
         return replace(self, variability=variability or ConstantVariability())
 
-    def with_remeasurement(
-        self, remeasurement: Optional[RemeasurementConfig]
-    ) -> "SimulationConfig":
-        """Copy of this config with a different re-measurement cadence.
-
-        Pass ``None`` to disable periodic re-measurement (the default).
-        """
-        return replace(self, remeasurement=remeasurement)
-
     def with_client_clouds(
         self, client_clouds: Optional[ClientCloudConfig]
     ) -> "SimulationConfig":
@@ -349,13 +364,6 @@ class SimulationConfig:
         mile (the default).
         """
         return replace(self, client_clouds=client_clouds)
-
-    def with_faults(self, faults: Optional[FaultConfig]) -> "SimulationConfig":
-        """Copy of this config with a different fault-injection model.
-
-        Pass ``None`` to replay a fault-free network (the default).
-        """
-        return replace(self, faults=faults)
 
     def with_streaming(
         self, streaming: Optional[StreamingConfig]

@@ -433,15 +433,6 @@ class ReactiveRekeyer:
             return ()
         return tuple(group for group, flag in disarmed.items() if flag)
 
-    def kernel_hooks(self) -> dict:
-        """The passive-stage hook for :mod:`repro.sim.kernel`.
-
-        ``observe_request`` is called after every request's estimator
-        update (the kernel's *passive* stage) when the run is
-        passive-driven reactive.
-        """
-        return {"observe_request": self.observe_request}
-
     def observe_request(
         self,
         now: float,

@@ -42,8 +42,8 @@ shift — fault storms are the stress test for hysteresis and re-key caps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -151,11 +151,6 @@ class FaultEpisode:
     def is_origin(self) -> bool:
         """Whether this episode degrades the cache-to-server hop."""
         return self.kind in _ORIGIN_KINDS
-
-    @property
-    def is_outage(self) -> bool:
-        """Whether this episode is a hard outage (factor 0)."""
-        return self.factor == 0.0
 
     @property
     def duration(self) -> float:
@@ -288,10 +283,6 @@ class FaultConfig:
         if self.max_retries == 0:
             return 0.0
         return self.backoff_base_s * ((1 << self.max_retries) - 1)
-
-    def with_episodes(self, episodes: Sequence[FaultEpisode]) -> "FaultConfig":
-        """Copy of this config with a different scripted episode list."""
-        return replace(self, episodes=tuple(episodes))
 
     def build_schedule(
         self,
@@ -634,21 +625,6 @@ class FaultInjector:
                 if episode.start <= t < episode.end and episode.factor < worst:
                     worst = episode.factor
         return worst
-
-    # -- the kernel seam -----------------------------------------------
-    def kernel_hooks(self) -> dict:
-        """The fault-evaluation stage hooks for :mod:`repro.sim.kernel`.
-
-        ``intercept`` runs every fetch through the fault model at the
-        kernel's *faults* stage; ``record_unserved`` accounts a
-        post-retry failure; ``serve_stale`` is the configured
-        stale-serving flag.
-        """
-        return {
-            "intercept": self.intercept,
-            "record_unserved": self.record_unserved,
-            "serve_stale": self.serve_stale,
-        }
 
     # -- the per-request hook ------------------------------------------
     def intercept(

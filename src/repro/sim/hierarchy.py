@@ -381,24 +381,6 @@ class HierarchyEngine:
         self._client_bytes = 0.0
 
     # ------------------------------------------------------------------
-    # The kernel seam.
-    # ------------------------------------------------------------------
-    def kernel_hooks(self) -> dict:
-        """The residency-stage hooks for :mod:`repro.sim.kernel`.
-
-        ``serve`` resolves residency / escalation for a successful fetch
-        at the kernel's *residency* stage, ``edge_cached`` reads the
-        client pop's cached prefix for a failed one, and
-        ``verify_consistency`` replaces the flat store's check at the
-        *verify* stage.
-        """
-        return {
-            "serve": self.serve,
-            "edge_cached": self.edge_cached,
-            "verify_consistency": self.verify_consistency,
-        }
-
-    # ------------------------------------------------------------------
     # The per-request entry point (the kernel's hot path).
     # ------------------------------------------------------------------
     def serve(

@@ -33,14 +33,14 @@ exactly once (:meth:`KernelContext.finish`) — floating-point addition
 order is part of the bit-identity contract.
 
 A :class:`KernelContext` is assembled once per run by
-:func:`build_context` from the simulator's configured subsystems.  Each
-subsystem exposes its seam through a ``kernel_hooks()`` method
+:func:`build_context` from the simulator's configured subsystems
 (:class:`~repro.sim.faults.FaultInjector`,
 :class:`~repro.sim.hierarchy.HierarchyEngine`,
 :class:`~repro.sim.streaming.StreamingDeliveryEngine`,
 :class:`~repro.sim.events.ReactiveRekeyer`,
-:class:`~repro.obs.timeline.MetricsTimeline`) — adding a subsystem to
-the simulator means adding one stage hook here (see
+:class:`~repro.obs.timeline.MetricsTimeline`): it binds the methods and
+attributes each stage calls onto the context once per run.  Adding a
+subsystem to the simulator means adding one stage hook here (see
 ``docs/architecture.md``).
 
 All pre-draw logic also lives here: :func:`predraw_ratios` (batched
@@ -305,7 +305,7 @@ def build_context(
 ) -> KernelContext:
     """Assemble the per-run :class:`KernelContext` for a columnar ``trace``.
 
-    Binds each configured subsystem through its ``kernel_hooks()`` seam,
+    Binds each configured subsystem's stage methods and attributes,
     resolves every pre-drawn sequence (last-mile draws, pop affinity),
     prefills the per-object entry table, and — when the variability model
     allows batched draws — vectorises the whole observed-bandwidth column.
@@ -330,45 +330,38 @@ def build_context(
     ctx.estimator_observe = estimator.observe if estimator is not None else None
     ctx.rng = rng
 
-    rekeyer_hooks = rekeyer.kernel_hooks() if rekeyer is not None else None
-    ctx.rekeyer_request = (
-        rekeyer_hooks["observe_request"] if rekeyer_hooks is not None else None
-    )
+    ctx.rekeyer_request = rekeyer.observe_request if rekeyer is not None else None
 
-    fault_hooks = injector.kernel_hooks() if injector is not None else None
-    if fault_hooks is not None:
-        ctx.intercept = fault_hooks["intercept"]
-        ctx.record_unserved = fault_hooks["record_unserved"]
-        ctx.serve_stale = fault_hooks["serve_stale"]
+    if injector is not None:
+        ctx.intercept = injector.intercept
+        ctx.record_unserved = injector.record_unserved
+        ctx.serve_stale = injector.serve_stale
     else:
         ctx.intercept = None
         ctx.record_unserved = None
         ctx.serve_stale = False
 
-    stream_hooks = streaming.kernel_hooks() if streaming is not None else None
-    if stream_hooks is not None:
-        ctx.stream_serve = stream_hooks["serve"]
-        ctx.stream_failed = stream_hooks["record_failed"]
-        ctx.stream_ids = stream_hooks["stream_ids"]
+    if streaming is not None:
+        ctx.stream_serve = streaming.serve
+        ctx.stream_failed = streaming.record_failed
+        ctx.stream_ids = streaming.stream_ids
     else:
         ctx.stream_serve = None
         ctx.stream_failed = None
         ctx.stream_ids = None
 
-    hier_hooks = hierarchy.kernel_hooks() if hierarchy is not None else None
-    if hier_hooks is not None:
-        ctx.hier_serve = hier_hooks["serve"]
-        ctx.hier_edge = hier_hooks["edge_cached"]
-        ctx.verify_consistency = hier_hooks["verify_consistency"]
+    if hierarchy is not None:
+        ctx.hier_serve = hierarchy.serve
+        ctx.hier_edge = hierarchy.edge_cached
+        ctx.verify_consistency = hierarchy.verify_consistency
     else:
         ctx.hier_serve = None
         ctx.hier_edge = None
         ctx.verify_consistency = store.verify_consistency
 
-    timeline_hooks = timeline.kernel_hooks() if timeline is not None else None
-    if timeline_hooks is not None:
-        ctx.tl_close = timeline_hooks["close"]
-        ctx.tl_boundary = timeline_hooks["first_boundary"]
+    if timeline is not None:
+        ctx.tl_close = timeline.close
+        ctx.tl_boundary = timeline.first_boundary
     else:
         ctx.tl_close = None
         ctx.tl_boundary = _INF

@@ -24,11 +24,13 @@ paper while making the future-work combination measurable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.exceptions import ConfigurationError
 from repro.workload.catalog import Catalog, MediaObject
-from repro.workload.trace import RequestTrace
+
+if TYPE_CHECKING:
+    from repro.trace.columnar import ColumnarTrace
 
 #: A function mapping a media object to the cached prefix size (KB) assumed
 #: to be resident when a batch forms.  The analysis treats it as static for
@@ -104,7 +106,7 @@ class StreamSharingAnalyzer:
         self.prefix_for = prefix_for or (lambda obj: 0.0)
         self.batching_window = batching_window
 
-    def analyze(self, trace: RequestTrace) -> SharingReport:
+    def analyze(self, trace: ColumnarTrace) -> SharingReport:
         """Run the analysis over a request trace."""
         baseline = 0.0
         shared = 0.0

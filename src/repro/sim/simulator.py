@@ -16,10 +16,10 @@ policy, following the paper's methodology (Sections 3 and 4.1):
 The per-request service sequence lives in one place —
 :func:`repro.sim.kernel.serve_batch` — and the simulator owns one thin
 *driver* (:meth:`ProxyCacheSimulator._replay`, see
-``docs/architecture.md``).  Every run converts its trace to a
-:class:`~repro.trace.columnar.ColumnarTrace` (a no-op for columnar
-workloads), and the kernel context prefills one entry per distinct object
-plus a vectorised observed-bandwidth column.  The driver then splits the
+``docs/architecture.md``).  Every run replays the workload's
+:class:`~repro.trace.columnar.ColumnarTrace` columns as they are, and the
+kernel context prefills one entry per distinct object plus a vectorised
+observed-bandwidth column.  The driver then splits the
 trace into the longest runs uninterrupted by *typed* auxiliary events
 (:mod:`repro.sim.events`, e.g. periodic bandwidth re-measurement from
 :attr:`~repro.sim.config.SimulationConfig.remeasurement`), merged by
@@ -337,7 +337,7 @@ class ProxyCacheSimulator:
             topology, estimator, measurement_log, rekeyer
         )
 
-        trace = ColumnarTrace.from_trace(self.workload.trace)
+        trace = self.workload.trace
         total_requests = len(trace)
         warmup_cutoff = int(self.config.warmup_fraction * total_requests)
         if warmup_cutoff == 0:

@@ -338,23 +338,6 @@ class StreamingDeliveryEngine:
         return peak_rate(optimal_smoothing(stream, buffer_kb))
 
     # ------------------------------------------------------------------
-    # The kernel seam.
-    # ------------------------------------------------------------------
-    def kernel_hooks(self) -> dict:
-        """The delivery-stage hooks for :mod:`repro.sim.kernel`.
-
-        ``serve`` runs a stream object's request as a segment-aware
-        session at the kernel's *delivery* stage, ``record_failed``
-        accounts a failed-fetch session, and ``stream_ids`` is the
-        frozen set deciding which object ids stream.
-        """
-        return {
-            "serve": self.serve,
-            "record_failed": self.record_failed,
-            "stream_ids": self.stream_ids,
-        }
-
-    # ------------------------------------------------------------------
     # Session delivery (called from the kernel's delivery stage).
     # ------------------------------------------------------------------
     def serve(

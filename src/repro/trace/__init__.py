@@ -3,10 +3,11 @@ ingestion.
 
 Two modules:
 
-* :mod:`repro.trace.columnar` — :class:`ColumnarTrace`, a request trace
-  stored as parallel numpy arrays with the full ``RequestTrace`` protocol,
-  zero-copy slicing, CSV/``.npz`` round-trips, and multi-day segment
-  stitching (:meth:`ColumnarTrace.concat`, ``repro ingest --append``),
+* :mod:`repro.trace.columnar` — :class:`ColumnarTrace`, the one trace
+  type every workload carries: a request trace stored as parallel numpy
+  arrays, with zero-copy slicing, CSV/``.npz`` round-trips, and multi-day
+  segment stitching (:meth:`ColumnarTrace.concat`, ``repro ingest
+  --append``),
 * :mod:`repro.trace.ingest` — streaming Squid / Common-Log-Format access
   log adapters that emit columnar traces, simulation-ready workloads, and
   :class:`~repro.network.loganalysis.ProxyLogAnalyzer` substrates.

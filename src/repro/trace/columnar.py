@@ -1,20 +1,17 @@
 """Columnar request traces backed by parallel numpy arrays.
 
-:class:`ColumnarTrace` stores a request trace as three parallel arrays —
-``times`` (float64), ``object_ids`` (int64), ``client_ids`` (int32) —
-instead of one :class:`~repro.workload.trace.Request` object per request.
-On million-request traces this removes roughly 100 bytes per request of
-object overhead, makes slicing zero-copy (slices are numpy views on the
-parent's buffers), and lets the simulator's replay driver and the
-parallel sharded replay (:mod:`repro.analysis.parallel`) consume the
-arrays directly.
+:class:`ColumnarTrace` is the one trace type: every workload carries one,
+and the simulator's replay driver and the parallel sharded replay
+(:mod:`repro.analysis.parallel`) consume its arrays directly.  It stores a
+request trace as three parallel arrays — ``times`` (float64),
+``object_ids`` (int64), ``client_ids`` (int32) — 20 bytes per request,
+with zero-copy slicing (slices are numpy views on the parent's buffers).
 
-The class implements the full ``RequestTrace`` protocol — ``len``/``iter``/
-indexing, the warm-up/measurement ``split``, CSV round-trip in the exact
-format :meth:`RequestTrace.to_csv` writes, plus a binary ``.npz``
-round-trip — and converts losslessly to and from :class:`RequestTrace`:
-iteration yields :class:`Request` objects built from native Python scalars,
-so every consumer of the object protocol sees bit-identical values.
+Iteration and indexing yield :class:`~repro.workload.trace.Request` rows
+built from native Python scalars.  The class also provides the
+warm-up/measurement ``split``, ``object_ids()`` / ``request_counts()``,
+multi-day stitching (:meth:`ColumnarTrace.concat`), and CSV and binary
+``.npz`` round-trips.
 """
 
 from __future__ import annotations
@@ -27,12 +24,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.exceptions import ConfigurationError, TraceFormatError
-from repro.workload.trace import (
-    TRACE_CSV_FIELDS,
-    Request,
-    RequestTrace,
-    iter_csv_rows,
-)
+from repro.workload.trace import TRACE_CSV_FIELDS, Request, iter_csv_rows
 
 #: dtypes of the three trace columns, in canonical column order.
 COLUMN_DTYPES: Tuple[Tuple[str, np.dtype], ...] = (
@@ -42,8 +34,42 @@ COLUMN_DTYPES: Tuple[Tuple[str, np.dtype], ...] = (
 )
 
 
+def _id_column(name: str, values, dtype: np.dtype) -> np.ndarray:
+    """``values`` as a ``dtype`` array, refusing any value the cast would change.
+
+    A wrapped or truncated id would silently replay another object or
+    client, so an id outside ``dtype``'s range, a fractional or non-finite
+    id, and a Python int too large for numpy all raise
+    :class:`~repro.exceptions.ConfigurationError` naming the column.
+    """
+    try:
+        raw = np.asarray(values)
+        with np.errstate(invalid="ignore"):
+            column = raw.astype(dtype, copy=False)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"{name}: ids must be {dtype} integers ({exc})"
+        ) from exc
+    if column is not raw:
+        changed = np.flatnonzero(column != raw)
+        if changed.size:
+            row = int(changed[0])
+            raise ConfigurationError(
+                f"{name}: row {row} holds {raw.flat[row]}, not an {dtype} id"
+            )
+    return column
+
+
 class ColumnarTrace:
-    """An ordered request trace stored as parallel numpy arrays."""
+    """An ordered request trace stored as parallel numpy arrays.
+
+    Construction validates the columns: times must start finite and
+    non-negative and never decrease, and ids must be integers that fit
+    their column's dtype, else :class:`~repro.exceptions.ConfigurationError`
+    is raised.  ``validate=False`` skips these checks; slices,
+    :meth:`client_shard` and :meth:`concat` use it for columns that were
+    checked already.
+    """
 
     __slots__ = ("_times", "_object_ids", "_client_ids")
 
@@ -56,9 +82,14 @@ class ColumnarTrace:
         validate: bool = True,
     ):
         times_arr = np.asarray(times, dtype=np.float64)
-        ids_arr = np.asarray(object_ids, dtype=np.int64)
+        if validate:
+            ids_arr = _id_column("object_ids", object_ids, np.dtype(np.int64))
+        else:
+            ids_arr = np.asarray(object_ids, dtype=np.int64)
         if client_ids is None:
             clients_arr = np.zeros(times_arr.size, dtype=np.int32)
+        elif validate:
+            clients_arr = _id_column("client_ids", client_ids, np.dtype(np.int32))
         else:
             clients_arr = np.asarray(client_ids, dtype=np.int32)
         if times_arr.ndim != 1 or ids_arr.ndim != 1 or clients_arr.ndim != 1:
@@ -103,14 +134,13 @@ class ColumnarTrace:
         return self._client_ids
 
     # ------------------------------------------------------------------
-    # The RequestTrace protocol.
+    # The row protocol: len, iteration and indexing yield Request rows.
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._times.size
 
     def __iter__(self) -> Iterator[Request]:
-        # One batch tolist per column yields native scalars, so the Request
-        # objects are indistinguishable from a RequestTrace's.
+        # One batch tolist per column yields native scalars.
         return (
             Request(time=t, object_id=o, client_id=c)
             for t, o, c in zip(
@@ -139,17 +169,13 @@ class ColumnarTrace:
         )
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, ColumnarTrace):
-            return (
-                np.array_equal(self._times, other._times)
-                and np.array_equal(self._object_ids, other._object_ids)
-                and np.array_equal(self._client_ids, other._client_ids)
-            )
-        if isinstance(other, RequestTrace):
-            if len(other) != len(self):
-                return False
-            return all(a == b for a, b in zip(self, other))
-        return NotImplemented
+        if not isinstance(other, ColumnarTrace):
+            return NotImplemented
+        return (
+            np.array_equal(self._times, other._times)
+            and np.array_equal(self._object_ids, other._object_ids)
+            and np.array_equal(self._client_ids, other._client_ids)
+        )
 
     def __repr__(self) -> str:
         return f"ColumnarTrace(requests={len(self)}, span={self.duration:.1f}s)"
@@ -216,39 +242,10 @@ class ColumnarTrace:
             validate=False,
         )
 
-    # ------------------------------------------------------------------
-    # Conversions.
-    # ------------------------------------------------------------------
-    def to_request_trace(self) -> RequestTrace:
-        """Materialize as an object-per-request :class:`RequestTrace`."""
-        return RequestTrace(iter(self))
-
-    @classmethod
-    def from_request_trace(cls, trace: RequestTrace) -> "ColumnarTrace":
-        """Build a columnar copy of an object-per-request trace."""
-        count = len(trace)
-        times = np.fromiter((r.time for r in trace), dtype=np.float64, count=count)
-        object_ids = np.fromiter(
-            (r.object_id for r in trace), dtype=np.int64, count=count
-        )
-        client_ids = np.fromiter(
-            (r.client_id for r in trace), dtype=np.int32, count=count
-        )
-        return cls(times, object_ids, client_ids, validate=False)
-
-    @classmethod
-    def from_trace(
-        cls, trace: Union["ColumnarTrace", RequestTrace]
-    ) -> "ColumnarTrace":
-        """Coerce any trace to columnar form (no copy if already columnar)."""
-        if isinstance(trace, cls):
-            return trace
-        return cls.from_request_trace(trace)
-
     @classmethod
     def concat(
         cls,
-        segments: Sequence[Union["ColumnarTrace", RequestTrace]],
+        segments: Sequence["ColumnarTrace"],
         *,
         rebase: bool = False,
         gap: float = 0.0,
@@ -258,9 +255,9 @@ class ColumnarTrace:
         Parameters
         ----------
         segments:
-            The traces to concatenate, in chronological order.  Each may be
-            columnar or object-per-request; each must itself be
-            time-ordered.  An empty sequence yields an empty trace.
+            The traces to concatenate, in chronological order; each must
+            itself be time-ordered.  An empty sequence yields an empty
+            trace.
         rebase:
             With ``False`` (default) the segments' timestamps are taken as
             a shared clock (e.g. epoch seconds) and concatenation requires
@@ -282,15 +279,14 @@ class ColumnarTrace:
         """
         if gap < 0:
             raise ConfigurationError(f"gap must be non-negative, got {gap}")
-        columnar = [cls.from_trace(segment) for segment in segments]
-        if not any(len(segment) for segment in columnar):
+        if not any(len(segment) for segment in segments):
             return cls(
                 np.empty(0, np.float64), np.empty(0, np.int64), np.empty(0, np.int32)
             )
         times_parts: List[np.ndarray] = []
         kept: List["ColumnarTrace"] = []
         previous_end: Optional[float] = None
-        for index, segment in enumerate(columnar):
+        for index, segment in enumerate(segments):
             if not len(segment):
                 continue  # empty segments contribute nothing, shift nothing
             times = segment.times_array
@@ -316,10 +312,11 @@ class ColumnarTrace:
         )
 
     # ------------------------------------------------------------------
-    # Serialisation: CSV (RequestTrace-compatible) and binary .npz.
+    # Serialisation: CSV and binary .npz.
     # ------------------------------------------------------------------
     def to_csv(self, path: Union[str, Path]) -> None:
-        """Write the trace as CSV, byte-identical to ``RequestTrace.to_csv``."""
+        """Write the trace as CSV: a ``time,object_id,client_id`` header,
+        then one row per request."""
         path = Path(path)
         with path.open("w", newline="") as handle:
             writer = csv.writer(handle)
@@ -334,7 +331,7 @@ class ColumnarTrace:
 
     @classmethod
     def from_csv(cls, path: Union[str, Path]) -> "ColumnarTrace":
-        """Read a CSV trace (as written by either trace class), streaming.
+        """Read a CSV trace written by :meth:`to_csv`, streaming.
 
         Rows are validated as they are parsed (:func:`iter_csv_rows`) and
         accumulated in compact typed buffers, never as per-row objects.
@@ -368,18 +365,23 @@ class ColumnarTrace:
 
     @classmethod
     def from_npz(cls, path: Union[str, Path]) -> "ColumnarTrace":
-        """Read a trace previously written by :meth:`to_npz`."""
+        """Read a trace previously written by :meth:`to_npz`.
+
+        A missing column, or a column the constructor rejects (an id that
+        does not fit its dtype, out-of-order times), raises
+        :class:`~repro.exceptions.TraceFormatError` naming it.
+        """
         path = Path(path)
         try:
             with np.load(path) as archive:
                 columns = {}
-                for name, dtype in COLUMN_DTYPES:
+                for name, _ in COLUMN_DTYPES:
                     if name not in archive:
                         raise TraceFormatError(
                             f"{path}: missing trace column {name!r} "
                             f"(found {sorted(archive.files)})"
                         )
-                    columns[name] = archive[name].astype(dtype, copy=False)
+                    columns[name] = archive[name]
         except (OSError, ValueError) as exc:
             raise TraceFormatError(f"{path}: not a readable .npz trace: {exc}") from exc
         try:

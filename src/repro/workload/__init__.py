@@ -8,7 +8,8 @@ GISMO that the evaluation needs:
 * :mod:`repro.workload.popularity` — Zipf-like object popularity,
 * :mod:`repro.workload.sizes` — lognormal object durations and bit-rates,
 * :mod:`repro.workload.arrivals` — Poisson request arrival process,
-* :mod:`repro.workload.trace` — request-trace data structures and I/O,
+* :mod:`repro.workload.trace` — the request row and the CSV trace format
+  (the trace itself is :class:`repro.trace.columnar.ColumnarTrace`),
 * :mod:`repro.workload.gismo` — the combined workload generator.
 """
 
@@ -17,7 +18,7 @@ from repro.workload.catalog import Catalog, MediaObject
 from repro.workload.gismo import GismoWorkloadGenerator, Workload, WorkloadConfig
 from repro.workload.popularity import UniformPopularity, ZipfPopularity
 from repro.workload.sizes import ConstantBitrateModel, LognormalDurationModel
-from repro.workload.trace import Request, RequestTrace
+from repro.workload.trace import Request
 
 __all__ = [
     "Catalog",
@@ -27,7 +28,6 @@ __all__ = [
     "MediaObject",
     "PoissonArrivalProcess",
     "Request",
-    "RequestTrace",
     "UniformPopularity",
     "Workload",
     "WorkloadConfig",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -35,7 +35,9 @@ from repro.workload.sizes import (
     DurationModel,
     LognormalDurationModel,
 )
-from repro.workload.trace import RequestTrace
+
+if TYPE_CHECKING:
+    from repro.trace.columnar import ColumnarTrace
 
 
 @dataclass
@@ -131,15 +133,26 @@ class WorkloadConfig:
 class Workload:
     """A generated workload: catalog, request trace, and provenance.
 
-    ``trace`` is either an object-per-request :class:`RequestTrace` or a
-    numpy-native :class:`~repro.trace.columnar.ColumnarTrace`; both expose
-    the same protocol and every consumer accepts either.
+    ``trace`` is a :class:`~repro.trace.columnar.ColumnarTrace`, the one
+    trace type the simulator replays; anything else raises
+    :class:`~repro.exceptions.ConfigurationError`.
     """
 
     catalog: Catalog
-    trace: RequestTrace
+    trace: ColumnarTrace
     config: WorkloadConfig
     expected_rates: np.ndarray = field(repr=False, default=None)
+
+    def __post_init__(self) -> None:
+        # Imported here: repro.trace imports this module (ingest builds
+        # workloads), so a top-level import would cycle.
+        from repro.trace.columnar import ColumnarTrace
+
+        if not isinstance(self.trace, ColumnarTrace):
+            raise ConfigurationError(
+                "Workload.trace must be a ColumnarTrace, "
+                f"got {type(self.trace).__name__}"
+            )
 
     def describe(self) -> dict:
         """Summary statistics used by reports and the Table 1 benchmark."""
@@ -205,15 +218,15 @@ class GismoWorkloadGenerator:
         ]
         return Catalog(objects)
 
-    def generate(self, columnar: bool = False) -> Workload:
+    def generate(self) -> Workload:
         """Generate the full workload: catalog plus request trace.
 
-        With ``columnar=True`` the trace is emitted as a
-        :class:`~repro.trace.columnar.ColumnarTrace` built directly from the
-        sampled numpy arrays — no per-request ``Request`` boxing.
-        Both modes draw from the generator identically and produce
-        value-identical traces.
+        The trace is a :class:`~repro.trace.columnar.ColumnarTrace` built
+        directly from the sampled numpy arrays.
         """
+        # Imported here for the same reason as in Workload.__post_init__.
+        from repro.trace.columnar import ColumnarTrace
+
         rng = np.random.default_rng(self.config.seed)
         cfg = self.config
         catalog = self.generate_catalog(rng)
@@ -226,33 +239,21 @@ class GismoWorkloadGenerator:
         clients = None
         if cfg.num_clients > 1:
             clients = rng.integers(0, cfg.num_clients, size=cfg.num_requests)
-        if columnar:
-            # Imported lazily: repro.trace.columnar consumes this module's
-            # types through the package, so a top-level import would cycle.
-            from repro.trace.columnar import ColumnarTrace
-
-            trace = ColumnarTrace(times, ranks, clients)
-        else:
-            trace = RequestTrace.from_arrays(
-                times, ranks, clients if clients is not None else ()
-            )
+        trace = ColumnarTrace(times, ranks, clients)
         expected = self.popularity.probabilities(cfg.num_objects) * cfg.num_requests
         return Workload(
             catalog=catalog, trace=trace, config=cfg, expected_rates=expected
         )
 
 
-def table1_workload(
-    seed: int = 0, scale: float = 1.0, columnar: bool = False
-) -> Workload:
+def table1_workload(seed: int = 0, scale: float = 1.0) -> Workload:
     """Convenience constructor for the paper's Table 1 workload.
 
     ``scale`` shrinks (or grows) the object and request counts while keeping
     every distributional parameter fixed, which preserves the relative
     behaviour of the caching policies at a fraction of the runtime.
-    ``columnar`` selects the numpy-native trace representation.
     """
     config = WorkloadConfig(seed=seed)
     if scale != 1.0:
         config = config.scaled(scale)
-    return GismoWorkloadGenerator(config).generate(columnar=columnar)
+    return GismoWorkloadGenerator(config).generate()

@@ -1,10 +1,10 @@
-"""Request-trace data structures and serialisation.
+"""The request row and the CSV trace format.
 
 A :class:`Request` is one client request for one streaming media object at a
-point in time.  A :class:`RequestTrace` is an ordered sequence of requests
-plus helpers for splitting into warm-up and measurement halves (the protocol
-the paper uses in Section 4.1), slicing, and round-tripping through CSV so
-traces can be archived alongside experiment results.
+point in time: the row a :class:`~repro.trace.columnar.ColumnarTrace` yields
+when iterated or indexed.  :data:`TRACE_CSV_FIELDS` and
+:func:`iter_csv_rows` define the CSV format traces are archived in
+alongside experiment results.
 """
 
 from __future__ import annotations
@@ -13,20 +13,25 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Iterator, Tuple, Union
 
 from repro.exceptions import ConfigurationError, TraceFormatError
 
-#: Column order of the CSV trace format shared by :class:`RequestTrace` and
+#: Column order of the CSV trace format of
 #: :class:`repro.trace.columnar.ColumnarTrace`.
 TRACE_CSV_FIELDS: Tuple[str, str, str] = ("time", "object_id", "client_id")
+
+#: Bounds of the id columns' dtypes: ``int64`` object ids, ``int32`` client ids.
+_INT64_MAX = 2**63 - 1
+_INT32_MAX = 2**31 - 1
 
 
 def iter_csv_rows(path: Union[str, Path]) -> Iterator[Tuple[float, int, int]]:
     """Stream validated ``(time, object_id, client_id)`` rows from a CSV trace.
 
     Rows are parsed and validated one at a time — malformed numeric fields,
-    non-finite or negative times, and out-of-order timestamps all raise
+    ids outside their column's integer range, non-finite or negative times,
+    and out-of-order timestamps all raise
     :class:`~repro.exceptions.TraceFormatError` carrying the offending line
     number, *without* first materializing the rest of the file.
     """
@@ -48,6 +53,14 @@ def iter_csv_rows(path: Union[str, Path]) -> Iterator[Tuple[float, int, int]]:
                 client_id = int(row[2])
             except (ValueError, IndexError) as exc:
                 raise TraceFormatError(f"{path}:{line_number}: bad row {row!r}") from exc
+            if not -_INT64_MAX - 1 <= object_id <= _INT64_MAX:
+                raise TraceFormatError(
+                    f"{path}:{line_number}: object_id {object_id} does not fit int64"
+                )
+            if not -_INT32_MAX - 1 <= client_id <= _INT32_MAX:
+                raise TraceFormatError(
+                    f"{path}:{line_number}: client_id {client_id} does not fit int32"
+                )
             if not math.isfinite(time) or time < 0:
                 raise TraceFormatError(
                     f"{path}:{line_number}: time must be finite and non-negative, "
@@ -84,150 +97,3 @@ class Request:
     def __post_init__(self) -> None:
         if self.time < 0:
             raise ConfigurationError(f"request time must be non-negative, got {self.time}")
-
-
-class RequestTrace:
-    """An ordered sequence of :class:`Request` objects."""
-
-    _FIELDS = TRACE_CSV_FIELDS
-
-    def __init__(self, requests: Iterable[Request]):
-        self._requests: List[Request] = list(requests)
-        for earlier, later in zip(self._requests, self._requests[1:]):
-            if later.time < earlier.time:
-                raise ConfigurationError(
-                    "requests must be ordered by non-decreasing time "
-                    f"({later.time} follows {earlier.time})"
-                )
-
-    def __len__(self) -> int:
-        return len(self._requests)
-
-    def __iter__(self) -> Iterator[Request]:
-        return iter(self._requests)
-
-    def __getitem__(self, index: Union[int, slice]) -> Union[Request, "RequestTrace"]:
-        if isinstance(index, slice):
-            return RequestTrace(self._requests[index])
-        return self._requests[index]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RequestTrace):
-            return NotImplemented
-        return self._requests == other._requests
-
-    @property
-    def duration(self) -> float:
-        """Time span covered by the trace in seconds."""
-        if not self._requests:
-            return 0.0
-        return self._requests[-1].time - self._requests[0].time
-
-    @property
-    def start_time(self) -> float:
-        """Timestamp of the first request (0.0 for an empty trace)."""
-        return self._requests[0].time if self._requests else 0.0
-
-    @property
-    def end_time(self) -> float:
-        """Timestamp of the last request (0.0 for an empty trace)."""
-        return self._requests[-1].time if self._requests else 0.0
-
-    def object_ids(self) -> List[int]:
-        """Distinct object ids referenced by the trace, in first-seen order."""
-        seen: List[int] = []
-        seen_set = set()
-        for request in self._requests:
-            if request.object_id not in seen_set:
-                seen.append(request.object_id)
-                seen_set.add(request.object_id)
-        return seen
-
-    def request_counts(self) -> dict:
-        """Map of object id to number of requests in the trace."""
-        counts: dict = {}
-        for request in self._requests:
-            counts[request.object_id] = counts.get(request.object_id, 0) + 1
-        return counts
-
-    def split(self, fraction: float = 0.5) -> Tuple["RequestTrace", "RequestTrace"]:
-        """Split into (warm-up, measurement) sub-traces by request count.
-
-        The paper warms the cache with the first half of the workload and
-        computes all metrics over the second half (Section 4.1).
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise ConfigurationError(f"fraction must be in [0, 1], got {fraction}")
-        cut = int(round(fraction * len(self._requests)))
-        return RequestTrace(self._requests[:cut]), RequestTrace(self._requests[cut:])
-
-    def to_csv(self, path: Union[str, Path]) -> None:
-        """Write the trace to ``path`` as a CSV with a header row."""
-        path = Path(path)
-        with path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(self._FIELDS)
-            for request in self._requests:
-                writer.writerow([request.time, request.object_id, request.client_id])
-
-    @classmethod
-    def from_csv(cls, path: Union[str, Path]) -> "RequestTrace":
-        """Read a trace previously written by :meth:`to_csv`.
-
-        Rows are streamed and validated as they are parsed (see
-        :func:`iter_csv_rows`): a malformed or out-of-order row raises
-        :class:`~repro.exceptions.TraceFormatError` with its line number
-        without reading the remainder of the file first.
-        """
-        return cls(
-            Request(time=time, object_id=object_id, client_id=client_id)
-            for time, object_id, client_id in iter_csv_rows(path)
-        )
-
-    @classmethod
-    def from_arrays(
-        cls,
-        times: Sequence[float],
-        object_ids: Sequence[int],
-        client_ids: Sequence[int] = (),
-    ) -> "RequestTrace":
-        """Build a trace from parallel arrays (as produced by generators)."""
-        if len(times) != len(object_ids):
-            raise ConfigurationError(
-                f"times ({len(times)}) and object_ids ({len(object_ids)}) differ in length"
-            )
-        has_clients = len(client_ids) > 0
-        if has_clients and len(client_ids) != len(times):
-            raise ConfigurationError(
-                f"client_ids ({len(client_ids)}) must match times ({len(times)})"
-            )
-        # Convert whole arrays to native Python scalars up front: one batch
-        # ``tolist`` per column is far cheaper than boxing a numpy scalar per
-        # request on million-request traces.
-        times_list = _as_scalar_list(times, float)
-        ids_list = _as_scalar_list(object_ids, int)
-        if has_clients:
-            clients_list = _as_scalar_list(client_ids, int)
-            requests = [
-                Request(time=t, object_id=o, client_id=c)
-                for t, o, c in zip(times_list, ids_list, clients_list)
-            ]
-        else:
-            requests = [
-                Request(time=t, object_id=o) for t, o in zip(times_list, ids_list)
-            ]
-        return cls(requests)
-
-
-def _as_scalar_list(values: Sequence, scalar_type: type) -> list:
-    """Return ``values`` as a list of native ``scalar_type`` elements.
-
-    ``ndarray.tolist`` already yields native scalars, so the per-element
-    cast runs only when the batch conversion produced the wrong type (e.g.
-    integer arrival times) or no ``tolist`` exists.
-    """
-    tolist = getattr(values, "tolist", None)
-    converted = tolist() if tolist is not None else list(values)
-    if converted and type(converted[0]) is scalar_type:
-        return converted
-    return [scalar_type(value) for value in converted]

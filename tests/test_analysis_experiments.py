@@ -35,6 +35,12 @@ class TestBuildWorkload:
         with pytest.raises(ConfigurationError):
             build_workload(scale=0.0)
 
+    def test_columnar_keyword_accepts_only_true(self):
+        assert len(build_workload(scale=0.01, seed=1, columnar=True).trace) == 1_000
+        for value in (False, None, 1):
+            with pytest.raises(ConfigurationError, match="columnar must be True"):
+                build_workload(scale=0.01, columnar=value)
+
     def test_cache_sizes_follow_fractions(self):
         workload = build_workload(scale=0.01, seed=1)
         sizes = cache_sizes_gb_for(workload, (0.1, 0.2))

@@ -49,12 +49,6 @@ def workload():
 
 
 @pytest.fixture(scope="module")
-def columnar_workload():
-    config = WorkloadConfig(seed=0).scaled(0.02)
-    return GismoWorkloadGenerator(config).generate(columnar=True)
-
-
-@pytest.fixture(scope="module")
 def sim_config():
     return SimulationConfig(
         cache_size_gb=0.5, variability=NLANRRatioVariability(), seed=0
@@ -101,9 +95,7 @@ def test_jobs_carry_the_serial_seed_schedule(sim_config):
     assert not any(job.share_topology for job in jobs)
 
 
-def test_run_simulation_jobs_preserves_job_order(
-    workload, columnar_workload, sim_config
-):
+def test_run_simulation_jobs_preserves_job_order(workload, sim_config):
     jobs = [
         SimulationJob(
             config=sim_config.with_seed(seed),
@@ -112,13 +104,10 @@ def test_run_simulation_jobs_preserves_job_order(
         )
         for seed in (0, 1)
     ]
-    # Both trace forms cross a real pool: the columnar one is what
-    # build_workload hands the CLI's experiments.
-    for pooled_workload in (workload, columnar_workload):
-        serial = run_simulation_jobs(pooled_workload, jobs, n_jobs=1)
-        parallel = run_simulation_jobs(pooled_workload, jobs, n_jobs=2)
-        assert parallel == serial
-        assert serial[0] != serial[1]  # different seeds, different runs
+    serial = run_simulation_jobs(workload, jobs, n_jobs=1)
+    parallel = run_simulation_jobs(workload, jobs, n_jobs=2)
+    assert parallel == serial
+    assert serial[0] != serial[1]  # different seeds, different runs
 
 
 def test_resolve_n_jobs():

@@ -3,15 +3,16 @@ snippets run, and the public API is documented.
 
 These mirror the CI docs job (``make docs-check``) inside tier-1 so a
 broken link or a stale snippet (the README quickstart, the
-``docs/clients.md`` worked example) fails locally too, and they enforce
-the docstring contract on the ``repro.trace`` / ``repro.sim`` /
-``repro.network`` public API — every exported symbol must be usable
-through ``help()``.
+``docs/clients.md`` worked example) fails locally too.  They also run
+every ``examples/*.py`` script as-is, and enforce the docstring contract
+on the ``repro.trace`` / ``repro.sim`` / ``repro.network`` public API —
+every exported symbol must be usable through ``help()``.
 """
 
 import importlib
 import importlib.util
 import inspect
+import subprocess
 import sys
 from pathlib import Path
 
@@ -113,6 +114,42 @@ def test_streaming_example_runs_as_is(check_docs):
     assert code == 0, f"docs/streaming.md example failed:\n{output}"
     # The example compares prefix caching against the whole-object ablation.
     assert "prefix" in output and "whole-object" in output
+
+
+def _git_status():
+    """``git status --porcelain`` of the checkout, or ``None`` without git."""
+    try:
+        return subprocess.run(
+            ["git", "status", "--porcelain"],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+@pytest.mark.parametrize(
+    "script", sorted(path.name for path in (REPO_ROOT / "examples").glob("*.py"))
+)
+def test_example_runs_as_is(script):
+    """Each example script exits 0 run from the repository root, and leaves
+    the checkout as it found it."""
+    before = _git_status()
+    completed = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "examples" / script)],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+        env={
+            "PYTHONPATH": str(REPO_ROOT / "src"),
+            "PATH": "/usr/bin:/bin:/usr/local/bin",
+        },
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stdout + completed.stderr
+    assert _git_status() == before
 
 
 def test_executable_snippet_registry_covers_clients_page(check_docs):

@@ -3,9 +3,10 @@
 Pinned guarantees, mirroring the acceptance criteria of the subsystem:
 
 * **Path identity** — with the timeline enabled, the per-window metrics
-  are bit-identical for object and columnar traces and match the
-  recorded golden, under the richest configuration (passive knowledge +
-  reactive re-keying + faults).
+  are bit-identical for a generated trace and the same trace reloaded
+  from its ``.npz`` archive, and match the recorded golden, under the
+  richest configuration (passive knowledge + reactive re-keying +
+  faults).
 * **Zero drift** — a run with observability absent, with a
   configured-but-disabled :class:`ObservabilityConfig`, and with the
   timeline enabled all produce bit-identical metrics; observation is
@@ -48,6 +49,7 @@ from repro.sim.config import BandwidthKnowledge, ClientCloudConfig, SimulationCo
 from repro.sim.faults import FaultConfig
 from repro.sim.simulator import ProxyCacheSimulator
 from repro.sim.streaming import StreamingConfig
+from repro.trace.columnar import ColumnarTrace
 from repro.workload.gismo import GismoWorkloadGenerator, WorkloadConfig
 
 from conftest import replay_golden
@@ -60,12 +62,15 @@ WINDOW_S = 1800.0
 
 
 @pytest.fixture(scope="module")
-def workloads():
-    """Object and columnar variants of the same 2000-request workload."""
-    config = WorkloadConfig(seed=0).scaled(0.02)
+def workloads(tmp_path_factory):
+    """The same 2000-request workload as generated and as reloaded from its
+    ``.npz`` archive (the form ``repro ingest`` stores traces in)."""
+    generated = GismoWorkloadGenerator(WorkloadConfig(seed=0).scaled(0.02)).generate()
+    path = tmp_path_factory.mktemp("obs") / "trace.npz"
+    generated.trace.to_npz(path)
     return {
-        "object": GismoWorkloadGenerator(config).generate(columnar=False),
-        "columnar": GismoWorkloadGenerator(config).generate(columnar=True),
+        "generated": generated,
+        "archived": replace(generated, trace=ColumnarTrace.from_npz(path)),
     }
 
 
@@ -87,7 +92,7 @@ def _rich_config(**overrides):
 
 @pytest.fixture(scope="module")
 def path_results(workloads):
-    """One observed, golden-checked run per trace representation under the
+    """One observed, golden-checked run per form of the trace under the
     rich configuration."""
     config = _rich_config(observability=ObservabilityConfig(window_s=WINDOW_S))
     return {
@@ -100,22 +105,22 @@ def path_results(workloads):
 # Timeline identity and exactness
 # ----------------------------------------------------------------------
 class TestTimelineAcrossPaths:
-    """The paths compared are the two trace representations."""
+    """The paths compared are the generated trace and its reloaded archive."""
 
     def test_metrics_identical_across_paths(self, path_results):
-        reference = path_results["object"]
+        reference = path_results["generated"]
         for key, result in path_results.items():
             assert result.metrics.as_dict() == reference.metrics.as_dict(), key
 
     def test_timelines_identical_across_paths(self, path_results):
-        reference = path_results["object"].timeline
+        reference = path_results["generated"].timeline
         assert reference is not None and reference.finished
         assert reference.num_windows > 2
         for key, result in path_results.items():
             assert result.timeline == reference, key
 
     def test_series_identical_across_paths(self, path_results):
-        reference = path_results["object"].timeline.series()
+        reference = path_results["generated"].timeline.series()
         for key, result in path_results.items():
             series = result.timeline.series()
             assert set(series) == set(reference)
@@ -125,12 +130,12 @@ class TestTimelineAcrossPaths:
                 )
 
     def test_fault_and_reactive_windows_present(self, path_results):
-        series = path_results["object"].timeline.series()
+        series = path_results["generated"].timeline.series()
         assert int(series["fault_state"].max()) >= 1
         assert int(series["reactive_rekeys"].sum()) > 0
 
     def test_totals_are_the_aggregates(self, path_results):
-        result = path_results["columnar"]
+        result = path_results["archived"]
         totals = result.timeline.totals()
         metrics = result.metrics
         assert totals["requests"] == metrics.requests
@@ -149,7 +154,7 @@ class TestTimelineAcrossPaths:
         assert totals["hits"] / totals["requests"] == metrics.hit_ratio
 
     def test_integer_deltas_sum_exactly(self, path_results):
-        timeline = path_results["columnar"].timeline
+        timeline = path_results["archived"].timeline
         totals = timeline.totals()
         for field in sorted(_INTEGER_FIELDS):
             deltas = timeline.delta(field)
@@ -157,13 +162,13 @@ class TestTimelineAcrossPaths:
             assert int(deltas.sum()) == totals[field], field
 
     def test_cumulative_ends_at_totals(self, path_results):
-        timeline = path_results["columnar"].timeline
+        timeline = path_results["archived"].timeline
         totals = timeline.totals()
         for field in CUMULATIVE_FIELDS:
             assert timeline.cumulative(field)[-1] == totals[field], field
 
     def test_window_grid_consistent(self, path_results):
-        timeline = path_results["object"].timeline
+        timeline = path_results["generated"].timeline
         starts = timeline.window_starts()
         assert len(starts) == timeline.num_windows
         assert starts[0] == timeline.start_time
@@ -172,7 +177,7 @@ class TestTimelineAcrossPaths:
             assert len(values) == timeline.num_windows, name
 
     def test_as_dict_schema(self, path_results):
-        payload = path_results["object"].timeline.as_dict()
+        payload = path_results["generated"].timeline.as_dict()
         assert payload["schema"] == 1
         assert payload["num_windows"] == len(payload["window_starts"])
         for values in payload["series"].values():
@@ -180,7 +185,7 @@ class TestTimelineAcrossPaths:
         assert payload["totals"]["requests"] == sum(payload["series"]["requests"])
 
     def test_pickle_round_trip_preserves_value(self, path_results):
-        timeline = path_results["columnar"].timeline
+        timeline = path_results["archived"].timeline
         clone = pickle.loads(pickle.dumps(timeline))
         assert clone == timeline
         assert clone.as_dict() == timeline.as_dict()
@@ -196,14 +201,14 @@ class TestTimelineAcrossPaths:
 class TestZeroDrift:
     def test_disabled_and_absent_and_enabled_agree(self, workloads):
         absent = ProxyCacheSimulator(
-            workloads["columnar"], _rich_config()
+            workloads["generated"], _rich_config()
         ).run(make_policy("PB"))
         disabled = ProxyCacheSimulator(
-            workloads["columnar"],
+            workloads["generated"],
             _rich_config(observability=ObservabilityConfig(timeline=False)),
         ).run(make_policy("PB"))
         enabled = ProxyCacheSimulator(
-            workloads["columnar"],
+            workloads["generated"],
             _rich_config(observability=ObservabilityConfig(window_s=WINDOW_S)),
         ).run(make_policy("PB"))
         assert absent.metrics.as_dict() == disabled.metrics.as_dict()
@@ -214,7 +219,7 @@ class TestZeroDrift:
 
     def test_heap_statistics_promoted_regardless(self, workloads):
         result = ProxyCacheSimulator(
-            workloads["columnar"], _rich_config()
+            workloads["generated"], _rich_config()
         ).run(make_policy("PB"))
         stats = result.heap_statistics
         assert stats is not None
@@ -282,7 +287,7 @@ class TestTraceSink:
         before the policy runs; the trace stamps that trim with the time
         of the request being served, not with an earlier request's."""
         workload_config = replace(WorkloadConfig(seed=0).scaled(0.05), num_clients=8)
-        workload = GismoWorkloadGenerator(workload_config).generate(columnar=True)
+        workload = GismoWorkloadGenerator(workload_config).generate()
         trace_path = tmp_path / "stream.jsonl"
         config = SimulationConfig(
             cache_size_gb=8.0,
@@ -325,11 +330,11 @@ class TestTraceSink:
                 timeline=False, trace_path=str(trace_path), trace_level="debug"
             )
         )
-        observed = ProxyCacheSimulator(workloads["columnar"], config).run(
+        observed = ProxyCacheSimulator(workloads["generated"], config).run(
             make_policy("PB")
         )
         baseline = ProxyCacheSimulator(
-            workloads["columnar"], _rich_config()
+            workloads["generated"], _rich_config()
         ).run(make_policy("PB"))
         # Tracing must not perturb the run either.
         assert observed.metrics.as_dict() == baseline.metrics.as_dict()
@@ -389,7 +394,7 @@ class TestStageProfiler:
         config = _rich_config(
             observability=ObservabilityConfig(timeline=False, profile=True)
         )
-        result = ProxyCacheSimulator(workloads["columnar"], config).run(
+        result = ProxyCacheSimulator(workloads["generated"], config).run(
             make_policy("PB")
         )
         assert result.profile is not None

@@ -12,9 +12,10 @@ from repro.network.distributions import HistogramBandwidthDistribution
 from repro.streaming.media import VBRStream
 from repro.streaming.session import DeliverySession
 from repro.streaming.smoothing import optimal_smoothing, verify_feasible
+from repro.trace.columnar import ColumnarTrace
 from repro.workload.catalog import Catalog, MediaObject
 from repro.workload.popularity import ZipfPopularity
-from repro.workload.trace import Request, RequestTrace
+from repro.workload.trace import Request
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +175,11 @@ def test_trace_csv_roundtrip_preserves_requests(tmp_path_factory, times, seed):
         Request(time=t, object_id=int(rng.integers(0, 100)), client_id=int(rng.integers(0, 5)))
         for t in sorted_times
     ]
-    trace = RequestTrace(requests)
+    trace = ColumnarTrace(
+        [r.time for r in requests],
+        [r.object_id for r in requests],
+        [r.client_id for r in requests],
+    )
     path = tmp_path_factory.mktemp("traces") / "trace.csv"
     trace.to_csv(path)
-    assert RequestTrace.from_csv(path) == trace
+    assert list(ColumnarTrace.from_csv(path)) == requests

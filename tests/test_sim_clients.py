@@ -9,8 +9,8 @@ Three families of guarantees are pinned here:
   cloud never perturbs origin-path construction.
 * **Recorded behaviour when clouds bind** — with heterogeneous per-group
   last-mile bandwidth enabled, runs match their recorded goldens, per
-  policy, for columnar and object traces alike — including runs that add
-  re-measurement and reactive re-keying on top.
+  policy — including runs that add re-measurement and reactive re-keying
+  on top.
 * **Reactive re-keying semantics** — threshold gating, the
   ``bandwidth_keyed`` guard, configuration validation, and the
   end-to-end real-log pipeline (``repro ingest`` → per-client clouds →
@@ -49,7 +49,7 @@ SAMPLE_SQUID = REPO_ROOT / "examples" / "data" / "sample_squid.log"
 def client_workload():
     """A small multi-client columnar workload (100 objects, 2000 requests)."""
     config = replace(WorkloadConfig(seed=7).scaled(0.02), num_clients=24)
-    return GismoWorkloadGenerator(config).generate(columnar=True)
+    return GismoWorkloadGenerator(config).generate()
 
 
 def _config(**overrides):
@@ -136,7 +136,7 @@ class TestClientCloudConfig:
 @given(seed=st.integers(min_value=0, max_value=2**16), groups=st.integers(1, 5))
 def test_homogeneous_cloud_bit_identical_to_unmodeled(seed, groups):
     config = replace(WorkloadConfig(seed=3).scaled(0.005), num_clients=6)
-    workload = GismoWorkloadGenerator(config).generate(columnar=True)
+    workload = GismoWorkloadGenerator(config).generate()
     plain = _config(seed=seed)
     clouded = plain.with_client_clouds(ClientCloudConfig(groups=groups))
     a = ProxyCacheSimulator(workload, plain).run(make_policy("PB"))
@@ -179,19 +179,6 @@ def test_heterogeneous_cloud_bit_identical_across_paths(client_workload, policy_
         ClientCloudConfig(groups=8, distribution=NLANRBandwidthDistribution())
     )
     replay_golden(f"clients/hetero/{policy_name}", client_workload, config, policy_name)
-
-
-def test_heterogeneous_cloud_on_object_trace_agrees(client_workload):
-    """An object-per-request trace resolves its client ids through the
-    conversion to columns, so it replays to the columnar trace's golden."""
-    config = _config().with_client_clouds(
-        ClientCloudConfig(groups=8, distribution=NLANRBandwidthDistribution())
-    )
-    object_workload = replace(
-        client_workload, trace=client_workload.trace.to_request_trace()
-    )
-    for workload in (client_workload, object_workload):
-        replay_golden("clients/hetero/PB", workload, config)
 
 
 def test_binding_cloud_changes_outcomes_and_monotonically_hurts(client_workload):

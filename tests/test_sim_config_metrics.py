@@ -3,8 +3,9 @@
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.network.distributions import NLANRBandwidthDistribution
 from repro.network.variability import NLANRRatioVariability
-from repro.sim.config import BandwidthKnowledge, SimulationConfig
+from repro.sim.config import BandwidthKnowledge, ClientCloudConfig, SimulationConfig
 from repro.sim.metrics import MetricsCollector, SimulationMetrics
 from repro.streaming.session import DeliveryOutcome
 
@@ -56,6 +57,18 @@ class TestSimulationConfig:
         assert config.cache_fraction_of(0.0) == 0.0
 
     def test_validation(self):
+        # Model fields take their own types, or None for the default.
+        SimulationConfig(
+            bandwidth_knowledge=BandwidthKnowledge.PASSIVE,
+            variability=NLANRRatioVariability(),
+            bandwidth_distribution=NLANRBandwidthDistribution(),
+        )
+        SimulationConfig(variability=None, bandwidth_distribution=None)
+        ClientCloudConfig(
+            groups=2,
+            distribution=NLANRBandwidthDistribution(),
+            variability=NLANRRatioVariability(),
+        )
         with pytest.raises(ConfigurationError):
             SimulationConfig(cache_size_gb=-1.0)
         with pytest.raises(ConfigurationError):
@@ -74,6 +87,43 @@ class TestSimulationConfig:
                 reactive_passive=True,
                 reactive_threshold=float("nan"),
             )
+
+    @pytest.mark.parametrize(
+        "config_class, field, value, expected",
+        [
+            (SimulationConfig, "bandwidth_knowledge", "passive", "BandwidthKnowledge"),
+            (SimulationConfig, "bandwidth_knowledge", None, "BandwidthKnowledge"),
+            (SimulationConfig, "variability", "nlanr", "BandwidthVariabilityModel"),
+            (
+                SimulationConfig,
+                "bandwidth_distribution",
+                "nlanr",
+                "BandwidthDistribution",
+            ),
+            (ClientCloudConfig, "variability", "nlanr", "BandwidthVariabilityModel"),
+            (ClientCloudConfig, "distribution", "nlanr", "BandwidthDistribution"),
+            (
+                SimulationConfig,
+                "variability",
+                NLANRBandwidthDistribution(),
+                "BandwidthVariabilityModel",
+            ),
+        ],
+        ids=[
+            "knowledge-string",
+            "knowledge-none",
+            "variability-string",
+            "distribution-string",
+            "cloud-variability-string",
+            "cloud-distribution-string",
+            "variability-given-a-distribution",
+        ],
+    )
+    def test_model_fields_reject_the_wrong_type(
+        self, config_class, field, value, expected
+    ):
+        with pytest.raises(ConfigurationError, match=f"{field} must be a {expected}"):
+            config_class(**{field: value})
 
 
 class TestMetricsCollector:

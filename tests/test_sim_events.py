@@ -6,8 +6,7 @@ Two families of guarantees are pinned here:
 * **Equivalence** — with and without re-measurement, the replay matches
   the goldens recorded from the event-calendar driver before it was
   deleted, for *every registered policy* (same events, same order, same
-  estimator trajectory), whether the trace is columnar or
-  object-per-request.
+  estimator trajectory).
 * **Re-measurement semantics** — cadence windows (longer than the trace,
   explicit start/end), per-path overrides, probing-client staggering,
   warm-up interaction, empty traces, and the measurement log's accounting.
@@ -40,7 +39,7 @@ from conftest import assert_golden, replay_golden
 @pytest.fixture(scope="module")
 def columnar_workload():
     config = WorkloadConfig(seed=7).scaled(0.02)  # 100 objects, 2000 requests
-    return GismoWorkloadGenerator(config).generate(columnar=True)
+    return GismoWorkloadGenerator(config).generate()
 
 
 def _passive_config(**overrides):
@@ -69,13 +68,11 @@ def test_columnar_event_path_bit_identical_per_policy(columnar_workload, policy_
 
 
 def test_object_traces_fire_auxiliary_events(columnar_workload):
-    """An object-per-request trace is converted to columns, so its
-    re-measurement run matches the columnar one event for event."""
-    workload = GismoWorkloadGenerator(WorkloadConfig(seed=7).scaled(0.02)).generate()
+    """A re-measurement run fires its events and matches its golden event
+    for event."""
     config = _passive_config(remeasurement=RemeasurementConfig(interval=200.0))
-    for trace_workload in (workload, columnar_workload):
-        result = replay_golden("events/remeasure-200", trace_workload, config)
-        assert result.auxiliary_events_fired > 0
+    result = replay_golden("events/remeasure-200", columnar_workload, config)
+    assert result.auxiliary_events_fired > 0
 
 
 # ----------------------------------------------------------------------

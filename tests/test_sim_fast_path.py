@@ -3,8 +3,7 @@
 These tests pin the replay to ``tests/data/replay_goldens.json`` for every
 registered policy, for every bundled variability model, and for passive
 bandwidth estimation — using strict ``==`` on the full recorded result,
-not approximate comparison.  The workload is an object-per-request trace,
-so the conversion to columns at the start of every run is covered too.
+not approximate comparison.
 """
 
 import numpy as np

@@ -43,7 +43,7 @@ from conftest import replay_golden
 @pytest.fixture(scope="module")
 def workload():
     config = WorkloadConfig(seed=0).scaled(0.02)  # 100 objects, 2000 requests
-    return GismoWorkloadGenerator(config).generate(columnar=True)
+    return GismoWorkloadGenerator(config).generate()
 
 
 @pytest.fixture(scope="module")

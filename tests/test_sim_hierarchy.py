@@ -49,7 +49,6 @@ from repro.sim.simulator import ProxyCacheSimulator
 from repro.sim.streaming import StreamingConfig
 from repro.trace.columnar import ColumnarTrace
 from repro.workload.gismo import GismoWorkloadGenerator, WorkloadConfig
-from repro.workload.trace import Request, RequestTrace
 
 from conftest import replay_golden
 
@@ -58,7 +57,7 @@ from conftest import replay_golden
 def workload():
     """Columnar workload with enough distinct clients to populate 4 pops."""
     config = WorkloadConfig(seed=7, num_clients=24).scaled(0.02)
-    return GismoWorkloadGenerator(config).generate(columnar=True)
+    return GismoWorkloadGenerator(config).generate()
 
 
 def _config(**overrides):
@@ -602,14 +601,7 @@ class TestSharingComposition:
         snapshots = engine.tier_snapshots(0)
         # Two batches, each with one late joiner inside the playback
         # window, so each joiner needs a patch for what it missed.
-        trace = RequestTrace(
-            [
-                Request(time=0.0, object_id=0),
-                Request(time=10.0, object_id=1),
-                Request(time=30.0, object_id=0),
-                Request(time=50.0, object_id=1),
-            ]
-        )
+        trace = ColumnarTrace([0.0, 10.0, 30.0, 50.0], [0, 1, 0, 1])
         reports = {
             label: StreamSharingAnalyzer(
                 small_catalog, prefix_for=prefix_for

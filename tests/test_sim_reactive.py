@@ -73,7 +73,7 @@ def _tracked_policy(catalog, bandwidth: float = 20.0):
 def reactive_workload():
     """A small multi-client columnar workload (100 objects, 2000 requests)."""
     config = replace(WorkloadConfig(seed=7).scaled(0.02), num_clients=24)
-    return GismoWorkloadGenerator(config).generate(columnar=True)
+    return GismoWorkloadGenerator(config).generate()
 
 
 def _passive_config(**overrides):

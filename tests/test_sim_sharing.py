@@ -8,8 +8,8 @@ from repro.sim.sharing import (
     prefix_function_for_bandwidth,
     sharing_summary_rows,
 )
+from repro.trace.columnar import ColumnarTrace
 from repro.workload.catalog import Catalog, MediaObject
-from repro.workload.trace import Request, RequestTrace
 
 
 @pytest.fixture
@@ -24,8 +24,8 @@ def catalog():
 
 
 def trace(*times_and_objects):
-    return RequestTrace(
-        [Request(time=t, object_id=o) for t, o in times_and_objects]
+    return ColumnarTrace(
+        [t for t, _ in times_and_objects], [o for _, o in times_and_objects]
     )
 
 

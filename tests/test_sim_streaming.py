@@ -46,7 +46,7 @@ from conftest import GOLDEN_POLICIES, replay_golden
 @pytest.fixture(scope="module")
 def workload():
     config = WorkloadConfig(seed=7).scaled(0.02)  # 100 objects, 2000 requests
-    return GismoWorkloadGenerator(config).generate(columnar=True)
+    return GismoWorkloadGenerator(config).generate()
 
 
 def _config(**overrides):

@@ -1,15 +1,15 @@
-"""ColumnarTrace: protocol parity with RequestTrace and replay equivalence.
+"""ColumnarTrace: the row protocol, validation, serialisation and replay.
 
 Three promises are pinned here:
 
-* a :class:`ColumnarTrace` is a drop-in for :class:`RequestTrace` — same
-  protocol, same values, lossless conversion in both directions (including
-  a hypothesis round-trip property),
-* slicing is zero-copy (views share the parent's buffers),
-* the simulator produces **bit-identical** metrics whether a workload's
-  trace is object-per-request or columnar (it converts to columns at run
-  start), matching the recorded replay goldens for every registered
-  policy.
+* a :class:`ColumnarTrace` yields exactly the :class:`Request` rows it was
+  built from — same values, native Python scalars — and writes the CSV
+  format byte for byte (checked against literal rows and literal text,
+  including a hypothesis round-trip property),
+* slicing is zero-copy (views share the parent's buffers), and ids that
+  do not fit their column's dtype are rejected instead of wrapped,
+* the simulator replays a trace to the recorded golden for every
+  registered policy and under the estimator/warm-up edge configurations.
 """
 
 import numpy as np
@@ -22,64 +22,86 @@ from repro.network.variability import NLANRRatioVariability
 from repro.sim.config import SimulationConfig
 from repro.trace.columnar import ColumnarTrace
 from repro.workload.gismo import GismoWorkloadGenerator, Workload, WorkloadConfig
-from repro.workload.trace import Request, RequestTrace
+from repro.workload.trace import Request
 
 from conftest import GOLDEN_POLICIES, replay_golden
+
+#: The rows of :func:`make_pair`'s trace, as literal requests.
+ROWS = [
+    Request(time=0.5, object_id=3, client_id=0),
+    Request(time=1.0, object_id=1, client_id=1),
+    Request(time=1.0, object_id=3, client_id=0),
+    Request(time=2.25, object_id=2, client_id=2),
+    Request(time=7.5, object_id=1, client_id=1),
+]
+
+#: :data:`ROWS` in the CSV format :meth:`ColumnarTrace.to_csv` writes.
+CSV_TEXT = (
+    "time,object_id,client_id\r\n"
+    "0.5,3,0\r\n"
+    "1.0,1,1\r\n"
+    "1.0,3,0\r\n"
+    "2.25,2,2\r\n"
+    "7.5,1,1\r\n"
+)
 
 
 def make_pair():
     times = [0.5, 1.0, 1.0, 2.25, 7.5]
     object_ids = [3, 1, 3, 2, 1]
     client_ids = [0, 1, 0, 2, 1]
-    columnar = ColumnarTrace(times, object_ids, client_ids)
-    objects = RequestTrace.from_arrays(times, object_ids, client_ids)
-    return columnar, objects
+    return ColumnarTrace(times, object_ids, client_ids), list(ROWS)
 
 
 class TestProtocolParity:
     def test_len_iter_and_values(self):
-        columnar, objects = make_pair()
-        assert len(columnar) == len(objects)
-        assert list(columnar) == list(objects)
+        columnar, rows = make_pair()
+        assert len(columnar) == len(rows)
+        assert list(columnar) == rows
         for request in columnar:
             assert type(request.time) is float
             assert type(request.object_id) is int
 
     def test_equality_both_directions(self):
-        columnar, objects = make_pair()
-        assert columnar == objects
-        assert objects == columnar
-        assert columnar == ColumnarTrace.from_request_trace(objects)
+        columnar, rows = make_pair()
+        rebuilt = ColumnarTrace(
+            [r.time for r in rows],
+            [r.object_id for r in rows],
+            [r.client_id for r in rows],
+        )
+        assert columnar == rebuilt
+        assert rebuilt == columnar
         assert columnar != columnar[1:]
+        assert (columnar == rows) is False
 
     def test_indexing(self):
-        columnar, objects = make_pair()
-        assert columnar[0] == objects[0]
-        assert columnar[-1] == objects[-1]
+        columnar, rows = make_pair()
+        assert columnar[0] == rows[0]
+        assert columnar[-1] == rows[-1]
         with pytest.raises(IndexError):
             columnar[99]
 
     def test_slicing_matches_and_is_zero_copy(self):
-        columnar, objects = make_pair()
+        columnar, rows = make_pair()
         sliced = columnar[1:4]
         assert isinstance(sliced, ColumnarTrace)
-        assert sliced == objects[1:4]
+        assert list(sliced) == rows[1:4]
         assert np.shares_memory(sliced.times_array, columnar.times_array)
 
     def test_bounds_and_counts(self):
-        columnar, objects = make_pair()
-        assert columnar.duration == objects.duration
-        assert columnar.start_time == objects.start_time
-        assert columnar.end_time == objects.end_time
-        assert columnar.object_ids() == objects.object_ids()
-        assert columnar.request_counts() == objects.request_counts()
+        columnar, _ = make_pair()
+        assert columnar.duration == 7.0
+        assert columnar.start_time == 0.5
+        assert columnar.end_time == 7.5
+        assert columnar.object_ids() == [3, 1, 2]
+        assert columnar.request_counts() == {3: 2, 1: 2, 2: 1}
 
     def test_split(self):
-        columnar, objects = make_pair()
+        columnar, rows = make_pair()
         c_warm, c_measure = columnar.split(0.5)
-        o_warm, o_measure = objects.split(0.5)
-        assert c_warm == o_warm
-        assert c_measure == o_measure
+        # round(0.5 * 5) == 2: Python rounds half to even.
+        assert list(c_warm) == rows[:2]
+        assert list(c_measure) == rows[2:]
         with pytest.raises(ConfigurationError):
             columnar.split(1.5)
 
@@ -88,7 +110,7 @@ class TestProtocolParity:
         assert len(empty) == 0
         assert empty.duration == 0.0
         assert empty.object_ids() == []
-        assert empty == RequestTrace([])
+        assert list(empty) == []
 
 
 class TestValidation:
@@ -111,34 +133,72 @@ class TestValidation:
         assert columnar.times_array.dtype == np.float64
         assert columnar.object_ids_array.dtype == np.int64
         assert columnar.client_ids_array.dtype == np.int32
+        # Ids at their dtype's bounds, and whole floats, convert losslessly.
+        bounds = ColumnarTrace(
+            [0.0, 1.0],
+            np.array([-(2**63), 2**63 - 1]),
+            np.array([-(2**31), 2**31 - 1]),
+        )
+        assert bounds.object_ids_array.tolist() == [-(2**63), 2**63 - 1]
+        assert bounds.client_ids_array.tolist() == [-(2**31), 2**31 - 1]
+        whole = ColumnarTrace([0.0], np.array([4.0]), np.array([5], dtype=np.int64))
+        assert whole.object_ids_array.tolist() == [4]
+        assert whole.client_ids_array.tolist() == [5]
+
+    @pytest.mark.parametrize(
+        "object_ids, client_ids, column",
+        [
+            ([1], np.array([3_000_000_000]), "client_ids"),
+            ([1], [3_000_000_000], "client_ids"),
+            ([1], np.array([-(2**31) - 1]), "client_ids"),
+            ([2**63], None, "object_ids"),
+            (np.array([2**63], dtype=np.uint64), None, "object_ids"),
+            ([2**64], None, "object_ids"),
+            (np.array([1.7]), None, "object_ids"),
+            (np.array([np.nan]), None, "object_ids"),
+        ],
+        ids=[
+            "client-int64-past-int32",
+            "client-list-past-int32",
+            "client-below-int32",
+            "object-list-past-int64",
+            "object-uint64-past-int64",
+            "object-list-past-uint64",
+            "object-fractional",
+            "object-nan",
+        ],
+    )
+    def test_ids_that_do_not_fit_their_column_rejected(
+        self, object_ids, client_ids, column
+    ):
+        with pytest.raises(ConfigurationError, match=column):
+            ColumnarTrace([0.0], object_ids, client_ids)
 
 
 class TestSerialisation:
     def test_csv_is_byte_identical_to_request_trace(self, tmp_path):
-        columnar, objects = make_pair()
+        """The CSV bytes are the trace format: a header, then one
+        ``time,object_id,client_id`` row per request."""
+        columnar, _ = make_pair()
         columnar.to_csv(tmp_path / "col.csv")
-        objects.to_csv(tmp_path / "obj.csv")
-        assert (tmp_path / "col.csv").read_bytes() == (tmp_path / "obj.csv").read_bytes()
+        assert (tmp_path / "col.csv").read_bytes() == CSV_TEXT.encode()
 
     def test_csv_cross_reader_roundtrip(self, tmp_path):
-        columnar, objects = make_pair()
+        columnar, rows = make_pair()
         columnar.to_csv(tmp_path / "t.csv")
         assert ColumnarTrace.from_csv(tmp_path / "t.csv") == columnar
-        assert RequestTrace.from_csv(tmp_path / "t.csv") == objects
+        (tmp_path / "literal.csv").write_bytes(CSV_TEXT.encode())
+        assert list(ColumnarTrace.from_csv(tmp_path / "literal.csv")) == rows
 
     def test_csv_malformed_numeric_raises_trace_format_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,object_id,client_id\n1.0,zap,0\n")
         with pytest.raises(TraceFormatError):
             ColumnarTrace.from_csv(path)
-        with pytest.raises(TraceFormatError):
-            RequestTrace.from_csv(path)
 
     def test_csv_out_of_order_raises_trace_format_error_with_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,object_id,client_id\n5.0,1,0\n2.0,2,0\n")
-        with pytest.raises(TraceFormatError, match=":3"):
-            RequestTrace.from_csv(path)
         with pytest.raises(TraceFormatError, match=":3"):
             ColumnarTrace.from_csv(path)
 
@@ -146,7 +206,30 @@ class TestSerialisation:
         path = tmp_path / "bad.csv"
         path.write_text("time,object_id,client_id\nnan,1,0\n")
         with pytest.raises(TraceFormatError):
-            RequestTrace.from_csv(path)
+            ColumnarTrace.from_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, field",
+        [
+            ("0.0,1,3000000000", "client_id"),
+            ("0.0,1,-2147483649", "client_id"),
+            (f"0.0,{2**63},0", "object_id"),
+            (f"0.0,{-(2**63) - 1},0", "object_id"),
+        ],
+        ids=[
+            "client-past-int32",
+            "client-below-int32",
+            "object-past-int64",
+            "object-below-int64",
+        ],
+    )
+    def test_csv_id_out_of_range_raises_trace_format_error_with_line(
+        self, tmp_path, row, field
+    ):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"time,object_id,client_id\n0.0,1,0\n{row}\n")
+        with pytest.raises(TraceFormatError, match=f":3: {field}"):
+            ColumnarTrace.from_csv(path)
 
     def test_npz_roundtrip(self, tmp_path):
         columnar, _ = make_pair()
@@ -164,6 +247,31 @@ class TestSerialisation:
         with pytest.raises(TraceFormatError):
             ColumnarTrace.from_npz(path)
 
+    @pytest.mark.parametrize(
+        "object_ids, client_ids, column",
+        [
+            (np.array([1]), np.array([3_000_000_000], dtype=np.int64), "client_ids"),
+            (np.array([1.7]), np.array([0], dtype=np.int32), "object_ids"),
+            (
+                np.array([2**63], dtype=np.uint64),
+                np.array([0], dtype=np.int32),
+                "object_ids",
+            ),
+        ],
+        ids=[
+            "client-int64-past-int32",
+            "object-fractional",
+            "object-uint64-past-int64",
+        ],
+    )
+    def test_npz_id_column_that_does_not_fit_rejected(
+        self, tmp_path, object_ids, client_ids, column
+    ):
+        path = tmp_path / "bad.npz"
+        np.savez(path, times=np.zeros(1), object_ids=object_ids, client_ids=client_ids)
+        with pytest.raises(TraceFormatError, match=column):
+            ColumnarTrace.from_npz(path)
+
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -176,59 +284,46 @@ class TestSerialisation:
         max_size=40,
     )
 )
-def test_roundtrip_property(rows):
-    """ColumnarTrace <-> RequestTrace round-trips are lossless both ways."""
+def test_roundtrip_property(tmp_path_factory, rows):
+    """Rows -> columns -> rows, and columns -> CSV -> columns, are lossless."""
     rows.sort(key=lambda row: row[0])
     requests = [Request(time=t, object_id=o, client_id=c) for t, o, c in rows]
-    objects = RequestTrace(requests)
-    columnar = ColumnarTrace.from_request_trace(objects)
-    assert columnar == objects
-    assert columnar.to_request_trace() == objects
-    assert ColumnarTrace.from_request_trace(columnar.to_request_trace()) == columnar
-    assert ColumnarTrace.from_trace(columnar) is columnar
+    columnar = ColumnarTrace(
+        [r.time for r in requests],
+        [r.object_id for r in requests],
+        [r.client_id for r in requests],
+    )
+    assert list(columnar) == requests
+    assert [columnar[i] for i in range(len(columnar))] == requests
+    path = tmp_path_factory.mktemp("traces") / "t.csv"
+    columnar.to_csv(path)
+    assert ColumnarTrace.from_csv(path) == columnar
 
 
 class TestGismoColumnarMode:
-    def test_columnar_output_matches_object_output(self):
-        config = WorkloadConfig(seed=5).scaled(0.02)
-        object_workload = GismoWorkloadGenerator(config).generate()
-        columnar_workload = GismoWorkloadGenerator(config).generate(columnar=True)
-        assert isinstance(columnar_workload.trace, ColumnarTrace)
-        assert columnar_workload.trace == object_workload.trace
-        assert (
-            columnar_workload.catalog.total_size == object_workload.catalog.total_size
-        )
-
     def test_describe_works_on_columnar_workloads(self):
         config = WorkloadConfig(seed=5).scaled(0.02)
-        workload = GismoWorkloadGenerator(config).generate(columnar=True)
+        workload = GismoWorkloadGenerator(config).generate()
+        assert isinstance(workload.trace, ColumnarTrace)
         summary = workload.describe()
         assert summary["requests"] == float(len(workload.trace))
 
 
 @pytest.fixture(scope="module")
-def workload_pair():
+def golden_workload():
     config = WorkloadConfig(seed=7).scaled(0.02)  # 100 objects, 2000 requests
-    object_workload = GismoWorkloadGenerator(config).generate()
-    columnar_workload = Workload(
-        catalog=object_workload.catalog,
-        trace=ColumnarTrace.from_request_trace(object_workload.trace),
-        config=object_workload.config,
-        expected_rates=object_workload.expected_rates,
-    )
-    return object_workload, columnar_workload
+    return GismoWorkloadGenerator(config).generate()
 
 
 @pytest.mark.parametrize("policy_name", sorted(GOLDEN_POLICIES))
-def test_columnar_replay_bit_identical_per_policy(workload_pair, policy_name):
-    """Object and columnar traces both replay to the recorded golden."""
+def test_columnar_replay_bit_identical_per_policy(golden_workload, policy_name):
+    """Every policy replays the trace to the recorded golden."""
     config = SimulationConfig(
         cache_size_gb=0.5, variability=NLANRRatioVariability(), seed=11
     )
-    for workload in workload_pair:
-        replay_golden(
-            f"columnar/{policy_name}", workload, config, GOLDEN_POLICIES[policy_name]
-        )
+    replay_golden(
+        f"columnar/{policy_name}", golden_workload, config, GOLDEN_POLICIES[policy_name]
+    )
 
 
 @pytest.mark.parametrize(
@@ -242,8 +337,8 @@ def test_columnar_replay_bit_identical_per_policy(workload_pair, policy_name):
     ],
     ids=["passive-estimator", "zero-warmup", "late-warmup", "measured-paths", "verify"],
 )
-def test_columnar_replay_bit_identical_edge_configs(workload_pair, config_kwargs):
-    """Object and columnar traces agree under estimator/warmup variants."""
+def test_columnar_replay_bit_identical_edge_configs(golden_workload, config_kwargs):
+    """The trace replays to its golden under estimator/warmup variants."""
     from repro.network.variability import MeasuredPathVariability
     from repro.sim.config import BandwidthKnowledge
 
@@ -256,8 +351,7 @@ def test_columnar_replay_bit_identical_edge_configs(workload_pair, config_kwargs
         kwargs[key] = value
     config = SimulationConfig(**kwargs)
     key = "columnar/edge/" + "-".join(f"{k}={v}" for k, v in config_kwargs.items())
-    for workload in workload_pair:
-        replay_golden(key, workload, config)
+    replay_golden(key, golden_workload, config)
 
 
 def test_columnar_replay_bit_identical_sparse_ids():
@@ -271,19 +365,12 @@ def test_columnar_replay_bit_identical_sparse_ids():
     )
     times = np.arange(60, dtype=float)
     object_ids = np.array([sparse_ids[i % 3] for i in range(60)], dtype=np.int64)
-    base_config = WorkloadConfig(num_objects=3, num_requests=60, num_servers=3)
-    object_workload = Workload(
-        catalog=catalog,
-        trace=RequestTrace.from_arrays(times, object_ids),
-        config=base_config,
-    )
-    columnar_workload = Workload(
+    workload = Workload(
         catalog=catalog,
         trace=ColumnarTrace(times, object_ids),
-        config=base_config,
+        config=WorkloadConfig(num_objects=3, num_requests=60, num_servers=3),
     )
     config = SimulationConfig(
         cache_size_gb=0.01, variability=NLANRRatioVariability(), seed=2
     )
-    for workload in (object_workload, columnar_workload):
-        replay_golden("columnar/sparse-ids", workload, config)
+    replay_golden("columnar/sparse-ids", workload, config)

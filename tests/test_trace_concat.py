@@ -16,7 +16,6 @@ from hypothesis import given, settings
 
 from repro.exceptions import ConfigurationError
 from repro.trace.columnar import ColumnarTrace
-from repro.workload.trace import Request, RequestTrace
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_SQUID = REPO_ROOT / "examples" / "data" / "sample_squid.log"
@@ -67,12 +66,6 @@ class TestConcatSemantics:
         only = _trace([1.0, 2.0])
         stitched = ColumnarTrace.concat([_trace([]), only, _trace([])])
         assert stitched == only
-
-    def test_accepts_object_traces(self):
-        day1 = RequestTrace([Request(time=0.0, object_id=1)])
-        day2 = _trace([5.0], ids=[2])
-        stitched = ColumnarTrace.concat([day1, day2])
-        assert stitched.object_ids_array.tolist() == [1, 2]
 
     def test_result_never_aliases_inputs(self):
         day1 = _trace([0.0, 1.0])

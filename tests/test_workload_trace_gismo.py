@@ -1,11 +1,16 @@
 """Tests for request traces and the GISMO workload generator."""
 
-import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, TraceFormatError
-from repro.workload.gismo import GismoWorkloadGenerator, WorkloadConfig, table1_workload
-from repro.workload.trace import Request, RequestTrace
+from repro.trace.columnar import ColumnarTrace
+from repro.workload.gismo import (
+    GismoWorkloadGenerator,
+    Workload,
+    WorkloadConfig,
+    table1_workload,
+)
+from repro.workload.trace import Request
 
 
 class TestRequest:
@@ -15,15 +20,10 @@ class TestRequest:
 
 
 class TestRequestTrace:
+    """The request trace, a :class:`ColumnarTrace`, on four literal requests."""
+
     def make_trace(self):
-        return RequestTrace(
-            [
-                Request(time=1.0, object_id=3),
-                Request(time=2.0, object_id=1),
-                Request(time=2.5, object_id=3),
-                Request(time=4.0, object_id=2),
-            ]
-        )
+        return ColumnarTrace([1.0, 2.0, 2.5, 4.0], [3, 1, 3, 2])
 
     def test_len_duration_bounds(self):
         trace = self.make_trace()
@@ -34,7 +34,7 @@ class TestRequestTrace:
 
     def test_out_of_order_rejected(self):
         with pytest.raises(ConfigurationError):
-            RequestTrace([Request(time=2.0, object_id=0), Request(time=1.0, object_id=1)])
+            ColumnarTrace([2.0, 1.0], [0, 1])
 
     def test_object_ids_first_seen_order(self):
         assert self.make_trace().object_ids() == [3, 1, 2]
@@ -54,35 +54,35 @@ class TestRequestTrace:
 
     def test_slicing_returns_trace(self):
         sliced = self.make_trace()[1:3]
-        assert isinstance(sliced, RequestTrace)
+        assert isinstance(sliced, ColumnarTrace)
         assert len(sliced) == 2
 
     def test_csv_roundtrip(self, tmp_path):
         trace = self.make_trace()
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
-        assert RequestTrace.from_csv(path) == trace
+        assert ColumnarTrace.from_csv(path) == trace
 
     def test_csv_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(TraceFormatError):
-            RequestTrace.from_csv(path)
+            ColumnarTrace.from_csv(path)
 
     def test_csv_bad_row_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,object_id,client_id\n1.0,notanint,0\n")
         with pytest.raises(TraceFormatError):
-            RequestTrace.from_csv(path)
+            ColumnarTrace.from_csv(path)
 
     def test_from_arrays_validation(self):
         with pytest.raises(ConfigurationError):
-            RequestTrace.from_arrays([1.0, 2.0], [1])
+            ColumnarTrace([1.0, 2.0], [1])
         with pytest.raises(ConfigurationError):
-            RequestTrace.from_arrays([1.0], [1], client_ids=[1, 2])
+            ColumnarTrace([1.0], [1], client_ids=[1, 2])
 
     def test_empty_trace_properties(self):
-        empty = RequestTrace([])
+        empty = ColumnarTrace([], [])
         assert len(empty) == 0
         assert empty.duration == 0.0
         assert empty.object_ids() == []
@@ -148,6 +148,13 @@ class TestGismoWorkloadGenerator:
         assert tiny_workload.expected_rates.sum() == pytest.approx(
             tiny_workload.config.num_requests
         )
+
+    def test_workload_rejects_any_other_trace(self, tiny_workload):
+        rows = list(tiny_workload.trace)
+        with pytest.raises(ConfigurationError, match="ColumnarTrace"):
+            Workload(
+                catalog=tiny_workload.catalog, trace=rows, config=tiny_workload.config
+            )
 
     def test_describe_reports_requests(self, tiny_workload):
         summary = tiny_workload.describe()
