@@ -6,7 +6,8 @@ switched on:
 
 * the ``--metrics-out`` JSON timeline — schema version, consistent
   window count across every series, the expected series keys, and
-  totals that carry the run's aggregate counters;
+  totals that carry the run's aggregate counters, each integer
+  per-window series (:data:`SUMMED_SERIES`) summing to its total;
 * the ``--trace-out`` JSONL event trace — every line parses, carries
   the required envelope fields (``t``/``event``/``level``), uses a
   known level, and the file is bracketed by ``run-start``/``run-end``;
@@ -47,6 +48,9 @@ REQUIRED_SERIES = (
     "streaming_quality",
     "streaming_abandonment_rate",
 )
+
+#: Integer per-window series whose windows must sum to the run's total.
+SUMMED_SERIES = ("requests", "hits", "evictions", "reactive_shifts", "reactive_rekeys")
 
 #: Envelope fields every trace line must carry.
 TRACE_ENVELOPE = ("t", "event", "level")
@@ -92,14 +96,13 @@ def check_metrics(path: Path) -> List[str]:
                 f"for {num_windows} windows"
             )
     totals = payload.get("totals", {})
-    for name in ("requests", "hits", "evictions"):
+    for name in SUMMED_SERIES:
         if name not in totals:
             failures.append(f"{path}: totals missing {name!r}")
-    if "requests" in totals and "requests" in series:
-        if sum(series["requests"]) != totals["requests"]:
+        elif name in series and sum(series[name]) != totals[name]:
             failures.append(
-                f"{path}: per-window requests sum to "
-                f"{sum(series['requests'])}, totals say {totals['requests']}"
+                f"{path}: per-window {name} sum to "
+                f"{sum(series[name])}, totals say {totals[name]}"
             )
     return failures
 

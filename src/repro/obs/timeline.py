@@ -1,25 +1,30 @@
 """Windowed time-series metrics: the :class:`MetricsTimeline` recorder.
 
-The replay kernel keeps its per-request accumulators in local variables
-for speed, so the timeline cannot poll them from outside; instead the
-kernel checks one precomputed boundary time per request and, when a window
-boundary has passed, hands the recorder a *cumulative snapshot* of the
-fourteen core accumulators (the exact tuple order of
-:meth:`repro.sim.metrics.MetricsCollector.snapshot`).  The recorder
-extends the snapshot with the eviction / reactive / fault counters read
-from the bound component objects and stores it as a plain-Python marker.
+The replay kernel checks one precomputed boundary time per request and,
+when a window boundary has passed, calls :meth:`MetricsTimeline.close`
+with the request's trace index.  The recorder snapshots its gauges and
+counters at that moment — evictions and occupancy from the cache store,
+the reactive re-keyer's, the fault injector's and the streaming engine's
+counters — and leaves the marker's core metric sums (requests, bytes,
+delay, quality, value, hits, ...) pending: the kernel writes one outcome
+row per measured request and sums the rows in blocks, and each block's
+reduction reads its running sums at the pending markers' rows
+(:meth:`pending_rows`) — the sums over the requests before each marker's
+own — and hands them over (:meth:`settle`).  Window crossings never
+force a reduction.
 
 Recording cumulative snapshots — not per-window sums — is what makes the
 acceptance criteria cheap to satisfy:
 
 * the final cumulative row *is* the end-of-run aggregate, bit-exactly,
-  because it is read from the very accumulators the run finalises;
+  because it is read from the very reduction the run finalises;
 * per-window deltas are differences of exact cumulatives, so integer
   deltas sum back to the aggregate exactly and float deltas telescope to
   it by construction;
-* the kernel takes the snapshot at one sequence point (after pending
-  auxiliary events fire, before the request is served), so the markers —
-  and every derived series — do not depend on how the trace is chunked.
+* a marker is taken at one sequence point (after pending auxiliary
+  events fire, before the request is served), so the markers — and
+  every derived series — do not depend on how the trace is chunked or
+  where the outcome blocks are reduced.
 
 Windows are fixed-width in simulated time, anchored at the trace start.
 A marker taken at time ``t`` closes every window that ended at or before
@@ -40,9 +45,12 @@ import numpy as np
 __all__ = ["CUMULATIVE_FIELDS", "GAUGE_FIELDS", "MetricsTimeline"]
 
 #: Field names of one cumulative snapshot row, in storage order.  The
-#: first fourteen mirror :meth:`MetricsCollector.snapshot`; the rest are
-#: read from the cache store, the reactive re-keyer, the fault injector,
-#: and the streaming delivery engine at snapshot time.
+#: first fourteen are the core metric sums: the sums of
+#: :class:`repro.sim.metrics.MetricsCollector` of the same names, which
+#: :meth:`~repro.sim.metrics.MetricsCollector.absorb_rows` returns in
+#: this order; the rest are read from the cache store, the reactive
+#: re-keyer, the fault injector, and the streaming delivery engine at
+#: snapshot time.
 CUMULATIVE_FIELDS = (
     "requests",
     "bytes_from_cache",
@@ -97,11 +105,12 @@ class MetricsTimeline:
 
     Lifecycle: the simulator constructs the timeline with the window
     width and the trace start time, :meth:`bind`\\ s the component objects
-    whose counters extend each snapshot, receives boundary-crossing
-    snapshots from the replay loop via :meth:`close`, and seals the
-    record with :meth:`finish`.  All read accessors (:meth:`cumulative`,
-    :meth:`delta`, :meth:`series`, :meth:`totals`, :meth:`as_dict`)
-    require a finished timeline.
+    whose counters extend each snapshot, receives boundary crossings from
+    the replay loop via :meth:`close` and their core sums via
+    :meth:`settle`, and seals the record with :meth:`finish` (the run's
+    last reduction settles its final marker).  All read accessors
+    (:meth:`cumulative`, :meth:`delta`, :meth:`series`, :meth:`totals`,
+    :meth:`as_dict`) require a finished timeline.
     """
 
     def __init__(self, window_s: float, start_time: float) -> None:
@@ -112,6 +121,9 @@ class MetricsTimeline:
         #: Markers ``(window_index, cumulative_tuple, occupancy, objects)``
         #: in strictly increasing window order; plain Python only.
         self._marks: List[Tuple[int, tuple, float, int]] = []
+        #: Markers still waiting for their core sums:
+        #: ``(window_index, request_index, extras, occupancy, objects)``.
+        self._pending: List[Tuple[int, int, tuple, float, int]] = []
         self.num_windows = 0
         self._finished = False
         self._store = None
@@ -167,44 +179,59 @@ class MetricsTimeline:
             streaming.abandoned if streaming is not None else 0,
         )
 
-    def close(self, now: float, core: tuple) -> float:
-        """Record a boundary crossing observed at simulated time ``now``.
-
-        ``core`` is the fourteen-element cumulative tuple in
-        :meth:`MetricsCollector.snapshot` order; the marker closes every
-        window that ended at or before ``now``.  Returns the next
-        boundary time the replay loop should test against.
-        """
-        index = int((now - self.start_time) / self.window_s)
+    def _mark(self, window: int, index: int) -> None:
         store = self._store
-        self._marks.append(
+        self._pending.append(
             (
+                window,
                 index,
-                tuple(core) + self._extras(),
+                self._extras(),
                 store.occupancy if store is not None else 0.0,
                 len(store) if store is not None else 0,
             )
         )
-        return self.start_time + (index + 1) * self.window_s
 
-    def finish(self, end_time: float, core: tuple) -> None:
-        """Seal the record at ``end_time`` with the final accumulators.
+    def close(self, now: float, index: int) -> float:
+        """Record a boundary crossing observed at request ``index``, time
+        ``now``.
 
-        The final cumulative row is, by construction, bit-identical to
-        the end-of-run aggregates.  Component references taken by
+        The marker closes every window that ended at or before ``now``;
+        its core sums — over the measured requests before ``index`` — are
+        filled in by :meth:`settle`.  Returns the next boundary time the
+        replay loop should test against.
+        """
+        window = int((now - self.start_time) / self.window_s)
+        self._mark(window, index)
+        return self.start_time + (window + 1) * self.window_s
+
+    def pending_rows(self, first: int) -> List[int]:
+        """Rows of the pending markers in the block of outcome rows whose
+        row 0 is request ``first`` (row 0 for a marker taken before it,
+        during the warm-up)."""
+        return [max(index - first, 0) for _, index, _, _, _ in self._pending]
+
+    def settle(self, cores) -> None:
+        """Give every pending marker its core sums, one tuple each, in
+        marker order (:meth:`repro.sim.metrics.MetricsCollector.absorb_rows`
+        at :meth:`pending_rows`)."""
+        pending = self._pending
+        self._marks.extend(
+            (window, core + extras, occupancy, objects)
+            for (window, _, extras, occupancy, objects), core in zip(pending, cores)
+        )
+        pending.clear()
+
+    def finish(self, end_time: float, index: int) -> None:
+        """Seal the record at ``end_time``; ``index`` is the request count.
+
+        The final marker is settled, like every other, by the run's last
+        reduction, so the final cumulative row is bit-identical to the
+        end-of-run aggregates.  Component references taken by
         :meth:`bind` are released so the timeline is self-contained.
         """
         span = max(end_time - self.start_time, 0.0)
         self.num_windows = int(span / self.window_s) + 1
-        store = self._store
-        self._marks.append(
-            (
-                self.num_windows,
-                tuple(core) + self._extras(),
-                store.occupancy if store is not None else 0.0,
-                len(store) if store is not None else 0,
-            )
-        )
+        self._mark(self.num_windows, index)
         self._finished = True
         self._store = None
         self._rekeyer = None
@@ -399,6 +426,7 @@ class MetricsTimeline:
         self.start_time = state["start_time"]
         self.num_windows = state["num_windows"]
         self._marks = state["_marks"]
+        self._pending = []
         self._finished = state["_finished"]
         self._store = None
         self._rekeyer = None

@@ -28,11 +28,12 @@ from repro.units import gb_to_kb
 
 
 def _check_model(name: str, value, expected: type) -> None:
-    """Reject a model field that is neither ``None`` nor an ``expected``.
+    """Reject a model or subsystem field that is neither ``None`` nor an
+    ``expected``.
 
-    A wrong-typed model (a string such as ``"nlanr"``) would otherwise be
-    accepted here and fail deep inside a replay.  ``None`` selects the
-    field's default.
+    A wrong-typed value (a string such as ``"nlanr"``, a dict of
+    settings) would otherwise be accepted here and fail deep inside a
+    replay.  ``None`` selects the field's default.
     """
     if value is not None and not isinstance(value, expected):
         raise ConfigurationError(
@@ -261,6 +262,12 @@ class SimulationConfig:
             "bandwidth_distribution", self.bandwidth_distribution, BandwidthDistribution
         )
         _check_model("variability", self.variability, BandwidthVariabilityModel)
+        _check_model("remeasurement", self.remeasurement, RemeasurementConfig)
+        _check_model("client_clouds", self.client_clouds, ClientCloudConfig)
+        _check_model("faults", self.faults, FaultConfig)
+        _check_model("streaming", self.streaming, StreamingConfig)
+        _check_model("hierarchy", self.hierarchy, HierarchyConfig)
+        _check_model("observability", self.observability, ObservabilityConfig)
         if not isinstance(self.bandwidth_knowledge, BandwidthKnowledge):
             raise ConfigurationError(
                 "bandwidth_knowledge must be a BandwidthKnowledge, "

@@ -242,6 +242,12 @@ class FaultConfig:
     recovery_fraction: float = 0.8
 
     def __post_init__(self) -> None:
+        if not isinstance(self.episodes, (tuple, list)) or not all(
+            isinstance(episode, FaultEpisode) for episode in self.episodes
+        ):
+            raise ConfigurationError(
+                f"episodes must be a tuple of FaultEpisode, got {self.episodes!r}"
+            )
         object.__setattr__(self, "episodes", tuple(self.episodes))
         for name in (
             "random_origin_outages",

@@ -139,6 +139,12 @@ class HierarchyConfig:
     def __post_init__(self) -> None:
         if isinstance(self.tiers, list):  # tolerate list literals in configs
             object.__setattr__(self, "tiers", tuple(self.tiers))
+        if not isinstance(self.tiers, tuple) or not all(
+            isinstance(tier, CacheTier) for tier in self.tiers
+        ):
+            raise ConfigurationError(
+                f"tiers must be a tuple of CacheTier, got {self.tiers!r}"
+            )
         if not self.tiers:
             raise ConfigurationError("hierarchy needs at least one tier")
         names = [tier.name for tier in self.tiers]

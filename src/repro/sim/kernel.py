@@ -13,9 +13,9 @@ auxiliary-event merging); the kernel owns *service*:
 6. **faults** — fault-injector interception (outages, retries, backoff),
 7. **residency** — hierarchy residency / escalation, or flat store read,
 8. **delivery** — streaming session or delivery-session arithmetic,
-9. **metrics** — metric accumulation (measured requests only),
-10. **policy** — policy admit / evict (skipped under a hierarchy, whose
-    tiers run their own policies),
+9. **policy** — policy admit / evict (skipped under a hierarchy, whose
+   tiers run their own policies),
+10. **metrics** — the request's outcome row (measured requests only),
 11. **passive** — passive bandwidth observation + reactive trigger,
 12. **verify** — optional store-consistency verification.
 
@@ -27,10 +27,17 @@ uninterrupted by auxiliary events.  Chunks are the seam for later
 vectorisation — the kernel is free to process a run however it likes as
 long as the observable sequence is preserved, and splitting a run at any
 request must not change a bit of the result (``tests/test_sim_kernel.py``
-checks this down to one request per chunk).  Metric accumulators are
-*carried across chunks* on the context and merged into the collector
-exactly once (:meth:`KernelContext.finish`) — floating-point addition
-order is part of the bit-identity contract.
+checks this down to one request per chunk).
+
+Each measured request ends in one *outcome row* (cache KB, server KB,
+delay, quality, added value, status, retries; see
+:data:`repro.sim.metrics.OUTCOME_COLUMNS`), written by one shared tail
+into the run's outcome block.  The block is reduced into the collector
+when it fills (:data:`BLOCK_ROWS` rows) and once more when the run ends
+(:meth:`KernelContext.finish`), never per chunk, by one ordered
+accumulate per sum — floating-point addition order is part of the
+bit-identity contract.  Timeline markers take their metric sums from the
+same reduction.
 
 A :class:`KernelContext` is assembled once per run by
 :func:`build_context` from the simulator's configured subsystems
@@ -53,11 +60,13 @@ move a random draw.
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.sim.faults import stale_quality
+from repro.sim.metrics import FAILED, OUTCOME_COLUMNS, SERVED, STALE
 from repro.workload.catalog import id_table
 
 #: The canonical per-request stage order.  A request runs a subsequence of
@@ -72,13 +81,19 @@ KERNEL_STAGES = (
     "faults",
     "residency",
     "delivery",
-    "metrics",
     "policy",
+    "metrics",
     "passive",
     "verify",
 )
 
 _INF = float("inf")
+
+#: Rows of the outcome block.  A full block is reduced before the next
+#: row is written, so a run holds at most 7 columns x 8 B x 4,096 rows
+#: (224 KiB) of outcomes whatever its length; larger blocks measured no
+#: faster and cost peak memory.
+BLOCK_ROWS = 4_096
 
 
 # ----------------------------------------------------------------------
@@ -196,21 +211,20 @@ class KernelContext:
     """Everything one run's service sequence needs, bound once.
 
     Built by :func:`build_context`; consumed by :func:`serve_batch`.  The
-    ``m_*`` metric accumulators and the ``measuring`` / ``tl_boundary``
-    cursors are *run state* carried across driver chunks; everything else
-    is read-only for the run.
-    Call :meth:`finish` exactly once after the driver completes to merge
-    the accumulated metrics into the collector.
+    outcome block (``outcomes``, whose row 0 is request
+    ``outcome_origin``) and the ``tl_boundary`` cursor are *run state*
+    carried across driver chunks; everything else is read-only for the
+    run.  Call :meth:`finish` exactly once after the driver completes.
     """
 
     __slots__ = (
         # Static bindings (read-only during replay).
+        "requests",
         "warmup_cutoff",
         "verify_store",
         "verify_consistency",
         "store",
         "store_kb",
-        "policy",
         "policy_on_request",
         "collector",
         "estimator_estimate",
@@ -224,7 +238,7 @@ class KernelContext:
         "stream_ids",
         "hier_serve",
         "hier_edge",
-        "tl_close",
+        "timeline",
         "rng",
         "entries",
         "observed_seq",
@@ -233,54 +247,37 @@ class KernelContext:
         "lm_groups",
         "pops",
         # Run state (carried across chunks).
-        "measuring",
         "tl_boundary",
-        "m_requests",
-        "m_bytes_cache",
-        "m_bytes_server",
-        "m_delay",
-        "m_quality",
-        "m_value",
-        "m_hits",
-        "m_immediate",
-        "m_delayed",
-        "m_delay_delayed",
-        "m_failed",
-        "m_stale",
-        "m_retried",
-        "m_retries",
-        "warmup_count",
-        "hits_by_object",
+        "outcomes",
+        "outcome_origin",
     )
 
-    def finish(self) -> None:
-        """Merge the carried accumulators into the collector, once.
+    def reduce(self, count: int) -> None:
+        """Sum the block's first ``count`` rows into the collector, in row
+        order, and settle the timeline markers waiting for those sums.
 
-        The collector starts the measurement phase all-zero, so this
-        single :meth:`~repro.sim.metrics.MetricsCollector.absorb` call
-        is bit-identical to having recorded every request individually
-        (adding a sum to ``0.0`` is exact).
+        The status and retries columns are cleared afterwards: the kernel
+        writes them only for requests the fault model touched.
         """
-        collector = self.collector
-        collector.measuring = self.measuring
-        collector.absorb(
-            requests=self.m_requests,
-            bytes_from_cache=self.m_bytes_cache,
-            bytes_from_server=self.m_bytes_server,
-            delay_sum=self.m_delay,
-            quality_sum=self.m_quality,
-            value_sum=self.m_value,
-            hits=self.m_hits,
-            immediate=self.m_immediate,
-            delayed=self.m_delayed,
-            delay_sum_delayed=self.m_delay_delayed,
-            warmup_requests=self.warmup_count,
-            failed=self.m_failed,
-            stale_served=self.m_stale,
-            retried=self.m_retried,
-            total_retries=self.m_retries,
-            per_object_hits=self.hits_by_object,
-        )
+        timeline = self.timeline
+        first = self.outcome_origin
+        rows = timeline.pending_rows(first) if timeline is not None else []
+        cores = self.collector.absorb_rows(self.outcomes, count, rows)
+        if timeline is not None:
+            timeline.settle(cores)
+        *_, status, retries = self.outcomes
+        np.frombuffer(status)[:count] = SERVED
+        np.frombuffer(retries)[:count] = 0.0
+        self.outcome_origin = first + count
+
+    def finish(self, end_time: float) -> None:
+        """Close the run: seal the timeline at ``end_time``, reduce the
+        rows still in the block and count the warm-up requests (the
+        warm-up cutoff: warm-up requests write no row)."""
+        if self.timeline is not None:
+            self.timeline.finish(end_time, self.requests)
+        self.reduce(self.requests - self.outcome_origin)
+        self.collector.absorb(warmup_requests=self.warmup_cutoff)
 
 
 def build_context(
@@ -318,12 +315,12 @@ def build_context(
     total = len(trace)
 
     ctx = KernelContext()
+    ctx.requests = total
     ctx.warmup_cutoff = warmup_cutoff
     ctx.verify_store = verify_store
     ctx.store = store
     # The flat store's id -> KB table, sized by the policy's install.
     ctx.store_kb = store.cached_kb
-    ctx.policy = policy
     ctx.policy_on_request = policy.on_request
     ctx.collector = collector
     ctx.estimator_estimate = estimator.estimate if estimator is not None else None
@@ -359,12 +356,8 @@ def build_context(
         ctx.hier_edge = None
         ctx.verify_consistency = store.verify_consistency
 
-    if timeline is not None:
-        ctx.tl_close = timeline.close
-        ctx.tl_boundary = timeline.first_boundary
-    else:
-        ctx.tl_close = None
-        ctx.tl_boundary = _INF
+    ctx.timeline = timeline
+    ctx.tl_boundary = timeline.first_boundary if timeline is not None else _INF
 
     # Pre-drawn sequences.
     last_mile = last_mile_sequences(topology, trace, client_cloud_seed)
@@ -399,24 +392,13 @@ def build_context(
         np.maximum(observed_array, 1.0, out=observed_array)
         ctx.observed_seq = observed_array.tolist()
 
-    # Run state.
-    ctx.measuring = collector.measuring
-    ctx.m_requests = 0
-    ctx.m_bytes_cache = 0.0
-    ctx.m_bytes_server = 0.0
-    ctx.m_delay = 0.0
-    ctx.m_quality = 0.0
-    ctx.m_value = 0.0
-    ctx.m_hits = 0
-    ctx.m_immediate = 0
-    ctx.m_delayed = 0
-    ctx.m_delay_delayed = 0.0
-    ctx.m_failed = 0
-    ctx.m_stale = 0
-    ctx.m_retried = 0
-    ctx.m_retries = 0
-    ctx.warmup_count = 0
-    ctx.hits_by_object = {}
+    # The outcome block: one typed double per column and measured request,
+    # at most BLOCK_ROWS of them.
+    rows = min(BLOCK_ROWS, total - warmup_cutoff)
+    ctx.outcomes = tuple(
+        memoryview(array("d", [0.0]) * rows) for _ in OUTCOME_COLUMNS
+    )
+    ctx.outcome_origin = warmup_cutoff
     return ctx
 
 
@@ -434,8 +416,8 @@ def serve_batch(
 
     The driver guarantees no auxiliary event is due inside the run, so
     the kernel owns the whole chunk: the context is unpacked into locals
-    once per chunk, the stages run inline per request, and the carried
-    accumulators are written back once at the end.
+    once per chunk and the stages run inline per request.  Every measured
+    request ends in one outcome row, written by the shared tail below.
     """
     if stop <= start:
         return
@@ -447,7 +429,6 @@ def serve_batch(
     store = ctx.store
     store_kb = ctx.store_kb
     policy_on_request = ctx.policy_on_request
-    collector = ctx.collector
     estimator_estimate = ctx.estimator_estimate
     estimator_observe = ctx.estimator_observe
     rekeyer_request = ctx.rekeyer_request
@@ -459,7 +440,7 @@ def serve_batch(
     stream_ids = ctx.stream_ids
     hier_serve = ctx.hier_serve
     hier_edge = ctx.hier_edge
-    tl_close = ctx.tl_close
+    tl_close = ctx.timeline.close if ctx.timeline is not None else None
     rng = ctx.rng
     entries = ctx.entries
     observed_seq = ctx.observed_seq
@@ -469,51 +450,21 @@ def serve_batch(
     pops = ctx.pops
     inf = _INF
 
-    measuring = ctx.measuring
+    out_cache, out_server, out_delay, out_quality, out_value, out_status, out_retries = (
+        ctx.outcomes
+    )
+    block_rows = len(out_cache)
+    origin = ctx.outcome_origin
+    measuring = start >= warmup_cutoff
     tl_boundary = ctx.tl_boundary
-    m_requests = ctx.m_requests
-    m_bytes_cache = ctx.m_bytes_cache
-    m_bytes_server = ctx.m_bytes_server
-    m_delay = ctx.m_delay
-    m_quality = ctx.m_quality
-    m_value = ctx.m_value
-    m_hits = ctx.m_hits
-    m_immediate = ctx.m_immediate
-    m_delayed = ctx.m_delayed
-    m_delay_delayed = ctx.m_delay_delayed
-    m_failed = ctx.m_failed
-    m_stale = ctx.m_stale
-    m_retried = ctx.m_retried
-    m_retries = ctx.m_retries
-    warmup_count = ctx.warmup_count
-    hits_by_object = ctx.hits_by_object
 
     id_run = ids if start == 0 and stop == len(ids) else ids[start:stop]
     for index, object_id in enumerate(id_run, start):
         req_time = times[index]
         if req_time >= tl_boundary:
-            tl_boundary = tl_close(
-                req_time,
-                (
-                    m_requests,
-                    m_bytes_cache,
-                    m_bytes_server,
-                    m_delay,
-                    m_quality,
-                    m_value,
-                    m_hits,
-                    m_immediate,
-                    m_delayed,
-                    m_delay_delayed,
-                    m_failed,
-                    m_stale,
-                    m_retried,
-                    m_retries,
-                ),
-            )
+            tl_boundary = tl_close(req_time, index)
         if index == warmup_cutoff:
             measuring = True
-            collector.measuring = True
 
         entry = entries[object_id]
         obj, base_bw, size, duration, bitrate, quantum, value, server_id, path = entry
@@ -547,11 +498,11 @@ def serve_batch(
                 origin_observed,
                 lm_observed[index] if lm_observed is not None else None,
             )
-
-        if disposition is None or disposition[0] == 0:  # FETCH_OK
             if disposition is not None:
                 observed = disposition[1]
                 origin_observed = disposition[2]
+
+        if disposition is None or disposition[0] == 0:  # FETCH_OK
             if hier_serve is not None:
                 cached, observed = hier_serve(
                     pops[index] if pops is not None else 0,
@@ -569,36 +520,15 @@ def serve_batch(
                 # Segment-aware session through the shared streaming
                 # engine; value accrues only for immediate full-quality
                 # sessions (Section 2.6's full-quality condition).
-                s_cache, s_server, s_delay, s_quality, s_full = stream_serve(
+                cache_kb, server_kb, delay, quality, full = stream_serve(
                     object_id,
                     observed,
                     req_time,
                     measuring,
                     disposition[3] if disposition is not None else 0.0,
                 )
-                if measuring:
-                    m_requests += 1
-                    m_bytes_cache += s_cache
-                    m_bytes_server += s_server
-                    m_delay += s_delay
-                    m_quality += s_quality
-                    if s_delay <= 0.0:
-                        if s_full:
-                            m_value += value
-                        m_immediate += 1
-                    else:
-                        m_delayed += 1
-                        m_delay_delayed += s_delay
-                    if s_cache > 0:
-                        m_hits += 1
-                        hits_by_object[object_id] = (
-                            hits_by_object.get(object_id, 0) + 1
-                        )
-                    if disposition is not None and disposition[4]:
-                        m_retried += 1
-                        m_retries += disposition[4]
-                else:
-                    warmup_count += 1
+                added = value if delay <= 0.0 and full else 0.0
+                status = SERVED
             elif measuring:
                 if hier_serve is None:
                     cached = store_kb[object_id]
@@ -625,40 +555,12 @@ def serve_batch(
                 if disposition is not None and disposition[3] > 0.0:
                     # Retry backoff delays playout start.
                     delay = delay + disposition[3]
-
-                # MetricsCollector.record(), inlined in the same order.
-                m_requests += 1
-                m_bytes_cache += cached
-                m_bytes_server += size - cached
-                m_delay += delay
-                m_quality += quality
-                if delay <= 0.0:
-                    m_value += value
-                    m_immediate += 1
-                else:
-                    m_delayed += 1
-                    m_delay_delayed += delay
-                if cached > 0:
-                    m_hits += 1
-                    hits_by_object[object_id] = hits_by_object.get(object_id, 0) + 1
-                if disposition is not None and disposition[4]:
-                    m_retried += 1
-                    m_retries += disposition[4]
-            else:
-                warmup_count += 1
-
+                cache_kb = cached
+                server_kb = size - cached
+                added = value if delay <= 0.0 else 0.0
+                status = SERVED
             if hier_serve is None:
                 policy_on_request(obj, believed, req_time, store)
-            if estimator_observe is not None:
-                estimator_observe(server_id, origin_observed)
-                if rekeyer_request is not None:
-                    rekeyer_request(
-                        req_time,
-                        server_id,
-                        lm_groups[index] if lm_groups is not None else None,
-                        prior_estimate,
-                        observed,
-                    )
         else:
             # Fetch failed after the retry budget: serve the cached
             # prefix stale, or fail the request outright.  No
@@ -675,60 +577,53 @@ def serve_batch(
             stale = serve_stale and cached > 0.0
             record_unserved(stale)
             if measuring:
-                waited = disposition[3]
-                m_requests += 1
+                delay = disposition[3]
+                server_kb = 0.0
+                added = 0.0
                 if stale:
-                    sq = stale_quality(cached, duration, bitrate, quantum)
-                    m_bytes_cache += cached
-                    m_quality += sq
-                    m_hits += 1
-                    hits_by_object[object_id] = hits_by_object.get(object_id, 0) + 1
-                    m_stale += 1
+                    cache_kb = cached
+                    quality = stale_quality(cached, duration, bitrate, quantum)
+                    status = STALE
                 else:
-                    sq = 0.0
-                    m_failed += 1
-                m_delay += waited
-                m_delayed += 1
-                m_delay_delayed += waited
-                if disposition[4]:
-                    m_retried += 1
-                    m_retries += disposition[4]
+                    cache_kb = 0.0
+                    quality = 0.0
+                    status = FAILED
                 if stream_failed is not None and object_id in stream_ids:
-                    stream_failed(waited, sq)
-            else:
-                warmup_count += 1
-            if estimator_observe is not None:
-                estimator_observe(server_id, disposition[2])
-                if rekeyer_request is not None:
-                    rekeyer_request(
-                        req_time,
-                        server_id,
-                        lm_groups[index] if lm_groups is not None else None,
-                        prior_estimate,
-                        disposition[1],
-                    )
+                    stream_failed(delay, quality)
+
+        # The one outcome row of a measured request.  Status and retries
+        # are written only for requests the fault model touched: every
+        # other row keeps the zeros (served, no retries) that a fresh or
+        # just-reduced block holds.
+        if measuring:
+            row = index - origin
+            if row == block_rows:
+                ctx.reduce(row)
+                origin = index
+                row = 0
+            out_cache[row] = cache_kb
+            out_server[row] = server_kb
+            out_delay[row] = delay
+            out_quality[row] = quality
+            out_value[row] = added
+            if disposition is not None:
+                out_status[row] = status
+                out_retries[row] = disposition[4]
+
+        if estimator_observe is not None:
+            estimator_observe(server_id, origin_observed)
+            if rekeyer_request is not None:
+                rekeyer_request(
+                    req_time,
+                    server_id,
+                    lm_groups[index] if lm_groups is not None else None,
+                    prior_estimate,
+                    observed,
+                )
         if verify_store and not verify_consistency():
             raise AssertionError(
                 "cache store accounting became inconsistent "
                 f"after request {index} (object {object_id})"
             )
 
-    # Write the carried state back for the next chunk / finish().
-    ctx.measuring = measuring
     ctx.tl_boundary = tl_boundary
-    ctx.m_requests = m_requests
-    ctx.m_bytes_cache = m_bytes_cache
-    ctx.m_bytes_server = m_bytes_server
-    ctx.m_delay = m_delay
-    ctx.m_quality = m_quality
-    ctx.m_value = m_value
-    ctx.m_hits = m_hits
-    ctx.m_immediate = m_immediate
-    ctx.m_delayed = m_delayed
-    ctx.m_delay_delayed = m_delay_delayed
-    ctx.m_failed = m_failed
-    ctx.m_stale = m_stale
-    ctx.m_retried = m_retried
-    ctx.m_retries = m_retries
-    ctx.warmup_count = warmup_count
-    ctx.hits_by_object = hits_by_object

@@ -18,10 +18,48 @@ byte hit ratio) because they help explain the headline metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
+import numpy as np
+
+from repro.obs.timeline import CUMULATIVE_FIELDS
 from repro.streaming.session import DeliveryOutcome
+
+#: The columns of an outcome row, one per measured request, in storage
+#: order: KB from the cache, KB from the server, service delay, stream
+#: quality, added value (0.0 unless the request earned it), status
+#: (:data:`SERVED`, :data:`STALE` or :data:`FAILED`) and retries.
+OUTCOME_COLUMNS = (
+    "cache_kb",
+    "server_kb",
+    "delay",
+    "quality",
+    "value",
+    "status",
+    "retries",
+)
+
+#: Values of the ``status`` column: a served request, a stale serve of
+#: the cached prefix of an unreachable origin, and a failed request.
+SERVED, STALE, FAILED = 0.0, 1.0, 2.0
+
+#: The collector's sums, named after the core fields of a timeline row.
+_CORE_SUMS = tuple("_" + name for name in CUMULATIVE_FIELDS[:14])
+
+
+def _running(carried, values: np.ndarray) -> np.ndarray:
+    """``[carried, carried + v0, (carried + v0) + v1, ...]``, added in order.
+
+    An ordered ``np.add.accumulate`` adds exactly as a sequence of ``+=``
+    does; ``np.sum`` (pairwise) and Python 3.12's ``sum`` (compensated)
+    do not.  Counts (an ``int`` carried value) stay integers.
+    """
+    dtype = np.float64 if isinstance(carried, float) else np.int64
+    out = np.empty(values.size + 1, dtype=dtype)
+    out[0] = carried
+    out[1:] = values
+    return np.add.accumulate(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -112,8 +150,11 @@ class SimulationMetrics:
 class MetricsCollector:
     """Accumulate per-request outcomes and finalise into metrics.
 
-    Only requests recorded while :attr:`measuring` is True contribute to the
-    final metrics; the simulator flips the flag once the warm-up phase ends.
+    :meth:`record` adds one :class:`DeliveryOutcome`; only requests
+    recorded while :attr:`measuring` is True contribute to the final
+    metrics.  The replay kernel instead writes outcome rows and hands them
+    over in blocks (:meth:`absorb_rows`), which sum exactly as
+    :meth:`record` would.
     """
 
     measuring: bool = False
@@ -132,7 +173,6 @@ class MetricsCollector:
     _stale_served: int = 0
     _retried: int = 0
     _total_retries: int = 0
-    _per_object_hits: Dict[int, int] = field(default_factory=dict)
 
     def record(self, outcome: DeliveryOutcome) -> None:
         """Record one served request (warm-up requests are counted separately)."""
@@ -152,40 +192,11 @@ class MetricsCollector:
             self._delay_sum_delayed += outcome.service_delay
         if outcome.bytes_from_cache > 0:
             self._hits += 1
-            self._per_object_hits[outcome.object_id] = (
-                self._per_object_hits.get(outcome.object_id, 0) + 1
-            )
 
     @property
     def warmup_requests(self) -> int:
         """Number of requests processed during warm-up."""
         return self._warmup_requests
-
-    def snapshot(self) -> tuple:
-        """The fourteen core cumulative accumulators, as a tuple.
-
-        Order matches the keyword order of :meth:`absorb` (minus the
-        warm-up counter and per-object hit map); this is the core of
-        each :class:`repro.obs.timeline.MetricsTimeline` marker, so the
-        kernel builds the identical tuple from its local accumulators
-        without calling this method.
-        """
-        return (
-            self._requests,
-            self._bytes_from_cache,
-            self._bytes_from_server,
-            self._delay_sum,
-            self._quality_sum,
-            self._value_sum,
-            self._hits,
-            self._immediate,
-            self._delayed,
-            self._delay_sum_delayed,
-            self._failed,
-            self._stale_served,
-            self._retried,
-            self._total_retries,
-        )
 
     def absorb(
         self,
@@ -205,14 +216,12 @@ class MetricsCollector:
         stale_served: int = 0,
         retried: int = 0,
         total_retries: int = 0,
-        per_object_hits: Optional[Dict[int, int]] = None,
     ) -> None:
-        """Merge pre-accumulated totals into the collector.
+        """Add totals summed elsewhere to the collector's sums.
 
-        The simulator's replay kernel accumulates per-request quantities
-        in local variables (in exactly the order :meth:`record` would have
-        added them, so floating-point sums are bit-identical) and merges
-        them here once per run instead of paying a method call per request.
+        The replay kernel adds its warm-up count here, and
+        :func:`~repro.analysis.parallel.merge_shard_results` each shard's
+        totals.
         """
         self._requests += requests
         self._bytes_from_cache += bytes_from_cache
@@ -229,10 +238,61 @@ class MetricsCollector:
         self._stale_served += stale_served
         self._retried += retried
         self._total_retries += total_retries
-        if per_object_hits:
-            existing = self._per_object_hits
-            for object_id, count in per_object_hits.items():
-                existing[object_id] = existing.get(object_id, 0) + count
+
+    def absorb_rows(
+        self, columns: Sequence[memoryview], count: int, rows: List[int]
+    ) -> List[tuple]:
+        """Add the first ``count`` outcome rows to the sums, in row order.
+
+        ``columns`` hold one typed double per row, in
+        :data:`OUTCOME_COLUMNS` order.  Each sum is one ordered accumulate
+        over ``[carried, x0, x1, ...]``, so it equals ``count`` calls of
+        :meth:`record` bit for bit; counts derive from the same rows:
+
+        * a hit is a row with cache KB above zero;
+        * an immediate request is served with no delay, every other one
+          is delayed (a failed or stale request counts as delayed even
+          with nothing waited), and only delayed rows add their delay to
+          the delayed-delay sum.
+
+        Returns, for each of ``rows``, the core fields of a timeline row
+        summed over the outcome rows before it (``count``: all of them).
+        Without ``rows`` the counts skip their running sums: a count adds
+        up the same in any order.
+        """
+        cache, server, delay, quality, value, status, retries = (
+            np.frombuffer(column, dtype=np.float64, count=count)
+            for column in columns
+        )
+        immediate = (status == SERVED) & (delay <= 0.0)
+        values = (
+            np.ones(count, dtype=bool),
+            cache,
+            server,
+            delay,
+            quality,
+            value,
+            cache > 0.0,
+            immediate,
+            ~immediate,
+            np.where(immediate, 0.0, delay),
+            status == FAILED,
+            status == STALE,
+            retries > 0.0,
+            retries.astype(np.int64),
+        )
+        picked = []
+        for name, column in zip(_CORE_SUMS, values):
+            carried = getattr(self, name)
+            if rows or isinstance(carried, float):
+                running = _running(carried, column)
+                setattr(self, name, running[-1].item())
+                picked.append(running)
+            else:
+                setattr(self, name, carried + int(column.sum()))
+        if not rows:
+            return []
+        return list(zip(*(running[rows].tolist() for running in picked)))
 
     def finalize(self) -> SimulationMetrics:
         """Produce the aggregate metrics for the measurement phase."""
@@ -269,10 +329,3 @@ class MetricsCollector:
             retried_requests=self._retried,
             total_retries=self._total_retries,
         )
-
-    def top_hit_objects(self, count: int = 10) -> List[Optional[int]]:
-        """Object ids with the most cache hits (diagnostics)."""
-        ranked = sorted(
-            self._per_object_hits.items(), key=lambda item: item[1], reverse=True
-        )
-        return [object_id for object_id, _ in ranked[:count]]

@@ -340,8 +340,6 @@ class ProxyCacheSimulator:
         trace = self.workload.trace
         total_requests = len(trace)
         warmup_cutoff = int(self.config.warmup_fraction * total_requests)
-        if warmup_cutoff == 0:
-            collector.measuring = True
 
         injector: Optional[FaultInjector] = None
         if self.config.faults is not None:
@@ -424,14 +422,7 @@ class ProxyCacheSimulator:
         replay_started = _time.perf_counter() if profiler is not None else 0.0
         try:
             self._replay(ctx, trace, schedule)
-            ctx.finish()
-
-            if timeline is not None:
-                timeline.finish(
-                    trace.end_time if total_requests else 0.0,
-                    collector.snapshot(),
-                )
-
+            ctx.finish(trace.end_time if total_requests else 0.0)
             metrics = collector.finalize()
             if sink is not None:
                 sink.emit(

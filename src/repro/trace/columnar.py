@@ -63,7 +63,7 @@ def _id_column(name: str, values, dtype: np.dtype) -> np.ndarray:
 class ColumnarTrace:
     """An ordered request trace stored as parallel numpy arrays.
 
-    Construction validates the columns: times must start finite and
+    Construction validates the columns: times must be finite and
     non-negative and never decrease, and ids must be integers that fit
     their column's dtype, else :class:`~repro.exceptions.ConfigurationError`
     is raised.  ``validate=False`` skips these checks; slices,
@@ -101,9 +101,14 @@ class ColumnarTrace:
                 f"client_ids={clients_arr.size}"
             )
         if validate and times_arr.size:
-            if not np.isfinite(times_arr[0]) or times_arr[0] < 0:
+            # NaN compares False both ways, so finiteness is checked on
+            # every time before the order check can be trusted.
+            bad = ~np.isfinite(times_arr) | (times_arr < 0)
+            if bad.any():
+                row = int(np.argmax(bad))
                 raise ConfigurationError(
-                    f"request time must be non-negative, got {times_arr[0]}"
+                    f"times: row {row} holds {times_arr[row]}, not a finite "
+                    "non-negative request time"
                 )
             if times_arr.size > 1 and np.any(np.diff(times_arr) < 0):
                 bad = int(np.argmax(np.diff(times_arr) < 0)) + 1
@@ -368,7 +373,7 @@ class ColumnarTrace:
         """Read a trace previously written by :meth:`to_npz`.
 
         A missing column, or a column the constructor rejects (an id that
-        does not fit its dtype, out-of-order times), raises
+        does not fit its dtype, a non-finite or out-of-order time), raises
         :class:`~repro.exceptions.TraceFormatError` naming it.
         """
         path = Path(path)

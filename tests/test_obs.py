@@ -524,6 +524,19 @@ class TestCLI:
         assert check_obs.check_metrics(metrics_path) == []
         assert check_obs.check_trace(trace_path) == []
 
+    def test_metrics_check_sums_every_integer_series(self, path_results, tmp_path):
+        payload = path_results["generated"].timeline.as_dict()
+        check = _load_check_obs().check_metrics
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps(payload))
+        assert check(path) == []
+        for name in ("hits", "evictions", "reactive_shifts", "reactive_rekeys"):
+            doctored = json.loads(json.dumps(payload))
+            doctored["series"][name][0] += 1
+            path.write_text(json.dumps(doctored))
+            failures = check(path)
+            assert len(failures) == 1 and f"per-window {name}" in failures[0], name
+
     def test_trace_check_rejects_cache_events_their_payload_contradicts(self):
         check = _load_check_obs().check_cache_event
         good = [

@@ -108,6 +108,17 @@ class TestSimulationConfig:
                 NLANRBandwidthDistribution(),
                 "BandwidthVariabilityModel",
             ),
+            (SimulationConfig, "streaming", "yes", "StreamingConfig"),
+            (
+                SimulationConfig,
+                "faults",
+                {"random_origin_outages": 2},
+                "FaultConfig",
+            ),
+            (SimulationConfig, "observability", True, "ObservabilityConfig"),
+            (SimulationConfig, "client_clouds", "8", "ClientCloudConfig"),
+            (SimulationConfig, "hierarchy", "2tier", "HierarchyConfig"),
+            (SimulationConfig, "remeasurement", 300.0, "RemeasurementConfig"),
         ],
         ids=[
             "knowledge-string",
@@ -117,6 +128,12 @@ class TestSimulationConfig:
             "cloud-variability-string",
             "cloud-distribution-string",
             "variability-given-a-distribution",
+            "streaming-string",
+            "faults-dict",
+            "observability-bool",
+            "clouds-string",
+            "hierarchy-string",
+            "remeasurement-float",
         ],
     )
     def test_model_fields_reject_the_wrong_type(
@@ -168,13 +185,6 @@ class TestMetricsCollector:
         assert metrics.requests == 0
         assert metrics.traffic_reduction_ratio == 0.0
         assert metrics.average_stream_quality == 1.0
-
-    def test_top_hit_objects(self):
-        collector = MetricsCollector(measuring=True)
-        for _ in range(3):
-            collector.record(make_outcome(object_id=4))
-        collector.record(make_outcome(object_id=9))
-        assert collector.top_hit_objects(1) == [4]
 
 
 class TestSimulationMetricsAverage:

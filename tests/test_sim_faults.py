@@ -123,6 +123,9 @@ class TestValidation:
         for field in ("mean_duration_s", "timeout_factor", "backoff_base_s"):
             with pytest.raises(ConfigurationError):
                 FaultConfig(**{field: float("nan")})
+        for episodes in (("x",), ({"kind": "origin-outage"},), 3):
+            with pytest.raises(ConfigurationError, match="episodes"):
+                FaultConfig(episodes=episodes)
 
     def test_backoff_budget(self):
         config = FaultConfig(max_retries=3, backoff_base_s=2.0)

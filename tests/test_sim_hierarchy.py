@@ -113,6 +113,9 @@ class TestHierarchyConfig:
             {"sibling_lookup": True},  # needs num_pops >= 2
             {"num_pops": 2, "sibling_lookup": True, "sibling_bandwidth": 0.0},
             {"num_pops": 2, "sibling_lookup": True, "sibling_bandwidth": float("nan")},
+            {"tiers": ({"name": "edge", "cache_kb": 1000.0},)},
+            {"tiers": "edge"},
+            {"tiers": 2},
         ],
     )
     def test_hierarchy_validation(self, kwargs):

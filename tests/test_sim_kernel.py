@@ -13,6 +13,10 @@ promises, each pinned here:
 * **Degenerate transparency** — with every optional subsystem off, the
   kernel reproduces the pre-kernel seed behaviour bit-for-bit (golden
   fixture captured before the kernel refactor).
+* **Reference-model agreement** — on random catalogs, traces and cached
+  prefixes, the kernel's metrics equal, exactly, the readable reference
+  models :meth:`DeliverySession.outcome` fed through
+  :meth:`MetricsCollector.record`.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import json
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -29,13 +34,19 @@ import repro.sim.simulator as simulator_module
 from conftest import replay_golden, result_record
 from repro.core.policies import make_policy
 from repro.network.distributions import NLANRBandwidthDistribution
+from repro.network.variability import ConstantVariability
+from repro.obs.config import ObservabilityConfig
 from repro.sim.config import BandwidthKnowledge, ClientCloudConfig, SimulationConfig
 from repro.sim.events import RemeasurementConfig
 from repro.sim.faults import FaultConfig
 from repro.sim.hierarchy import CacheTier, HierarchyConfig
+from repro.sim.metrics import MetricsCollector
 from repro.sim.simulator import ProxyCacheSimulator
 from repro.sim.streaming import StreamingConfig
-from repro.workload.gismo import GismoWorkloadGenerator, WorkloadConfig
+from repro.streaming.session import DeliverySession
+from repro.trace.columnar import ColumnarTrace
+from repro.workload.catalog import Catalog, MediaObject
+from repro.workload.gismo import GismoWorkloadGenerator, Workload, WorkloadConfig
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "kernel_degenerate_golden.json"
 
@@ -103,6 +114,26 @@ CHUNK_CONFIGS = {
         reactive_threshold=0.15,
         reactive_passive=True,
         reactive_hysteresis=0.05,
+    ),
+    # Streaming, faults, clouds and passive re-keying all move timeline
+    # counters; a window of duration / 40 puts a marker every ~37 requests.
+    "timeline": lambda: _config(
+        streaming=StreamingConfig(fraction=0.5, seed=2),
+        faults=FaultConfig(
+            random_origin_outages=2,
+            random_bandwidth_flaps=3,
+            mean_duration_s=500.0,
+            seed=3,
+        ),
+        client_clouds=ClientCloudConfig(
+            groups=4, distribution=NLANRBandwidthDistribution()
+        ),
+        bandwidth_knowledge=BandwidthKnowledge.PASSIVE,
+        reactive_threshold=0.15,
+        reactive_passive=True,
+        observability=ObservabilityConfig(
+            window_s=_workload().trace.duration / 40
+        ),
     ),
 }
 
@@ -175,3 +206,94 @@ def test_degenerate_all_off_matches_pre_kernel_golden():
             make_policy(policy_name)
         )
         assert json.loads(json.dumps(result.as_dict())) == expected, policy_name
+
+
+class _FixedPrefixPolicy:
+    """A stub policy that caches fixed prefixes at install and never
+    changes them, so every request's cached KB is known in advance."""
+
+    name = "fixed-prefix"
+
+    def __init__(self, prefixes):
+        self.prefixes = prefixes
+
+    def install(self, store, catalog):
+        store.reserve(catalog)
+        for object_id, kb in self.prefixes.items():
+            if kb > 0:
+                store.set_cached_bytes(object_id, kb)
+
+    def on_request(self, obj, bandwidth, now, store):
+        pass
+
+
+#: Cached prefix of an object, as a multiple of its size: none, partial,
+#: whole, and more than whole (the kernel caps it at the size).
+PREFIX_FACTORS = (0.0, 0.3, 1.0, 1.5)
+
+MEDIA_OBJECT = st.tuples(
+    st.floats(min_value=5.0, max_value=4_000.0),  # duration (s)
+    st.floats(min_value=4.0, max_value=128.0),  # bitrate (KB/s)
+    st.integers(min_value=1, max_value=6),  # layers
+    st.floats(min_value=0.0, max_value=10.0),  # value
+    st.sampled_from(PREFIX_FACTORS),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    objects=st.lists(MEDIA_OBJECT, min_size=1, max_size=40),
+    picks=st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=200),
+    warmup=st.sampled_from((0.0, 0.25, 0.5, 0.9)),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_kernel_matches_the_reference_models(objects, picks, warmup, seed):
+    """The kernel's measured-request accounting is the reference models'.
+
+    Each measured request's outcome is recomputed with
+    :class:`DeliverySession` on the request's cached prefix and path
+    bandwidth and fed to :meth:`MetricsCollector.record`; the finalized
+    metrics must equal the replay's exactly, not to a tolerance.
+    """
+    catalog = Catalog(
+        MediaObject(
+            object_id=index,
+            duration=duration,
+            bitrate=bitrate,
+            server_id=index % 7,
+            value=value,
+            layers=layers,
+        )
+        for index, (duration, bitrate, layers, value, _) in enumerate(objects)
+    )
+    prefixes = {
+        index: factor * catalog.get(index).size
+        for index, (*_, factor) in enumerate(objects)
+    }
+    ids = [pick % len(objects) for pick in picks]
+    times = np.cumsum(np.random.default_rng(seed).exponential(30.0, len(ids)))
+    workload = Workload(
+        catalog=catalog,
+        trace=ColumnarTrace(times, ids),
+        config=WorkloadConfig(num_objects=len(objects), num_requests=len(ids)),
+    )
+    config = SimulationConfig(
+        cache_size_gb=sum(prefixes.values()) / 1e6 + 1.0,
+        variability=ConstantVariability(),
+        warmup_fraction=warmup,
+        seed=seed,
+    )
+    simulator = ProxyCacheSimulator(workload, config)
+    topology = simulator.build_topology(np.random.default_rng(seed))
+    result = simulator.run(_FixedPrefixPolicy(prefixes), topology=topology)
+
+    cutoff = int(warmup * len(ids))
+    reference = MetricsCollector(measuring=True)
+    for object_id in ids[cutoff:]:
+        obj = catalog.get(object_id)
+        bandwidth = max(topology.path_for(obj).base_bandwidth, 1.0)
+        reference.record(
+            DeliverySession(obj, prefixes[object_id], bandwidth).outcome()
+        )
+    assert result.metrics.as_dict() == reference.finalize().as_dict()
+    assert result.warmup_requests == cutoff

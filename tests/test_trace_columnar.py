@@ -122,6 +122,20 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ColumnarTrace([-1.0, 1.0], [0, 1])
 
+    @pytest.mark.parametrize(
+        "times",
+        [
+            [0.0, np.nan, 1.0],
+            [0.0, 5.0, np.inf],
+            [0.0, -np.inf, 1.0],
+            [0.0, 1.0, np.nan],
+        ],
+        ids=["nan-between", "inf-last", "minus-inf-between", "nan-last"],
+    )
+    def test_non_finite_time_past_the_first_rejected(self, times):
+        with pytest.raises(ConfigurationError, match="times: row"):
+            ColumnarTrace(times, [1, 2, 3])
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             ColumnarTrace([1.0, 2.0], [1])
@@ -245,6 +259,20 @@ class TestSerialisation:
         path = tmp_path / "bad.npz"
         path.write_bytes(b"not an archive")
         with pytest.raises(TraceFormatError):
+            ColumnarTrace.from_npz(path)
+
+    @pytest.mark.parametrize(
+        "times", [[0.0, np.nan, 1.0], [0.0, 5.0, np.inf]], ids=["nan", "inf"]
+    )
+    def test_npz_non_finite_time_rejected(self, tmp_path, times):
+        path = tmp_path / "bad.npz"
+        np.savez(
+            path,
+            times=np.array(times),
+            object_ids=np.array([1, 2, 3]),
+            client_ids=np.zeros(3, dtype=np.int32),
+        )
+        with pytest.raises(TraceFormatError, match="times: row"):
             ColumnarTrace.from_npz(path)
 
     @pytest.mark.parametrize(
