@@ -46,9 +46,23 @@ bench-figures:
 
 ## Ingest the bundled sample access logs through the CLI: summary + a
 ## policy comparison on the Squid log, summary only for the CLF log.
+## Then archive the Squid log with --out into a fresh temporary directory,
+## --append it a second time, and check the stitched archive with
+## ColumnarTrace.from_npz: twice the rows, times never decreasing.  The
+## checkout is never written to.
 ingest-demo:
 	$(PYTHON) -m repro ingest examples/data/sample_squid.log --compare --policies PB,IB,LRU --runs 1
 	$(PYTHON) -m repro ingest examples/data/sample_clf.log
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(PYTHON) -m repro ingest examples/data/sample_squid.log --out "$$dir/t.npz" > /dev/null && \
+	$(PYTHON) -m repro ingest examples/data/sample_squid.log --out "$$dir/t.npz" --append > /dev/null && \
+	$(PYTHON) -c 'import sys; import numpy as np; \
+		from repro.trace import ColumnarTrace, ingest_access_log; \
+		stitched = ColumnarTrace.from_npz(sys.argv[1]); \
+		rows = len(ingest_access_log(sys.argv[2]).trace); \
+		ok = len(stitched) == 2 * rows and not np.any(np.diff(stitched.times_array) < 0); \
+		print(f"stitched archive: {len(stitched)} requests (2 x {rows}), times non-decreasing: {ok}"); \
+		sys.exit(0 if ok else 1)' "$$dir/t.npz" examples/data/sample_squid.log
 
 ## Documentation gate: link-check README.md + docs/*.md and execute the
 ## README quickstart and docs/clients.md worked-example snippets.

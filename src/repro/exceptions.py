@@ -7,6 +7,8 @@ distinct failure modes separate internally.
 
 from __future__ import annotations
 
+import numbers
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -14,6 +16,29 @@ class ReproError(Exception):
 
 class ConfigurationError(ReproError):
     """A configuration object (workload, simulation, policy) is invalid."""
+
+
+def check_scalars(config, kind: type, *names: str, optional: bool = False) -> None:
+    """Raise :class:`ConfigurationError` naming the first of ``names`` whose
+    value on ``config`` is not a ``kind``.
+
+    ``kind`` is ``numbers.Real``, ``numbers.Integral`` or ``bool``; numpy
+    scalars count as their Python kind, and a bool counts only as a bool
+    (``True`` is no cache size).  With ``optional`` a ``None`` passes.
+    Configs call this before their range checks, which would otherwise
+    raise a bare ``TypeError`` on a string, or accept one.
+    """
+    for name in names:
+        value = getattr(config, name)
+        if value is None and optional:
+            continue
+        if not isinstance(value, kind) or (
+            kind is not bool and isinstance(value, bool)
+        ):
+            noun = {bool: "a bool", numbers.Integral: "an integer"}.get(
+                kind, "a number"
+            )
+            raise ConfigurationError(f"{name} must be {noun}, got {value!r}")
 
 
 class CapacityError(ReproError):

@@ -15,10 +15,12 @@ the replay loops on their uninstrumented hot path.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from numbers import Real
 from typing import Optional
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, check_scalars
 
 __all__ = ["ObservabilityConfig"]
 
@@ -58,7 +60,16 @@ class ObservabilityConfig:
     profile: bool = False
 
     def __post_init__(self) -> None:
-        """Validate window width, trace level, and sampling fraction."""
+        """Validate field types, window width, trace level, and sampling
+        fraction."""
+        check_scalars(self, Real, "window_s", "trace_sample")
+        check_scalars(self, bool, "timeline", "profile")
+        if self.trace_path is not None and not isinstance(
+            self.trace_path, (str, os.PathLike)
+        ):
+            raise ConfigurationError(
+                f"trace_path must be a path, got {self.trace_path!r}"
+            )
         if not self.window_s > 0:
             raise ConfigurationError(
                 f"window_s must be positive, got {self.window_s!r}"

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, check_scalars
 from repro.network.distributions import BandwidthDistribution, NLANRBandwidthDistribution
 from repro.network.topology import ClientCloud
 from repro.network.variability import BandwidthVariabilityModel, ConstantVariability
@@ -97,6 +98,9 @@ class ClientCloudConfig:
     def __post_init__(self) -> None:
         _check_model("distribution", self.distribution, BandwidthDistribution)
         _check_model("variability", self.variability, BandwidthVariabilityModel)
+        check_scalars(self, Integral, "groups", "seed")
+        check_scalars(self, Real, "bandwidth", optional=True)
+        check_scalars(self, bool, "estimate_last_mile")
         if self.groups <= 0:
             raise ConfigurationError(f"groups must be positive, got {self.groups}")
         if self.bandwidth is not None and self.distribution is not None:
@@ -273,6 +277,16 @@ class SimulationConfig:
                 "bandwidth_knowledge must be a BandwidthKnowledge, "
                 f"got {self.bandwidth_knowledge!r}"
             )
+        check_scalars(
+            self, Real,
+            "cache_size_gb", "warmup_fraction", "min_path_bandwidth", "passive_smoothing",
+        )
+        check_scalars(
+            self, Real, "reactive_threshold", "reactive_hysteresis", optional=True
+        )
+        check_scalars(self, Integral, "reactive_rekey_cap", optional=True)
+        check_scalars(self, Integral, "seed")
+        check_scalars(self, bool, "reactive_passive", "verify_store")
         if not self.cache_size_gb >= 0:
             raise ConfigurationError(
                 f"cache_size_gb must be non-negative, got {self.cache_size_gb}"

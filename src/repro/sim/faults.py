@@ -43,11 +43,12 @@ shift — fault storms are the stress test for hysteresis and re-key caps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, check_scalars
 from repro.network.path import BANDWIDTH_FLOOR
 
 #: Episode kinds: the two origin-side faults target a ``server_id`` (or all
@@ -249,6 +250,17 @@ class FaultConfig:
                 f"episodes must be a tuple of FaultEpisode, got {self.episodes!r}"
             )
         object.__setattr__(self, "episodes", tuple(self.episodes))
+        check_scalars(
+            self, Integral,
+            "random_origin_outages", "random_bandwidth_flaps", "random_link_flaps",
+            "seed", "max_retries",
+        )
+        check_scalars(
+            self, Real,
+            "mean_duration_s", "severity", "timeout_factor", "backoff_base_s",
+            "recovery_fraction",
+        )
+        check_scalars(self, bool, "serve_stale")
         for name in (
             "random_origin_outages",
             "random_bandwidth_flaps",

@@ -31,8 +31,10 @@ from __future__ import annotations
 
 import re
 from array import array
+from contextlib import closing
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from itertools import islice
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -93,22 +95,38 @@ class AccessLogRecord:
     @property
     def server_host(self) -> str:
         """Origin host of the URL ('' for path-only CLF requests)."""
-        match = _URL_HOST_RE.match(self.url)
-        return match.group("host").lower() if match else ""
+        return _url_host(self.url)
 
 
 _URL_HOST_RE = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.-]*://(?P<host>[^/?#:]+)")
 
+
+def _url_host(url: str) -> str:
+    """Lower-cased origin host of ``url`` ('' for a path-only URL)."""
+    match = _URL_HOST_RE.match(url)
+    return match.group("host").lower() if match else ""
+
+
 _INF = float("inf")
 
-#: CLF / Combined Log Format; trailing combined fields are ignored.  The
-#: size must be the whole token and ASCII (``\d`` also matches other
-#: scripts' digits, which ``int()`` then reads).
+#: One parsed line as a plain tuple, in :class:`AccessLogRecord` field
+#: order: ``(timestamp, client, method, url, status, size_bytes,
+#: elapsed_ms, cache_code)``.  Each format has one row parser returning
+#: these; :func:`ingest_access_log` unpacks them, and only the public
+#: wrappers build an :class:`AccessLogRecord` from one.
+_Row = Tuple[float, str, str, str, int, int, Optional[float], Optional[str]]
+
+#: CLF / Combined Log Format; trailing combined fields are ignored.  Every
+#: numeric field is ASCII digits, of fixed width but for the size (``\d``
+#: would also match other scripts' digits, which ``int()`` then reads), and
+#: the bracketed timestamp is exactly ``dd/Mon/yyyy:hh:mm:ss +zzzz``.
 _CLF_RE = re.compile(
     r"^(?P<host>\S+)\s+(?P<ident>\S+)\s+(?P<user>\S+)\s+"
-    r"\[(?P<timestamp>[^\]]+)\]\s+"
+    r"\[(?P<day>[0-9]{2})/(?P<month>[A-Za-z]{3})/(?P<year>[0-9]{4})"
+    r":(?P<hour>[0-9]{2}):(?P<minute>[0-9]{2}):(?P<second>[0-9]{2})"
+    r" (?P<sign>[+-])(?P<offset_hours>[0-9]{2})(?P<offset_minutes>[0-9]{2})\]\s+"
     r'"(?P<method>[A-Za-z]+)\s+(?P<url>\S+)(?:\s+(?P<protocol>[^"]*))?"\s+'
-    r"(?P<status>\d{3})\s+(?P<size>[0-9]+|-)(?:\s|$)"
+    r"(?P<status>[0-9]{3})\s+(?P<size>[0-9]+|-)(?:\s|$)"
 )
 
 #: CLF month abbreviations, mapped explicitly so parsing is independent of
@@ -119,79 +137,103 @@ _CLF_MONTHS = {
 }
 
 
-def _parse_clf_timestamp(text: str) -> Optional[float]:
-    """Parse ``dd/Mon/yyyy:hh:mm:ss +zzzz`` to Unix seconds; None if bad."""
-    try:
-        day = int(text[0:2])
-        month = _CLF_MONTHS[text[3:6]]
-        year = int(text[7:11])
-        hour = int(text[12:14])
-        minute = int(text[15:17])
-        second = int(text[18:20])
-        offset_text = text[21:26]
-        sign = {"+": 1, "-": -1}[offset_text[0]]
-        offset = sign * timedelta(
-            hours=int(offset_text[1:3]), minutes=int(offset_text[3:5])
-        )
-        moment = datetime(
-            year, month, day, hour, minute, second, tzinfo=timezone(offset)
-        )
-    except (KeyError, ValueError, IndexError):
+def _squid_row(line: str) -> Optional[_Row]:
+    """Parse one Squid native line into a row tuple; ``None`` if malformed."""
+    # Only the first seven fields are read, so the rest stays unsplit.
+    parts = line.split(None, 7)
+    if len(parts) < 7:
         return None
-    return moment.timestamp()
+    stamp, elapsed, client, code_status, size, method, url = parts[:7]
+    code, _, status = code_status.partition("/")
+    # float() and int() would also read "1_000", "+5", "1e3", "nan" and
+    # other scripts' digits: each number must be ASCII digits, the two
+    # times with at most one ".".
+    if not (
+        stamp.isascii() and stamp.replace(".", "", 1).isdigit()
+        and elapsed.isascii() and elapsed.replace(".", "", 1).isdigit()
+        and status.isascii() and status.isdigit()
+        and size.isascii() and size.isdigit()
+    ):
+        return None
+    timestamp = float(stamp)
+    elapsed_ms = float(elapsed)
+    # Only a digit string too long for a double reads as infinity.
+    if timestamp == _INF or elapsed_ms == _INF:
+        return None
+    return (
+        timestamp, client, method.upper(), url, int(status), int(size),
+        elapsed_ms, code,
+    )
+
+
+def _clf_row(line: str) -> Optional[_Row]:
+    """Parse one Common/Combined Log Format line into a row tuple;
+    ``None`` if malformed."""
+    match = _CLF_RE.match(line)
+    if match is None:
+        return None
+    month = _CLF_MONTHS.get(match["month"])
+    if month is None:
+        return None
+    offset = timedelta(
+        hours=int(match["offset_hours"]), minutes=int(match["offset_minutes"])
+    )
+    try:
+        moment = datetime(
+            int(match["year"]), month, int(match["day"]),
+            int(match["hour"]), int(match["minute"]), int(match["second"]),
+            tzinfo=timezone(-offset if match["sign"] == "-" else offset),
+        )
+    except ValueError:  # a day, hour or offset out of range
+        return None
+    size = match["size"]
+    return (
+        moment.timestamp(), match["host"], match["method"].upper(), match["url"],
+        int(match["status"]), 0 if size == "-" else int(size), None, None,
+    )
+
+
+#: The row parser of each log format.
+_ROW_PARSERS = {"squid": _squid_row, "clf": _clf_row}
 
 
 def parse_squid_line(line: str) -> Optional[AccessLogRecord]:
     """Parse one Squid native ``access.log`` line; ``None`` if malformed."""
-    parts = line.split()
-    if len(parts) < 7:
-        return None
-    code_status = parts[3].split("/", 1)
-    # int() would also read "1_000", "+5" and non-ASCII digits.
-    if len(code_status) != 2 or not (parts[4].isascii() and parts[4].isdigit()):
-        return None
-    try:
-        timestamp = float(parts[0])
-        elapsed_ms = float(parts[1])
-        status = int(code_status[1])
-    except ValueError:
-        return None
-    # float() accepts "nan" and "inf"; both chained comparisons are false
-    # for them, as for negatives.
-    if not (0.0 <= timestamp < _INF and 0.0 <= elapsed_ms < _INF):
-        return None
-    return AccessLogRecord(
-        timestamp=timestamp,
-        client=parts[2],
-        method=parts[5].upper(),
-        url=parts[6],
-        status=status,
-        size_bytes=int(parts[4]),
-        elapsed_ms=elapsed_ms,
-        cache_code=code_status[0],
-    )
+    row = _squid_row(line)
+    return None if row is None else AccessLogRecord(*row)
 
 
 def parse_clf_line(line: str) -> Optional[AccessLogRecord]:
     """Parse one Common/Combined Log Format line; ``None`` if malformed."""
-    match = _CLF_RE.match(line)
-    if match is None:
-        return None
-    timestamp = _parse_clf_timestamp(match.group("timestamp"))
-    if timestamp is None:
-        return None
-    size_field = match.group("size")
-    return AccessLogRecord(
-        timestamp=timestamp,
-        client=match.group("host"),
-        method=match.group("method").upper(),
-        url=match.group("url"),
-        status=int(match.group("status")),
-        size_bytes=0 if size_field == "-" else int(size_field),
-    )
+    row = _clf_row(line)
+    return None if row is None else AccessLogRecord(*row)
 
 
-LOG_PARSERS = {"squid": parse_squid_line, "clf": parse_clf_line}
+def _log_lines(path: Union[str, Path]) -> Iterator[Tuple[int, str]]:
+    """Yield ``(line_number, stripped line)`` for each line of a log that is
+    neither blank nor a ``#`` comment.
+
+    The one line-reading loop of this module: detection, record iteration
+    and ingestion all read through it, so they number and skip lines alike.
+    """
+    with Path(path).open("r", errors="replace") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            line = line.strip()
+            if line and line[0] != "#":
+                yield line_number, line
+
+
+def _row_parser(path: Union[str, Path], log_format: str):
+    """Resolve ``log_format`` (probing ``path`` for ``"auto"``) to its name
+    and row parser."""
+    if log_format == "auto":
+        log_format = detect_log_format(path)
+    try:
+        return log_format, _ROW_PARSERS[log_format]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown log format {log_format!r}; expected 'auto' or one of {LOG_FORMATS}"
+        ) from None
 
 
 def detect_log_format(path: Union[str, Path], probe_lines: int = 50) -> str:
@@ -202,17 +244,12 @@ def detect_log_format(path: Union[str, Path], probe_lines: int = 50) -> str:
     """
     scores = {name: 0 for name in LOG_FORMATS}
     probed = 0
-    with Path(path).open("r", errors="replace") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+    with closing(_log_lines(path)) as lines:
+        for _, line in islice(lines, probe_lines):
             probed += 1
-            for name, parser in LOG_PARSERS.items():
-                if parser(line) is not None:
+            for name, parse_row in _ROW_PARSERS.items():
+                if parse_row(line) is not None:
                     scores[name] += 1
-            if probed >= probe_lines:
-                break
     best = max(LOG_FORMATS, key=scores.__getitem__)
     if probed == 0 or scores[best] == 0:
         raise TraceFormatError(
@@ -234,23 +271,15 @@ def iter_access_records(
     caller reporting malformed lines can quote the offending text without
     re-reading the file.
     """
-    if log_format == "auto":
-        log_format = detect_log_format(path)
-    try:
-        parser = LOG_PARSERS[log_format]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown log format {log_format!r}; expected 'auto' or one of {LOG_FORMATS}"
-        ) from None
-    with Path(path).open("r", errors="replace") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+    _, parse_row = _row_parser(path, log_format)
+    with closing(_log_lines(path)) as lines:
+        for line_number, line in lines:
+            row = parse_row(line)
+            record = None if row is None else AccessLogRecord(*row)
             if include_text:
-                yield line_number, parser(line), line
+                yield line_number, record, line
             else:
-                yield line_number, parser(line)
+                yield line_number, record
 
 
 #: How many malformed lines :func:`ingest_access_log` quotes verbatim in the
@@ -434,8 +463,9 @@ def ingest_access_log(
         corrupt multi-gigabyte log ingests with a warning rather than a
         crash while a wrong ``log_format`` still fails fast.
     """
-    if log_format == "auto":
-        log_format = detect_log_format(path)
+    if max_errors is not None and max_errors < 0:
+        raise ConfigurationError(f"max_errors must be non-negative, got {max_errors}")
+    log_format, parse_row = _row_parser(path, log_format)
     method_set = None if methods is None else {m.upper() for m in methods}
     low_status, high_status = status_range
 
@@ -444,7 +474,7 @@ def ingest_access_log(
     client_column = array("l")
     size_column = array("d")
     duration_column = array("d")
-    hit_flags: List[bool] = []
+    hit_flags = array("b")
 
     url_ids: Dict[str, int] = {}
     client_ids: Dict[str, int] = {}
@@ -452,58 +482,64 @@ def ingest_access_log(
     object_sizes: List[float] = []
     object_servers: List[int] = []
 
-    if max_errors is not None and max_errors < 0:
-        raise ConfigurationError(f"max_errors must be non-negative, got {max_errors}")
-    summary = IngestSummary(log_format=log_format)
+    malformed = 0
+    filtered = 0
     malformed_samples: List[str] = []
-    for line_number, record, line in iter_access_records(
-        path, log_format, include_text=True
-    ):
-        summary.lines_total += 1
-        if record is None:
-            summary.lines_malformed += 1
-            if len(malformed_samples) < MALFORMED_SAMPLE_LIMIT:
-                text = line if len(line) <= 120 else line[:117] + "..."
-                malformed_samples.append(f"line {line_number}: {text}")
-                summary.malformed_samples = tuple(malformed_samples)
-            if max_errors is not None and summary.lines_malformed > max_errors:
-                raise TraceFormatError(
-                    f"{path}: more than {max_errors} malformed {log_format} "
-                    f"line(s); first offenders: "
-                    + "; ".join(malformed_samples)
-                )
-            continue
-        summary.records_parsed += 1
-        if (
-            (method_set is not None and record.method not in method_set)
-            or not low_status <= record.status <= high_status
-            or (not include_hits and record.cache_hit)
-        ):
-            summary.records_filtered += 1
-            continue
+    with closing(_log_lines(path)) as lines:
+        for line_number, line in lines:
+            row = parse_row(line)
+            if row is None:
+                malformed += 1
+                if len(malformed_samples) < MALFORMED_SAMPLE_LIMIT:
+                    text = line if len(line) <= 120 else line[:117] + "..."
+                    malformed_samples.append(f"line {line_number}: {text}")
+                if max_errors is not None and malformed > max_errors:
+                    raise TraceFormatError(
+                        f"{path}: more than {max_errors} malformed {log_format} "
+                        f"line(s); first offenders: "
+                        + "; ".join(malformed_samples)
+                    )
+                continue
+            timestamp, client, method, url, status, size_bytes, elapsed_ms, code = row
+            hit = code is not None and "HIT" in code
+            if (
+                (method_set is not None and method not in method_set)
+                or not low_status <= status <= high_status
+                or (hit and not include_hits)
+            ):
+                filtered += 1
+                continue
 
-        object_id = url_ids.get(record.url)
-        if object_id is None:
-            object_id = len(url_ids)
-            url_ids[record.url] = object_id
-            host = record.server_host
-            server_id = server_ids.setdefault(host, len(server_ids))
-            object_sizes.append(0.0)
-            object_servers.append(server_id)
-        size_kb = record.size_bytes / 1024.0
-        if size_kb > object_sizes[object_id]:
-            object_sizes[object_id] = size_kb
+            size_kb = size_bytes / 1024.0
+            object_id = url_ids.get(url)
+            if object_id is None:
+                object_id = len(url_ids)
+                url_ids[url] = object_id
+                host = _url_host(url)
+                object_servers.append(server_ids.setdefault(host, len(server_ids)))
+                object_sizes.append(size_kb)
+            elif size_kb > object_sizes[object_id]:
+                object_sizes[object_id] = size_kb
+            client_id = client_ids.get(client)
+            if client_id is None:
+                client_id = client_ids[client] = len(client_ids)
 
-        client = client_ids.setdefault(record.client, len(client_ids))
-        timestamps.append(record.timestamp)
-        object_column.append(object_id)
-        client_column.append(client)
-        size_column.append(size_kb)
-        duration_column.append(
-            0.0 if record.elapsed_ms is None else record.elapsed_ms / 1000.0
-        )
-        hit_flags.append(record.cache_hit)
+            timestamps.append(timestamp)
+            object_column.append(object_id)
+            client_column.append(client_id)
+            size_column.append(size_kb)
+            duration_column.append(0.0 if elapsed_ms is None else elapsed_ms / 1000.0)
+            hit_flags.append(hit)
 
+    requests = len(timestamps)
+    summary = IngestSummary(
+        log_format=log_format,
+        lines_total=malformed + filtered + requests,
+        lines_malformed=malformed,
+        records_parsed=filtered + requests,
+        records_filtered=filtered,
+        malformed_samples=tuple(malformed_samples),
+    )
     if summary.lines_total and not summary.records_parsed:
         raise TraceFormatError(
             f"{path}: no line parsed as {log_format} format "

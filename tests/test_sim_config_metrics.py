@@ -1,11 +1,14 @@
 """Tests for simulation configuration and the metrics collector."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.network.distributions import NLANRBandwidthDistribution
 from repro.network.variability import NLANRRatioVariability
+from repro.obs.config import ObservabilityConfig
 from repro.sim.config import BandwidthKnowledge, ClientCloudConfig, SimulationConfig
+from repro.sim.faults import FaultConfig
 from repro.sim.metrics import MetricsCollector, SimulationMetrics
 from repro.streaming.session import DeliveryOutcome
 
@@ -141,6 +144,42 @@ class TestSimulationConfig:
     ):
         with pytest.raises(ConfigurationError, match=f"{field} must be a {expected}"):
             config_class(**{field: value})
+
+    @pytest.mark.parametrize(
+        "config_class, field, value, expected",
+        [
+            (SimulationConfig, "cache_size_gb", "1", "a number"),
+            (SimulationConfig, "cache_size_gb", True, "a number"),
+            (SimulationConfig, "warmup_fraction", "0.5", "a number"),
+            (SimulationConfig, "min_path_bandwidth", "4", "a number"),
+            (SimulationConfig, "passive_smoothing", "0.25", "a number"),
+            (SimulationConfig, "reactive_threshold", "0.2", "a number"),
+            (SimulationConfig, "reactive_rekey_cap", 2.5, "an integer"),
+            (SimulationConfig, "seed", "x", "an integer"),
+            (SimulationConfig, "seed", 1.0, "an integer"),
+            (SimulationConfig, "verify_store", "no", "a bool"),
+            (ClientCloudConfig, "groups", "2", "an integer"),
+            (ClientCloudConfig, "bandwidth", "40", "a number"),
+            (FaultConfig, "random_origin_outages", "2", "an integer"),
+            (FaultConfig, "max_retries", 2.0, "an integer"),
+            (FaultConfig, "severity", "0.1", "a number"),
+            (FaultConfig, "serve_stale", "yes", "a bool"),
+            (ObservabilityConfig, "window_s", "60", "a number"),
+            (ObservabilityConfig, "trace_sample", "1", "a number"),
+            (ObservabilityConfig, "profile", 1, "a bool"),
+            (ObservabilityConfig, "trace_path", 5, "a path"),
+        ],
+    )
+    def test_scalar_fields_reject_the_wrong_type(
+        self, config_class, field, value, expected
+    ):
+        with pytest.raises(ConfigurationError, match=f"{field} must be {expected}"):
+            config_class(**{field: value})
+
+    def test_scalar_fields_take_numpy_scalars(self):
+        config = SimulationConfig(cache_size_gb=np.float32(2.0), seed=np.int64(3))
+        assert config.cache_size_gb == 2.0 and config.seed == 3
+        assert FaultConfig(random_origin_outages=np.int32(1)).random_origin_outages == 1
 
 
 class TestMetricsCollector:

@@ -12,6 +12,8 @@ Three promises are pinned here:
   registered policy and under the estimator/warm-up edge configurations.
 """
 
+import zipfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -249,6 +251,36 @@ class TestSerialisation:
         columnar, _ = make_pair()
         columnar.to_npz(tmp_path / "t.npz")
         assert ColumnarTrace.from_npz(tmp_path / "t.npz") == columnar
+
+    @pytest.mark.parametrize("empty", [False, True], ids=["rows", "empty"])
+    def test_npz_members_are_deflated_and_round_trip_exactly(self, tmp_path, empty):
+        columnar, _ = make_pair()
+        if empty:
+            columnar = columnar[:0]
+        path = tmp_path / "t.npz"
+        columnar.to_npz(path)
+        with zipfile.ZipFile(path) as archive:
+            members = archive.infolist()
+        assert [member.filename for member in members] == [
+            "times.npy", "object_ids.npy", "client_ids.npy"
+        ]
+        assert {member.compress_type for member in members} == {zipfile.ZIP_DEFLATED}
+        stored = ColumnarTrace.from_npz(path)
+        assert stored == columnar and len(stored) == len(columnar)
+        for column in ("times_array", "object_ids_array", "client_ids_array"):
+            assert getattr(stored, column).dtype == getattr(columnar, column).dtype
+
+    @pytest.mark.parametrize("save", [np.savez_compressed, np.savez])
+    def test_npz_written_by_numpy_still_loads(self, tmp_path, save):
+        columnar, _ = make_pair()
+        path = tmp_path / "numpy.npz"
+        save(
+            path,
+            times=columnar.times_array,
+            object_ids=columnar.object_ids_array,
+            client_ids=columnar.client_ids_array,
+        )
+        assert ColumnarTrace.from_npz(path) == columnar
 
     def test_npz_missing_column_rejected(self, tmp_path):
         np.savez(tmp_path / "bad.npz", times=np.zeros(2))

@@ -5,10 +5,14 @@ malformed Squid and CLF lines — plus the acceptance path: a sample log
 ingests into a columnar trace that runs through ``compare_policies``.
 """
 
+import tempfile
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from repro.cli import main as cli_main
 from repro.core.policies import PolicySpec
@@ -151,6 +155,116 @@ class TestLineParsers:
             assert record.size_bytes == 0
         else:
             assert record is None
+
+
+#: Tokens ``float()`` or ``int()`` would read that a numeric log field must
+#: not hold: digit separators, signs, exponents, non-finite words, other
+#: scripts' digits, and padding.
+NUMERIC_TRAPS = [
+    "1_0", "+7", "-7", "١٧", "٥٢", "²", "1e3", "nan", "inf", "0x1", "1..2", ".",
+    " 7", "7 ", "+200", "2_01", "٢٠٠١", "+05_0", "-٠٥٠٠", "-0500 x", "9" * 400,
+]
+
+#: A numeric token: plain digits (with an optional fraction), a trap, or
+#: any text without whitespace.
+NUMERIC_TOKENS = st.one_of(
+    st.from_regex(r"[+-]?[0-9]{1,12}(\.[0-9]{0,4})?", fullmatch=True),
+    st.sampled_from(NUMERIC_TRAPS),
+    st.text(st.characters().filter(lambda c: not c.isspace()), min_size=1, max_size=6),
+)
+
+#: The fields of :data:`CLF_LINES` [0] that hold numbers, with their text.
+CLF_NUMBERS = {
+    "day": "17", "year": "2001", "hour": "09", "minute": "00", "second": "01",
+    "offset": "-0500", "status": "200",
+}
+
+
+def _ascii_digits(token: str, width: int = 0) -> bool:
+    return token.isascii() and token.isdigit() and (not width or len(token) == width)
+
+
+def _clf_line(fields: dict) -> str:
+    return (
+        f"192.168.7.2 - - [{fields['day']}/Apr/{fields['year']}:{fields['hour']}:"
+        f"{fields['minute']}:{fields['second']} {fields['offset']}] "
+        f'"GET /v/one.rm HTTP/1.0" {fields["status"]} 1048576'
+    )
+
+
+def _clf_expected_time(fields: dict):
+    """The Unix time of ``fields``, or ``None`` where a line holding them
+    must be malformed."""
+    widths = {"day": 2, "year": 4, "hour": 2, "minute": 2, "second": 2}
+    offset = fields["offset"]
+    if not (
+        all(_ascii_digits(fields[name], width) for name, width in widths.items())
+        and offset[:1] in ("+", "-")
+        and _ascii_digits(offset[1:], 4)
+    ):
+        return None
+    sign = -1 if offset[0] == "-" else 1
+    try:
+        zone = timezone(
+            sign * timedelta(hours=int(offset[1:3]), minutes=int(offset[3:5]))
+        )
+        return datetime(
+            int(fields["year"]), 4, int(fields["day"]), int(fields["hour"]),
+            int(fields["minute"]), int(fields["second"]), tzinfo=zone,
+        ).timestamp()
+    except ValueError:
+        return None
+
+
+class TestNumericFields:
+    """Every numeric field of both formats is read only when it is ASCII
+    digits (sizes: ``TestLineParsers``)."""
+
+    def test_clf_sample_line_is_the_numbers_template(self):
+        assert _clf_line(CLF_NUMBERS) == CLF_LINES[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        field=st.sampled_from(["timestamp", "elapsed", "status"]),
+        token=NUMERIC_TOKENS,
+    )
+    def test_squid_numbers_are_read_only_when_ascii_digits(self, field, token):
+        assume(token.split() == [token])  # whitespace separates Squid fields
+        parts = SQUID_LINES[0].split()
+        if field == "status":
+            parts[3] = f"TCP_MISS/{token}"
+        else:
+            parts[0 if field == "timestamp" else 1] = token
+        record = parse_squid_line(" ".join(parts))
+        if field == "status":
+            if _ascii_digits(token):
+                assert record.status == int(token)
+            else:
+                assert record is None
+            return
+        # Digits with at most one ".", and short enough to be finite.
+        if _ascii_digits(token.replace(".", "", 1)) and float(token) < float("inf"):
+            value = record.timestamp if field == "timestamp" else record.elapsed_ms
+            assert value == float(token)
+        else:
+            assert record is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(field=st.sampled_from(sorted(CLF_NUMBERS)), token=NUMERIC_TOKENS)
+    def test_clf_numbers_are_read_only_when_ascii_digits(self, field, token):
+        fields = {**CLF_NUMBERS, field: token}
+        record = parse_clf_line(_clf_line(fields))
+        if field == "status":
+            if _ascii_digits(token, 3):
+                assert record.status == int(token)
+            else:
+                assert record is None
+            return
+        expected = _clf_expected_time(fields)
+        if expected is None:
+            assert record is None
+        else:
+            assert record.timestamp == expected
 
 
 class TestDetection:
@@ -308,6 +422,25 @@ class TestCli:
         assert not out.exists()
         assert list(tmp_path.iterdir()) == [log]
 
+    def test_max_errors_leaves_every_file_as_it_was(self, squid_log, tmp_path, capsys):
+        # squid_log holds two malformed lines, so --max-errors 1 trips on
+        # the second, after the first good rows were parsed.
+        archive = tmp_path / "rolling.npz"
+        fresh = tmp_path / "fresh.npz"
+        assert cli_main(["ingest", str(squid_log), "--out", str(archive)]) == 0
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert sorted(before) == ["access.log", "rolling.npz", "rolling.urls.json"]
+        for argv in (
+            ["--out", str(fresh)],
+            ["--out", str(archive), "--append"],
+        ):
+            capsys.readouterr()
+            exit_code = cli_main(["ingest", str(squid_log), "--max-errors", "1", *argv])
+            assert exit_code == 2
+            assert "more than 1 malformed" in capsys.readouterr().err
+            after = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+            assert after == before
+
     def test_missing_log_fails_cleanly(self, tmp_path, capsys):
         missing = tmp_path / "missing.log"
         assert cli_main(["ingest", str(missing)]) == 2
@@ -358,3 +491,180 @@ class TestCli:
             exit_code = cli_main(["ingest", str(repo_root / "examples/data" / sample)])
             assert exit_code == 0
         assert "requests:" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# The ingest loop against a reference loop over the public line parsers.
+# ----------------------------------------------------------------------
+_HOSTS = ["media.bu.edu", "CDN.example.net", "stream.uni.edu"]
+_PATHS = ["/a.rm", "/b.rm", "/c.mpg", "/d.rm"]
+
+
+@st.composite
+def _squid_log_line(draw):
+    kind = draw(st.sampled_from(
+        ["ok", "ok", "ok", "hit", "post", "4xx", "malformed", "comment", "blank"]
+    ))
+    if kind == "comment":
+        return "# " + draw(st.text(max_size=8))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   "]))
+    stamp = f"{draw(st.integers(987654300, 987654400))}.{draw(st.integers(0, 999)):03d}"
+    elapsed = str(draw(st.integers(0, 90000)))
+    client = f"10.0.0.{draw(st.integers(1, 6))}"
+    method = {"post": "POST"}.get(kind, draw(st.sampled_from(["GET", "get", "HEAD"])))
+    status = draw(st.sampled_from(["404", "500"])) if kind == "4xx" else "200"
+    code = draw(st.sampled_from(["TCP_HIT", "TCP_MEM_HIT"])) if kind == "hit" else "TCP_MISS"
+    url = f"http://{draw(st.sampled_from(_HOSTS))}{draw(st.sampled_from(_PATHS))}"
+    size = str(draw(st.integers(0, 5_000_000)))
+    fields = [stamp, elapsed, client, f"{code}/{status}", size, method, url, "-", "DIRECT/-"]
+    if kind == "malformed":
+        index = draw(st.sampled_from([0, 1, 3, 4]))
+        # A 130-character token makes a line the samples must truncate.
+        fields[index] = draw(st.sampled_from(["+5", "1_0", "nan", "x" * 130, "٥"]))
+        fields = fields[: draw(st.sampled_from([3, 9]))]
+    return " ".join(fields)
+
+
+@st.composite
+def _clf_log_line(draw):
+    kind = draw(st.sampled_from(
+        ["ok", "ok", "ok", "post", "4xx", "malformed", "comment", "blank"]
+    ))
+    if kind == "comment":
+        return "#" + draw(st.text(max_size=8))
+    if kind == "blank":
+        return ""
+    day = f"{draw(st.integers(16, 18)):02d}"
+    clock = ":".join(f"{draw(st.integers(0, 59)):02d}" for _ in range(3))
+    stamp = f"{day}/Apr/2001:{clock} {draw(st.sampled_from(['-0500', '+0000', '+0130']))}"
+    if kind == "malformed":
+        stamp = draw(st.sampled_from(["+7/Apr/2001:09:00:01 -0500", stamp + " x", "garbled"]))
+    host = f"192.168.7.{draw(st.integers(1, 6))}"
+    method = "POST" if kind == "post" else draw(st.sampled_from(["GET", "HEAD"]))
+    url = draw(st.sampled_from(_PATHS + [f"http://{_HOSTS[0]}/e.rm"]))
+    status = draw(st.sampled_from(["404", "503"])) if kind == "4xx" else draw(
+        st.sampled_from(["200", "304"])
+    )
+    size = draw(st.sampled_from(["-", str(draw(st.integers(0, 3_000_000)))]))
+    return f'{host} - - [{stamp}] "{method} {url} HTTP/1.0" {status} {size}'
+
+
+def _reference_ingest(path, log_format, methods, include_hits):
+    """What :func:`ingest_access_log` must return, from the public line
+    parsers' records and plain Python."""
+    parse = {"squid": parse_squid_line, "clf": parse_clf_line}[log_format]
+    keep = None if methods is None else {method.upper() for method in methods}
+    counts = {"lines_total": 0, "lines_malformed": 0, "records_parsed": 0,
+              "records_filtered": 0}
+    samples, rows = [], []
+    url_ids, client_ids, server_ids = {}, {}, {}
+    sizes, servers = [], []
+    with open(path, errors="replace") as handle:
+        for number, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            counts["lines_total"] += 1
+            record = parse(line)
+            if record is None:
+                counts["lines_malformed"] += 1
+                if len(samples) < 5:
+                    samples.append(f"line {number}: {line[:117] + '...' if len(line) > 120 else line}")
+                continue
+            counts["records_parsed"] += 1
+            if (
+                (keep is not None and record.method not in keep)
+                or not 100 <= record.status <= 399
+                or (not include_hits and record.cache_hit)
+            ):
+                counts["records_filtered"] += 1
+                continue
+            if record.url not in url_ids:
+                url_ids[record.url] = len(url_ids)
+                sizes.append(0.0)
+                servers.append(server_ids.setdefault(record.server_host, len(server_ids)))
+            object_id = url_ids[record.url]
+            size_kb = record.size_bytes / 1024.0
+            sizes[object_id] = max(sizes[object_id], size_kb)
+            client_id = client_ids.setdefault(record.client, len(client_ids))
+            duration = 0.0 if record.elapsed_ms is None else record.elapsed_ms / 1000.0
+            rows.append((record.timestamp, object_id, client_id, size_kb, duration,
+                         record.cache_hit))
+    out_of_order = sum(b[0] < a[0] for a, b in zip(rows, rows[1:]))
+    rows.sort(key=lambda row: row[0])  # stable, like the ingest sort
+    return {
+        "counts": counts,
+        "samples": tuple(samples),
+        "out_of_order": out_of_order,
+        "rows": rows,
+        "url_ids": list(url_ids.items()),
+        "client_ids": list(client_ids.items()),
+        "server_ids": list(server_ids.items()),
+        "object_sizes_kb": sizes,
+        "object_servers": servers,
+        # Summed by numpy in trace order, as the ingest sums its column.
+        "total_kb": float(np.array([row[3] for row in rows], dtype=float).sum()),
+        "unique_kb": float(sum(sizes)),
+    }
+
+
+class TestIngestMatchesReference:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        log_format=st.sampled_from(["squid", "clf"]),
+        data=st.data(),
+        methods=st.sampled_from([("GET",), None, ("get", "HEAD")]),
+        include_hits=st.booleans(),
+    )
+    def test_ingest_equals_the_reference_loop(
+        self, log_format, data, methods, include_hits
+    ):
+        line = _squid_log_line() if log_format == "squid" else _clf_log_line()
+        lines = data.draw(st.lists(line, max_size=40))
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "access.log"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            expected = _reference_ingest(path, log_format, methods, include_hits)
+            try:
+                result = ingest_access_log(
+                    path, log_format=log_format, methods=methods,
+                    include_hits=include_hits,
+                )
+            except TraceFormatError:
+                counts = expected["counts"]
+                assert counts["lines_total"] and not counts["records_parsed"]
+                return
+
+        summary = result.summary
+        assert {name: getattr(summary, name) for name in expected["counts"]} == (
+            expected["counts"]
+        )
+        assert summary.malformed_samples == expected["samples"]
+        assert summary.out_of_order == expected["out_of_order"]
+        assert list(result.url_ids.items()) == expected["url_ids"]
+        assert list(result.client_ids.items()) == expected["client_ids"]
+        assert list(result.server_ids.items()) == expected["server_ids"]
+        assert result.object_sizes_kb.tolist() == expected["object_sizes_kb"]
+        assert result.object_servers.tolist() == expected["object_servers"]
+
+        rows = expected["rows"]
+        start = rows[0][0] if rows else 0.0
+        trace = result.trace
+        assert trace.times_array.tolist() == [row[0] - start for row in rows]
+        assert trace.object_ids_array.tolist() == [row[1] for row in rows]
+        assert trace.client_ids_array.tolist() == [row[2] for row in rows]
+        assert result.request_sizes_kb.tolist() == [row[3] for row in rows]
+        assert result.request_durations_s.tolist() == [row[4] for row in rows]
+        assert result.request_hits.tolist() == [row[5] for row in rows]
+        assert result.request_hits.dtype == bool
+
+        assert summary.requests == len(rows)
+        assert summary.unique_objects == len(expected["url_ids"])
+        assert summary.unique_clients == len(expected["client_ids"])
+        assert summary.unique_servers == len(expected["server_ids"])
+        assert summary.total_kb == expected["total_kb"]
+        assert summary.unique_kb == expected["unique_kb"]
+        assert summary.start_timestamp == start
+        assert summary.end_timestamp == (rows[-1][0] if rows else 0.0)
+        assert summary.trace_duration_s == (rows[-1][0] - start if rows else 0.0)
