@@ -100,11 +100,15 @@ obs-smoke:
 ## Streaming smoke: the streaming test suite (engine semantics,
 ## golden bit-identity with sessions on, the golden QoE fixture, the
 ## prefix-vs-whole ablation) plus one CLI replay with segment-aware
-## sessions and the QoE report end-to-end (docs/streaming.md).
+## sessions, passive-driven re-keying with hysteresis and a stochastic
+## outage/flap schedule all on together, which prints the QoE,
+## re-keying and fault reports end-to-end (docs/streaming.md).
 streaming-smoke:
 	$(PYTHON) -m pytest -q tests/test_sim_streaming.py tests/test_streaming_segmentation.py
 	$(PYTHON) -m repro run --policy PB --scale 0.05 --knowledge passive \
-		--client-clouds 8 --streaming-fraction 1.0 --streaming-prefetch 2
+		--client-clouds 8 --streaming-fraction 1.0 --streaming-prefetch 2 \
+		--reactive-threshold 0.15 --reactive-passive --reactive-hysteresis 0.05 \
+		--fault-origin-outages 2 --fault-bandwidth-flaps 4 --fault-seed 1
 
 ## Hierarchy smoke: the hierarchy test suite (tier-chain semantics,
 ## golden bit-identity with the fleet on, the golden ablation

@@ -191,15 +191,14 @@ class PassiveEstimator:
             raise MeasurementError(
                 f"throughput must be positive, got {throughput} for server {server_id}"
             )
-        if server_id not in self._estimates:
-            self._estimates[server_id] = throughput
+        previous = self._estimates.get(server_id)
+        if previous is None:
+            estimate = throughput
         else:
-            previous = self._estimates[server_id]
-            self._estimates[server_id] = (
-                (1.0 - self.smoothing) * previous + self.smoothing * throughput
-            )
+            estimate = (1.0 - self.smoothing) * previous + self.smoothing * throughput
+        self._estimates[server_id] = estimate
         self._sample_counts[server_id] = self._sample_counts.get(server_id, 0) + 1
-        return self._estimates[server_id]
+        return estimate
 
     def estimate(self, server_id: int) -> float:
         """Current bandwidth estimate for a server (KB/s)."""
@@ -219,15 +218,14 @@ class PassiveEstimator:
                 f"{server_id} group {group_id}"
             )
         key = (server_id, group_id)
-        if key not in self._group_estimates:
-            self._group_estimates[key] = throughput
+        previous = self._group_estimates.get(key)
+        if previous is None:
+            estimate = throughput
         else:
-            previous = self._group_estimates[key]
-            self._group_estimates[key] = (
-                (1.0 - self.smoothing) * previous + self.smoothing * throughput
-            )
+            estimate = (1.0 - self.smoothing) * previous + self.smoothing * throughput
+        self._group_estimates[key] = estimate
         self._group_sample_counts[key] = self._group_sample_counts.get(key, 0) + 1
-        return self._group_estimates[key]
+        return estimate
 
     def estimate_group(self, server_id: int, group_id: int) -> float:
         """Delivered-bandwidth estimate for one ``(server, group)`` pair (KB/s).

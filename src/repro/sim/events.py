@@ -34,11 +34,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, check_scalars
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.network.measurement import BandwidthMeasurementLog, PassiveEstimator
@@ -98,6 +99,9 @@ class RemeasurementConfig:
     priority: int = -1
 
     def __post_init__(self) -> None:
+        check_scalars(self, Real, "interval")
+        check_scalars(self, Real, "start_time", "end_time", optional=True)
+        check_scalars(self, Integral, "probing_clients", "seed", "priority")
         if not self.interval > 0:
             raise ConfigurationError(
                 f"remeasurement interval must be positive, got {self.interval}"
@@ -319,6 +323,7 @@ class ReactiveRekeyer:
         "rekeys_by_server",
         "trace",
         "_max_cap",
+        "_caps",
         "_anchors",
         "_disarmed",
     )
@@ -383,6 +388,14 @@ class ReactiveRekeyer:
         self.trace = None
         max_cap = max(group_caps) if group_caps else None
         self._max_cap = None if max_cap == float("inf") else max_cap
+        #: The believed-bandwidth ceiling of each group's view (``None`` =
+        #: uncapped), read as ``_caps[group_id % len(_caps)]``; the origin
+        #: view (group ``None``) is capped at ``_max_cap``.
+        self._caps: Tuple[Optional[float], ...] = (
+            tuple(None if cap == float("inf") else cap for cap in group_caps)
+            if group_caps is not None
+            else (None,)
+        )
         #: Anchors nested per server: ``{server_id: {group_id: anchor}}``
         #: with ``None`` as the group of the origin (probe-driven) view.
         #: Nesting keeps a trigger's re-anchor sweep O(that server's views)
@@ -396,15 +409,6 @@ class ReactiveRekeyer:
     def bandwidth_cap(self) -> Optional[float]:
         """Largest believed bandwidth any request holds (legacy view)."""
         return self._max_cap
-
-    def _cap_for(self, group_id: Optional[int]) -> Optional[float]:
-        """The believed-bandwidth ceiling of one view (``None`` = uncapped)."""
-        if self.group_caps is None:
-            return None
-        if group_id is None:
-            return self._max_cap
-        cap = self.group_caps[group_id % len(self.group_caps)]
-        return None if cap == float("inf") else cap
 
     def anchor_for(
         self, server_id: int, group_id: Optional[int] = None
@@ -481,11 +485,16 @@ class ReactiveRekeyer:
         seeding from the latter silently swallows a first shift of any
         magnitude.
         """
-        if group_id is not None and self.group_estimation:
-            estimate = self.estimator.estimate_group(server_id, group_id)
-        else:
+        if group_id is None:
             estimate = self.estimator.estimate(server_id)
-        cap = self._cap_for(group_id)
+            cap = self._max_cap
+        else:
+            if self.group_estimation:
+                estimate = self.estimator.estimate_group(server_id, group_id)
+            else:
+                estimate = self.estimator.estimate(server_id)
+            caps = self._caps
+            cap = caps[group_id % len(caps)]
         believed = estimate if cap is None or estimate <= cap else cap
         views = self._anchors.get(server_id)
         if views is None:
@@ -533,16 +542,22 @@ class ReactiveRekeyer:
         # them all at their newly believed values, and (under hysteresis)
         # disarm them until their estimates settle back into the band.
         views[group_id] = believed
+        origin_estimate = self.estimator.estimate(server_id)
+        caps = self._caps
         for other_group in views:
             if other_group == group_id:
                 continue
-            if other_group is not None and self.group_estimation:
-                other_estimate = self.estimator.estimate_group(
-                    server_id, other_group
-                )
+            if other_group is None:
+                other_estimate = origin_estimate
+                other_cap = self._max_cap
             else:
-                other_estimate = self.estimator.estimate(server_id)
-            other_cap = self._cap_for(other_group)
+                if self.group_estimation:
+                    other_estimate = self.estimator.estimate_group(
+                        server_id, other_group
+                    )
+                else:
+                    other_estimate = origin_estimate
+                other_cap = caps[other_group % len(caps)]
             if other_cap is not None and other_estimate > other_cap:
                 other_estimate = other_cap
             views[other_group] = other_estimate

@@ -446,10 +446,12 @@ class FaultInjector:
     """Apply a :class:`FaultSchedule` to the replay, one request at a time.
 
     The replay kernel calls :meth:`intercept` for every request, at its
-    *faults* stage.  The injector keeps a
-    monotone pointer over the schedule's start/end boundaries (requests
-    arrive in non-decreasing time), so the per-request cost when no fault
-    is active is one comparison.
+    *faults* stage.  The injector keeps a monotone pointer over the
+    schedule's start/end boundaries (requests arrive in non-decreasing
+    time) and a count of the episodes active at the pointer, so when no
+    episode is active a request costs the boundary comparison and two
+    truth tests (pending recoveries, active count); the factor lists are
+    scanned only while an episode is active.
 
     ``intercept`` returns ``None`` when the request is completely
     untouched — the loops then run the exact pre-change arithmetic — or a
@@ -512,6 +514,9 @@ class FaultInjector:
         # "every server/group" and is folded in at query time.
         self._active_server: Dict[Optional[int], List[float]] = {}
         self._active_group: Dict[Optional[int], List[float]] = {}
+        #: Episodes started and not yet ended at the pointer time; while
+        #: zero, intercept returns before scanning the factor lists.
+        self._active_count = 0
 
         # Mean-time-to-recovery bookkeeping for origin outages.
         self._prefault_estimates: Dict[Tuple[int, int], float] = {}
@@ -538,6 +543,7 @@ class FaultInjector:
         boundaries = self._boundaries
         pos = self._boundary_pos
         count = len(boundaries)
+        active_count = self._active_count
         while pos < count and boundaries[pos][0] <= now:
             _, action, index, episode = boundaries[pos]
             pos += 1
@@ -547,6 +553,7 @@ class FaultInjector:
                 active = self._active_group.setdefault(episode.group_id, [])
             if action == 1:  # start
                 active.append(episode.factor)
+                active_count += 1
                 if self.trace is not None:
                     self.trace.emit(
                         "info",
@@ -565,6 +572,7 @@ class FaultInjector:
                         )
             else:  # end
                 active.remove(episode.factor)
+                active_count -= 1
                 if self.trace is not None:
                     self.trace.emit(
                         "info",
@@ -588,6 +596,7 @@ class FaultInjector:
                                 )
                             )
         self._boundary_pos = pos
+        self._active_count = active_count
         self._next_boundary = boundaries[pos][0] if pos < count else float("inf")
 
     def _servers_of(self, episode: FaultEpisode) -> Tuple[int, ...]:
@@ -665,6 +674,8 @@ class FaultInjector:
             self._advance(now)
         if self._pending_recoveries:
             self._check_recovery(now, server_id)
+        if not self._active_count:
+            return None
         f_server = self._server_factor_now(server_id)
         f_group = self._group_factor_now(group_id)
         if f_server >= 1.0 and f_group >= 1.0:

@@ -52,11 +52,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.policies.registry import make_policy
 from repro.core.store import CacheStore
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, check_scalars
 
 __all__ = [
     "CacheTier",
@@ -99,6 +100,7 @@ class CacheTier:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("tier name must be non-empty")
+        check_scalars(self, Real, "cache_kb", "uplink_bandwidth")
         if not self.cache_kb >= 0:
             raise ConfigurationError(
                 f"tier {self.name!r}: cache_kb must be non-negative, "
@@ -147,6 +149,9 @@ class HierarchyConfig:
             )
         if not self.tiers:
             raise ConfigurationError("hierarchy needs at least one tier")
+        check_scalars(self, Integral, "num_pops")
+        check_scalars(self, Real, "sibling_bandwidth")
+        check_scalars(self, bool, "sibling_lookup")
         names = [tier.name for tier in self.tiers]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"tier names must be unique, got {names}")

@@ -20,11 +20,13 @@ whole-object delivery arithmetic:
   :class:`~repro.streaming.media.LayeredEncoding` layers the path
   sustains, and abandons when the path cannot sustain even the base
   ``layer_rate`` and waiting would exceed the abandonment budget.
-* **Prefetch** of upcoming segments is driven by session position via
-  :func:`~repro.streaming.prefetch.plan_prefix_prefetch`: a session that
-  actually plays entitles its object to ``prefetch_segments`` extra
-  segments on the admission that immediately follows; an abandoned
-  session (position never advanced) entitles it to none.
+* **Prefetch** of upcoming segments is driven by session position: a
+  session that actually plays entitles its object to
+  ``prefetch_segments`` extra segments on the admission that immediately
+  follows; an abandoned session (position never advanced) entitles it to
+  none.  Whether the suffix could stream during prefix playout with no
+  extra delay is counted as
+  :func:`~repro.streaming.prefetch.plan_prefix_prefetch` decides it.
 * **VBR streams** (an optional fraction) derive their required sustained
   rate from the *smoothed* schedule — ``peak_rate(optimal_smoothing(...))``
   over a :func:`~repro.streaming.media.synthetic_vbr_stream` — matching
@@ -41,13 +43,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, check_scalars
 from repro.streaming.media import CBRStream, LayeredEncoding, synthetic_vbr_stream
-from repro.streaming.prefetch import plan_prefix_prefetch
 from repro.streaming.segmentation import SegmentationScheme, SegmentedPrefix
 from repro.streaming.smoothing import optimal_smoothing, peak_rate
 
@@ -118,6 +120,13 @@ class StreamingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_scalars(
+            self, Real,
+            "fraction", "base_segment_kb", "abandon_after_s", "vbr_fraction",
+            "vbr_burstiness", "smoothing_buffer_s",
+        )
+        check_scalars(self, Integral, "prefetch_segments", "seed")
+        check_scalars(self, bool, "prefix_caching", "exponential_segments")
         if not 0.0 < self.fraction <= 1.0:
             raise ConfigurationError(
                 f"fraction must be in (0, 1], got {self.fraction}"
@@ -219,7 +228,9 @@ class _StreamEntry:
         "size",
         "duration",
         "required_rate",
-        "encoding",
+        "vbr",
+        "layers",
+        "layer_rate",
         "prefix",
         "tolerance",
     )
@@ -229,7 +240,14 @@ class _StreamEntry:
         self.size = obj.size
         self.duration = obj.duration
         self.required_rate = required_rate
-        self.encoding = LayeredEncoding(full_rate=required_rate, layers=obj.layers)
+        #: A smoothed VBR peak above the mean rate is what the path must
+        #: sustain for full quality.
+        self.vbr = required_rate != obj.bitrate
+        # The encoding validates the rate and layer count; a session reads
+        # its two numbers, not the object.
+        encoding = LayeredEncoding(full_rate=required_rate, layers=obj.layers)
+        self.layers = encoding.layers
+        self.layer_rate = encoding.layer_rate
         #: Segment calculator: re-synced from store byte counts before every
         #: use, so it serves as the boundary arithmetic (floor / ceil /
         #: tail-trim) rather than a second source of residency truth.
@@ -295,7 +313,15 @@ class StreamingDeliveryEngine:
                     required_rate, self._smoothed_peak_rate(obj, config)
                 )
             self._entries[object_id] = _StreamEntry(obj, required_rate, scheme)
+        # serve and trim_victim index the store's KB table, as the kernel
+        # does.  A store a policy has installed already holds a slot for
+        # every catalog object; a bare store's dict gets one per stream.
+        table = store.cached_kb
+        if isinstance(table, dict):
+            for object_id in stream_ids:
+                table.setdefault(object_id, 0.0)
         self._prefetch_segments = config.prefetch_segments
+        self._abandon_after_s = config.abandon_after_s
         #: ``(object_id, allowed_segments)`` set by the session that just
         #: played; consumed by the admission that immediately follows it.
         self._pending_prefetch: Optional[Tuple[int, int]] = None
@@ -370,23 +396,26 @@ class StreamingDeliveryEngine:
         move only during the measurement phase.
         """
         entry = self._entries[object_id]
-        store = self.store
-        cached = store.cached_bytes(object_id)
+        cached = self.store.cached_kb[object_id]
         if cached > 0.0:
             # Floor residency to a segment boundary: sync the calculator up
             # (grow_to may overshoot to the ceiling) then trim back down.
             entry.prefix.grow_to(cached)
             floored = entry.prefix.trim_to(cached)
             if floored < cached - entry.tolerance:
-                store.trim(object_id, cached - floored, now)
+                self.store.trim(object_id, cached - floored, now)
                 self.fragment_trims += 1
                 cached = floored
             elif cached > entry.size:
                 cached = entry.size
 
-        plan = plan_prefix_prefetch(entry.obj, cached, bandwidth)
-        delay_full = plan.startup_delay
-        if entry.required_rate != entry.obj.bitrate:
+        # The startup delay of plan_prefix_prefetch (the paper's
+        # [T r - T b - x]+ / b over the prefix it serves), without
+        # building the plan: its suffix-free and zero-bandwidth branches
+        # give the same 0.0 and inf through this formula.
+        delay_full = entry.obj.startup_delay(bandwidth, min(cached, entry.size))
+        feasible = delay_full <= 0.0
+        if entry.vbr:
             # VBR: the smoothed peak rate, not the mean rate, must be
             # sustained; same [T r - T b - x]+ / b form at the higher rate.
             missing = (
@@ -401,22 +430,30 @@ class StreamingDeliveryEngine:
             else:
                 delay_full = missing / bandwidth
 
-        encoding = entry.encoding
-        available = cached / entry.duration + (bandwidth if bandwidth > 0.0 else 0.0)
-        layers_ok = encoding.supported_layers(available)
-
         abandoned = False
         if delay_full <= 0.0:
             stall, quality, watch = 0.0, 1.0, entry.duration
-        elif delay_full <= self.config.abandon_after_s:
+        elif delay_full <= self._abandon_after_s:
             stall, quality, watch = delay_full, 1.0, entry.duration
-        elif layers_ok >= 1:
-            stall = 0.0
-            quality = layers_ok / entry.obj.layers
-            watch = entry.duration
         else:
-            abandoned = True
-            stall, quality, watch = self.config.abandon_after_s, 0.0, 0.0
+            # Too long to wait: play the layers the cached prefix spread
+            # over the duration plus the delivered bandwidth sustain
+            # (LayeredEncoding.supported_layers), or abandon.
+            available = cached / entry.duration + (
+                bandwidth if bandwidth > 0.0 else 0.0
+            )
+            layers_ok = (
+                0
+                if available <= 0
+                else min(entry.layers, int(available / entry.layer_rate + 1e-9))
+            )
+            if layers_ok >= 1:
+                stall = 0.0
+                quality = layers_ok / entry.layers
+                watch = entry.duration
+            else:
+                abandoned = True
+                stall, quality, watch = self._abandon_after_s, 0.0, 0.0
 
         if abandoned:
             served = bandwidth * stall
@@ -444,7 +481,7 @@ class StreamingDeliveryEngine:
                 self.waited += 1
             elif quality < 1.0:
                 self.degraded += 1
-            if plan.feasible_without_delay:
+            if feasible:
                 self.feasible_suffix += 1
         return bytes_cache, bytes_server, delay, quality, quality >= 1.0
 
@@ -520,7 +557,7 @@ class StreamingDeliveryEngine:
         if entry is None:
             return None
         store = self.store
-        current = store.cached_bytes(victim_id)
+        current = store.cached_kb[victim_id]
         if current <= 0.0:
             return 0.0, True
         keep = current - needed_kb

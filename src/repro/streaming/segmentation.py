@@ -68,22 +68,32 @@ class SegmentationScheme:
 
     def segments(self, object_size_kb: float) -> List[Segment]:
         """The full segment list covering ``[0, object_size_kb)``."""
+        return [
+            Segment(index=index, start=start, end=end)
+            for index, (start, end) in enumerate(self._bounds(object_size_kb))
+        ]
+
+    def _bounds(self, object_size_kb: float) -> List[Tuple[float, float]]:
+        """``(start, end)`` of every segment covering ``[0, object_size_kb)``.
+
+        The one copy of the segmentation rule: :meth:`segments` wraps each
+        pair in a :class:`Segment`, and :class:`SegmentedPrefix` takes its
+        sizes straight from the pairs without building the objects.
+        """
         if not 0.0 <= object_size_kb < math.inf:
             raise ConfigurationError(
                 f"object_size_kb must be non-negative and finite, got {object_size_kb}"
             )
-        segments: List[Segment] = []
+        bounds: List[Tuple[float, float]] = []
         start = 0.0
         size = self.base_segment_kb
-        index = 0
         while start < object_size_kb:
             end = min(start + size, object_size_kb)
-            segments.append(Segment(index=index, start=start, end=end))
+            bounds.append((start, end))
             start = end
-            index += 1
             if self.exponential:
                 size *= 2.0
-        return segments
+        return bounds
 
     def segments_for_prefix(self, object_size_kb: float, prefix_kb: float) -> List[Segment]:
         """The segments fully or partially covered by a prefix of ``prefix_kb``."""
@@ -111,7 +121,8 @@ class SegmentedPrefix:
             )
         self.object_size_kb = float(object_size_kb)
         self.scheme = scheme or SegmentationScheme()
-        sizes = [segment.size for segment in self.scheme.segments(self.object_size_kb)]
+        bounds = self.scheme._bounds(self.object_size_kb)
+        sizes = [end - start for start, end in bounds]
         # sum() over each prefix of the list, not a running total: from
         # Python 3.12 sum() compensates float rounding, so a running total
         # can differ from it in the last bit.

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, check_scalars
 from repro.units import DEFAULT_BITRATE_KBPS
 from repro.workload.arrivals import ArrivalProcess, PoissonArrivalProcess
 from repro.workload.catalog import Catalog, MediaObject
@@ -98,6 +99,17 @@ class WorkloadConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_scalars(
+            self, Integral,
+            "num_objects", "num_requests", "num_servers", "layers", "num_clients",
+        )
+        check_scalars(
+            self, Real,
+            "zipf_alpha", "arrival_rate", "duration_mu", "duration_sigma", "bitrate",
+            "value_min", "value_max",
+        )
+        # None draws a fresh seed from the operating system, as numpy does.
+        check_scalars(self, Integral, "seed", optional=True)
         if self.num_objects <= 0:
             raise ConfigurationError("num_objects must be positive")
         if self.num_requests <= 0:

@@ -8,9 +8,21 @@ from repro.network.distributions import NLANRBandwidthDistribution
 from repro.network.variability import NLANRRatioVariability
 from repro.obs.config import ObservabilityConfig
 from repro.sim.config import BandwidthKnowledge, ClientCloudConfig, SimulationConfig
+from repro.sim.events import RemeasurementConfig
 from repro.sim.faults import FaultConfig
+from repro.sim.hierarchy import CacheTier, HierarchyConfig
 from repro.sim.metrics import MetricsCollector, SimulationMetrics
+from repro.sim.streaming import StreamingConfig
 from repro.streaming.session import DeliveryOutcome
+from repro.workload.gismo import WorkloadConfig
+
+
+#: The fields a config cannot be built without.
+REQUIRED_FIELDS = {
+    RemeasurementConfig: {"interval": 60.0},
+    CacheTier: {"name": "edge", "cache_kb": 100.0},
+    HierarchyConfig: {"tiers": (CacheTier("edge", 100.0),)},
+}
 
 
 def make_outcome(
@@ -168,18 +180,45 @@ class TestSimulationConfig:
             (ObservabilityConfig, "trace_sample", "1", "a number"),
             (ObservabilityConfig, "profile", 1, "a bool"),
             (ObservabilityConfig, "trace_path", 5, "a path"),
+            (RemeasurementConfig, "interval", "60", "a number"),
+            (RemeasurementConfig, "start_time", "0", "a number"),
+            (RemeasurementConfig, "probing_clients", 2.0, "an integer"),
+            (RemeasurementConfig, "priority", "1", "an integer"),
+            (StreamingConfig, "fraction", "0.5", "a number"),
+            (StreamingConfig, "abandon_after_s", "60", "a number"),
+            (StreamingConfig, "prefetch_segments", 1.5, "an integer"),
+            (StreamingConfig, "seed", "x", "an integer"),
+            (StreamingConfig, "prefix_caching", "no", "a bool"),
+            (CacheTier, "cache_kb", "100", "a number"),
+            (CacheTier, "uplink_bandwidth", "50", "a number"),
+            (HierarchyConfig, "num_pops", "2", "an integer"),
+            (HierarchyConfig, "num_pops", 2.5, "an integer"),
+            (HierarchyConfig, "sibling_bandwidth", "10", "a number"),
+            (HierarchyConfig, "sibling_lookup", 1, "a bool"),
+            (WorkloadConfig, "num_objects", "10", "an integer"),
+            (WorkloadConfig, "num_objects", 10.5, "an integer"),
+            (WorkloadConfig, "num_requests", 1e3, "an integer"),
+            (WorkloadConfig, "zipf_alpha", "0.73", "a number"),
+            (WorkloadConfig, "seed", 1.5, "an integer"),
         ],
     )
     def test_scalar_fields_reject_the_wrong_type(
         self, config_class, field, value, expected
     ):
+        kwargs = {**REQUIRED_FIELDS.get(config_class, {}), field: value}
         with pytest.raises(ConfigurationError, match=f"{field} must be {expected}"):
-            config_class(**{field: value})
+            config_class(**kwargs)
 
     def test_scalar_fields_take_numpy_scalars(self):
         config = SimulationConfig(cache_size_gb=np.float32(2.0), seed=np.int64(3))
         assert config.cache_size_gb == 2.0 and config.seed == 3
         assert FaultConfig(random_origin_outages=np.int32(1)).random_origin_outages == 1
+        remeasurement = RemeasurementConfig(interval=np.float32(60.0), end_time=None)
+        assert remeasurement.interval == 60
+        assert StreamingConfig(prefetch_segments=np.int64(2)).prefetch_segments == 2
+        tier = CacheTier("edge", np.float64(100.0))
+        assert HierarchyConfig(tiers=(tier,), num_pops=np.int32(2)).num_pops == 2
+        assert WorkloadConfig(num_objects=np.int64(10), seed=None).num_objects == 10
 
 
 class TestMetricsCollector:

@@ -9,7 +9,9 @@ Pinned guarantees:
   their recorded goldens, fault report included.
 * **Fetch model semantics** — the timeout threshold, the exponential
   retry backoff (and its budget), serve-stale classification, and the
-  bandwidth-floor sample fed to the estimator on failure.
+  bandwidth-floor sample fed to the estimator on failure; on random
+  schedules, every disposition equals the fetch model evaluated from
+  point-in-time factor queries.
 * **Fault-storm reactive behaviour** — hysteresis re-arms across
   outage/recovery oscillation and ``reactive_rekey_cap`` holds under
   adversarial flapping.
@@ -17,6 +19,8 @@ Pinned guarantees:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.policies import make_policy
 from repro.exceptions import ConfigurationError
@@ -282,6 +286,107 @@ class TestInjector:
         assert stale_quality(600.0, 100.0, 48.0, 1.0 / 8.0) == 1.0 / 8.0
         assert stale_quality(0.0, 100.0, 48.0, 1.0 / 8.0) == 0.0
         assert stale_quality(1e9, 100.0, 48.0, 1.0 / 8.0) == 1.0
+
+
+def _reference_disposition(injector, config, now, server, group, origin, last_mile):
+    """The fetch model of one request, from point-in-time factor queries.
+
+    Every attempt reads the worst active factor of both hops with
+    ``_factor_at`` (no boundary pointer, no active lists): ``None`` when
+    neither hop is degraded, else the first attempt inside the timeout
+    threshold, else a failed fetch after the whole backoff budget.
+    """
+
+    def factors(t):
+        f_server = injector._factor_at(injector._server_intervals, server, t)
+        f_group = (
+            injector._factor_at(injector._group_intervals, group, t)
+            if group is not None
+            else 1.0
+        )
+        return f_server, f_group
+
+    f_server, f_group = factors(now)
+    if f_server >= 1.0 and f_group >= 1.0:
+        return None
+    waited, attempt = 0.0, 0
+    while min(f_server, f_group) < 1.0 / config.timeout_factor:
+        if attempt == config.max_retries:
+            return (FETCH_FAILED, BANDWIDTH_FLOOR, BANDWIDTH_FLOOR, waited, attempt)
+        attempt += 1
+        waited = config.backoff_base_s * (2**attempt - 1)
+        f_server, f_group = factors(now + waited)
+    origin_effective = max(origin * f_server, BANDWIDTH_FLOOR)
+    observed = origin_effective
+    if last_mile is not None:
+        observed = min(observed, max(last_mile * f_group, BANDWIDTH_FLOOR))
+    return (FETCH_OK, observed, origin_effective, waited, attempt)
+
+
+@st.composite
+def fault_episodes(draw):
+    """One episode on a whole-second grid, so boundaries meet requests."""
+    kind = draw(st.sampled_from(
+        ("origin-outage", "bandwidth-flap", "link-down", "link-flap")
+    ))
+    start = float(draw(st.integers(0, 30)))
+    end = start + draw(st.integers(1, 15))
+    target = draw(st.sampled_from((None, 0, 1)))  # None: every server/group
+    factor = 0.0 if kind in ("origin-outage", "link-down") else draw(
+        st.sampled_from((0.1, 0.3, 0.6, 0.9))
+    )
+    if kind in ("origin-outage", "bandwidth-flap"):
+        return FaultEpisode(kind, start, end, server_id=target, factor=factor)
+    return FaultEpisode(kind, start, end, group_id=target, factor=factor)
+
+
+FAULT_REQUESTS = st.lists(
+    st.tuples(
+        st.integers(-4, 100).map(lambda half_seconds: half_seconds / 2.0),
+        st.integers(0, 2),  # server
+        st.sampled_from((None, 0, 1, 2)),  # client group (None: unmodeled)
+        st.floats(min_value=1.0, max_value=500.0),  # origin draw
+        st.floats(min_value=1.0, max_value=500.0),  # last-mile draw
+    ),
+    max_size=40,
+).map(lambda rows: sorted(rows, key=lambda row: row[0]))  # arrival order
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    episodes=st.lists(fault_episodes(), max_size=6),
+    requests=FAULT_REQUESTS,
+    timeout_factor=st.sampled_from((2.0, 4.0, 20.0)),
+    max_retries=st.integers(0, 3),
+    backoff_base_s=st.sampled_from((0.5, 1.0, 4.0)),
+)
+def test_intercept_matches_point_in_time_factors(
+    episodes, requests, timeout_factor, max_retries, backoff_base_s
+):
+    """Overlapping, broadcast and back-to-back episodes, with requests
+    before, inside, on the boundaries of and after them: the monotone
+    pointer (and its no-active-episode shortcut) decides exactly what a
+    point-in-time query of the schedule decides."""
+    injector = _injector(
+        episodes,
+        timeout_factor=timeout_factor,
+        max_retries=max_retries,
+        backoff_base_s=backoff_base_s,
+    )
+    config = injector.config
+    got, want = [], []
+    for now, server, group, origin, last_mile in requests:
+        last_mile = None if group is None else last_mile
+        got.append(injector.intercept(now, server, group, origin, last_mile))
+        want.append(_reference_disposition(
+            injector, config, now, server, group, origin, last_mile
+        ))
+    assert got == want
+    served = [d for d in want if d is not None and d[0] == FETCH_OK]
+    assert injector.degraded_requests == sum(d[4] == 0 for d in served)
+    assert injector.failed_fetches == sum(
+        d is not None and d[0] == FETCH_FAILED for d in want
+    )
 
 
 # ----------------------------------------------------------------------

@@ -229,6 +229,49 @@ class TestPerGroupViews:
         assert estimator.group_sample_count(0, 1) == 2
         assert estimator.known_groups(0) == [0, 1]
 
+    @pytest.mark.parametrize("trigger", [None, 2], ids=["origin", "group-2"])
+    @pytest.mark.parametrize("group_estimation", [False, True])
+    def test_shift_reanchors_every_view_at_its_capped_estimate(
+        self, group_estimation, trigger
+    ):
+        """After a shift every view of the server is re-anchored at its own
+        estimate capped by its own group's cap: an infinite cap leaves the
+        estimate as it is, and a group id past the cap table wraps
+        (``group_id % len(caps)``)."""
+        catalog = _catalog()
+        policy, _ = _tracked_policy(catalog, bandwidth=20.0)
+        estimator = PassiveEstimator(smoothing=1.0, initial_estimate=50.0)
+        caps = (float("inf"), 30.0, 80.0)
+        rekeyer = ReactiveRekeyer(
+            policy,
+            estimator,
+            threshold=0.5,
+            group_caps=caps,
+            group_estimation=group_estimation,
+        )
+        views = (None, 0, 1, 2, 4)  # group 4 shares group 1's 30 KB/s cap
+        for view in views:  # every view agrees with its keys: quiet
+            rekeyer.notify(0.0, 0, 50.0, group_id=view)
+        assert rekeyer.shifts == 0
+
+        estimator.observe(0, 200.0)
+        for group, delivered in ((0, 150.0), (2, 160.0), (4, 90.0)):
+            estimator.observe_group(0, group, delivered)
+        rekeyer.notify(1.0, 0, 50.0, group_id=trigger)
+        assert rekeyer.shifts == 1
+
+        def capped_estimate(view):
+            if view is not None and group_estimation:
+                estimate = estimator.estimate_group(0, view)
+            else:
+                estimate = estimator.estimate(0)
+            cap = max(caps) if view is None else caps[view % len(caps)]
+            return min(estimate, cap)
+
+        anchors = {view: rekeyer.anchor_for(0, view) for view in views}
+        assert anchors == {view: capped_estimate(view) for view in views}
+        assert anchors[None] == 200.0 and anchors[1] == anchors[4] == 30.0
+
     def test_rekeyer_validation(self):
         catalog = _catalog()
         policy, _ = _tracked_policy(catalog)

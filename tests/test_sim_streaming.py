@@ -12,7 +12,9 @@ Four families of guarantees are pinned here:
   reports recorded in ``tests/data/replay_goldens.json``.
 * **Session semantics** — the deterministic wait / degrade / abandon
   client choice, byte accounting, fragment trims, prefetch entitlements,
-  and pressure trims of :class:`~repro.sim.streaming.StreamingDeliveryEngine`.
+  and pressure trims of :class:`~repro.sim.streaming.StreamingDeliveryEngine`,
+  by hand and against a reference built from the public building blocks
+  on random objects, prefixes and bandwidths.
 * **Golden QoE values** — one committed fixture pins the headline QoE
   numbers byte-exactly, so a change to the kernel or the engine shows up
   as a diff here before it ships.
@@ -22,6 +24,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.policies import make_policy
 from repro.core.store import CacheStore
@@ -37,6 +41,9 @@ from repro.sim.streaming import (
     StreamingDeliveryEngine,
     select_stream_ids,
 )
+from repro.streaming.media import LayeredEncoding
+from repro.streaming.prefetch import plan_prefix_prefetch
+from repro.streaming.segmentation import SegmentedPrefix
 from repro.workload.catalog import Catalog, MediaObject
 from repro.workload.gismo import GismoWorkloadGenerator, WorkloadConfig
 
@@ -320,6 +327,181 @@ class TestAdmissionAndTrim:
     def test_trim_victim_ignores_non_streams(self, engine_setup):
         engine, store = engine_setup
         assert engine.trim_victim(99, 100.0) is None
+
+
+# ----------------------------------------------------------------------
+# Reference-model agreement: serve against its public building blocks
+# ----------------------------------------------------------------------
+#: Every QoE counter of the engine; a session moves all but
+#: ``prefetch_extensions`` and ``pressure_trimmed_kb``.
+SESSION_COUNTERS = (
+    "sessions",
+    "startup_sum",
+    "rebuffer_sum",
+    "watch_sum",
+    "quality_sum",
+    "abandoned",
+    "waited",
+    "degraded",
+    "feasible_suffix",
+    "prefetch_extensions",
+    "fragment_trims",
+    "pressure_trimmed_kb",
+)
+
+
+def _reference_session(obj, required_rate, scheme, stored, bandwidth, patience, waited):
+    """One session as the engine documents it, from the public pieces.
+
+    Residency is floored with a fresh :class:`SegmentedPrefix`, the
+    full-quality delay comes from :func:`plan_prefix_prefetch` (at the
+    smoothed peak rate for a VBR stream) and the degraded layer count
+    from :meth:`LayeredEncoding.supported_layers`.  Returns the expected
+    ``serve`` tuple, the expected counter moves, the KB left in the store
+    and whether the session played.
+    """
+    size = obj.size
+    cached = left = stored
+    trims = 0
+    if cached > 0.0:
+        prefix = SegmentedPrefix(size, scheme)
+        prefix.grow_to(cached)
+        floored = prefix.trim_to(cached)
+        if floored < cached - 1e-9 * max(size, 1.0):
+            # A fragment past the last whole segment is trimmed away.
+            cached = left = floored
+            trims = 1
+        elif cached > size:
+            cached = size
+    plan = plan_prefix_prefetch(obj, cached, bandwidth)
+    delay_full = plan.startup_delay
+    if required_rate != obj.bitrate:
+        peak = MediaObject(0, obj.duration, required_rate, layers=obj.layers)
+        delay_full = plan_prefix_prefetch(peak, cached, bandwidth).startup_delay
+    encoding = LayeredEncoding(full_rate=required_rate, layers=obj.layers)
+    layers_ok = encoding.supported_layers(cached / obj.duration + max(bandwidth, 0.0))
+
+    abandoned = False
+    if delay_full <= 0.0:
+        stall, quality, watch = 0.0, 1.0, obj.duration
+    elif delay_full <= patience:
+        stall, quality, watch = delay_full, 1.0, obj.duration
+    elif layers_ok >= 1:
+        stall, quality, watch = 0.0, layers_ok / obj.layers, obj.duration
+    else:
+        abandoned = True
+        stall, quality, watch = patience, 0.0, 0.0
+    if abandoned:
+        bytes_cache, bytes_server = 0.0, min(bandwidth * stall, size - cached)
+    else:
+        bytes_cache, bytes_server = quality * cached, quality * (size - cached)
+    delay = stall + waited
+    counters = {
+        "sessions": 1,
+        "startup_sum": delay,
+        "rebuffer_sum": delay,
+        "watch_sum": watch,
+        "quality_sum": quality,
+        "abandoned": int(abandoned),
+        "waited": int(not abandoned and stall > 0.0),
+        "degraded": int(not abandoned and stall == 0.0 and quality < 1.0),
+        "feasible_suffix": int(plan.feasible_without_delay),
+    }
+    result = (bytes_cache, bytes_server, delay, quality, quality >= 1.0)
+    return result, counters, trims, left, not abandoned
+
+
+@st.composite
+def stream_sessions(draw):
+    """A one-object engine set-up and one session against it."""
+    duration = draw(st.floats(min_value=5.0, max_value=900.0))
+    bitrate = draw(st.floats(min_value=4.0, max_value=128.0))
+    obj = MediaObject(0, duration, bitrate, layers=draw(st.integers(1, 6)))
+    vbr = draw(st.booleans())
+    config = StreamingConfig(
+        fraction=1.0,
+        # At most ~150 uniform segments, so the tables stay cheap to build.
+        base_segment_kb=obj.size * draw(st.floats(min_value=0.007, max_value=1.5)),
+        exponential_segments=draw(st.booleans()),
+        prefetch_segments=draw(st.integers(0, 3)),
+        abandon_after_s=draw(st.floats(min_value=1.0, max_value=120.0)),
+        vbr_fraction=1.0 if vbr else 0.0,
+        vbr_burstiness=draw(st.sampled_from((0.0, 0.3, 0.6, 0.9))),
+        seed=draw(st.integers(0, 1_000)),
+    )
+    required_rate = obj.bitrate
+    if vbr:
+        peak = StreamingDeliveryEngine._smoothed_peak_rate(obj, config)
+        required_rate = max(required_rate, peak)
+
+    segments = config.scheme().segments(obj.size)
+    segment = segments[draw(st.integers(0, len(segments) - 1))]
+    inside = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+    offset = draw(inside)
+    stored = {
+        "zero": 0.0,
+        "mid-segment": segment.start + offset * segment.size,
+        "boundary": segment.end,
+        "size": obj.size,
+        "past-size": obj.size * (1.0 + offset),
+    }[draw(st.sampled_from(("zero", "mid-segment", "boundary", "size", "past-size")))]
+    fraction = draw(inside)
+    layer_rate = required_rate / obj.layers
+    bandwidth = {
+        "zero": 0.0,
+        "below-one-layer": fraction * layer_rate,
+        "between-layers": layer_rate + fraction * (required_rate - layer_rate),
+        "above-bitrate": required_rate * (1.0 + fraction),
+    }[draw(st.sampled_from(
+        ("zero", "below-one-layer", "between-layers", "above-bitrate")
+    ))]
+    waited = draw(st.sampled_from((0.0, 0.0, 1.5, 30.0)))
+    return obj, config, required_rate, stored, bandwidth, waited, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(session=stream_sessions())
+@example(  # a startup delay of exactly the patience (800 KB short at 40 KB/s)
+    session=(
+        MediaObject(0, 100.0, 48.0),
+        StreamingConfig(base_segment_kb=100.0, abandon_after_s=20.0),
+        48.0, 0.0, 40.0, 0.0, True,
+    )
+)
+@example(  # two layers' rate that divides to 1.9999999999999998 layers
+    session=(
+        MediaObject(0, 600.0, 4.2, layers=3),
+        StreamingConfig(),
+        4.2, 0.0, 2.8, 0.0, True,
+    )
+)
+def test_serve_matches_the_reference_session(session):
+    obj, config, required_rate, stored, bandwidth, waited, measuring = session
+    store = CacheStore(1e12)
+    engine = StreamingDeliveryEngine(config, Catalog([obj]), store)
+    if stored > 0.0:
+        store.set_cached_bytes(0, stored)
+    expected, moves, trims, left, played = _reference_session(
+        obj, required_rate, config.scheme(), stored, bandwidth,
+        config.abandon_after_s, waited,
+    )
+
+    assert engine.serve(0, bandwidth, 10.0, measuring, waited) == expected
+    counters = {name: getattr(engine, name) for name in SESSION_COUNTERS}
+    want = dict.fromkeys(SESSION_COUNTERS, 0)
+    if measuring:
+        want.update(moves)
+    want["fragment_trims"] = trims
+    assert counters == want
+    assert store.cached_bytes(0) == pytest.approx(left, rel=1e-12, abs=1e-9)
+
+    # A session that played entitles its object to the configured
+    # prefetch segments on the next admission; an abandoned one to none.
+    first = SegmentedPrefix(obj.size, config.scheme())
+    first_end = first.grow_to(1e-3)
+    engine.admission_target(0, first_end / 2.0, obj.size)
+    extends = played and config.prefetch_segments > 0 and first.total_segments > 1
+    assert engine.prefetch_extensions == int(extends)
 
 
 # ----------------------------------------------------------------------
