@@ -10,9 +10,11 @@ test:
 ## The process-pool tests under the spawn start method, where each worker
 ## unpickles the workload its initializer receives instead of inheriting
 ## it as a forked worker does (macOS, Windows, and Linux from Python 3.14
-## start workers this way).
+## start workers this way).  The experiment goldens send the reactive,
+## fault and streaming grids through spawned workers, so whole results
+## (fault and streaming reports, a metrics timeline) cross that boundary.
 spawn-smoke:
-	$(PYTHON) -c 'import multiprocessing, sys; multiprocessing.set_start_method("spawn"); import pytest; sys.exit(pytest.main(["-q", "tests/test_analysis_parallel.py", "tests/test_sim_hierarchy.py::TestShardedFleet"]))'
+	$(PYTHON) -c 'import multiprocessing, sys; multiprocessing.set_start_method("spawn"); import pytest; sys.exit(pytest.main(["-q", "tests/test_analysis_parallel.py", "tests/test_experiment_goldens.py", "tests/test_sim_hierarchy.py::TestShardedFleet"]))'
 
 ## Quick throughput regression gate: replays a small (20k-request) trace
 ## and fails if it is >30% slower than the baseline recorded in

@@ -25,7 +25,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.policies import PolicySpec, make_policy
+from repro.analysis.parallel import SimulationJob, replication_jobs, run_simulation_results
+from repro.core.policies import PolicySpec
 from repro.exceptions import ConfigurationError
 from repro.network.distributions import NLANRBandwidthDistribution
 from repro.network.loganalysis import ProxyLogAnalyzer, SyntheticProxyLog
@@ -43,13 +44,8 @@ from repro.sim.events import RemeasurementConfig
 from repro.sim.faults import FaultConfig, FaultEpisode
 from repro.sim.hierarchy import CacheTier, HierarchyConfig
 from repro.sim.metrics import SimulationMetrics
-from repro.sim.runner import (
-    PolicyComparison,
-    SweepResult,
-    compare_policies,
-    sweep_cache_sizes,
-)
-from repro.sim.simulator import ProxyCacheSimulator
+from repro.sim.runner import PolicyComparison, SweepResult, sweep_cache_sizes
+from repro.sim.simulator import SimulationResult
 from repro.sim.streaming import StreamingConfig
 from repro.workload.gismo import GismoWorkloadGenerator, Workload, WorkloadConfig
 
@@ -114,6 +110,50 @@ def _policy_factories(names: Sequence[str]) -> Dict[str, Callable[[], object]]:
     # PolicySpec rather than lambdas: the factories must survive pickling
     # when experiments fan out over worker processes (n_jobs > 1).
     return {name: PolicySpec(name) for name in names}
+
+
+def _replications(
+    config: SimulationConfig, policy_name: str, num_runs: int
+) -> List[SimulationJob]:
+    """One grid cell: ``num_runs`` seeds of one policy, each run drawing its
+    own topology (the :func:`~repro.sim.runner.run_replications` protocol)."""
+    return replication_jobs(
+        config, PolicySpec(policy_name), num_runs, share_topology=False
+    )
+
+
+def _run_cells(
+    workload: Workload,
+    cells: Dict[tuple, List[SimulationJob]],
+    n_jobs: int,
+) -> Dict[tuple, List[SimulationResult]]:
+    """Submit every cell's jobs as one grid; return each cell's results.
+
+    The grid is the cells' job lists in insertion order, and each cell
+    gets its results back in the order of its jobs, so every mean over a
+    cell adds its runs in run order whatever ``n_jobs`` is.
+    """
+    jobs = [job for cell_jobs in cells.values() for job in cell_jobs]
+    results = iter(run_simulation_results(workload, jobs, n_jobs))
+    return {
+        key: [next(results) for _ in cell_jobs] for key, cell_jobs in cells.items()
+    }
+
+
+def _comparison(
+    results: Dict[tuple, List[SimulationResult]],
+    setting: tuple,
+    policies: Sequence[str],
+) -> PolicyComparison:
+    """Each policy's metrics in one setting, averaged over its cell."""
+    return PolicyComparison(
+        {
+            name: SimulationMetrics.average(
+                [result.metrics for result in results[(*setting, name)]]
+            )
+            for name in policies
+        }
+    )
 
 
 def _cache_size_sweep(
@@ -624,10 +664,9 @@ def experiment_reactive_rekeying(
 
     Besides the averaged figure metrics the result records the reactive
     counters (shifts / re-keys / suppressed) summed over runs, so the
-    ablation reports both what the hook cost and what it did.  The grid is
-    small (settings x policies x runs at one cache size) and collects
-    per-run reactive counters, so it executes serially; ``n_jobs`` is
-    accepted for CLI uniformity but does not fan out.
+    ablation reports both what the hook cost and what it did.  The whole
+    ``(setting, policy, run)`` grid is submitted once, on ``n_jobs``
+    workers.
     """
     workload = build_workload(scale=scale, seed=seed)
     cache_gb = cache_fraction * workload.catalog.total_size_gb
@@ -654,31 +693,23 @@ def experiment_reactive_rekeying(
             reactive_rekey_cap=rekey_cap,
         ),
     }
-    comparisons: Dict[str, PolicyComparison] = {}
-    counters: Dict[str, Dict[str, Dict[str, int]]] = {}
-    for label, config in settings.items():
-        comparison = PolicyComparison()
-        counters[label] = {}
-        for policy_name in policies:
-            per_run = []
-            shifts = rekeys = suppressed = 0
-            for run_index in range(num_runs):
-                run_config = config.with_seed(config.seed + run_index)
-                simulator = ProxyCacheSimulator(workload, run_config)
-                result = simulator.run(make_policy(policy_name))
-                per_run.append(result.metrics)
-                shifts += result.reactive_shifts
-                rekeys += result.reactive_rekeys
-                suppressed += result.reactive_suppressed
-            comparison.metrics_by_policy[policy_name] = SimulationMetrics.average(
-                per_run
-            )
-            counters[label][policy_name] = {
-                "shifts": shifts,
-                "rekeys": rekeys,
-                "suppressed": suppressed,
-            }
-        comparisons[label] = comparison
+    results = _run_cells(
+        workload,
+        {
+            (label, policy_name): _replications(config, policy_name, num_runs)
+            for label, config in settings.items()
+            for policy_name in policies
+        },
+        n_jobs,
+    )
+    comparisons = {label: _comparison(results, (label,), policies) for label in settings}
+    counters: Dict[str, Dict[str, Dict[str, int]]] = {label: {} for label in settings}
+    for (label, policy_name), runs in results.items():
+        counters[label][policy_name] = {
+            "shifts": sum(result.reactive_shifts for result in runs),
+            "rekeys": sum(result.reactive_rekeys for result in runs),
+            "suppressed": sum(result.reactive_suppressed for result in runs),
+        }
     return ExperimentResult(
         experiment_id="reactive",
         title="Reactive re-keying: passive vs remeasured vs probe-driven vs passive-driven",
@@ -791,6 +822,37 @@ def experiment_client_heterogeneity(
 # ----------------------------------------------------------------------
 # Extension — fault injection and graceful degradation
 # ----------------------------------------------------------------------
+#: The :class:`~repro.sim.faults.FaultReport` counters the fault ablation
+#: sums over runs.
+FAULT_TOTALS = (
+    "degraded_requests", "retried_requests", "failed_fetches", "stale_serves",
+    "failed_requests",
+)
+
+
+def _fault_totals(runs: List[SimulationResult]) -> Dict[str, float]:
+    """One fault-ablation cell's counters summed over its runs, and the
+    mean time-to-recovery over the runs that recovered any estimate."""
+    totals = dict.fromkeys(
+        FAULT_TOTALS + ("recovered_outages", "shifts", "rekeys"), 0.0
+    )
+    mttr_values: List[float] = []
+    for result in runs:
+        totals["shifts"] += result.reactive_shifts
+        totals["rekeys"] += result.reactive_rekeys
+        report = result.fault_report
+        if report is not None:
+            for name in FAULT_TOTALS:
+                totals[name] += getattr(report, name)
+            totals["recovered_outages"] += len(report.recoveries)
+            if report.mean_time_to_recovery_s is not None:
+                mttr_values.append(report.mean_time_to_recovery_s)
+    totals["mean_time_to_recovery_s"] = (
+        float(np.mean(mttr_values)) if mttr_values else float("nan")
+    )
+    return totals
+
+
 def experiment_fault_tolerance(
     policies: Sequence[str] = ("PB",),
     cache_fraction: float = 0.05,
@@ -833,9 +895,10 @@ def experiment_fault_tolerance(
     setting, a **post-outage byte-hit ratio**: the same run re-measured
     with the warm-up window extended past the outage's end (via
     ``warmup_fraction``), isolating how quickly each reaction setting
-    restores cache effectiveness once the origin returns.  The grid is
-    small and collects per-run fault reports, so it executes serially;
-    ``n_jobs`` is accepted for CLI uniformity but does not fan out.
+    restores cache effectiveness once the origin returns.  Those recovery
+    runs, like the timeline-on first outages run, are jobs of the same
+    ``(setting, policy, run)`` grid, which is submitted once, on
+    ``n_jobs`` workers.
     """
     workload = build_workload(scale=scale, seed=seed)
     trace = workload.trace
@@ -882,83 +945,48 @@ def experiment_fault_tolerance(
         np.searchsorted(trace.times_array, outage_end, side="right")
     )
     recovery_warmup = min(post_outage_index / max(len(trace), 1), 0.95)
-    comparisons: Dict[str, Dict[str, PolicyComparison]] = {}
-    fault_counters: Dict[str, Dict[str, Dict[str, Dict[str, float]]]] = {}
-    recovery_byte_hit: Dict[str, Dict[str, float]] = {}
     # One windowed timeline per reaction setting, captured for free off
     # the first outages run of the lead policy (the timeline does not
     # perturb the simulated results, so no extra run is needed): it is
     # the post-outage recovery curve docs/observability.md plots.
     recovery_window_s = max(span / 40.0, 1.0)
-    recovery_timelines: Dict[str, object] = {}
+    cells: Dict[tuple, List[SimulationJob]] = {}
     for fault_label, faults in fault_settings.items():
-        comparisons[fault_label] = {}
-        fault_counters[fault_label] = {}
         for reaction_label, overrides in reaction_settings.items():
             config = replace(base, faults=faults, **overrides)
-            comparison = PolicyComparison()
-            counters_by_policy: Dict[str, Dict[str, float]] = {}
             for policy_name in policies:
-                per_run = []
-                totals = {
-                    "degraded_requests": 0.0,
-                    "retried_requests": 0.0,
-                    "failed_fetches": 0.0,
-                    "stale_serves": 0.0,
-                    "failed_requests": 0.0,
-                    "recovered_outages": 0.0,
-                    "shifts": 0.0,
-                    "rekeys": 0.0,
-                }
-                mttr_values: List[float] = []
-                for run_index in range(num_runs):
-                    run_config = config.with_seed(config.seed + run_index)
-                    if (fault_label == "outages" and run_index == 0
-                            and policy_name == policies[0]):
-                        run_config = run_config.with_observability(
-                            ObservabilityConfig(window_s=recovery_window_s)
-                        )
-                    result = ProxyCacheSimulator(workload, run_config).run(
-                        make_policy(policy_name)
-                    )
-                    if result.timeline is not None:
-                        recovery_timelines[reaction_label] = result.timeline
-                    per_run.append(result.metrics)
-                    totals["shifts"] += result.reactive_shifts
-                    totals["rekeys"] += result.reactive_rekeys
-                    report = result.fault_report
-                    if report is not None:
-                        totals["degraded_requests"] += report.degraded_requests
-                        totals["retried_requests"] += report.retried_requests
-                        totals["failed_fetches"] += report.failed_fetches
-                        totals["stale_serves"] += report.stale_serves
-                        totals["failed_requests"] += report.failed_requests
-                        totals["recovered_outages"] += len(report.recoveries)
-                        if report.mean_time_to_recovery_s is not None:
-                            mttr_values.append(report.mean_time_to_recovery_s)
-                totals["mean_time_to_recovery_s"] = (
-                    float(np.mean(mttr_values)) if mttr_values else float("nan")
+                cells[(fault_label, reaction_label, policy_name)] = _replications(
+                    config, policy_name, num_runs
                 )
-                comparison.metrics_by_policy[policy_name] = (
-                    SimulationMetrics.average(per_run)
-                )
-                counters_by_policy[policy_name] = totals
-            comparisons[fault_label][reaction_label] = comparison
-            fault_counters[fault_label][reaction_label] = counters_by_policy
             if fault_label == "outages":
-                recovery_config = replace(config, warmup_fraction=recovery_warmup)
-                byte_hits = []
-                for run_index in range(num_runs):
-                    run_config = recovery_config.with_seed(
-                        recovery_config.seed + run_index
-                    )
-                    result = ProxyCacheSimulator(workload, run_config).run(
-                        make_policy(policies[0])
-                    )
-                    byte_hits.append(result.metrics.byte_hit_ratio)
-                recovery_byte_hit.setdefault(reaction_label, {})[
-                    policies[0]
-                ] = float(np.mean(byte_hits))
+                lead = cells[(fault_label, reaction_label, policies[0])]
+                timeline = ObservabilityConfig(window_s=recovery_window_s)
+                lead[0] = replace(lead[0], config=lead[0].config.with_observability(timeline))
+                recovery = replace(config, warmup_fraction=recovery_warmup)
+                cells[("recovery", reaction_label)] = _replications(
+                    recovery, policies[0], num_runs
+                )
+    results = _run_cells(workload, cells, n_jobs)
+    comparisons: Dict[str, Dict[str, PolicyComparison]] = {}
+    fault_counters: Dict[str, Dict[str, Dict[str, Dict[str, float]]]] = {}
+    for fault_label in fault_settings:
+        comparisons[fault_label], fault_counters[fault_label] = {}, {}
+        for reaction_label in reaction_settings:
+            cell = (fault_label, reaction_label)
+            comparisons[fault_label][reaction_label] = _comparison(
+                results, cell, policies
+            )
+            fault_counters[fault_label][reaction_label] = {
+                name: _fault_totals(results[(*cell, name)]) for name in policies
+            }
+    recovery_byte_hit: Dict[str, Dict[str, float]] = {}
+    recovery_timelines: Dict[str, object] = {}
+    for reaction_label in reaction_settings:
+        runs = results[("recovery", reaction_label)]
+        byte_hits = [result.metrics.byte_hit_ratio for result in runs]
+        recovery_byte_hit[reaction_label] = {policies[0]: float(np.mean(byte_hits))}
+        lead_run = results[("outages", reaction_label, policies[0])][0]
+        recovery_timelines[reaction_label] = lead_run.timeline
     return ExperimentResult(
         experiment_id="faults",
         title="Fault injection: origin outages and bandwidth flaps, static vs reactive",
@@ -992,6 +1020,24 @@ def experiment_fault_tolerance(
 # ----------------------------------------------------------------------
 # Extension — streaming delivery and partial-object caching
 # ----------------------------------------------------------------------
+#: The :class:`~repro.sim.streaming.StreamingReport` fields the streaming
+#: ablation averages over runs, in the order it reports them.
+QOE_MEANS = (
+    "mean_startup_delay_s", "rebuffer_ratio", "mean_quality", "abandonment_rate",
+    "waited_sessions", "degraded_sessions", "abandoned_sessions",
+    "prefetch_extensions", "pressure_trimmed_kb",
+)
+
+
+def _qoe_means(runs: List[SimulationResult]) -> Dict[str, float]:
+    """One streaming-ablation cell's QoE, each field averaged over its runs."""
+    reports = [result.streaming_report for result in runs]
+    return {
+        name: float(np.mean([getattr(report, name) for report in reports]))
+        for name in QOE_MEANS
+    }
+
+
 def experiment_streaming_delivery(
     policies: Sequence[str] = ("PB",),
     cache_fraction: float = 0.05,
@@ -1032,6 +1078,8 @@ def experiment_streaming_delivery(
     whole-object caching on startup delay and rebuffering, because a
     cached prefix masks exactly the startup portion of the fetch that a
     slow last mile cannot (Section 2 of the paper; ``docs/streaming.md``).
+    The whole ``(setting, policy, run)`` grid is submitted once, on
+    ``n_jobs`` workers.
     """
     workload = build_workload(scale=scale, seed=seed, num_clients=num_clients)
     caching_settings: Dict[str, StreamingConfig] = {
@@ -1069,59 +1117,32 @@ def experiment_streaming_delivery(
         ),
         seed=seed,
     )
+    results = _run_cells(
+        workload,
+        {
+            (caching_label, reaction_label, policy_name): _replications(
+                replace(base, streaming=streaming, **overrides),
+                policy_name,
+                num_runs,
+            )
+            for caching_label, streaming in caching_settings.items()
+            for reaction_label, overrides in reaction_settings.items()
+            for policy_name in policies
+        },
+        n_jobs,
+    )
     comparisons: Dict[str, Dict[str, PolicyComparison]] = {}
     qoe: Dict[str, Dict[str, Dict[str, Dict[str, float]]]] = {}
-    for caching_label, streaming in caching_settings.items():
-        comparisons[caching_label] = {}
-        qoe[caching_label] = {}
-        for reaction_label, overrides in reaction_settings.items():
-            config = replace(base, streaming=streaming, **overrides)
-            comparison = PolicyComparison()
-            qoe_by_policy: Dict[str, Dict[str, float]] = {}
-            for policy_name in policies:
-                per_run = []
-                reports = []
-                for run_index in range(num_runs):
-                    run_config = config.with_seed(config.seed + run_index)
-                    result = ProxyCacheSimulator(workload, run_config).run(
-                        make_policy(policy_name)
-                    )
-                    per_run.append(result.metrics)
-                    reports.append(result.streaming_report)
-                comparison.metrics_by_policy[policy_name] = (
-                    SimulationMetrics.average(per_run)
-                )
-                qoe_by_policy[policy_name] = {
-                    "mean_startup_delay_s": float(
-                        np.mean([r.mean_startup_delay_s for r in reports])
-                    ),
-                    "rebuffer_ratio": float(
-                        np.mean([r.rebuffer_ratio for r in reports])
-                    ),
-                    "mean_quality": float(
-                        np.mean([r.mean_quality for r in reports])
-                    ),
-                    "abandonment_rate": float(
-                        np.mean([r.abandonment_rate for r in reports])
-                    ),
-                    "waited_sessions": float(
-                        np.mean([r.waited_sessions for r in reports])
-                    ),
-                    "degraded_sessions": float(
-                        np.mean([r.degraded_sessions for r in reports])
-                    ),
-                    "abandoned_sessions": float(
-                        np.mean([r.abandoned_sessions for r in reports])
-                    ),
-                    "prefetch_extensions": float(
-                        np.mean([r.prefetch_extensions for r in reports])
-                    ),
-                    "pressure_trimmed_kb": float(
-                        np.mean([r.pressure_trimmed_kb for r in reports])
-                    ),
-                }
-            comparisons[caching_label][reaction_label] = comparison
-            qoe[caching_label][reaction_label] = qoe_by_policy
+    for caching_label in caching_settings:
+        comparisons[caching_label], qoe[caching_label] = {}, {}
+        for reaction_label in reaction_settings:
+            cell = (caching_label, reaction_label)
+            comparisons[caching_label][reaction_label] = _comparison(
+                results, cell, policies
+            )
+            qoe[caching_label][reaction_label] = {
+                name: _qoe_means(results[(*cell, name)]) for name in policies
+            }
     return ExperimentResult(
         experiment_id="streaming",
         title="Streaming delivery: prefix vs whole-object caching, static vs reactive",
@@ -1186,11 +1207,9 @@ def experiment_hierarchy(
     share of edge-miss bytes (``origin_byte_ratio`` drops from 1-tier to
     2-tier), and sibling lookups help whole-object policies (LRU) far
     more than prefix cachers (PB) — a sibling hit requires the *entire*
-    object at a peer edge, which prefix admission rarely holds.
-
-    Each cell needs its per-run hierarchy reports, so the grid executes
-    serially; ``n_jobs`` is accepted for CLI uniformity but does not fan
-    out.
+    object at a peer edge, which prefix admission rarely holds.  The
+    whole ``(setting, policy, run)`` grid is submitted once, on ``n_jobs``
+    workers.
     """
     if num_pops < 2:
         raise ConfigurationError(
@@ -1226,32 +1245,29 @@ def experiment_hierarchy(
         ),
         seed=seed,
     )
-    comparisons: Dict[str, PolicyComparison] = {}
-    reports: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for setting_label, hierarchy in hierarchy_settings.items():
-        config = base.with_hierarchy(hierarchy)
-        comparison = PolicyComparison()
-        reports_by_policy: Dict[str, Dict[str, float]] = {}
-        for policy_name in policies:
-            per_run = []
-            run_reports = []
-            for run_index in range(num_runs):
-                run_config = config.with_seed(config.seed + run_index)
-                result = ProxyCacheSimulator(workload, run_config).run(
-                    make_policy(policy_name)
-                )
-                per_run.append(result.metrics)
-                run_reports.append(result.hierarchy_report)
-            comparison.metrics_by_policy[policy_name] = (
-                SimulationMetrics.average(per_run)
+    results = _run_cells(
+        workload,
+        {
+            (setting_label, policy_name): _replications(
+                base.with_hierarchy(hierarchy), policy_name, num_runs
             )
-            keys = run_reports[0].as_dict().keys()
-            reports_by_policy[policy_name] = {
-                key: float(np.mean([r.as_dict()[key] for r in run_reports]))
-                for key in keys
-            }
-        comparisons[setting_label] = comparison
-        reports[setting_label] = reports_by_policy
+            for setting_label, hierarchy in hierarchy_settings.items()
+            for policy_name in policies
+        },
+        n_jobs,
+    )
+    comparisons = {
+        label: _comparison(results, (label,), policies) for label in hierarchy_settings
+    }
+    reports: Dict[str, Dict[str, Dict[str, float]]] = {
+        label: {} for label in hierarchy_settings
+    }
+    for (setting_label, policy_name), runs in results.items():
+        run_reports = [result.hierarchy_report.as_dict() for result in runs]
+        reports[setting_label][policy_name] = {
+            key: float(np.mean([report[key] for report in run_reports]))
+            for key in run_reports[0]
+        }
     return ExperimentResult(
         experiment_id="hierarchy",
         title="Cache hierarchies: 1-tier vs 2-tier vs 2-tier with sibling lookups",

@@ -3,12 +3,14 @@
 Every data point in the paper's figures averages several independent
 simulation runs, and the sweeps multiply that by policies and cache sizes —
 an embarrassingly parallel grid of ``(seed, policy, sweep-point)`` jobs.
-This module fans those jobs out over a :class:`~concurrent.futures.
-ProcessPoolExecutor` while keeping the results **deterministic**: each job
+Every multi-run caller (:mod:`repro.sim.runner`, the experiments) submits
+that grid here as one list of :class:`SimulationJob` objects.  One worker
+runs it in-process; more fan it out over a :class:`~concurrent.futures.
+ProcessPoolExecutor`.  The results are **deterministic**: each job
 carries its own fully-resolved :class:`~repro.sim.config.SimulationConfig`
-(seed included), results are re-assembled in submission order, and averages
-are computed in exactly the order the serial loops use — so ``n_jobs=4``
-produces byte-identical tables to ``n_jobs=1``.
+(seed included) and results come back in submission order, so every
+average adds its operands in the same order and ``n_jobs=4`` produces
+byte-identical tables to ``n_jobs=1``.
 
 Design notes
 ------------
@@ -20,6 +22,8 @@ Design notes
   worker from the job's seed — bandwidth assignment is a deterministic
   function of the seed, so every policy still faces identical network
   conditions without any cross-process coordination.
+* A job returns the run's whole :class:`~repro.sim.simulator.
+  SimulationResult`, reports and timeline included.
 * Policy factories must be picklable for ``n_jobs > 1``; use
   :class:`~repro.core.policies.registry.PolicySpec` instead of lambdas.
 * A worker crash (OOM kill, segfault) breaks the whole pool and fails every
@@ -86,7 +90,7 @@ def _init_worker(workload: Workload) -> None:
     _WORKER_WORKLOAD = workload
 
 
-def _execute_job(job: SimulationJob) -> SimulationMetrics:
+def _execute_job(job: SimulationJob) -> SimulationResult:
     """Run one job against the worker's installed workload."""
     workload = _WORKER_WORKLOAD
     if workload is None:  # pragma: no cover - defensive
@@ -95,8 +99,7 @@ def _execute_job(job: SimulationJob) -> SimulationMetrics:
     topology = None
     if job.share_topology:
         topology = simulator.build_topology(np.random.default_rng(job.config.seed))
-    result = simulator.run(job.policy_factory(), topology=topology)
-    return result.metrics
+    return simulator.run(job.policy_factory(), topology=topology)
 
 
 #: Base pause (seconds) before respawning a pool after a worker crash; the
@@ -147,8 +150,8 @@ def _run_pool(
 def resolve_n_jobs(n_jobs: Optional[int]) -> int:
     """Normalise an ``n_jobs`` argument to a concrete worker count.
 
-    ``None`` and ``1`` mean serial; ``-1`` (or ``0``) means one worker per
-    available CPU; positive values are taken as-is.
+    ``None`` and ``1`` mean one worker, in-process; ``-1`` (or ``0``)
+    means one worker per available CPU; positive values are taken as-is.
     """
     if n_jobs is None:
         return 1
@@ -160,18 +163,29 @@ def resolve_n_jobs(n_jobs: Optional[int]) -> int:
     return n_jobs
 
 
+def run_simulation_results(
+    workload: Workload,
+    jobs: Sequence[SimulationJob],
+    n_jobs: Optional[int] = 1,
+) -> List[SimulationResult]:
+    """Execute a grid of simulation jobs, in-process or on a process pool.
+
+    Returns each job's whole :class:`~repro.sim.simulator.SimulationResult`
+    in job order regardless of completion order, so any downstream
+    averaging is order-stable and the output is independent of ``n_jobs``.
+    """
+    return _dispatch_jobs(workload, jobs, n_jobs, _execute_job)
+
+
 def run_simulation_jobs(
     workload: Workload,
     jobs: Sequence[SimulationJob],
     n_jobs: Optional[int] = 1,
 ) -> List[SimulationMetrics]:
-    """Execute a grid of simulation jobs, serially or on a process pool.
-
-    Results are returned in job order regardless of completion order, so
-    any downstream averaging is order-stable and the output is independent
-    of ``n_jobs``.
-    """
-    return _dispatch_jobs(workload, jobs, n_jobs, _execute_job)
+    """The metrics of :func:`run_simulation_results`, one per job, in job order."""
+    return [
+        result.metrics for result in run_simulation_results(workload, jobs, n_jobs)
+    ]
 
 
 def _dispatch_jobs(
@@ -182,7 +196,7 @@ def _dispatch_jobs(
 ) -> List[object]:
     """Shared dispatch core of the job-grid and fleet-shard entry points.
 
-    Handles the serial in-process shortcut and the crash-retry protocol
+    Handles the one-worker in-process path and the crash-retry protocol
     identically for every job type; ``execute`` is the module-level
     per-job function submitted to the pool.  Results come back in job
     order regardless of completion order.
@@ -238,8 +252,8 @@ def replication_jobs(
 ) -> List[SimulationJob]:
     """The deterministic seed schedule of a replication experiment.
 
-    Run ``i`` uses seed ``config.seed + i`` — the same assignment the serial
-    loops use, so parallel execution replays the identical experiment.
+    Run ``i`` uses seed ``config.seed + i``, fixed when the grid is built,
+    so every ``n_jobs`` replays the identical experiment.
     """
     if num_runs <= 0:
         raise ConfigurationError(f"num_runs must be positive, got {num_runs}")

@@ -18,27 +18,30 @@ class ConfigurationError(ReproError):
     """A configuration object (workload, simulation, policy) is invalid."""
 
 
-def check_scalars(config, kind: type, *names: str, optional: bool = False) -> None:
-    """Raise :class:`ConfigurationError` naming the first of ``names`` whose
-    value on ``config`` is not a ``kind``.
+def check_scalar(name: str, value, kind: type, optional: bool = False) -> None:
+    """Raise :class:`ConfigurationError` naming ``name`` unless ``value``
+    is a ``kind``: ``numbers.Real``, ``numbers.Integral``, ``bool`` or
+    ``str``.  Numpy scalars count as their Python kind, and a bool counts
+    only as a bool (``True`` is no cache size).  With ``optional`` a
+    ``None`` passes.
+    """
+    if value is None and optional:
+        return
+    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+        noun = {bool: "a bool", numbers.Integral: "an integer", str: "a string"}.get(
+            kind, "a number"
+        )
+        raise ConfigurationError(f"{name} must be {noun}, got {value!r}")
 
-    ``kind`` is ``numbers.Real``, ``numbers.Integral`` or ``bool``; numpy
-    scalars count as their Python kind, and a bool counts only as a bool
-    (``True`` is no cache size).  With ``optional`` a ``None`` passes.
+
+def check_scalars(config, kind: type, *names: str, optional: bool = False) -> None:
+    """:func:`check_scalar` on each of ``names``, read off ``config``.
+
     Configs call this before their range checks, which would otherwise
     raise a bare ``TypeError`` on a string, or accept one.
     """
     for name in names:
-        value = getattr(config, name)
-        if value is None and optional:
-            continue
-        if not isinstance(value, kind) or (
-            kind is not bool and isinstance(value, bool)
-        ):
-            noun = {bool: "a bool", numbers.Integral: "an integer"}.get(
-                kind, "a number"
-            )
-            raise ConfigurationError(f"{name} must be {noun}, got {value!r}")
+        check_scalar(name, getattr(config, name), kind, optional=optional)
 
 
 class CapacityError(ReproError):

@@ -35,11 +35,11 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from numbers import Integral, Real
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, check_scalars
+from repro.exceptions import ConfigurationError, check_scalar, check_scalars
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.network.measurement import BandwidthMeasurementLog, PassiveEstimator
@@ -106,12 +106,23 @@ class RemeasurementConfig:
             raise ConfigurationError(
                 f"remeasurement interval must be positive, got {self.interval}"
             )
+        if not isinstance(self.per_path_intervals, Mapping):
+            raise ConfigurationError(
+                f"per_path_intervals must be a mapping, got {self.per_path_intervals!r}"
+            )
         for server_id, interval in self.per_path_intervals.items():
+            check_scalar("per_path_intervals key", server_id, Integral)
+            check_scalar(f"per_path_intervals[{server_id}]", interval, Real)
             if not interval > 0:
                 raise ConfigurationError(
                     f"remeasurement interval for server {server_id} must be "
                     f"positive, got {interval}"
                 )
+        paths = () if self.paths is None else self.paths
+        if not isinstance(paths, Iterable):
+            raise ConfigurationError(f"paths must be a sequence, got {paths!r}")
+        for index, server_id in enumerate(paths):
+            check_scalar(f"paths[{index}]", server_id, Integral)
         if self.probing_clients <= 0:
             raise ConfigurationError(
                 f"probing_clients must be positive, got {self.probing_clients}"

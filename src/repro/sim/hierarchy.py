@@ -57,7 +57,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.policies.registry import make_policy
 from repro.core.store import CacheStore
-from repro.exceptions import ConfigurationError, check_scalars
+from repro.exceptions import ConfigurationError, check_scalar, check_scalars
 
 __all__ = [
     "CacheTier",
@@ -98,8 +98,10 @@ class CacheTier:
     uplink_bandwidth: float = math.inf
 
     def __post_init__(self) -> None:
+        check_scalar("name", self.name, str)
         if not self.name:
             raise ConfigurationError("tier name must be non-empty")
+        check_scalar("policy", self.policy, str, optional=True)
         check_scalars(self, Real, "cache_kb", "uplink_bandwidth")
         if not self.cache_kb >= 0:
             raise ConfigurationError(

@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import ConfigurationError, check_scalars
-from repro.streaming.media import CBRStream, LayeredEncoding, synthetic_vbr_stream
+from repro.streaming.media import LayeredEncoding, check_burstiness, synthetic_vbr_stream
 from repro.streaming.segmentation import SegmentationScheme, SegmentedPrefix
 from repro.streaming.smoothing import optimal_smoothing, peak_rate
 
@@ -99,7 +99,8 @@ class StreamingConfig:
         schedules determine their required sustained rate).
     vbr_burstiness:
         Coefficient of variation of the synthetic VBR frame sizes,
-        in ``[0, 1)``.
+        in ``[0, 1)``; a positive value must keep ``1 / vbr_burstiness**2``
+        finite (about 1e-154 and up).
     smoothing_buffer_s:
         Client buffer used by the optimal-smoothing pass, in seconds of
         playout at the object's mean rate.
@@ -147,10 +148,7 @@ class StreamingConfig:
             raise ConfigurationError(
                 f"vbr_fraction must be in [0, 1], got {self.vbr_fraction}"
             )
-        if not 0.0 <= self.vbr_burstiness < 1.0:
-            raise ConfigurationError(
-                f"vbr_burstiness must be in [0, 1), got {self.vbr_burstiness}"
-            )
+        check_burstiness(self.vbr_burstiness, "vbr_burstiness")
         if not self.smoothing_buffer_s >= 0:
             raise ConfigurationError(
                 f"smoothing_buffer_s must be non-negative, got {self.smoothing_buffer_s}"

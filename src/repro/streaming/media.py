@@ -11,6 +11,7 @@ and the delivery-session model operate on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -159,6 +160,21 @@ class LayeredEncoding:
         return needed_layers * self.layer_rate
 
 
+def check_burstiness(burstiness: float, name: str = "burstiness") -> None:
+    """Raise :class:`ConfigurationError` naming ``name`` unless ``burstiness``
+    is in ``[0, 1)`` and, when positive, keeps the gamma shape
+    ``1 / burstiness**2`` finite (below about 1e-154 the square underflows
+    and every frame size would come out NaN, or the shape divide by zero)."""
+    if not 0.0 <= burstiness < 1.0:
+        raise ConfigurationError(f"{name} must be in [0, 1), got {burstiness}")
+    square = float(burstiness) ** 2
+    if burstiness > 0 and not (square > 0.0 and math.isfinite(1.0 / square)):
+        raise ConfigurationError(
+            f"{name} must be 0 or large enough that 1 / {name}**2 is finite, "
+            f"got {burstiness!r}"
+        )
+
+
 def synthetic_vbr_stream(
     duration: float,
     mean_rate: float,
@@ -172,12 +188,12 @@ def synthetic_vbr_stream(
     a scene-level modulation (slowly varying sinusoidal component) so the
     stream exhibits both short-term and long-term rate variability, which is
     what makes smoothing interesting.  ``burstiness`` in ``[0, 1)`` controls
-    the coefficient of variation of frame sizes.
+    the coefficient of variation of frame sizes (see
+    :func:`check_burstiness`).
     """
     if duration <= 0 or mean_rate <= 0:
         raise ConfigurationError("duration and mean_rate must be positive")
-    if not 0.0 <= burstiness < 1.0:
-        raise ConfigurationError(f"burstiness must be in [0, 1), got {burstiness}")
+    check_burstiness(burstiness)
     rng = np.random.default_rng(seed)
     num_frames = max(int(duration * frame_rate), 1)
     mean_frame = mean_rate / frame_rate

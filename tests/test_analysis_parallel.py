@@ -2,44 +2,49 @@
 
 Two guarantees are pinned here:
 
-* fanning experiment runs out over worker processes (``n_jobs > 1``) yields
-  **exactly** the results of the serial loops — same seeds, same topologies,
-  same averaging order, compared with strict equality, and
+* every runner submits its grid of replays as jobs, and the result is
+  **exactly** that of the plain replay loops below — same seeds, same
+  topologies, same averaging order, compared with strict equality —
+  whether the jobs run in-process (one worker) or on a process pool, and
 * the policy priority heap's generation scheme and amortised compaction
   keep the utilities map, the live-entry index, and the heap consistent
   under arbitrary request streams (property-based).
 """
 
+import dataclasses
+import json
 import os
 import pickle
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from repro.analysis import parallel as parallel_mod
+from repro.analysis.experiments import build_workload
 from repro.analysis.parallel import (
     SimulationJob,
     replication_jobs,
     resolve_n_jobs,
     run_simulation_jobs,
+    run_simulation_results,
 )
 from repro.core.policies import POLICY_REGISTRY, PolicySpec, make_policy
 from repro.core.store import CacheStore
 from repro.exceptions import ConfigurationError, SimulationError
+from repro.network.distributions import NLANRBandwidthDistribution
 from repro.network.variability import NLANRRatioVariability
-from repro.sim.config import SimulationConfig
+from repro.obs import ObservabilityConfig
+from repro.sim.config import BandwidthKnowledge, ClientCloudConfig, SimulationConfig
+from repro.sim.faults import FaultConfig
+from repro.sim.hierarchy import CacheTier, HierarchyConfig
+from repro.sim.metrics import SimulationMetrics
 from repro.sim.runner import compare_policies, run_replications, sweep_cache_sizes
+from repro.sim.simulator import ProxyCacheSimulator, SimulationResult
+from repro.sim.streaming import StreamingConfig
 from repro.workload.catalog import Catalog, MediaObject
 from repro.workload.gismo import GismoWorkloadGenerator, WorkloadConfig
-
-HEADLINE_METRICS = (
-    "traffic_reduction_ratio",
-    "average_service_delay",
-    "average_stream_quality",
-    "total_added_value",
-    "hit_ratio",
-)
 
 
 @pytest.fixture(scope="module")
@@ -56,37 +61,178 @@ def sim_config():
 
 
 # ----------------------------------------------------------------------
-# Parallel == serial, exactly.
+# The reference protocol: plain replay loops, no jobs.
+# ----------------------------------------------------------------------
+def reference_replications(workload, policy_name, config, num_runs):
+    """Run ``i`` uses seed ``config.seed + i`` and draws its own topology."""
+    runs = [
+        ProxyCacheSimulator(workload, config.with_seed(config.seed + run_index))
+        .run(make_policy(policy_name))
+        .metrics
+        for run_index in range(num_runs)
+    ]
+    return SimulationMetrics.average(runs)
+
+
+def reference_comparison(workload, policy_names, config, num_runs):
+    """One topology per seed, built once and shared by every policy."""
+    per_policy = {name: [] for name in policy_names}
+    for run_index in range(num_runs):
+        run_config = config.with_seed(config.seed + run_index)
+        simulator = ProxyCacheSimulator(workload, run_config)
+        topology = simulator.build_topology(np.random.default_rng(run_config.seed))
+        for name in policy_names:
+            result = simulator.run(make_policy(name), topology=topology)
+            per_policy[name].append(result.metrics)
+    return {name: SimulationMetrics.average(runs) for name, runs in per_policy.items()}
+
+
+# ----------------------------------------------------------------------
+# Pool == in-process == reference, exactly.
 # ----------------------------------------------------------------------
 def test_run_replications_parallel_matches_serial(workload, sim_config):
-    serial = run_replications(workload, PolicySpec("PB"), sim_config, num_runs=3)
+    reference = reference_replications(workload, "PB", sim_config, num_runs=3)
+    in_process = run_replications(workload, PolicySpec("PB"), sim_config, num_runs=3)
     parallel = run_replications(
         workload, PolicySpec("PB"), sim_config, num_runs=3, n_jobs=2
     )
-    assert parallel == serial
+    assert in_process == reference
+    assert parallel == reference
 
 
 def test_compare_policies_parallel_matches_serial(workload, sim_config):
-    factories = {name: PolicySpec(name) for name in ("IF", "PB", "IB-V")}
-    serial = compare_policies(workload, factories, sim_config, num_runs=2)
-    parallel = compare_policies(workload, factories, sim_config, num_runs=2, n_jobs=4)
-    assert serial.policies() == parallel.policies()
-    for name in factories:
-        assert parallel.metrics_by_policy[name] == serial.metrics_by_policy[name]
+    names = ("IF", "PB", "IB-V")
+    factories = {name: PolicySpec(name) for name in names}
+    # Three runs, because a two-run mean is the same in either order.
+    reference = reference_comparison(workload, names, sim_config, num_runs=3)
+    for n_jobs in (1, 4):
+        comparison = compare_policies(
+            workload, factories, sim_config, num_runs=3, n_jobs=n_jobs
+        )
+        assert comparison.policies() == list(names)
+        assert comparison.metrics_by_policy == reference
 
 
 def test_sweep_cache_sizes_parallel_is_byte_identical(workload, sim_config):
-    factories = {name: PolicySpec(name) for name in ("PB", "IB")}
+    names = ("PB", "IB")
+    factories = {name: PolicySpec(name) for name in names}
     sizes = [0.2, 0.6]
-    serial = sweep_cache_sizes(workload, factories, sizes, sim_config, num_runs=2)
-    parallel = sweep_cache_sizes(
-        workload, factories, sizes, sim_config, num_runs=2, n_jobs=4
+    points = [
+        reference_comparison(
+            workload, names, sim_config.with_cache_size(size), num_runs=3
+        )
+        for size in sizes
+    ]
+    reference = {name: [point[name] for point in points] for name in names}
+    for n_jobs in (1, 4):
+        sweep = sweep_cache_sizes(
+            workload, factories, sizes, sim_config, num_runs=3, n_jobs=n_jobs
+        )
+        assert sweep.parameter_name == "cache_size_gb"
+        assert sweep.parameter_values == sizes
+        assert sweep.metrics == reference
+
+
+# ----------------------------------------------------------------------
+# Whole results cross the process boundary intact.
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def clouded_workload():
+    return build_workload(scale=0.02, seed=0, num_clients=32)
+
+
+def _subsystems_config(workload):
+    """Streaming, faults, passive re-keying, client clouds and the timeline."""
+    span = workload.trace.end_time - workload.trace.start_time
+    return SimulationConfig(
+        cache_size_gb=0.05 * workload.catalog.total_size_gb,
+        variability=NLANRRatioVariability(),
+        bandwidth_knowledge=BandwidthKnowledge.PASSIVE,
+        client_clouds=ClientCloudConfig(
+            groups=8, distribution=NLANRBandwidthDistribution()
+        ),
+        streaming=StreamingConfig(fraction=1.0, vbr_fraction=0.25, seed=0),
+        faults=FaultConfig(
+            random_origin_outages=2, random_bandwidth_flaps=4, seed=1
+        ),
+        reactive_threshold=0.15,
+        reactive_passive=True,
+        reactive_hysteresis=0.05,
+        observability=ObservabilityConfig(window_s=span / 20.0),
+        seed=0,
     )
-    assert parallel.parameter_name == serial.parameter_name
-    assert parallel.parameter_values == serial.parameter_values
-    assert parallel.policies() == serial.policies()
-    for metric in HEADLINE_METRICS:
-        assert parallel.as_table(metric) == serial.as_table(metric)
+
+
+def _hierarchy_config(workload):
+    """Two tiers over two pops, behind NLANR client clouds."""
+    edge_kb = 0.05 * workload.catalog.total_size_gb * 1_000_000.0 / 2
+    return SimulationConfig(
+        cache_size_gb=0.05 * workload.catalog.total_size_gb,
+        variability=NLANRRatioVariability(),
+        bandwidth_knowledge=BandwidthKnowledge.PASSIVE,
+        client_clouds=ClientCloudConfig(
+            groups=8, distribution=NLANRBandwidthDistribution()
+        ),
+        hierarchy=HierarchyConfig(
+            tiers=(
+                CacheTier("edge", edge_kb, uplink_bandwidth=50.0),
+                CacheTier("parent", 4 * edge_kb, uplink_bandwidth=40.0),
+            ),
+            num_pops=2,
+        ),
+        seed=0,
+    )
+
+
+def _plain(value):
+    """One result field in a form that compares by value across processes.
+
+    Reports, metrics and the timeline compare through ``as_dict()``,
+    serialised so that a NaN equals itself; the config, whose bandwidth
+    models have no value equality, compares through its pickle.
+    """
+    if hasattr(value, "as_dict"):
+        return json.dumps(value.as_dict(), sort_keys=True)
+    if isinstance(value, SimulationConfig):
+        return pickle.dumps(value)
+    return value
+
+
+@pytest.mark.parametrize(
+    "make_config, reports",
+    [
+        (
+            _subsystems_config,
+            ("fault_report", "streaming_report", "timeline", "heap_statistics"),
+        ),
+        (_hierarchy_config, ("hierarchy_report",)),
+    ],
+    ids=["subsystems", "hierarchy"],
+)
+def test_run_simulation_results_pool_matches_in_process(
+    clouded_workload, make_config, reports
+):
+    config = make_config(clouded_workload)
+    jobs = replication_jobs(config, PolicySpec("PB"), num_runs=2) + [
+        SimulationJob(config=config.with_seed(5), policy_factory=PolicySpec("IB"))
+    ]
+    in_process = run_simulation_results(clouded_workload, jobs, n_jobs=1)
+    pooled = run_simulation_results(clouded_workload, jobs, n_jobs=2)
+    assert len(in_process) == len(pooled) == len(jobs)
+    for job, local, remote in zip(jobs, in_process, pooled):
+        assert _plain(local.config) == _plain(job.config)
+        for name in reports:
+            assert getattr(local, name) is not None, name
+        for result_field in dataclasses.fields(SimulationResult):
+            name = result_field.name
+            assert _plain(getattr(remote, name)) == _plain(getattr(local, name)), name
+    # The subsystems did work, so the comparison is not of empty reports.
+    if "fault_report" in reports:
+        assert sum(result.reactive_shifts for result in pooled) > 0
+        assert all(result.fault_report.episodes > 0 for result in pooled)
+    assert run_simulation_jobs(clouded_workload, jobs, n_jobs=2) == [
+        result.metrics for result in in_process
+    ]
 
 
 def test_jobs_carry_the_serial_seed_schedule(sim_config):

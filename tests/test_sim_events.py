@@ -12,6 +12,7 @@ Two families of guarantees are pinned here:
   warm-up interaction, empty traces, and the measurement log's accounting.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -262,11 +263,41 @@ def test_unknown_per_path_override_rejected(columnar_workload):
         dict(interval=10.0, start_time=100.0, end_time=50.0),
         dict(interval=float("nan")),
         dict(interval=10.0, per_path_intervals={3: float("nan")}),
+        # Wrong-typed elements: integral path ids, real intervals.
+        dict(interval=60.0, per_path_intervals={0: "5"}),
+        dict(interval=60.0, per_path_intervals={"0": 5.0}),
+        dict(interval=60.0, per_path_intervals=[(0, 5.0)]),
+        dict(interval=60.0, paths=["a"]),
+        dict(interval=60.0, paths=[0, 1.5]),
+        dict(interval=60.0, paths=3),
     ],
 )
 def test_remeasurement_config_validation(kwargs):
     with pytest.raises(ConfigurationError):
         RemeasurementConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        (dict(per_path_intervals={0: "5"}), "per_path_intervals[0]"),
+        (dict(per_path_intervals={"0": 5.0}), "per_path_intervals key"),
+        (dict(paths=["a"]), "paths[0]"),
+        (dict(paths=[0, 1.5]), "paths[1]"),
+    ],
+)
+def test_remeasurement_config_names_the_wrong_typed_element(kwargs, field):
+    with pytest.raises(ConfigurationError, match=re.escape(field)):
+        RemeasurementConfig(interval=60.0, **kwargs)
+
+
+def test_remeasurement_config_takes_numpy_elements():
+    config = RemeasurementConfig(
+        interval=60.0,
+        per_path_intervals={np.int64(0): np.float64(5.0)},
+        paths=(np.int64(0), np.int64(1)),
+    )
+    assert config.interval_for(0) == 5.0
 
 
 def test_periodic_event_priority_zero_reserved():

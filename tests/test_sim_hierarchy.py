@@ -97,12 +97,27 @@ class TestHierarchyConfig:
             {"uplink_bandwidth": -5.0},
             {"cache_kb": float("nan")},
             {"uplink_bandwidth": float("nan")},
+            # Wrong types: the name is a str, the policy None or a str.
+            {"name": 3},
+            {"name": None},
+            {"policy": 5},
+            {"policy": ("PB",)},
         ],
     )
     def test_tier_validation(self, kwargs):
         base = dict(name="edge", cache_kb=1000.0)
         base.update(kwargs)
         with pytest.raises(ConfigurationError):
+            CacheTier(**base)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [({"name": 3}, "name"), ({"policy": 5}, "policy")],
+    )
+    def test_tier_names_the_wrong_typed_field(self, kwargs, field):
+        base = dict(name="edge", cache_kb=1000.0)
+        base.update(kwargs)
+        with pytest.raises(ConfigurationError, match=f"^{field} must be a string"):
             CacheTier(**base)
 
     @pytest.mark.parametrize(

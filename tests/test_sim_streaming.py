@@ -91,6 +91,9 @@ class TestStreamingConfig:
             {"vbr_fraction": -0.1},
             {"vbr_fraction": 1.1},
             {"vbr_burstiness": 1.0},
+            # The square underflows: 1 / b**2 divides by zero, or is inf.
+            {"vbr_burstiness": 1e-200},
+            {"vbr_burstiness": 1e-160},
             {"smoothing_buffer_s": -1.0},
             {"smoothing_buffer_s": float("nan")},
         ],

@@ -108,3 +108,12 @@ class TestSyntheticVBRStream:
             synthetic_vbr_stream(duration=0.0, mean_rate=48.0)
         with pytest.raises(ConfigurationError):
             synthetic_vbr_stream(duration=10.0, mean_rate=48.0, burstiness=1.0)
+
+    @pytest.mark.parametrize("burstiness", [1e-200, 1e-160, np.float64(1e-160)])
+    def test_rejects_burstiness_whose_square_underflows(self, burstiness):
+        with pytest.raises(ConfigurationError, match="burstiness"):
+            synthetic_vbr_stream(duration=60.0, mean_rate=48.0, burstiness=burstiness)
+
+    def test_smallest_accepted_burstiness_draws_finite_frames(self):
+        stream = synthetic_vbr_stream(duration=60.0, mean_rate=48.0, burstiness=1e-154)
+        assert np.all(np.isfinite(stream.frame_sizes))
