@@ -114,9 +114,15 @@ streaming-smoke:
 
 ## Hierarchy smoke: the hierarchy test suite (tier-chain semantics,
 ## golden bit-identity with the fleet on, the golden ablation
-## fixture, sharded-replay determinism) plus one sharded 2-tier CLI
-## replay that prints the per-tier report end-to-end (docs/hierarchy.md).
+## fixture, sharded-replay determinism) plus two 2-tier CLI replays
+## that print the per-tier report end-to-end (docs/hierarchy.md): a
+## sharded one with oracle knowledge, and an unsharded one with passive
+## knowledge, client clouds and an outage/flap schedule.
 hierarchy-smoke:
 	$(PYTHON) -m pytest -q tests/test_sim_hierarchy.py
 	$(PYTHON) -m repro run --policy PB --scale 0.05 --pops 4 --tiers 2 \
 		--tier-cache-kb 100000,400000 --tier-uplink 50,40 --shards 4
+	$(PYTHON) -m repro run --policy PB --scale 0.05 --knowledge passive \
+		--client-clouds 8 --pops 4 --tiers 2 --tier-cache-kb 100000,400000 \
+		--tier-uplink 50,40 --fault-origin-outages 2 \
+		--fault-bandwidth-flaps 4 --fault-seed 1

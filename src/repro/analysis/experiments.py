@@ -861,7 +861,7 @@ def experiment_fault_tolerance(
     seed: int = 0,
     n_jobs: int = 1,
     outage_servers: int = 2,
-    outage_start_fraction: float = 0.35,
+    outage_start_fraction: float = 0.6,
     outage_duration_fraction: float = 0.15,
     flap_count: int = 8,
     severity: float = 0.1,
@@ -878,7 +878,11 @@ def experiment_fault_tolerance(
     * ``"outages"`` — a scripted origin outage covering
       ``outage_duration_fraction`` of the trace span, starting at
       ``outage_start_fraction``, on the ``outage_servers`` busiest origin
-      servers simultaneously (the worst credible correlated failure);
+      servers simultaneously (the worst credible correlated failure).
+      The defaults put it at 60–75% of the span, after the default
+      warm-up (the first half of the requests), so the measured phase
+      sees it and the post-outage window is shorter than the headline
+      one;
     * ``"flaps"`` — ``flap_count`` stochastic bandwidth flaps (each
       collapsing one path to ``severity`` of its base) scattered over the
       run from the fault stream's own seed.

@@ -241,6 +241,24 @@ class CachePolicy(ABC):
         if len(self._heap) > self._heap_peak:
             self._heap_peak = len(self._heap)
 
+    def _renew_blocker(self, heap: list, utility: float, object_id: int) -> None:
+        """Give the blocking top entry a fresh sequence number.
+
+        The fresh, highest sequence number moves the blocker behind its
+        equals.  When both children's utilities are strictly greater than
+        the blocker's, nothing can tie with it, and ``heapq.heapreplace``
+        would sift every entry on its path back to its own slot: the entry
+        is written into ``heap[0]`` in place, which leaves the same list.
+        """
+        seq = next(self._heap_counter)
+        self._entry_seq[object_id] = seq
+        entry = (utility, seq, object_id)
+        size = len(heap)
+        if (size < 2 or heap[1][0] > utility) and (size < 3 or heap[2][0] > utility):
+            heap[0] = entry
+        else:
+            heapq.heapreplace(heap, entry)
+
     # ------------------------------------------------------------------
     # The replacement engine.
     # ------------------------------------------------------------------
@@ -286,6 +304,26 @@ class CachePolicy(ABC):
             self._set_utility(object_id, utility)
             return
 
+        # Most eviction attempts end at the first heap entry: a live entry
+        # of another cached object that outranks the requester blocks the
+        # plan before anything is popped.  Settle that case here, exactly
+        # as the planner would; every other top entry goes to the planner.
+        heap = self._heap
+        if heap:
+            top_utility, top_seq, top_id = heap[0]
+            if (
+                top_utility >= utility
+                and self._entry_seq.get(top_id) == top_seq
+                and top_id != object_id
+                and store.cached_kb[top_id] > 0
+            ):
+                self._renew_blocker(heap, top_utility, top_id)
+                if self.allows_partial:
+                    self._grow_requester(
+                        obj, store, current + free, utility, current, free, now
+                    )
+                return
+
         self._evict_and_admit(obj, store, target, utility, current, free, now)
 
     def _evict_and_admit(
@@ -312,9 +350,13 @@ class CachePolicy(ABC):
         verbatim unless the object is re-keyed), lower-utility entries
         become victims, and the first entry that outranks the requester
         blocks.  The blocker stays on top of the heap and only gets a fresh
-        sequence number, which moves it behind its equals; victims that
-        survive go back through :meth:`_restore`, which does the same for
-        them.  Sequence numbers break ties between equal utilities, so the
+        sequence number (:meth:`_renew_blocker`), which moves it behind its
+        equals; victims that survive go back through :meth:`_restore`,
+        which does the same for them.  :meth:`on_request` settles a plan
+        whose very first entry blocks before calling this method, so the
+        planner sees only an empty heap or plans that start with a stale
+        entry, the requester's own, an object with nothing cached, or a
+        victim.  Sequence numbers break ties between equal utilities, so the
         renewal order is part of every later eviction decision; a victim
         ranks strictly below the blocker, so renewing the blocker first
         decides the same ties as renewing it last.
@@ -346,9 +388,7 @@ class CachePolicy(ABC):
                 continue
             if victim_utility >= utility:
                 # It outranks the requester: renew it in place and stop.
-                seq = next(self._heap_counter)
-                entry_seq[victim_id] = seq
-                heapq.heapreplace(heap, (victim_utility, seq, victim_id))
+                self._renew_blocker(heap, victim_utility, victim_id)
                 break
             heappop(heap)
             planned.append((victim_id, victim_utility, victim_bytes))
@@ -407,17 +447,37 @@ class CachePolicy(ABC):
             free = store.free_kb
 
         grow_to = target if fully_satisfied else current + free
-        if grow_to <= current + _EPSILON_KB:
+        if not self._grow_requester(obj, store, grow_to, utility, current, free, now):
             if held is not None:
                 heapq.heappush(heap, held)
-            return
+
+    def _grow_requester(
+        self,
+        obj: MediaObject,
+        store: CacheStore,
+        grow_to: float,
+        utility: float,
+        current: float,
+        free: float,
+        now: float,
+    ) -> bool:
+        """Grow the requester's cached prefix to ``grow_to`` KB.
+
+        The admission tail shared by the planner and by the blocked path of
+        :meth:`on_request`.  ``free`` is the store's free KB the caller read
+        last.  Returns False, having changed nothing, when there is no
+        growth worth making.
+        """
+        if grow_to <= current + _EPSILON_KB:
+            return False
         if grow_to - current > free + _EPSILON_KB:
             raise PolicyError(
-                f"policy {self.name}: planned growth of object {object_id} exceeds "
-                f"free space ({grow_to - current:.1f} KB > {free:.1f} KB)"
+                f"policy {self.name}: planned growth of object {obj.object_id} "
+                f"exceeds free space ({grow_to - current:.1f} KB > {free:.1f} KB)"
             )
-        store.set_cached_bytes(object_id, min(grow_to, obj.size), now)
-        self._set_utility(object_id, utility)
+        store.set_cached_bytes(obj.object_id, min(grow_to, obj.size), now)
+        self._set_utility(obj.object_id, utility)
+        return True
 
     # ------------------------------------------------------------------
     # Introspection helpers.

@@ -15,6 +15,8 @@ from typing import Dict, List, Tuple
 from repro.exceptions import CapacityError, ConfigurationError
 from repro.workload.catalog import id_table_get, id_table_items, id_table_set
 
+_INF = float("inf")
+
 
 class CacheStore:
     """Byte-accurate storage accounting for partial object prefixes.
@@ -30,11 +32,22 @@ class CacheStore:
     Request paths read it directly (``store.cached_kb[object_id]``); every
     write goes through :meth:`set_cached_bytes` (which :meth:`grow`,
     :meth:`trim` and :meth:`evict` call), so a subclass sees each change.
+
+    :attr:`free_kb` is a plain field, not a property, because the policy
+    engine reads it on every admission attempt.  The only writers of the
+    used-KB total, :meth:`set_cached_bytes` and :meth:`clear`, also write
+    ``free_kb = max(capacity_kb - used_kb, 0.0)``; :attr:`capacity_kb` is
+    fixed at construction.  NaN is rejected as the capacity and as every
+    KB argument.  ``inf`` is a legal capacity and amount to trim, but not
+    a cached size: an infinite prefix would turn the used total into
+    ``inf - inf`` once it is evicted.
     """
 
     def __init__(self, capacity_kb: float):
-        if capacity_kb < 0:
-            raise ConfigurationError(f"capacity must be non-negative, got {capacity_kb}")
+        if not capacity_kb >= 0:
+            raise ConfigurationError(
+                f"capacity_kb must be non-negative, got {capacity_kb}"
+            )
         self.capacity_kb = float(capacity_kb)
         #: Object id -> cached prefix KB (0.0 when nothing is cached).  A
         #: dict of the ids ever cached until :meth:`reserve` gives every
@@ -43,6 +56,8 @@ class CacheStore:
         self.cached_kb = {}
         self._count = 0
         self._used = 0.0
+        #: Remaining capacity in KB (never negative).
+        self.free_kb = self.capacity_kb if self.capacity_kb > 0.0 else 0.0
         #: Monotone count of complete removals (an object's cached prefix
         #: shrinking to zero through :meth:`set_cached_bytes`, which is
         #: where :meth:`trim` / :meth:`evict` land).  :meth:`clear` does
@@ -73,12 +88,6 @@ class CacheStore:
         return self._used
 
     @property
-    def free_kb(self) -> float:
-        """Remaining capacity in KB (never negative)."""
-        free = self.capacity_kb - self._used
-        return free if free > 0.0 else 0.0
-
-    @property
     def occupancy(self) -> float:
         """Fraction of capacity in use (0 for an empty or zero-capacity store)."""
         if self.capacity_kb <= 0:
@@ -102,9 +111,9 @@ class CacheStore:
         :class:`~repro.exceptions.CapacityError`; shrinking to zero removes
         the object.
         """
-        if target_bytes < 0:
+        if not 0.0 <= target_bytes < _INF:
             raise ConfigurationError(
-                f"target_bytes must be non-negative, got {target_bytes}"
+                f"target_bytes must be finite and non-negative, got {target_bytes}"
             )
         table = self.cached_kb
         current = id_table_get(table, object_id)
@@ -129,13 +138,16 @@ class CacheStore:
         elif target_bytes > 0:
             id_table_set(table, object_id, target_bytes)
             self._count += 1
-        self._used = max(self._used + delta, 0.0)
+        used = max(self._used + delta, 0.0)
+        self._used = used
+        free = self.capacity_kb - used
+        self.free_kb = free if free > 0.0 else 0.0
 
     def grow(self, object_id: int, additional_bytes: float, now: float = 0.0) -> None:
         """Grow an object's cached prefix by ``additional_bytes`` KB."""
-        if additional_bytes < 0:
+        if not 0.0 <= additional_bytes < _INF:
             raise ConfigurationError(
-                f"additional_bytes must be non-negative, got {additional_bytes}"
+                f"additional_bytes must be finite and non-negative, got {additional_bytes}"
             )
         self.set_cached_bytes(object_id, self.cached_bytes(object_id) + additional_bytes, now)
 
@@ -145,7 +157,7 @@ class CacheStore:
         Returns the number of KB actually reclaimed (0 if the object is not
         cached).  Trimming everything removes the object.
         """
-        if bytes_to_remove < 0:
+        if not bytes_to_remove >= 0:
             raise ConfigurationError(
                 f"bytes_to_remove must be non-negative, got {bytes_to_remove}"
             )
@@ -167,6 +179,7 @@ class CacheStore:
             table[object_id] = 0.0
         self._count = 0
         self._used = 0.0
+        self.free_kb = self.capacity_kb if self.capacity_kb > 0.0 else 0.0
 
     def snapshot(self) -> Dict[int, float]:
         """Map of object id to cached KB (a copy, safe to mutate)."""

@@ -1,8 +1,15 @@
 """Unit tests for the cache policies (IF, PB, IB, value-based, classic)."""
 
+import heapq
+import itertools
+from typing import List, Optional, Tuple
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from repro.core.policies import (
+    GreedyDualSizePolicy,
     HybridPartialBandwidthPolicy,
     IntegralBandwidthPolicy,
     IntegralBandwidthValuePolicy,
@@ -13,9 +20,10 @@ from repro.core.policies import (
     PartialBandwidthValuePolicy,
     make_policy,
 )
+from repro.core.policies.base import _EPSILON_KB
 from repro.core.policies.value_based import HybridPartialBandwidthValuePolicy
 from repro.core.store import CacheStore
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, PolicyError
 from repro.workload.catalog import Catalog, MediaObject
 
 
@@ -291,6 +299,319 @@ class TestReplacementEngine:
                 policy.on_request(obj, bandwidth=20.0, now=float(step), store=store)
                 assert store.used_kb <= store.capacity_kb + 1e-6
                 assert store.verify_consistency()
+
+
+# ----------------------------------------------------------------------
+# Engine-state oracle: the engine against the engine it replaced.
+# ----------------------------------------------------------------------
+class ReferenceEngine:
+    """The request path before blocked admissions were settled by a peek.
+
+    ``on_request`` and ``_evict_and_admit`` as they were: every blocker is
+    renewed with ``heapq.heapreplace``, and every admission beyond free
+    space goes through the planner.  Mixed in front of a policy class, it
+    replaces only those two methods.
+    """
+
+    def on_request(self, obj, bandwidth, now, store):
+        object_id = obj.object_id
+        counts = self._counts
+        frequency = counts[object_id] + 1.0
+        counts[object_id] = frequency
+        target, utility = self.plan(obj, bandwidth, frequency, now)
+        current = store.cached_kb[object_id]
+
+        size = obj.size
+        if target > size:
+            target = size
+        quantize = self.stream_quantize
+        if quantize is not None:
+            target = quantize(object_id, target, size)
+
+        if current > 0:
+            # Refresh the requester's key: its frequency just increased.
+            self._set_utility(object_id, utility)
+            if target <= current + _EPSILON_KB:
+                return
+        elif target <= _EPSILON_KB:
+            return
+
+        free = store.free_kb
+        if target - current <= free + _EPSILON_KB:
+            store.set_cached_bytes(object_id, target, now)
+            self._set_utility(object_id, utility)
+            return
+
+        self._evict_and_admit(obj, store, target, utility, current, free, now)
+
+    def _evict_and_admit(self, obj, store, target, utility, current, free, now):
+        object_id = obj.object_id
+        shortfall = target - current - free
+        heap = self._heap
+        entry_seq = self._entry_seq
+        cached_kb = store.cached_kb
+        heappop = heapq.heappop
+        held: Optional[Tuple[float, int, int]] = None
+        planned: List[Tuple[int, float, float]] = []  # (victim_id, utility, bytes)
+        reclaimed = 0.0
+
+        while shortfall - reclaimed > _EPSILON_KB and heap:
+            victim_utility, seq, victim_id = heap[0]
+            if entry_seq.get(victim_id) != seq:
+                heappop(heap)  # superseded by a later re-key
+                continue
+            if victim_id == object_id:
+                held = heappop(heap)
+                continue
+            victim_bytes = cached_kb[victim_id]
+            if victim_bytes <= 0:
+                # Defensive: tracked but no longer cached.  Consume the live
+                # entry so a later compaction cannot resurrect it.
+                heappop(heap)
+                del entry_seq[victim_id]
+                continue
+            if victim_utility >= utility:
+                # It outranks the requester: renew it in place and stop.
+                seq = next(self._heap_counter)
+                entry_seq[victim_id] = seq
+                heapq.heapreplace(heap, (victim_utility, seq, victim_id))
+                break
+            heappop(heap)
+            planned.append((victim_id, victim_utility, victim_bytes))
+            reclaimed += victim_bytes
+
+        fully_satisfied = reclaimed + _EPSILON_KB >= shortfall
+
+        if not fully_satisfied and not self.allows_partial:
+            # Integral policies refuse partial admission: undo the plan.
+            for victim_id, victim_utility, _ in planned:
+                self._restore(victim_id, victim_utility)
+            if held is not None:
+                heapq.heappush(heap, held)
+            return
+
+        # Commit evictions.  With full satisfaction a partial policy only
+        # trims the marginal (last) victim by what is actually required.
+        # Stream victims (streaming hook installed) lose whole tail
+        # segments instead: the engine floors the reclaim to segment
+        # boundaries and reports whether the victim emptied.
+        still_needed = shortfall
+        stream_trim = self.stream_trim
+        for index, (victim_id, victim_utility, victim_bytes) in enumerate(planned):
+            is_last = index == len(planned) - 1
+            if stream_trim is not None:
+                want = (
+                    still_needed
+                    if self.allows_partial and fully_satisfied and is_last
+                    else victim_bytes
+                )
+                trimmed = stream_trim(victim_id, want, now)
+                if trimmed is not None:
+                    reclaimed_kb, emptied = trimmed
+                    if emptied:
+                        self._drop_utility(victim_id)
+                        self.on_evict(victim_id, victim_utility)
+                    else:
+                        self._restore(victim_id, victim_utility)
+                    still_needed -= reclaimed_kb
+                    continue
+            if self.allows_partial and fully_satisfied and is_last:
+                trimmed = store.trim(victim_id, still_needed, now)
+                if cached_kb[victim_id] <= _EPSILON_KB:
+                    store.evict(victim_id, now)
+                    self._drop_utility(victim_id)
+                    self.on_evict(victim_id, victim_utility)
+                else:
+                    self._restore(victim_id, victim_utility)
+                still_needed -= trimmed
+            else:
+                store.evict(victim_id, now)
+                self._drop_utility(victim_id)
+                self.on_evict(victim_id, victim_utility)
+                still_needed -= victim_bytes
+        if planned:
+            free = store.free_kb
+
+        grow_to = target if fully_satisfied else current + free
+        if grow_to <= current + _EPSILON_KB:
+            if held is not None:
+                heapq.heappush(heap, held)
+            return
+        if grow_to - current > free + _EPSILON_KB:
+            raise PolicyError(
+                f"policy {self.name}: planned growth of object {object_id} exceeds "
+                f"free space ({grow_to - current:.1f} KB > {free:.1f} KB)"
+            )
+        store.set_cached_bytes(object_id, min(grow_to, obj.size), now)
+        self._set_utility(object_id, utility)
+
+
+class ReferenceStore(CacheStore):
+    """A store whose free space is computed on every read, as it once was."""
+
+    @property
+    def free_kb(self):
+        free = self.capacity_kb - self._used
+        return free if free > 0.0 else 0.0
+
+    @free_kb.setter
+    def free_kb(self, value):
+        """Ignore the write: the getter derives the value from the total."""
+
+
+#: The policies the oracle drives: (class, constructor arguments).
+ORACLE_POLICIES = {
+    "PB": (PartialBandwidthPolicy, {}),
+    "PB(e=0.5)": (HybridPartialBandwidthPolicy, {"estimator_e": 0.5}),
+    "IB": (IntegralBandwidthPolicy, {}),
+    "IF": (IntegralFrequencyPolicy, {}),
+    "LRU": (LRUPolicy, {}),
+    "GDS(delay)": (GreedyDualSizePolicy, {"cost_model": "delay"}),
+}
+
+#: Small value sets, so that ``F / b``, ``F`` and GDS credits tie often.
+_DURATIONS = (10.0, 20.0, 30.0)
+_BITRATES = (10.0, 20.0, 40.0)
+_BANDWIDTHS = (5.0, 10.0, 20.0, 40.0)
+
+
+@st.composite
+def engine_scenarios(draw):
+    """3-12 objects on 1-3 servers, a cache of 1-3 objects, one stream.
+
+    Each event is ``(object index, bandwidth, time step, shift)``: a
+    request at a non-decreasing time (a step of 0 makes LRU keys tie),
+    or, when ``shift`` is 0, a bandwidth shift of the object's server.
+    """
+    num_objects = draw(st.integers(min_value=3, max_value=12))
+    num_servers = draw(st.integers(min_value=1, max_value=3))
+    objects = [
+        MediaObject(
+            object_id=object_id,
+            duration=draw(st.sampled_from(_DURATIONS)),
+            bitrate=draw(st.sampled_from(_BITRATES)),
+            server_id=draw(st.integers(min_value=0, max_value=num_servers - 1)),
+        )
+        for object_id in range(num_objects)
+    ]
+    capacity = draw(st.integers(min_value=1, max_value=3)) * draw(
+        st.sampled_from([obj.size for obj in objects])
+    )
+    events = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=num_objects - 1),
+                st.sampled_from(_BANDWIDTHS),
+                st.integers(min_value=0, max_value=2),
+                st.integers(min_value=0, max_value=9),
+            ),
+            min_size=20,
+            max_size=200,
+        )
+    )
+    return objects, capacity, events
+
+
+def _engine_state(policy, store):
+    """Everything a later request can read, with the heap's layout."""
+    return {
+        "heap": list(policy._heap),
+        "entry_seq": dict(policy._entry_seq),
+        "utilities": dict(policy._utilities),
+        "counts": list(policy.frequencies.counts),
+        "cached_kb": list(store.cached_kb),
+        "used_kb": store.used_kb,
+        "free_kb": store.free_kb,
+        "heap_statistics": policy.heap_statistics(),
+        "inflation": getattr(policy, "inflation", None),
+    }
+
+
+def _apply(action):
+    """Run one engine call; a ``PolicyError`` is an outcome to compare."""
+    try:
+        action()
+    except PolicyError as error:
+        return str(error)
+    return None
+
+
+#: A blocked admission with free space left: object 1 ranks below object
+#: 0, which fills most of the cache, so a partial policy grows object 1
+#: into what is left.  Drawn streams reach this state only now and then.
+_BLOCKED_WITH_FREE_SPACE = (
+    [MediaObject(object_id=i, duration=10.0, bitrate=40.0) for i in range(3)],
+    400.0,
+    [(0, 10.0, 1, 1), (1, 20.0, 1, 1), (1, 20.0, 1, 1), (2, 5.0, 1, 1)],
+)
+
+
+@pytest.mark.parametrize("policy_name", sorted(ORACLE_POLICIES))
+@settings(max_examples=20, deadline=None)
+@given(scenario=engine_scenarios())
+@example(scenario=_BLOCKED_WITH_FREE_SPACE)
+def test_engine_state_matches_reference_engine(policy_name, scenario):
+    """After every event the engine's state equals the reference engine's.
+
+    The heap is compared as a list, so the in-place renewal must leave
+    the layout ``heapreplace`` leaves, not only the same entries.
+    """
+    objects, capacity, events = scenario
+    policy_class, kwargs = ORACLE_POLICIES[policy_name]
+    reference_class = type(
+        f"Reference{policy_class.__name__}", (ReferenceEngine, policy_class), {}
+    )
+    catalog = Catalog(objects)
+    policy, store = policy_class(**kwargs), CacheStore(capacity)
+    reference, reference_store = reference_class(**kwargs), ReferenceStore(capacity)
+    policy.install(store, catalog)
+    reference.install(reference_store, catalog)
+    now = 0.0
+    for object_index, bandwidth, step, shift in events:
+        obj = objects[object_index]
+        now += step
+        if shift == 0:
+            outcomes = [
+                engine.on_bandwidth_shift(obj.server_id, bandwidth, now)
+                for engine in (policy, reference)
+            ]
+        else:
+            outcomes = [
+                _apply(lambda: engine.on_request(obj, bandwidth, now, cache))
+                for engine, cache in ((policy, store), (reference, reference_store))
+            ]
+        assert outcomes[0] == outcomes[1]
+        assert _engine_state(policy, store) == _engine_state(reference, reference_store)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    utilities=st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=40),
+    pushes=st.lists(st.integers(min_value=0, max_value=4), max_size=10),
+)
+def test_blocker_renewal_leaves_the_heapreplace_layout(utilities, pushes):
+    """Renewing the top entry leaves the list ``heapreplace`` would leave.
+
+    Entries are ``(utility, seq, object_id)`` with distinct sequence
+    numbers, and the renewal's is the largest, as in the engine.  Small
+    integer utilities make the top tie with a child often, the case in
+    which the entry must move.
+    """
+    heap = [(float(u), seq, seq) for seq, u in enumerate(utilities)]
+    heapq.heapify(heap)
+    for seq, u in enumerate(pushes, start=len(utilities)):
+        heapq.heappush(heap, (float(u), seq, seq))
+    fresh_seq = len(utilities) + len(pushes)
+    top_utility, _, top_id = heap[0]
+    expected = list(heap)
+    heapq.heapreplace(expected, (top_utility, fresh_seq, top_id))
+
+    policy = PartialBandwidthPolicy()
+    policy._heap = heap
+    policy._heap_counter = itertools.count(fresh_seq)
+    policy._renew_blocker(heap, top_utility, top_id)
+    assert heap == expected
+    assert policy._entry_seq[top_id] == fresh_seq
 
 
 class TestRegistry:

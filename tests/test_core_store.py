@@ -1,10 +1,17 @@
 """Tests for the cache store's byte accounting."""
 
+import os
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core.store import CacheStore
 from repro.exceptions import CapacityError, ConfigurationError
+from repro.obs.tracing import ObservedCacheStore, TraceSink
 from repro.workload.catalog import Catalog, MediaObject
+
+NAN = float("nan")
 
 
 class TestCacheStoreBasics:
@@ -164,3 +171,96 @@ class TestTable:
         store.clear()
         assert store.cached_kb is table and table == [0.0, 0.0]
         assert len(store) == 0 and store.verify_consistency()
+
+
+class TestNonFiniteKB:
+    """NaN is rejected as the capacity and as every KB argument, and an
+    infinite amount as a cached size."""
+
+    def test_nan_capacity_rejected(self):
+        with pytest.raises(ConfigurationError, match="capacity_kb"):
+            CacheStore(NAN)
+
+    def test_infinite_capacity_is_legal(self):
+        store = CacheStore(float("inf"))
+        store.set_cached_bytes(1, 1e12)
+        assert store.free_kb == float("inf") and store.verify_consistency()
+
+    def test_nan_target_rejected_and_store_untouched(self):
+        store = CacheStore(1_000.0)
+        with pytest.raises(ConfigurationError, match="target_bytes"):
+            store.set_cached_bytes(2, NAN)
+        assert store.used_kb == 0.0 and store.free_kb == 1_000.0
+        assert len(store) == 0 and store.verify_consistency()
+
+    def test_nan_growth_rejected(self):
+        store = CacheStore(1_000.0)
+        store.set_cached_bytes(1, 300.0)
+        with pytest.raises(ConfigurationError, match="additional_bytes"):
+            store.grow(1, NAN)
+        assert store.cached_bytes(1) == 300.0 and store.verify_consistency()
+
+    def test_infinite_target_rejected(self):
+        store = CacheStore(float("inf"))
+        with pytest.raises(ConfigurationError, match="target_bytes"):
+            store.set_cached_bytes(0, float("inf"))
+        with pytest.raises(ConfigurationError, match="additional_bytes"):
+            store.grow(0, float("inf"))
+        assert store.used_kb == 0.0 and store.verify_consistency()
+
+    def test_nan_trim_rejected_and_prefix_kept(self):
+        store = CacheStore(1_000.0)
+        store.set_cached_bytes(1, 300.0)
+        with pytest.raises(ConfigurationError, match="bytes_to_remove"):
+            store.trim(1, NAN)
+        assert store.cached_bytes(1) == 300.0 and store.evictions == 0
+
+
+#: One store operation: (name, object id, KB).  ``reserve`` sizes the table
+#: to a catalog of ids 0-5; ``clear`` and ``evict`` ignore the KB.
+store_operations = st.lists(
+    st.tuples(
+        st.sampled_from(["set", "grow", "trim", "evict", "clear", "reserve"]),
+        st.integers(min_value=0, max_value=5),
+        st.sampled_from([0.0, 50.0, 100.0, 250.0, 400.0, 1_000.0, float("inf")]),
+    ),
+    max_size=40,
+)
+
+
+@pytest.mark.parametrize("observed", [False, True], ids=["CacheStore", "ObservedCacheStore"])
+@settings(max_examples=60, deadline=None)
+@given(
+    capacity=st.sampled_from([0.0, 300.0, 1_000.0, float("inf")]),
+    operations=store_operations,
+)
+def test_free_kb_field_tracks_used_kb(observed, capacity, operations):
+    """``free_kb`` equals ``max(capacity_kb - used_kb, 0)`` after every write."""
+    catalog = Catalog(
+        [MediaObject(object_id=i, duration=10.0, bitrate=10.0) for i in range(6)]
+    )
+    sink = TraceSink(os.devnull, level="debug") if observed else None
+    store = ObservedCacheStore(capacity, sink) if observed else CacheStore(capacity)
+    try:
+        assert store.free_kb == max(store.capacity_kb - store.used_kb, 0.0)
+        for name, object_id, kb in operations:
+            try:
+                if name == "set":
+                    store.set_cached_bytes(object_id, kb)
+                elif name == "grow":
+                    store.grow(object_id, kb)
+                elif name == "trim":
+                    store.trim(object_id, kb)
+                elif name == "evict":
+                    store.evict(object_id)
+                elif name == "clear":
+                    store.clear()
+                else:
+                    store.reserve(catalog)
+            except (CapacityError, ConfigurationError):
+                pass  # an infinite size, or no room: the store is untouched
+            assert store.free_kb == max(store.capacity_kb - store.used_kb, 0.0)
+            assert store.verify_consistency()
+    finally:
+        if sink is not None:
+            sink.close()
