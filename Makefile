@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test spawn-smoke bench-smoke bench-full bench-goldens bench-figures ingest-demo docs-check faults-smoke obs-smoke streaming-smoke hierarchy-smoke
+.PHONY: test spawn-smoke bench-smoke bench-full bench-goldens bench-figures ingest-demo docs-check faults-smoke obs-smoke streaming-smoke streaming-smoke-record hierarchy-smoke
 
 ## Tier-1 verification: the full test + benchmark suite (writes no file).
 test:
@@ -104,13 +104,24 @@ obs-smoke:
 ## prefix-vs-whole ablation) plus one CLI replay with segment-aware
 ## sessions, passive-driven re-keying with hysteresis and a stochastic
 ## outage/flap schedule all on together, which prints the QoE,
-## re-keying and fault reports end-to-end (docs/streaming.md).
+## re-keying and fault reports end-to-end (docs/streaming.md).  That
+## report holds no timing, so it must match tests/data/streaming_smoke.out
+## byte for byte: a drifted number fails, not only a crash.  After a
+## deliberate change to what the replay prints, re-record the file with
+## `make streaming-smoke-record` and commit it.
+STREAMING_SMOKE_RUN = $(PYTHON) -m repro run --policy PB --scale 0.05 --knowledge passive \
+	--client-clouds 8 --streaming-fraction 1.0 --streaming-prefetch 2 \
+	--reactive-threshold 0.15 --reactive-passive --reactive-hysteresis 0.05 \
+	--fault-origin-outages 2 --fault-bandwidth-flaps 4 --fault-seed 1
+
 streaming-smoke:
 	$(PYTHON) -m pytest -q tests/test_sim_streaming.py tests/test_streaming_segmentation.py
-	$(PYTHON) -m repro run --policy PB --scale 0.05 --knowledge passive \
-		--client-clouds 8 --streaming-fraction 1.0 --streaming-prefetch 2 \
-		--reactive-threshold 0.15 --reactive-passive --reactive-hysteresis 0.05 \
-		--fault-origin-outages 2 --fault-bandwidth-flaps 4 --fault-seed 1
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	$(STREAMING_SMOKE_RUN) > "$$out" && cat "$$out" && \
+	diff -u tests/data/streaming_smoke.out "$$out"
+
+streaming-smoke-record:
+	$(STREAMING_SMOKE_RUN) > tests/data/streaming_smoke.out
 
 ## Hierarchy smoke: the hierarchy test suite (tier-chain semantics,
 ## golden bit-identity with the fleet on, the golden ablation

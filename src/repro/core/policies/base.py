@@ -318,9 +318,12 @@ class CachePolicy(ABC):
                 and store.cached_kb[top_id] > 0
             ):
                 self._renew_blocker(heap, top_utility, top_id)
-                if self.allows_partial:
+                # _grow_requester's own first test, on the same sum: most
+                # blocked requests have no free space to grow into.
+                grow_to = current + free
+                if self.allows_partial and grow_to > current + _EPSILON_KB:
                     self._grow_requester(
-                        obj, store, current + free, utility, current, free, now
+                        obj, store, grow_to, utility, current, free, now
                     )
                 return
 

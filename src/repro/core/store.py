@@ -49,6 +49,11 @@ class CacheStore:
                 f"capacity_kb must be non-negative, got {capacity_kb}"
             )
         self.capacity_kb = float(capacity_kb)
+        # The growth tolerance of set_cached_bytes is relative to the
+        # capacity: callers legitimately grow an object by exactly the
+        # remaining free space, and the float round-trip
+        # (current + free) - current can overshoot by a few ULPs.
+        self._tolerance = 1e-9 * max(self.capacity_kb, 1.0)
         #: Object id -> cached prefix KB (0.0 when nothing is cached).  A
         #: dict of the ids ever cached until :meth:`reserve` gives every
         #: catalog object a slot; only then may a reader index it with any
@@ -116,13 +121,16 @@ class CacheStore:
                 f"target_bytes must be finite and non-negative, got {target_bytes}"
             )
         table = self.cached_kb
-        current = id_table_get(table, object_id)
+        # A subscript for an id with a slot; a list table would read a
+        # negative id from its end, so that goes through id_table_get.
+        try:
+            current = (
+                table[object_id] if object_id >= 0 else id_table_get(table, object_id)
+            )
+        except LookupError:
+            current = 0.0
         delta = target_bytes - current
-        # The tolerance is relative to the capacity: callers legitimately grow
-        # an object by exactly the remaining free space, and the float
-        # round-trip (current + free) - current can overshoot by a few ULPs.
-        tolerance = 1e-9 * max(self.capacity_kb, 1.0)
-        if delta > self.free_kb + tolerance:
+        if delta > self.free_kb + self._tolerance:
             raise CapacityError(
                 f"cannot grow object {object_id} by {delta:.1f} KB; "
                 f"only {self.free_kb:.1f} KB free"
@@ -161,7 +169,13 @@ class CacheStore:
             raise ConfigurationError(
                 f"bytes_to_remove must be non-negative, got {bytes_to_remove}"
             )
-        current = id_table_get(self.cached_kb, object_id)
+        table = self.cached_kb
+        try:
+            current = (
+                table[object_id] if object_id >= 0 else id_table_get(table, object_id)
+            )
+        except LookupError:
+            current = 0.0
         if current <= 0:
             return 0.0
         reclaimed = min(current, bytes_to_remove)

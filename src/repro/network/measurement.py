@@ -186,8 +186,13 @@ class PassiveEstimator:
         self._group_sample_counts: Dict[Tuple[int, int], int] = {}
 
     def observe(self, server_id: int, throughput: float) -> float:
-        """Record a throughput sample (KB/s) and return the new estimate."""
-        if throughput <= 0:
+        """Record a throughput sample (KB/s) and return the new estimate.
+
+        A sample that is not positive, NaN included, raises
+        :class:`~repro.exceptions.MeasurementError` and leaves the
+        estimate as it was.
+        """
+        if not throughput > 0:
             raise MeasurementError(
                 f"throughput must be positive, got {throughput} for server {server_id}"
             )
@@ -212,7 +217,7 @@ class PassiveEstimator:
         vice versa), so enabling per-group estimation cannot change what a
         group-unaware policy believes.  Returns the new group estimate.
         """
-        if throughput <= 0:
+        if not throughput > 0:
             raise MeasurementError(
                 f"throughput must be positive, got {throughput} for server "
                 f"{server_id} group {group_id}"
@@ -286,7 +291,7 @@ class BandwidthMeasurementLog:
 
     def record(self, time: float, server_id: int, throughput: float) -> None:
         """Record one sample (KB/s) for a server at simulation ``time``."""
-        if throughput <= 0:
+        if not throughput > 0:
             raise MeasurementError(
                 f"throughput must be positive, got {throughput} for server {server_id}"
             )

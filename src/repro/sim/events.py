@@ -291,7 +291,8 @@ class ReactiveRekeyer:
     * **passive-driven** — with
       :attr:`~repro.sim.config.SimulationConfig.reactive_passive` enabled,
       the kernel calls :meth:`observe_request` after every request's
-      estimator update, tagged with the requesting client group.
+      estimator update, tagged with the requesting client group and
+      handed the estimate that update returned.
 
     Churn is bounded two ways:
 
@@ -455,15 +456,24 @@ class ReactiveRekeyer:
         group_id: Optional[int],
         prior_estimate: float,
         delivered: float,
+        estimate: float,
     ) -> None:
         """Passive-driven notification after one request's estimator update.
 
         ``prior_estimate`` is the origin estimate the request's policy
         decision keyed at (read *before* the request's sample was
-        observed); ``delivered`` is the throughput the request actually
+        observed); ``estimate`` is the origin estimate after it, as
+        :meth:`~repro.network.measurement.PassiveEstimator.observe`
+        returned it; ``delivered`` is the throughput the request actually
         experienced (bottleneck of both hops).  With ``group_estimation``
         the delivered sample feeds the estimator's ``(server, group)`` mode
         and the group view is compared on its own estimate trajectory.
+
+        A view that reads the origin estimate and is already anchored is
+        settled here, with :meth:`notify`'s own tests: a disarmed view
+        re-arms once back in the hysteresis band, and an in-band view
+        does nothing.  A first contact or a crossing goes to
+        :meth:`notify`.
         """
         if group_id is not None and self.group_estimation:
             if self.estimator.group_sample_count(server_id, group_id) > 0:
@@ -478,8 +488,24 @@ class ReactiveRekeyer:
                 prior = prior_estimate
             self.estimator.observe_group(server_id, group_id, delivered)
             self.notify(now, server_id, prior, group_id=group_id)
-        else:
-            self.notify(now, server_id, prior_estimate, group_id=group_id)
+            return
+        views = self._anchors.get(server_id)
+        anchor = None if views is None else views.get(group_id)
+        if anchor is not None:
+            if group_id is None:
+                cap = self._max_cap
+            else:
+                caps = self._caps
+                cap = caps[group_id % len(caps)]
+            believed = estimate if cap is None or estimate <= cap else cap
+            disarmed = self._disarmed.get(server_id)
+            if disarmed is not None and disarmed.get(group_id):
+                if abs(believed - anchor) <= self.hysteresis * anchor:
+                    disarmed[group_id] = False
+                return
+            if abs(believed - anchor) <= self.threshold * anchor:
+                return
+        self.notify(now, server_id, prior_estimate, group_id=group_id)
 
     def notify(
         self,
@@ -555,6 +581,8 @@ class ReactiveRekeyer:
         views[group_id] = believed
         origin_estimate = self.estimator.estimate(server_id)
         caps = self._caps
+        n_caps = len(caps)
+        group_estimation = self.group_estimation
         for other_group in views:
             if other_group == group_id:
                 continue
@@ -562,18 +590,18 @@ class ReactiveRekeyer:
                 other_estimate = origin_estimate
                 other_cap = self._max_cap
             else:
-                if self.group_estimation:
+                if group_estimation:
                     other_estimate = self.estimator.estimate_group(
                         server_id, other_group
                     )
                 else:
                     other_estimate = origin_estimate
-                other_cap = caps[other_group % len(caps)]
+                other_cap = caps[other_group % n_caps]
             if other_cap is not None and other_estimate > other_cap:
                 other_estimate = other_cap
             views[other_group] = other_estimate
         if self.hysteresis is not None:
-            self._disarmed[server_id] = {group: True for group in views}
+            self._disarmed[server_id] = dict.fromkeys(views, True)
 
 
 class AuxiliarySchedule:

@@ -611,7 +611,7 @@ def serve_batch(
                 out_retries[row] = disposition[4]
 
         if estimator_observe is not None:
-            estimator_observe(server_id, origin_observed)
+            estimate = estimator_observe(server_id, origin_observed)
             if rekeyer_request is not None:
                 rekeyer_request(
                     req_time,
@@ -619,6 +619,7 @@ def serve_batch(
                     lm_groups[index] if lm_groups is not None else None,
                     prior_estimate,
                     observed,
+                    estimate,
                 )
         if verify_store and not verify_consistency():
             raise AssertionError(

@@ -12,8 +12,9 @@ whole-object delivery arithmetic:
   :class:`~repro.streaming.segmentation.SegmentedPrefix`: the policy's
   byte target is quantised up to a segment boundary on admission
   (:meth:`StreamingDeliveryEngine.admission_target`), and under cache
-  pressure victims lose trailing *segments* via ``trim_to`` instead of
-  being evicted wholesale (:meth:`StreamingDeliveryEngine.trim_victim`).
+  pressure victims lose trailing *segments* down to a segment floor
+  instead of being evicted wholesale
+  (:meth:`StreamingDeliveryEngine.trim_victim`).
 * **Sessions** model the paper's wait / degrade / abandon client choice
   against the delivered (last-mile-capped) bandwidth: a viewer waits out
   a short full-quality startup delay, falls back to the number of
@@ -246,9 +247,9 @@ class _StreamEntry:
         encoding = LayeredEncoding(full_rate=required_rate, layers=obj.layers)
         self.layers = encoding.layers
         self.layer_rate = encoding.layer_rate
-        #: Segment calculator: re-synced from store byte counts before every
-        #: use, so it serves as the boundary arithmetic (floor / ceil /
-        #: tail-trim) rather than a second source of residency truth.
+        #: The object's segment boundaries.  The engine reads only its
+        #: stateless floor and ceiling of a store byte count; the store
+        #: stays the one source of residency truth.
         self.prefix = SegmentedPrefix(self.size, scheme)
         self.tolerance = 1e-9 * max(self.size, 1.0)
 
@@ -394,31 +395,39 @@ class StreamingDeliveryEngine:
         move only during the measurement phase.
         """
         entry = self._entries[object_id]
+        size = entry.size
+        duration = entry.duration
         cached = self.store.cached_kb[object_id]
         if cached > 0.0:
-            # Floor residency to a segment boundary: sync the calculator up
-            # (grow_to may overshoot to the ceiling) then trim back down.
-            entry.prefix.grow_to(cached)
-            floored = entry.prefix.trim_to(cached)
+            # Floor residency to a segment boundary.
+            floored = entry.prefix.floor(cached)
             if floored < cached - entry.tolerance:
                 self.store.trim(object_id, cached - floored, now)
                 self.fragment_trims += 1
                 cached = floored
-            elif cached > entry.size:
-                cached = entry.size
+            elif cached > size:
+                cached = size
 
         # The startup delay of plan_prefix_prefetch (the paper's
-        # [T r - T b - x]+ / b over the prefix it serves), without
-        # building the plan: its suffix-free and zero-bandwidth branches
-        # give the same 0.0 and inf through this formula.
-        delay_full = entry.obj.startup_delay(bandwidth, min(cached, entry.size))
+        # [T r - T b - x]+ / b over the prefix it serves), as
+        # MediaObject.startup_delay writes it: the plan's suffix-free and
+        # zero-bandwidth branches give the same 0.0 and inf.
+        missing = size - duration * bandwidth - (
+            cached if cached < size else size
+        )
+        if missing <= 0:
+            delay_full = 0.0
+        elif bandwidth <= 0:
+            delay_full = float("inf")
+        else:
+            delay_full = missing / bandwidth
         feasible = delay_full <= 0.0
         if entry.vbr:
             # VBR: the smoothed peak rate, not the mean rate, must be
             # sustained; same [T r - T b - x]+ / b form at the higher rate.
             missing = (
-                entry.duration * entry.required_rate
-                - entry.duration * bandwidth
+                duration * entry.required_rate
+                - duration * bandwidth
                 - cached
             )
             if missing <= 0:
@@ -430,14 +439,14 @@ class StreamingDeliveryEngine:
 
         abandoned = False
         if delay_full <= 0.0:
-            stall, quality, watch = 0.0, 1.0, entry.duration
+            stall, quality, watch = 0.0, 1.0, duration
         elif delay_full <= self._abandon_after_s:
-            stall, quality, watch = delay_full, 1.0, entry.duration
+            stall, quality, watch = delay_full, 1.0, duration
         else:
             # Too long to wait: play the layers the cached prefix spread
             # over the duration plus the delivered bandwidth sustain
             # (LayeredEncoding.supported_layers), or abandon.
-            available = cached / entry.duration + (
+            available = cached / duration + (
                 bandwidth if bandwidth > 0.0 else 0.0
             )
             layers_ok = (
@@ -448,14 +457,14 @@ class StreamingDeliveryEngine:
             if layers_ok >= 1:
                 stall = 0.0
                 quality = layers_ok / entry.layers
-                watch = entry.duration
+                watch = duration
             else:
                 abandoned = True
                 stall, quality, watch = self._abandon_after_s, 0.0, 0.0
 
         if abandoned:
             served = bandwidth * stall
-            remaining = entry.size - cached
+            remaining = size - cached
             if served > remaining:
                 served = remaining
             bytes_cache, bytes_server = 0.0, served
@@ -463,7 +472,7 @@ class StreamingDeliveryEngine:
         else:
             fraction = quality
             bytes_cache = fraction * cached
-            bytes_server = fraction * (entry.size - cached)
+            bytes_server = fraction * (size - cached)
             self._pending_prefetch = (object_id, self._prefetch_segments)
 
         delay = stall + waited
@@ -520,9 +529,8 @@ class StreamingDeliveryEngine:
             return target_kb
         if not self.config.prefix_caching:
             return size_kb
-        prefix = entry.prefix
-        prefix.trim_to(target_kb)
-        quantized = prefix.grow_to(target_kb)
+        ceil = entry.prefix.ceil
+        quantized = ceil(target_kb)
         pending = self._pending_prefetch
         extra = (
             pending[1]
@@ -533,7 +541,7 @@ class StreamingDeliveryEngine:
         for _ in range(extra):
             if extended >= entry.size:
                 break
-            extended = prefix.grow_to(extended + entry.tolerance + 1e-9)
+            extended = ceil(extended + entry.tolerance + 1e-9)
         if extended > quantized:
             self.prefetch_extensions += 1
         return min(extended, size_kb)
@@ -545,8 +553,8 @@ class StreamingDeliveryEngine:
 
         Returns ``None`` for non-stream victims (the policy then runs its
         ordinary eviction arithmetic).  For a stream victim, residency is
-        floored to a boundary and trailing segments are dropped via
-        ``trim_to`` until at least ``needed_kb`` KB are reclaimed, a store
+        floored to a boundary and trailing segments are dropped until at
+        least ``needed_kb`` KB are reclaimed, a store
         change at request time ``now``; the return value is
         ``(reclaimed_kb, emptied)`` so the policy can either retire the
         victim's heap entry (``emptied``) or restore it.
@@ -561,9 +569,7 @@ class StreamingDeliveryEngine:
         keep = current - needed_kb
         if keep < 0.0:
             keep = 0.0
-        entry.prefix.grow_to(current)
-        entry.prefix.trim_to(current)
-        remaining = entry.prefix.trim_to(keep)
+        remaining = entry.prefix.floor(keep)
         reclaimed = current - remaining
         if reclaimed > 0.0:
             store.trim(victim_id, reclaimed, now)

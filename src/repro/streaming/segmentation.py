@@ -19,6 +19,7 @@ real proxy would keep on disk:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -112,6 +113,12 @@ class SegmentedPrefix:
     cumulative boundary sums built once per object: entry ``k`` is the
     builtin :func:`sum` of the first ``k`` segment sizes, so every byte
     count equals the sum over :attr:`resident_segments` bit for bit.
+
+    :meth:`floor` and :meth:`ceil` are stateless binary searches over
+    that table and the one home of the boundary rule: :meth:`grow_to`
+    and :meth:`trim_to` clamp the resident count to the index each
+    search finds.  Every boundary method rejects a negative or NaN
+    byte count with :class:`~repro.exceptions.ConfigurationError`.
     """
 
     def __init__(self, object_size_kb: float, scheme: SegmentationScheme = None):
@@ -127,6 +134,7 @@ class SegmentedPrefix:
         # Python 3.12 sum() compensates float rounding, so a running total
         # can differ from it in the last bit.
         self._cum = tuple(sum(sizes[:k]) for k in range(len(sizes) + 1))
+        self._last = len(sizes)
         self._resident = 0  # number of fully resident leading segments
 
     @property
@@ -142,7 +150,43 @@ class SegmentedPrefix:
     @property
     def total_segments(self) -> int:
         """Number of segments the whole object divides into."""
-        return len(self._cum) - 1
+        return self._last
+
+    def _floor_index(self, kb: float) -> int:
+        """Index of the last boundary at or below ``kb``."""
+        if not kb >= 0:
+            raise ConfigurationError(f"KB must be non-negative, got {kb}")
+        return bisect_right(self._cum, kb) - 1
+
+    def _ceil_index(self, kb: float) -> int:
+        """Index of the first boundary at or above ``min(kb, size)``.
+
+        Capped at the last index, as the walking loop it replaced was, so
+        a table whose sum fell short of the object size would still end
+        the search inside it.
+        """
+        if not kb >= 0:
+            raise ConfigurationError(f"KB must be non-negative, got {kb}")
+        size = self.object_size_kb
+        index = bisect_left(self._cum, kb if kb < size else size)
+        last = self._last
+        return index if index < last else last
+
+    def floor(self, kb: float) -> float:
+        """The largest segment boundary at or below ``kb`` KB.
+
+        Reads no residency: the KB a prefix of ``kb`` keeps once its
+        trailing partial segment is dropped.
+        """
+        return self._cum[self._floor_index(kb)]
+
+    def ceil(self, kb: float) -> float:
+        """The smallest segment boundary at or above ``min(kb, size)`` KB.
+
+        Reads no residency: the KB whole segments hold once a prefix of
+        ``kb`` is rounded up.
+        """
+        return self._cum[self._ceil_index(kb)]
 
     def grow_to(self, target_kb: float) -> float:
         """Admit whole segments until at least ``target_kb`` KB are resident.
@@ -150,27 +194,17 @@ class SegmentedPrefix:
         Returns the actual number of KB resident afterwards (segment
         granularity means it can exceed the target).
         """
-        if target_kb < 0:
-            raise ConfigurationError(f"target_kb must be non-negative, got {target_kb}")
-        target_kb = min(target_kb, self.object_size_kb)
-        cum = self._cum
-        last = len(cum) - 1
-        resident = self._resident
-        while cum[resident] < target_kb and resident < last:
-            resident += 1
-        self._resident = resident
-        return cum[resident]
+        index = self._ceil_index(target_kb)
+        if index > self._resident:
+            self._resident = index
+        return self._cum[self._resident]
 
     def trim_to(self, target_kb: float) -> float:
         """Drop trailing segments until at most ``target_kb`` KB remain."""
-        if target_kb < 0:
-            raise ConfigurationError(f"target_kb must be non-negative, got {target_kb}")
-        cum = self._cum
-        resident = self._resident
-        while resident > 0 and cum[resident] > target_kb:
-            resident -= 1
-        self._resident = resident
-        return cum[resident]
+        index = self._floor_index(target_kb)
+        if index < self._resident:
+            self._resident = index
+        return self._cum[self._resident]
 
     def missing_ranges(self) -> List[Tuple[float, float]]:
         """Byte ranges (KB offsets) that must be fetched from the origin server."""
@@ -189,4 +223,4 @@ class SegmentedPrefix:
         With exponential segmentation this is O(log(size)), the practical
         argument for that layout.
         """
-        return len(self._cum) - 1
+        return self._last

@@ -6,6 +6,7 @@ import pytest
 from repro.exceptions import ConfigurationError, MeasurementError
 from repro.network.measurement import (
     ActiveProber,
+    BandwidthMeasurementLog,
     PassiveEstimator,
     PathConditions,
     pftk_throughput,
@@ -116,3 +117,29 @@ class TestPassiveEstimator:
             PassiveEstimator(initial_estimate=0.0)
         with pytest.raises(MeasurementError):
             PassiveEstimator().observe(1, 0.0)
+
+    def test_nan_sample_rejected_without_poisoning_the_estimate(self):
+        """A NaN sample raises; it used to pass ``throughput <= 0`` and
+        leave the server's EWMA NaN for the rest of the run."""
+        estimator = PassiveEstimator(smoothing=0.5)
+        with pytest.raises(MeasurementError):
+            estimator.observe(1, float("nan"))
+        assert estimator.observe(1, 50.0) == 50.0
+        with pytest.raises(MeasurementError):
+            estimator.observe(1, float("nan"))
+        assert estimator.estimate(1) == 50.0 and estimator.sample_count(1) == 1
+
+    def test_nan_group_sample_rejected(self):
+        estimator = PassiveEstimator(smoothing=0.5)
+        estimator.observe_group(1, 2, 40.0)
+        with pytest.raises(MeasurementError):
+            estimator.observe_group(1, 2, float("nan"))
+        assert estimator.estimate_group(1, 2) == 40.0
+        assert estimator.group_sample_count(1, 2) == 1
+
+    def test_nan_logged_sample_rejected(self):
+        log = BandwidthMeasurementLog()
+        log.record(0.0, 1, 40.0)
+        with pytest.raises(MeasurementError):
+            log.record(1.0, 1, float("nan"))
+        assert log.mean(1) == 40.0 and log.sample_count(1) == 1

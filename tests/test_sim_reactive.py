@@ -25,7 +25,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.policies import make_policy
@@ -171,8 +171,8 @@ class TestPerGroupViews:
             legacy.notify(now, 0, prior)
 
             prior = fixed_est.estimate(0)
-            fixed_est.observe(0, 100.0)
-            fixed.observe_request(now, 0, 1, prior, delivered)
+            estimate = fixed_est.observe(0, 100.0)
+            fixed.observe_request(now, 0, 1, prior, delivered, estimate)
 
         assert legacy.shifts == 0  # the origin view never moved
         assert fixed.shifts == 1   # group 1's believed 40 -> 15 crossed 50%
@@ -201,8 +201,8 @@ class TestPerGroupViews:
         # The replay loop's order: the origin sample lands first (the
         # collapse to 10), THEN the rekeyer is notified with the
         # pre-sample prior the policy keyed at (100).
-        estimator.observe(0, 10.0)
-        rekeyer.observe_request(1.0, 0, 1, 100.0, 10.0)
+        estimate = estimator.observe(0, 10.0)
+        rekeyer.observe_request(1.0, 0, 1, 100.0, 10.0, estimate)
         assert rekeyer.shifts == 1  # 100 -> 10 is a 90% collapse
         assert rekeyer.entries_rekeyed > 0
 
@@ -217,13 +217,13 @@ class TestPerGroupViews:
             group_caps=(100.0, 40.0),
             group_estimation=True,
         )
-        estimator.observe(0, 100.0)
+        estimate = estimator.observe(0, 100.0)
         # Group 1 collapses and triggers; group 0 stays quiet throughout.
-        rekeyer.observe_request(1.0, 0, 1, 100.0, 38.0)
-        rekeyer.observe_request(2.0, 0, 1, 100.0, 15.0)
+        rekeyer.observe_request(1.0, 0, 1, 100.0, 38.0, estimate)
+        rekeyer.observe_request(2.0, 0, 1, 100.0, 15.0, estimate)
         assert rekeyer.shifts == 1
-        rekeyer.observe_request(3.0, 0, 0, 100.0, 100.0)
-        rekeyer.observe_request(4.0, 0, 0, 100.0, 98.0)
+        rekeyer.observe_request(3.0, 0, 0, 100.0, 100.0, estimate)
+        rekeyer.observe_request(4.0, 0, 0, 100.0, 98.0, estimate)
         assert rekeyer.shifts == 1
         assert estimator.group_sample_count(0, 0) == 2
         assert estimator.group_sample_count(0, 1) == 2
@@ -567,3 +567,264 @@ class TestGreedyDualSafeRekey:
         )
         assert result.reactive_shifts > 0
         assert result.reactive_rekeys > 0
+
+
+# ----------------------------------------------------------------------
+# Differential: the in-band check of observe_request against the path
+# where every request went through notify.
+# ----------------------------------------------------------------------
+class _ReferenceRekeyer(ReactiveRekeyer):
+    """``observe_request`` and ``notify`` as they were before
+    ``observe_request`` settled in-band views itself (the trace event
+    left out): every request goes to ``notify``, which re-reads the
+    estimator.  The post-sample ``estimate`` argument is accepted and
+    ignored."""
+
+    def observe_request(
+        self, now, server_id, group_id, prior_estimate, delivered, estimate=None
+    ):
+        if group_id is not None and self.group_estimation:
+            if self.estimator.group_sample_count(server_id, group_id) > 0:
+                prior = self.estimator.estimate_group(server_id, group_id)
+            else:
+                prior = prior_estimate
+            self.estimator.observe_group(server_id, group_id, delivered)
+            self.notify(now, server_id, prior, group_id=group_id)
+        else:
+            self.notify(now, server_id, prior_estimate, group_id=group_id)
+
+    def notify(self, now, server_id, prior_estimate, group_id=None):
+        if group_id is None:
+            estimate = self.estimator.estimate(server_id)
+            cap = self._max_cap
+        else:
+            if self.group_estimation:
+                estimate = self.estimator.estimate_group(server_id, group_id)
+            else:
+                estimate = self.estimator.estimate(server_id)
+            caps = self._caps
+            cap = caps[group_id % len(caps)]
+        believed = estimate if cap is None or estimate <= cap else cap
+        views = self._anchors.get(server_id)
+        if views is None:
+            views = self._anchors[server_id] = {}
+        anchor = views.get(group_id)
+        if anchor is None:
+            prior = prior_estimate
+            if cap is not None and prior > cap:
+                prior = cap
+            views[group_id] = anchor = prior
+        disarmed = self._disarmed.get(server_id)
+        if disarmed is not None and disarmed.get(group_id):
+            if abs(believed - anchor) <= self.hysteresis * anchor:
+                disarmed[group_id] = False
+            return
+        if abs(believed - anchor) <= self.threshold * anchor:
+            return
+        if (
+            self.rekey_cap is not None
+            and self.rekeys_by_server.get(server_id, 0) >= self.rekey_cap
+        ):
+            self.suppressed += 1
+            return
+        self.shifts += 1
+        self.rekeys_by_server[server_id] = self.rekeys_by_server.get(server_id, 0) + 1
+        rekey_bandwidth = estimate
+        if self._max_cap is not None and rekey_bandwidth > self._max_cap:
+            rekey_bandwidth = self._max_cap
+        self.entries_rekeyed += self.policy.on_bandwidth_shift(
+            server_id, rekey_bandwidth, now
+        )
+        views[group_id] = believed
+        origin_estimate = self.estimator.estimate(server_id)
+        caps = self._caps
+        for other_group in views:
+            if other_group == group_id:
+                continue
+            if other_group is None:
+                other_estimate = origin_estimate
+                other_cap = self._max_cap
+            else:
+                if self.group_estimation:
+                    other_estimate = self.estimator.estimate_group(
+                        server_id, other_group
+                    )
+                else:
+                    other_estimate = origin_estimate
+                other_cap = caps[other_group % len(caps)]
+            if other_cap is not None and other_estimate > other_cap:
+                other_estimate = other_cap
+            views[other_group] = other_estimate
+        if self.hysteresis is not None:
+            self._disarmed[server_id] = {group: True for group in views}
+
+
+class _ShiftLog:
+    """A policy stand-in that records every re-key it is asked for."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_bandwidth_shift(self, server_id, bandwidth, now):
+        self.calls.append((server_id, bandwidth, now))
+        return len(self.calls) % 3
+
+
+# Values around the initial estimate 32 that sit exactly on its band
+# edges (|believed - anchor| == band * anchor for bands 1/16 to 1/2), so
+# a test can tell < from <=; all of them dyadic, so the EWMA stays exact.
+_bandwidths = st.sampled_from(
+    [16.0, 24.0, 28.0, 30.0, 32.0, 34.0, 36.0, 40.0, 48.0, 64.0]
+)
+_steps = st.lists(
+    st.tuples(
+        st.sampled_from([False, False, False, True]),  # a probe (notify)
+        st.integers(min_value=0, max_value=2),  # server, reduced mod servers
+        st.integers(min_value=0, max_value=3),  # group, reduced mod groups
+        _bandwidths,  # origin sample
+        _bandwidths,  # delivered throughput
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@st.composite
+def _rekeyer_settings(draw):
+    threshold = draw(st.sampled_from([0.125, 0.25, 0.5]))
+    hysteresis = draw(
+        st.sampled_from([None] + [h for h in (0.0625, 0.125, 0.25) if h <= threshold])
+    )
+    caps = draw(
+        st.none()
+        | st.lists(st.sampled_from([16.0, 32.0, 64.0, float("inf")]), min_size=1, max_size=4)
+    )
+    return dict(
+        threshold=threshold,
+        hysteresis=hysteresis,
+        rekey_cap=draw(st.none() | st.integers(min_value=1, max_value=4)),
+        group_caps=caps,
+        group_estimation=draw(st.booleans()),
+    )
+
+
+def _rekeyer_state(rekeyer, servers, views):
+    return (
+        rekeyer.shifts,
+        rekeyer.suppressed,
+        rekeyer.entries_rekeyed,
+        dict(rekeyer.rekeys_by_server),
+        [rekeyer.anchor_for(server, group) for server in servers for group in views],
+        [rekeyer.disarmed_views(server) for server in servers],
+        list(rekeyer.policy.calls),
+    )
+
+
+class TestInBandCheckMatchesNotify:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        settings_=_rekeyer_settings(),
+        servers=st.integers(min_value=1, max_value=3),
+        groups=st.integers(min_value=0, max_value=4),
+        smoothing=st.sampled_from([1.0, 0.5, 0.25]),
+        steps=_steps,
+    )
+    # 32 -> 48 re-keys and disarms the view at anchor 48; 36 then lands
+    # exactly on the edge of its 25% band, which re-arms it.
+    @example(
+        settings_=dict(
+            threshold=0.25,
+            hysteresis=0.25,
+            rekey_cap=None,
+            group_caps=None,
+            group_estimation=False,
+        ),
+        servers=1,
+        groups=0,
+        smoothing=1.0,
+        steps=[(False, 0, 0, 48.0, 48.0), (False, 0, 0, 36.0, 36.0)],
+    )
+    def test_every_step_matches_the_notify_path(
+        self, settings_, servers, groups, smoothing, steps
+    ):
+        """Requests through ``observe_request`` (with the estimate
+        ``observe`` returned) and probes through ``notify`` leave both
+        rekeyers in the same state after every step."""
+        pairs = []
+        for cls in (ReactiveRekeyer, _ReferenceRekeyer):
+            estimator = PassiveEstimator(smoothing=smoothing, initial_estimate=32.0)
+            pairs.append((cls(_ShiftLog(), estimator, **settings_), estimator))
+        views = [None] + list(range(groups))
+        for now, (probe, server, group, sample, delivered) in enumerate(steps):
+            server %= servers
+            group = group % groups if groups else None
+            for rekeyer, estimator in pairs:
+                prior = estimator.estimate(server)
+                estimate = estimator.observe(server, sample)
+                if probe:
+                    rekeyer.notify(float(now), server, prior)
+                else:
+                    rekeyer.observe_request(
+                        float(now), server, group, prior, delivered, estimate
+                    )
+            new, reference = (
+                _rekeyer_state(rekeyer, range(servers), views) for rekeyer, _ in pairs
+            )
+            assert new == reference
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        settings_=_rekeyer_settings(),
+        groups=st.integers(min_value=0, max_value=4),
+        probes=st.booleans(),
+    )
+    @example(
+        settings_=dict(
+            threshold=0.125,
+            hysteresis=0.0625,
+            rekey_cap=None,
+            group_caps=None,
+            group_estimation=False,
+        ),
+        groups=0,
+        probes=False,
+    )
+    def test_replay_matches_the_notify_path(
+        self, reactive_workload, settings_, groups, probes
+    ):
+        """The same through the replay kernel, whose passive stage hands
+        ``observe_request`` the estimate ``observe`` returned."""
+        del settings_["group_caps"]  # the client clouds' last-mile bases
+        estimate_last_mile = settings_.pop("group_estimation") and groups > 0
+        config = _reactive_config(
+            reactive_threshold=settings_["threshold"],
+            reactive_hysteresis=settings_["hysteresis"],
+            reactive_rekey_cap=settings_["rekey_cap"],
+            remeasurement=RemeasurementConfig(interval=120.0) if probes else None,
+        )
+        if groups:
+            config = config.with_client_clouds(
+                ClientCloudConfig(
+                    groups=groups,
+                    distribution=NLANRBandwidthDistribution(),
+                    estimate_last_mile=estimate_last_mile,
+                )
+            )
+
+        def replay():
+            result = ProxyCacheSimulator(reactive_workload, config).run(
+                make_policy("PB")
+            )
+            return (
+                result.reactive_shifts,
+                result.reactive_rekeys,
+                result.reactive_suppressed,
+                result.reactive_rekeys_by_server,
+                result.as_dict(),
+            )
+
+        new = replay()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.sim.simulator.ReactiveRekeyer", _ReferenceRekeyer)
+            reference = replay()
+        assert new == reference

@@ -43,7 +43,6 @@ from repro.sim.streaming import (
 )
 from repro.streaming.media import LayeredEncoding
 from repro.streaming.prefetch import plan_prefix_prefetch
-from repro.streaming.segmentation import SegmentedPrefix
 from repro.workload.catalog import Catalog, MediaObject
 from repro.workload.gismo import GismoWorkloadGenerator, WorkloadConfig
 
@@ -353,10 +352,25 @@ SESSION_COUNTERS = (
 )
 
 
+def _walking_floor(size, scheme, kb):
+    """The segment floor of ``kb`` by the walk a fresh prefix used to take:
+    up the boundary table to the ceiling, then back down while an entry
+    exceeds ``kb``, one entry per step.  It calls no ``SegmentedPrefix``
+    method: ``serve`` floors with one."""
+    sizes = [segment.size for segment in scheme.segments(size)]
+    cum = [sum(sizes[:k]) for k in range(len(sizes) + 1)]
+    resident, last = 0, len(cum) - 1
+    while cum[resident] < min(kb, size) and resident < last:
+        resident += 1
+    while resident > 0 and cum[resident] > kb:
+        resident -= 1
+    return cum[resident]
+
+
 def _reference_session(obj, required_rate, scheme, stored, bandwidth, patience, waited):
     """One session as the engine documents it, from the public pieces.
 
-    Residency is floored with a fresh :class:`SegmentedPrefix`, the
+    Residency is floored by walking the segment boundaries, the
     full-quality delay comes from :func:`plan_prefix_prefetch` (at the
     smoothed peak rate for a VBR stream) and the degraded layer count
     from :meth:`LayeredEncoding.supported_layers`.  Returns the expected
@@ -367,9 +381,7 @@ def _reference_session(obj, required_rate, scheme, stored, bandwidth, patience, 
     cached = left = stored
     trims = 0
     if cached > 0.0:
-        prefix = SegmentedPrefix(size, scheme)
-        prefix.grow_to(cached)
-        floored = prefix.trim_to(cached)
+        floored = _walking_floor(size, scheme, cached)
         if floored < cached - 1e-9 * max(size, 1.0):
             # A fragment past the last whole segment is trimmed away.
             cached = left = floored
@@ -500,10 +512,9 @@ def test_serve_matches_the_reference_session(session):
 
     # A session that played entitles its object to the configured
     # prefetch segments on the next admission; an abandoned one to none.
-    first = SegmentedPrefix(obj.size, config.scheme())
-    first_end = first.grow_to(1e-3)
-    engine.admission_target(0, first_end / 2.0, obj.size)
-    extends = played and config.prefetch_segments > 0 and first.total_segments > 1
+    segments = config.scheme().segments(obj.size)
+    engine.admission_target(0, segments[0].end / 2.0, obj.size)
+    extends = played and config.prefetch_segments > 0 and len(segments) > 1
     assert engine.prefetch_extensions == int(extends)
 
 
