@@ -20,13 +20,9 @@ from repro.analysis.experiments import (
     experiment_fig12_value_estimator,
     experiment_table1_workload,
 )
-from repro.analysis.plotting import ascii_histogram, ascii_line_chart, sweep_chart
 from repro.analysis.report import format_comparison, format_sweep_table, render_experiment
 
 __all__ = [
-    "ascii_histogram",
-    "ascii_line_chart",
-    "sweep_chart",
     "DEFAULT_CACHE_FRACTIONS",
     "ExperimentResult",
     "experiment_fig2_bandwidth_distribution",

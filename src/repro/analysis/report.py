@@ -12,7 +12,6 @@ from typing import Dict, List, Sequence
 
 from repro.analysis.experiments import ExperimentResult
 from repro.obs.timeline import MetricsTimeline
-from repro.sim.metrics import SimulationMetrics
 from repro.sim.runner import PolicyComparison, SweepResult
 
 #: The metrics that correspond to the y-axes of the paper's figures.
@@ -69,14 +68,6 @@ def format_comparison(comparison: PolicyComparison, precision: int = 4) -> str:
     ]
     lines = [_format_row(header, widths), _format_row(["-" * w for w in widths], widths)]
     lines.extend(_format_row(row, widths) for row in rows)
-    return "\n".join(lines)
-
-
-def format_metrics(metrics: SimulationMetrics, precision: int = 4) -> str:
-    """Render one metrics object as ``name: value`` lines."""
-    lines = []
-    for key, value in metrics.as_dict().items():
-        lines.append(f"{key}: {value:.{precision}g}")
     return "\n".join(lines)
 
 

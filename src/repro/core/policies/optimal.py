@@ -53,7 +53,7 @@ def optimal_allocation(
         Map of object id to cached bytes ``x_i``; objects allocated zero
         bytes are omitted.
     """
-    if capacity_kb < 0:
+    if not capacity_kb >= 0:
         raise ConfigurationError(f"capacity must be non-negative, got {capacity_kb}")
 
     candidates = []

@@ -10,7 +10,7 @@ consistent.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.exceptions import CapacityError, ConfigurationError
 from repro.workload.catalog import id_table_get, id_table_items, id_table_set
@@ -217,12 +217,3 @@ class CacheStore:
             and abs(sum(values) - self._used) < 1e-6
             and self._used <= self.capacity_kb + 1e-6
         )
-
-    def largest_entries(self, count: int = 10) -> List[Tuple[int, float]]:
-        """The ``count`` largest cached prefixes, for diagnostics."""
-        ranked = sorted(
-            self.snapshot().items(),
-            key=lambda item: item[1],
-            reverse=True,
-        )
-        return ranked[:count]

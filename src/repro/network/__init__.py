@@ -24,7 +24,6 @@ from repro.network.distributions import (
     ConstantBandwidthDistribution,
     EmpiricalBandwidthDistribution,
     NLANRBandwidthDistribution,
-    UniformBandwidthDistribution,
 )
 from repro.network.measurement import (
     ActiveProber,
@@ -63,6 +62,5 @@ __all__ = [
     "PathConditions",
     "PathRegistry",
     "ProxyNode",
-    "UniformBandwidthDistribution",
     "pftk_throughput",
 ]

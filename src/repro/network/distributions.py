@@ -9,8 +9,8 @@ assigns each origin server a base bandwidth drawn from this distribution.
 :class:`NLANRBandwidthDistribution` encodes the published summary of Fig 2
 as a piecewise-uniform histogram.  :class:`EmpiricalBandwidthDistribution`
 builds the same kind of model from raw samples (for example samples produced
-by :mod:`repro.network.loganalysis`), and simpler distributions are provided
-for ablations and tests.
+by :mod:`repro.network.loganalysis`), and a constant distribution gives
+every path the same bandwidth for tests.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class ConstantBandwidthDistribution(BandwidthDistribution):
     """Every path has the same bandwidth (degenerate distribution)."""
 
     def __init__(self, bandwidth: float):
-        if bandwidth <= 0:
+        if not bandwidth > 0:
             raise ConfigurationError(f"bandwidth must be positive, got {bandwidth}")
         self.bandwidth = float(bandwidth)
 
@@ -56,29 +56,6 @@ class ConstantBandwidthDistribution(BandwidthDistribution):
         return 1.0 if bandwidth >= self.bandwidth else 0.0
 
 
-class UniformBandwidthDistribution(BandwidthDistribution):
-    """Bandwidth uniform on ``[low, high]`` KB/s."""
-
-    def __init__(self, low: float, high: float):
-        if low < 0 or high <= low:
-            raise ConfigurationError(f"invalid range [{low}, {high}]")
-        self.low = float(low)
-        self.high = float(high)
-
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.low, self.high, size=size)
-
-    def mean(self) -> float:
-        return (self.low + self.high) / 2.0
-
-    def cdf(self, bandwidth: float) -> float:
-        if bandwidth <= self.low:
-            return 0.0
-        if bandwidth >= self.high:
-            return 1.0
-        return (bandwidth - self.low) / (self.high - self.low)
-
-
 class HistogramBandwidthDistribution(BandwidthDistribution):
     """Piecewise-uniform distribution defined by bin edges and masses."""
 
@@ -87,15 +64,15 @@ class HistogramBandwidthDistribution(BandwidthDistribution):
         masses = np.asarray(list(bin_masses), dtype=float)
         if edges.ndim != 1 or edges.size < 2:
             raise ConfigurationError("bin_edges must contain at least two edges")
-        if np.any(np.diff(edges) <= 0):
+        if not np.all(np.diff(edges) > 0):
             raise ConfigurationError("bin_edges must be strictly increasing")
         if masses.size != edges.size - 1:
             raise ConfigurationError(
                 f"expected {edges.size - 1} bin masses, got {masses.size}"
             )
-        if np.any(masses < 0) or masses.sum() <= 0:
+        if not (np.all(masses >= 0) and masses.sum() > 0):
             raise ConfigurationError("bin masses must be non-negative and sum to > 0")
-        if edges[0] < 0:
+        if not edges[0] >= 0:
             raise ConfigurationError("bandwidth bins must be non-negative")
         self.bin_edges = edges
         self.bin_masses = masses / masses.sum()
@@ -186,9 +163,9 @@ class EmpiricalBandwidthDistribution(HistogramBandwidthDistribution):
         data = np.asarray(list(samples), dtype=float)
         if data.size == 0:
             raise ConfigurationError("samples must be non-empty")
-        if np.any(data < 0):
+        if not np.all(data >= 0):
             raise ConfigurationError("bandwidth samples must be non-negative")
-        if bin_width <= 0:
+        if not bin_width > 0:
             raise ConfigurationError(f"bin_width must be positive, got {bin_width}")
         upper = max(float(data.max()), bin_width)
         num_bins = int(np.ceil(upper / bin_width))

@@ -227,11 +227,11 @@ class ProxyLogAnalyzer:
     """Reproduce the paper's log-analysis methodology (Section 3.1)."""
 
     def __init__(self, min_object_kb: float = 200.0, bin_width: float = 4.0):
-        if min_object_kb < 0:
+        if not min_object_kb >= 0:
             raise ConfigurationError(
                 f"min_object_kb must be non-negative, got {min_object_kb}"
             )
-        if bin_width <= 0:
+        if not bin_width > 0:
             raise ConfigurationError(f"bin_width must be positive, got {bin_width}")
         self.min_object_kb = float(min_object_kb)
         self.bin_width = float(bin_width)
@@ -252,7 +252,7 @@ class ProxyLogAnalyzer:
             if record.size_kb < self.min_object_kb:
                 continue
             throughput = record.throughput
-            if throughput <= 0:
+            if not throughput > 0:
                 continue
             samples.append(throughput)
             per_server.setdefault(record.server_id, []).append(throughput)
@@ -289,23 +289,6 @@ class ProxyLogAnalyzer:
             histogram_counts=counts.astype(float),
             ratios=ratio_array,
         )
-
-
-def build_nlanr_like_models(
-    num_servers: int = 200,
-    num_records: int = 20_000,
-    seed: int = 0,
-) -> Tuple[EmpiricalBandwidthDistribution, Dict[str, float]]:
-    """End-to-end helper: synthesise a log, analyse it, return the models.
-
-    Returns the empirical bandwidth distribution (usable wherever a
-    :class:`~repro.network.distributions.BandwidthDistribution` is expected)
-    together with the ratio statistics, so callers can verify the synthetic
-    pipeline reproduces the paper's published summary numbers.
-    """
-    log = SyntheticProxyLog(num_servers=num_servers, num_records=num_records, seed=seed)
-    analysis = ProxyLogAnalyzer().analyze(log.generate())
-    return analysis.to_distribution(), analysis.ratio_statistics()
 
 
 def analyze_access_log(

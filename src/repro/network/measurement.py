@@ -59,13 +59,13 @@ class PathConditions:
     rto: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.rtt <= 0:
+        if not self.rtt > 0:
             raise ConfigurationError(f"rtt must be positive, got {self.rtt}")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ConfigurationError(
                 f"loss_rate must be in [0, 1), got {self.loss_rate}"
             )
-        if self.mss <= 0:
+        if not self.mss > 0:
             raise ConfigurationError(f"mss must be positive, got {self.mss}")
 
 
@@ -122,7 +122,7 @@ class ActiveProber:
     def __init__(self, probe_count: int = 20, noise_fraction: float = 0.1):
         if probe_count <= 0:
             raise ConfigurationError(f"probe_count must be positive, got {probe_count}")
-        if noise_fraction < 0:
+        if not noise_fraction >= 0:
             raise ConfigurationError(
                 f"noise_fraction must be non-negative, got {noise_fraction}"
             )
@@ -145,10 +145,6 @@ class ActiveProber:
             PathConditions(rtt=estimated_rtt, loss_rate=estimated_loss, mss=conditions.mss)
         )
         return max(estimate, 1.0)
-
-    def probe_overhead_kb(self) -> float:
-        """Approximate probe traffic in KB (probe_count small packets)."""
-        return self.probe_count * 0.064  # 64-byte probes
 
 
 class PassiveEstimator:
@@ -174,7 +170,7 @@ class PassiveEstimator:
     def __init__(self, smoothing: float = 0.25, initial_estimate: float = 100.0):
         if not 0.0 < smoothing <= 1.0:
             raise ConfigurationError(f"smoothing must be in (0, 1], got {smoothing}")
-        if initial_estimate <= 0:
+        if not initial_estimate > 0:
             raise ConfigurationError(
                 f"initial_estimate must be positive, got {initial_estimate}"
             )

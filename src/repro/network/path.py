@@ -45,7 +45,7 @@ class NetworkPath:
         base_bandwidth: float,
         variability: Optional[BandwidthVariabilityModel] = None,
     ):
-        if base_bandwidth <= 0:
+        if not base_bandwidth > 0:
             raise ConfigurationError(
                 f"path to server {server_id}: base bandwidth must be positive, "
                 f"got {base_bandwidth}"
@@ -91,19 +91,6 @@ class NetworkPath:
         )
         return np.maximum(self.base_bandwidth * ratios, BANDWIDTH_FLOOR)
 
-    def estimated_bandwidth(self, estimator_e: float = 1.0) -> float:
-        """Bandwidth the cache *believes* the path has (KB/s).
-
-        ``estimator_e`` is the under-estimation factor of Section 2.5:
-        ``e = 1`` trusts the measured average, smaller values are more
-        conservative, and ``e -> 0`` degenerates to integral caching.
-        """
-        if not 0.0 < estimator_e <= 1.0:
-            raise ConfigurationError(
-                f"estimator_e must be in (0, 1], got {estimator_e}"
-            )
-        return self.base_bandwidth * estimator_e
-
 
 class PathRegistry:
     """A collection of :class:`NetworkPath` objects indexed by server id."""
@@ -138,12 +125,6 @@ class PathRegistry:
     def server_ids(self) -> List[int]:
         """All registered server ids, sorted."""
         return sorted(self._paths.keys())
-
-    def mean_base_bandwidth(self) -> float:
-        """Mean of the base bandwidths across paths (KB/s)."""
-        if not self._paths:
-            return 0.0
-        return float(np.mean([p.base_bandwidth for p in self._paths.values()]))
 
     @classmethod
     def from_distribution(

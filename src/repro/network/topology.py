@@ -36,11 +36,6 @@ class OriginServer:
     server_id: int
     object_ids: tuple
 
-    @property
-    def object_count(self) -> int:
-        """Number of objects hosted on this server."""
-        return len(self.object_ids)
-
 
 @dataclass(frozen=True)
 class ClientCloud:
@@ -71,7 +66,7 @@ class ClientCloud:
     def __post_init__(self) -> None:
         if self.num_clients <= 0:
             raise ConfigurationError(f"num_clients must be positive, got {self.num_clients}")
-        if self.last_mile_bandwidth <= 0:
+        if not self.last_mile_bandwidth > 0:
             raise ConfigurationError(
                 f"last_mile_bandwidth must be positive, got {self.last_mile_bandwidth}"
             )
@@ -190,7 +185,7 @@ class ProxyNode:
     capacity_kb: float
 
     def __post_init__(self) -> None:
-        if self.capacity_kb < 0:
+        if not self.capacity_kb >= 0:
             raise ConfigurationError(
                 f"capacity must be non-negative, got {self.capacity_kb}"
             )
@@ -221,10 +216,6 @@ class DeliveryTopology:
         """Return the cache-to-server path serving the given object."""
         return self.paths.get(obj.server_id)
 
-    def path_for_object_id(self, object_id: int) -> NetworkPath:
-        """Return the path serving the object with the given id."""
-        return self.paths.get(self.catalog.get(object_id).server_id)
-
     def last_mile_for(self, client_id: int) -> Optional[NetworkPath]:
         """Last-mile path of a client's group (``None`` when unmodeled)."""
         return self.clients.last_mile_for(client_id)
@@ -254,18 +245,6 @@ class DeliveryTopology:
         return [
             OriginServer(server_id=server_id, object_ids=tuple(ids))
             for server_id, ids in sorted(by_server.items())
-        ]
-
-    def bottleneck_objects(self) -> List[int]:
-        """Objects whose bit-rate exceeds their path's base bandwidth.
-
-        These are the objects the network-aware policies consider caching at
-        all; everything else streams fine straight from its origin server.
-        """
-        return [
-            obj.object_id
-            for obj in self.catalog
-            if obj.bitrate > self.path_for(obj).base_bandwidth
         ]
 
     @classmethod

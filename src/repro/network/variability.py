@@ -62,7 +62,7 @@ class BandwidthVariabilityModel:
         The default implementation draws i.i.d. ratios; autocorrelated
         models (e.g. :class:`MeasuredPathVariability`) override this.
         """
-        if duration_hours <= 0 or interval_minutes <= 0:
+        if not (duration_hours > 0 and interval_minutes > 0):
             raise ConfigurationError("duration and interval must be positive")
         samples = int(duration_hours * 60.0 / interval_minutes)
         return self.sample_ratio(rng, size=max(samples, 1))
@@ -94,11 +94,11 @@ class LognormalRatioVariability(BandwidthVariabilityModel):
     """
 
     def __init__(self, coefficient_of_variation: float, max_ratio: float = 5.0):
-        if coefficient_of_variation < 0:
+        if not coefficient_of_variation >= 0:
             raise ConfigurationError(
                 f"coefficient of variation must be non-negative, got {coefficient_of_variation}"
             )
-        if max_ratio <= 0:
+        if not max_ratio > 0:
             raise ConfigurationError(f"max_ratio must be positive, got {max_ratio}")
         self._cov = float(coefficient_of_variation)
         self.max_ratio = float(max_ratio)
@@ -247,7 +247,7 @@ class MeasuredPathVariability(BandwidthVariabilityModel):
             raise ConfigurationError("an rng must be provided for time_series")
         if duration_hours is None:
             duration_hours = self.profile.duration_hours
-        if duration_hours <= 0 or interval_minutes <= 0:
+        if not (duration_hours > 0 and interval_minutes > 0):
             raise ConfigurationError("duration and interval must be positive")
         samples = max(int(duration_hours * 60.0 / interval_minutes), 1)
         if self._sigma == 0:

@@ -83,8 +83,3 @@ class ObservabilityConfig:
             raise ConfigurationError(
                 f"trace_sample must be in (0, 1], got {self.trace_sample!r}"
             )
-
-    @property
-    def any_enabled(self) -> bool:
-        """Whether any observability layer is switched on."""
-        return self.timeline or self.trace_path is not None or self.profile

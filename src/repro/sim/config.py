@@ -386,16 +386,6 @@ class SimulationConfig:
         """
         return replace(self, client_clouds=client_clouds)
 
-    def with_streaming(
-        self, streaming: Optional[StreamingConfig]
-    ) -> "SimulationConfig":
-        """Copy of this config with a different streaming-session model.
-
-        Pass ``None`` to serve every object with the plain whole-object
-        delivery arithmetic (the default).
-        """
-        return replace(self, streaming=streaming)
-
     def with_hierarchy(
         self, hierarchy: Optional[HierarchyConfig]
     ) -> "SimulationConfig":

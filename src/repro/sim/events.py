@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -102,6 +103,10 @@ class RemeasurementConfig:
         check_scalars(self, Real, "interval")
         check_scalars(self, Real, "start_time", "end_time", optional=True)
         check_scalars(self, Integral, "probing_clients", "seed", "priority")
+        for name in ("start_time", "end_time"):
+            value = getattr(self, name)
+            if value is not None and math.isnan(value):
+                raise ConfigurationError(f"remeasurement {name} must be a number, got nan")
         if not self.interval > 0:
             raise ConfigurationError(
                 f"remeasurement interval must be positive, got {self.interval}"
@@ -168,7 +173,7 @@ class PeriodicEvent:
         end_time: float,
         priority: int = -1,
     ):
-        if interval <= 0:
+        if not interval > 0:
             raise ConfigurationError(f"interval must be positive, got {interval}")
         if priority == 0:
             raise ConfigurationError(
@@ -351,12 +356,12 @@ class ReactiveRekeyer:
         rekey_cap: Optional[int] = None,
         group_estimation: bool = False,
     ):
-        if threshold <= 0:
+        if not threshold > 0:
             raise ConfigurationError(
                 f"reactive threshold must be positive, got {threshold}"
             )
         if bandwidth_cap is not None:
-            if bandwidth_cap <= 0:
+            if not bandwidth_cap > 0:
                 raise ConfigurationError(
                     f"bandwidth_cap must be positive, got {bandwidth_cap}"
                 )
@@ -371,7 +376,7 @@ class ReactiveRekeyer:
             if not group_caps:
                 raise ConfigurationError("group_caps must be non-empty when given")
             for cap in group_caps:
-                if cap <= 0:
+                if not cap > 0:
                     raise ConfigurationError(
                         f"group caps must be positive, got {cap}"
                     )
@@ -379,7 +384,7 @@ class ReactiveRekeyer:
             raise ConfigurationError(
                 f"hysteresis must be in (0, threshold={threshold}], got {hysteresis}"
             )
-        if rekey_cap is not None and rekey_cap <= 0:
+        if rekey_cap is not None and not rekey_cap > 0:
             raise ConfigurationError(
                 f"rekey_cap must be positive, got {rekey_cap}"
             )

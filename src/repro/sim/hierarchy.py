@@ -50,6 +50,7 @@ as ``if cap < value`` — a no-op for infinite caps.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -83,8 +84,8 @@ class CacheTier:
     policy:
         Registry name of the replacement policy this tier runs
         (:func:`~repro.core.policies.registry.make_policy`); ``None``
-        (default) uses the policy the simulation was started with, i.e. a
-        shared spec across every tier.
+        (default) gives the tier its own copy of the policy the
+        simulation was started with, its parameters included.
     uplink_bandwidth:
         Static bandwidth (KB/s) of the link from this tier toward the next
         tier up — for ``tiers[-1]`` that is the link to the origin.  The
@@ -314,6 +315,22 @@ def tier_prefix_function(snapshot: Dict[int, float]) -> Callable:
     return prefix_for
 
 
+def _copy_policy(policy):
+    """A deep copy of ``policy``, built one attribute at a time.
+
+    ``copy.deepcopy`` fills the copy's ``__dict__`` in one update, which
+    costs CPython the inline attribute layout a constructed instance
+    has: replays with such copies ran 6-20% slower than with constructed
+    policies (PB, flat and 2-tier, CPython 3.11 on a 2-core VM).
+    Setting the attributes in the original's order keeps that layout.
+    """
+    clone = object.__new__(type(policy))
+    memo = {id(policy): clone}
+    for name, value in vars(policy).items():
+        setattr(clone, name, copy.deepcopy(value, memo))
+    return clone
+
+
 class HierarchyEngine:
     """Per-request hierarchy machinery for the replay kernel.
 
@@ -327,7 +344,7 @@ class HierarchyEngine:
     leave the value bit-identical.
     """
 
-    def __init__(self, config: HierarchyConfig, catalog, default_policy: str):
+    def __init__(self, config: HierarchyConfig, catalog, default_policy):
         """Build the per-pop tier chains.
 
         Parameters
@@ -338,8 +355,10 @@ class HierarchyEngine:
             Media-object catalog, handed to every tier policy's
             ``install`` hook.
         default_policy:
-            Registry name used for tiers whose ``policy`` is ``None`` —
-            the policy the simulation was started with.
+            The policy the simulation was started with.  Each tier whose
+            ``policy`` is ``None`` runs a deep copy of it, so its
+            parameters (``estimator_e``, a GreedyDual cost model) carry
+            over; the instance itself is never installed.
         """
         self.config = config
         self._num_tiers = len(config.tiers)
@@ -371,7 +390,10 @@ class HierarchyEngine:
             policies: List[object] = []
             for tier in config.tiers:
                 store = CacheStore(tier.cache_kb)
-                policy = make_policy(tier.policy or default_policy)
+                if tier.policy is None:
+                    policy = _copy_policy(default_policy)
+                else:
+                    policy = make_policy(tier.policy)
                 if hasattr(policy, "install"):
                     policy.install(store, catalog)
                 stores.append(store)

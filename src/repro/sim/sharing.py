@@ -98,7 +98,7 @@ class StreamSharingAnalyzer:
         prefix_for: Optional[PrefixFunction] = None,
         batching_window: Optional[float] = None,
     ):
-        if batching_window is not None and batching_window < 0:
+        if batching_window is not None and not batching_window >= 0:
             raise ConfigurationError(
                 f"batching_window must be non-negative, got {batching_window}"
             )

@@ -269,13 +269,11 @@ class ProxyCacheSimulator:
             store = CacheStore(self.config.cache_size_kb)
         hierarchy: Optional[HierarchyEngine] = None
         if self.config.hierarchy is not None:
-            # The run policy's registry name seeds the per-tier policy
-            # instances; the instance itself is never installed — each
-            # tier owns a fresh policy on its own store.
+            # Tiers without a policy name run copies of the run policy,
+            # taken before anything touches it; the instance itself is
+            # never installed — each tier owns a policy on its own store.
             hierarchy = HierarchyEngine(
-                self.config.hierarchy,
-                self.workload.catalog,
-                default_policy=getattr(policy, "name", type(policy).__name__),
+                self.config.hierarchy, self.workload.catalog, default_policy=policy
             )
         elif hasattr(policy, "install"):
             policy.install(store, self.workload.catalog)

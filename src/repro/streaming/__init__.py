@@ -2,8 +2,7 @@
 
 This package models the streaming side of the system:
 
-* :mod:`repro.streaming.media` — CBR/VBR/layered stream encodings and their
-  cumulative transmission schedules,
+* :mod:`repro.streaming.media` — VBR frame schedules and layered encodings,
 * :mod:`repro.streaming.smoothing` — the optimal work-ahead smoothing of
   Salehi et al. used to turn VBR schedules into low-variability ones
   (the paper assumes VBR objects are smoothed before caching decisions),
@@ -12,14 +11,13 @@ This package models the streaming side of the system:
 * :mod:`repro.streaming.prefetch` — prefix prefetching schedules.
 """
 
-from repro.streaming.media import CBRStream, LayeredEncoding, VBRStream
+from repro.streaming.media import LayeredEncoding, VBRStream
 from repro.streaming.prefetch import PrefetchPlan, plan_prefix_prefetch
 from repro.streaming.segmentation import Segment, SegmentationScheme, SegmentedPrefix
-from repro.streaming.session import DeliveryOutcome, DeliverySession, ServiceMode
+from repro.streaming.session import DeliveryOutcome, DeliverySession
 from repro.streaming.smoothing import optimal_smoothing, peak_rate, rate_variability
 
 __all__ = [
-    "CBRStream",
     "DeliveryOutcome",
     "DeliverySession",
     "LayeredEncoding",
@@ -27,7 +25,6 @@ __all__ = [
     "Segment",
     "SegmentationScheme",
     "SegmentedPrefix",
-    "ServiceMode",
     "VBRStream",
     "optimal_smoothing",
     "peak_rate",

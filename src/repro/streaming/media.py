@@ -1,12 +1,12 @@
-"""Stream encodings: CBR, VBR, and layered.
+"""Stream encodings: VBR frame schedules and layered quality.
 
 The paper assumes constant bit-rate (CBR) objects, with variable bit-rate
 (VBR) objects reduced to the CBR case by optimal smoothing (Section 2.2).
 Stream quality is defined over a layered encoding: if only three of four
 layers can be sustained, quality is 0.75 (Section 3.3).
 
-These classes provide the frame-level schedules that the smoothing module
-and the delivery-session model operate on.
+:class:`VBRStream` provides the frame-level schedule the smoothing module
+operates on, and :class:`LayeredEncoding` the quality arithmetic.
 """
 
 from __future__ import annotations
@@ -18,44 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-
-
-@dataclass(frozen=True)
-class CBRStream:
-    """A constant bit-rate stream.
-
-    Attributes
-    ----------
-    duration:
-        Playback duration in seconds.
-    rate:
-        Encoding rate in KB/s.
-    """
-
-    duration: float
-    rate: float
-
-    def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ConfigurationError(f"duration must be positive, got {self.duration}")
-        if self.rate <= 0:
-            raise ConfigurationError(f"rate must be positive, got {self.rate}")
-
-    @property
-    def size(self) -> float:
-        """Total stream size in KB."""
-        return self.duration * self.rate
-
-    def cumulative_consumption(self, times: Sequence[float]) -> np.ndarray:
-        """KB consumed by the player by each time in ``times`` (seconds)."""
-        t = np.asarray(times, dtype=float)
-        return np.clip(t, 0.0, self.duration) * self.rate
-
-    def prefix_bytes(self, seconds: float) -> float:
-        """Size in KB of the first ``seconds`` of the stream."""
-        if seconds < 0:
-            raise ConfigurationError(f"seconds must be non-negative, got {seconds}")
-        return min(seconds, self.duration) * self.rate
 
 
 class VBRStream:
@@ -73,9 +35,9 @@ class VBRStream:
         sizes = np.asarray(list(frame_sizes), dtype=float)
         if sizes.size == 0:
             raise ConfigurationError("frame_sizes must be non-empty")
-        if np.any(sizes < 0):
+        if not np.all(sizes >= 0):
             raise ConfigurationError("frame sizes must be non-negative")
-        if frame_rate <= 0:
+        if not frame_rate > 0:
             raise ConfigurationError(f"frame_rate must be positive, got {frame_rate}")
         self.frame_sizes = sizes
         self.frame_rate = float(frame_rate)
@@ -114,10 +76,6 @@ class VBRStream:
         """
         return np.cumsum(self.frame_sizes)
 
-    def to_cbr(self) -> CBRStream:
-        """Collapse to a CBR stream at the average rate (ignores burstiness)."""
-        return CBRStream(duration=self.duration, rate=self.mean_rate)
-
 
 @dataclass(frozen=True)
 class LayeredEncoding:
@@ -132,7 +90,7 @@ class LayeredEncoding:
     layers: int = 4
 
     def __post_init__(self) -> None:
-        if self.full_rate <= 0:
+        if not self.full_rate > 0:
             raise ConfigurationError(f"full_rate must be positive, got {self.full_rate}")
         if self.layers < 1:
             raise ConfigurationError(f"layers must be >= 1, got {self.layers}")
@@ -151,13 +109,6 @@ class LayeredEncoding:
     def quality(self, available_rate: float) -> float:
         """Quality (fraction of layers playable) at ``available_rate`` KB/s."""
         return self.supported_layers(available_rate) / self.layers
-
-    def rate_for_quality(self, quality: float) -> float:
-        """Minimum rate (KB/s) needed to reach at least ``quality``."""
-        if not 0.0 <= quality <= 1.0:
-            raise ConfigurationError(f"quality must be in [0, 1], got {quality}")
-        needed_layers = int(np.ceil(quality * self.layers - 1e-9))
-        return needed_layers * self.layer_rate
 
 
 def check_burstiness(burstiness: float, name: str = "burstiness") -> None:
@@ -191,7 +142,7 @@ def synthetic_vbr_stream(
     the coefficient of variation of frame sizes (see
     :func:`check_burstiness`).
     """
-    if duration <= 0 or mean_rate <= 0:
+    if not (duration > 0 and mean_rate > 0):
         raise ConfigurationError("duration and mean_rate must be positive")
     check_burstiness(burstiness)
     rng = np.random.default_rng(seed)

@@ -63,11 +63,11 @@ def plan_prefix_prefetch(
     which rearranges to the paper's delay formula
     ``startup_delay = [T r − T b − x]+ / b``.
     """
-    if cached_prefix_bytes < 0:
+    if not cached_prefix_bytes >= 0:
         raise ConfigurationError(
             f"cached_prefix_bytes must be non-negative, got {cached_prefix_bytes}"
         )
-    if server_bandwidth < 0:
+    if not server_bandwidth >= 0:
         raise ConfigurationError(
             f"server_bandwidth must be non-negative, got {server_bandwidth}"
         )

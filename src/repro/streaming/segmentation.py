@@ -35,7 +35,7 @@ class Segment:
     end: float
 
     def __post_init__(self) -> None:
-        if self.start < 0 or self.end <= self.start:
+        if not 0 <= self.start < self.end:
             raise ConfigurationError(
                 f"invalid segment [{self.start}, {self.end}) at index {self.index}"
             )
@@ -95,11 +95,6 @@ class SegmentationScheme:
             if self.exponential:
                 size *= 2.0
         return bounds
-
-    def segments_for_prefix(self, object_size_kb: float, prefix_kb: float) -> List[Segment]:
-        """The segments fully or partially covered by a prefix of ``prefix_kb``."""
-        prefix_kb = min(max(prefix_kb, 0.0), object_size_kb)
-        return [seg for seg in self.segments(object_size_kb) if seg.start < prefix_kb]
 
 
 class SegmentedPrefix:
@@ -212,15 +207,3 @@ class SegmentedPrefix:
         if cached >= self.object_size_kb:
             return []
         return [(cached, self.object_size_kb)]
-
-    def holds_prefix(self, prefix_kb: float) -> bool:
-        """Whether the resident segments cover at least ``prefix_kb`` KB."""
-        return self.cached_bytes >= min(prefix_kb, self.object_size_kb) - 1e-9
-
-    def metadata_entries(self) -> int:
-        """How many segment records the proxy must track for this object.
-
-        With exponential segmentation this is O(log(size)), the practical
-        argument for that layout.
-        """
-        return self._last

@@ -18,23 +18,10 @@ cache versus the origin server) that the traffic-reduction metric needs.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.exceptions import ConfigurationError
 from repro.workload.catalog import MediaObject
-
-
-class ServiceMode(enum.Enum):
-    """How a request was ultimately served."""
-
-    #: The combined cache + server delivery sustained full quality at once.
-    IMMEDIATE_FULL = "immediate_full"
-    #: The client waited (prefetched a prefix) and then played at full quality.
-    DELAYED_FULL = "delayed_full"
-    #: The client played immediately at degraded quality.
-    DEGRADED = "degraded"
 
 
 @dataclass(frozen=True)
@@ -79,20 +66,6 @@ class DeliveryOutcome:
         """Total KB delivered for this request."""
         return self.bytes_from_cache + self.bytes_from_server
 
-    @property
-    def mode_if_waiting(self) -> ServiceMode:
-        """Service mode when the client's policy is to wait for full quality."""
-        if self.service_delay <= 0:
-            return ServiceMode.IMMEDIATE_FULL
-        return ServiceMode.DELAYED_FULL
-
-    @property
-    def mode_if_degrading(self) -> ServiceMode:
-        """Service mode when the client's policy is to degrade quality."""
-        if self.stream_quality >= 1.0:
-            return ServiceMode.IMMEDIATE_FULL
-        return ServiceMode.DEGRADED
-
 
 class DeliverySession:
     """Compute the outcome of serving one object with a cached prefix.
@@ -109,9 +82,9 @@ class DeliverySession:
     """
 
     def __init__(self, obj: MediaObject, cached_bytes: float, server_bandwidth: float):
-        if cached_bytes < 0:
+        if not cached_bytes >= 0:
             raise ConfigurationError(f"cached_bytes must be non-negative, got {cached_bytes}")
-        if server_bandwidth < 0:
+        if not server_bandwidth >= 0:
             raise ConfigurationError(
                 f"server_bandwidth must be non-negative, got {server_bandwidth}"
             )
@@ -166,42 +139,3 @@ def required_prefix_for_immediate_playout(
     support immediate service.
     """
     return obj.minimum_prefix_for_bandwidth(server_bandwidth)
-
-
-def joint_playout_feasible(
-    obj: MediaObject,
-    cached_bytes: float,
-    server_bandwidth: float,
-    startup_tolerance: float = 0.0,
-) -> bool:
-    """Whether joint delivery achieves startup delay <= ``startup_tolerance``."""
-    if startup_tolerance < 0:
-        raise ConfigurationError(
-            f"startup_tolerance must be non-negative, got {startup_tolerance}"
-        )
-    session = DeliverySession(obj, cached_bytes, server_bandwidth)
-    return session.service_delay() <= startup_tolerance
-
-
-def outcome_without_cache(
-    obj: MediaObject, server_bandwidth: float
-) -> DeliveryOutcome:
-    """Outcome of serving an object with no cache assistance at all.
-
-    Used as the no-cache baseline when reporting how much the accelerator
-    architecture improves delay and quality.
-    """
-    return DeliverySession(obj, 0.0, server_bandwidth).outcome()
-
-
-def delay_reduction(
-    obj: MediaObject,
-    cached_bytes: float,
-    server_bandwidth: float,
-) -> float:
-    """Seconds of startup delay removed by the cached prefix."""
-    baseline = DeliverySession(obj, 0.0, server_bandwidth).service_delay()
-    assisted = DeliverySession(obj, cached_bytes, server_bandwidth).service_delay()
-    if baseline == float("inf") and assisted == float("inf"):
-        return 0.0
-    return max(baseline - assisted, 0.0)

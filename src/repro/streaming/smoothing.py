@@ -90,7 +90,7 @@ def optimal_smoothing(stream: VBRStream, buffer_kb: float) -> SmoothedSchedule:
         Client playout buffer size in KB.  A zero buffer forces the schedule
         to follow the per-frame sizes exactly.
     """
-    if buffer_kb < 0:
+    if not buffer_kb >= 0:
         raise ConfigurationError(f"buffer_kb must be non-negative, got {buffer_kb}")
 
     demand = stream.cumulative_schedule()

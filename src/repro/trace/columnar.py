@@ -289,7 +289,7 @@ class ColumnarTrace:
         inputs' buffers).  ``concat`` then ``split``/slicing round-trips
         losslessly; see ``docs/traces.md`` for a worked multi-day example.
         """
-        if gap < 0:
+        if not gap >= 0:
             raise ConfigurationError(f"gap must be non-negative, got {gap}")
         if not any(len(segment) for segment in segments):
             return cls(

@@ -20,17 +20,11 @@ explicit and keep magic numbers out of the rest of the code base.
 
 from __future__ import annotations
 
-#: Kilobytes per megabyte.
-KB_PER_MB: float = 1_000.0
-
 #: Kilobytes per gigabyte.
 KB_PER_GB: float = 1_000_000.0
 
 #: Seconds per minute.
 SECONDS_PER_MINUTE: float = 60.0
-
-#: Seconds per hour.
-SECONDS_PER_HOUR: float = 3_600.0
 
 #: Frames per second assumed by the paper's workload (Table 1).
 FRAMES_PER_SECOND: float = 24.0
@@ -50,31 +44,6 @@ def gb_to_kb(gigabytes: float) -> float:
 def kb_to_gb(kilobytes: float) -> float:
     """Convert kilobytes to gigabytes."""
     return kilobytes / KB_PER_GB
-
-
-def mb_to_kb(megabytes: float) -> float:
-    """Convert megabytes to kilobytes."""
-    return megabytes * KB_PER_MB
-
-
-def kb_to_mb(kilobytes: float) -> float:
-    """Convert kilobytes to megabytes."""
-    return kilobytes / KB_PER_MB
-
-
-def minutes_to_seconds(minutes: float) -> float:
-    """Convert minutes to seconds."""
-    return minutes * SECONDS_PER_MINUTE
-
-
-def seconds_to_minutes(seconds: float) -> float:
-    """Convert seconds to minutes."""
-    return seconds / SECONDS_PER_MINUTE
-
-
-def hours_to_seconds(hours: float) -> float:
-    """Convert hours to seconds."""
-    return hours * SECONDS_PER_HOUR
 
 
 def positive_part(value: float) -> float:

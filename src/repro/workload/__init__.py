@@ -16,7 +16,7 @@ GISMO that the evaluation needs:
 from repro.workload.arrivals import PoissonArrivalProcess
 from repro.workload.catalog import Catalog, MediaObject
 from repro.workload.gismo import GismoWorkloadGenerator, Workload, WorkloadConfig
-from repro.workload.popularity import UniformPopularity, ZipfPopularity
+from repro.workload.popularity import ZipfPopularity
 from repro.workload.sizes import ConstantBitrateModel, LognormalDurationModel
 from repro.workload.trace import Request
 
@@ -28,7 +28,6 @@ __all__ = [
     "MediaObject",
     "PoissonArrivalProcess",
     "Request",
-    "UniformPopularity",
     "Workload",
     "WorkloadConfig",
     "ZipfPopularity",

@@ -2,8 +2,6 @@
 
 The paper's workload uses a Poisson arrival process (Table 1): requests
 arrive independently with exponentially distributed inter-arrival times.
-We also provide a deterministic process for tests and a simple
-Markov-modulated process for burstiness ablations.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ class PoissonArrivalProcess(ArrivalProcess):
     """Homogeneous Poisson arrivals at ``rate`` requests per second."""
 
     def __init__(self, rate: float):
-        if rate <= 0:
+        if not rate > 0:
             raise ConfigurationError(f"arrival rate must be positive, got {rate}")
         self.rate = float(rate)
 
@@ -43,70 +41,3 @@ class PoissonArrivalProcess(ArrivalProcess):
     def expected_span(self, num_requests: int) -> float:
         """Expected duration (seconds) covered by ``num_requests`` arrivals."""
         return num_requests / self.rate
-
-
-class DeterministicArrivalProcess(ArrivalProcess):
-    """Evenly spaced arrivals; handy for unit tests and debugging."""
-
-    def __init__(self, interval: float):
-        if interval <= 0:
-            raise ConfigurationError(f"interval must be positive, got {interval}")
-        self.interval = float(interval)
-
-    def sample(self, num_requests: int, rng: np.random.Generator) -> np.ndarray:
-        if num_requests <= 0:
-            raise ConfigurationError(
-                f"num_requests must be positive, got {num_requests}"
-            )
-        return np.arange(1, num_requests + 1, dtype=float) * self.interval
-
-
-class MarkovModulatedPoissonProcess(ArrivalProcess):
-    """A two-state MMPP producing bursty arrivals.
-
-    The process alternates between a "quiet" state with arrival rate
-    ``low_rate`` and a "busy" state with rate ``high_rate``; state holding
-    times are exponential with the given means.  This is not used by the
-    paper's headline experiments but supports sensitivity studies on the
-    Poisson assumption (the paper notes request arrivals are assumed
-    independent).
-    """
-
-    def __init__(
-        self,
-        low_rate: float,
-        high_rate: float,
-        mean_low_duration: float,
-        mean_high_duration: float,
-    ):
-        if low_rate <= 0 or high_rate <= 0:
-            raise ConfigurationError("arrival rates must be positive")
-        if mean_low_duration <= 0 or mean_high_duration <= 0:
-            raise ConfigurationError("state holding times must be positive")
-        self.low_rate = float(low_rate)
-        self.high_rate = float(high_rate)
-        self.mean_low_duration = float(mean_low_duration)
-        self.mean_high_duration = float(mean_high_duration)
-
-    def sample(self, num_requests: int, rng: np.random.Generator) -> np.ndarray:
-        if num_requests <= 0:
-            raise ConfigurationError(
-                f"num_requests must be positive, got {num_requests}"
-            )
-        times = np.empty(num_requests)
-        clock = 0.0
-        in_high = False
-        state_end = clock + rng.exponential(self.mean_low_duration)
-        generated = 0
-        while generated < num_requests:
-            rate = self.high_rate if in_high else self.low_rate
-            clock += rng.exponential(1.0 / rate)
-            while clock > state_end:
-                in_high = not in_high
-                mean_hold = (
-                    self.mean_high_duration if in_high else self.mean_low_duration
-                )
-                state_end += rng.exponential(mean_hold)
-            times[generated] = clock
-            generated += 1
-        return times

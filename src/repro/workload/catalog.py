@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Iterator, List, Sequence, Union
 
 from repro.exceptions import ConfigurationError, UnknownObjectError
 from repro.units import kb_to_gb
@@ -67,11 +67,11 @@ class MediaObject:
                 f"object {self.object_id}: bitrate must be positive and finite, "
                 f"got {self.bitrate}"
             )
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ConfigurationError(
                 f"object {self.object_id}: duration must be positive, got {self.duration}"
             )
-        if self.value < 0:
+        if not self.value >= 0:
             raise ConfigurationError(
                 f"object {self.object_id}: value must be non-negative, got {self.value}"
             )
@@ -249,41 +249,3 @@ class Catalog:
             "mean_duration_s": self.mean_duration,
             "mean_bitrate_kbps": sum(o.bitrate for o in self) / len(self),
         }
-
-
-@dataclass
-class CatalogBuilder:
-    """Convenience incremental builder used by generators and tests."""
-
-    objects: List[MediaObject] = field(default_factory=list)
-
-    def add(
-        self,
-        duration: float,
-        bitrate: float,
-        server_id: int = 0,
-        value: float = 1.0,
-        layers: int = 4,
-        object_id: Optional[int] = None,
-    ) -> MediaObject:
-        """Append an object, auto-assigning the next id when not given."""
-        if object_id is None:
-            object_id = len(self.objects)
-        obj = MediaObject(
-            object_id=object_id,
-            duration=duration,
-            bitrate=bitrate,
-            server_id=server_id,
-            value=value,
-            layers=layers,
-        )
-        self.objects.append(obj)
-        return obj
-
-    def extend(self, objects: Sequence[MediaObject]) -> None:
-        """Append a sequence of already-constructed objects."""
-        self.objects.extend(objects)
-
-    def build(self) -> Catalog:
-        """Finalise into an immutable :class:`Catalog`."""
-        return Catalog(self.objects)

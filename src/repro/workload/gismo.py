@@ -118,7 +118,7 @@ class WorkloadConfig:
             raise ConfigurationError("num_servers must be positive")
         if self.num_clients <= 0:
             raise ConfigurationError("num_clients must be positive")
-        if self.value_min < 0 or self.value_max < self.value_min:
+        if not 0 <= self.value_min <= self.value_max:
             raise ConfigurationError(
                 f"invalid value range [{self.value_min}, {self.value_max}]"
             )
@@ -256,16 +256,3 @@ class GismoWorkloadGenerator:
         return Workload(
             catalog=catalog, trace=trace, config=cfg, expected_rates=expected
         )
-
-
-def table1_workload(seed: int = 0, scale: float = 1.0) -> Workload:
-    """Convenience constructor for the paper's Table 1 workload.
-
-    ``scale`` shrinks (or grows) the object and request counts while keeping
-    every distributional parameter fixed, which preserves the relative
-    behaviour of the caching policies at a fraction of the runtime.
-    """
-    config = WorkloadConfig(seed=seed)
-    if scale != 1.0:
-        config = config.scaled(scale)
-    return GismoWorkloadGenerator(config).generate()

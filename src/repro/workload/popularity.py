@@ -8,8 +8,6 @@ requested is proportional to ``r**(-alpha)``.  The default skew parameter is
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import numpy as np
 
 from repro.exceptions import ConfigurationError
@@ -42,7 +40,7 @@ class ZipfPopularity(PopularityModel):
     """
 
     def __init__(self, alpha: float = 0.73):
-        if alpha < 0:
+        if not alpha >= 0:
             raise ConfigurationError(f"Zipf alpha must be non-negative, got {alpha}")
         self.alpha = float(alpha)
 
@@ -65,53 +63,3 @@ class ZipfPopularity(PopularityModel):
         (Section 2.3) assumes to be known a priori.
         """
         return self.probabilities(num_objects) * float(total_requests)
-
-
-class UniformPopularity(PopularityModel):
-    """Uniform popularity: every object equally likely (a degenerate Zipf)."""
-
-    def probabilities(self, num_objects: int) -> np.ndarray:
-        if num_objects <= 0:
-            raise ConfigurationError(
-                f"num_objects must be positive, got {num_objects}"
-            )
-        return np.full(num_objects, 1.0 / num_objects)
-
-
-class EmpiricalPopularity(PopularityModel):
-    """Popularity given directly as per-object weights (e.g. from a trace)."""
-
-    def __init__(self, weights: Sequence[float]):
-        arr = np.asarray(list(weights), dtype=float)
-        if arr.size == 0:
-            raise ConfigurationError("weights must be non-empty")
-        if np.any(arr < 0):
-            raise ConfigurationError("weights must be non-negative")
-        total = arr.sum()
-        if total <= 0:
-            raise ConfigurationError("weights must sum to a positive value")
-        self._probs = arr / total
-
-    def probabilities(self, num_objects: Optional[int] = None) -> np.ndarray:
-        if num_objects is not None and num_objects != self._probs.size:
-            raise ConfigurationError(
-                f"empirical popularity has {self._probs.size} objects, "
-                f"requested {num_objects}"
-            )
-        return self._probs.copy()
-
-
-def zipf_rank_concentration(alpha: float, num_objects: int, top_fraction: float) -> float:
-    """Fraction of requests landing on the top ``top_fraction`` of objects.
-
-    A small helper used in reports and tests to express how skewed a
-    popularity profile is (e.g. "the top 10% of objects attract 55% of the
-    requests").
-    """
-    if not 0.0 < top_fraction <= 1.0:
-        raise ConfigurationError(
-            f"top_fraction must be in (0, 1], got {top_fraction}"
-        )
-    probs = ZipfPopularity(alpha).probabilities(num_objects)
-    top_k = max(1, int(round(top_fraction * num_objects)))
-    return float(probs[:top_k].sum())

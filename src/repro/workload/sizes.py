@@ -10,7 +10,7 @@ out to roughly 790 GB for 5,000 objects.
 
 from __future__ import annotations
 
-from typing import Tuple
+import math
 
 import numpy as np
 
@@ -51,9 +51,11 @@ class LognormalDurationModel(DurationModel):
         min_minutes: float = 0.5,
         max_minutes: float = 600.0,
     ):
-        if sigma <= 0:
+        if not math.isfinite(mu):
+            raise ConfigurationError(f"mu must be finite, got {mu}")
+        if not sigma > 0:
             raise ConfigurationError(f"sigma must be positive, got {sigma}")
-        if min_minutes <= 0 or max_minutes <= min_minutes:
+        if not 0 < min_minutes < max_minutes:
             raise ConfigurationError(
                 f"invalid truncation bounds [{min_minutes}, {max_minutes}]"
             )
@@ -89,27 +91,6 @@ class LognormalDurationModel(DurationModel):
         return minutes * SECONDS_PER_MINUTE
 
 
-class ConstantDurationModel(DurationModel):
-    """All objects have the same duration; useful in tests and ablations."""
-
-    def __init__(self, duration_seconds: float):
-        if duration_seconds <= 0:
-            raise ConfigurationError(
-                f"duration must be positive, got {duration_seconds}"
-            )
-        self.duration_seconds = float(duration_seconds)
-
-    def mean(self) -> float:
-        return self.duration_seconds
-
-    def sample(self, num_objects: int, rng: np.random.Generator) -> np.ndarray:
-        if num_objects <= 0:
-            raise ConfigurationError(
-                f"num_objects must be positive, got {num_objects}"
-            )
-        return np.full(num_objects, self.duration_seconds)
-
-
 class BitrateModel:
     """Interface for per-object bit-rate models (KB/s)."""
 
@@ -122,7 +103,7 @@ class ConstantBitrateModel(BitrateModel):
     """Every object encoded at the same CBR rate (the paper's 48 KB/s)."""
 
     def __init__(self, bitrate: float = DEFAULT_BITRATE_KBPS):
-        if bitrate <= 0:
+        if not bitrate > 0:
             raise ConfigurationError(f"bitrate must be positive, got {bitrate}")
         self.bitrate = float(bitrate)
 
@@ -135,30 +116,3 @@ class ConstantBitrateModel(BitrateModel):
                 f"num_objects must be positive, got {num_objects}"
             )
         return np.full(num_objects, self.bitrate)
-
-
-class HeterogeneousBitrateModel(BitrateModel):
-    """Bit-rates drawn from a discrete set of encoding profiles.
-
-    The paper assumes a single 48 KB/s rate but motivates network-awareness
-    with "heterogeneity of bit-rate requirements"; this model supports
-    workloads mixing, say, modem-, broadband-, and high-quality encodings.
-    """
-
-    def __init__(self, rates: Tuple[float, ...], weights: Tuple[float, ...]):
-        if len(rates) == 0 or len(rates) != len(weights):
-            raise ConfigurationError("rates and weights must be equal-length, non-empty")
-        if any(r <= 0 for r in rates):
-            raise ConfigurationError("all rates must be positive")
-        if any(w < 0 for w in weights) or sum(weights) <= 0:
-            raise ConfigurationError("weights must be non-negative and sum to > 0")
-        self.rates = tuple(float(r) for r in rates)
-        total = float(sum(weights))
-        self.weights = tuple(float(w) / total for w in weights)
-
-    def sample(self, num_objects: int, rng: np.random.Generator) -> np.ndarray:
-        if num_objects <= 0:
-            raise ConfigurationError(
-                f"num_objects must be positive, got {num_objects}"
-            )
-        return rng.choice(self.rates, size=num_objects, p=self.weights)

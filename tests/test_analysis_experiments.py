@@ -179,6 +179,12 @@ class TestTable1Experiment:
         # Mean bit-rate must be the paper's 48 KB/s.
         assert summary["mean_bitrate_kbps"] == pytest.approx(48.0)
 
+    def test_total_size_extrapolates_to_about_790_gb(self):
+        # Mean object size is ~55 min * 48 KB/s ~ 158 MB; 5000 objects ~ 790 GB.
+        result = experiment_table1_workload(scale=0.05, seed=1)
+        scaled_total = result.data["summary"]["total_size_gb"] / 0.05
+        assert scaled_total == pytest.approx(790.0, rel=0.15)
+
 
 def test_default_cache_fractions_span_paper_range():
     assert min(DEFAULT_CACHE_FRACTIONS) == pytest.approx(0.005)

@@ -9,7 +9,6 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.report import (
     format_comparison,
-    format_metrics,
     format_sweep_table,
     render_experiment,
 )
@@ -61,12 +60,6 @@ class TestReportFormatting:
         table = format_comparison(tiny_comparison)
         assert "Traffic Reduction Ratio" in table
         assert "IF" in table and "PB" in table
-
-    def test_format_metrics_lines(self, tiny_comparison):
-        metrics = tiny_comparison.metrics_by_policy["PB"]
-        text = format_metrics(metrics)
-        assert "traffic_reduction_ratio" in text
-        assert "average_service_delay" in text
 
     def test_render_sweep_experiment(self):
         result = experiment_fig5_constant_bandwidth(

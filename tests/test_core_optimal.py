@@ -78,6 +78,10 @@ class TestOptimalAllocation:
                 knapsack_catalog, {0: 0.0, 1: 1.0, 2: 1.0, 3: 1.0}, rates, 100.0
             )
 
+    def test_nan_capacity_rejected(self, knapsack_catalog, bandwidths, rates):
+        with pytest.raises(ConfigurationError):
+            optimal_allocation(knapsack_catalog, bandwidths, rates, float("nan"))
+
     def test_optimality_against_exhaustive_alternatives(
         self, knapsack_catalog, bandwidths, rates
     ):

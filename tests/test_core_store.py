@@ -118,13 +118,6 @@ class TestBookkeeping:
         store.trim(1, 50.0)
         assert store.verify_consistency()
 
-    def test_largest_entries(self):
-        store = CacheStore(10_000.0)
-        store.set_cached_bytes(1, 100.0)
-        store.set_cached_bytes(2, 500.0)
-        store.set_cached_bytes(3, 250.0)
-        assert store.largest_entries(2) == [(2, 500.0), (3, 250.0)]
-
     def test_occupancy(self):
         store = CacheStore(1_000.0)
         store.set_cached_bytes(1, 250.0)

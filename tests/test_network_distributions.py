@@ -9,7 +9,6 @@ from repro.network.distributions import (
     EmpiricalBandwidthDistribution,
     HistogramBandwidthDistribution,
     NLANRBandwidthDistribution,
-    UniformBandwidthDistribution,
 )
 
 
@@ -25,24 +24,9 @@ class TestConstantBandwidthDistribution:
         with pytest.raises(ConfigurationError):
             ConstantBandwidthDistribution(0.0)
 
-
-class TestUniformBandwidthDistribution:
-    def test_samples_within_range(self, rng):
-        dist = UniformBandwidthDistribution(10.0, 50.0)
-        samples = dist.sample(1_000, rng)
-        assert samples.min() >= 10.0
-        assert samples.max() <= 50.0
-        assert dist.mean() == pytest.approx(30.0)
-
-    def test_cdf_linear(self):
-        dist = UniformBandwidthDistribution(0.0, 100.0)
-        assert dist.cdf(-1.0) == 0.0
-        assert dist.cdf(25.0) == pytest.approx(0.25)
-        assert dist.cdf(200.0) == 1.0
-
-    def test_rejects_bad_range(self):
+    def test_rejects_nan(self):
         with pytest.raises(ConfigurationError):
-            UniformBandwidthDistribution(50.0, 10.0)
+            ConstantBandwidthDistribution(float("nan"))
 
 
 class TestHistogramBandwidthDistribution:
@@ -71,6 +55,15 @@ class TestHistogramBandwidthDistribution:
             HistogramBandwidthDistribution([0, 10], [-1.0])
         with pytest.raises(ConfigurationError):
             HistogramBandwidthDistribution([0, 10, 20], [1.0, 1.0]).quantile(1.5)
+
+    @pytest.mark.parametrize(
+        "edges, masses",
+        [([0.0, float("nan"), 20.0], [1.0, 1.0]), ([0.0, 10.0, 20.0], [1.0, float("nan")])],
+        ids=["edge", "mass"],
+    )
+    def test_nan_edge_or_mass_rejected(self, edges, masses):
+        with pytest.raises(ConfigurationError):
+            HistogramBandwidthDistribution(edges, masses)
 
 
 class TestNLANRBandwidthDistribution:
@@ -113,3 +106,13 @@ class TestEmpiricalBandwidthDistribution:
             EmpiricalBandwidthDistribution([-1.0, 2.0])
         with pytest.raises(ConfigurationError):
             EmpiricalBandwidthDistribution([1.0], bin_width=0.0)
+
+    @pytest.mark.parametrize(
+        "samples, bin_width",
+        [([1.0, float("nan"), 3.0], 4.0), ([1.0, 3.0], float("nan"))],
+        ids=["sample", "bin_width"],
+    )
+    def test_nan_input_rejected(self, samples, bin_width):
+        # Either must fail here, before the bin count int(ceil(max / width)).
+        with pytest.raises(ConfigurationError):
+            EmpiricalBandwidthDistribution(samples, bin_width=bin_width)

@@ -8,7 +8,6 @@ from repro.network.loganalysis import (
     ProxyLogAnalyzer,
     SyntheticProxyLog,
     TransferRecord,
-    build_nlanr_like_models,
 )
 
 
@@ -124,10 +123,17 @@ class TestProxyLogAnalyzer:
         with pytest.raises(ConfigurationError):
             ProxyLogAnalyzer(bin_width=0.0)
 
+    @pytest.mark.parametrize("field", ["min_object_kb", "bin_width"])
+    def test_nan_parameter_rejected(self, field):
+        with pytest.raises(ConfigurationError):
+            ProxyLogAnalyzer(**{field: float("nan")})
 
-def test_build_nlanr_like_models_end_to_end():
-    distribution, ratio_stats = build_nlanr_like_models(
-        num_servers=100, num_records=10_000, seed=5
-    )
-    assert 0.2 < distribution.cdf(50.0) < 0.55
-    assert ratio_stats["coefficient_of_variation"] > 0.3
+    def test_nan_duration_record_is_skipped(self):
+        # Its throughput is NaN; like a zero-duration record it measures
+        # nothing, and it must not turn the histogram's upper edge to NaN.
+        records = [
+            TransferRecord(0.0, 0, 400.0, float("nan"), cache_hit=False),
+            TransferRecord(1.0, 0, 400.0, 10.0, cache_hit=False),
+        ]
+        analysis = ProxyLogAnalyzer().analyze(records)
+        assert analysis.samples.tolist() == [40.0]

@@ -23,6 +23,13 @@ class TestPathConditions:
         with pytest.raises(ConfigurationError):
             PathConditions(rtt=0.1, loss_rate=0.01, mss=0.0)
 
+    @pytest.mark.parametrize("field", ["rtt", "mss"])
+    def test_nan_field_rejected(self, field):
+        kwargs = dict(rtt=0.1, loss_rate=0.01)
+        kwargs[field] = float("nan")
+        with pytest.raises(ConfigurationError):
+            PathConditions(**kwargs)
+
 
 class TestPFTKThroughput:
     def test_zero_loss_is_window_limited(self):
@@ -63,14 +70,17 @@ class TestActiveProber:
         conditions = PathConditions(rtt=0.5, loss_rate=0.3)
         assert all(prober.probe(conditions, rng) >= 1.0 for _ in range(100))
 
-    def test_probe_overhead_scales_with_count(self):
-        assert ActiveProber(probe_count=20).probe_overhead_kb() == pytest.approx(1.28)
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ActiveProber(probe_count=0)
         with pytest.raises(ConfigurationError):
             ActiveProber(noise_fraction=-0.1)
+
+    def test_nan_noise_fraction_rejected(self):
+        # The 1 KB/s probe floor, max(estimate, 1.0), keeps a NaN estimate,
+        # so a NaN noise fraction must fail here.
+        with pytest.raises(ConfigurationError):
+            ActiveProber(noise_fraction=float("nan"))
 
 
 class TestPassiveEstimator:
@@ -115,6 +125,8 @@ class TestPassiveEstimator:
             PassiveEstimator(smoothing=0.0)
         with pytest.raises(ConfigurationError):
             PassiveEstimator(initial_estimate=0.0)
+        with pytest.raises(ConfigurationError):
+            PassiveEstimator(initial_estimate=float("nan"))
         with pytest.raises(MeasurementError):
             PassiveEstimator().observe(1, 0.0)
 

@@ -6,7 +6,7 @@ import pytest
 from repro.exceptions import ConfigurationError, UnknownObjectError
 from repro.network.distributions import ConstantBandwidthDistribution, NLANRBandwidthDistribution
 from repro.network.path import NetworkPath, PathRegistry
-from repro.network.topology import ClientCloud, DeliveryTopology, OriginServer, ProxyNode
+from repro.network.topology import ClientCloud, DeliveryTopology, ProxyNode
 from repro.network.variability import LognormalRatioVariability
 
 
@@ -29,21 +29,13 @@ class TestNetworkPath:
         )
         assert min(path.observed_bandwidth(rng) for _ in range(500)) >= 1.0
 
-    def test_estimated_bandwidth_applies_estimator(self):
-        path = NetworkPath(server_id=1, base_bandwidth=100.0)
-        assert path.estimated_bandwidth() == 100.0
-        assert path.estimated_bandwidth(0.5) == 50.0
-
-    def test_estimated_bandwidth_validates_estimator(self):
-        path = NetworkPath(server_id=1, base_bandwidth=100.0)
-        with pytest.raises(ConfigurationError):
-            path.estimated_bandwidth(0.0)
-        with pytest.raises(ConfigurationError):
-            path.estimated_bandwidth(1.5)
-
     def test_rejects_nonpositive_base(self):
         with pytest.raises(ConfigurationError):
             NetworkPath(server_id=1, base_bandwidth=0.0)
+
+    def test_rejects_nan_base(self):
+        with pytest.raises(ConfigurationError):
+            NetworkPath(server_id=1, base_bandwidth=float("nan"))
 
 
 class TestPathRegistry:
@@ -61,11 +53,6 @@ class TestPathRegistry:
     def test_get_unknown_raises(self):
         with pytest.raises(UnknownObjectError):
             PathRegistry().get(7)
-
-    def test_mean_base_bandwidth(self):
-        registry = PathRegistry([NetworkPath(0, 50.0), NetworkPath(1, 150.0)])
-        assert registry.mean_base_bandwidth() == pytest.approx(100.0)
-        assert PathRegistry().mean_base_bandwidth() == 0.0
 
     def test_from_distribution_creates_one_path_per_server(self, rng):
         registry = PathRegistry.from_distribution(
@@ -97,9 +84,13 @@ class TestTopologyComponents:
         with pytest.raises(ConfigurationError):
             ProxyNode(capacity_kb=-1.0)
 
-    def test_origin_server_object_count(self):
-        server = OriginServer(server_id=3, object_ids=(1, 2, 5))
-        assert server.object_count == 3
+    def test_client_cloud_rejects_nan_last_mile(self):
+        with pytest.raises(ConfigurationError):
+            ClientCloud(last_mile_bandwidth=float("nan"))
+
+    def test_proxy_node_rejects_nan_capacity(self):
+        with pytest.raises(ConfigurationError):
+            ProxyNode(capacity_kb=float("nan"))
 
 
 class TestDeliveryTopology:
@@ -110,19 +101,11 @@ class TestDeliveryTopology:
         for obj in small_catalog:
             assert topology.path_for(obj).server_id == obj.server_id
 
-    def test_path_for_object_id(self, uniform_bandwidth_topology, small_catalog):
-        path = uniform_bandwidth_topology.path_for_object_id(2)
-        assert path.server_id == small_catalog.get(2).server_id
-
     def test_servers_grouping(self, uniform_bandwidth_topology):
         servers = uniform_bandwidth_topology.servers()
         by_id = {server.server_id: server for server in servers}
         assert set(by_id) == {0, 1, 2}
         assert set(by_id[0].object_ids) == {0, 3}
-
-    def test_bottleneck_objects_under_uniform_30kbps(self, uniform_bandwidth_topology):
-        # Objects 0, 1 (48 KB/s) and 2 (96 KB/s) exceed 30 KB/s; object 3 (24) does not.
-        assert set(uniform_bandwidth_topology.bottleneck_objects()) == {0, 1, 2}
 
     def test_missing_path_rejected(self, small_catalog):
         registry = PathRegistry([NetworkPath(0, 50.0)])  # servers 1, 2 missing

@@ -49,6 +49,26 @@ class TestLognormalRatioVariability:
         with pytest.raises(ConfigurationError):
             LognormalRatioVariability(-0.1)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"coefficient_of_variation": float("nan")}, {"max_ratio": float("nan")}],
+        ids=["cov", "max_ratio"],
+    )
+    def test_rejects_nan_parameter(self, kwargs):
+        base = dict(coefficient_of_variation=0.5)
+        base.update(kwargs)
+        with pytest.raises(ConfigurationError):
+            LognormalRatioVariability(**base)
+
+    @pytest.mark.parametrize(
+        "duration_hours, interval_minutes",
+        [(float("nan"), 4.0), (10.0, float("nan"))],
+        ids=["duration", "interval"],
+    )
+    def test_time_series_rejects_nan_span(self, rng, duration_hours, interval_minutes):
+        with pytest.raises(ConfigurationError):
+            LognormalRatioVariability(0.5).time_series(duration_hours, interval_minutes, rng)
+
 
 class TestNLANRRatioVariability:
     def test_roughly_70_percent_within_half_band(self, rng):
@@ -102,6 +122,15 @@ class TestMeasuredPathVariability:
     def test_time_series_requires_rng(self):
         with pytest.raises(ConfigurationError):
             MeasuredPathVariability("inria").time_series(10.0, 4.0, None)
+
+    @pytest.mark.parametrize(
+        "duration_hours, interval_minutes",
+        [(float("nan"), 4.0), (10.0, float("nan"))],
+        ids=["duration", "interval"],
+    )
+    def test_time_series_rejects_nan_span(self, rng, duration_hours, interval_minutes):
+        with pytest.raises(ConfigurationError):
+            MeasuredPathVariability("inria").time_series(duration_hours, interval_minutes, rng)
 
     def test_marginal_ratios_unit_mean(self, rng):
         model = MeasuredPathVariability("average")

@@ -416,14 +416,6 @@ class TestObservabilityConfig:
         with pytest.raises(ConfigurationError):
             ObservabilityConfig(trace_sample=1.5)
 
-    def test_any_enabled(self):
-        assert ObservabilityConfig().any_enabled
-        assert not ObservabilityConfig(timeline=False).any_enabled
-        assert ObservabilityConfig(timeline=False, profile=True).any_enabled
-        assert ObservabilityConfig(
-            timeline=False, trace_path="x.jsonl"
-        ).any_enabled
-
     def test_with_observability_helper(self):
         config = SimulationConfig(cache_size_gb=1.0)
         assert config.observability is None

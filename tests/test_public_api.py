@@ -3,6 +3,7 @@
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,3 +103,19 @@ class TestModuleEntryPoint:
         )
         assert completed.returncode == 0
         assert "traffic_reduction_ratio" in completed.stdout
+
+
+class TestPackaging:
+    def test_setup_metadata_names_the_package_and_its_version(self):
+        # --name/--version only print metadata: the run builds and writes
+        # nothing into the checkout.
+        root = Path(__file__).resolve().parents[1]
+        completed = subprocess.run(
+            [sys.executable, "setup.py", "--name", "--version"],
+            cwd=root,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split() == ["repro-sim", repro.__version__]

@@ -305,6 +305,18 @@ def test_periodic_event_priority_zero_reserved():
         PeriodicEvent(interval=1.0, first_time=0.0, end_time=10.0, priority=0)
 
 
+@pytest.mark.parametrize("field", ["start_time", "end_time"])
+def test_remeasurement_window_rejects_nan(field):
+    # The empty-window check compares the two bounds, which no NaN fails.
+    with pytest.raises(ConfigurationError, match=field):
+        RemeasurementConfig(interval=10.0, **{field: float("nan")})
+
+
+def test_periodic_event_rejects_nan_interval():
+    with pytest.raises(ConfigurationError):
+        PeriodicEvent(interval=float("nan"), first_time=0.0, end_time=10.0)
+
+
 def test_periodic_event_advance_stops_at_end():
     event = PeriodicEvent(interval=4.0, first_time=4.0, end_time=10.0)
     assert event.advance() == 8.0

@@ -23,6 +23,8 @@ Five families of guarantees are pinned here:
   byte-exactly.
 """
 
+from dataclasses import replace
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from hypothesis import given, settings
 
 from repro.analysis.experiments import experiment_hierarchy
 from repro.analysis.parallel import merge_shard_results, run_sharded_fleet
-from repro.core.policies import PolicySpec, make_policy
+from repro.core.policies import POLICY_REGISTRY, PolicySpec, make_policy
 from repro.exceptions import ConfigurationError
 from repro.network.distributions import NLANRBandwidthDistribution
 from repro.network.variability import NLANRRatioVariability
@@ -50,7 +52,7 @@ from repro.sim.streaming import StreamingConfig
 from repro.trace.columnar import ColumnarTrace
 from repro.workload.gismo import GismoWorkloadGenerator, WorkloadConfig
 
-from conftest import replay_golden
+from conftest import replay_golden, result_record
 
 
 @pytest.fixture(scope="module")
@@ -286,12 +288,61 @@ class TestFourPathIdentity:
         assert result.fault_report is not None
 
 
+class TestUnnamedTierPolicies:
+    """A tier with ``policy=None`` runs a copy of the run's policy, not
+    a policy rebuilt from its display name, which need not be a
+    registry key (``"GDS(uniform)"``, ``"PB(e=0.5)"``).  The copy must
+    replay exactly as a freshly built policy does, for every policy in
+    the registry."""
+
+    @pytest.mark.parametrize("policy_name", sorted(POLICY_REGISTRY))
+    def test_unnamed_tiers_match_tiers_naming_the_policy(
+        self, workload, policy_name
+    ):
+        named = tuple(replace(tier, policy=policy_name) for tier in _tiers())
+        records = [
+            result_record(
+                ProxyCacheSimulator(
+                    workload, _config(hierarchy=_hierarchy(tiers=tiers, num_pops=2))
+                ).run(make_policy(policy_name))
+            )
+            for tiers in (_tiers(), named)
+        ]
+        assert records[0] == records[1]
+
+    def test_every_unnamed_tier_keeps_the_estimator_e(self, small_catalog):
+        engine = HierarchyEngine(
+            _hierarchy(num_pops=2),
+            small_catalog,
+            PolicySpec("PB", estimator_e=0.5)(),
+        )
+        policies = [policy for pop in engine._policies for policy in pop]
+        assert len(policies) == 4
+        assert len({id(policy) for policy in policies}) == 4
+        assert all(policy.estimator_e == 0.5 for policy in policies)
+
+    def test_tier_copies_share_no_state_with_the_run_policy(self, workload):
+        policy = make_policy("PB")
+        simulator = ProxyCacheSimulator(
+            workload, _config(hierarchy=_hierarchy(num_pops=2))
+        )
+        result = simulator.run(policy)
+        assert result.hierarchy_report is not None
+        # The run's instance is only copied: it counts no request itself,
+        # and each tier policy keeps its own frequency table.
+        assert policy.frequencies.known_objects() == []
+        engine = HierarchyEngine(_hierarchy(num_pops=2), workload.catalog, policy)
+        tables = [tier.frequencies for pop in engine._policies for tier in pop]
+        assert len({id(table) for table in tables}) == 4
+        assert all(table is not policy.frequencies for table in tables)
+
+
 # ----------------------------------------------------------------------
 # Engine semantics (unit level, no replay loop)
 # ----------------------------------------------------------------------
 class TestEngineSemantics:
     def _engine(self, catalog, **overrides):
-        return HierarchyEngine(_hierarchy(**overrides), catalog, "LRU")
+        return HierarchyEngine(_hierarchy(**overrides), catalog, make_policy("LRU"))
 
     def _serve(self, engine, pop, obj, **overrides):
         kwargs = dict(
@@ -608,7 +659,7 @@ class TestSharingComposition:
                 CacheTier(name="parent", cache_kb=20_000.0),
             )
         )
-        engine = HierarchyEngine(hierarchy, small_catalog, "LRU")
+        engine = HierarchyEngine(hierarchy, small_catalog, make_policy("LRU"))
         for now, object_id in enumerate((0, 1)):
             obj = small_catalog.get(object_id)
             engine.serve(

@@ -291,6 +291,15 @@ class TestPerGroupViews:
             ReactiveRekeyer(policy, estimator, threshold=0.2, hysteresis=0.0)
         with pytest.raises(ConfigurationError):
             ReactiveRekeyer(policy, estimator, threshold=0.2, rekey_cap=0)
+        nan = float("nan")
+        for kwargs in (
+            dict(threshold=nan),
+            dict(threshold=0.2, bandwidth_cap=nan),
+            dict(threshold=0.2, group_caps=(50.0, nan)),
+            dict(threshold=0.2, rekey_cap=nan),
+        ):
+            with pytest.raises(ConfigurationError):
+                ReactiveRekeyer(policy, estimator, **kwargs)
 
     def test_estimator_group_mode_fallback_and_reset(self):
         estimator = PassiveEstimator(smoothing=0.5, initial_estimate=80.0)

@@ -87,6 +87,10 @@ class TestStreamSharingAnalyzer:
         with pytest.raises(ConfigurationError):
             StreamSharingAnalyzer(catalog, batching_window=-1.0)
 
+    def test_nan_window_rejected(self, catalog):
+        with pytest.raises(ConfigurationError):
+            StreamSharingAnalyzer(catalog, batching_window=float("nan"))
+
 
 class TestHelpers:
     def test_prefix_function_for_bandwidth(self, catalog):

@@ -101,12 +101,6 @@ class TestStreamingConfig:
         with pytest.raises(ConfigurationError):
             StreamingConfig(**kwargs)
 
-    def test_with_streaming_round_trips(self):
-        streaming = _streaming()
-        config = _config().with_streaming(streaming)
-        assert config.streaming == streaming
-        assert config.with_streaming(None).streaming is None
-
     def test_scheme_carries_segment_layout(self):
         scheme = StreamingConfig(
             base_segment_kb=64.0, exponential_segments=False

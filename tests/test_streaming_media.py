@@ -1,36 +1,10 @@
-"""Tests for stream encodings (CBR, VBR, layered)."""
+"""Tests for stream encodings (VBR, layered)."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.streaming.media import (
-    CBRStream,
-    LayeredEncoding,
-    VBRStream,
-    synthetic_vbr_stream,
-)
-
-
-class TestCBRStream:
-    def test_size_and_prefix(self):
-        stream = CBRStream(duration=100.0, rate=48.0)
-        assert stream.size == pytest.approx(4800.0)
-        assert stream.prefix_bytes(10.0) == pytest.approx(480.0)
-        assert stream.prefix_bytes(1_000.0) == pytest.approx(4800.0)
-
-    def test_cumulative_consumption(self):
-        stream = CBRStream(duration=10.0, rate=5.0)
-        consumption = stream.cumulative_consumption([0.0, 5.0, 10.0, 20.0])
-        assert consumption.tolist() == pytest.approx([0.0, 25.0, 50.0, 50.0])
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            CBRStream(duration=0.0, rate=48.0)
-        with pytest.raises(ConfigurationError):
-            CBRStream(duration=10.0, rate=0.0)
-        with pytest.raises(ConfigurationError):
-            CBRStream(duration=10.0, rate=48.0).prefix_bytes(-1.0)
+from repro.streaming.media import LayeredEncoding, VBRStream, synthetic_vbr_stream
 
 
 class TestVBRStream:
@@ -47,12 +21,6 @@ class TestVBRStream:
         schedule = stream.cumulative_schedule()
         assert schedule.tolist() == pytest.approx([1.0, 1.0, 3.0])
 
-    def test_to_cbr_preserves_size(self):
-        stream = VBRStream([1.0, 3.0, 2.0], frame_rate=1.0)
-        cbr = stream.to_cbr()
-        assert cbr.size == pytest.approx(stream.size)
-        assert cbr.duration == pytest.approx(stream.duration)
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             VBRStream([])
@@ -60,6 +28,15 @@ class TestVBRStream:
             VBRStream([1.0, -1.0])
         with pytest.raises(ConfigurationError):
             VBRStream([1.0], frame_rate=0.0)
+
+    @pytest.mark.parametrize(
+        "frame_sizes, frame_rate",
+        [([1.0, float("nan")], 24.0), ([1.0, 2.0], float("nan"))],
+        ids=["frame_size", "frame_rate"],
+    )
+    def test_nan_input_rejected(self, frame_sizes, frame_rate):
+        with pytest.raises(ConfigurationError):
+            VBRStream(frame_sizes, frame_rate=frame_rate)
 
 
 class TestLayeredEncoding:
@@ -72,18 +49,15 @@ class TestLayeredEncoding:
         assert encoding.quality(36.0) == pytest.approx(0.75)
         assert encoding.quality(0.0) == 0.0
 
-    def test_rate_for_quality_round_trip(self):
-        encoding = LayeredEncoding(full_rate=48.0, layers=4)
-        assert encoding.rate_for_quality(0.75) == pytest.approx(36.0)
-        assert encoding.quality(encoding.rate_for_quality(0.5)) == pytest.approx(0.5)
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             LayeredEncoding(full_rate=0.0)
         with pytest.raises(ConfigurationError):
             LayeredEncoding(full_rate=48.0, layers=0)
+
+    def test_nan_full_rate_rejected(self):
         with pytest.raises(ConfigurationError):
-            LayeredEncoding(full_rate=48.0).rate_for_quality(1.5)
+            LayeredEncoding(full_rate=float("nan"))
 
 
 class TestSyntheticVBRStream:
@@ -108,6 +82,13 @@ class TestSyntheticVBRStream:
             synthetic_vbr_stream(duration=0.0, mean_rate=48.0)
         with pytest.raises(ConfigurationError):
             synthetic_vbr_stream(duration=10.0, mean_rate=48.0, burstiness=1.0)
+
+    @pytest.mark.parametrize("field", ["duration", "mean_rate"])
+    def test_nan_duration_or_rate_rejected(self, field):
+        kwargs = dict(duration=10.0, mean_rate=48.0)
+        kwargs[field] = float("nan")
+        with pytest.raises(ConfigurationError):
+            synthetic_vbr_stream(**kwargs)
 
     @pytest.mark.parametrize("burstiness", [1e-200, 1e-160, np.float64(1e-160)])
     def test_rejects_burstiness_whose_square_underflows(self, burstiness):

@@ -18,6 +18,13 @@ class TestSegment:
         with pytest.raises(ConfigurationError):
             Segment(index=0, start=10.0, end=10.0)
 
+    @pytest.mark.parametrize(
+        "start, end", [(math.nan, 10.0), (0.0, math.nan)], ids=["start", "end"]
+    )
+    def test_nan_bound_rejected(self, start, end):
+        with pytest.raises(ConfigurationError):
+            Segment(index=0, start=start, end=end)
+
 
 class TestSegmentationScheme:
     def test_fixed_size_segments_cover_object(self):
@@ -36,12 +43,6 @@ class TestSegmentationScheme:
         scheme = SegmentationScheme(base_segment_kb=1.0, exponential=True)
         # A ~1 GB object divides into only ~20 exponential segments.
         assert len(scheme.segments(1_000_000.0)) <= 21
-
-    def test_segments_for_prefix(self):
-        scheme = SegmentationScheme(base_segment_kb=100.0, exponential=False)
-        covered = scheme.segments_for_prefix(400.0, 150.0)
-        assert [s.index for s in covered] == [0, 1]
-        assert scheme.segments_for_prefix(400.0, 0.0) == []
 
     def test_zero_size_object(self):
         assert SegmentationScheme().segments(0.0) == []
@@ -93,16 +94,6 @@ class TestSegmentedPrefix:
         remaining = prefix.trim_to(250.0)
         assert remaining == pytest.approx(200.0)
         assert prefix.missing_ranges() == [(200.0, 1_000.0)]
-
-    def test_holds_prefix(self):
-        prefix = self.make()
-        prefix.grow_to(300.0)
-        assert prefix.holds_prefix(250.0)
-        assert prefix.holds_prefix(300.0)
-        assert not prefix.holds_prefix(301.0)
-
-    def test_metadata_entries_counts_all_segments(self):
-        assert self.make(size=1_000.0, base=100.0).metadata_entries() == 10
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -6,10 +6,6 @@ from repro.exceptions import ConfigurationError
 from repro.streaming.prefetch import plan_prefix_prefetch
 from repro.streaming.session import (
     DeliverySession,
-    ServiceMode,
-    delay_reduction,
-    joint_playout_feasible,
-    outcome_without_cache,
     required_prefix_for_immediate_playout,
 )
 from repro.workload.catalog import MediaObject
@@ -60,44 +56,26 @@ class TestDeliverySession:
         assert outcome.cached_fraction == pytest.approx(1000.0 / obj.size)
         assert outcome.value == 5.0
 
-    def test_outcome_modes(self, obj):
-        delayed = DeliverySession(obj, 0.0, 24.0).outcome()
-        assert delayed.mode_if_waiting is ServiceMode.DELAYED_FULL
-        assert delayed.mode_if_degrading is ServiceMode.DEGRADED
-        immediate = DeliverySession(obj, 0.0, 50.0).outcome()
-        assert immediate.mode_if_waiting is ServiceMode.IMMEDIATE_FULL
-        assert immediate.mode_if_degrading is ServiceMode.IMMEDIATE_FULL
-
     def test_validation(self, obj):
         with pytest.raises(ConfigurationError):
             DeliverySession(obj, cached_bytes=-1.0, server_bandwidth=10.0)
         with pytest.raises(ConfigurationError):
             DeliverySession(obj, cached_bytes=0.0, server_bandwidth=-10.0)
 
+    @pytest.mark.parametrize(
+        "cached_bytes, server_bandwidth",
+        [(float("nan"), 10.0), (0.0, float("nan"))],
+        ids=["cached_bytes", "server_bandwidth"],
+    )
+    def test_nan_input_rejected(self, obj, cached_bytes, server_bandwidth):
+        with pytest.raises(ConfigurationError):
+            DeliverySession(obj, cached_bytes, server_bandwidth)
+
 
 class TestHelpers:
     def test_required_prefix_zero_with_enough_bandwidth(self, obj):
         assert required_prefix_for_immediate_playout(obj, 48.0) == 0.0
         assert required_prefix_for_immediate_playout(obj, 24.0) == pytest.approx(2400.0)
-
-    def test_joint_playout_feasible(self, obj):
-        assert joint_playout_feasible(obj, 2400.0, 24.0)
-        assert not joint_playout_feasible(obj, 1000.0, 24.0)
-        assert joint_playout_feasible(obj, 1000.0, 24.0, startup_tolerance=60.0)
-        with pytest.raises(ConfigurationError):
-            joint_playout_feasible(obj, 0.0, 24.0, startup_tolerance=-1.0)
-
-    def test_outcome_without_cache(self, obj):
-        outcome = outcome_without_cache(obj, 24.0)
-        assert outcome.bytes_from_cache == 0.0
-        assert outcome.service_delay == pytest.approx(100.0)
-
-    def test_delay_reduction(self, obj):
-        assert delay_reduction(obj, 2400.0, 24.0) == pytest.approx(100.0)
-        assert delay_reduction(obj, 1200.0, 24.0) == pytest.approx(50.0)
-        assert delay_reduction(obj, 0.0, 24.0) == 0.0
-        # Both infinite (zero bandwidth, nothing cached): no reduction.
-        assert delay_reduction(obj, 0.0, 0.0) == 0.0
 
 
 class TestPrefetchPlanning:
@@ -132,3 +110,12 @@ class TestPrefetchPlanning:
             plan_prefix_prefetch(obj, -1.0, 10.0)
         with pytest.raises(ConfigurationError):
             plan_prefix_prefetch(obj, 0.0, -10.0)
+
+    @pytest.mark.parametrize(
+        "cached_prefix_bytes, server_bandwidth",
+        [(float("nan"), 10.0), (0.0, float("nan"))],
+        ids=["cached_prefix_bytes", "server_bandwidth"],
+    )
+    def test_nan_input_rejected(self, obj, cached_prefix_bytes, server_bandwidth):
+        with pytest.raises(ConfigurationError):
+            plan_prefix_prefetch(obj, cached_prefix_bytes, server_bandwidth)

@@ -76,6 +76,12 @@ def test_negative_buffer_rejected():
         optimal_smoothing(stream, buffer_kb=-1.0)
 
 
+def test_nan_buffer_rejected():
+    stream = VBRStream([1.0, 2.0])
+    with pytest.raises(ConfigurationError):
+        optimal_smoothing(stream, buffer_kb=float("nan"))
+
+
 def test_rates_kbps_conversion():
     stream = VBRStream([2.0] * 10, frame_rate=24.0)
     schedule = optimal_smoothing(stream, buffer_kb=100.0)

@@ -12,6 +12,7 @@ Three promises are pinned here:
   registered policy and under the estimator/warm-up edge configurations.
 """
 
+import functools
 import zipfile
 
 import numpy as np
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from repro.core.policies import PolicySpec
 from repro.exceptions import ConfigurationError, TraceFormatError
 from repro.network.variability import NLANRRatioVariability
 from repro.sim.config import SimulationConfig
@@ -26,7 +28,7 @@ from repro.trace.columnar import ColumnarTrace
 from repro.workload.gismo import GismoWorkloadGenerator, Workload, WorkloadConfig
 from repro.workload.trace import Request
 
-from conftest import GOLDEN_POLICIES, replay_golden
+from conftest import GOLDEN_POLICIES, replay_golden, result_record
 
 #: The rows of :func:`make_pair`'s trace, as literal requests.
 ROWS = [
@@ -434,3 +436,119 @@ def test_columnar_replay_bit_identical_sparse_ids():
         cache_size_gb=0.01, variability=NLANRRatioVariability(), seed=2
     )
     replay_golden("columnar/sparse-ids", workload, config)
+
+
+@functools.lru_cache(maxsize=4)
+def _relabelling_workloads(seed):
+    """A small GISMO workload and the same workload with every object id
+    mapped to ``id * 7919 + 50_000_000``, in the catalog and the trace.
+
+    The map is monotone, so every id-ordered walk (stream selection,
+    catalog iteration) visits the objects in the same order, and it lands
+    far above the dense id table's cut-off (``4 * count + 1024``), so the
+    relabelled replay runs on the dict table.
+    """
+    from repro.workload.catalog import Catalog, MediaObject
+
+    workload = GismoWorkloadGenerator(
+        WorkloadConfig(
+            num_objects=40, num_requests=400, num_servers=8, num_clients=8,
+            seed=seed,
+        )
+    ).generate()
+
+    def relabel(ids):
+        return ids * 7919 + 50_000_000
+
+    catalog = Catalog(
+        MediaObject(
+            object_id=relabel(obj.object_id),
+            duration=obj.duration,
+            bitrate=obj.bitrate,
+            server_id=obj.server_id,
+            value=obj.value,
+            layers=obj.layers,
+        )
+        for obj in workload.catalog
+    )
+    trace = workload.trace
+    relabelled = Workload(
+        catalog=catalog,
+        trace=ColumnarTrace(
+            trace.times_array,
+            relabel(trace.object_ids_array),
+            trace.client_ids_array,
+        ),
+        config=workload.config,
+        expected_rates=workload.expected_rates,
+    )
+    return workload, relabelled
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=3),
+    policy=st.sampled_from(["PB", "IB", "LRU", "GDS"]),
+    streaming=st.booleans(),
+    passive=st.booleans(),
+    reactive=st.booleans(),
+    clouds=st.booleans(),
+    faults=st.booleans(),
+    variability=st.booleans(),
+    hierarchy=st.booleans(),
+)
+def test_replay_is_invariant_under_sparse_id_relabelling(
+    seed, policy, streaming, passive, reactive, clouds, faults, variability,
+    hierarchy,
+):
+    """Relabelling every object id into a sparse range leaves every
+    result, counter and report bit-identical, whatever subsystems run.
+
+    Streaming runs with ``vbr_fraction=0``: a VBR object's frame sizes are
+    seeded with its object id by design, so relabelling a VBR stream
+    changes what it carries.  A hierarchy excludes streaming and
+    re-keying, so those two are off whenever it is drawn; re-keying
+    needs passive knowledge, so it switches that on.
+    """
+    from repro.network.distributions import NLANRBandwidthDistribution
+    from repro.sim.config import BandwidthKnowledge, ClientCloudConfig
+    from repro.sim.faults import FaultConfig
+    from repro.sim.hierarchy import CacheTier, HierarchyConfig
+    from repro.sim.simulator import ProxyCacheSimulator
+    from repro.sim.streaming import StreamingConfig
+
+    if hierarchy:
+        streaming = reactive = False
+    kwargs = dict(cache_size_gb=0.5, seed=seed)
+    if passive or reactive:
+        kwargs["bandwidth_knowledge"] = BandwidthKnowledge.PASSIVE
+    if variability:
+        kwargs["variability"] = NLANRRatioVariability()
+    if streaming:
+        kwargs["streaming"] = StreamingConfig(vbr_fraction=0.0)
+    if reactive:
+        kwargs.update(reactive_threshold=0.15, reactive_passive=True)
+    if clouds:
+        kwargs["client_clouds"] = ClientCloudConfig(
+            groups=4, distribution=NLANRBandwidthDistribution()
+        )
+    if faults:
+        kwargs["faults"] = FaultConfig(
+            random_origin_outages=2, random_bandwidth_flaps=2
+        )
+    if hierarchy:
+        kwargs["hierarchy"] = HierarchyConfig(
+            tiers=(
+                CacheTier(name="edge", cache_kb=200_000.0, uplink_bandwidth=50.0),
+                CacheTier(name="parent", cache_kb=800_000.0, uplink_bandwidth=40.0),
+            ),
+            num_pops=2,
+        )
+    config = SimulationConfig(**kwargs)
+    records = [
+        result_record(
+            ProxyCacheSimulator(workload, config).run(PolicySpec(policy)())
+        )
+        for workload in _relabelling_workloads(seed)
+    ]
+    assert records[0] == records[1]

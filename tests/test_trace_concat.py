@@ -61,6 +61,10 @@ class TestConcatSemantics:
         with pytest.raises(ConfigurationError):
             ColumnarTrace.concat([_trace([0.0])], rebase=True, gap=-1.0)
 
+    def test_nan_gap_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ColumnarTrace.concat([_trace([0.0])], rebase=True, gap=float("nan"))
+
     def test_empty_inputs(self):
         assert len(ColumnarTrace.concat([])) == 0
         only = _trace([1.0, 2.0])

@@ -10,20 +10,6 @@ def test_gb_kb_roundtrip():
     assert units.kb_to_gb(units.gb_to_kb(7.25)) == pytest.approx(7.25)
 
 
-def test_mb_kb_roundtrip():
-    assert units.mb_to_kb(2.0) == pytest.approx(2_000.0)
-    assert units.kb_to_mb(units.mb_to_kb(0.125)) == pytest.approx(0.125)
-
-
-def test_minutes_seconds_roundtrip():
-    assert units.minutes_to_seconds(55.0) == pytest.approx(3300.0)
-    assert units.seconds_to_minutes(units.minutes_to_seconds(3.3)) == pytest.approx(3.3)
-
-
-def test_hours_to_seconds():
-    assert units.hours_to_seconds(1.5) == pytest.approx(5400.0)
-
-
 def test_default_bitrate_matches_table1():
     # 2 KB per frame at 24 frames per second is the paper's 48 KB/s.
     assert units.DEFAULT_BITRATE_KBPS == pytest.approx(48.0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import ConfigurationError, UnknownObjectError
-from repro.workload.catalog import Catalog, CatalogBuilder, MediaObject
+from repro.workload.catalog import Catalog, MediaObject
 
 
 class TestMediaObject:
@@ -30,6 +30,13 @@ class TestMediaObject:
     def test_zero_layers_rejected(self):
         with pytest.raises(ConfigurationError):
             MediaObject(object_id=1, duration=10.0, bitrate=48.0, layers=0)
+
+    @pytest.mark.parametrize("field", ["duration", "value"])
+    def test_nan_field_rejected(self, field):
+        kwargs = dict(object_id=1, duration=10.0, bitrate=48.0)
+        kwargs[field] = float("nan")
+        with pytest.raises(ConfigurationError):
+            MediaObject(**kwargs)
 
     def test_minimum_prefix_zero_when_bandwidth_sufficient(self):
         obj = MediaObject(object_id=1, duration=100.0, bitrate=48.0)
@@ -120,19 +127,3 @@ class TestCatalog:
     def test_empty_catalog_describe(self):
         summary = Catalog([]).describe()
         assert summary["objects"] == 0
-
-
-class TestCatalogBuilder:
-    def test_auto_ids(self):
-        builder = CatalogBuilder()
-        builder.add(duration=10.0, bitrate=48.0)
-        builder.add(duration=20.0, bitrate=48.0)
-        catalog = builder.build()
-        assert catalog.object_ids() == [0, 1]
-
-    def test_explicit_ids_and_extend(self):
-        builder = CatalogBuilder()
-        builder.add(duration=10.0, bitrate=48.0, object_id=5)
-        builder.extend([MediaObject(object_id=9, duration=5.0, bitrate=10.0)])
-        catalog = builder.build()
-        assert set(catalog.object_ids()) == {5, 9}

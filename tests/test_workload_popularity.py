@@ -1,15 +1,10 @@
-"""Tests for popularity models (Zipf, uniform, empirical)."""
+"""Tests for the Zipf popularity model."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.workload.popularity import (
-    EmpiricalPopularity,
-    UniformPopularity,
-    ZipfPopularity,
-    zipf_rank_concentration,
-)
+from repro.workload.popularity import ZipfPopularity
 
 
 class TestZipfPopularity:
@@ -35,6 +30,10 @@ class TestZipfPopularity:
         with pytest.raises(ConfigurationError):
             ZipfPopularity(-0.1)
 
+    def test_nan_alpha_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ZipfPopularity(float("nan"))
+
     def test_zero_objects_rejected(self):
         with pytest.raises(ConfigurationError):
             ZipfPopularity(0.73).probabilities(0)
@@ -52,45 +51,3 @@ class TestZipfPopularity:
     def test_expected_rates_scale_with_requests(self):
         rates = ZipfPopularity(0.73).expected_rates(100, 10_000)
         assert rates.sum() == pytest.approx(10_000)
-
-
-class TestUniformPopularity:
-    def test_uniform_probabilities(self):
-        probs = UniformPopularity().probabilities(20)
-        assert np.allclose(probs, 1.0 / 20)
-
-    def test_zero_objects_rejected(self):
-        with pytest.raises(ConfigurationError):
-            UniformPopularity().probabilities(0)
-
-
-class TestEmpiricalPopularity:
-    def test_normalises_weights(self):
-        probs = EmpiricalPopularity([2.0, 1.0, 1.0]).probabilities()
-        assert probs.tolist() == pytest.approx([0.5, 0.25, 0.25])
-
-    def test_rejects_empty_or_negative(self):
-        with pytest.raises(ConfigurationError):
-            EmpiricalPopularity([])
-        with pytest.raises(ConfigurationError):
-            EmpiricalPopularity([1.0, -1.0])
-        with pytest.raises(ConfigurationError):
-            EmpiricalPopularity([0.0, 0.0])
-
-    def test_size_mismatch_rejected(self):
-        model = EmpiricalPopularity([1.0, 2.0])
-        with pytest.raises(ConfigurationError):
-            model.probabilities(3)
-
-
-def test_zipf_rank_concentration_monotone_in_alpha():
-    low = zipf_rank_concentration(0.5, 1000, 0.1)
-    high = zipf_rank_concentration(1.2, 1000, 0.1)
-    assert 0.0 < low < high < 1.0
-
-
-def test_zipf_rank_concentration_validates_fraction():
-    with pytest.raises(ConfigurationError):
-        zipf_rank_concentration(0.73, 1000, 0.0)
-    with pytest.raises(ConfigurationError):
-        zipf_rank_concentration(0.73, 1000, 1.5)

@@ -4,17 +4,11 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.workload.arrivals import (
-    DeterministicArrivalProcess,
-    MarkovModulatedPoissonProcess,
-    PoissonArrivalProcess,
-)
-from repro.workload.sizes import (
-    ConstantBitrateModel,
-    ConstantDurationModel,
-    HeterogeneousBitrateModel,
-    LognormalDurationModel,
-)
+from repro.workload.arrivals import PoissonArrivalProcess
+from repro.workload.sizes import ConstantBitrateModel, LognormalDurationModel
+
+
+NAN = float("nan")
 
 
 class TestLognormalDurationModel:
@@ -42,16 +36,12 @@ class TestLognormalDurationModel:
         with pytest.raises(ConfigurationError):
             LognormalDurationModel().sample(0, np.random.default_rng(0))
 
-
-class TestConstantDurationModel:
-    def test_constant(self, rng):
-        model = ConstantDurationModel(120.0)
-        assert model.mean() == 120.0
-        assert np.all(model.sample(10, rng) == 120.0)
-
-    def test_rejects_nonpositive(self):
+    @pytest.mark.parametrize("parameter", ["mu", "sigma", "min_minutes", "max_minutes"])
+    def test_nan_parameter_rejected(self, parameter):
+        # A NaN mu or truncation bound would draw NaN durations, and so a
+        # catalog of NaN-sized objects.
         with pytest.raises(ConfigurationError):
-            ConstantDurationModel(0.0)
+            LognormalDurationModel(**{parameter: NAN})
 
 
 class TestBitrateModels:
@@ -63,22 +53,9 @@ class TestBitrateModels:
         with pytest.raises(ConfigurationError):
             ConstantBitrateModel(0.0)
 
-    def test_heterogeneous_bitrate_samples_from_given_rates(self, rng):
-        model = HeterogeneousBitrateModel(rates=(20.0, 48.0, 110.0), weights=(1, 1, 2))
-        samples = model.sample(5_000, rng)
-        assert set(np.unique(samples)).issubset({20.0, 48.0, 110.0})
-        # The 110 KB/s profile has twice the weight of each other profile.
-        assert np.mean(samples == 110.0) == pytest.approx(0.5, abs=0.05)
-
-    def test_heterogeneous_bitrate_validation(self):
+    def test_constant_bitrate_rejects_nan(self):
         with pytest.raises(ConfigurationError):
-            HeterogeneousBitrateModel(rates=(), weights=())
-        with pytest.raises(ConfigurationError):
-            HeterogeneousBitrateModel(rates=(10.0,), weights=(1.0, 2.0))
-        with pytest.raises(ConfigurationError):
-            HeterogeneousBitrateModel(rates=(-1.0,), weights=(1.0,))
-        with pytest.raises(ConfigurationError):
-            HeterogeneousBitrateModel(rates=(10.0,), weights=(0.0,))
+            ConstantBitrateModel(NAN)
 
 
 class TestPoissonArrivals:
@@ -98,38 +75,6 @@ class TestPoissonArrivals:
         with pytest.raises(ConfigurationError):
             PoissonArrivalProcess(rate=1.0).sample(0, rng)
 
-
-class TestDeterministicArrivals:
-    def test_evenly_spaced(self, rng):
-        times = DeterministicArrivalProcess(interval=2.0).sample(5, rng)
-        assert times.tolist() == [2.0, 4.0, 6.0, 8.0, 10.0]
-
-    def test_rejects_nonpositive_interval(self):
+    def test_nan_rate_rejected(self):
         with pytest.raises(ConfigurationError):
-            DeterministicArrivalProcess(interval=0.0)
-
-
-class TestMarkovModulatedArrivals:
-    def test_times_sorted(self, rng):
-        process = MarkovModulatedPoissonProcess(
-            low_rate=0.1, high_rate=5.0, mean_low_duration=100.0, mean_high_duration=20.0
-        )
-        times = process.sample(2_000, rng)
-        assert len(times) == 2_000
-        assert np.all(np.diff(times) >= 0)
-
-    def test_burstier_than_poisson(self, rng):
-        mmpp = MarkovModulatedPoissonProcess(
-            low_rate=0.1, high_rate=10.0, mean_low_duration=200.0, mean_high_duration=50.0
-        )
-        bursty = np.diff(mmpp.sample(5_000, rng))
-        poisson = np.diff(PoissonArrivalProcess(rate=1.0).sample(5_000, rng))
-        cov_bursty = bursty.std() / bursty.mean()
-        cov_poisson = poisson.std() / poisson.mean()
-        assert cov_bursty > cov_poisson
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ConfigurationError):
-            MarkovModulatedPoissonProcess(0.0, 1.0, 10.0, 10.0)
-        with pytest.raises(ConfigurationError):
-            MarkovModulatedPoissonProcess(1.0, 1.0, 0.0, 10.0)
+            PoissonArrivalProcess(rate=NAN)

@@ -4,12 +4,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError, TraceFormatError
 from repro.trace.columnar import ColumnarTrace
-from repro.workload.gismo import (
-    GismoWorkloadGenerator,
-    Workload,
-    WorkloadConfig,
-    table1_workload,
-)
+from repro.workload.gismo import GismoWorkloadGenerator, Workload, WorkloadConfig
 from repro.workload.trace import Request
 
 
@@ -114,8 +109,23 @@ class TestWorkloadConfig:
         with pytest.raises(ConfigurationError):
             WorkloadConfig(value_min=5.0, value_max=1.0)
 
+    @pytest.mark.parametrize("field", ["value_min", "value_max"])
+    def test_nan_value_bound_rejected(self, field):
+        with pytest.raises(ConfigurationError):
+            WorkloadConfig(**{field: float("nan")})
+
 
 class TestGismoWorkloadGenerator:
+    @pytest.mark.parametrize(
+        "field", ["zipf_alpha", "arrival_rate", "duration_mu", "duration_sigma", "bitrate"]
+    )
+    def test_nan_model_parameter_rejected(self, field):
+        # The generator builds its models from these fields; a NaN one must
+        # fail there, not surface as NaN sizes, times or probabilities.
+        config = WorkloadConfig(num_objects=10, num_requests=20, **{field: float("nan")})
+        with pytest.raises(ConfigurationError):
+            GismoWorkloadGenerator(config)
+
     def test_generation_is_deterministic(self):
         config = WorkloadConfig(num_objects=30, num_requests=500, num_servers=5, seed=3)
         first = GismoWorkloadGenerator(config).generate()
@@ -160,21 +170,3 @@ class TestGismoWorkloadGenerator:
         summary = tiny_workload.describe()
         assert summary["requests"] == float(len(tiny_workload.trace))
         assert summary["zipf_alpha"] == pytest.approx(0.73)
-
-
-class TestTable1Workload:
-    def test_full_scale_matches_paper_totals(self):
-        workload = table1_workload(seed=0, scale=0.02)
-        # At 2% scale: 100 objects, 2000 requests; shape parameters unchanged.
-        assert len(workload.catalog) == 100
-        assert len(workload.trace) == 2_000
-
-    def test_total_size_extrapolates_to_about_790_gb(self):
-        # Mean object size is ~55 min * 48 KB/s ~ 158 MB; 5000 objects ~ 790 GB.
-        workload = table1_workload(seed=1, scale=0.05)
-        scaled_total = workload.catalog.total_size_gb / 0.05
-        assert scaled_total == pytest.approx(790.0, rel=0.15)
-
-    def test_scale_rejected_when_invalid(self):
-        with pytest.raises(ConfigurationError):
-            table1_workload(scale=-1.0)
