@@ -1,9 +1,10 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test spawn-smoke bench-smoke bench-full bench-goldens bench-figures ingest-demo docs-check faults-smoke obs-smoke streaming-smoke streaming-smoke-record hierarchy-smoke
+.PHONY: test spawn-smoke bench-smoke bench-full bench-goldens ingest-demo docs-check faults-smoke obs-smoke streaming-smoke streaming-smoke-record hierarchy-smoke
 
-## Tier-1 verification: the full test + benchmark suite (writes no file).
+## Tier-1 verification: the tests (the paper's claims among them) and the
+## throughput measurement in benchmarks/ (writes no file).
 test:
 	$(PYTHON) -m pytest -x -q
 
@@ -41,10 +42,6 @@ bench-goldens:
 			'import json, sys; sys.exit(0 if json.loads(sys.stdin.read())["correct"] is True else 1)' \
 			|| { echo "bench-goldens: seed $$seed failed its checks" >&2; exit 1; }; \
 	done
-
-## The paper-figure benchmarks (pytest-benchmark timings, printed tables).
-bench-figures:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 ## Ingest the bundled sample access logs through the CLI: summary + a
 ## policy comparison on the Squid log, summary only for the CLF log.

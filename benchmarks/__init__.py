@@ -1,1 +1,1 @@
-"""Benchmark harness: one module per table/figure of the paper's evaluation."""
+"""The simulator's throughput measurement (``make bench-full``, ``make bench-smoke``)."""

@@ -1,7 +1,6 @@
 """Raw simulation-core throughput of the replay loop and its subsystems.
 
-Unlike the figure benchmarks (which time whole experiments), this
-microbenchmark isolates the replay loop itself: one ~200k-request
+This microbenchmark isolates the replay loop itself: one ~200k-request
 :class:`~repro.trace.columnar.ColumnarTrace` is replayed against a fixed
 topology — and its requests/second (recorded under both
 ``fast_path_requests_per_sec`` and ``columnar_path_requests_per_sec``, the

@@ -2,7 +2,7 @@
 
 The functions here turn :class:`~repro.sim.runner.SweepResult` and
 :class:`~repro.sim.runner.PolicyComparison` objects into aligned text tables
-of the kind the benchmark harness prints, mirroring the series each paper
+of the kind ``repro experiment`` prints, mirroring the series each paper
 figure plots.
 """
 
@@ -124,7 +124,7 @@ def format_timeline(
 
 
 def render_experiment(result: ExperimentResult) -> str:
-    """Render an :class:`ExperimentResult` the way the benchmarks print it.
+    """Render an :class:`ExperimentResult` the way ``repro experiment`` prints it.
 
     Sweep-based experiments get one table per figure metric; scalar-valued
     experiments (the bandwidth-model figures and Table 1) get key/value

@@ -311,9 +311,9 @@ class ReactiveRekeyer:
     Anchors and caps are kept **per client group** (``docs/clients.md``):
     a request from group ``g`` keys the heap at
     ``min(estimate, group_caps[g])``, so each group's view is compared
-    against its own cap and its own anchor — a single global cap (the old
-    behaviour, still expressible as ``bandwidth_cap=``) cannot represent
-    what a slower group's requests actually keyed at.  With
+    against its own cap and its own anchor — a single cap (one-element
+    ``group_caps``) cannot represent what a slower group's requests
+    actually keyed at.  With
     ``group_estimation`` enabled the group views read the estimator's
     ``(server, group)`` delivered-bandwidth estimates, so a last-mile
     degradation invisible to the origin estimate still re-keys.  Re-keys
@@ -350,7 +350,6 @@ class ReactiveRekeyer:
         policy,
         estimator: "PassiveEstimator",
         threshold: float,
-        bandwidth_cap: Optional[float] = None,
         group_caps: Optional[Sequence[float]] = None,
         hysteresis: Optional[float] = None,
         rekey_cap: Optional[int] = None,
@@ -360,17 +359,6 @@ class ReactiveRekeyer:
             raise ConfigurationError(
                 f"reactive threshold must be positive, got {threshold}"
             )
-        if bandwidth_cap is not None:
-            if not bandwidth_cap > 0:
-                raise ConfigurationError(
-                    f"bandwidth_cap must be positive, got {bandwidth_cap}"
-                )
-            if group_caps is not None:
-                raise ConfigurationError(
-                    "give either the legacy single bandwidth_cap or per-group "
-                    "group_caps, not both"
-                )
-            group_caps = (bandwidth_cap,)
         if group_caps is not None:
             group_caps = tuple(float(cap) for cap in group_caps)
             if not group_caps:
@@ -421,11 +409,6 @@ class ReactiveRekeyer:
         #: Views waiting to re-enter the hysteresis band before they may
         #: trigger again (only populated when ``hysteresis`` is set).
         self._disarmed: Dict[int, Dict[Optional[int], bool]] = {}
-
-    @property
-    def bandwidth_cap(self) -> Optional[float]:
-        """Largest believed bandwidth any request holds (legacy view)."""
-        return self._max_cap
 
     def anchor_for(
         self, server_id: int, group_id: Optional[int] = None

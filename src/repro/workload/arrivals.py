@@ -6,6 +6,8 @@ arrive independently with exponentially distributed inter-arrival times.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.exceptions import ConfigurationError
@@ -23,8 +25,10 @@ class PoissonArrivalProcess(ArrivalProcess):
     """Homogeneous Poisson arrivals at ``rate`` requests per second."""
 
     def __init__(self, rate: float):
-        if not rate > 0:
-            raise ConfigurationError(f"arrival rate must be positive, got {rate}")
+        if not 0 < rate < math.inf:
+            raise ConfigurationError(
+                f"arrival rate must be positive and finite, got {rate}"
+            )
         self.rate = float(rate)
 
     def __repr__(self) -> str:

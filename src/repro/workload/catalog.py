@@ -98,8 +98,7 @@ class MediaObject:
         caching more does not reduce the delay further.  When the path is
         already fast enough (``b >= r_i``) no caching is needed.
         """
-        if bandwidth < 0:
-            raise ConfigurationError(f"bandwidth must be non-negative, got {bandwidth}")
+        _check_bandwidth(bandwidth)
         deficit = self.bitrate - bandwidth
         if deficit <= 0:
             return 0.0
@@ -115,6 +114,7 @@ class MediaObject:
         object unserviceable; the delay is reported as ``float('inf')``
         unless the whole object is cached.
         """
+        _check_bandwidth(bandwidth)
         missing = self.size - self.duration * bandwidth - cached_bytes
         if missing <= 0:
             return 0.0
@@ -131,15 +131,22 @@ class MediaObject:
         ``(x_i / T_i + b) / r_i`` clipped to ``[0, 1]`` and quantised down to
         a multiple of ``1 / layers``.
         """
+        _check_bandwidth(bandwidth)
         if self.duration <= 0:
             return 1.0
-        supported_rate = cached_bytes / self.duration + max(bandwidth, 0.0)
+        supported_rate = cached_bytes / self.duration + bandwidth
         fraction = min(1.0, supported_rate / self.bitrate)
         if fraction >= 1.0:
             return 1.0
         quantum = 1.0 / self.layers
         supported_layers = int(fraction / quantum + 1e-9)
         return supported_layers * quantum
+
+
+def _check_bandwidth(bandwidth: float) -> None:
+    # ``not >=`` so that NaN, which every comparison fails, is refused too.
+    if not bandwidth >= 0:
+        raise ConfigurationError(f"bandwidth must be non-negative, got {bandwidth}")
 
 
 def id_table(ids: Sequence[int], count: int, fill) -> Union[list, dict]:

@@ -40,6 +40,9 @@ from repro.workload.sizes import (
 if TYPE_CHECKING:
     from repro.trace.columnar import ColumnarTrace
 
+#: The :class:`WorkloadConfig` fields the generator builds its models from.
+_MODEL_FIELDS = ("zipf_alpha", "arrival_rate", "duration_mu", "duration_sigma", "bitrate")
+
 
 @dataclass
 class WorkloadConfig:
@@ -103,13 +106,15 @@ class WorkloadConfig:
             self, Integral,
             "num_objects", "num_requests", "num_servers", "layers", "num_clients",
         )
-        check_scalars(
-            self, Real,
-            "zipf_alpha", "arrival_rate", "duration_mu", "duration_sigma", "bitrate",
-            "value_min", "value_max",
-        )
+        check_scalars(self, Real, *_MODEL_FIELDS, "value_min", "value_max")
         # None draws a fresh seed from the operating system, as numpy does.
         check_scalars(self, Integral, "seed", optional=True)
+        # The generator's models check their own ranges; a non-finite value
+        # is refused here too, so describe() and scaled() never carry one.
+        for name in _MODEL_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.num_objects <= 0:
             raise ConfigurationError("num_objects must be positive")
         if self.num_requests <= 0:
@@ -167,7 +172,7 @@ class Workload:
             )
 
     def describe(self) -> dict:
-        """Summary statistics used by reports and the Table 1 benchmark."""
+        """Summary statistics used by reports and the Table 1 experiment."""
         summary = dict(self.catalog.describe())
         summary.update(
             {

@@ -389,7 +389,7 @@ def test_rekeyer_caps_shift_detection_at_last_mile_ceiling(small_catalog):
     policy.install(store, small_catalog)
     policy.on_request(small_catalog.get(0), 20.0, 0.0, store)
     estimator = PassiveEstimator(smoothing=1.0)
-    rekeyer = ReactiveRekeyer(policy, estimator, threshold=0.2, bandwidth_cap=50.0)
+    rekeyer = ReactiveRekeyer(policy, estimator, threshold=0.2, group_caps=(50.0,))
 
     prior = estimator.estimate(0)  # initial 100, capped to 50 when seeding
     estimator.observe(0, 100.0)
@@ -402,7 +402,7 @@ def test_rekeyer_caps_shift_detection_at_last_mile_ceiling(small_catalog):
     rekeyer.notify(3.0, 0, 300.0)  # below the cap: a real believed-bandwidth shift
     assert rekeyer.shifts == 1
     with pytest.raises(ConfigurationError):
-        ReactiveRekeyer(policy, estimator, threshold=0.2, bandwidth_cap=0.0)
+        ReactiveRekeyer(policy, estimator, threshold=0.2, group_caps=(0.0,))
 
 
 def test_reactive_cap_derived_from_cloud_ceiling(client_workload):

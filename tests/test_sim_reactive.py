@@ -10,8 +10,8 @@ Four families of guarantees are pinned here (ISSUE 5):
 * **Per-group last-mile views** — anchors and caps are kept per client
   group, and with ``estimate_last_mile`` the ``(server, group)`` keyed
   estimator mode lets a last-mile degradation that is invisible to the
-  origin estimate still re-key — the two-group case the legacy single
-  ``bandwidth_cap`` provably ignores.
+  origin estimate still re-key — the two-group case a single cap over
+  origin-only notifies provably ignores.
 * **Bounded churn** — the hysteresis re-arm band and the per-server re-key
   cap bound re-keys under adversarial oscillating bandwidth
   (property-tested), and passive-driven runs match their recorded
@@ -140,16 +140,16 @@ class TestAnchorSeeding:
 class TestPerGroupViews:
     def test_two_group_last_mile_collapse_legacy_cap_misses(self):
         """The failing-then-fixed two-group case: the origin estimate never
-        moves, so the legacy single ``bandwidth_cap`` rekeyer sees nothing —
-        but the slow group's *delivered* bandwidth collapses, which the
-        per-group ``(server, group)`` estimation mode catches."""
+        moves, so a rekeyer with one cap sees nothing — but the slow
+        group's *delivered* bandwidth collapses, which the per-group
+        ``(server, group)`` estimation mode catches."""
         catalog = _catalog()
 
         # Legacy shape: one global cap, probe-style (origin-only) notifies.
         legacy_policy, _ = _tracked_policy(catalog, bandwidth=40.0)
         legacy_est = PassiveEstimator(smoothing=1.0)
         legacy = ReactiveRekeyer(
-            legacy_policy, legacy_est, threshold=0.5, bandwidth_cap=100.0
+            legacy_policy, legacy_est, threshold=0.5, group_caps=(100.0,)
         )
         # Fixed shape: per-group caps plus per-group delivered estimation.
         fixed_policy, _ = _tracked_policy(catalog, bandwidth=40.0)
@@ -281,11 +281,6 @@ class TestPerGroupViews:
         with pytest.raises(ConfigurationError):
             ReactiveRekeyer(policy, estimator, threshold=0.2, group_caps=(0.0,))
         with pytest.raises(ConfigurationError):
-            ReactiveRekeyer(
-                policy, estimator, threshold=0.2,
-                bandwidth_cap=50.0, group_caps=(50.0,),
-            )
-        with pytest.raises(ConfigurationError):
             ReactiveRekeyer(policy, estimator, threshold=0.2, hysteresis=0.3)
         with pytest.raises(ConfigurationError):
             ReactiveRekeyer(policy, estimator, threshold=0.2, hysteresis=0.0)
@@ -294,7 +289,6 @@ class TestPerGroupViews:
         nan = float("nan")
         for kwargs in (
             dict(threshold=nan),
-            dict(threshold=0.2, bandwidth_cap=nan),
             dict(threshold=0.2, group_caps=(50.0, nan)),
             dict(threshold=0.2, rekey_cap=nan),
         ):

@@ -48,10 +48,16 @@ class TestMediaObject:
         obj = MediaObject(object_id=1, duration=100.0, bitrate=48.0)
         assert obj.minimum_prefix_for_bandwidth(20.0) == pytest.approx(2800.0)
 
-    def test_minimum_prefix_rejects_negative_bandwidth(self):
-        obj = MediaObject(object_id=1, duration=100.0, bitrate=48.0)
-        with pytest.raises(ConfigurationError):
-            obj.minimum_prefix_for_bandwidth(-1.0)
+    @pytest.mark.parametrize(
+        "method", ["minimum_prefix_for_bandwidth", "startup_delay", "stream_quality"]
+    )
+    @pytest.mark.parametrize("bandwidth", [float("nan"), -1.0])
+    def test_invalid_bandwidth_rejected(self, method, bandwidth):
+        # A NaN bandwidth used to give a NaN prefix, a NaN delay and full
+        # quality; a negative one an infinite delay and the quality of none.
+        obj = MediaObject(object_id=0, duration=10.0, bitrate=48.0)
+        with pytest.raises(ConfigurationError, match="bandwidth"):
+            getattr(obj, method)(bandwidth)
 
     def test_startup_delay_zero_with_enough_bandwidth(self):
         obj = MediaObject(object_id=1, duration=100.0, bitrate=48.0)

@@ -43,6 +43,11 @@ class TestLognormalDurationModel:
         with pytest.raises(ConfigurationError):
             LognormalDurationModel(**{parameter: NAN})
 
+    def test_infinite_upper_bound_truncates_no_tail(self, rng):
+        # max_minutes=inf is allowed: the lognormal draws stay finite.
+        samples = LognormalDurationModel(max_minutes=float("inf")).sample(1_000, rng)
+        assert np.all(np.isfinite(samples))
+
 
 class TestBitrateModels:
     def test_constant_bitrate_default_is_48(self, rng):
@@ -78,3 +83,8 @@ class TestPoissonArrivals:
     def test_nan_rate_rejected(self):
         with pytest.raises(ConfigurationError):
             PoissonArrivalProcess(rate=NAN)
+
+    def test_infinite_rate_rejected(self):
+        # An infinite rate draws every arrival at t=0.
+        with pytest.raises(ConfigurationError):
+            PoissonArrivalProcess(rate=float("inf"))

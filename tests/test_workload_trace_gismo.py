@@ -7,6 +7,9 @@ from repro.trace.columnar import ColumnarTrace
 from repro.workload.gismo import GismoWorkloadGenerator, Workload, WorkloadConfig
 from repro.workload.trace import Request
 
+#: The config fields the generator builds its models from.
+MODEL_FIELDS = ["zipf_alpha", "arrival_rate", "duration_mu", "duration_sigma", "bitrate"]
+
 
 class TestRequest:
     def test_negative_time_rejected(self):
@@ -114,15 +117,21 @@ class TestWorkloadConfig:
         with pytest.raises(ConfigurationError):
             WorkloadConfig(**{field: float("nan")})
 
+    @pytest.mark.parametrize("field", MODEL_FIELDS)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_model_parameter_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            WorkloadConfig(**{field: value})
+
 
 class TestGismoWorkloadGenerator:
-    @pytest.mark.parametrize(
-        "field", ["zipf_alpha", "arrival_rate", "duration_mu", "duration_sigma", "bitrate"]
-    )
+    @pytest.mark.parametrize("field", MODEL_FIELDS)
     def test_nan_model_parameter_rejected(self, field):
-        # The generator builds its models from these fields; a NaN one must
-        # fail there, not surface as NaN sizes, times or probabilities.
-        config = WorkloadConfig(num_objects=10, num_requests=20, **{field: float("nan")})
+        # The generator builds its models from these fields; a NaN one set
+        # on a config after construction must fail there, not surface as
+        # NaN sizes, times or probabilities.
+        config = WorkloadConfig(num_objects=10, num_requests=20)
+        setattr(config, field, float("nan"))
         with pytest.raises(ConfigurationError):
             GismoWorkloadGenerator(config)
 
