@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test spawn-smoke bench-smoke bench-full bench-goldens ingest-demo docs-check faults-smoke obs-smoke streaming-smoke streaming-smoke-record hierarchy-smoke
+.PHONY: test spawn-smoke experiments-smoke bench-smoke bench-full bench-goldens ingest-demo docs-check faults-smoke obs-smoke streaming-smoke streaming-smoke-record hierarchy-smoke
 
 ## Tier-1 verification: the tests (the paper's claims among them) and the
 ## throughput measurement in benchmarks/ (writes no file).
@@ -12,10 +12,28 @@ test:
 ## unpickles the workload its initializer receives instead of inheriting
 ## it as a forked worker does (macOS, Windows, and Linux from Python 3.14
 ## start workers this way).  The experiment goldens send the reactive,
-## fault and streaming grids through spawned workers, so whole results
-## (fault and streaming reports, a metrics timeline) cross that boundary.
+## fault and streaming grids and every sweep figure's grid through spawned
+## workers, so whole results (fault and streaming reports, a metrics
+## timeline) cross that boundary.
 spawn-smoke:
 	$(PYTHON) -c 'import multiprocessing, sys; multiprocessing.set_start_method("spawn"); import pytest; sys.exit(pytest.main(["-q", "tests/test_analysis_parallel.py", "tests/test_experiment_goldens.py", "tests/test_sim_hierarchy.py::TestShardedFleet"]))'
+
+## Experiment determinism smoke: every `repro experiment` name at a small
+## scale, once in-process (--jobs 1) and once on a 2-worker pool
+## (--jobs 2); the two stdouts of each name must be byte-identical.  The
+## reports go to a temporary directory, so the checkout is never written to.
+experiments-smoke:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	names=$$($(PYTHON) -c 'from repro.cli import EXPERIMENTS; print(" ".join(sorted(EXPERIMENTS)))') && \
+	for name in $$names; do \
+		for jobs in 1 2; do \
+			$(PYTHON) -m repro experiment $$name --scale 0.02 --runs 2 --jobs $$jobs \
+				> "$$dir/$$name.$$jobs.out" || exit 1; \
+		done; \
+		diff -u "$$dir/$$name.1.out" "$$dir/$$name.2.out" \
+			|| { echo "experiments-smoke: $$name differs between --jobs 1 and --jobs 2" >&2; exit 1; }; \
+		echo "$$name: --jobs 1 and --jobs 2 stdouts identical"; \
+	done
 
 ## Quick throughput regression gate: replays a small (20k-request) trace
 ## and fails if it is >30% slower than the baseline recorded in

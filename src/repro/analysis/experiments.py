@@ -15,13 +15,21 @@ Every function returns an :class:`ExperimentResult` whose ``data`` field
 holds the figure's series and whose ``notes`` summarise what qualitative
 shape the paper reports, so EXPERIMENTS.md can be written directly from the
 results.
+
+Each simulation experiment submits all of its replays on one workload as
+one grid of jobs, so ``n_jobs`` workers share the whole of it.  A sweep
+experiment's surfaces — one cache-size sweep each, such as Figure 9's
+estimator spectrum with its re-measurement ablation or ``hetero``'s three
+client-cloud settings — go out through one
+:func:`~repro.sim.runner.compare_grid` call; Figure 6 sends one grid per
+alpha, because each alpha is a workload of its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +52,7 @@ from repro.sim.events import RemeasurementConfig
 from repro.sim.faults import FaultConfig, FaultEpisode
 from repro.sim.hierarchy import CacheTier, HierarchyConfig
 from repro.sim.metrics import SimulationMetrics
-from repro.sim.runner import PolicyComparison, SweepResult, sweep_cache_sizes
+from repro.sim.runner import PolicyComparison, SweepResult, compare_grid
 from repro.sim.simulator import SimulationResult
 from repro.sim.streaming import StreamingConfig
 from repro.workload.gismo import GismoWorkloadGenerator, Workload, WorkloadConfig
@@ -106,12 +114,6 @@ def cache_sizes_gb_for(workload: Workload, fractions: Sequence[float]) -> List[f
     return [fraction * total_gb for fraction in fractions]
 
 
-def _policy_factories(names: Sequence[str]) -> Dict[str, Callable[[], object]]:
-    # PolicySpec rather than lambdas: the factories must survive pickling
-    # when experiments fan out over worker processes (n_jobs > 1).
-    return {name: PolicySpec(name) for name in names}
-
-
 def _replications(
     config: SimulationConfig, policy_name: str, num_runs: int
 ) -> List[SimulationJob]:
@@ -156,32 +158,120 @@ def _comparison(
     )
 
 
-def _cache_size_sweep(
-    policies: Sequence[str],
-    variability: BandwidthVariabilityModel,
-    scale: float,
-    num_runs: int,
+def _sweep_grid(
+    workload: Workload,
+    surfaces: Mapping[Hashable, Tuple[SimulationConfig, Mapping[str, PolicySpec]]],
     cache_fractions: Sequence[float],
-    seed: int,
-    zipf_alpha: float = 0.73,
-    n_jobs: int = 1,
-) -> SweepResult:
-    workload = build_workload(scale=scale, zipf_alpha=zipf_alpha, seed=seed)
-    config = SimulationConfig(variability=variability, seed=seed)
-    sweep = sweep_cache_sizes(
-        workload,
-        _policy_factories(policies),
-        cache_sizes_gb_for(workload, cache_fractions),
-        config=config,
-        num_runs=num_runs,
-        n_jobs=n_jobs,
-    )
-    # Re-express the x-axis as a fraction of unique object size, as the
-    # paper's figures do.
+    num_runs: int,
+    n_jobs: int,
+) -> Dict[Hashable, SweepResult]:
+    """Sweep every surface over the cache fractions, all in one grid.
+
+    A surface is the config each cache size is applied to and the
+    policies compared at each size, by series label; PolicySpec rather
+    than lambdas, because the factories must survive pickling when the
+    grid fans out over worker processes (n_jobs > 1).  The x-axis is the
+    cache size as a fraction of the total unique object size, as the
+    paper's figures plot it.
+    """
+    if not cache_fractions:
+        raise ConfigurationError("cache_fractions must be non-empty")
     total_gb = workload.catalog.total_size_gb
-    sweep.parameter_name = "cache_fraction"
-    sweep.parameter_values = [size / total_gb for size in sweep.parameter_values]
-    return sweep
+    sizes = cache_sizes_gb_for(workload, cache_fractions)
+    points = iter(
+        compare_grid(
+            workload,
+            [
+                (config.with_cache_size(size), policies)
+                for config, policies in surfaces.values()
+                for size in sizes
+            ],
+            num_runs,
+            n_jobs,
+        )
+    )
+    sweeps: Dict[Hashable, SweepResult] = {}
+    for key, (_, policies) in surfaces.items():
+        surface_points = [next(points) for _ in sizes]
+        sweeps[key] = SweepResult(
+            parameter_name="cache_fraction",
+            # Back from the swept size, not the fraction as given: these
+            # are the axis values the figures have always carried, bit for
+            # bit.
+            parameter_values=[float(size) / total_gb for size in sizes],
+            metrics={
+                name: [point.metrics_by_policy[name] for point in surface_points]
+                for name in policies
+            },
+        )
+    return sweeps
+
+
+#: The policies of Figures 5, 7 and 8, and of Figures 10 and 11.
+_BANDWIDTH_POLICIES = {name: PolicySpec(name) for name in ("IF", "PB", "IB")}
+_VALUE_POLICIES = {name: PolicySpec(name) for name in ("IF", "PB-V", "IB-V")}
+
+
+def _passive_nlanr(
+    workload: Workload,
+    cache_fraction: float,
+    seed: int,
+    client_groups: Optional[int] = None,
+) -> SimulationConfig:
+    """The base config of the extension ablations: NLANR variability under
+    passive bandwidth knowledge, with ``cache_fraction`` of the unique
+    object size cached and, given ``client_groups``, that many last-mile
+    groups of NLANR-distributed bandwidth in front."""
+    clouds = None
+    if client_groups is not None:
+        clouds = ClientCloudConfig(
+            groups=client_groups, distribution=NLANRBandwidthDistribution()
+        )
+    return SimulationConfig(
+        cache_size_gb=cache_fraction * workload.catalog.total_size_gb,
+        variability=NLANRRatioVariability(),
+        bandwidth_knowledge=BandwidthKnowledge.PASSIVE,
+        client_clouds=clouds,
+        seed=seed,
+    )
+
+
+def _reaction_settings(
+    threshold: float, hysteresis: float
+) -> Dict[str, Dict[str, object]]:
+    """The fault and streaming ablations' two reaction settings, as config
+    overrides (see :func:`experiment_fault_tolerance`)."""
+    return {
+        "static": {},
+        "reactive-passive": {
+            "reactive_threshold": threshold,
+            "reactive_passive": True,
+            "reactive_hysteresis": hysteresis,
+        },
+    }
+
+
+def _reaction_tables(
+    results: Dict[tuple, List[SimulationResult]],
+    settings: Sequence[str],
+    reactions: Sequence[str],
+    policies: Sequence[str],
+    reduce: Callable[[List[SimulationResult]], Dict[str, float]],
+) -> Tuple[Dict[str, Dict[str, PolicyComparison]], Dict[str, Dict[str, Dict]]]:
+    """Reduce a ``(setting, reaction, policy)`` grid: each ``(setting,
+    reaction)`` cell's policy comparison, and ``reduce`` of each policy's
+    runs in it, both nested ``[setting][reaction]``."""
+    comparisons: Dict[str, Dict[str, PolicyComparison]] = {}
+    reduced: Dict[str, Dict[str, Dict]] = {}
+    for setting in settings:
+        comparisons[setting], reduced[setting] = {}, {}
+        for reaction in reactions:
+            cell = (setting, reaction)
+            comparisons[setting][reaction] = _comparison(results, cell, policies)
+            reduced[setting][reaction] = {
+                name: reduce(results[(*cell, name)]) for name in policies
+            }
+    return comparisons, reduced
 
 
 # ----------------------------------------------------------------------
@@ -284,19 +374,13 @@ def experiment_fig5_constant_bandwidth(
     n_jobs: int = 1,
 ) -> ExperimentResult:
     """Figure 5: IF vs PB vs IB under the constant-bandwidth assumption."""
-    sweep = _cache_size_sweep(
-        ("IF", "PB", "IB"),
-        ConstantVariability(),
-        scale,
-        num_runs,
-        cache_fractions,
-        seed,
-        n_jobs=n_jobs,
-    )
+    workload = build_workload(scale=scale, seed=seed)
+    config = SimulationConfig(variability=ConstantVariability(), seed=seed)
+    surfaces = {"sweep": (config, _BANDWIDTH_POLICIES)}
     return ExperimentResult(
         experiment_id="fig5",
         title="IF / PB / IB under constant bandwidth",
-        data={"sweep": sweep},
+        data=_sweep_grid(workload, surfaces, cache_fractions, num_runs, n_jobs),
         notes=[
             "Paper: IF achieves the highest traffic reduction, PB the lowest.",
             "Paper: PB achieves the lowest average service delay and the highest quality;",
@@ -317,22 +401,19 @@ def experiment_fig6_zipf_sweep(
     n_jobs: int = 1,
 ) -> ExperimentResult:
     """Figure 6: PB and IB as the Zipf skew alpha varies from 0.5 to 1.2."""
-    surfaces: Dict[float, SweepResult] = {}
+    config = SimulationConfig(variability=ConstantVariability(), seed=seed)
+    policies = {name: PolicySpec(name) for name in ("PB", "IB")}
+    sweeps: Dict[float, SweepResult] = {}
     for alpha in alphas:
-        surfaces[float(alpha)] = _cache_size_sweep(
-            ("PB", "IB"),
-            ConstantVariability(),
-            scale,
-            num_runs,
-            cache_fractions,
-            seed,
-            zipf_alpha=float(alpha),
-            n_jobs=n_jobs,
-        )
+        # One grid per alpha: each alpha is its own workload, and a pool
+        # installs one workload in its workers.
+        workload = build_workload(scale=scale, zipf_alpha=float(alpha), seed=seed)
+        surfaces = {float(alpha): (config, policies)}
+        sweeps.update(_sweep_grid(workload, surfaces, cache_fractions, num_runs, n_jobs))
     return ExperimentResult(
         experiment_id="fig6",
         title="Effect of the Zipf-like popularity parameter alpha",
-        data={"alphas": list(alphas), "sweeps_by_alpha": surfaces},
+        data={"alphas": list(alphas), "sweeps_by_alpha": sweeps},
         notes=[
             "Paper: intensifying temporal locality (larger alpha) improves both algorithms;",
             "the relative ordering between PB and IB does not change.",
@@ -351,19 +432,13 @@ def experiment_fig7_high_variability(
     n_jobs: int = 1,
 ) -> ExperimentResult:
     """Figure 7: IF / PB / IB under the high (NLANR) bandwidth variability."""
-    sweep = _cache_size_sweep(
-        ("IF", "PB", "IB"),
-        NLANRRatioVariability(),
-        scale,
-        num_runs,
-        cache_fractions,
-        seed,
-        n_jobs=n_jobs,
-    )
+    workload = build_workload(scale=scale, seed=seed)
+    config = SimulationConfig(variability=NLANRRatioVariability(), seed=seed)
+    surfaces = {"sweep": (config, _BANDWIDTH_POLICIES)}
     return ExperimentResult(
         experiment_id="fig7",
         title="IF / PB / IB under high (cache-log) bandwidth variability",
-        data={"sweep": sweep},
+        data=_sweep_grid(workload, surfaces, cache_fractions, num_runs, n_jobs),
         notes=[
             "Paper: traffic reduction barely changes versus Figure 5, but delays increase",
             "and quality degrades for all policies; PB loses its advantage (IB is no worse).",
@@ -379,19 +454,13 @@ def experiment_fig8_low_variability(
     n_jobs: int = 1,
 ) -> ExperimentResult:
     """Figure 8: IF / PB / IB under the lower measured-path variability."""
-    sweep = _cache_size_sweep(
-        ("IF", "PB", "IB"),
-        MeasuredPathVariability("average"),
-        scale,
-        num_runs,
-        cache_fractions,
-        seed,
-        n_jobs=n_jobs,
-    )
+    workload = build_workload(scale=scale, seed=seed)
+    config = SimulationConfig(variability=MeasuredPathVariability("average"), seed=seed)
+    surfaces = {"sweep": (config, _BANDWIDTH_POLICIES)}
     return ExperimentResult(
         experiment_id="fig8",
         title="IF / PB / IB under measured-path (low) bandwidth variability",
-        data={"sweep": sweep},
+        data=_sweep_grid(workload, surfaces, cache_fractions, num_runs, n_jobs),
         notes=[
             "Paper: with the more realistic lower variability, PB again outperforms the",
             "integral algorithms in reducing delay and improving quality.",
@@ -399,76 +468,66 @@ def experiment_fig8_low_variability(
     )
 
 
-def _estimator_surfaces(
+def _estimator_data(
     workload: Workload,
-    policy_name: str,
-    series_label: str,
-    estimator_values: Sequence[float],
-    cache_sizes: Sequence[float],
-    total_gb: float,
     config: SimulationConfig,
+    policy_name: str,
+    estimator_values: Sequence[float],
+    cache_fractions: Sequence[float],
     num_runs: int,
     n_jobs: int,
-) -> Dict[float, SweepResult]:
-    """One cache-size sweep per estimator-``e`` value (Figures 9 and 12)."""
-    surfaces: Dict[float, SweepResult] = {}
-    for e_value in estimator_values:
-        factories = {series_label: PolicySpec(policy_name, estimator_e=float(e_value))}
-        sweep = sweep_cache_sizes(
-            workload, factories, cache_sizes, config, num_runs, n_jobs=n_jobs
-        )
-        sweep.parameter_name = "cache_fraction"
-        sweep.parameter_values = [size / total_gb for size in sweep.parameter_values]
-        surfaces[float(e_value)] = sweep
-    return surfaces
-
-
-def _remeasurement_ablation(
-    data: Dict[str, object],
-    notes: List[str],
     remeasurement_interval: Optional[float],
-    workload: Workload,
-    policy_name: str,
-    series_label: str,
-    estimator_values: Sequence[float],
-    cache_sizes: Sequence[float],
-    total_gb: float,
-    config: SimulationConfig,
-    num_runs: int,
-    n_jobs: int,
-) -> None:
-    """Extend an estimator-sweep result with the re-measurement ablation.
+    notes: List[str],
+    **references: Tuple[SimulationConfig, Mapping[str, PolicySpec]],
+) -> Dict[str, object]:
+    """The ``data`` of an estimator-``e`` figure (Figures 9 and 12), from
+    one grid.
 
-    Two extra surfaces are produced under passive bandwidth knowledge: the
-    estimator fed by request-driven observations only
-    (``sweeps_by_e_passive``) and the estimator additionally refreshed by
-    periodic re-measurement on the given cadence
+    ``sweeps_by_e`` holds one cache-size sweep of ``policy_name`` per
+    ``e`` under ``config``, in a series labelled ``"<policy_name>(e)"``.
+    With ``remeasurement_interval`` set, the re-measurement ablation adds
+    the same spectrum under passive bandwidth knowledge: fed by
+    request-driven observations only (``sweeps_by_e_passive``), and also
+    refreshed by periodic re-measurement on that cadence
     (``sweeps_by_e_remeasured``).  Comparing the two against the oracle
-    surfaces isolates what out-of-band measurement buys the paper's
-    estimator-driven policies.
+    spectrum isolates what out-of-band measurement buys the paper's
+    estimator-driven policies; the ablation's note is appended to
+    ``notes``.  Each of ``references`` is one more surface, kept under its
+    own key.
     """
-    if remeasurement_interval is None:
-        return
-    passive_config = replace(
-        config, bandwidth_knowledge=BandwidthKnowledge.PASSIVE
+    knowledge = {"sweeps_by_e": config}
+    data: Dict[str, object] = {"estimator_values": list(estimator_values)}
+    if remeasurement_interval is not None:
+        passive = replace(config, bandwidth_knowledge=BandwidthKnowledge.PASSIVE)
+        knowledge["sweeps_by_e_passive"] = passive
+        knowledge["sweeps_by_e_remeasured"] = replace(
+            passive,
+            remeasurement=RemeasurementConfig(interval=float(remeasurement_interval)),
+        )
+        data["remeasurement_interval"] = float(remeasurement_interval)
+        notes.append(
+            "Ablation: passive estimation alone vs passive estimation refreshed by "
+            f"periodic re-measurement every {remeasurement_interval:g}s per path."
+        )
+    label = f"{policy_name}(e)"
+    spectra = {
+        (key, float(e_value)): (
+            surface_config,
+            {label: PolicySpec(policy_name, estimator_e=float(e_value))},
+        )
+        for key, surface_config in knowledge.items()
+        for e_value in estimator_values
+    }
+    sweeps = _sweep_grid(
+        workload, {**spectra, **references}, cache_fractions, num_runs, n_jobs
     )
-    remeasured_config = replace(
-        passive_config,
-        remeasurement=RemeasurementConfig(interval=float(remeasurement_interval)),
-    )
-    data["remeasurement_interval"] = float(remeasurement_interval)
-    data["sweeps_by_e_passive"] = _estimator_surfaces(
-        workload, policy_name, series_label, estimator_values,
-        cache_sizes, total_gb, passive_config, num_runs, n_jobs,
-    )
-    data["sweeps_by_e_remeasured"] = _estimator_surfaces(
-        workload, policy_name, series_label, estimator_values,
-        cache_sizes, total_gb, remeasured_config, num_runs, n_jobs,
-    )
-    notes.append(
-        "Ablation: passive estimation alone vs passive estimation refreshed by "
-        f"periodic re-measurement every {remeasurement_interval:g}s per path."
-    )
+    for key in references:
+        data[key] = sweeps[key]
+    for key in knowledge:
+        data[key] = {
+            float(e_value): sweeps[(key, float(e_value))] for e_value in estimator_values
+        }
+    return data
 
 
 def experiment_fig9_estimator_sweep(
@@ -484,31 +543,21 @@ def experiment_fig9_estimator_sweep(
     """Figure 9: the estimator-``e`` spectrum between IB (e→0) and PB (e=1).
 
     With ``remeasurement_interval`` set, the result additionally carries the
-    re-measurement ablation (see :func:`_remeasurement_ablation`): the same
+    re-measurement ablation (see :func:`_estimator_data`): the same
     spectrum under passive bandwidth knowledge with and without periodic
     re-measurement feeding the estimator between requests.
     """
-    variability = variability or NLANRRatioVariability()
     workload = build_workload(scale=scale, seed=seed)
-    cache_sizes = cache_sizes_gb_for(workload, cache_fractions)
-    total_gb = workload.catalog.total_size_gb
-    config = SimulationConfig(variability=variability, seed=seed)
-
-    surfaces = _estimator_surfaces(
-        workload, "PB", "PB(e)", estimator_values,
-        cache_sizes, total_gb, config, num_runs, n_jobs,
+    config = SimulationConfig(
+        variability=variability or NLANRRatioVariability(), seed=seed
     )
-    data: Dict[str, object] = {
-        "estimator_values": list(estimator_values),
-        "sweeps_by_e": surfaces,
-    }
     notes = [
         "Paper: smaller e (more conservative, closer to IB) always reduces traffic more,",
         "but a moderate non-zero e gives slightly lower average service delay.",
     ]
-    _remeasurement_ablation(
-        data, notes, remeasurement_interval, workload, "PB", "PB(e)",
-        estimator_values, cache_sizes, total_gb, config, num_runs, n_jobs,
+    data = _estimator_data(
+        workload, config, "PB", estimator_values, cache_fractions,
+        num_runs, n_jobs, remeasurement_interval, notes,
     )
     return ExperimentResult(
         experiment_id="fig9",
@@ -529,19 +578,13 @@ def experiment_fig10_value_constant(
     n_jobs: int = 1,
 ) -> ExperimentResult:
     """Figure 10: IF / PB-V / IB-V under constant bandwidth (value objective)."""
-    sweep = _cache_size_sweep(
-        ("IF", "PB-V", "IB-V"),
-        ConstantVariability(),
-        scale,
-        num_runs,
-        cache_fractions,
-        seed,
-        n_jobs=n_jobs,
-    )
+    workload = build_workload(scale=scale, seed=seed)
+    config = SimulationConfig(variability=ConstantVariability(), seed=seed)
+    surfaces = {"sweep": (config, _VALUE_POLICIES)}
     return ExperimentResult(
         experiment_id="fig10",
         title="Value-based caching under constant bandwidth",
-        data={"sweep": sweep},
+        data=_sweep_grid(workload, surfaces, cache_fractions, num_runs, n_jobs),
         notes=[
             "Paper: IF achieves the highest traffic reduction but the lowest added value;",
             "PB-V the highest added value; IB-V strikes a balance.",
@@ -557,19 +600,13 @@ def experiment_fig11_value_variable(
     n_jobs: int = 1,
 ) -> ExperimentResult:
     """Figure 11: value-based caching under measured-path variability."""
-    sweep = _cache_size_sweep(
-        ("IF", "PB-V", "IB-V"),
-        MeasuredPathVariability("average"),
-        scale,
-        num_runs,
-        cache_fractions,
-        seed,
-        n_jobs=n_jobs,
-    )
+    workload = build_workload(scale=scale, seed=seed)
+    config = SimulationConfig(variability=MeasuredPathVariability("average"), seed=seed)
+    surfaces = {"sweep": (config, _VALUE_POLICIES)}
     return ExperimentResult(
         experiment_id="fig11",
         title="Value-based caching under measured bandwidth variability",
-        data={"sweep": sweep},
+        data=_sweep_grid(workload, surfaces, cache_fractions, num_runs, n_jobs),
         notes=[
             "Paper: IB-V yields the best compromise between traffic reduction and added",
             "value once bandwidth varies.",
@@ -589,38 +626,21 @@ def experiment_fig12_value_estimator(
     """Figure 12: the estimator-``e`` spectrum for value-based partial caching.
 
     With ``remeasurement_interval`` set, the result additionally carries the
-    re-measurement ablation (see :func:`_remeasurement_ablation`) for the
+    re-measurement ablation (see :func:`_estimator_data`) for the
     value objective.
     """
-    variability = MeasuredPathVariability("average")
     workload = build_workload(scale=scale, seed=seed)
-    cache_sizes = cache_sizes_gb_for(workload, cache_fractions)
-    total_gb = workload.catalog.total_size_gb
-    config = SimulationConfig(variability=variability, seed=seed)
-
-    surfaces = _estimator_surfaces(
-        workload, "PB-V", "PB-V(e)", estimator_values,
-        cache_sizes, total_gb, config, num_runs, n_jobs,
-    )
-    # Also run the IB-V reference the paper compares against ("outperforms
-    # IB-V by as much as 30%").
-    reference = sweep_cache_sizes(
-        workload, _policy_factories(("IB-V",)), cache_sizes, config, num_runs, n_jobs=n_jobs
-    )
-    reference.parameter_name = "cache_fraction"
-    reference.parameter_values = [size / total_gb for size in reference.parameter_values]
-    data: Dict[str, object] = {
-        "estimator_values": list(estimator_values),
-        "sweeps_by_e": surfaces,
-        "ibv_reference": reference,
-    }
+    config = SimulationConfig(variability=MeasuredPathVariability("average"), seed=seed)
     notes = [
         "Paper: a moderate e (around 0.5) yields the highest total added value,",
         "outperforming IB-V by as much as 30%.",
     ]
-    _remeasurement_ablation(
-        data, notes, remeasurement_interval, workload, "PB-V", "PB-V(e)",
-        estimator_values, cache_sizes, total_gb, config, num_runs, n_jobs,
+    data = _estimator_data(
+        workload, config, "PB-V", estimator_values, cache_fractions,
+        num_runs, n_jobs, remeasurement_interval, notes,
+        # The IB-V reference the paper compares against ("outperforms
+        # IB-V by as much as 30%").
+        ibv_reference=(config, {"IB-V": PolicySpec("IB-V")}),
     )
     return ExperimentResult(
         experiment_id="fig12",
@@ -669,14 +689,7 @@ def experiment_reactive_rekeying(
     workers.
     """
     workload = build_workload(scale=scale, seed=seed)
-    cache_gb = cache_fraction * workload.catalog.total_size_gb
-    variability = NLANRRatioVariability()
-    base = SimulationConfig(
-        cache_size_gb=cache_gb,
-        variability=variability,
-        bandwidth_knowledge=BandwidthKnowledge.PASSIVE,
-        seed=seed,
-    )
+    base = _passive_nlanr(workload, cache_fraction, seed)
     remeasurement = RemeasurementConfig(interval=float(remeasurement_interval))
     settings: Dict[str, SimulationConfig] = {
         "passive": base,
@@ -771,9 +784,6 @@ def experiment_client_heterogeneity(
     for the model and a runnable walkthrough.
     """
     workload = build_workload(scale=scale, seed=seed, num_clients=num_clients)
-    cache_sizes = cache_sizes_gb_for(workload, cache_fractions)
-    total_gb = workload.catalog.total_size_gb
-    variability = NLANRRatioVariability()
     settings: Dict[str, Optional[ClientCloudConfig]] = {
         "unconstrained": None,
         "homogeneous": ClientCloudConfig(
@@ -783,22 +793,13 @@ def experiment_client_heterogeneity(
             groups=client_groups, distribution=NLANRBandwidthDistribution()
         ),
     }
-    sweeps: Dict[str, SweepResult] = {}
-    for label, clouds in settings.items():
-        config = SimulationConfig(
-            variability=variability, client_clouds=clouds, seed=seed
-        )
-        sweep = sweep_cache_sizes(
-            workload,
-            _policy_factories(tuple(policies)),
-            cache_sizes,
-            config,
-            num_runs,
-            n_jobs=n_jobs,
-        )
-        sweep.parameter_name = "cache_fraction"
-        sweep.parameter_values = [size / total_gb for size in sweep.parameter_values]
-        sweeps[label] = sweep
+    base = SimulationConfig(variability=NLANRRatioVariability(), seed=seed)
+    factories = {name: PolicySpec(name) for name in policies}
+    surfaces = {
+        label: (replace(base, client_clouds=clouds), factories)
+        for label, clouds in settings.items()
+    }
+    sweeps = _sweep_grid(workload, surfaces, cache_fractions, num_runs, n_jobs)
     return ExperimentResult(
         experiment_id="hetero",
         title="Per-client last-mile bandwidth: unconstrained vs homogeneous vs heterogeneous clouds",
@@ -928,20 +929,8 @@ def experiment_fault_tolerance(
             seed=seed,
         ),
     }
-    reaction_settings: Dict[str, Dict[str, object]] = {
-        "static": {},
-        "reactive-passive": {
-            "reactive_threshold": threshold,
-            "reactive_passive": True,
-            "reactive_hysteresis": hysteresis,
-        },
-    }
-    base = SimulationConfig(
-        cache_size_gb=cache_fraction * workload.catalog.total_size_gb,
-        variability=NLANRRatioVariability(),
-        bandwidth_knowledge=BandwidthKnowledge.PASSIVE,
-        seed=seed,
-    )
+    reaction_settings = _reaction_settings(threshold, hysteresis)
+    base = _passive_nlanr(workload, cache_fraction, seed)
     # Measurement window for the recovery metric: warm-up extended to the
     # first request after the outage ends, so byte-hit is measured purely
     # on the post-outage tail.
@@ -971,18 +960,9 @@ def experiment_fault_tolerance(
                     recovery, policies[0], num_runs
                 )
     results = _run_cells(workload, cells, n_jobs)
-    comparisons: Dict[str, Dict[str, PolicyComparison]] = {}
-    fault_counters: Dict[str, Dict[str, Dict[str, Dict[str, float]]]] = {}
-    for fault_label in fault_settings:
-        comparisons[fault_label], fault_counters[fault_label] = {}, {}
-        for reaction_label in reaction_settings:
-            cell = (fault_label, reaction_label)
-            comparisons[fault_label][reaction_label] = _comparison(
-                results, cell, policies
-            )
-            fault_counters[fault_label][reaction_label] = {
-                name: _fault_totals(results[(*cell, name)]) for name in policies
-            }
+    comparisons, fault_counters = _reaction_tables(
+        results, fault_settings, reaction_settings, policies, _fault_totals
+    )
     recovery_byte_hit: Dict[str, Dict[str, float]] = {}
     recovery_timelines: Dict[str, object] = {}
     for reaction_label in reaction_settings:
@@ -1104,23 +1084,8 @@ def experiment_streaming_delivery(
             seed=seed,
         ),
     }
-    reaction_settings: Dict[str, Dict[str, object]] = {
-        "static": {},
-        "reactive-passive": {
-            "reactive_threshold": threshold,
-            "reactive_passive": True,
-            "reactive_hysteresis": hysteresis,
-        },
-    }
-    base = SimulationConfig(
-        cache_size_gb=cache_fraction * workload.catalog.total_size_gb,
-        variability=NLANRRatioVariability(),
-        bandwidth_knowledge=BandwidthKnowledge.PASSIVE,
-        client_clouds=ClientCloudConfig(
-            groups=client_groups, distribution=NLANRBandwidthDistribution()
-        ),
-        seed=seed,
-    )
+    reaction_settings = _reaction_settings(threshold, hysteresis)
+    base = _passive_nlanr(workload, cache_fraction, seed, client_groups)
     results = _run_cells(
         workload,
         {
@@ -1135,18 +1100,9 @@ def experiment_streaming_delivery(
         },
         n_jobs,
     )
-    comparisons: Dict[str, Dict[str, PolicyComparison]] = {}
-    qoe: Dict[str, Dict[str, Dict[str, Dict[str, float]]]] = {}
-    for caching_label in caching_settings:
-        comparisons[caching_label], qoe[caching_label] = {}, {}
-        for reaction_label in reaction_settings:
-            cell = (caching_label, reaction_label)
-            comparisons[caching_label][reaction_label] = _comparison(
-                results, cell, policies
-            )
-            qoe[caching_label][reaction_label] = {
-                name: _qoe_means(results[(*cell, name)]) for name in policies
-            }
+    comparisons, qoe = _reaction_tables(
+        results, caching_settings, reaction_settings, policies, _qoe_means
+    )
     return ExperimentResult(
         experiment_id="streaming",
         title="Streaming delivery: prefix vs whole-object caching, static vs reactive",
@@ -1240,15 +1196,7 @@ def experiment_hierarchy(
             sibling_bandwidth=sibling_bandwidth_kbps,
         ),
     }
-    base = SimulationConfig(
-        cache_size_gb=cache_fraction * workload.catalog.total_size_gb,
-        variability=NLANRRatioVariability(),
-        bandwidth_knowledge=BandwidthKnowledge.PASSIVE,
-        client_clouds=ClientCloudConfig(
-            groups=client_groups, distribution=NLANRBandwidthDistribution()
-        ),
-        seed=seed,
-    )
+    base = _passive_nlanr(workload, cache_fraction, seed, client_groups)
     results = _run_cells(
         workload,
         {

@@ -4,20 +4,22 @@ Each data point in the paper's figures is the average of ten simulation
 runs.  The helpers in this module organise that protocol:
 
 * :func:`run_replications` — run one policy over several seeds and average,
-* :func:`compare_policies` — run several policies over the *same* sequence
-  of seeds (and, per seed, the same bandwidth assignment) so differences are
-  attributable to the policies rather than to the draw of the network,
-* :func:`sweep_cache_sizes` — the cache-size sweeps on the x-axis of
-  Figures 5, 7, 8, 10, and 11.
+* :func:`compare_grid` — at each point (a config with its own policies),
+  run the policies over the *same* sequence of seeds (and, per seed, the
+  same bandwidth assignment) so differences are attributable to the
+  policies rather than to the draw of the network,
+* :func:`compare_policies` and :func:`sweep_cache_sizes` — that grid at
+  one point, and at each cache size of one config.
 
-All three build their whole ``(sweep-point, seed, policy)`` grid as one
-list of :class:`~repro.analysis.parallel.SimulationJob` objects, each
-with its final seed, submit it once through
-:func:`~repro.analysis.parallel.run_simulation_jobs`, and average the
-results in job order.  ``n_jobs`` only sets how many workers run the
-grid: one worker runs it in-process, where nothing is pickled and lambda
-factories work; more fan it out over a process pool, whose policy
-factories must be picklable — use
+Each builds its whole ``(point, seed, policy)`` grid as one list of
+:class:`~repro.analysis.parallel.SimulationJob` objects, each with its
+final seed, submits it once through
+:func:`~repro.analysis.parallel.run_simulation_jobs`, and averages the
+results in job order; the sweep experiments send every surface of a
+workload through one :func:`compare_grid` call.  ``n_jobs`` only sets how
+many workers run the grid: one worker runs it in-process, where nothing
+is pickled and lambda factories work; more fan it out over a process
+pool, whose policy factories must be picklable — use
 :class:`~repro.core.policies.registry.PolicySpec` rather than lambdas.
 The tables are byte-identical for every ``n_jobs``.  The workload
 reaches each worker once, through the pool's initializer, not once per
@@ -38,7 +40,7 @@ like a healthy one (``docs/faults.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.sim.config import SimulationConfig
@@ -104,49 +106,48 @@ def run_replications(
     return SimulationMetrics.average(run_simulation_jobs(workload, jobs, n_jobs))
 
 
-def _compare_at(
+def compare_grid(
     workload: Workload,
-    policy_factories: Mapping[str, PolicyFactory],
-    point_configs: Sequence[SimulationConfig],
+    points: Sequence[Tuple[SimulationConfig, Mapping[str, PolicyFactory]]],
     num_runs: int,
-    n_jobs: int,
+    n_jobs: int = 1,
 ) -> List[PolicyComparison]:
-    """One :class:`PolicyComparison` per config, from one submitted grid.
+    """One :class:`PolicyComparison` per ``(config, policy_factories)`` point,
+    from one submitted grid.
 
     Each point's jobs are its seeds in turn, one job per policy each;
-    every job of a seed builds its topology from that seed.  Slicing the
-    results by policy keeps each mean in seed order.
+    every job of a seed builds its topology from that seed.  Slicing a
+    point's results by policy keeps each mean in seed order.
     """
     from repro.analysis.parallel import SimulationJob, run_simulation_jobs
 
-    if not policy_factories:
+    if any(not factories for _, factories in points):
         raise ConfigurationError("policy_factories must be non-empty")
     if num_runs <= 0:
         raise ConfigurationError(f"num_runs must be positive, got {num_runs}")
     jobs = [
         SimulationJob(
-            config=point.with_seed(point.seed + run_index),
+            config=config.with_seed(config.seed + run_index),
             policy_factory=factory,
             share_topology=True,
         )
-        for point in point_configs
+        for config, factories in points
         for run_index in range(num_runs)
-        for factory in policy_factories.values()
+        for factory in factories.values()
     ]
-    results = run_simulation_jobs(workload, jobs, n_jobs)
-    names = list(policy_factories)
-    per_point = num_runs * len(names)
-    return [
-        PolicyComparison(
-            {
-                name: SimulationMetrics.average(
-                    results[start + index : start + per_point : len(names)]
-                )
-                for index, name in enumerate(names)
-            }
+    results = iter(run_simulation_jobs(workload, jobs, n_jobs))
+    comparisons = []
+    for _, factories in points:
+        point = [next(results) for _ in range(num_runs * len(factories))]
+        comparisons.append(
+            PolicyComparison(
+                {
+                    name: SimulationMetrics.average(point[index :: len(factories)])
+                    for index, name in enumerate(factories)
+                }
+            )
         )
-        for start in range(0, len(results), per_point)
-    ]
+    return comparisons
 
 
 def compare_policies(
@@ -165,7 +166,7 @@ def compare_policies(
     generator with the same value.  ``n_jobs`` workers run the
     ``num_runs x len(policy_factories)`` jobs.
     """
-    return _compare_at(workload, policy_factories, [config], num_runs, n_jobs)[0]
+    return compare_grid(workload, [(config, policy_factories)], num_runs, n_jobs)[0]
 
 
 def sweep_cache_sizes(
@@ -185,10 +186,9 @@ def sweep_cache_sizes(
     if not cache_sizes_gb:
         raise ConfigurationError("cache_sizes_gb must be non-empty")
     config = config or SimulationConfig()
-    points = _compare_at(
+    points = compare_grid(
         workload,
-        policy_factories,
-        [config.with_cache_size(size) for size in cache_sizes_gb],
+        [(config.with_cache_size(size), policy_factories) for size in cache_sizes_gb],
         num_runs,
         n_jobs,
     )

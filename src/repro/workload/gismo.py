@@ -110,8 +110,9 @@ class WorkloadConfig:
         # None draws a fresh seed from the operating system, as numpy does.
         check_scalars(self, Integral, "seed", optional=True)
         # The generator's models check their own ranges; a non-finite value
-        # is refused here too, so describe() and scaled() never carry one.
-        for name in _MODEL_FIELDS:
+        # is refused here too, so describe() and scaled() never carry one,
+        # and no value bound reaches the per-object value draw infinite.
+        for name in (*_MODEL_FIELDS, "value_min", "value_max"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ConfigurationError(f"{name} must be finite, got {value}")

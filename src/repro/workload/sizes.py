@@ -53,8 +53,8 @@ class LognormalDurationModel(DurationModel):
     ):
         if not math.isfinite(mu):
             raise ConfigurationError(f"mu must be finite, got {mu}")
-        if not sigma > 0:
-            raise ConfigurationError(f"sigma must be positive, got {sigma}")
+        if not 0 < sigma < math.inf:
+            raise ConfigurationError(f"sigma must be positive and finite, got {sigma}")
         if not 0 < min_minutes < max_minutes:
             raise ConfigurationError(
                 f"invalid truncation bounds [{min_minutes}, {max_minutes}]"
@@ -103,8 +103,10 @@ class ConstantBitrateModel(BitrateModel):
     """Every object encoded at the same CBR rate (the paper's 48 KB/s)."""
 
     def __init__(self, bitrate: float = DEFAULT_BITRATE_KBPS):
-        if not bitrate > 0:
-            raise ConfigurationError(f"bitrate must be positive, got {bitrate}")
+        if not 0 < bitrate < math.inf:
+            raise ConfigurationError(
+                f"bitrate must be positive and finite, got {bitrate}"
+            )
         self.bitrate = float(bitrate)
 
     def __repr__(self) -> str:

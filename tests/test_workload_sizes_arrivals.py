@@ -43,6 +43,11 @@ class TestLognormalDurationModel:
         with pytest.raises(ConfigurationError):
             LognormalDurationModel(**{parameter: NAN})
 
+    def test_infinite_sigma_rejected(self):
+        # An infinite sigma would draw every duration at a truncation bound.
+        with pytest.raises(ConfigurationError, match="sigma must be positive and finite"):
+            LognormalDurationModel(sigma=float("inf"))
+
     def test_infinite_upper_bound_truncates_no_tail(self, rng):
         # max_minutes=inf is allowed: the lognormal draws stay finite.
         samples = LognormalDurationModel(max_minutes=float("inf")).sample(1_000, rng)
@@ -61,6 +66,11 @@ class TestBitrateModels:
     def test_constant_bitrate_rejects_nan(self):
         with pytest.raises(ConfigurationError):
             ConstantBitrateModel(NAN)
+
+    def test_constant_bitrate_rejects_infinity(self):
+        # An infinite bitrate would make every object infinitely large.
+        with pytest.raises(ConfigurationError, match="bitrate must be positive and finite"):
+            ConstantBitrateModel(float("inf"))
 
 
 class TestPoissonArrivals:

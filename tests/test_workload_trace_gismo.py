@@ -117,7 +117,7 @@ class TestWorkloadConfig:
         with pytest.raises(ConfigurationError):
             WorkloadConfig(**{field: float("nan")})
 
-    @pytest.mark.parametrize("field", MODEL_FIELDS)
+    @pytest.mark.parametrize("field", MODEL_FIELDS + ["value_min", "value_max"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_model_parameter_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
