@@ -862,6 +862,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "ingest": _run_ingest,
     }
     try:
+        # Every subcommand takes --seed; fig2-fig4 build no config that
+        # would check it, so it is checked here, before any work.
+        if args.seed < 0:
+            raise ConfigurationError(f"--seed must be non-negative, got {args.seed}")
         return commands[args.command](args)
     except (ReproError, OSError) as error:
         _log.error("%s", error)

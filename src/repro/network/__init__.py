@@ -33,7 +33,7 @@ from repro.network.measurement import (
     pftk_throughput,
 )
 from repro.network.path import NetworkPath, PathRegistry
-from repro.network.topology import ClientCloud, DeliveryTopology, OriginServer, ProxyNode
+from repro.network.topology import ClientCloud, DeliveryTopology
 from repro.network.variability import (
     BandwidthVariabilityModel,
     ConstantVariability,
@@ -57,10 +57,8 @@ __all__ = [
     "NLANRBandwidthDistribution",
     "NLANRRatioVariability",
     "NetworkPath",
-    "OriginServer",
     "PassiveEstimator",
     "PathConditions",
     "PathRegistry",
-    "ProxyNode",
     "pftk_throughput",
 ]

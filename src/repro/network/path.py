@@ -35,6 +35,11 @@ from repro.network.variability import BandwidthVariabilityModel, ConstantVariabi
 #: learning machinery as bandwidth collapse rather than missing data.
 BANDWIDTH_FLOOR = 1.0
 
+#: The model of every path built without one.  It holds no state, so one
+#: instance serves them all, and a registry of such paths shares one model
+#: as the replay requires.
+_CONSTANT = ConstantVariability()
+
 
 class NetworkPath:
     """The path between the proxy cache and one origin server."""
@@ -52,7 +57,7 @@ class NetworkPath:
             )
         self.server_id = int(server_id)
         self.base_bandwidth = float(base_bandwidth)
-        self.variability = variability or ConstantVariability()
+        self.variability = variability or _CONSTANT
 
     def __repr__(self) -> str:
         return (
@@ -61,28 +66,16 @@ class NetworkPath:
             f"variability={self.variability!r})"
         )
 
-    def observed_bandwidth(self, rng: np.random.Generator) -> float:
-        """Bandwidth a single transfer actually experiences (KB/s).
-
-        Drawn as the base bandwidth times a sample-to-mean ratio from the
-        path's variability model.  A hard floor of 1 KB/s prevents the
-        delay formulas from dividing by zero on extreme draws; a path that
-        slow is effectively unusable either way.
-        """
-        ratio = float(self.variability.sample_ratio(rng, size=1)[0])
-        return max(self.base_bandwidth * ratio, BANDWIDTH_FLOOR)
-
     def sample_observed(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` observed-bandwidth samples in one vectorised batch.
+        """Draw ``size`` observed-bandwidth samples (KB/s) in one batch.
 
-        Elementwise identical to ``size`` consecutive
-        :meth:`observed_bandwidth` calls when the variability model is
-        batch-equivalent (``iid_batch_equivalent``) — the property the
-        bundled models guarantee and ``tests/test_network_path_topology.py``
-        pins.  Characterising a path's distribution this way (e.g. sizing a
-        re-measurement cadence against its spread) avoids a Python call per
-        sample; it is also the building block for batching the periodic
-        probe draws themselves (a ROADMAP follow-up).
+        Each sample is the base bandwidth times a sample-to-mean ratio from
+        the path's variability model, floored at 1 KB/s so the delay
+        formulas never divide by zero on extreme draws.  The bundled models
+        draw a batch exactly like ``size`` consecutive one-sample draws
+        (``tests/test_network_path_topology.py`` pins it), so batching
+        moves no value.  Periodic re-measurement refills its probe batches
+        with this.
         """
         if size < 0:
             raise ConfigurationError(f"size must be non-negative, got {size}")

@@ -6,7 +6,7 @@ proxy.  The topology object wires a
 :class:`~repro.workload.catalog.Catalog` to a
 :class:`~repro.network.path.PathRegistry` so that, given an object, the
 simulator can look up the bandwidth of the path to that object's origin
-server.
+server.  The proxy's capacity is the simulation config's cache size.
 
 The paper assumes the client side's last mile is abundant; the default
 :class:`ClientCloud` keeps that assumption.  Giving the cloud per-group
@@ -18,23 +18,15 @@ hops per request (``docs/clients.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.network.distributions import BandwidthDistribution, NLANRBandwidthDistribution
 from repro.network.path import NetworkPath, PathRegistry
-from repro.network.variability import BandwidthVariabilityModel, ConstantVariability
+from repro.network.variability import BandwidthVariabilityModel
 from repro.workload.catalog import Catalog, MediaObject
-
-
-@dataclass(frozen=True)
-class OriginServer:
-    """An origin server hosting a subset of the catalog."""
-
-    server_id: int
-    object_ids: tuple
 
 
 @dataclass(frozen=True)
@@ -50,26 +42,20 @@ class ClientCloud:
     :class:`~repro.network.path.NetworkPath` per client *group*, where
     client ``c`` maps to ``paths[c % len(paths)]`` (a stable hash of the
     trace's ``client_id`` column into the configured groups).  Each group
-    path combines a base last-mile bandwidth with its own variability
-    model, exactly like the cache-to-server paths; the simulator then
-    composes the two hops per request — the delivered bandwidth is the
-    bottleneck ``min(origin hop, last-mile hop)``.  See ``docs/clients.md``.
+    path combines a base last-mile bandwidth with a variability model,
+    exactly like the cache-to-server paths, and all group paths must
+    share one model instance (the simulator refuses a cloud that does
+    not); the simulator then composes the two hops per request — the
+    delivered bandwidth is the bottleneck ``min(origin hop, last-mile
+    hop)``.  See ``docs/clients.md``.
 
     A path's ``server_id`` field doubles as the *group index* here; the
     registry semantics ("endpoint id") carry over unchanged.
     """
 
-    num_clients: int = 1
-    last_mile_bandwidth: float = float("inf")
     paths: Optional[Tuple[NetworkPath, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.num_clients <= 0:
-            raise ConfigurationError(f"num_clients must be positive, got {self.num_clients}")
-        if not self.last_mile_bandwidth > 0:
-            raise ConfigurationError(
-                f"last_mile_bandwidth must be positive, got {self.last_mile_bandwidth}"
-            )
         if self.paths is not None:
             if not self.paths:
                 raise ConfigurationError(
@@ -95,10 +81,11 @@ class ClientCloud:
         return self.paths[int(client_id) % len(self.paths)]
 
     def base_bandwidth_for(self, client_id: int) -> float:
-        """Base last-mile bandwidth (KB/s) a client's group is provisioned at."""
+        """Base last-mile bandwidth (KB/s) a client's group is provisioned
+        at (``inf`` when the hop is unmodeled)."""
         path = self.last_mile_for(client_id)
         if path is None:
-            return self.last_mile_bandwidth
+            return float("inf")
         return path.base_bandwidth
 
     def group_caps(self) -> Optional[Tuple[float, ...]]:
@@ -120,26 +107,25 @@ class ClientCloud:
         bandwidth: float,
         variability: Optional[BandwidthVariabilityModel] = None,
         groups: int = 1,
-        num_clients: int = 1,
     ) -> "ClientCloud":
         """Model every client group with the same last-mile base bandwidth.
 
-        All groups share one variability-model instance, so the simulator's
-        batched per-request draws stay available.  ``bandwidth`` may be
-        ``inf``: the hop is then modeled but never the bottleneck, which is
-        how the pre-heterogeneity simulator is reproduced bit-for-bit
-        through the composition code (``tests/test_sim_clients.py``).
+        All groups share one variability-model instance, as the replay
+        requires: ``variability``, or the constant model every path built
+        without one shares.  ``bandwidth`` may be ``inf``: the hop is then
+        modeled but never the bottleneck, which is how the
+        pre-heterogeneity simulator is reproduced bit-for-bit through the
+        composition code (``tests/test_sim_clients.py``).
         """
         if groups <= 0:
             raise ConfigurationError(f"groups must be positive, got {groups}")
-        shared = variability or ConstantVariability()
         paths = tuple(
-            NetworkPath(server_id=group, base_bandwidth=bandwidth, variability=shared)
+            NetworkPath(
+                server_id=group, base_bandwidth=bandwidth, variability=variability
+            )
             for group in range(groups)
         )
-        return cls(
-            num_clients=num_clients, last_mile_bandwidth=bandwidth, paths=paths
-        )
+        return cls(paths=paths)
 
     @classmethod
     def from_distribution(
@@ -148,7 +134,6 @@ class ClientCloud:
         distribution: BandwidthDistribution,
         rng: np.random.Generator,
         variability: Optional[BandwidthVariabilityModel] = None,
-        num_clients: Optional[int] = None,
     ) -> "ClientCloud":
         """Draw one last-mile base bandwidth per client group.
 
@@ -160,35 +145,16 @@ class ClientCloud:
         """
         if groups <= 0:
             raise ConfigurationError(f"groups must be positive, got {groups}")
-        shared = variability or ConstantVariability()
         bandwidths = distribution.sample(groups, rng)
         paths = tuple(
             NetworkPath(
                 server_id=group,
                 base_bandwidth=max(float(bandwidth), 1.0),
-                variability=shared,
+                variability=variability,
             )
             for group, bandwidth in enumerate(np.asarray(bandwidths, dtype=np.float64))
         )
-        mean = float(np.mean([path.base_bandwidth for path in paths]))
-        return cls(
-            num_clients=num_clients if num_clients is not None else groups,
-            last_mile_bandwidth=mean,
-            paths=paths,
-        )
-
-
-@dataclass(frozen=True)
-class ProxyNode:
-    """The edge proxy cache: its capacity is the knapsack constraint ``C``."""
-
-    capacity_kb: float
-
-    def __post_init__(self) -> None:
-        if not self.capacity_kb >= 0:
-            raise ConfigurationError(
-                f"capacity must be non-negative, got {self.capacity_kb}"
-            )
+        return cls(paths=paths)
 
 
 @dataclass
@@ -197,7 +163,6 @@ class DeliveryTopology:
 
     catalog: Catalog
     paths: PathRegistry
-    proxy: ProxyNode
     clients: ClientCloud = field(default_factory=ClientCloud)
 
     def __post_init__(self) -> None:
@@ -216,10 +181,6 @@ class DeliveryTopology:
         """Return the cache-to-server path serving the given object."""
         return self.paths.get(obj.server_id)
 
-    def last_mile_for(self, client_id: int) -> Optional[NetworkPath]:
-        """Last-mile path of a client's group (``None`` when unmodeled)."""
-        return self.clients.last_mile_for(client_id)
-
     def last_mile_caps(self) -> Optional[Tuple[float, ...]]:
         """Per-group last-mile base bandwidths (``None`` when unmodeled)."""
         return self.clients.group_caps()
@@ -237,21 +198,10 @@ class DeliveryTopology:
         """
         return self.paths.server_ids(), self.clients.group_count
 
-    def servers(self) -> List[OriginServer]:
-        """Group catalog objects by hosting server."""
-        by_server: Dict[int, List[int]] = {}
-        for obj in self.catalog:
-            by_server.setdefault(obj.server_id, []).append(obj.object_id)
-        return [
-            OriginServer(server_id=server_id, object_ids=tuple(ids))
-            for server_id, ids in sorted(by_server.items())
-        ]
-
     @classmethod
     def build(
         cls,
         catalog: Catalog,
-        cache_capacity_kb: float,
         bandwidth_distribution: Optional[BandwidthDistribution] = None,
         variability: Optional[BandwidthVariabilityModel] = None,
         rng: Optional[np.random.Generator] = None,
@@ -262,20 +212,20 @@ class DeliveryTopology:
 
         This is the standard construction of the paper's simulations: one
         path per origin server, base bandwidth drawn from the NLANR-derived
-        distribution, and a shared variability model (constant, NLANR-like,
-        or measured-path-like depending on the experiment).  ``clients``
-        optionally attaches a modeled :class:`ClientCloud`; the default is
-        the paper's unmodeled abundant last mile.
+        distribution, and one variability model instance shared by every
+        path (constant, NLANR-like, or measured-path-like depending on the
+        experiment; ``None`` is the constant model), as the replay
+        requires.  ``clients`` optionally attaches a modeled
+        :class:`ClientCloud`; the default is the paper's unmodeled abundant
+        last mile.
         """
         rng = rng or np.random.default_rng(seed)
         distribution = bandwidth_distribution or NLANRBandwidthDistribution()
-        variability = variability or ConstantVariability()
         paths = PathRegistry.from_distribution(
             catalog.server_ids(), distribution, rng, variability
         )
         return cls(
             catalog=catalog,
             paths=paths,
-            proxy=ProxyNode(capacity_kb=cache_capacity_kb),
             clients=clients if clients is not None else ClientCloud(),
         )

@@ -33,18 +33,13 @@ from repro.exceptions import ConfigurationError
 class BandwidthVariabilityModel:
     """Interface for sample-to-mean bandwidth ratio models."""
 
-    #: Whether one batched ``sample_ratio(rng, size=n)`` call consumes the
-    #: generator identically to ``n`` consecutive ``size=1`` calls.  True for
-    #: every model in this module (they draw with vectorised numpy samplers,
-    #: whose stream consumption is element-sequential).  The simulator's
-    #: replay kernel pre-draws all per-request ratios in one batch when
-    #: this holds; subclasses whose batched draws consume the generator
-    #: differently must set it to False, and the kernel then draws per
-    #: request from the live generator.
-    iid_batch_equivalent: bool = True
-
     def sample_ratio(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        """Draw ``size`` i.i.d. sample-to-mean ratios (mean ~ 1)."""
+        """Draw ``size`` i.i.d. sample-to-mean ratios (mean ~ 1).
+
+        One ``size=n`` call must consume ``rng`` exactly like ``n``
+        consecutive ``size=1`` calls: the replay draws every request's
+        ratio in one batch.
+        """
         raise NotImplementedError
 
     def coefficient_of_variation(self) -> float:

@@ -71,10 +71,11 @@ class ClientCloudConfig:
       (heterogeneous clouds, e.g. the NLANR model).
 
     With neither given, ``bandwidth=inf`` is assumed.  ``variability``
-    modulates every group's per-request draw (shared model instance, so
-    batched draws stay available); ``seed`` adds entropy to the cloud's
-    dedicated random stream — last-mile construction and per-request draws
-    never touch the request stream's generator (see ``docs/clients.md``).
+    modulates every group's per-request draw (one model instance that
+    every group path shares, as the replay requires); ``seed`` adds
+    entropy to the cloud's dedicated random stream — last-mile
+    construction and per-request draws never touch the request stream's
+    generator (see ``docs/clients.md``).
 
     ``estimate_last_mile`` opts the reactive hook into **per-group
     last-mile estimation**: under passive-driven re-keying
@@ -232,8 +233,8 @@ class SimulationConfig:
         uninstrumented hot path — simulated results are bit-identical
         either way; see ``docs/observability.md``.
     seed:
-        Seed for the simulation's random number generator (path bandwidth
-        assignment and per-request variability draws).
+        Non-negative seed for the simulation's random number generator
+        (path bandwidth assignment and per-request variability draws).
     verify_store:
         When True the simulator asserts cache-store consistency after every
         request; slows the run, intended for tests.
@@ -287,6 +288,8 @@ class SimulationConfig:
         check_scalars(self, Integral, "reactive_rekey_cap", optional=True)
         check_scalars(self, Integral, "seed")
         check_scalars(self, bool, "reactive_passive", "verify_store")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if not self.cache_size_gb >= 0:
             raise ConfigurationError(
                 f"cache_size_gb must be non-negative, got {self.cache_size_gb}"

@@ -122,6 +122,9 @@ class FaultEpisode:
     factor: float = 0.0
 
     def __post_init__(self) -> None:
+        check_scalars(self, str, "kind")
+        check_scalars(self, Real, "start", "end", "factor")
+        check_scalars(self, Integral, "server_id", "group_id", optional=True)
         if self.kind not in FAULT_KINDS:
             raise ConfigurationError(
                 f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"

@@ -50,12 +50,16 @@ attributes each stage calls onto the context once per run.  Adding a
 subsystem to the simulator means adding one stage hook here (see
 ``docs/architecture.md``).
 
-All pre-draw logic also lives here: :func:`predraw_ratios` (batched
-bandwidth-variability draws), :func:`last_mile_sequences` (per-request
-last-mile base / observed / group), and :func:`pop_sequence`
-(per-request hierarchy pop affinity) are resolved once by
-:func:`build_context` before replay starts, so chunk boundaries never
-move a random draw.
+All pre-draw logic also lives here: :func:`predraw_ratios` (every
+request's origin variability ratio, in one batch),
+:func:`last_mile_sequences` (per-request last-mile base / observed /
+group), and :func:`pop_sequence` (per-request hierarchy pop affinity) are
+resolved once by :func:`build_context` before replay starts, so chunk
+boundaries never move a random draw.  Each side's batch comes from the
+one variability model its paths share; a topology whose origin paths, or
+whose client-cloud paths, carry more than one model instance is refused
+with a :class:`~repro.exceptions.ConfigurationError` before the first
+request.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.exceptions import ConfigurationError
 from repro.sim.faults import stale_quality
 from repro.sim.metrics import FAILED, OUTCOME_COLUMNS, SERVED, STALE
 from repro.workload.catalog import id_table
@@ -99,27 +104,38 @@ BLOCK_ROWS = 4_096
 # ----------------------------------------------------------------------
 # Pre-draw logic (one home; used by build_context only).
 # ----------------------------------------------------------------------
-def predraw_ratios(
-    topology, rng: np.random.Generator, count: int
-) -> Optional[np.ndarray]:
-    """Draw all per-request variability ratios in one numpy batch.
+def _shared_model(paths, side: str):
+    """The one variability model instance all of ``paths`` carry
+    (``None`` when there are no paths).
 
-    Only legal when every path shares one variability model whose batched
-    draws consume the generator exactly like per-request draws
-    (``iid_batch_equivalent``) — the batch is then elementwise
-    IEEE-identical to the scalar draws it replaces.  Returns ``None``
-    otherwise, in which case the kernel falls back to per-request sampling
-    from the live generator.
+    Raises :class:`ConfigurationError` naming ``side`` when two paths
+    carry different instances: the replay draws a side's ratios as one
+    batch from one model.
     """
     model = None
-    for path in topology.paths:
+    for path in paths:
         if model is None:
             model = path.variability
         elif path.variability is not model:
-            return None
-    if model is None or not getattr(model, "iid_batch_equivalent", False):
-        return None
-    if count == 0:
+            raise ConfigurationError(
+                f"the {side} paths carry more than one variability model "
+                f"instance (path {path.server_id} differs from the first); "
+                "build them with one shared model"
+            )
+    return model
+
+
+def predraw_ratios(topology, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Draw all ``count`` per-request origin variability ratios in one
+    numpy batch from the model the origin paths share.
+
+    A bundled model's ``sample_ratio(rng, size=n)`` consumes the generator
+    exactly like ``n`` consecutive ``size=1`` draws, so the batch is
+    elementwise IEEE-identical to drawing each request in turn.  Origin
+    paths carrying more than one model instance are refused.
+    """
+    model = _shared_model(topology.paths, "origin")
+    if model is None:  # An empty registry: the trace has no request.
         return np.empty(0)
     return np.asarray(model.sample_ratio(rng, size=count), dtype=np.float64)
 
@@ -136,33 +152,23 @@ def last_mile_sequences(topology, trace, seed: tuple) -> Optional[tuple]:
     group's *base* bandwidth (what the cache believes its own last mile
     sustains — the cache knows its client side, so no estimator is
     involved), the *observed* last-mile bandwidth for that request (base
-    modulated by the group's variability model), and the request's
-    client-group index (consumed by the reactive rekeyer's per-group
-    anchors; see :mod:`repro.sim.events`).  All draws come from a
-    dedicated generator seeded with ``seed``, in request order, computed
-    once per run *before* replay starts.
+    modulated by the model the group paths share, floor 1 KB/s), and the
+    request's client-group index (consumed by the reactive rekeyer's
+    per-group anchors; see :mod:`repro.sim.events`).  The ratios are one
+    batch from a dedicated generator seeded with ``seed``, in request
+    order, drawn once per run *before* replay starts.  Cloud paths
+    carrying more than one model instance are refused.
     """
-    cloud = topology.clients
-    paths = getattr(cloud, "paths", None)
+    paths = topology.clients.paths
     if not paths:
         return None
-    total = len(trace)
+    model = _shared_model(paths, "client-cloud")
     groups = trace.client_ids_array.astype(np.int64, copy=False) % len(paths)
     base_lut = np.array([path.base_bandwidth for path in paths], dtype=np.float64)
     base = base_lut[groups]
-
-    rng = np.random.default_rng(seed)
-    model = paths[0].variability
-    shared = all(path.variability is model for path in paths)
-    if shared and getattr(model, "iid_batch_equivalent", False) and total:
-        ratios = np.asarray(model.sample_ratio(rng, size=total), dtype=np.float64)
-        observed = base * ratios
-        np.maximum(observed, 1.0, out=observed)
-    else:
-        observed = np.empty(total, dtype=np.float64)
-        group_list = groups.tolist()
-        for index in range(total):
-            observed[index] = paths[group_list[index]].observed_bandwidth(rng)
+    ratios = model.sample_ratio(np.random.default_rng(seed), size=len(trace))
+    observed = base * np.asarray(ratios, dtype=np.float64)
+    np.maximum(observed, 1.0, out=observed)
     return base.tolist(), observed.tolist(), groups.tolist()
 
 
@@ -184,23 +190,21 @@ def pop_sequence(trace, num_pops: int) -> Optional[List[int]]:
 def _make_entry(catalog_get, path_for, object_id: int) -> tuple:
     """Resolve one object to the kernel's cached per-object tuple.
 
-    ``(obj, base_bw, size, duration, bitrate, quantum, value, server_id,
-    path)`` — ``base_bw`` is immutable for the duration of a run (the
-    floor from ``build_topology`` is applied before replay starts), so
-    caching it is safe.
+    ``(obj, base_bw, size, duration, bitrate, quantum, value, server_id)``
+    — ``base_bw`` is immutable for the duration of a run (the floor from
+    ``build_topology`` is applied before replay starts), so caching it is
+    safe.
     """
     obj = catalog_get(object_id)
-    path = path_for(obj)
     return (
         obj,
-        path.base_bandwidth,
+        path_for(obj).base_bandwidth,
         obj.size,
         obj.duration,
         obj.bitrate,
         1.0 / obj.layers,
         obj.value,
         obj.server_id,
-        path,
     )
 
 
@@ -239,7 +243,6 @@ class KernelContext:
         "hier_serve",
         "hier_edge",
         "timeline",
-        "rng",
         "entries",
         "observed_seq",
         "lm_base",
@@ -304,8 +307,8 @@ def build_context(
 
     Binds each configured subsystem's stage methods and attributes,
     resolves every pre-drawn sequence (last-mile draws, pop affinity),
-    prefills the per-object entry table, and — when the variability model
-    allows batched draws — vectorises the whole observed-bandwidth column.
+    prefills the per-object entry table and vectorises the whole
+    observed-bandwidth column from one batch of ratios drawn from ``rng``.
 
     ``rekeyer`` is the *passive-reactive* rekeyer (already gated by the
     config).
@@ -325,7 +328,6 @@ def build_context(
     ctx.collector = collector
     ctx.estimator_estimate = estimator.estimate if estimator is not None else None
     ctx.estimator_observe = estimator.observe if estimator is not None else None
-    ctx.rng = rng
 
     ctx.rekeyer_request = rekeyer.observe_request if rekeyer is not None else None
 
@@ -376,21 +378,19 @@ def build_context(
         entries[object_id] = _make_entry(catalog_get, path_for, object_id)
     ctx.entries = entries
 
-    # With batched draws, vectorise the whole observed-bandwidth column
-    # (elementwise IEEE-identical to the scalar base * ratio, floor 1.0).
+    # Vectorise the whole observed-bandwidth column (elementwise
+    # IEEE-identical to the scalar base * ratio, floor 1.0).
     ratio_array = predraw_ratios(topology, rng, total)
-    ctx.observed_seq = None
-    if ratio_array is not None and total:
-        if isinstance(entries, list):
-            base_lut = np.zeros(len(entries), dtype=np.float64)
-            for object_id in object_ids:
-                base_lut[object_id] = entries[object_id][1]
-            base = base_lut[ids_array]
-        else:
-            base = np.array([entries[oid][1] for oid in ids_array.tolist()])
-        observed_array = base * ratio_array
-        np.maximum(observed_array, 1.0, out=observed_array)
-        ctx.observed_seq = observed_array.tolist()
+    if isinstance(entries, list):
+        base_lut = np.zeros(len(entries), dtype=np.float64)
+        for object_id in object_ids:
+            base_lut[object_id] = entries[object_id][1]
+        base = base_lut[ids_array]
+    else:
+        base = np.array([entries[oid][1] for oid in ids_array.tolist()])
+    observed_array = base * ratio_array
+    np.maximum(observed_array, 1.0, out=observed_array)
+    ctx.observed_seq = observed_array.tolist()
 
     # The outcome block: one typed double per column and measured request,
     # at most BLOCK_ROWS of them.
@@ -441,7 +441,6 @@ def serve_batch(
     hier_serve = ctx.hier_serve
     hier_edge = ctx.hier_edge
     tl_close = ctx.timeline.close if ctx.timeline is not None else None
-    rng = ctx.rng
     entries = ctx.entries
     observed_seq = ctx.observed_seq
     lm_base = ctx.lm_base
@@ -467,12 +466,9 @@ def serve_batch(
             measuring = True
 
         entry = entries[object_id]
-        obj, base_bw, size, duration, bitrate, quantum, value, server_id, path = entry
+        obj, base_bw, size, duration, bitrate, quantum, value, server_id = entry
 
-        if observed_seq is not None:
-            observed = observed_seq[index]
-        else:
-            observed = path.observed_bandwidth(rng)
+        observed = observed_seq[index]
         origin_observed = observed
         if lm_observed is not None:
             cap = lm_observed[index]

@@ -161,7 +161,6 @@ class ProxyCacheSimulator:
         """
         topology = DeliveryTopology.build(
             catalog=self.workload.catalog,
-            cache_capacity_kb=self.config.cache_size_kb,
             bandwidth_distribution=self.config.bandwidth_distribution,
             variability=self.config.variability,
             rng=rng,

@@ -84,7 +84,8 @@ class WorkloadConfig:
         column is what per-client last-mile modeling keys on
         (``docs/clients.md``).
     seed:
-        Seed for the workload's random number generator.
+        Non-negative seed for the workload's random number generator
+        (``None`` draws a fresh one from the operating system).
     """
 
     num_objects: int = 5_000
@@ -124,6 +125,8 @@ class WorkloadConfig:
             raise ConfigurationError("num_servers must be positive")
         if self.num_clients <= 0:
             raise ConfigurationError("num_clients must be positive")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if not 0 <= self.value_min <= self.value_max:
             raise ConfigurationError(
                 f"invalid value range [{self.value_min}, {self.value_max}]"

@@ -11,8 +11,6 @@ import numpy as np
 import pytest
 
 from repro.core.policies import POLICY_REGISTRY, PolicySpec
-from repro.network.distributions import ConstantBandwidthDistribution
-from repro.network.topology import DeliveryTopology
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import ProxyCacheSimulator
 from repro.workload.catalog import Catalog, MediaObject
@@ -187,17 +185,6 @@ def small_workload():
         seed=11,
     )
     return GismoWorkloadGenerator(config).generate()
-
-
-@pytest.fixture
-def uniform_bandwidth_topology(small_catalog, rng) -> DeliveryTopology:
-    """Topology where every path has the same 30 KB/s base bandwidth."""
-    return DeliveryTopology.build(
-        catalog=small_catalog,
-        cache_capacity_kb=10_000.0,
-        bandwidth_distribution=ConstantBandwidthDistribution(30.0),
-        rng=rng,
-    )
 
 
 @pytest.fixture

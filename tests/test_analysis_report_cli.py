@@ -1,5 +1,7 @@
 """Tests for report formatting and the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.experiments import (
@@ -16,6 +18,9 @@ from repro.cli import build_parser, main
 from repro.core.policies import make_policy
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import compare_policies, sweep_cache_sizes
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SAMPLE_SQUID = REPO_ROOT / "examples" / "data" / "sample_squid.log"
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +160,28 @@ class TestCLI:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--scale", "0.01"],
+            *(
+                ["experiment", name]
+                for name in ("fig2", "fig3", "fig4", "tab1", "hetero")
+            ),
+            ["ingest", str(SAMPLE_SQUID)],
+        ],
+        ids=["run", "fig2", "fig3", "fig4", "tab1", "hetero", "ingest"],
+    )
+    def test_negative_seed_fails_before_any_work(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be non-negative, got -1\n"
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 

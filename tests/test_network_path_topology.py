@@ -6,28 +6,50 @@ import pytest
 from repro.exceptions import ConfigurationError, UnknownObjectError
 from repro.network.distributions import ConstantBandwidthDistribution, NLANRBandwidthDistribution
 from repro.network.path import NetworkPath, PathRegistry
-from repro.network.topology import ClientCloud, DeliveryTopology, ProxyNode
-from repro.network.variability import LognormalRatioVariability
+from repro.network.topology import DeliveryTopology
+from repro.network.variability import (
+    MEASURED_PATH_PROFILES,
+    ConstantVariability,
+    LognormalRatioVariability,
+    MeasuredPathVariability,
+    NLANRRatioVariability,
+)
+
+#: One instance of every variability model this package ships.
+BUNDLED_MODELS = {
+    "constant": ConstantVariability(),
+    "lognormal": LognormalRatioVariability(1.2),
+    "nlanr": NLANRRatioVariability(),
+    **{
+        f"measured-{name}": MeasuredPathVariability(name)
+        for name in ("average", *MEASURED_PATH_PROFILES)
+    },
+}
 
 
 class TestNetworkPath:
-    def test_observed_bandwidth_constant_without_variability(self, rng):
+    def test_sample_observed_constant_without_variability(self, rng):
         path = NetworkPath(server_id=1, base_bandwidth=80.0)
-        assert path.observed_bandwidth(rng) == pytest.approx(80.0)
+        assert path.sample_observed(rng, size=10).tolist() == [80.0] * 10
 
-    def test_observed_bandwidth_varies_with_model(self, rng):
+    def test_paths_without_a_model_share_one(self):
+        # A hand-built registry of default paths shares one model, as the
+        # replay requires.
+        assert NetworkPath(0, 50.0).variability is NetworkPath(1, 60.0).variability
+
+    def test_sample_observed_varies_with_model(self, rng):
         path = NetworkPath(
             server_id=1, base_bandwidth=80.0, variability=LognormalRatioVariability(0.5)
         )
-        samples = [path.observed_bandwidth(rng) for _ in range(2_000)]
+        samples = path.sample_observed(rng, size=2_000)
         assert np.std(samples) > 0
         assert np.mean(samples) == pytest.approx(80.0, rel=0.1)
 
-    def test_observed_bandwidth_floor(self, rng):
+    def test_sample_observed_floor(self, rng):
         path = NetworkPath(
             server_id=1, base_bandwidth=2.0, variability=LognormalRatioVariability(2.0)
         )
-        assert min(path.observed_bandwidth(rng) for _ in range(500)) >= 1.0
+        assert path.sample_observed(rng, size=500).min() >= 1.0
 
     def test_rejects_nonpositive_base(self):
         with pytest.raises(ConfigurationError):
@@ -67,57 +89,20 @@ class TestPathRegistry:
             PathRegistry.from_distribution([], NLANRBandwidthDistribution(), rng)
 
 
-class TestTopologyComponents:
-    def test_client_cloud_defaults(self):
-        cloud = ClientCloud()
-        assert cloud.num_clients == 1
-        assert cloud.last_mile_bandwidth == float("inf")
-
-    def test_client_cloud_validation(self):
-        with pytest.raises(ConfigurationError):
-            ClientCloud(num_clients=0)
-        with pytest.raises(ConfigurationError):
-            ClientCloud(last_mile_bandwidth=0.0)
-
-    def test_proxy_node_validation(self):
-        assert ProxyNode(capacity_kb=0.0).capacity_kb == 0.0
-        with pytest.raises(ConfigurationError):
-            ProxyNode(capacity_kb=-1.0)
-
-    def test_client_cloud_rejects_nan_last_mile(self):
-        with pytest.raises(ConfigurationError):
-            ClientCloud(last_mile_bandwidth=float("nan"))
-
-    def test_proxy_node_rejects_nan_capacity(self):
-        with pytest.raises(ConfigurationError):
-            ProxyNode(capacity_kb=float("nan"))
-
-
 class TestDeliveryTopology:
     def test_build_assigns_paths_to_all_servers(self, small_catalog, rng):
-        topology = DeliveryTopology.build(
-            small_catalog, cache_capacity_kb=1_000.0, rng=rng
-        )
+        topology = DeliveryTopology.build(small_catalog, rng=rng)
         for obj in small_catalog:
             assert topology.path_for(obj).server_id == obj.server_id
-
-    def test_servers_grouping(self, uniform_bandwidth_topology):
-        servers = uniform_bandwidth_topology.servers()
-        by_id = {server.server_id: server for server in servers}
-        assert set(by_id) == {0, 1, 2}
-        assert set(by_id[0].object_ids) == {0, 3}
 
     def test_missing_path_rejected(self, small_catalog):
         registry = PathRegistry([NetworkPath(0, 50.0)])  # servers 1, 2 missing
         with pytest.raises(ConfigurationError):
-            DeliveryTopology(
-                catalog=small_catalog, paths=registry, proxy=ProxyNode(capacity_kb=10.0)
-            )
+            DeliveryTopology(catalog=small_catalog, paths=registry)
 
     def test_build_with_constant_distribution(self, small_catalog, rng):
         topology = DeliveryTopology.build(
             small_catalog,
-            cache_capacity_kb=500.0,
             bandwidth_distribution=ConstantBandwidthDistribution(10.0),
             rng=rng,
         )
@@ -125,12 +110,19 @@ class TestDeliveryTopology:
 
 
 class TestSampleObserved:
-    def test_batch_matches_consecutive_scalar_draws(self):
-        path = NetworkPath(0, 80.0, variability=LognormalRatioVariability(1.2))
-        batch = path.sample_observed(np.random.default_rng(42), size=64)
+    @pytest.mark.parametrize("name", sorted(BUNDLED_MODELS))
+    def test_batch_matches_consecutive_scalar_draws(self, name):
+        """The replay draws every request's ratio in one batch: for each
+        bundled model that batch must equal one-at-a-time draws from the
+        same seed, elementwise and IEEE-identical."""
+        model = BUNDLED_MODELS[name]
         scalar_rng = np.random.default_rng(42)
-        scalars = [path.observed_bandwidth(scalar_rng) for _ in range(64)]
-        assert batch.tolist() == scalars  # elementwise IEEE-identical
+        scalars = [float(model.sample_ratio(scalar_rng, size=1)[0]) for _ in range(64)]
+        batch = model.sample_ratio(np.random.default_rng(42), size=64)
+        assert batch.tolist() == scalars
+        path = NetworkPath(0, 80.0, variability=model)
+        observed = path.sample_observed(np.random.default_rng(42), size=64)
+        assert observed.tolist() == [max(80.0 * ratio, 1.0) for ratio in scalars]
 
     def test_floor_and_shapes(self):
         path = NetworkPath(0, 1e-6 + 1.0)  # constant variability, near the floor

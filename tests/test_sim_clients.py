@@ -89,11 +89,8 @@ class TestClientCloud:
         bases = [path.base_bandwidth for path in cloud.paths]
         assert len(set(bases)) > 1  # heterogeneous
         assert all(base >= 1.0 for base in bases)
-        assert cloud.last_mile_bandwidth == pytest.approx(np.mean(bases))
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            ClientCloud(num_clients=0)
         with pytest.raises(ConfigurationError):
             ClientCloud(paths=())
         with pytest.raises(ConfigurationError):
@@ -167,7 +164,7 @@ def test_cloud_attachment_never_perturbs_origin_paths(client_workload):
         p.base_bandwidth for p in topo_cloud.paths
     ]
     assert topo_cloud.clients.constrains and not topo_plain.clients.constrains
-    assert topo_cloud.last_mile_for(5) is topo_cloud.clients.paths[5 % 8]
+    assert topo_cloud.clients.last_mile_for(5) is topo_cloud.clients.paths[5 % 8]
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ from repro.network.variability import NLANRRatioVariability
 from repro.obs.config import ObservabilityConfig
 from repro.sim.config import BandwidthKnowledge, ClientCloudConfig, SimulationConfig
 from repro.sim.events import RemeasurementConfig
-from repro.sim.faults import FaultConfig
+from repro.sim.faults import FaultConfig, FaultEpisode
 from repro.sim.hierarchy import CacheTier, HierarchyConfig
 from repro.sim.metrics import MetricsCollector, SimulationMetrics
 from repro.sim.streaming import StreamingConfig
@@ -19,6 +19,7 @@ from repro.workload.gismo import WorkloadConfig
 
 #: The fields a config cannot be built without.
 REQUIRED_FIELDS = {
+    FaultEpisode: {"kind": "link-flap", "start": 0.0, "end": 1.0, "factor": 0.5},
     RemeasurementConfig: {"interval": 60.0},
     CacheTier: {"name": "edge", "cache_kb": 100.0},
     HierarchyConfig: {"tiers": (CacheTier("edge", 100.0),)},
@@ -176,6 +177,14 @@ class TestSimulationConfig:
             (FaultConfig, "max_retries", 2.0, "an integer"),
             (FaultConfig, "severity", "0.1", "a number"),
             (FaultConfig, "serve_stale", "yes", "a bool"),
+            # A 0-d array compares equal to a kind name but is no string.
+            (FaultEpisode, "kind", np.array("link-flap"), "a string"),
+            (FaultEpisode, "start", "0", "a number"),
+            (FaultEpisode, "end", "1", "a number"),
+            (FaultEpisode, "factor", "0.5", "a number"),
+            (FaultEpisode, "server_id", True, "an integer"),
+            # A fractional group id would match no request's group.
+            (FaultEpisode, "group_id", 1.5, "an integer"),
             (ObservabilityConfig, "window_s", "60", "a number"),
             (ObservabilityConfig, "trace_sample", "1", "a number"),
             (ObservabilityConfig, "profile", 1, "a bool"),
@@ -208,6 +217,11 @@ class TestSimulationConfig:
         kwargs = {**REQUIRED_FIELDS.get(config_class, {}), field: value}
         with pytest.raises(ConfigurationError, match=f"{field} must be {expected}"):
             config_class(**kwargs)
+
+    @pytest.mark.parametrize("config_class", [SimulationConfig, WorkloadConfig])
+    def test_negative_seed_rejected(self, config_class):
+        with pytest.raises(ConfigurationError, match="seed must be non-negative, got -1"):
+            config_class(seed=-1)
 
     def test_scalar_fields_take_numpy_scalars(self):
         config = SimulationConfig(cache_size_gb=np.float32(2.0), seed=np.int64(3))

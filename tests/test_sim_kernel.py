@@ -9,7 +9,8 @@ promises, each pinned here:
 * **Chunk boundaries are invisible** — the driver hands the kernel the
   longest runs uninterrupted by auxiliary events; splitting those runs
   anywhere, down to one request per chunk, must not move a single bit of
-  the result, timeline or reports.
+  the result, timeline or reports.  Neither may reducing the outcome
+  block every request or every third one.
 * **Degenerate transparency** — with every optional subsystem off, the
   kernel reproduces the pre-kernel seed behaviour bit-for-bit (golden
   fixture captured before the kernel refactor).
@@ -17,6 +18,10 @@ promises, each pinned here:
   prefixes, the kernel's metrics equal, exactly, the readable reference
   models :meth:`DeliverySession.outcome` fed through
   :meth:`MetricsCollector.record`.
+* **One draw path** — each side's bandwidth ratios come as one batch from
+  the one model its paths share: a topology whose origin or client-cloud
+  paths carry two model instances is refused before any request, and
+  hand-built paths without a model share the constant one.
 """
 
 from __future__ import annotations
@@ -30,11 +35,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.sim.kernel as kernel_module
 import repro.sim.simulator as simulator_module
 from conftest import replay_golden, result_record
 from repro.core.policies import make_policy
+from repro.exceptions import ConfigurationError
 from repro.network.distributions import NLANRBandwidthDistribution
-from repro.network.variability import ConstantVariability
+from repro.network.path import NetworkPath, PathRegistry
+from repro.network.topology import ClientCloud, DeliveryTopology
+from repro.network.variability import ConstantVariability, NLANRRatioVariability
 from repro.obs.config import ObservabilityConfig
 from repro.sim.config import BandwidthKnowledge, ClientCloudConfig, SimulationConfig
 from repro.sim.events import RemeasurementConfig
@@ -192,6 +201,18 @@ def test_chunking_is_invisible_for_any_simulation_seed(seed, cuts):
     assert result_record(split) == result_record(_replay(config))
 
 
+@pytest.mark.parametrize("block_rows", [1, 3])
+@pytest.mark.parametrize("variant", sorted(CHUNK_CONFIGS))
+def test_outcome_block_boundaries_are_invisible(variant, block_rows, monkeypatch):
+    """Reducing the outcome block every ``block_rows`` rows, with timeline
+    markers pending, leaves the result, the timeline and every report
+    bit-identical.  At the default block size the conformance workload's
+    750 measured requests are reduced once, at run end."""
+    expected = _unsplit_record(variant)
+    monkeypatch.setattr(kernel_module, "BLOCK_ROWS", block_rows)
+    assert json.dumps(result_record(_replay(CHUNK_CONFIGS[variant]()))) == expected
+
+
 def test_degenerate_all_off_matches_pre_kernel_golden():
     """With every optional subsystem off, the kernel-unified simulator
     reproduces the pre-refactor behaviour bit-for-bit, per policy.
@@ -297,3 +318,61 @@ def test_kernel_matches_the_reference_models(objects, picks, warmup, seed):
         )
     assert result.metrics.as_dict() == reference.finalize().as_dict()
     assert result.warmup_requests == cutoff
+
+
+class _CountingPolicy(_FixedPrefixPolicy):
+    """Caches nothing and counts the requests it is shown."""
+
+    def __init__(self):
+        super().__init__({})
+        self.requests = 0
+
+    def on_request(self, obj, bandwidth, now, store):
+        self.requests += 1
+
+
+@pytest.mark.parametrize("side", ["origin", "client-cloud"])
+def test_paths_carrying_two_models_are_refused_before_any_request(side):
+    """Each side's ratios are one batch from the one model its paths share,
+    so a topology whose origin paths, or whose client-cloud paths, carry
+    two model instances is refused, naming the side, before any request
+    is served."""
+    simulator = ProxyCacheSimulator(
+        _workload(), _config(variability=NLANRRatioVariability())
+    )
+    topology = simulator.build_topology(np.random.default_rng(5))
+    if side == "origin":
+        next(iter(topology.paths)).variability = NLANRRatioVariability()
+    else:
+        topology.clients = ClientCloud(
+            paths=(
+                NetworkPath(0, 50.0, NLANRRatioVariability()),
+                NetworkPath(1, 80.0, NLANRRatioVariability()),
+            )
+        )
+    policy = _CountingPolicy()
+    with pytest.raises(ConfigurationError, match=f"the {side} paths"):
+        simulator.run(policy, topology=topology)
+    assert policy.requests == 0
+
+
+def test_hand_built_default_paths_replay_like_one_shared_constant_model():
+    """Paths built without a model share the one constant model, so a
+    hand-built registry of them replays, exactly as one explicit shared
+    :class:`ConstantVariability` does."""
+    workload = _workload()
+
+    def topology(variability):
+        return DeliveryTopology(
+            workload.catalog,
+            PathRegistry(
+                NetworkPath(server, 10.0 + 5.0 * server, variability)
+                for server in workload.catalog.server_ids()
+            ),
+        )
+
+    simulator = ProxyCacheSimulator(workload, _config())
+    default = simulator.run(make_policy("PB"), topology=topology(None))
+    shared = simulator.run(make_policy("PB"), topology=topology(ConstantVariability()))
+    assert default.metrics.requests > 0
+    assert result_record(default) == result_record(shared)
