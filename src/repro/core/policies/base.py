@@ -130,14 +130,17 @@ class CachePolicy(ABC):
     def install(self, store: CacheStore, catalog) -> None:
         """Give the policy its pre-replay context (called by the simulator).
 
-        Sizes the store's KB table and the frequency table to the catalog,
-        so :meth:`on_request` indexes both by object id with no bounds
-        check; it must run before the first request.  The catalog is also
-        what lets :meth:`on_bandwidth_shift` resolve tracked object ids
-        back to their origin servers.  Subclasses that pre-populate the
-        store (:class:`~repro.core.policies.optimal.StaticAllocationPolicy`)
+        Starts from :meth:`reset`, so a run of an instance that already
+        served one equals a run of a fresh instance.  Sizes the store's KB
+        table and the frequency table to the catalog, so :meth:`on_request`
+        indexes both by object id with no bounds check; it must run before
+        the first request.  The catalog is also what lets
+        :meth:`on_bandwidth_shift` resolve tracked object ids back to their
+        origin servers.  Subclasses that pre-populate the store
+        (:class:`~repro.core.policies.optimal.StaticAllocationPolicy`)
         override this wholesale.
         """
+        self.reset()
         store.reserve(catalog)
         self.frequencies.reserve(catalog)
         self._counts = self.frequencies.counts

@@ -128,10 +128,12 @@ class StaticAllocationPolicy:
     def install(self, store: CacheStore, catalog: Catalog) -> None:
         """Populate ``store`` with the allocation (clearing it first).
 
-        The store's table is sized to the catalog first, as
+        The recorded frequencies are forgotten (:meth:`reset`) and the
+        store's table is sized to the catalog first, as
         :meth:`CachePolicy.install <repro.core.policies.base.CachePolicy.install>`
         does, and each allocation is capped at its object's size.
         """
+        self.reset()
         store.clear()
         store.reserve(catalog)
         for object_id, cached_bytes in self.allocation.items():

@@ -23,11 +23,20 @@ auxiliary-event merging); the kernel owns *service*:
 
 The kernel's one entry point is :func:`serve_batch`, which the driver
 feeds with ``[start, stop)`` runs of the trace: the longest runs
-uninterrupted by auxiliary events.  Chunks are the seam for later
-vectorisation — the kernel is free to process a run however it likes as
-long as the observable sequence is preserved, and splitting a run at any
-request must not change a bit of the result (``tests/test_sim_kernel.py``
-checks this down to one request per chunk).
+uninterrupted by an auxiliary event or a window end.  Chunks are the
+seam for later vectorisation — the kernel is free to process a run
+however it likes as long as the observable sequence is preserved, and
+splitting a run at any request must not change a bit of the result
+(``tests/test_sim_kernel.py`` checks this down to one request per chunk).
+
+Every per-request column (object ids, times, observed bandwidth, and the
+last-mile and pop columns when a run has them) stays a numpy array for
+the whole run.  The loop reads Python lists, which cost 32 to 36 bytes
+per element where the array costs 8, so the context holds them for one
+*window* of :data:`WINDOW_ROWS` requests at a time
+(:meth:`KernelContext.load_window`): replay memory is the numpy columns
+plus one window, whatever the trace's length.  Inside a window the loop
+indexes the lists with window-local indices.
 
 Each measured request ends in one *outcome row* (cache KB, server KB,
 delay, quality, added value, status, retries; see
@@ -54,18 +63,18 @@ All pre-draw logic also lives here: :func:`predraw_ratios` (every
 request's origin variability ratio, in one batch),
 :func:`last_mile_sequences` (per-request last-mile base / observed /
 group), and :func:`pop_sequence` (per-request hierarchy pop affinity) are
-resolved once by :func:`build_context` before replay starts, so chunk
-boundaries never move a random draw.  Each side's batch comes from the
-one variability model its paths share; a topology whose origin paths, or
-whose client-cloud paths, carry more than one model instance is refused
-with a :class:`~repro.exceptions.ConfigurationError` before the first
-request.
+resolved once by :func:`build_context` before replay starts, so neither
+chunk boundaries nor window ends ever move a random draw.  Each side's
+batch comes from the one variability model its paths share; a topology
+whose origin paths, or whose client-cloud paths, carry more than one
+model instance is refused with a
+:class:`~repro.exceptions.ConfigurationError` before the first request.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -99,6 +108,11 @@ _INF = float("inf")
 #: (224 KiB) of outcomes whatever its length; larger blocks measured no
 #: faster and cost peak memory.
 BLOCK_ROWS = 4_096
+
+#: Requests per replay window: how many rows of each per-request column
+#: the context holds as Python lists at once (about 100 bytes a row with
+#: ids, times and observed bandwidth, so 1.6 MB).
+WINDOW_ROWS = 16_384
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +162,8 @@ def last_mile_sequences(topology, trace, seed: tuple) -> Optional[tuple]:
     reproducing the pre-heterogeneity arithmetic exactly.
 
     Otherwise every request is resolved to its client's group path
-    (``client_id % groups``) and three aligned lists are returned: the
+    (``client_id % groups``) and three aligned numpy columns are returned
+    (the context turns one window of each into a list at a time): the
     group's *base* bandwidth (what the cache believes its own last mile
     sustains — the cache knows its client side, so no estimator is
     involved), the *observed* last-mile bandwidth for that request (base
@@ -169,11 +184,12 @@ def last_mile_sequences(topology, trace, seed: tuple) -> Optional[tuple]:
     ratios = model.sample_ratio(np.random.default_rng(seed), size=len(trace))
     observed = base * np.asarray(ratios, dtype=np.float64)
     np.maximum(observed, 1.0, out=observed)
-    return base.tolist(), observed.tolist(), groups.tolist()
+    return base, observed, groups
 
 
-def pop_sequence(trace, num_pops: int) -> Optional[List[int]]:
-    """Per-request pop indices (``client_id % num_pops``), resolved once.
+def pop_sequence(trace, num_pops: int) -> Optional[np.ndarray]:
+    """Per-request pop indices (``client_id % num_pops``), resolved once
+    into one numpy column.
 
     Mirrors the affinity rule of :func:`last_mile_sequences` (clients are
     pinned by id modulo the replica count).  Returns ``None`` for a
@@ -181,7 +197,7 @@ def pop_sequence(trace, num_pops: int) -> Optional[List[int]]:
     """
     if num_pops <= 1:
         return None
-    return (trace.client_ids_array.astype(np.int64, copy=False) % num_pops).tolist()
+    return trace.client_ids_array.astype(np.int64, copy=False) % num_pops
 
 
 # ----------------------------------------------------------------------
@@ -217,13 +233,20 @@ class KernelContext:
     Built by :func:`build_context`; consumed by :func:`serve_batch`.  The
     outcome block (``outcomes``, whose row 0 is request
     ``outcome_origin``) and the ``tl_boundary`` cursor are *run state*
-    carried across driver chunks; everything else is read-only for the
-    run.  Call :meth:`finish` exactly once after the driver completes.
+    carried across chunks.  ``columns`` holds the run's
+    per-request numpy columns, each paired with the slot
+    (``ids``, ``times``, ``observed_seq``, ``lm_base``, ``lm_observed``,
+    ``lm_groups``, ``pops``) that holds, as a list, the rows of the
+    window :meth:`load_window` loaded last, whose row 0 is request
+    ``window_start``; a slot whose column the run lacks stays ``None``.
+    Everything else is read-only for the run.  Call :meth:`finish`
+    exactly once after the replay completes.
     """
 
     __slots__ = (
         # Static bindings (read-only during replay).
         "requests",
+        "columns",
         "warmup_cutoff",
         "verify_store",
         "verify_consistency",
@@ -244,6 +267,10 @@ class KernelContext:
         "hier_edge",
         "timeline",
         "entries",
+        # The loaded window's lists.
+        "window_start",
+        "ids",
+        "times",
         "observed_seq",
         "lm_base",
         "lm_observed",
@@ -254,6 +281,20 @@ class KernelContext:
         "outcomes",
         "outcome_origin",
     )
+
+    def load_window(self, start: int) -> int:
+        """Load the window that starts at request ``start``: the next
+        :data:`WINDOW_ROWS` rows (fewer at the trace's end) of every
+        column, as lists.  Returns the request the window stops before.
+        """
+        stop = min(start + WINDOW_ROWS, self.requests)
+        self.window_start = start
+        for name, column in self.columns:
+            # Drop the last window's list first, so that a window switch
+            # never holds two lists of one column.
+            setattr(self, name, None)
+            setattr(self, name, column[start:stop].tolist())
+        return stop
 
     def reduce(self, count: int) -> None:
         """Sum the block's first ``count`` rows into the collector, in row
@@ -309,6 +350,9 @@ def build_context(
     resolves every pre-drawn sequence (last-mile draws, pop affinity),
     prefills the per-object entry table and vectorises the whole
     observed-bandwidth column from one batch of ratios drawn from ``rng``.
+    The per-request columns stay numpy arrays; the replay loop loads
+    each window's lists with :meth:`KernelContext.load_window` before
+    serving it.
 
     ``rekeyer`` is the *passive-reactive* rekeyer (already gated by the
     config).
@@ -361,36 +405,47 @@ def build_context(
     ctx.timeline = timeline
     ctx.tl_boundary = timeline.first_boundary if timeline is not None else _INF
 
-    # Pre-drawn sequences.
+    # The per-request columns, kept as numpy arrays for the whole run;
+    # load_window lists one window of each at a time.
+    ids_array = trace.object_ids_array
+    columns = [("ids", ids_array), ("times", trace.times_array)]
+    ctx.lm_base = ctx.lm_observed = ctx.lm_groups = ctx.pops = None
     last_mile = last_mile_sequences(topology, trace, client_cloud_seed)
-    ctx.lm_base, ctx.lm_observed, ctx.lm_groups = (
-        last_mile if last_mile is not None else (None, None, None)
-    )
-    ctx.pops = pop_sequence(trace, num_pops) if hierarchy is not None else None
+    if last_mile is not None:
+        columns.extend(zip(("lm_base", "lm_observed", "lm_groups"), last_mile))
+    if hierarchy is not None:
+        pops = pop_sequence(trace, num_pops)
+        if pops is not None:
+            columns.append(("pops", pops))
 
     # Resolve every distinct object once.  Dense ids (0..N-1 for
     # generated and ingested catalogs) index a list; sparse ids key a
     # dict, so ``entries[object_id]`` serves both without a remap.
-    ids_array = trace.object_ids_array
-    object_ids = np.unique(ids_array).tolist()
+    unique_ids = np.unique(ids_array)
+    object_ids = unique_ids.tolist()
     entries = id_table(object_ids, total, None)
     for object_id in object_ids:
         entries[object_id] = _make_entry(catalog_get, path_for, object_id)
     ctx.entries = entries
 
     # Vectorise the whole observed-bandwidth column (elementwise
-    # IEEE-identical to the scalar base * ratio, floor 1.0).
+    # IEEE-identical to the scalar base * ratio, floor 1.0), in place in
+    # the freshly gathered base column.  Sparse ids find their base
+    # through their position among the sorted distinct ids.
     ratio_array = predraw_ratios(topology, rng, total)
+    unique_base = np.array(
+        [entries[object_id][1] for object_id in object_ids], dtype=np.float64
+    )
     if isinstance(entries, list):
         base_lut = np.zeros(len(entries), dtype=np.float64)
-        for object_id in object_ids:
-            base_lut[object_id] = entries[object_id][1]
+        base_lut[unique_ids] = unique_base
         base = base_lut[ids_array]
     else:
-        base = np.array([entries[oid][1] for oid in ids_array.tolist()])
-    observed_array = base * ratio_array
-    np.maximum(observed_array, 1.0, out=observed_array)
-    ctx.observed_seq = observed_array.tolist()
+        base = unique_base[np.searchsorted(unique_ids, ids_array)]
+    np.multiply(base, ratio_array, out=base)
+    np.maximum(base, 1.0, out=base)
+    columns.append(("observed_seq", base))
+    ctx.columns = tuple(columns)
 
     # The outcome block: one typed double per column and measured request,
     # at most BLOCK_ROWS of them.
@@ -405,25 +460,27 @@ def build_context(
 # ----------------------------------------------------------------------
 # The chunk-oriented service path.
 # ----------------------------------------------------------------------
-def serve_batch(
-    ctx: KernelContext,
-    ids: Sequence[int],
-    times: Sequence[float],
-    start: int,
-    stop: int,
-) -> None:
+def serve_batch(ctx: KernelContext, start: int, stop: int) -> None:
     """Serve the trace run ``[start, stop)`` through the kernel.
 
-    The driver guarantees no auxiliary event is due inside the run, so
-    the kernel owns the whole chunk: the context is unpacked into locals
-    once per chunk and the stages run inline per request.  Every measured
-    request ends in one outcome row, written by the shared tail below.
+    The replay loop guarantees no auxiliary event is due inside the run
+    and that the run lies inside the window it loaded last
+    (:meth:`KernelContext.load_window`), so the kernel owns the whole
+    chunk: the context is unpacked into locals once per chunk and the
+    stages run inline per request.  The loop's ``index`` is window-local:
+    the warm-up cutoff and the outcome block's origin are moved into
+    window coordinates once per chunk, and ``base + index`` is the
+    request's index in the trace.  Every measured request ends in one
+    outcome row, written by the shared tail below.
     """
     if stop <= start:
         return
 
-    # Unpack the context once per chunk.
-    warmup_cutoff = ctx.warmup_cutoff
+    # Unpack the context once per chunk, in window coordinates.
+    base = ctx.window_start
+    low = start - base
+    high = stop - base
+    warmup_cutoff = ctx.warmup_cutoff - base
     verify_store = ctx.verify_store
     verify_consistency = ctx.verify_consistency
     store = ctx.store
@@ -442,6 +499,8 @@ def serve_batch(
     hier_edge = ctx.hier_edge
     tl_close = ctx.timeline.close if ctx.timeline is not None else None
     entries = ctx.entries
+    ids = ctx.ids
+    times = ctx.times
     observed_seq = ctx.observed_seq
     lm_base = ctx.lm_base
     lm_observed = ctx.lm_observed
@@ -453,15 +512,15 @@ def serve_batch(
         ctx.outcomes
     )
     block_rows = len(out_cache)
-    origin = ctx.outcome_origin
-    measuring = start >= warmup_cutoff
+    origin = ctx.outcome_origin - base
+    measuring = low >= warmup_cutoff
     tl_boundary = ctx.tl_boundary
 
-    id_run = ids if start == 0 and stop == len(ids) else ids[start:stop]
-    for index, object_id in enumerate(id_run, start):
+    id_run = ids if low == 0 and high == len(ids) else ids[low:high]
+    for index, object_id in enumerate(id_run, low):
         req_time = times[index]
         if req_time >= tl_boundary:
-            tl_boundary = tl_close(req_time, index)
+            tl_boundary = tl_close(req_time, base + index)
         if index == warmup_cutoff:
             measuring = True
 
@@ -620,7 +679,7 @@ def serve_batch(
         if verify_store and not verify_consistency():
             raise AssertionError(
                 "cache store accounting became inconsistent "
-                f"after request {index} (object {object_id})"
+                f"after request {base + index} (object {object_id})"
             )
 
     ctx.tl_boundary = tl_boundary

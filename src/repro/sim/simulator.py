@@ -23,8 +23,9 @@ observed-bandwidth column.  The driver then splits the
 trace into the longest runs uninterrupted by *typed* auxiliary events
 (:mod:`repro.sim.events`, e.g. periodic bandwidth re-measurement from
 :attr:`~repro.sim.config.SimulationConfig.remeasurement`), merged by
-``(time, priority)``, and serves each run through ``serve_batch``; with
-no events scheduled the whole trace is one chunk.
+``(time, priority)``, and serves each run through ``serve_batch``; runs
+also end where a window of :data:`repro.sim.kernel.WINDOW_ROWS` requests
+does, so with no events scheduled each window is one chunk.
 
 Per-client last-mile bandwidth
 (:attr:`~repro.sim.config.SimulationConfig.client_clouds`) is resolved
@@ -37,6 +38,7 @@ delivered bandwidth becomes the bottleneck of its two hops — see
 from __future__ import annotations
 
 import time as _time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -249,175 +251,183 @@ class ProxyCacheSimulator:
         sink: Optional[TraceSink] = None
         if obs is not None and obs.profile:
             profiler = StageProfiler()
-        if obs is not None and obs.trace_path is not None:
-            sink = TraceSink(
-                obs.trace_path, level=obs.trace_level, sample=obs.trace_sample
-            )
+        # Each side effect on a file or on an object the caller keeps
+        # registers its undo as it happens, so a run that raises, even
+        # before its first request, leaves nothing behind.
+        with ExitStack() as undo:
+            if obs is not None and obs.trace_path is not None:
+                sink = undo.enter_context(
+                    TraceSink(
+                        obs.trace_path, level=obs.trace_level, sample=obs.trace_sample
+                    )
+                )
 
-        rng = np.random.default_rng(self.config.seed)
-        if topology is None:
-            if profiler is not None:
-                with profiler.stage("topology_build"):
+            rng = np.random.default_rng(self.config.seed)
+            if topology is None:
+                if profiler is not None:
+                    with profiler.stage("topology_build"):
+                        topology = self.build_topology(rng)
+                else:
                     topology = self.build_topology(rng)
+
+            if sink is not None:
+                store: CacheStore = ObservedCacheStore(self.config.cache_size_kb, sink)
             else:
-                topology = self.build_topology(rng)
+                store = CacheStore(self.config.cache_size_kb)
+            hierarchy: Optional[HierarchyEngine] = None
+            if self.config.hierarchy is not None:
+                # Tiers without a policy name run copies of the run policy,
+                # taken before anything touches it; the instance itself is
+                # never installed — each tier owns a policy on its own store.
+                hierarchy = HierarchyEngine(
+                    self.config.hierarchy, self.workload.catalog, default_policy=policy
+                )
+            elif hasattr(policy, "install"):
+                policy.install(store, self.workload.catalog)
 
-        if sink is not None:
-            store: CacheStore = ObservedCacheStore(self.config.cache_size_kb, sink)
-        else:
-            store = CacheStore(self.config.cache_size_kb)
-        hierarchy: Optional[HierarchyEngine] = None
-        if self.config.hierarchy is not None:
-            # Tiers without a policy name run copies of the run policy,
-            # taken before anything touches it; the instance itself is
-            # never installed — each tier owns a policy on its own store.
-            hierarchy = HierarchyEngine(
-                self.config.hierarchy, self.workload.catalog, default_policy=policy
-            )
-        elif hasattr(policy, "install"):
-            policy.install(store, self.workload.catalog)
+            streaming: Optional[StreamingDeliveryEngine] = None
+            if self.config.streaming is not None:
+                streaming = StreamingDeliveryEngine(
+                    self.config.streaming,
+                    self.workload.catalog,
+                    store,
+                    sim_seed=self.config.seed,
+                )
+                # Heap-engine policies get the segment-aware admission /
+                # trimming hooks for the run; policies without the hooks
+                # (e.g. static allocations) still serve sessions, they just
+                # keep their own byte targets.
+                if hasattr(policy, "stream_quantize"):
+                    undo.callback(setattr, policy, "stream_quantize", None)
+                    undo.callback(setattr, policy, "stream_trim", None)
+                    policy.stream_quantize = streaming.admission_target
+                    if self.config.streaming.prefix_caching:
+                        policy.stream_trim = streaming.trim_victim
 
-        streaming: Optional[StreamingDeliveryEngine] = None
-        if self.config.streaming is not None:
-            streaming = StreamingDeliveryEngine(
-                self.config.streaming,
-                self.workload.catalog,
-                store,
-                sim_seed=self.config.seed,
-            )
-            # Heap-engine policies get the segment-aware admission /
-            # trimming hooks for the run; policies without the hooks
-            # (e.g. static allocations) still serve sessions, they just
-            # keep their own byte targets.
-            if hasattr(policy, "stream_quantize"):
-                policy.stream_quantize = streaming.admission_target
-                if self.config.streaming.prefix_caching:
-                    policy.stream_trim = streaming.trim_victim
+            collector = MetricsCollector()
+            estimator: Optional[PassiveEstimator] = None
+            if self.config.bandwidth_knowledge is BandwidthKnowledge.PASSIVE:
+                estimator = PassiveEstimator(smoothing=self.config.passive_smoothing)
 
-        collector = MetricsCollector()
-        estimator: Optional[PassiveEstimator] = None
-        if self.config.bandwidth_knowledge is BandwidthKnowledge.PASSIVE:
-            estimator = PassiveEstimator(smoothing=self.config.passive_smoothing)
-
-        measurement_log: Optional[BandwidthMeasurementLog] = None
-        if self.config.remeasurement is not None:
-            measurement_log = BandwidthMeasurementLog()
-        rekeyer: Optional[ReactiveRekeyer] = None
-        if (
-            self.config.reactive_threshold is not None
-            and estimator is not None
-            and hasattr(policy, "on_bandwidth_shift")
-        ):
-            # With a modeled client cloud, a request from group g never
-            # believes more than that group's last-mile base; the rekeyer
-            # keeps one anchor per (server, group) view so shift detection
-            # and heap keys stay consistent with the per-request
-            # composition.  An all-inf cloud degrades to the uncapped view.
-            group_caps = topology.last_mile_caps()
-            if group_caps is not None and all(
-                cap == float("inf") for cap in group_caps
+            measurement_log: Optional[BandwidthMeasurementLog] = None
+            if self.config.remeasurement is not None:
+                measurement_log = BandwidthMeasurementLog()
+            rekeyer: Optional[ReactiveRekeyer] = None
+            if (
+                self.config.reactive_threshold is not None
+                and estimator is not None
+                and hasattr(policy, "on_bandwidth_shift")
             ):
-                group_caps = None
-            rekeyer = ReactiveRekeyer(
-                policy,
-                estimator,
-                self.config.reactive_threshold,
-                group_caps=group_caps,
-                hysteresis=self.config.reactive_hysteresis,
-                rekey_cap=self.config.reactive_rekey_cap,
-                group_estimation=(
-                    self.config.client_clouds is not None
-                    and self.config.client_clouds.estimate_last_mile
-                ),
-            )
-        schedule = self.build_auxiliary_schedule(
-            topology, estimator, measurement_log, rekeyer
-        )
-
-        trace = self.workload.trace
-        total_requests = len(trace)
-        warmup_cutoff = int(self.config.warmup_fraction * total_requests)
-
-        injector: Optional[FaultInjector] = None
-        if self.config.faults is not None:
-            fault_schedule = self.config.faults.build_schedule(
-                topology,
-                trace_start=trace.start_time,
-                trace_end=trace.end_time,
-                base_seed=self.config.seed,
-            )
-            injector = FaultInjector(
-                fault_schedule, self.config.faults, estimator=estimator
+                # With a modeled client cloud, a request from group g never
+                # believes more than that group's last-mile base; the rekeyer
+                # keeps one anchor per (server, group) view so shift detection
+                # and heap keys stay consistent with the per-request
+                # composition.  An all-inf cloud degrades to the uncapped view.
+                group_caps = topology.last_mile_caps()
+                if group_caps is not None and all(
+                    cap == float("inf") for cap in group_caps
+                ):
+                    group_caps = None
+                rekeyer = ReactiveRekeyer(
+                    policy,
+                    estimator,
+                    self.config.reactive_threshold,
+                    group_caps=group_caps,
+                    hysteresis=self.config.reactive_hysteresis,
+                    rekey_cap=self.config.reactive_rekey_cap,
+                    group_estimation=(
+                        self.config.client_clouds is not None
+                        and self.config.client_clouds.estimate_last_mile
+                    ),
+                )
+            schedule = self.build_auxiliary_schedule(
+                topology, estimator, measurement_log, rekeyer
             )
 
-        timeline: Optional[MetricsTimeline] = None
-        if obs is not None and obs.timeline:
-            timeline = MetricsTimeline(
-                obs.window_s, trace.start_time if total_requests else 0.0
-            )
-            timeline.bind(
-                store=store if hierarchy is None else hierarchy.primary_edge_store,
-                rekeyer=rekeyer,
+            trace = self.workload.trace
+            total_requests = len(trace)
+            warmup_cutoff = int(self.config.warmup_fraction * total_requests)
+
+            injector: Optional[FaultInjector] = None
+            if self.config.faults is not None:
+                fault_schedule = self.config.faults.build_schedule(
+                    topology,
+                    trace_start=trace.start_time,
+                    trace_end=trace.end_time,
+                    base_seed=self.config.seed,
+                )
+                injector = FaultInjector(
+                    fault_schedule, self.config.faults, estimator=estimator
+                )
+
+            timeline: Optional[MetricsTimeline] = None
+            if obs is not None and obs.timeline:
+                timeline = MetricsTimeline(
+                    obs.window_s, trace.start_time if total_requests else 0.0
+                )
+                timeline.bind(
+                    store=store if hierarchy is None else hierarchy.primary_edge_store,
+                    rekeyer=rekeyer,
+                    injector=injector,
+                    streaming=streaming,
+                )
+            if sink is not None:
+                for traced in (rekeyer, injector):
+                    if traced is not None:
+                        traced.trace = sink
+                        undo.callback(setattr, traced, "trace", None)
+
+            if profiler is not None:
+                # Instance-attribute wrappers shadow the bound methods the
+                # kernel context binds; detach_all() removes them again so
+                # profiling leaves no trace on the shared objects.  The
+                # context is built *after* attach so it captures the
+                # wrappers.
+                undo.callback(profiler.detach_all)
+                profiler.attach(policy, "on_request", "policy_ops")
+                if estimator is not None:
+                    profiler.attach(estimator, "estimate", "estimator")
+                    profiler.attach(estimator, "observe", "estimator")
+                if injector is not None:
+                    profiler.attach(injector, "intercept", "fault_evaluation")
+
+            # One kernel context per run: the replay delegates the whole
+            # per-request service sequence (repro.sim.kernel) to it, and the
+            # passive-driven rekeyer is notified after every request's
+            # estimator update (docs/events.md).
+            ctx = build_context(
+                catalog=self.workload.catalog,
+                trace=trace,
+                topology=topology,
+                policy=policy,
+                store=store,
+                collector=collector,
+                estimator=estimator,
+                rekeyer=rekeyer if self.config.reactive_passive else None,
                 injector=injector,
+                timeline=timeline,
                 streaming=streaming,
-            )
-        if sink is not None:
-            if rekeyer is not None:
-                rekeyer.trace = sink
-            if injector is not None:
-                injector.trace = sink
-
-        if profiler is not None:
-            # Instance-attribute wrappers shadow the bound methods the
-            # kernel context binds; detach_all() removes them again so
-            # profiling leaves no trace on the shared objects.  The
-            # context is built *after* attach so it captures the
-            # wrappers.
-            profiler.attach(policy, "on_request", "policy_ops")
-            if estimator is not None:
-                profiler.attach(estimator, "estimate", "estimator")
-                profiler.attach(estimator, "observe", "estimator")
-            if injector is not None:
-                profiler.attach(injector, "intercept", "fault_evaluation")
-
-        # One kernel context per run: the driver delegates the whole
-        # per-request service sequence (repro.sim.kernel) to it, and the
-        # passive-driven rekeyer is notified after every request's
-        # estimator update (docs/events.md).
-        ctx = build_context(
-            catalog=self.workload.catalog,
-            trace=trace,
-            topology=topology,
-            policy=policy,
-            store=store,
-            collector=collector,
-            estimator=estimator,
-            rekeyer=rekeyer if self.config.reactive_passive else None,
-            injector=injector,
-            timeline=timeline,
-            streaming=streaming,
-            hierarchy=hierarchy,
-            rng=rng,
-            warmup_cutoff=warmup_cutoff,
-            verify_store=self.config.verify_store,
-            num_pops=(
-                self.config.hierarchy.num_pops if hierarchy is not None else 1
-            ),
-            client_cloud_seed=self._client_cloud_seed(1),
-        )
-
-        if sink is not None:
-            sink.emit(
-                "info",
-                "run-start",
-                trace.start_time if total_requests else 0.0,
-                policy=getattr(policy, "name", type(policy).__name__),
-                seed=self.config.seed,
-                requests=total_requests,
+                hierarchy=hierarchy,
+                rng=rng,
+                warmup_cutoff=warmup_cutoff,
+                verify_store=self.config.verify_store,
+                num_pops=(
+                    self.config.hierarchy.num_pops if hierarchy is not None else 1
+                ),
+                client_cloud_seed=self._client_cloud_seed(1),
             )
 
-        replay_started = _time.perf_counter() if profiler is not None else 0.0
-        try:
+            if sink is not None:
+                sink.emit(
+                    "info",
+                    "run-start",
+                    trace.start_time if total_requests else 0.0,
+                    policy=getattr(policy, "name", type(policy).__name__),
+                    seed=self.config.seed,
+                    requests=total_requests,
+                )
+
+            replay_started = _time.perf_counter() if profiler is not None else 0.0
             self._replay(ctx, trace, schedule)
             ctx.finish(trace.end_time if total_requests else 0.0)
             metrics = collector.finalize()
@@ -431,19 +441,8 @@ class ProxyCacheSimulator:
                     byte_hit_ratio=metrics.byte_hit_ratio,
                     evictions=store.evictions,
                 )
-        finally:
-            if streaming is not None and hasattr(policy, "stream_quantize"):
-                policy.stream_quantize = None
-                policy.stream_trim = None
             if profiler is not None:
                 profiler.add("replay", _time.perf_counter() - replay_started)
-                profiler.detach_all()
-            if sink is not None:
-                sink.close()
-            if rekeyer is not None:
-                rekeyer.trace = None
-            if injector is not None:
-                injector.trace = None
 
         return SimulationResult(
             metrics=metrics,
@@ -485,52 +484,54 @@ class ProxyCacheSimulator:
     ) -> None:
         """Serve the trace in chunks, firing auxiliary events between them.
 
-        The driver owns the auxiliary-event merge only: it splits the
-        trace into the longest runs of requests uninterrupted by an
-        auxiliary event — ordered by ``(time, priority)``, with the
-        request stream at priority 0 (auxiliary priorities are non-zero
-        by construction, so the merge is never ambiguous) — fires the due
-        events between runs, and serves each run through
-        :func:`repro.sim.kernel.serve_batch`.  Auxiliary events draw from
-        their own random generators (see :mod:`repro.sim.events`), so the
-        kernel's pre-drawn bandwidth draws stay valid even while events
-        fire between chunks.  With no auxiliary events scheduled the
-        whole trace is one chunk.
+        The loop owns the auxiliary-event merge and the windows: it
+        splits the trace into the longest runs of requests uninterrupted
+        by an auxiliary event or a window end.  Events are ordered by
+        ``(time, priority)``, with the request stream at priority 0
+        (auxiliary priorities are non-zero by construction, so the merge
+        is never ambiguous); the due ones fire between runs.  At each
+        window start the loop loads the next window's lists
+        (:meth:`repro.sim.kernel.KernelContext.load_window`), and it
+        serves each run through :func:`repro.sim.kernel.serve_batch`.
+        Auxiliary events draw from their own random generators (see
+        :mod:`repro.sim.events`), so the kernel's pre-drawn bandwidth
+        draws stay valid even while events fire between chunks.  With no
+        auxiliary events scheduled each window is one chunk.
         """
         times_array = trace.times_array
-        ids = trace.object_ids_array.tolist()
-        times = times_array.tolist()
-        total = len(ids)
+        total = len(times_array)
 
         aux_heap = schedule.begin()
         fire_before = schedule.fire_before
 
-        start = 0
+        start = window_end = 0
         while start < total:
-            if not aux_heap:
-                serve_batch(ctx, ids, times, start, total)
-                break
-            head_time = aux_heap[0][0]
-            head_priority = aux_heap[0][1]
-            if (head_time, head_priority) < (times[start], 0):
-                # The event runs before the next request (strictly
-                # earlier time, or same time with a negative priority).
-                fire_before(times[start])
-                continue
-            # The longest run the head event does not interrupt: requests
-            # strictly before the event in (time, priority) order.
-            # Guaranteed non-empty — the head is not due before request
-            # ``start`` (checked above).
-            stop = int(
-                np.searchsorted(
-                    times_array,
-                    head_time,
-                    side="left" if head_priority < 0 else "right",
+            if start == window_end:
+                window_end = ctx.load_window(start)
+            stop = window_end
+            if aux_heap:
+                head_time = aux_heap[0][0]
+                head_priority = aux_heap[0][1]
+                next_time = ctx.times[start - ctx.window_start]
+                if (head_time, head_priority) < (next_time, 0):
+                    # The event runs before the next request (strictly
+                    # earlier time, or same time with a negative priority).
+                    fire_before(next_time)
+                    continue
+                # The longest run the head event does not interrupt:
+                # requests strictly before the event in (time, priority)
+                # order.  Guaranteed non-empty — the head is not due
+                # before request ``start`` (checked above).
+                cut = int(
+                    np.searchsorted(
+                        times_array,
+                        head_time,
+                        side="left" if head_priority < 0 else "right",
+                    )
                 )
-            )
-            if stop > total:
-                stop = total
-            serve_batch(ctx, ids, times, start, stop)
+                if cut < stop:
+                    stop = cut
+            serve_batch(ctx, start, stop)
             start = stop
 
         # Auxiliary events scheduled after the last request still fire.

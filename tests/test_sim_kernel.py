@@ -1,16 +1,19 @@
 """Conformance suite for the request-service kernel.
 
-The kernel contract (:mod:`repro.sim.kernel`) has three observable
+The kernel contract (:mod:`repro.sim.kernel`) has six observable
 promises, each pinned here:
 
 * **Recorded behaviour** — every config in :data:`STAGE_CONFIGS` (one per
   optional subsystem) replays bit-identically to its recorded golden
   (``tests/data/replay_goldens.json``).
 * **Chunk boundaries are invisible** — the driver hands the kernel the
-  longest runs uninterrupted by auxiliary events; splitting those runs
-  anywhere, down to one request per chunk, must not move a single bit of
-  the result, timeline or reports.  Neither may reducing the outcome
-  block every request or every third one.
+  longest runs uninterrupted by auxiliary events or window ends;
+  splitting those runs anywhere, down to one request per chunk, must not
+  move a single bit of the result, timeline or reports.  Neither may
+  reducing the outcome block, or loading a new window of per-request
+  lists, every request or every third one.
+* **Bounded memory** — a replay's memory grows with its trace only by the
+  numpy columns the kernel keeps, not by Python lists of the whole trace.
 * **Degenerate transparency** — with every optional subsystem off, the
   kernel reproduces the pre-kernel seed behaviour bit-for-bit (golden
   fixture captured before the kernel refactor).
@@ -21,12 +24,15 @@ promises, each pinned here:
 * **One draw path** — each side's bandwidth ratios come as one batch from
   the one model its paths share: a topology whose origin or client-cloud
   paths carry two model instances is refused before any request, and
-  hand-built paths without a model share the constant one.
+  hand-built paths without a model share the constant one.  A refused
+  run leaves the policy without its run hooks and its trace file closed.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -45,6 +51,7 @@ from repro.network.path import NetworkPath, PathRegistry
 from repro.network.topology import ClientCloud, DeliveryTopology
 from repro.network.variability import ConstantVariability, NLANRRatioVariability
 from repro.obs.config import ObservabilityConfig
+from repro.obs.tracing import TraceSink
 from repro.sim.config import BandwidthKnowledge, ClientCloudConfig, SimulationConfig
 from repro.sim.events import RemeasurementConfig
 from repro.sim.faults import FaultConfig
@@ -153,19 +160,22 @@ CUTS = st.one_of(
 )
 
 
-def _replay(config, cuts=()):
+def _replay(config, cuts=(), window_rows=None):
     """Replay the conformance workload, splitting every kernel chunk at
-    ``cuts`` (``None``: at every request)."""
+    ``cuts`` (``None``: at every request), with windows of ``window_rows``
+    requests (``None``: the kernel's own)."""
     serve_batch = simulator_module.serve_batch
 
-    def split(ctx, ids, times, start, stop):
+    def split(ctx, start, stop):
         inside = range(start + 1, stop) if cuts is None else cuts
         bounds = sorted({start, stop, *(c for c in inside if start < c < stop)})
         for low, high in zip(bounds, bounds[1:]):
-            serve_batch(ctx, ids, times, low, high)
+            serve_batch(ctx, low, high)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulator_module, "serve_batch", split)
+        if window_rows is not None:
+            patch.setattr(kernel_module, "WINDOW_ROWS", window_rows)
         return ProxyCacheSimulator(_workload(), config).run(make_policy("PB"))
 
 
@@ -181,12 +191,14 @@ def test_stage_config_matches_golden(variant):
 
 @pytest.mark.parametrize("variant", sorted(CHUNK_CONFIGS))
 @settings(max_examples=6, deadline=None)
-@given(cuts=CUTS)
-@example(cuts=None)
-def test_chunk_boundaries_are_invisible(variant, cuts):
+@given(cuts=CUTS, window_rows=st.sampled_from([None, 7]))
+@example(cuts=None, window_rows=None)
+@example(cuts=list(range(3, REQUESTS, 5)), window_rows=7)
+def test_chunk_boundaries_are_invisible(variant, cuts, window_rows):
     """Splitting kernel chunks anywhere, even one request per chunk, leaves
-    the result, the timeline and every report bit-identical."""
-    split = _replay(CHUNK_CONFIGS[variant](), cuts)
+    the result, the timeline and every report bit-identical, also when
+    windows of 7 rows end between and on the cuts."""
+    split = _replay(CHUNK_CONFIGS[variant](), cuts, window_rows)
     assert json.dumps(result_record(split)) == _unsplit_record(variant)
 
 
@@ -210,6 +222,19 @@ def test_outcome_block_boundaries_are_invisible(variant, block_rows, monkeypatch
     750 measured requests are reduced once, at run end."""
     expected = _unsplit_record(variant)
     monkeypatch.setattr(kernel_module, "BLOCK_ROWS", block_rows)
+    assert json.dumps(result_record(_replay(CHUNK_CONFIGS[variant]()))) == expected
+
+
+@pytest.mark.parametrize("window_rows", [1, 3])
+@pytest.mark.parametrize("variant", sorted(CHUNK_CONFIGS))
+def test_window_boundaries_are_invisible(variant, window_rows, monkeypatch):
+    """Holding the per-request lists ``window_rows`` requests at a time,
+    so that the loop's window-local indices restart that often, leaves
+    the result, the timeline and every report bit-identical.  At the
+    default window the conformance workload's 1,500 requests are one
+    window."""
+    expected = _unsplit_record(variant)
+    monkeypatch.setattr(kernel_module, "WINDOW_ROWS", window_rows)
     assert json.dumps(result_record(_replay(CHUNK_CONFIGS[variant]()))) == expected
 
 
@@ -356,6 +381,39 @@ def test_paths_carrying_two_models_are_refused_before_any_request(side):
     assert policy.requests == 0
 
 
+def test_a_refused_run_takes_back_its_side_effects(tmp_path, monkeypatch):
+    """A run refused while its kernel context is built has by then opened
+    its trace file and given the policy its streaming hooks and a
+    profiler wrapper: it closes the file and takes the hooks and the
+    wrapper off the policy again."""
+    sinks = []
+
+    class RecordingSink(TraceSink):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sinks.append(self)
+
+    monkeypatch.setattr(simulator_module, "TraceSink", RecordingSink)
+    simulator = ProxyCacheSimulator(
+        _workload(),
+        _config(
+            variability=NLANRRatioVariability(),
+            streaming=StreamingConfig(fraction=1.0, seed=2),
+            observability=ObservabilityConfig(
+                timeline=False, trace_path=str(tmp_path / "run.jsonl"), profile=True
+            ),
+        ),
+    )
+    topology = simulator.build_topology(np.random.default_rng(5))
+    next(iter(topology.paths)).variability = NLANRRatioVariability()
+    policy = make_policy("PB")
+    with pytest.raises(ConfigurationError, match="the origin paths"):
+        simulator.run(policy, topology=topology)
+    assert policy.stream_quantize is None and policy.stream_trim is None
+    assert "on_request" not in vars(policy)
+    assert len(sinks) == 1 and sinks[0]._handle is None
+
+
 def test_hand_built_default_paths_replay_like_one_shared_constant_model():
     """Paths built without a model share the one constant model, so a
     hand-built registry of them replays, exactly as one explicit shared
@@ -376,3 +434,78 @@ def test_hand_built_default_paths_replay_like_one_shared_constant_model():
     shared = simulator.run(make_policy("PB"), topology=topology(ConstantVariability()))
     assert default.metrics.requests > 0
     assert result_record(default) == result_record(shared)
+
+
+def _memory_workload(sparse: bool, repeats: int) -> Workload:
+    """One window's worth of requests (so a replay of it already fills a
+    whole window), played ``repeats`` times back to back; with ``sparse``
+    every object id becomes ``id * 7919 + 50_000_000``, in the catalog
+    and the trace, so the replay keys its tables by dict."""
+    workload = GismoWorkloadGenerator(
+        WorkloadConfig(
+            num_objects=500,
+            num_requests=kernel_module.WINDOW_ROWS,
+            num_servers=20,
+            seed=4,
+        )
+    ).generate()
+    trace = workload.trace
+    relabel = (lambda ids: ids * 7919 + 50_000_000) if sparse else (lambda ids: ids)
+    span = trace.times_array[-1] - trace.times_array[0] + 1.0
+    return Workload(
+        catalog=Catalog(
+            MediaObject(
+                object_id=relabel(obj.object_id),
+                duration=obj.duration,
+                bitrate=obj.bitrate,
+                server_id=obj.server_id,
+                value=obj.value,
+                layers=obj.layers,
+            )
+            for obj in workload.catalog
+        ),
+        trace=ColumnarTrace(
+            np.concatenate([trace.times_array + k * span for k in range(repeats)]),
+            relabel(np.tile(trace.object_ids_array, repeats)),
+            np.tile(trace.client_ids_array, repeats),
+        ),
+        config=workload.config,
+    )
+
+
+def _replay_peak_growth(workload, config) -> int:
+    """How far the traced peak of one PB replay rises above the memory
+    traced when it starts, in bytes."""
+    gc.collect()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    ProxyCacheSimulator(workload, config).run(make_policy("PB"))
+    return tracemalloc.get_traced_memory()[1] - before
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_replay_memory_grows_only_by_its_numpy_columns(sparse):
+    """A replay holds its per-request columns as numpy arrays and only one
+    window of them as lists, so playing the same trace four times over
+    raises its peak by the 8-byte observed-bandwidth column per extra
+    request, not by lists of the whole trace (87 bytes per request for
+    dense ids, 104 for sparse ones, when every column was a list)."""
+    once = _memory_workload(sparse, 1)
+    four = _memory_workload(sparse, 4)
+    config = SimulationConfig(
+        cache_size_gb=0.01 * once.catalog.total_size_gb,
+        variability=NLANRRatioVariability(),
+        seed=3,
+    )
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        _replay_peak_growth(once, config)  # warm-up: first-run allocations
+        growth_once = _replay_peak_growth(once, config)
+        growth_four = _replay_peak_growth(four, config)
+    finally:
+        if started:
+            tracemalloc.stop()
+    extra_requests = len(four.trace) - len(once.trace)
+    assert (growth_four - growth_once) / extra_requests <= 16.0

@@ -9,6 +9,7 @@ from repro.exceptions import ConfigurationError
 from repro.network.distributions import ConstantBandwidthDistribution
 from repro.network.variability import NLANRRatioVariability
 from repro.sim.config import BandwidthKnowledge, SimulationConfig
+from repro.sim.hierarchy import CacheTier, HierarchyConfig
 from repro.sim.runner import compare_policies, run_replications, sweep_cache_sizes
 from repro.sim.simulator import ProxyCacheSimulator
 
@@ -114,6 +115,64 @@ class TestProxyCacheSimulator:
             optimal.metrics.average_service_delay
             <= lru.metrics.average_service_delay + 1e-9
         )
+
+
+def _reuse_config(workload, **kwargs) -> SimulationConfig:
+    """A cache of 5% of the catalog under NLANR variability: small enough
+    that what a policy carried over from an earlier run changes its
+    admissions and evictions."""
+    return small_config(
+        cache_size_gb=0.05 * workload.catalog.total_size_gb,
+        variability=NLANRRatioVariability(),
+        seed=5,
+        **kwargs,
+    )
+
+
+class TestPolicyReuse:
+    """``install`` starts a policy from ``reset()``: the frequencies, heap,
+    utilities and sequence numbers one run leaves in an instance never
+    reach its next run, nor the hierarchy tiers that copy it."""
+
+    @pytest.mark.parametrize(
+        "name", ["PB", "IB", "IF", "LFU", "LRU", "GDS", "PB-V"]
+    )
+    def test_second_run_of_one_instance_equals_a_fresh_run(self, tiny_workload, name):
+        simulator = ProxyCacheSimulator(tiny_workload, _reuse_config(tiny_workload))
+        policy = make_policy(name)
+        simulator.run(policy)
+        again = simulator.run(policy)
+        fresh = simulator.run(make_policy(name))
+        assert again.as_dict() == fresh.as_dict()
+        assert again.heap_statistics == fresh.heap_statistics
+
+    def test_hierarchy_tiers_copy_no_earlier_run(self, tiny_workload):
+        tier_kb = 0.05 * tiny_workload.catalog.total_size_gb * 1e6
+        hierarchy = ProxyCacheSimulator(
+            tiny_workload,
+            _reuse_config(
+                tiny_workload,
+                hierarchy=HierarchyConfig(
+                    tiers=(
+                        CacheTier(name="edge", cache_kb=tier_kb / 2),
+                        CacheTier(name="parent", cache_kb=tier_kb),
+                    )
+                ),
+            ),
+        )
+        policy = make_policy("PB")
+        ProxyCacheSimulator(tiny_workload, _reuse_config(tiny_workload)).run(policy)
+        used = hierarchy.run(policy)
+        fresh = hierarchy.run(make_policy("PB"))
+        assert used.as_dict() == fresh.as_dict()
+        assert used.hierarchy_report.as_dict() == fresh.hierarchy_report.as_dict()
+
+    def test_static_allocation_forgets_its_first_run(self, tiny_workload):
+        policy = StaticAllocationPolicy({0: 1_000.0})
+        simulator = ProxyCacheSimulator(tiny_workload, _reuse_config(tiny_workload))
+        simulator.run(policy)
+        simulator.run(policy)
+        assert policy.frequencies.total_requests == len(tiny_workload.trace)
 
 
 class TestRunner:
