@@ -414,10 +414,14 @@ def run_sharded_fleet(
     order are all deterministic in ``config.seed``.
 
     Hierarchy configs compose per shard — every shard runs its own full
-    tier chain, which matches the per-pop fleet semantics of
-    :mod:`repro.sim.hierarchy` exactly as long as pops do not read each
-    other's caches; ``sibling_lookup`` couples pops cross-shard and is
-    therefore rejected here.
+    tier chain, so a pop's caches see only its own clients' requests, as
+    in :mod:`repro.sim.hierarchy`; ``sibling_lookup`` couples pops
+    cross-shard and is therefore rejected here.
+
+    The merged result does not equal the whole trace's replay.  Each shard
+    is a replay of its own: it measures what follows its own warm-up
+    (``int(warmup_fraction * len(shard))`` requests), draws its own
+    bandwidth ratios and runs its own estimator.
     """
     if num_shards <= 0:
         raise ConfigurationError(

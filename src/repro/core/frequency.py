@@ -30,15 +30,12 @@ class FrequencyTracker:
         self.counts = {}
 
     def reserve(self, catalog) -> None:
-        """Give every catalog object a slot in :attr:`counts`, keeping counts.
+        """Make :attr:`counts` a fresh table with a 0 for every catalog object.
 
-        The table becomes a list when the catalog's ids are dense and a
-        dict otherwise (:meth:`~repro.workload.catalog.Catalog.id_table`).
+        The table is a list when the catalog's ids are dense and a dict
+        otherwise (:meth:`~repro.workload.catalog.Catalog.id_table`).
         """
-        held = self._recorded()
         self.counts = catalog.id_table(0.0)
-        for object_id, count in held:
-            id_table_set(self.counts, object_id, count)
 
     def _recorded(self) -> List[Tuple[int, float]]:
         """``(object_id, count)`` for every object with a recorded request."""

@@ -74,9 +74,11 @@ class CacheStore:
 
         The table becomes a list when the catalog's ids are dense and a
         dict otherwise (:meth:`~repro.workload.catalog.Catalog.id_table`);
-        cached prefixes are kept.
+        cached prefixes are kept.  An empty store skips the walk over its
+        old table: a replay sizes each store it builds before the policy's
+        ``install`` sizes it again.
         """
-        held = self.snapshot()
+        held = self.snapshot() if self._count else {}
         self.cached_kb = catalog.id_table(0.0)
         for object_id, kb in held.items():
             id_table_set(self.cached_kb, object_id, kb)

@@ -47,9 +47,9 @@ class ObservabilityConfig:
             event name), never random, so it cannot perturb the
             simulation's RNG streams.
         profile: Collect per-stage wall-clock timers onto
-            ``SimulationResult.profile``.  Profiling wraps per-request
-            callables, so a profiled run is slower; the simulated
-            metrics are unchanged.
+            ``SimulationResult.profile``.  The replay kernel then calls
+            its policy, estimator and fault stages through timers, so a
+            profiled run is slower; the simulated metrics are unchanged.
     """
 
     window_s: float = 60.0

@@ -3,28 +3,27 @@
 The profiler answers "where does a run's wall-clock go" at the stage
 granularity the ROADMAP's vectorisation work needs: workload draw,
 topology build, the replay loop itself, policy operations, bandwidth
-estimation, reactive observation, and fault evaluation.  Two collection
-styles cover the simulator's structure:
+estimation, and fault evaluation.  Two collection styles cover the
+simulator's structure:
 
 * **block timing** (:meth:`stage` / :meth:`add`) for code the simulator
   runs once — topology build, the whole replay loop;
-* **call wrapping** (:meth:`attach`) for per-request callables — the
-  wrapper is installed as an *instance* attribute shadowing the bound
-  method and removed again by :meth:`detach_all`, so profiling leaves
-  no trace on the objects after the run.
+* **call timing** (:meth:`wrap`) for the per-request calls the replay
+  kernel makes: :func:`repro.sim.kernel.build_context` binds the
+  policy's, estimator's and fault injector's methods through it, so a
+  stage counts exactly the kernel's own calls and nothing is set on the
+  objects themselves.
 
-Wrapping adds a Python-level indirection per call, so a profiled run is
+Timing adds a Python-level indirection per call, so a profiled run is
 slower than an unprofiled one; the simulated results are unchanged
-(timers only read the wall clock, never the simulation state).  Nested
-stages record *inclusive* time: a reactive observation that consults the
-estimator bills the estimator's share to both stages.
+(timers only read the wall clock, never the simulation state).
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Callable, Dict
 
 __all__ = ["StageProfiler"]
 
@@ -36,7 +35,6 @@ class StageProfiler:
         """Create an empty profiler with no stages recorded."""
         self._seconds: Dict[str, float] = {}
         self._calls: Dict[str, int] = {}
-        self._wrapped: List[Tuple[Any, str]] = []
 
     def add(self, stage: str, seconds: float, calls: int = 1) -> None:
         """Credit ``seconds`` (and ``calls`` invocations) to ``stage``."""
@@ -69,32 +67,6 @@ class StageProfiler:
                 calls[stage] = calls.get(stage, 0) + 1
 
         return timed
-
-    def attach(self, obj: Any, attribute: str, stage: str) -> bool:
-        """Shadow ``obj.attribute`` with a timing wrapper billing ``stage``.
-
-        The wrapper is set as an instance attribute over the bound
-        method; :meth:`detach_all` restores the original by deleting the
-        shadow.  Returns ``False`` (and wraps nothing) when ``obj``
-        rejects instance attributes (``__slots__``) — that stage is then
-        simply absent from the report rather than breaking the run.
-        """
-        wrapper = self.wrap(stage, getattr(obj, attribute))
-        try:
-            setattr(obj, attribute, wrapper)
-        except AttributeError:
-            return False
-        self._wrapped.append((obj, attribute))
-        return True
-
-    def detach_all(self) -> None:
-        """Remove every wrapper installed by :meth:`attach`."""
-        while self._wrapped:
-            obj, attribute = self._wrapped.pop()
-            try:
-                delattr(obj, attribute)
-            except AttributeError:
-                pass
 
     def report(self) -> Dict[str, Dict[str, float]]:
         """Stage → ``{"seconds": total, "calls": count}``, a plain dict."""

@@ -22,9 +22,12 @@ Fleet semantics
   a client is pinned to pop ``client_id % num_pops`` (the same affinity rule
   the client-cloud last-mile machinery uses for path assignment).  Each pop
   owns a full chain — a *fleet member* — so pops interact only through the
-  optional sibling lookup below.  This is what makes sharded fleet replay
-  (:func:`~repro.analysis.parallel.run_sharded_fleet`) exact: a pop's state
-  never depends on requests routed to another pop.
+  optional sibling lookup below: a pop's state never depends on requests
+  routed to another pop.  That is what lets
+  :func:`~repro.analysis.parallel.run_sharded_fleet` replay a fleet as
+  client shards, with a result identical for every ``n_jobs``; it is not
+  the whole-trace replay's result, because each shard is a replay of its
+  own, with its own warm-up, bandwidth draws and estimator.
 * **Siblings.**  With ``sibling_lookup=True`` an edge miss first asks the
   edge caches of the *other* pops (ICP-style): if any sibling holds the
   **whole** object, the miss is absorbed laterally at
@@ -390,6 +393,7 @@ class HierarchyEngine:
             policies: List[object] = []
             for tier in config.tiers:
                 store = CacheStore(tier.cache_kb)
+                store.reserve(catalog)
                 if tier.policy is None:
                     policy = _copy_policy(default_policy)
                 else:
@@ -400,7 +404,7 @@ class HierarchyEngine:
                 policies.append(policy)
             self._stores.append(stores)
             self._policies.append(policies)
-        # Each store's id -> KB table, sized by its policy's install: the
+        # Each store's id -> KB table, sized to the catalog: the
         # residency reads of serve() index these directly.
         self._tables: List[List[object]] = [
             [store.cached_kb for store in stores] for stores in self._stores

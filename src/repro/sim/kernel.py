@@ -29,14 +29,15 @@ however it likes as long as the observable sequence is preserved, and
 splitting a run at any request must not change a bit of the result
 (``tests/test_sim_kernel.py`` checks this down to one request per chunk).
 
-Every per-request column (object ids, times, observed bandwidth, and the
-last-mile and pop columns when a run has them) stays a numpy array for
-the whole run.  The loop reads Python lists, which cost 32 to 36 bytes
-per element where the array costs 8, so the context holds them for one
-*window* of :data:`WINDOW_ROWS` requests at a time
-(:meth:`KernelContext.load_window`): replay memory is the numpy columns
-plus one window, whatever the trace's length.  Inside a window the loop
-indexes the lists with window-local indices.
+The whole-trace columns are the trace's own and the drawn observed
+bandwidths (origin, and last mile with client clouds), all numpy arrays.
+The loop reads Python lists, which cost 32 to 36 bytes per element where
+the array costs 8, so the context lists one *window* of
+:data:`WINDOW_ROWS` requests at a time (:meth:`KernelContext.load_window`)
+and derives the window's client groups, group base bandwidths and pops
+from its client ids: replay memory is the numpy columns plus one window,
+whatever the trace's length.  The loop indexes a window's lists with
+window-local indices.
 
 Each measured request ends in one *outcome row* (cache KB, server KB,
 delay, quality, added value, status, retries; see
@@ -55,16 +56,18 @@ A :class:`KernelContext` is assembled once per run by
 :class:`~repro.sim.streaming.StreamingDeliveryEngine`,
 :class:`~repro.sim.events.ReactiveRekeyer`,
 :class:`~repro.obs.timeline.MetricsTimeline`): it binds the methods and
-attributes each stage calls onto the context once per run.  Adding a
-subsystem to the simulator means adding one stage hook here (see
+attributes each stage calls onto the context once per run, through the
+run's :class:`~repro.obs.profiling.StageProfiler` timers when it has
+one, so it is the one list of what the loop reads.  Adding a subsystem
+to the simulator means adding one stage hook here (see
 ``docs/architecture.md``).
 
 All pre-draw logic also lives here: :func:`predraw_ratios` (every
-request's origin variability ratio, in one batch),
-:func:`last_mile_sequences` (per-request last-mile base / observed /
-group), and :func:`pop_sequence` (per-request hierarchy pop affinity) are
-resolved once by :func:`build_context` before replay starts, so neither
-chunk boundaries nor window ends ever move a random draw.  Each side's
+request's origin variability ratio, in one batch) and
+:func:`last_mile_sequences` (the groups' base bandwidths and every
+request's observed last mile) are resolved once by :func:`build_context`
+before replay starts, so neither chunk boundaries nor window ends ever
+move a random draw.  Each side's
 batch comes from the one variability model its paths share; a topology
 whose origin paths, or whose client-cloud paths, carry more than one
 model instance is refused with a
@@ -155,49 +158,34 @@ def predraw_ratios(topology, rng: np.random.Generator, count: int) -> np.ndarray
 
 
 def last_mile_sequences(topology, trace, seed: tuple) -> Optional[tuple]:
-    """Per-request last-mile ``(base, observed, group)`` sequences.
+    """The client cloud's ``(group_base, observed)`` last-mile arrays.
 
     Returns ``None`` when the topology's client cloud has no modeled
     last-mile paths — the kernel then skips the composition entirely,
     reproducing the pre-heterogeneity arithmetic exactly.
 
-    Otherwise every request is resolved to its client's group path
-    (``client_id % groups``) and three aligned numpy columns are returned
-    (the context turns one window of each into a list at a time): the
-    group's *base* bandwidth (what the cache believes its own last mile
-    sustains — the cache knows its client side, so no estimator is
-    involved), the *observed* last-mile bandwidth for that request (base
-    modulated by the model the group paths share, floor 1 KB/s), and the
-    request's client-group index (consumed by the reactive rekeyer's
-    per-group anchors; see :mod:`repro.sim.events`).  The ratios are one
-    batch from a dedicated generator seeded with ``seed``, in request
-    order, drawn once per run *before* replay starts.  Cloud paths
-    carrying more than one model instance are refused.
+    Otherwise a request's client belongs to group ``client_id % groups``.
+    ``group_base`` holds each group's *base* bandwidth (what the cache
+    believes its own last mile sustains — the cache knows its client
+    side, so no estimator is involved), one entry per group;
+    :meth:`KernelContext.load_window` looks each request's up.
+    ``observed`` holds every request's *observed* last-mile bandwidth:
+    its group's base modulated by the model the group paths share, floor
+    1 KB/s, computed in place in the gathered base column.  The ratios
+    are one batch from a dedicated generator seeded with ``seed``, in
+    request order, drawn once per run *before* replay starts.  Cloud
+    paths carrying more than one model instance are refused.
     """
     paths = topology.clients.paths
     if not paths:
         return None
     model = _shared_model(paths, "client-cloud")
-    groups = trace.client_ids_array.astype(np.int64, copy=False) % len(paths)
-    base_lut = np.array([path.base_bandwidth for path in paths], dtype=np.float64)
-    base = base_lut[groups]
+    group_base = np.array([path.base_bandwidth for path in paths], dtype=np.float64)
+    observed = group_base[trace.client_ids_array % len(paths)]
     ratios = model.sample_ratio(np.random.default_rng(seed), size=len(trace))
-    observed = base * np.asarray(ratios, dtype=np.float64)
+    np.multiply(observed, np.asarray(ratios, dtype=np.float64), out=observed)
     np.maximum(observed, 1.0, out=observed)
-    return base, observed, groups
-
-
-def pop_sequence(trace, num_pops: int) -> Optional[np.ndarray]:
-    """Per-request pop indices (``client_id % num_pops``), resolved once
-    into one numpy column.
-
-    Mirrors the affinity rule of :func:`last_mile_sequences` (clients are
-    pinned by id modulo the replica count).  Returns ``None`` for a
-    single-pop hierarchy so the kernel skips the lookup entirely.
-    """
-    if num_pops <= 1:
-        return None
-    return trace.client_ids_array.astype(np.int64, copy=False) % num_pops
+    return group_base, observed
 
 
 # ----------------------------------------------------------------------
@@ -233,20 +221,24 @@ class KernelContext:
     Built by :func:`build_context`; consumed by :func:`serve_batch`.  The
     outcome block (``outcomes``, whose row 0 is request
     ``outcome_origin``) and the ``tl_boundary`` cursor are *run state*
-    carried across chunks.  ``columns`` holds the run's
-    per-request numpy columns, each paired with the slot
-    (``ids``, ``times``, ``observed_seq``, ``lm_base``, ``lm_observed``,
-    ``lm_groups``, ``pops``) that holds, as a list, the rows of the
-    window :meth:`load_window` loaded last, whose row 0 is request
-    ``window_start``; a slot whose column the run lacks stays ``None``.
-    Everything else is read-only for the run.  Call :meth:`finish`
-    exactly once after the replay completes.
+    carried across chunks.  ``columns`` holds the run's whole-trace
+    numpy columns, each paired with the slot (``ids``, ``times``,
+    ``observed_seq``, ``lm_observed``) that holds, as a list, the rows of
+    the window :meth:`load_window` loaded last, whose row 0 is request
+    ``window_start``; from the window's ``clients`` it derives
+    ``lm_groups`` and ``lm_base`` (with ``group_base``) and ``pops``.  A
+    slot whose column the run lacks stays ``None``.  Everything else is
+    read-only for the run.  Call :meth:`finish` exactly once after the
+    replay completes.
     """
 
     __slots__ = (
         # Static bindings (read-only during replay).
         "requests",
         "columns",
+        "clients",
+        "group_base",
+        "num_pops",
         "warmup_cutoff",
         "verify_store",
         "verify_consistency",
@@ -285,15 +277,26 @@ class KernelContext:
     def load_window(self, start: int) -> int:
         """Load the window that starts at request ``start``: the next
         :data:`WINDOW_ROWS` rows (fewer at the trace's end) of every
-        column, as lists.  Returns the request the window stops before.
+        column, and of every column derived from the client ids, as
+        lists.  Returns the request the window stops before.
         """
         stop = min(start + WINDOW_ROWS, self.requests)
         self.window_start = start
+        # Drop the last window's lists first, so that a window switch
+        # never holds two lists of one column.
         for name, column in self.columns:
-            # Drop the last window's list first, so that a window switch
-            # never holds two lists of one column.
             setattr(self, name, None)
             setattr(self, name, column[start:stop].tolist())
+        if self.clients is not None:
+            self.lm_groups = self.lm_base = self.pops = None
+            clients = self.clients[start:stop]
+            group_base = self.group_base
+            if group_base is not None:
+                groups = clients % len(group_base)
+                self.lm_groups = groups.tolist()
+                self.lm_base = group_base[groups].tolist()
+            if self.num_pops > 1:
+                self.pops = (clients % self.num_pops).tolist()
         return stop
 
     def reduce(self, count: int) -> None:
@@ -343,40 +346,49 @@ def build_context(
     verify_store: bool,
     num_pops: int = 1,
     client_cloud_seed: tuple = (0,),
+    profiler=None,
 ) -> KernelContext:
     """Assemble the per-run :class:`KernelContext` for a columnar ``trace``.
 
     Binds each configured subsystem's stage methods and attributes,
-    resolves every pre-drawn sequence (last-mile draws, pop affinity),
-    prefills the per-object entry table and vectorises the whole
-    observed-bandwidth column from one batch of ratios drawn from ``rng``.
-    The per-request columns stay numpy arrays; the replay loop loads
-    each window's lists with :meth:`KernelContext.load_window` before
-    serving it.
+    draws the last mile, prefills the per-object entry table and
+    vectorises the whole observed-bandwidth column from one batch of
+    ratios drawn from ``rng``.  The per-request columns stay numpy
+    arrays; the replay loop loads each window's lists with
+    :meth:`KernelContext.load_window` before serving it.
 
     ``rekeyer`` is the *passive-reactive* rekeyer (already gated by the
-    config).
+    config).  With the run's ``profiler``
+    (:class:`~repro.obs.profiling.StageProfiler`), the policy's
+    ``on_request``, the estimator's ``estimate`` and ``observe`` and the
+    injector's ``intercept`` are bound through its timers
+    (``policy_ops``, ``estimator``, ``fault_evaluation``), so the stages
+    time the kernel's own calls and no two overlap.
     """
     catalog_get = catalog.get
     path_for = topology.path_for
     total = len(trace)
+    timed = profiler.wrap if profiler is not None else lambda stage, func: func
 
     ctx = KernelContext()
     ctx.requests = total
     ctx.warmup_cutoff = warmup_cutoff
     ctx.verify_store = verify_store
     ctx.store = store
-    # The flat store's id -> KB table, sized by the policy's install.
+    # The flat store's id -> KB table, sized to the catalog by the caller.
     ctx.store_kb = store.cached_kb
-    ctx.policy_on_request = policy.on_request
+    ctx.policy_on_request = timed("policy_ops", policy.on_request)
     ctx.collector = collector
-    ctx.estimator_estimate = estimator.estimate if estimator is not None else None
-    ctx.estimator_observe = estimator.observe if estimator is not None else None
+    if estimator is not None:
+        ctx.estimator_estimate = timed("estimator", estimator.estimate)
+        ctx.estimator_observe = timed("estimator", estimator.observe)
+    else:
+        ctx.estimator_estimate = ctx.estimator_observe = None
 
     ctx.rekeyer_request = rekeyer.observe_request if rekeyer is not None else None
 
     if injector is not None:
-        ctx.intercept = injector.intercept
+        ctx.intercept = timed("fault_evaluation", injector.intercept)
         ctx.record_unserved = injector.record_unserved
         ctx.serve_stale = injector.serve_stale
     else:
@@ -406,17 +418,19 @@ def build_context(
     ctx.tl_boundary = timeline.first_boundary if timeline is not None else _INF
 
     # The per-request columns, kept as numpy arrays for the whole run;
-    # load_window lists one window of each at a time.
+    # load_window lists one window of each at a time, and derives the
+    # client group, group base and pop columns from the client ids.
     ids_array = trace.object_ids_array
     columns = [("ids", ids_array), ("times", trace.times_array)]
     ctx.lm_base = ctx.lm_observed = ctx.lm_groups = ctx.pops = None
+    ctx.group_base = ctx.clients = None
+    ctx.num_pops = num_pops
     last_mile = last_mile_sequences(topology, trace, client_cloud_seed)
     if last_mile is not None:
-        columns.extend(zip(("lm_base", "lm_observed", "lm_groups"), last_mile))
-    if hierarchy is not None:
-        pops = pop_sequence(trace, num_pops)
-        if pops is not None:
-            columns.append(("pops", pops))
+        ctx.group_base, lm_observed = last_mile
+        columns.append(("lm_observed", lm_observed))
+    if last_mile is not None or num_pops > 1:
+        ctx.clients = trace.client_ids_array
 
     # Resolve every distinct object once.  Dense ids (0..N-1 for
     # generated and ingested catalogs) index a list; sparse ids key a

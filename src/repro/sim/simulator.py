@@ -274,6 +274,8 @@ class ProxyCacheSimulator:
                 store: CacheStore = ObservedCacheStore(self.config.cache_size_kb, sink)
             else:
                 store = CacheStore(self.config.cache_size_kb)
+            # Sized here, so a policy without ``install`` replays too.
+            store.reserve(self.workload.catalog)
             hierarchy: Optional[HierarchyEngine] = None
             if self.config.hierarchy is not None:
                 # Tiers without a policy name run copies of the run policy,
@@ -375,26 +377,12 @@ class ProxyCacheSimulator:
                 for traced in (rekeyer, injector):
                     if traced is not None:
                         traced.trace = sink
-                        undo.callback(setattr, traced, "trace", None)
-
-            if profiler is not None:
-                # Instance-attribute wrappers shadow the bound methods the
-                # kernel context binds; detach_all() removes them again so
-                # profiling leaves no trace on the shared objects.  The
-                # context is built *after* attach so it captures the
-                # wrappers.
-                undo.callback(profiler.detach_all)
-                profiler.attach(policy, "on_request", "policy_ops")
-                if estimator is not None:
-                    profiler.attach(estimator, "estimate", "estimator")
-                    profiler.attach(estimator, "observe", "estimator")
-                if injector is not None:
-                    profiler.attach(injector, "intercept", "fault_evaluation")
 
             # One kernel context per run: the replay delegates the whole
             # per-request service sequence (repro.sim.kernel) to it, and the
             # passive-driven rekeyer is notified after every request's
-            # estimator update (docs/events.md).
+            # estimator update (docs/events.md).  With a profiler, the
+            # context binds the timed stage calls.
             ctx = build_context(
                 catalog=self.workload.catalog,
                 trace=trace,
@@ -415,6 +403,7 @@ class ProxyCacheSimulator:
                     self.config.hierarchy.num_pops if hierarchy is not None else 1
                 ),
                 client_cloud_seed=self._client_cloud_seed(1),
+                profiler=profiler,
             )
 
             if sink is not None:

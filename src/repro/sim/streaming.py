@@ -313,8 +313,9 @@ class StreamingDeliveryEngine:
                 )
             self._entries[object_id] = _StreamEntry(obj, required_rate, scheme)
         # serve and trim_victim index the store's KB table, as the kernel
-        # does.  A store a policy has installed already holds a slot for
-        # every catalog object; a bare store's dict gets one per stream.
+        # does.  A store sized to the catalog (every store a replay builds)
+        # already holds a slot for every object; a bare store's dict gets
+        # one per stream.
         table = store.cached_kb
         if isinstance(table, dict):
             for object_id in stream_ids:

@@ -40,18 +40,18 @@ class TestFrequencyTracker:
         tracker.record(1)
         assert tracker.frequency(1) == 1.0
 
-    def test_reserve_keeps_counts_on_a_list_for_dense_ids(self):
+    def test_reserve_installs_a_fresh_list_for_dense_ids(self):
         catalog = Catalog(
             [MediaObject(object_id=i, duration=10.0, bitrate=48.0) for i in range(4)]
         )
         tracker = FrequencyTracker()
-        tracker.record(2)
         tracker.reserve(catalog)
+        assert tracker.counts == [0.0, 0.0, 0.0, 0.0]
+        assert tracker.record(2) == 1.0
         assert tracker.counts == [0.0, 0.0, 1.0, 0.0]
-        assert tracker.record(2) == 2.0
         # Ids without a slot still read as unseen.
         assert tracker.frequency(-1) == 0.0 and tracker.frequency(99) == 0.0
-        assert tracker.total_requests == 2
+        assert tracker.total_requests == 1
 
     def test_reserve_keys_a_dict_for_sparse_ids(self):
         catalog = Catalog(

@@ -17,8 +17,9 @@ Pinned guarantees, mirroring the acceptance criteria of the subsystem:
   aggregate counters.
 * **Trace semantics** — JSONL schema, level filtering, deterministic
   (never random) sampling with exempt run boundaries.
-* **Profiler hygiene** — wrappers attach as instance attributes, detach
-  cleanly, and refuse slotted objects instead of crashing the run.
+* **Profiler at the seam** — the kernel context binds the stage timers,
+  so each stage counts exactly the kernel's own calls and nothing is set
+  on the policy it times.
 """
 
 import importlib.util
@@ -32,8 +33,10 @@ import numpy as np
 import pytest
 
 from repro.core.policies import make_policy
+from repro.core.policies.bandwidth import PartialBandwidthPolicy
 from repro.core.store import CacheStore
 from repro.exceptions import ConfigurationError
+from repro.network.distributions import NLANRBandwidthDistribution
 from repro.network.variability import NLANRRatioVariability
 from repro.obs import (
     CUMULATIVE_FIELDS,
@@ -46,6 +49,7 @@ from repro.obs import (
 from repro.obs.log import configure, get_logger
 from repro.obs.timeline import _INTEGER_FIELDS
 from repro.sim.config import BandwidthKnowledge, ClientCloudConfig, SimulationConfig
+from repro.sim.events import RemeasurementConfig
 from repro.sim.faults import FaultConfig
 from repro.sim.simulator import ProxyCacheSimulator
 from repro.sim.streaming import StreamingConfig
@@ -364,32 +368,6 @@ class TestStageProfiler:
         assert report["calls"]["calls"] == 2
         assert report["calls"]["seconds"] >= 0.0
 
-    def test_attach_detach_leaves_no_trace(self):
-        class Component:
-            def work(self):
-                return 42
-
-        component = Component()
-        profiler = StageProfiler()
-        assert profiler.attach(component, "work", "work_stage") is True
-        assert component.work() == 42
-        assert "work" in vars(component)  # instance-attr shadow installed
-        profiler.detach_all()
-        assert "work" not in vars(component)
-        assert component.work() == 42
-        assert profiler.report()["work_stage"]["calls"] == 1
-
-    def test_attach_refuses_slotted_objects(self):
-        class Slotted:
-            __slots__ = ("x",)
-
-            def work(self):
-                return 1
-
-        profiler = StageProfiler()
-        assert profiler.attach(Slotted(), "work", "stage") is False
-        assert "stage" not in profiler.report()
-
     def test_simulator_profile_stages(self, workloads):
         config = _rich_config(
             observability=ObservabilityConfig(timeline=False, profile=True)
@@ -402,6 +380,63 @@ class TestStageProfiler:
         assert "policy_ops" in result.profile
         assert "fault_evaluation" in result.profile
         assert result.profile["policy_ops"]["calls"] > 0
+
+    def test_stages_count_the_kernels_own_calls(self, workloads):
+        """Each stage times the calls the kernel makes: the estimator twice
+        per request (the belief and the observation) and the fault injector
+        once, however often re-measurement probes, the re-keyer and the
+        injector read the estimator themselves."""
+        workload = workloads["generated"]
+        config = _rich_config(
+            remeasurement=RemeasurementConfig(interval=3600.0),
+            faults=FaultConfig(
+                random_origin_outages=2, random_bandwidth_flaps=4, seed=1
+            ),
+            client_clouds=ClientCloudConfig(
+                groups=4, distribution=NLANRBandwidthDistribution()
+            ),
+            observability=ObservabilityConfig(timeline=False, profile=True),
+        )
+        result = ProxyCacheSimulator(workload, config).run(make_policy("PB"))
+        requests = len(workload.trace)
+        assert result.auxiliary_events_fired > 0 and result.reactive_shifts > 0
+        assert result.profile["estimator"]["calls"] == 2 * requests
+        assert result.profile["fault_evaluation"]["calls"] == requests
+
+    def test_profiling_sets_nothing_on_the_policy(self, workloads):
+        seen = set()
+
+        class SelfInspectingPB(PartialBandwidthPolicy):
+            def on_request(self, obj, bandwidth, now, store):
+                seen.add("on_request" in vars(self))
+                return super().on_request(obj, bandwidth, now, store)
+
+        config = _rich_config(
+            observability=ObservabilityConfig(timeline=False, profile=True)
+        )
+        result = ProxyCacheSimulator(workloads["generated"], config).run(
+            SelfInspectingPB()
+        )
+        assert result.profile["policy_ops"]["calls"] > 0
+        assert seen == {False}
+
+    def test_a_slotted_policy_is_timed(self, workloads):
+        class SlottedPolicy:
+            __slots__ = ("requests",)
+            name = "slotted"
+
+            def __init__(self):
+                self.requests = 0
+
+            def on_request(self, obj, bandwidth, now, store):
+                self.requests += 1
+
+        policy = SlottedPolicy()
+        config = _rich_config(
+            observability=ObservabilityConfig(timeline=False, profile=True)
+        )
+        result = ProxyCacheSimulator(workloads["generated"], config).run(policy)
+        assert result.profile["policy_ops"]["calls"] == policy.requests > 0
 
 
 # ----------------------------------------------------------------------

@@ -592,6 +592,18 @@ class TestShardedFleet:
             result.metrics.requests for result in fleet.shard_results
         )
 
+    def test_each_shard_cuts_its_own_warm_up(self, workload, fleet):
+        """A shard is a replay of its own: it measures what follows its own
+        warm-up, and the merge sums those counts, which need not be the
+        whole trace's."""
+        warmup_fraction = _config().warmup_fraction
+        measured = []
+        for shard, result in enumerate(fleet.shard_results):
+            size = len(workload.trace.client_shard(shard, 4))
+            assert result.metrics.requests == size - int(warmup_fraction * size)
+            measured.append(result.metrics.requests)
+        assert fleet.merged.metrics.requests == sum(measured)
+
     def test_one_shard_fleet_matches_direct_replay(self, workload):
         config = _config().with_hierarchy(_hierarchy())
         # Fleet workers pre-build the topology from a dedicated generator

@@ -356,6 +356,40 @@ class _CountingPolicy(_FixedPrefixPolicy):
         self.requests += 1
 
 
+class _TwoMethodPolicy:
+    """Only what ``run`` asks of a policy: a name and ``on_request``."""
+
+    name = "two-method"
+
+    def __init__(self):
+        self.requests = 0
+
+    def on_request(self, obj, bandwidth, now, store):
+        self.requests += 1
+
+
+@pytest.mark.parametrize("tiered", [False, True], ids=["flat", "2-tier"])
+def test_a_policy_without_install_replays(tiered):
+    """``run`` and the hierarchy size the stores they build themselves, so
+    a policy with no ``install`` replays, flat and as the policy every tier
+    copies, and caches nothing."""
+    overrides = {}
+    if tiered:
+        overrides["hierarchy"] = HierarchyConfig(
+            tiers=(
+                CacheTier(name="edge", cache_kb=200_000.0),
+                CacheTier(name="parent", cache_kb=800_000.0),
+            ),
+            num_pops=2,
+        )
+    policy = _TwoMethodPolicy()
+    result = ProxyCacheSimulator(_workload(), _config(**overrides)).run(policy)
+    assert result.metrics.requests == REQUESTS - result.warmup_requests > 0
+    assert result.metrics.bytes_from_cache_gb == 0.0
+    # The tiers serve copies of the policy; the flat run serves it.
+    assert policy.requests == (0 if tiered else REQUESTS)
+
+
 @pytest.mark.parametrize("side", ["origin", "client-cloud"])
 def test_paths_carrying_two_models_are_refused_before_any_request(side):
     """Each side's ratios are one batch from the one model its paths share,
@@ -383,9 +417,9 @@ def test_paths_carrying_two_models_are_refused_before_any_request(side):
 
 def test_a_refused_run_takes_back_its_side_effects(tmp_path, monkeypatch):
     """A run refused while its kernel context is built has by then opened
-    its trace file and given the policy its streaming hooks and a
-    profiler wrapper: it closes the file and takes the hooks and the
-    wrapper off the policy again."""
+    its trace file and given the policy its streaming hooks: it closes the
+    file and takes the hooks off the policy again.  The run is profiled,
+    and the profiler never sets a wrapper on the policy at all."""
     sinks = []
 
     class RecordingSink(TraceSink):
@@ -483,19 +517,53 @@ def _replay_peak_growth(workload, config) -> int:
     return tracemalloc.get_traced_memory()[1] - before
 
 
-@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
-def test_replay_memory_grows_only_by_its_numpy_columns(sparse):
+@pytest.mark.parametrize(
+    "sparse, subsystems, bound",
+    [
+        (False, {}, 16.0),
+        (True, {}, 16.0),
+        (
+            False,
+            {
+                "client_clouds": ClientCloudConfig(
+                    groups=4, distribution=NLANRBandwidthDistribution()
+                )
+            },
+            28.0,
+        ),
+        (
+            False,
+            {
+                "hierarchy": HierarchyConfig(
+                    tiers=(
+                        CacheTier(name="edge", cache_kb=20_000.0),
+                        CacheTier(name="parent", cache_kb=80_000.0),
+                    ),
+                    num_pops=4,
+                )
+            },
+            12.0,
+        ),
+    ],
+    ids=["dense", "sparse", "clouds", "pops"],
+)
+def test_replay_memory_grows_only_by_its_numpy_columns(sparse, subsystems, bound):
     """A replay holds its per-request columns as numpy arrays and only one
     window of them as lists, so playing the same trace four times over
     raises its peak by the 8-byte observed-bandwidth column per extra
     request, not by lists of the whole trace (87 bytes per request for
-    dense ids, 104 for sparse ones, when every column was a list)."""
+    dense ids, 104 for sparse ones, when every column was a list).  Client
+    clouds keep one more drawn column, the observed last mile; the client
+    group, the group's base bandwidth and the pop are derived from the
+    client ids one window at a time (32 and 16 bytes per request with 4
+    cloud groups and with 4 pops when they were whole-trace columns)."""
     once = _memory_workload(sparse, 1)
     four = _memory_workload(sparse, 4)
     config = SimulationConfig(
         cache_size_gb=0.01 * once.catalog.total_size_gb,
         variability=NLANRRatioVariability(),
         seed=3,
+        **subsystems,
     )
     started = not tracemalloc.is_tracing()
     if started:
@@ -508,4 +576,4 @@ def test_replay_memory_grows_only_by_its_numpy_columns(sparse):
         if started:
             tracemalloc.stop()
     extra_requests = len(four.trace) - len(once.trace)
-    assert (growth_four - growth_once) / extra_requests <= 16.0
+    assert (growth_four - growth_once) / extra_requests <= bound
