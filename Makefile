@@ -95,20 +95,21 @@ faults-smoke:
 		--reactive-threshold 0.15 --reactive-passive --reactive-hysteresis 0.05 \
 		--fault-origin-outages 2 --fault-bandwidth-flaps 4 --fault-seed 1
 
-## Observability smoke: one faulted reactive replay with the windowed
-## metrics timeline, the JSONL event trace, and the stage profiler all
-## switched on, then one streaming replay whose debug trace also records
-## stream trims; after each, a schema and payload check over the two
-## files it wrote (docs/observability.md).  The first replay's stdout goes
-## to run.out, which must hold a profile row for each stage the replay
-## times.  Artifacts land in .obs-smoke/.
+## Observability smoke: one faulted reactive replay with hourly
+## re-measurement probes, the windowed metrics timeline, the JSONL event
+## trace, and the stage profiler all switched on, then one streaming
+## replay whose debug trace also records stream trims; after each, a
+## schema and payload check over the two files it wrote
+## (docs/observability.md).  The first replay's stdout goes to run.out,
+## which must hold a profile row for each stage the replay times and a
+## non-zero re-measurement count.  Artifacts land in .obs-smoke/.
 OBS_PROFILE_STAGES = replay policy_ops estimator fault_evaluation
 
 obs-smoke:
 	mkdir -p .obs-smoke
 	$(PYTHON) -m repro run --policy PB --scale 0.05 --knowledge passive \
 		--reactive-threshold 0.15 --reactive-passive --reactive-hysteresis 0.05 \
-		--fault-origin-outages 2 --fault-seed 1 \
+		--fault-origin-outages 2 --fault-seed 1 --remeasure-every 3600 \
 		--metrics-out .obs-smoke/metrics.json --metrics-window 1800 \
 		--trace-out .obs-smoke/trace.jsonl --trace-level debug --profile \
 		> .obs-smoke/run.out
@@ -117,6 +118,8 @@ obs-smoke:
 		grep -Eq "^  $$stage +[0-9.]+ s +[0-9]+ call\(s\)$$" .obs-smoke/run.out || \
 		{ echo "obs-smoke: the profile has no $$stage row" >&2; exit 1; }; \
 	done
+	@grep -Eq "^bandwidth re-measurements: [1-9][0-9]* " .obs-smoke/run.out || \
+		{ echo "obs-smoke: the replay fired no re-measurement probe" >&2; exit 1; }
 	$(PYTHON) scripts/check_obs.py .obs-smoke/metrics.json .obs-smoke/trace.jsonl
 	$(PYTHON) -m repro run --policy PB --scale 0.05 --knowledge passive \
 		--client-clouds 8 --streaming-fraction 1.0 \

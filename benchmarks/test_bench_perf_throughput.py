@@ -170,11 +170,11 @@ def measure_throughput() -> dict:
     assert heap_stats["peak_size"] <= 2 * len(col_workload.catalog) + 128
 
     # Re-measurement overhead: periodic bandwidth re-measurement feeding a
-    # passive estimator, with the cadence chosen so the auxiliary events
-    # add about 10% to the event count (spread over every path in the
+    # passive estimator, with the cadence chosen so the probes add about
+    # 10% to the event count (each round probes every path in the
     # topology).  The baseline is the *passive-estimation* columnar
     # replay with re-measurement disabled — same per-request estimator
-    # cost, so the ratio isolates the auxiliary-event machinery itself.
+    # cost, so the ratio isolates the probe machinery itself.
     num_paths = len(col_topology.paths)
     remeasure_interval = max(
         col_workload.trace.duration * num_paths / (0.1 * requests), 1.0

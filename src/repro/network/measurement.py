@@ -16,10 +16,10 @@ Both are implemented here; the simulator can attach a
 :class:`PassiveEstimator` per path so that policies operate on estimated
 rather than oracle bandwidth.
 
-Passive observation alone only sees a path when a request uses it.  The
-:mod:`repro.sim.events` subsystem closes that gap with periodic
-re-measurement *between* requests; every out-of-band sample it draws is
-recorded in a :class:`BandwidthMeasurementLog`, which keeps bounded
+Passive observation alone only sees a path when a request uses it.
+:mod:`repro.sim.events` closes that gap with rounds of periodic
+re-measurement *between* requests; every out-of-band sample a round
+draws is recorded in a :class:`BandwidthMeasurementLog`, which keeps bounded
 per-server statistics (count / mean / extremes / last sample) so tests,
 benchmarks, and reports can account for measurement traffic without
 storing every sample.
@@ -268,11 +268,12 @@ class PassiveEstimator:
 class BandwidthMeasurementLog:
     """Bounded per-server record of out-of-band bandwidth samples.
 
-    The periodic re-measurement events of :mod:`repro.sim.events` can fire
-    millions of times on a long trace, so the log keeps running statistics
-    (count, mean, min/max, last sample and its timestamp) per server rather
-    than the samples themselves — constant memory per server, enough to
-    account for measurement overhead and to sanity-check cadence in tests.
+    The periodic re-measurement rounds of :mod:`repro.sim.events` can
+    probe millions of times on a long trace, so the log keeps running
+    statistics (count, mean, min/max, last sample and its timestamp) per
+    server rather than the samples themselves — constant memory per
+    server, enough to account for measurement overhead and to
+    sanity-check cadence in tests.
     """
 
     __slots__ = ("_counts", "_means", "_mins", "_maxs", "_last", "_last_time")

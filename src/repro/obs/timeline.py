@@ -21,8 +21,9 @@ acceptance criteria cheap to satisfy:
 * per-window deltas are differences of exact cumulatives, so integer
   deltas sum back to the aggregate exactly and float deltas telescope to
   it by construction;
-* a marker is taken at one sequence point (after pending auxiliary
-  events fire, before the request is served), so the markers — and
+* a marker is taken at one sequence point (after the re-measurement
+  rounds due before the request fire, before the request is served),
+  so the markers — and
   every derived series — do not depend on how the trace is chunked or
   where the outcome blocks are reduced.
 

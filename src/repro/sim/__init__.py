@@ -1,7 +1,7 @@
 """Trace-driven simulation of the caching-accelerator architecture.
 
-* :mod:`repro.sim.events` — typed periodic auxiliary events (periodic
-  bandwidth re-measurement) merged into the request stream,
+* :mod:`repro.sim.events` — periodic bandwidth re-measurement, fired in
+  rounds between requests, and reactive re-keying,
 * :mod:`repro.sim.config` — simulation configuration,
 * :mod:`repro.sim.faults` — fault injection (origin outages, link flaps)
   and the fetch timeout / retry / serve-stale degradation model,
@@ -21,14 +21,7 @@
 """
 
 from repro.sim.config import BandwidthKnowledge, ClientCloudConfig, SimulationConfig
-from repro.sim.events import (
-    AuxiliarySchedule,
-    BandwidthRemeasurement,
-    PeriodicEvent,
-    ReactiveRekeyer,
-    RemeasurementConfig,
-    build_remeasurement_events,
-)
+from repro.sim.events import ReactiveRekeyer, RemeasurementConfig
 from repro.sim.faults import (
     FAULT_KINDS,
     FaultConfig,
@@ -56,9 +49,7 @@ from repro.sim.streaming import (
 )
 
 __all__ = [
-    "AuxiliarySchedule",
     "BandwidthKnowledge",
-    "BandwidthRemeasurement",
     "CacheTier",
     "ClientCloudConfig",
     "FAULT_KINDS",
@@ -72,7 +63,6 @@ __all__ = [
     "KERNEL_STAGES",
     "KernelContext",
     "MetricsCollector",
-    "PeriodicEvent",
     "PolicyComparison",
     "ProxyCacheSimulator",
     "ReactiveRekeyer",
@@ -87,7 +77,6 @@ __all__ = [
     "StreamingReport",
     "SweepResult",
     "build_context",
-    "build_remeasurement_events",
     "select_stream_ids",
     "serve_batch",
     "compare_policies",

@@ -1,4 +1,4 @@
-"""Typed auxiliary events: periodic work interleaved with the request stream.
+"""Periodic bandwidth re-measurement, and re-keying on belief shifts.
 
 The paper's central claim is that caching decisions should track *measured*
 network bandwidth.  Request-driven passive estimation
@@ -6,46 +6,37 @@ network bandwidth.  Request-driven passive estimation
 when a request happens to use it, so an estimate can go stale for exactly
 the unpopular servers whose bandwidth matters most when one of their
 objects is finally requested.  This module adds the out-of-band half of the
-measurement story: **typed periodic events** that fire *between* requests,
-starting with :class:`BandwidthRemeasurement`, which samples the active
-:class:`~repro.network.path.NetworkPath` distributions on a configurable
-cadence and feeds the samples to the run's estimator and to a
-:class:`~repro.network.measurement.BandwidthMeasurementLog`.
+measurement story, probes that fire *between* requests, and the bridge
+from a moved estimate to the policy's heap keys:
 
-Three pieces:
+* :class:`RemeasurementConfig` — the probe cadence, one interval, carried
+  on :attr:`repro.sim.config.SimulationConfig.remeasurement`.
+* :class:`ProbeRounds` — one run's probes.  Every ``interval`` seconds a
+  *round* samples each origin path once, in server-id order, and feeds
+  the samples to a
+  :class:`~repro.network.measurement.BandwidthMeasurementLog` and to the
+  run's estimator.  The samples come from the probes' own random
+  generator, so the request stream's bandwidth draws are untouched.
+* :class:`ReactiveRekeyer` — re-keys the policy when a probe or a
+  request moves a path's believed bandwidth past a threshold.
 
-* :class:`PeriodicEvent` — the base class: an interval, a firing window,
-  and a tie-break priority relative to the request stream.
-* :class:`BandwidthRemeasurement` — one periodic probe stream for one
-  cache-to-server path, drawing from its own random generator so the
-  request stream's bandwidth draws are untouched (this is what keeps a
-  run without auxiliary events bit-identical to one that never had them).
-* :class:`AuxiliarySchedule` — a deterministic merge heap the simulator's
-  replay driver interleaves with the request columns by ``(time,
-  priority)``.
-
-Cadence is configured through :class:`RemeasurementConfig`, carried on
-:attr:`repro.sim.config.SimulationConfig.remeasurement`; see
-``docs/events.md`` for the full semantics and a worked example.
+The simulator's replay loop serves the requests before each round,
+fires the round, and goes on; see ``docs/events.md``.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import math
-from dataclasses import dataclass, field
-from numbers import Integral, Real
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from numbers import Real
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, check_scalar, check_scalars
+from repro.exceptions import ConfigurationError, check_scalars
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.network.measurement import BandwidthMeasurementLog, PassiveEstimator
-    from repro.network.path import NetworkPath
-    from repro.network.topology import DeliveryTopology
+    from repro.network.path import PathRegistry
 
 #: Entropy tag mixed into the re-measurement generator's seed so its stream
 #: never collides with the request stream's (which is seeded with the bare
@@ -55,219 +46,130 @@ _REMEASUREMENT_STREAM_TAG = 0x52454D
 
 @dataclass(frozen=True)
 class RemeasurementConfig:
-    """Cadence configuration for periodic bandwidth re-measurement.
+    """Cadence of periodic bandwidth re-measurement.
 
     Attributes
     ----------
     interval:
-        Default seconds between successive re-measurements of each path.
-        The first measurement of a path fires one interval after
-        ``start_time`` (a probe takes one interval to produce its first
-        answer), then every ``interval`` seconds until ``end_time``.
-    per_path_intervals:
-        Per-path cadence overrides, keyed by origin-server id.  Paths not
-        listed use ``interval``.
-    probing_clients:
-        Number of independent per-client probe streams per path.  Client
-        ``k`` of ``n`` fires at phase offset ``interval * (k + 1) / n``, so
-        several clients probing the same path interleave evenly instead of
-        stampeding; the effective per-path cadence is ``interval / n``.
-    paths:
-        When given, only these origin-server ids are re-measured; ``None``
-        (default) measures every path in the topology.
-    start_time, end_time:
-        Firing window in simulation seconds.  Defaults (``None``) span the
-        replayed trace: measurements start at the trace's first timestamp
-        and stop at its last.  A cadence longer than the window simply
-        never fires.
-    seed:
-        Extra entropy mixed into the re-measurement random stream (on top
-        of the simulation seed), so ablations can redraw the probe noise
-        without disturbing the request stream.
-    priority:
-        Tie-break against requests that share a timestamp: negative fires
-        before the request, positive after.  Zero is reserved for the
-        request stream and rejected.
+        Seconds between probe rounds.  The first round fires one interval
+        after the trace's first request (a probe takes one interval to
+        produce its first answer), each later one ``interval`` after the
+        one before, and the last at or before the trace's last request.
+        An interval longer than the trace never fires.
     """
 
     interval: float
-    per_path_intervals: Mapping[int, float] = field(default_factory=dict)
-    probing_clients: int = 1
-    paths: Optional[Sequence[int]] = None
-    start_time: Optional[float] = None
-    end_time: Optional[float] = None
-    seed: int = 0
-    priority: int = -1
 
     def __post_init__(self) -> None:
         check_scalars(self, Real, "interval")
-        check_scalars(self, Real, "start_time", "end_time", optional=True)
-        check_scalars(self, Integral, "probing_clients", "seed", "priority")
-        for name in ("start_time", "end_time"):
-            value = getattr(self, name)
-            if value is not None and math.isnan(value):
-                raise ConfigurationError(f"remeasurement {name} must be a number, got nan")
         if not self.interval > 0:
             raise ConfigurationError(
                 f"remeasurement interval must be positive, got {self.interval}"
             )
-        if not isinstance(self.per_path_intervals, Mapping):
-            raise ConfigurationError(
-                f"per_path_intervals must be a mapping, got {self.per_path_intervals!r}"
-            )
-        for server_id, interval in self.per_path_intervals.items():
-            check_scalar("per_path_intervals key", server_id, Integral)
-            check_scalar(f"per_path_intervals[{server_id}]", interval, Real)
-            if not interval > 0:
-                raise ConfigurationError(
-                    f"remeasurement interval for server {server_id} must be "
-                    f"positive, got {interval}"
-                )
-        paths = () if self.paths is None else self.paths
-        if not isinstance(paths, Iterable):
-            raise ConfigurationError(f"paths must be a sequence, got {paths!r}")
-        for index, server_id in enumerate(paths):
-            check_scalar(f"paths[{index}]", server_id, Integral)
-        if self.probing_clients <= 0:
-            raise ConfigurationError(
-                f"probing_clients must be positive, got {self.probing_clients}"
-            )
-        if self.priority == 0:
-            raise ConfigurationError(
-                "remeasurement priority 0 is reserved for the request stream; "
-                "use a negative (fire first) or positive (fire last) value"
-            )
-        if (
-            self.start_time is not None
-            and self.end_time is not None
-            and self.end_time < self.start_time
-        ):
-            raise ConfigurationError(
-                f"remeasurement window is empty: end_time {self.end_time} "
-                f"precedes start_time {self.start_time}"
-            )
-
-    def interval_for(self, server_id: int) -> float:
-        """Cadence for one path: the per-path override or the default."""
-        return float(self.per_path_intervals.get(server_id, self.interval))
 
 
-class PeriodicEvent:
-    """A typed auxiliary event that fires every ``interval`` seconds.
+class ProbeRounds:
+    """One run's periodic probes of every origin path, fired in rounds.
 
-    Subclasses implement :meth:`fire`.  The event owns its own clock state
-    (``next_time``); :class:`AuxiliarySchedule` keeps it on a merge heap
-    and advances it after each firing.
+    :meth:`times` yields the round times and :meth:`fire` fires one
+    round.  A round probes every path once, in server-id order: each
+    probe records its sample in ``log`` and then feeds it to
+    ``estimator`` (when the run uses passive bandwidth knowledge).  With
+    a ``rekeyer``, each probe reads the estimate before its sample lands
+    and hands it to :meth:`ReactiveRekeyer.notify`, so the very first
+    probe can already re-key.
 
-    ``priority`` orders the event against requests sharing its timestamp
-    (negative fires before the request, positive after); zero is reserved
-    for the request stream so the merge is never ambiguous.
+    A sample is one draw of
+    :meth:`~repro.network.path.NetworkPath.sample_observed`, the path's
+    base bandwidth modulated by its variability model, which is what a
+    completed probe transfer would have observed.  Every
+    :data:`PROBE_BATCH` rounds each path draws its next batch, in
+    server-id order, from the probes' own generator.  :attr:`fired`
+    counts the probes fired, rounds times paths.
     """
 
-    __slots__ = ("interval", "next_time", "end_time", "priority")
+    __slots__ = (
+        "interval",
+        "log",
+        "estimator",
+        "rekeyer",
+        "rng",
+        "fired",
+        "_paths",
+        "_server_ids",
+        "_rounds",
+        "_block",
+    )
 
-    def __init__(
-        self,
-        interval: float,
-        first_time: float,
-        end_time: float,
-        priority: int = -1,
-    ):
-        if not interval > 0:
-            raise ConfigurationError(f"interval must be positive, got {interval}")
-        if priority == 0:
-            raise ConfigurationError(
-                "priority 0 is reserved for the request stream"
-            )
-        self.interval = float(interval)
-        self.next_time = float(first_time)
-        self.end_time = float(end_time)
-        self.priority = int(priority)
-
-    def fire(self, now: float) -> None:
-        """Perform the event's work at simulation time ``now``."""
-        raise NotImplementedError
-
-    def advance(self) -> Optional[float]:
-        """Move to the next firing time; ``None`` once past ``end_time``."""
-        self.next_time += self.interval
-        if self.next_time > self.end_time:
-            return None
-        return self.next_time
-
-
-class BandwidthRemeasurement(PeriodicEvent):
-    """Periodically re-measure one cache-to-server path's bandwidth.
-
-    Each firing consumes one sample from the path's bandwidth distribution
-    — the base bandwidth modulated by the path's variability model, exactly
-    what a completed probe transfer would have observed — records it in the
-    run's :class:`~repro.network.measurement.BandwidthMeasurementLog`, and
-    feeds it to the :class:`~repro.network.measurement.PassiveEstimator`
-    (when the run uses passive bandwidth knowledge), so estimator-driven
-    policies see bandwidth shifts that happen *between* requests.
-
-    Samples are pre-drawn in small batches
-    (:meth:`~repro.network.path.NetworkPath.sample_observed`), so a firing
-    usually costs a list index instead of a size-1 numpy draw; batch
-    refills happen in firing order from the stream's own generator, so
-    results stay deterministic.  The event never draws from the request
-    stream's generator: with re-measurement disabled the request draws are
-    untouched.
-    """
-
-    __slots__ = ("path", "estimator", "log", "rng", "listener", "_samples", "_sample_pos")
-
-    #: Samples pre-drawn per batch refill; bounded so short-lived streams
-    #: do not waste draws (the stream rng is private, so overdraw is
-    #: harmless) while long-lived ones amortise the numpy call.
+    #: Rounds each batch of samples lasts: a round costs a column read
+    #: instead of a numpy draw per path.
     PROBE_BATCH = 32
 
     def __init__(
         self,
-        path: "NetworkPath",
         interval: float,
-        first_time: float,
-        end_time: float,
-        rng: np.random.Generator,
+        paths: "PathRegistry",
+        log: "BandwidthMeasurementLog",
         estimator: Optional["PassiveEstimator"] = None,
-        log: Optional["BandwidthMeasurementLog"] = None,
-        priority: int = -1,
-        listener: Optional["ReactiveRekeyer"] = None,
+        rekeyer: Optional["ReactiveRekeyer"] = None,
+        seed: int = 0,
     ):
-        super().__init__(interval, first_time, end_time, priority)
-        self.path = path
-        self.estimator = estimator
+        self.interval = float(interval)
         self.log = log
-        self.rng = rng
-        self.listener = listener
-        self._samples: List[float] = []
-        self._sample_pos = 0
+        self.estimator = estimator
+        self.rekeyer = rekeyer
+        self.rng = np.random.default_rng(
+            (_REMEASUREMENT_STREAM_TAG, seed & 0xFFFFFFFF, 0)
+        )
+        self.fired = 0
+        self._server_ids = paths.server_ids()
+        self._paths = [paths.get(server_id) for server_id in self._server_ids]
+        self._rounds = 0
+        self._block: Optional[np.ndarray] = None
+
+    def times(self, start: float, end: float) -> Iterator[float]:
+        """The round times of a trace spanning ``[start, end]``.
+
+        Each time is the one before plus ``interval``, accumulated rather
+        than ``start + k * interval``, which can round differently.
+        """
+        now = float(start) + self.interval
+        while now <= end:
+            yield now
+            now += self.interval
 
     def fire(self, now: float) -> None:
-        """Feed the next bandwidth sample to the log and the estimator."""
-        pos = self._sample_pos
-        if pos >= len(self._samples):
-            self._samples = self.path.sample_observed(
-                self.rng, self.PROBE_BATCH
-            ).tolist()
-            pos = 0
-        sample = self._samples[pos]
-        self._sample_pos = pos + 1
-        server_id = self.path.server_id
-        if self.log is not None:
-            self.log.record(now, server_id, sample)
-        if self.estimator is not None:
-            listener = self.listener
-            if listener is not None:
-                # The anchor must seed from the estimate the policy actually
-                # keyed at, i.e. the value *before* this sample lands — so
-                # the very first probe can already trigger a re-key.
-                prior = self.estimator.estimate(server_id)
-                self.estimator.observe(server_id, sample)
-                listener.notify(now, server_id, prior)
-            else:
-                self.estimator.observe(server_id, sample)
+        """Probe every path once at simulation time ``now``."""
+        position = self._rounds % self.PROBE_BATCH
+        if position == 0:
+            # Drop the spent batch first, so a refill never holds two.
+            self._block = None
+            self._block = np.empty((len(self._paths), self.PROBE_BATCH))
+            for row, path in zip(self._block, self._paths):
+                row[:] = path.sample_observed(self.rng, self.PROBE_BATCH)
+        self._rounds += 1
+        self.fired += len(self._paths)
+        samples = zip(self._server_ids, self._block[:, position].tolist())
+        record = self.log.record
+        estimator = self.estimator
+        rekeyer = self.rekeyer
+        if estimator is None:
+            for server_id, sample in samples:
+                record(now, server_id, sample)
+        elif rekeyer is None:
+            observe = estimator.observe
+            for server_id, sample in samples:
+                record(now, server_id, sample)
+                observe(server_id, sample)
+        else:
+            estimate = estimator.estimate
+            observe = estimator.observe
+            notify = rekeyer.notify
+            for server_id, sample in samples:
+                record(now, server_id, sample)
+                prior = estimate(server_id)
+                observe(server_id, sample)
+                notify(now, server_id, prior)
 
 
 class ReactiveRekeyer:
@@ -291,7 +193,7 @@ class ReactiveRekeyer:
 
     Two notification sources share the machinery:
 
-    * **probe-driven** — :class:`BandwidthRemeasurement` firings call
+    * **probe-driven** — :class:`ProbeRounds` probes call
       :meth:`notify` with no group (the origin view);
     * **passive-driven** — with
       :attr:`~repro.sim.config.SimulationConfig.reactive_passive` enabled,
@@ -590,139 +492,3 @@ class ReactiveRekeyer:
             views[other_group] = other_estimate
         if self.hysteresis is not None:
             self._disarmed[server_id] = dict.fromkeys(views, True)
-
-
-class AuxiliarySchedule:
-    """A deterministic collection of :class:`PeriodicEvent` streams.
-
-    :meth:`begin` / :meth:`fire_before` / :meth:`drain` expose the streams
-    as a ``(time, priority, sequence)`` merge heap for the simulator's
-    replay driver, which interleaves them with the trace's numpy columns
-    directly: ties in time are broken by priority (the request stream is
-    priority 0), then by scheduling order.  :attr:`fired` counts total
-    firings.
-    """
-
-    def __init__(self, events: Sequence[PeriodicEvent] = ()):
-        self._events: List[PeriodicEvent] = list(events)
-        self._heap: List[Tuple[float, int, int, PeriodicEvent]] = []
-        self._counter = itertools.count()
-        self.fired = 0
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __bool__(self) -> bool:
-        return bool(self._events)
-
-    @property
-    def events(self) -> List[PeriodicEvent]:
-        """The registered event streams (in scheduling order)."""
-        return list(self._events)
-
-    def begin(self) -> List[Tuple[float, int, int, PeriodicEvent]]:
-        """Build the merge heap from every stream's next firing time.
-
-        Returns the heap list itself so the replay loop can test "any event
-        due before this request?" with one truthiness check + tuple compare
-        instead of a method call per request — the schedule is usually
-        empty or quiescent between firings.
-        """
-        self._heap = [
-            (event.next_time, event.priority, next(self._counter), event)
-            for event in self._events
-            if event.next_time <= event.end_time
-        ]
-        heapq.heapify(self._heap)
-        return self._heap
-
-    def fire_before(self, time: float, priority: int = 0) -> None:
-        """Fire every event ordered before ``(time, priority)``.
-
-        The replay driver calls this with a request's timestamp (and the
-        request stream's priority, 0), firing everything due first.
-        """
-        heap = self._heap
-        while heap and (heap[0][0], heap[0][1]) < (time, priority):
-            fire_time, event_priority, _, event = heapq.heappop(heap)
-            event.fire(fire_time)
-            self.fired += 1
-            next_time = event.advance()
-            if next_time is not None:
-                heapq.heappush(
-                    heap, (next_time, event_priority, next(self._counter), event)
-                )
-
-    def drain(self) -> None:
-        """Fire everything left on the heap (events after the last request)."""
-        self.fire_before(float("inf"), priority=0)
-
-
-def build_remeasurement_events(
-    config: RemeasurementConfig,
-    topology: "DeliveryTopology",
-    estimator: Optional["PassiveEstimator"],
-    log: Optional["BandwidthMeasurementLog"],
-    trace_start: float,
-    trace_end: float,
-    base_seed: int,
-    listener: Optional[ReactiveRekeyer] = None,
-) -> List[BandwidthRemeasurement]:
-    """Expand a :class:`RemeasurementConfig` into concrete event streams.
-
-    One :class:`BandwidthRemeasurement` stream is built per ``(path,
-    probing client)`` pair, phase-staggered so several clients probing the
-    same path interleave evenly.  All streams share one random generator
-    seeded independently of the simulation's request stream (mixing
-    ``base_seed``, ``config.seed``, and a fixed stream tag), and firing
-    order is deterministic, so results are reproducible across process
-    boundaries.  ``listener`` (a :class:`ReactiveRekeyer`) is
-    attached to every stream so estimate shifts can re-key the policy.
-    """
-    start = config.start_time if config.start_time is not None else float(trace_start)
-    end = config.end_time if config.end_time is not None else float(trace_end)
-    known = set(topology.paths.server_ids())
-    unknown_overrides = sorted(set(config.per_path_intervals) - known)
-    if unknown_overrides:
-        raise ConfigurationError(
-            "remeasurement per_path_intervals names unknown server ids: "
-            f"{unknown_overrides[:5]}"
-        )
-    if config.paths is not None:
-        wanted = set(int(server_id) for server_id in config.paths)
-        unknown = sorted(wanted - known)
-        if unknown:
-            raise ConfigurationError(
-                f"remeasurement config names unknown server ids: {unknown[:5]}"
-            )
-    else:
-        wanted = None
-
-    rng = np.random.default_rng(
-        (_REMEASUREMENT_STREAM_TAG, base_seed & 0xFFFFFFFF, config.seed & 0xFFFFFFFF)
-    )
-    events: List[BandwidthRemeasurement] = []
-    clients = config.probing_clients
-    for server_id in topology.paths.server_ids():
-        if wanted is not None and server_id not in wanted:
-            continue
-        path = topology.paths.get(server_id)
-        interval = config.interval_for(server_id)
-        for client_index in range(clients):
-            first = start + interval * (client_index + 1) / clients
-            if first > end:
-                continue  # cadence longer than the window: never fires
-            events.append(
-                BandwidthRemeasurement(
-                    path=path,
-                    interval=interval,
-                    first_time=first,
-                    end_time=end,
-                    rng=rng,
-                    estimator=estimator,
-                    log=log,
-                    priority=config.priority,
-                    listener=listener,
-                )
-            )
-    return events

@@ -595,6 +595,10 @@ class HierarchyEngine:
         """Number of cached prefixes across every tier store in the fleet."""
         return sum(len(store) for stores in self._stores for store in stores)
 
+    def total_evictions(self) -> int:
+        """Objects evicted from every tier store in the fleet."""
+        return sum(store.evictions for stores in self._stores for store in stores)
+
     def tier_snapshots(self, pop: int = 0) -> List[Dict[int, float]]:
         """Per-tier ``{object_id: cached_kb}`` snapshots for one pop.
 

@@ -2,7 +2,7 @@
 
 This module is the single home of the per-request service sequence.  The
 driver in :mod:`repro.sim.simulator` owns *iteration* (trace order and
-auxiliary-event merging); the kernel owns *service*:
+where the re-measurement rounds fall); the kernel owns *service*:
 
 1. **window** — close due metrics-timeline windows,
 2. **warmup** — flip from warm-up to measurement at the cutoff index,
@@ -23,7 +23,7 @@ auxiliary-event merging); the kernel owns *service*:
 
 The kernel's one entry point is :func:`serve_batch`, which the driver
 feeds with ``[start, stop)`` runs of the trace: the longest runs
-uninterrupted by an auxiliary event or a window end.  Chunks are the
+uninterrupted by a re-measurement round or a window end.  Chunks are the
 seam for later vectorisation — the kernel is free to process a run
 however it likes as long as the observable sequence is preserved, and
 splitting a run at any request must not change a bit of the result
@@ -477,7 +477,7 @@ def build_context(
 def serve_batch(ctx: KernelContext, start: int, stop: int) -> None:
     """Serve the trace run ``[start, stop)`` through the kernel.
 
-    The replay loop guarantees no auxiliary event is due inside the run
+    The replay loop guarantees no re-measurement round is due inside the run
     and that the run lies inside the window it loaded last
     (:meth:`KernelContext.load_window`), so the kernel owns the whole
     chunk: the context is unpacked into locals once per chunk and the

@@ -27,7 +27,7 @@ job.
 
 Every job replays the workload once with its own config — including
 periodic bandwidth re-measurement (:mod:`repro.sim.events`) when the
-config schedules it; a :class:`~repro.sim.events.RemeasurementConfig`
+config sets it; a :class:`~repro.sim.events.RemeasurementConfig`
 travels inside the pickled :class:`~repro.sim.config.SimulationConfig`.
 The same holds for fault injection: a
 :class:`~repro.sim.faults.FaultConfig` on

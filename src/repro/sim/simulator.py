@@ -19,13 +19,14 @@ The per-request service sequence lives in one place —
 ``docs/architecture.md``).  Every run replays the workload's
 :class:`~repro.trace.columnar.ColumnarTrace` columns as they are, and the
 kernel context prefills one entry per distinct object plus a vectorised
-observed-bandwidth column.  The driver then splits the
-trace into the longest runs uninterrupted by *typed* auxiliary events
-(:mod:`repro.sim.events`, e.g. periodic bandwidth re-measurement from
-:attr:`~repro.sim.config.SimulationConfig.remeasurement`), merged by
-``(time, priority)``, and serves each run through ``serve_batch``; runs
-also end where a window of :data:`repro.sim.kernel.WINDOW_ROWS` requests
-does, so with no events scheduled each window is one chunk.
+observed-bandwidth column.  ``_replay`` then splits the trace into the
+longest runs uninterrupted by a periodic bandwidth re-measurement round
+(:class:`~repro.sim.events.ProbeRounds`, configured by
+:attr:`~repro.sim.config.SimulationConfig.remeasurement`), which fires
+after every request strictly before it, and serves each run through
+``serve_batch``; runs also end where a window of
+:data:`repro.sim.kernel.WINDOW_ROWS` requests does, so without probes
+each window is one chunk.
 
 Per-client last-mile bandwidth
 (:attr:`~repro.sim.config.SimulationConfig.client_clouds`) is resolved
@@ -51,11 +52,7 @@ from repro.obs.profiling import StageProfiler
 from repro.obs.timeline import MetricsTimeline
 from repro.obs.tracing import ObservedCacheStore, TraceSink
 from repro.sim.config import BandwidthKnowledge, SimulationConfig
-from repro.sim.events import (
-    AuxiliarySchedule,
-    ReactiveRekeyer,
-    build_remeasurement_events,
-)
+from repro.sim.events import ProbeRounds, ReactiveRekeyer
 from repro.sim.faults import FaultInjector, FaultReport
 from repro.sim.hierarchy import HierarchyEngine, HierarchyReport
 from repro.sim.kernel import KernelContext, build_context, serve_batch
@@ -74,10 +71,10 @@ _CLIENT_CLOUD_STREAM_TAG = 0x434C49
 class SimulationResult:
     """Everything a single simulation run produces.
 
-    ``auxiliary_events_fired`` counts typed periodic-event firings (e.g.
-    bandwidth re-measurements), and ``measurement_log`` carries their
-    per-server sample statistics when the run had re-measurement
-    configured.  ``reactive_shifts`` /
+    ``auxiliary_events_fired`` counts the bandwidth re-measurement
+    probes fired (rounds times origin paths), and ``measurement_log``
+    carries their per-server sample statistics when the run had
+    re-measurement configured.  ``reactive_shifts`` /
     ``reactive_rekeys`` count the threshold crossings and heap entries
     re-keyed by the reactive hook
     (:attr:`~repro.sim.config.SimulationConfig.reactive_threshold`);
@@ -197,37 +194,6 @@ class ProxyCacheSimulator:
             cloud_seed & 0xFFFFFFFF,
         )
 
-    def build_auxiliary_schedule(
-        self,
-        topology: DeliveryTopology,
-        estimator: Optional[PassiveEstimator],
-        measurement_log: Optional[BandwidthMeasurementLog],
-        rekeyer: Optional[ReactiveRekeyer] = None,
-    ) -> AuxiliarySchedule:
-        """Expand the config's typed periodic events into a schedule.
-
-        Currently this covers periodic bandwidth re-measurement
-        (:attr:`~repro.sim.config.SimulationConfig.remeasurement`), with
-        ``rekeyer`` attached to every stream when the run is reactive
-        (:attr:`~repro.sim.config.SimulationConfig.reactive_threshold`);
-        subclasses adding further typed event families extend this.
-        """
-        if self.config.remeasurement is None:
-            return AuxiliarySchedule()
-        trace = self.workload.trace
-        return AuxiliarySchedule(
-            build_remeasurement_events(
-                self.config.remeasurement,
-                topology,
-                estimator,
-                measurement_log,
-                trace_start=trace.start_time,
-                trace_end=trace.end_time,
-                base_seed=self.config.seed,
-                listener=rekeyer,
-            )
-        )
-
     def run(
         self,
         policy,
@@ -311,9 +277,6 @@ class ProxyCacheSimulator:
             if self.config.bandwidth_knowledge is BandwidthKnowledge.PASSIVE:
                 estimator = PassiveEstimator(smoothing=self.config.passive_smoothing)
 
-            measurement_log: Optional[BandwidthMeasurementLog] = None
-            if self.config.remeasurement is not None:
-                measurement_log = BandwidthMeasurementLog()
             rekeyer: Optional[ReactiveRekeyer] = None
             if (
                 self.config.reactive_threshold is not None
@@ -342,9 +305,18 @@ class ProxyCacheSimulator:
                         and self.config.client_clouds.estimate_last_mile
                     ),
                 )
-            schedule = self.build_auxiliary_schedule(
-                topology, estimator, measurement_log, rekeyer
-            )
+            measurement_log: Optional[BandwidthMeasurementLog] = None
+            probes: Optional[ProbeRounds] = None
+            if self.config.remeasurement is not None:
+                measurement_log = BandwidthMeasurementLog()
+                probes = ProbeRounds(
+                    self.config.remeasurement.interval,
+                    topology.paths,
+                    measurement_log,
+                    estimator=estimator,
+                    rekeyer=rekeyer,
+                    seed=self.config.seed,
+                )
 
             trace = self.workload.trace
             total_requests = len(trace)
@@ -417,7 +389,7 @@ class ProxyCacheSimulator:
                 )
 
             replay_started = _time.perf_counter() if profiler is not None else 0.0
-            self._replay(ctx, trace, schedule)
+            self._replay(ctx, trace, probes)
             ctx.finish(trace.end_time if total_requests else 0.0)
             metrics = collector.finalize()
             if sink is not None:
@@ -428,7 +400,11 @@ class ProxyCacheSimulator:
                     requests=metrics.requests,
                     hit_ratio=metrics.hit_ratio,
                     byte_hit_ratio=metrics.byte_hit_ratio,
-                    evictions=store.evictions,
+                    evictions=(
+                        store.evictions
+                        if hierarchy is None
+                        else hierarchy.total_evictions()
+                    ),
                 )
             if profiler is not None:
                 profiler.add("replay", _time.perf_counter() - replay_started)
@@ -444,7 +420,7 @@ class ProxyCacheSimulator:
                 len(store) if hierarchy is None else hierarchy.total_cached_objects()
             ),
             warmup_requests=collector.warmup_requests,
-            auxiliary_events_fired=schedule.fired,
+            auxiliary_events_fired=probes.fired if probes is not None else 0,
             measurement_log=measurement_log,
             reactive_shifts=rekeyer.shifts if rekeyer is not None else 0,
             reactive_rekeys=rekeyer.entries_rekeyed if rekeyer is not None else 0,
@@ -465,63 +441,40 @@ class ProxyCacheSimulator:
         )
 
     # ------------------------------------------------------------------
-    # The replay driver: chunked replay + auxiliary events.
+    # The replay loop: chunked replay + probe rounds.
     # ------------------------------------------------------------------
     @staticmethod
     def _replay(
-        ctx: KernelContext, trace: ColumnarTrace, schedule: AuxiliarySchedule
+        ctx: KernelContext, trace: ColumnarTrace, probes: Optional[ProbeRounds]
     ) -> None:
-        """Serve the trace in chunks, firing auxiliary events between them.
+        """Serve the trace in chunks, firing the probe rounds between them.
 
-        The loop owns the auxiliary-event merge and the windows: it
-        splits the trace into the longest runs of requests uninterrupted
-        by an auxiliary event or a window end.  Events are ordered by
-        ``(time, priority)``, with the request stream at priority 0
-        (auxiliary priorities are non-zero by construction, so the merge
-        is never ambiguous); the due ones fire between runs.  At each
-        window start the loop loads the next window's lists
+        Before each round the loop serves every request strictly earlier
+        than the round, so a round fires before a request at its own
+        time; then it fires the round and serves the rest.  Every round
+        falls at or before the last request.  At each window start the
+        loop loads the next window's lists
         (:meth:`repro.sim.kernel.KernelContext.load_window`), and it
-        serves each run through :func:`repro.sim.kernel.serve_batch`.
-        Auxiliary events draw from their own random generators (see
-        :mod:`repro.sim.events`), so the kernel's pre-drawn bandwidth
-        draws stay valid even while events fire between chunks.  With no
-        auxiliary events scheduled each window is one chunk.
+        serves each run of requests inside one window and between two
+        rounds through :func:`repro.sim.kernel.serve_batch`.  Probes draw
+        from their own random generator (:mod:`repro.sim.events`), so the
+        kernel's pre-drawn bandwidths stay valid while rounds fire
+        between chunks.  Without probes each window is one chunk.
         """
-        times_array = trace.times_array
-        total = len(times_array)
-
-        aux_heap = schedule.begin()
-        fire_before = schedule.fire_before
-
         start = window_end = 0
-        while start < total:
-            if start == window_end:
-                window_end = ctx.load_window(start)
-            stop = window_end
-            if aux_heap:
-                head_time = aux_heap[0][0]
-                head_priority = aux_heap[0][1]
-                next_time = ctx.times[start - ctx.window_start]
-                if (head_time, head_priority) < (next_time, 0):
-                    # The event runs before the next request (strictly
-                    # earlier time, or same time with a negative priority).
-                    fire_before(next_time)
-                    continue
-                # The longest run the head event does not interrupt:
-                # requests strictly before the event in (time, priority)
-                # order.  Guaranteed non-empty — the head is not due
-                # before request ``start`` (checked above).
-                cut = int(
-                    np.searchsorted(
-                        times_array,
-                        head_time,
-                        side="left" if head_priority < 0 else "right",
-                    )
-                )
-                if cut < stop:
-                    stop = cut
-            serve_batch(ctx, start, stop)
-            start = stop
 
-        # Auxiliary events scheduled after the last request still fire.
-        schedule.drain()
+        def serve_until(cut: int) -> None:
+            nonlocal start, window_end
+            while start < cut:
+                if start == window_end:
+                    window_end = ctx.load_window(start)
+                stop = min(cut, window_end)
+                serve_batch(ctx, start, stop)
+                start = stop
+
+        if probes is not None:
+            times = trace.times_array
+            for now in probes.times(trace.start_time, trace.end_time):
+                serve_until(int(np.searchsorted(times, now, side="left")))
+                probes.fire(now)
+        serve_until(len(trace))

@@ -293,7 +293,10 @@ class StreamingDeliveryEngine:
     sequence point where non-stream requests run the plain delivery
     arithmetic; the simulator additionally installs
     :meth:`admission_target` and :meth:`trim_victim` as the policy's
-    streaming hooks.
+    streaming hooks.  :meth:`serve` and :meth:`trim_victim` index
+    ``store``'s KB table, so the store must be sized to the catalog first
+    (:meth:`~repro.core.store.CacheStore.reserve`), as every store a
+    replay builds is.
     """
 
     def __init__(self, config: StreamingConfig, catalog, store, sim_seed: int = 0):
@@ -312,14 +315,6 @@ class StreamingDeliveryEngine:
                     required_rate, self._smoothed_peak_rate(obj, config)
                 )
             self._entries[object_id] = _StreamEntry(obj, required_rate, scheme)
-        # serve and trim_victim index the store's KB table, as the kernel
-        # does.  A store sized to the catalog (every store a replay builds)
-        # already holds a slot for every object; a bare store's dict gets
-        # one per stream.
-        table = store.cached_kb
-        if isinstance(table, dict):
-            for object_id in stream_ids:
-                table.setdefault(object_id, 0.0)
         self._prefetch_segments = config.prefetch_segments
         self._abandon_after_s = config.abandon_after_s
         #: ``(object_id, allowed_segments)`` set by the session that just

@@ -16,7 +16,8 @@ Pinned guarantees, mirroring the acceptance criteria of the subsystem:
   per-window deltas sum back exactly, and window sums reproduce the
   aggregate counters.
 * **Trace semantics** — JSONL schema, level filtering, deterministic
-  (never random) sampling with exempt run boundaries.
+  (never random) sampling with exempt run boundaries, and a ``run-end``
+  event that counts a fleet's evictions over every tier store.
 * **Profiler at the seam** — the kernel context binds the stage timers,
   so each stage counts exactly the kernel's own calls and nothing is set
   on the policy it times.
@@ -32,6 +33,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.sim.hierarchy as hierarchy_module
 from repro.core.policies import make_policy
 from repro.core.policies.bandwidth import PartialBandwidthPolicy
 from repro.core.store import CacheStore
@@ -51,6 +53,7 @@ from repro.obs.timeline import _INTEGER_FIELDS
 from repro.sim.config import BandwidthKnowledge, ClientCloudConfig, SimulationConfig
 from repro.sim.events import RemeasurementConfig
 from repro.sim.faults import FaultConfig
+from repro.sim.hierarchy import CacheTier, HierarchyConfig
 from repro.sim.simulator import ProxyCacheSimulator
 from repro.sim.streaming import StreamingConfig
 from repro.trace.columnar import ColumnarTrace
@@ -351,6 +354,88 @@ class TestTraceSink:
         assert "cache-admission" in events
         assert "fault-episode-start" in events
         assert "rekey" in events
+
+    def test_fleet_run_end_counts_every_tier_store(
+        self, workloads, tmp_path, monkeypatch
+    ):
+        """A fleet serves from its tier stores, never from the flat store,
+        so ``run-end`` reports their evictions summed."""
+        tier_stores = []
+
+        class CountedStore(CacheStore):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                tier_stores.append(self)
+
+        monkeypatch.setattr(hierarchy_module, "CacheStore", CountedStore)
+        trace_path = tmp_path / "fleet.jsonl"
+        config = SimulationConfig(
+            cache_size_gb=0.3,
+            seed=0,
+            observability=ObservabilityConfig(
+                timeline=False, trace_path=str(trace_path)
+            ),
+        ).with_hierarchy(
+            HierarchyConfig(
+                tiers=(
+                    CacheTier(name="edge", cache_kb=100_000.0),
+                    CacheTier(name="parent", cache_kb=400_000.0),
+                ),
+                num_pops=2,
+            )
+        )
+        ProxyCacheSimulator(workloads["generated"], config).run(make_policy("PB"))
+        run_end = json.loads(trace_path.read_text().splitlines()[-1])
+        assert run_end["event"] == "run-end"
+        assert len(tier_stores) == 4
+        evictions = sum(store.evictions for store in tier_stores)
+        assert evictions > 0
+        assert run_end["evictions"] == evictions
+
+    @pytest.mark.parametrize(
+        "tier_kb, num_pops",
+        [((), 1), ((100_000.0,), 2), ((100_000.0, 400_000.0), 1)],
+        ids=["flat", "one-tier-two-pops", "two-tiers-one-pop"],
+    )
+    def test_run_end_counts_the_stores_that_served(
+        self, workloads, tmp_path, monkeypatch, tier_kb, num_pops
+    ):
+        """``run-end`` reports the evictions of every store the run built:
+        the flat store alone, or each tier store of every pop (a fleet's
+        flat store serves nothing and evicts nothing)."""
+        stores = []
+        init = CacheStore.__init__
+
+        def counted_init(store, *args, **kwargs):
+            init(store, *args, **kwargs)
+            stores.append(store)
+
+        monkeypatch.setattr(CacheStore, "__init__", counted_init)
+        trace_path = tmp_path / "run.jsonl"
+        config = SimulationConfig(
+            cache_size_gb=0.3,
+            seed=0,
+            observability=ObservabilityConfig(
+                timeline=False, trace_path=str(trace_path)
+            ),
+        )
+        if tier_kb:
+            config = config.with_hierarchy(
+                HierarchyConfig(
+                    tiers=tuple(
+                        CacheTier(name=f"tier-{level}", cache_kb=kb)
+                        for level, kb in enumerate(tier_kb)
+                    ),
+                    num_pops=num_pops,
+                )
+            )
+        ProxyCacheSimulator(workloads["generated"], config).run(make_policy("PB"))
+        run_end = json.loads(trace_path.read_text().splitlines()[-1])
+        assert run_end["event"] == "run-end"
+        assert len(stores) == 1 + len(tier_kb) * num_pops
+        evictions = sum(store.evictions for store in stores)
+        assert evictions > 0
+        assert run_end["evictions"] == evictions
 
 
 # ----------------------------------------------------------------------

@@ -190,9 +190,9 @@ class TestSimulationConfig:
             (ObservabilityConfig, "profile", 1, "a bool"),
             (ObservabilityConfig, "trace_path", 5, "a path"),
             (RemeasurementConfig, "interval", "60", "a number"),
-            (RemeasurementConfig, "start_time", "0", "a number"),
-            (RemeasurementConfig, "probing_clients", 2.0, "an integer"),
-            (RemeasurementConfig, "priority", "1", "an integer"),
+            # Probes are off with ``remeasurement=None``, not a None interval.
+            (RemeasurementConfig, "interval", None, "a number"),
+            (RemeasurementConfig, "interval", True, "a number"),
             (StreamingConfig, "fraction", "0.5", "a number"),
             (StreamingConfig, "abandon_after_s", "60", "a number"),
             (StreamingConfig, "prefetch_segments", 1.5, "an integer"),
@@ -227,7 +227,7 @@ class TestSimulationConfig:
         config = SimulationConfig(cache_size_gb=np.float32(2.0), seed=np.int64(3))
         assert config.cache_size_gb == 2.0 and config.seed == 3
         assert FaultConfig(random_origin_outages=np.int32(1)).random_origin_outages == 1
-        remeasurement = RemeasurementConfig(interval=np.float32(60.0), end_time=None)
+        remeasurement = RemeasurementConfig(interval=np.float32(60.0))
         assert remeasurement.interval == 60
         assert StreamingConfig(prefetch_segments=np.int64(2)).prefetch_segments == 2
         tier = CacheTier("edge", np.float64(100.0))

@@ -1,35 +1,40 @@
-"""The auxiliary-event subsystem: periodic bandwidth re-measurement merged
-into the chunked replay.
+"""Periodic bandwidth re-measurement: probe rounds in the chunked replay.
 
-Two families of guarantees are pinned here:
+Three families of guarantees are pinned here:
 
-* **Equivalence** — with and without re-measurement, the replay matches
-  the goldens recorded from the event-calendar driver before it was
-  deleted, for *every registered policy* (same events, same order, same
-  estimator trajectory).
-* **Re-measurement semantics** — cadence windows (longer than the trace,
-  explicit start/end), per-path overrides, probing-client staggering,
-  warm-up interaction, empty traces, and the measurement log's accounting.
+* **Recorded behaviour** — with and without re-measurement, the replay
+  matches its goldens for *every registered policy* (same probes, same
+  order, same estimator trajectory).
+* **Rounds against the heap** — :class:`~repro.sim.events.ProbeRounds`
+  fires what the per-path merge heap it replaced fired, kept below as
+  the reference: the same ``(time, server)`` sequence, after the same
+  requests, with the same samples and the same estimator and re-keyer
+  calls; and a whole replay under every policy equals the one the heap
+  drives.
+* **Re-measurement semantics** — an interval longer than the trace,
+  warm-up, empty traces, rounds times paths probes, the batch refills,
+  the measurement log's accounting and the config's validation.
 """
 
-import re
+import copy
+import heapq
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import repro.sim.events as events_module
+import repro.sim.simulator as simulator_module
 from repro.core.policies import POLICY_REGISTRY, make_policy
 from repro.exceptions import ConfigurationError
 from repro.network.measurement import BandwidthMeasurementLog
+from repro.network.path import NetworkPath, PathRegistry
 from repro.network.variability import NLANRRatioVariability
 from repro.sim.config import BandwidthKnowledge, SimulationConfig
-from repro.sim.events import (
-    AuxiliarySchedule,
-    BandwidthRemeasurement,
-    PeriodicEvent,
-    RemeasurementConfig,
-    build_remeasurement_events,
-)
+from repro.sim.events import ProbeRounds, RemeasurementConfig
 from repro.sim.simulator import ProxyCacheSimulator
 from repro.trace.columnar import ColumnarTrace
 from repro.workload.gismo import GismoWorkloadGenerator, Workload, WorkloadConfig
@@ -55,7 +60,7 @@ def _passive_config(**overrides):
 
 
 # ----------------------------------------------------------------------
-# Equivalence: no auxiliary events, every policy matches its golden.
+# Recorded behaviour: without probes, every policy matches its golden.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("policy_name", sorted(POLICY_REGISTRY))
 def test_columnar_event_path_bit_identical_per_policy(columnar_workload, policy_name):
@@ -69,15 +74,14 @@ def test_columnar_event_path_bit_identical_per_policy(columnar_workload, policy_
 
 
 def test_object_traces_fire_auxiliary_events(columnar_workload):
-    """A re-measurement run fires its events and matches its golden event
-    for event."""
+    """A re-measurement run fires its probes and matches its golden."""
     config = _passive_config(remeasurement=RemeasurementConfig(interval=200.0))
     result = replay_golden("events/remeasure-200", columnar_workload, config)
     assert result.auxiliary_events_fired > 0
 
 
 # ----------------------------------------------------------------------
-# Equivalence: re-measurement on, the recorded event-calendar run holds.
+# Recorded behaviour: with probes, the recorded runs hold.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("policy_name", ["PB", "IB", "LRU"])
 def test_event_and_columnar_event_agree_under_remeasurement(
@@ -142,13 +146,42 @@ def test_cadence_longer_than_trace_never_fires(columnar_workload):
     assert result.measurement_log.total_samples == 0
 
     # With zero firings the run is bit-identical to no re-measurement at
-    # all (the auxiliary machinery must be inert, not merely quiet).
+    # all (the probe machinery must be inert, not merely quiet).
     topology = simulator.build_topology(np.random.default_rng(config.seed))
     again = simulator.run(make_policy("PB"), topology=topology)
     plain = ProxyCacheSimulator(columnar_workload, _passive_config()).run(
         make_policy("PB"), topology=topology
     )
     assert again.as_dict() == plain.as_dict()
+
+
+@pytest.mark.parametrize("fraction", [0.01, 0.1, 0.5, 1.0])
+def test_every_round_probes_every_path(columnar_workload, fraction):
+    """A run fires every round up to the last request, and each round
+    probes every origin path once: the count is rounds times paths, and
+    each path's last sample is the last round's.  At an interval of the
+    whole trace the one round falls on the last request's time."""
+    trace = columnar_workload.trace
+    interval = trace.duration * fraction
+    config = _passive_config(remeasurement=RemeasurementConfig(interval=interval))
+    simulator = ProxyCacheSimulator(columnar_workload, config)
+    topology = simulator.build_topology(np.random.default_rng(config.seed))
+    result = simulator.run(make_policy("PB"), topology=topology)
+
+    rounds = []
+    now = trace.start_time + interval
+    while now <= trace.end_time:
+        rounds.append(now)
+        now += interval
+    servers = topology.paths.server_ids()
+    log = result.measurement_log
+    assert rounds
+    assert result.auxiliary_events_fired == len(rounds) * len(servers)
+    assert log.total_samples == result.auxiliary_events_fired
+    assert log.servers() == sorted(servers)
+    for server_id in servers:
+        assert log.sample_count(server_id) == len(rounds)
+        assert log.last_sample_time(server_id) == rounds[-1]
 
 
 def test_zero_request_trace(columnar_workload):
@@ -163,27 +196,8 @@ def test_zero_request_trace(columnar_workload):
     assert result.auxiliary_events_fired == 0  # empty window: start == end
 
 
-def test_explicit_window_fires_past_last_request(columnar_workload):
-    start = columnar_workload.trace.start_time
-    config = _passive_config(
-        remeasurement=RemeasurementConfig(
-            interval=100.0,
-            start_time=start,
-            end_time=columnar_workload.trace.end_time + 1000.0,
-            paths=[0],
-        )
-    )
-    simulator = ProxyCacheSimulator(columnar_workload, config)
-    topology = simulator.build_topology(np.random.default_rng(config.seed))
-    result = simulator.run(make_policy("PB"), topology=topology)
-    window = config.remeasurement.end_time - start
-    expected = int(window / 100.0)
-    assert abs(result.auxiliary_events_fired - expected) <= 1
-    assert_golden("events/explicit-window", result)
-
-
 def test_warmup_boundary_samples_feed_estimator_but_not_metrics(columnar_workload):
-    """Events during warm-up prime the estimator yet never touch metrics:
+    """Probes during warm-up prime the estimator yet never touch metrics:
     the measured-request count is exactly the non-warm-up tail."""
     config = _passive_config(
         warmup_fraction=0.9,
@@ -197,157 +211,65 @@ def test_warmup_boundary_samples_feed_estimator_but_not_metrics(columnar_workloa
     assert result.auxiliary_events_fired > 0
 
 
-def test_per_path_intervals_and_paths_filter(columnar_workload):
-    config = _passive_config(
-        remeasurement=RemeasurementConfig(
-            interval=500.0,
-            per_path_intervals={0: 100.0},
-            paths=[0, 1],
-        )
-    )
-    simulator = ProxyCacheSimulator(columnar_workload, config)
-    result = simulator.run(make_policy("PB"))
-    log = result.measurement_log
-    assert log.servers() == [0, 1]
-    # Server 0's override is 5x faster than server 1's default cadence.
-    assert log.sample_count(0) > log.sample_count(1) > 0
-    assert log.sample_count(0) == pytest.approx(5 * log.sample_count(1), abs=5)
-
-
-def test_probing_clients_multiply_cadence(columnar_workload):
-    base = _passive_config(
-        remeasurement=RemeasurementConfig(interval=400.0, paths=[0])
-    )
-    doubled = _passive_config(
-        remeasurement=RemeasurementConfig(
-            interval=400.0, paths=[0], probing_clients=2
-        )
-    )
-    single = ProxyCacheSimulator(columnar_workload, base).run(make_policy("PB"))
-    double = ProxyCacheSimulator(columnar_workload, doubled).run(make_policy("PB"))
-    assert double.auxiliary_events_fired == pytest.approx(
-        2 * single.auxiliary_events_fired, abs=2
-    )
-
-
-def test_unknown_path_filter_rejected(columnar_workload):
-    config = _passive_config(
-        remeasurement=RemeasurementConfig(interval=100.0, paths=[999_999])
-    )
-    with pytest.raises(ConfigurationError):
-        ProxyCacheSimulator(columnar_workload, config).run(make_policy("PB"))
-
-
-def test_unknown_per_path_override_rejected(columnar_workload):
-    """A typo'd per-path cadence override fails loudly, not silently."""
-    config = _passive_config(
-        remeasurement=RemeasurementConfig(
-            interval=100.0, per_path_intervals={999_999: 10.0}
-        )
-    )
-    with pytest.raises(ConfigurationError):
-        ProxyCacheSimulator(columnar_workload, config).run(make_policy("PB"))
-
-
 # ----------------------------------------------------------------------
-# Config validation and primitives.
+# Config validation, round times and the measurement log.
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(interval=0.0),
-        dict(interval=-1.0),
-        dict(interval=10.0, per_path_intervals={3: 0.0}),
-        dict(interval=10.0, probing_clients=0),
-        dict(interval=10.0, priority=0),
-        dict(interval=10.0, start_time=100.0, end_time=50.0),
-        dict(interval=float("nan")),
-        dict(interval=10.0, per_path_intervals={3: float("nan")}),
-        # Wrong-typed elements: integral path ids, real intervals.
-        dict(interval=60.0, per_path_intervals={0: "5"}),
-        dict(interval=60.0, per_path_intervals={"0": 5.0}),
-        dict(interval=60.0, per_path_intervals=[(0, 5.0)]),
-        dict(interval=60.0, paths=["a"]),
-        dict(interval=60.0, paths=[0, 1.5]),
-        dict(interval=60.0, paths=3),
-    ],
-)
-def test_remeasurement_config_validation(kwargs):
+@pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"), float("-inf")])
+def test_remeasurement_config_validation(interval):
     with pytest.raises(ConfigurationError):
-        RemeasurementConfig(**kwargs)
+        RemeasurementConfig(interval=interval)
 
 
-@pytest.mark.parametrize(
-    "kwargs, field",
-    [
-        (dict(per_path_intervals={0: "5"}), "per_path_intervals[0]"),
-        (dict(per_path_intervals={"0": 5.0}), "per_path_intervals key"),
-        (dict(paths=["a"]), "paths[0]"),
-        (dict(paths=[0, 1.5]), "paths[1]"),
-    ],
-)
-def test_remeasurement_config_names_the_wrong_typed_element(kwargs, field):
-    with pytest.raises(ConfigurationError, match=re.escape(field)):
-        RemeasurementConfig(interval=60.0, **kwargs)
-
-
-def test_remeasurement_config_takes_numpy_elements():
-    config = RemeasurementConfig(
-        interval=60.0,
-        per_path_intervals={np.int64(0): np.float64(5.0)},
-        paths=(np.int64(0), np.int64(1)),
+def _registry(server_ids, seed=0):
+    """Paths to ``server_ids``, added in that order, sharing one NLANR model."""
+    model = NLANRRatioVariability()
+    bases = np.random.default_rng(seed).uniform(5.0, 500.0, len(server_ids))
+    return PathRegistry(
+        NetworkPath(server_id, base, model)
+        for server_id, base in zip(server_ids, bases)
     )
-    assert config.interval_for(0) == 5.0
 
 
-def test_periodic_event_priority_zero_reserved():
-    with pytest.raises(ConfigurationError):
-        PeriodicEvent(interval=1.0, first_time=0.0, end_time=10.0, priority=0)
+def test_round_times_accumulate_up_to_the_last_request():
+    """Rounds start one interval after the first request, include the last
+    request's time, and accumulate: the sixth round of 0.1 s is 0.6, not
+    ``6 * 0.1``."""
+
+    def times(interval, end):
+        probes = ProbeRounds(interval, _registry([0]), BandwidthMeasurementLog())
+        return list(probes.times(0.0, end))
+
+    assert times(3.0, 10.0) == [3.0, 6.0, 9.0]
+    assert times(5.0, 10.0) == [5.0, 10.0]
+    assert times(50.0, 10.0) == []
+    sixth = times(0.1, 0.65)[5]
+    assert sixth == 0.6 and sixth != 6 * 0.1
 
 
-@pytest.mark.parametrize("field", ["start_time", "end_time"])
-def test_remeasurement_window_rejects_nan(field):
-    # The empty-window check compares the two bounds, which no NaN fails.
-    with pytest.raises(ConfigurationError, match=field):
-        RemeasurementConfig(interval=10.0, **{field: float("nan")})
-
-
-def test_periodic_event_rejects_nan_interval():
-    with pytest.raises(ConfigurationError):
-        PeriodicEvent(interval=float("nan"), first_time=0.0, end_time=10.0)
-
-
-def test_periodic_event_advance_stops_at_end():
-    event = PeriodicEvent(interval=4.0, first_time=4.0, end_time=10.0)
-    assert event.advance() == 8.0
-    assert event.advance() is None
-
-
-class _CountingEvent(PeriodicEvent):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.times = []
-
-    def fire(self, now):
-        self.times.append(now)
-
-
-def test_schedule_fires_every_stream_on_its_cadence():
-    """The merge heap fires each stream at its own times, in time order,
-    up to and including the window end."""
-    events = [
-        _CountingEvent(interval=3.0, first_time=3.0, end_time=10.0),
-        _CountingEvent(interval=5.0, first_time=5.0, end_time=10.0),
+@pytest.mark.parametrize("rounds", [1, 32, 33, 65])
+def test_each_path_draws_a_batch_every_32_rounds(rounds):
+    """Rounds 0, 32, 64 … draw each path's next batch of samples, in
+    server-id order, and every other round reads its column: round ``k``
+    probes path ``i`` with sample ``k % 32`` of the path's batch
+    ``k // 32``."""
+    registry = _registry([5, 2, 9], seed=3)
+    paths = [registry.get(server_id) for server_id in registry.server_ids()]
+    log = _Recorder()
+    probes = ProbeRounds(1.0, registry, log, seed=11)
+    rng = copy.deepcopy(probes.rng)
+    for k in range(rounds):
+        probes.fire(float(k))
+    batch = ProbeRounds.PROBE_BATCH
+    batches = [
+        [path.sample_observed(rng, batch) for path in paths]
+        for _ in range(-(-rounds // batch))
     ]
-    schedule = AuxiliarySchedule(events)
-    schedule.begin()
-    schedule.fire_before(6.0)
-    # t=3, t=5 and t=6: a negative priority fires before a same-time request.
-    assert schedule.fired == 3
-    schedule.drain()
-    assert schedule.fired == 5
-    assert events[0].times == [3.0, 6.0, 9.0]
-    assert events[1].times == [5.0, 10.0]
+    assert log.calls == [
+        ("record", float(k), path.server_id, batches[k // batch][i][k % batch], 0)
+        for k in range(rounds)
+        for i, path in enumerate(paths)
+    ]
+    assert probes.fired == rounds * len(paths)
 
 
 def test_measurement_log_statistics():
@@ -366,16 +288,266 @@ def test_measurement_log_statistics():
     assert log.mean(12345) is None
 
 
-def test_build_remeasurement_events_skips_never_firing_streams(columnar_workload):
-    config = RemeasurementConfig(interval=50.0)
-    simulator = ProxyCacheSimulator(columnar_workload, _passive_config())
-    topology = simulator.build_topology(np.random.default_rng(0))
-    events = build_remeasurement_events(
-        config, topology, None, None, trace_start=0.0, trace_end=10.0, base_seed=0
+# ----------------------------------------------------------------------
+# The rounds against the merge heap they replaced.
+# ----------------------------------------------------------------------
+class _Stream:
+    """One path's probes in the reference heap: the path and its batch."""
+
+    __slots__ = ("path", "samples", "position")
+
+    def __init__(self, path):
+        self.path = path
+        self.samples = []
+        self.position = 0
+
+
+def _heap_replay(times, paths, interval, rng, log, estimator, rekeyer, serve):
+    """The merge heap the probe rounds replaced, kept as their reference.
+
+    One stream per path, in server-id order, fires one ``interval`` after
+    the first request and then every ``interval``, accumulated, up to the
+    last request.  The streams wait on a ``(time, priority, push
+    counter)`` heap at priority -1, against the requests' 0: a request
+    is served once nothing on the heap is due at or before its time, and
+    whatever is left after the last request fires at the end.  A stream
+    draws its next :data:`ProbeRounds.PROBE_BATCH` samples from the
+    shared generator when it has used up its batch.  Returns the number
+    of probes fired.
+    """
+    total = len(times)
+    start_time = float(times[0]) if total else 0.0
+    end_time = float(times[-1]) if total else 0.0
+    counter = itertools.count()
+    first = start_time + interval
+    heap = [
+        (first, -1, next(counter), _Stream(path))
+        for path in paths
+        if first <= end_time
+    ]
+    heapq.heapify(heap)
+    fired = 0
+
+    def fire_before(time, priority):
+        nonlocal fired
+        while heap and (heap[0][0], heap[0][1]) < (time, priority):
+            now, _, _, stream = heapq.heappop(heap)
+            if stream.position >= len(stream.samples):
+                stream.samples = stream.path.sample_observed(
+                    rng, ProbeRounds.PROBE_BATCH
+                ).tolist()
+                stream.position = 0
+            sample = stream.samples[stream.position]
+            stream.position += 1
+            server = stream.path.server_id
+            log.record(now, server, sample)
+            if estimator is not None:
+                if rekeyer is not None:
+                    prior = estimator.estimate(server)
+                    estimator.observe(server, sample)
+                    rekeyer.notify(now, server, prior)
+                else:
+                    estimator.observe(server, sample)
+            fired += 1
+            later = now + interval
+            if later <= end_time:
+                heapq.heappush(heap, (later, -1, next(counter), stream))
+
+    start = 0
+    while start < total:
+        stop = total
+        if heap:
+            if (heap[0][0], heap[0][1]) < (times[start], 0):
+                fire_before(times[start], 0)
+                continue
+            stop = int(np.searchsorted(times, heap[0][0], side="left"))
+        serve(start, stop)
+        start = stop
+    fire_before(float("inf"), 0)
+    return fired
+
+
+class _Recorder:
+    """Stands in for the measurement log, the estimator and the re-keyer,
+    and records every call with the requests served before it."""
+
+    def __init__(self):
+        self.calls = []
+        self.served = 0
+
+    def serve(self, start, stop):
+        assert start == self.served < stop
+        self.served = stop
+
+    def record(self, now, server, sample):
+        self.calls.append(("record", now, server, sample, self.served))
+
+    def estimate(self, server):
+        self.calls.append(("estimate", server))
+        return float(len(self.calls))
+
+    def observe(self, server, sample):
+        self.calls.append(("observe", server, sample))
+
+    def notify(self, now, server, prior):
+        self.calls.append(("notify", now, server, prior))
+
+
+class _Windows:
+    """The one call the replay loop makes on a kernel context, with
+    windows of three requests."""
+
+    def __init__(self, total):
+        self.total = total
+
+    def load_window(self, start):
+        return min(start + 3, self.total)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    server_ids=st.lists(
+        st.integers(min_value=0, max_value=50), min_size=1, max_size=6, unique=True
+    ),
+    interval=st.sampled_from([0.1, 0.3, 0.5, 0.7, 1.0, 2.5]),
+    origin=st.sampled_from([0.0, 3.0, 1234.5678]),
+    grid=st.sampled_from([0.1, 0.25, 0.5]),
+    steps=st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=60),
+    mode=st.sampled_from(["oracle", "passive", "reactive"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+# Rounds at 0.5 s land on requests on a 0.25 s grid: a tie at every round.
+@example(
+    server_ids=[4, 1],
+    interval=0.5,
+    origin=0.0,
+    grid=0.25,
+    steps=list(range(0, 41)),
+    mode="passive",
+    seed=0,
+)
+# Forty rounds of 0.1 s, whose accumulated times drift from k * 0.1.
+@example(
+    server_ids=[2],
+    interval=0.1,
+    origin=3.0,
+    grid=0.1,
+    steps=[0, 40],
+    mode="reactive",
+    seed=1,
+)
+def test_rounds_fire_what_the_heap_fired(
+    server_ids, interval, origin, grid, steps, mode, seed
+):
+    """The replay loop with probe rounds makes the calls the merge heap
+    made: each probe's time, server and sample, after the same number of
+    requests, and with an estimator and a re-keyer the same reads and
+    notifications in between."""
+    times = origin + grid * np.sort(np.array(steps, dtype=np.int64))
+    trace = ColumnarTrace(times, np.zeros(len(times), np.int64))
+    registry = _registry(server_ids, seed)
+    paths = [registry.get(server_id) for server_id in registry.server_ids()]
+
+    actual, expected = _Recorder(), _Recorder()
+    probes = ProbeRounds(
+        interval,
+        registry,
+        actual,
+        estimator=None if mode == "oracle" else actual,
+        rekeyer=actual if mode == "reactive" else None,
+        seed=seed,
     )
-    assert events == []  # first firing at t=50 is past the 10s window
-    events = build_remeasurement_events(
-        config, topology, None, None, trace_start=0.0, trace_end=200.0, base_seed=0
+    rng = copy.deepcopy(probes.rng)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            simulator_module,
+            "serve_batch",
+            lambda ctx, start, stop: actual.serve(start, stop),
+        )
+        ProxyCacheSimulator._replay(_Windows(len(times)), trace, probes)
+    fired = _heap_replay(
+        times,
+        paths,
+        interval,
+        rng,
+        expected,
+        None if mode == "oracle" else expected,
+        expected if mode == "reactive" else None,
+        expected.serve,
     )
-    assert len(events) == len(topology.paths)
-    assert all(isinstance(event, BandwidthRemeasurement) for event in events)
+    assert actual.calls == expected.calls
+    assert probes.fired == fired
+    assert actual.served == expected.served == len(times)
+
+
+def _heap_driven_replay(paths, seed):
+    """``ProxyCacheSimulator._replay`` with the reference heap in place of
+    the probe rounds, drawing from a generator seeded as the probes' own
+    is: each run of requests between two firings is served one window at
+    a time."""
+
+    def replay(ctx, trace, probes):
+        window_end = 0
+
+        def serve(start, stop):
+            nonlocal window_end
+            while start < stop:
+                if start == window_end:
+                    window_end = ctx.load_window(start)
+                cut = min(stop, window_end)
+                simulator_module.serve_batch(ctx, start, cut)
+                start = cut
+
+        rng = np.random.default_rng(
+            (events_module._REMEASUREMENT_STREAM_TAG, seed & 0xFFFFFFFF, 0)
+        )
+        probes.fired = _heap_replay(
+            trace.times_array,
+            paths,
+            probes.interval,
+            rng,
+            probes.log,
+            probes.estimator,
+            probes.rekeyer,
+            serve,
+        )
+
+    return staticmethod(replay)
+
+
+@pytest.mark.parametrize("reactive", [False, True], ids=["remeasure", "reactive"])
+@pytest.mark.parametrize("policy_name", sorted(POLICY_REGISTRY))
+def test_every_policy_replays_as_under_the_heap(
+    columnar_workload, policy_name, reactive, monkeypatch
+):
+    """A whole replay with probe rounds equals the replay the reference
+    heap drives, for every policy, with and without re-keying: the run
+    hands the rounds its paths in server-id order and its seed, and a
+    round between two chunks leaves the kernel's windows intact."""
+    config = _passive_config(
+        remeasurement=RemeasurementConfig(interval=150.0),
+        reactive_threshold=0.15 if reactive else None,
+    )
+    simulator = ProxyCacheSimulator(columnar_workload, config)
+    topology = simulator.build_topology(np.random.default_rng(config.seed))
+    paths = [topology.paths.get(server_id) for server_id in topology.paths.server_ids()]
+    rounds = simulator.run(make_policy(policy_name), topology=topology)
+    monkeypatch.setattr(
+        ProxyCacheSimulator, "_replay", _heap_driven_replay(paths, config.seed)
+    )
+    heap = simulator.run(make_policy(policy_name), topology=topology)
+
+    def reactive_counters(result):
+        return (
+            result.reactive_shifts,
+            result.reactive_rekeys,
+            result.reactive_suppressed,
+            result.reactive_rekeys_by_server,
+        )
+
+    assert rounds.auxiliary_events_fired == heap.auxiliary_events_fired > 0
+    assert rounds.as_dict() == heap.as_dict()
+    assert rounds.measurement_log.as_dict() == heap.measurement_log.as_dict()
+    assert rounds.heap_statistics == heap.heap_statistics
+    assert reactive_counters(rounds) == reactive_counters(heap)
+    assert (rounds.reactive_shifts > 0) == reactive

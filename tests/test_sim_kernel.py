@@ -544,8 +544,16 @@ def _replay_peak_growth(workload, config) -> int:
             },
             12.0,
         ),
+        (
+            False,
+            {
+                "bandwidth_knowledge": BandwidthKnowledge.PASSIVE,
+                "remeasurement": RemeasurementConfig(interval=60.0),
+            },
+            16.0,
+        ),
     ],
-    ids=["dense", "sparse", "clouds", "pops"],
+    ids=["dense", "sparse", "clouds", "pops", "remeasure"],
 )
 def test_replay_memory_grows_only_by_its_numpy_columns(sparse, subsystems, bound):
     """A replay holds its per-request columns as numpy arrays and only one
@@ -556,7 +564,10 @@ def test_replay_memory_grows_only_by_its_numpy_columns(sparse, subsystems, bound
     clouds keep one more drawn column, the observed last mile; the client
     group, the group's base bandwidth and the pop are derived from the
     client ids one window at a time (32 and 16 bytes per request with 4
-    cloud groups and with 4 pops when they were whole-trace columns)."""
+    cloud groups and with 4 pops when they were whole-trace columns).
+    Probing the 20 paths once a minute, about one probe per request, adds
+    nothing per request: a run holds one batch of samples per path, not
+    its probes."""
     once = _memory_workload(sparse, 1)
     four = _memory_workload(sparse, 4)
     config = SimulationConfig(

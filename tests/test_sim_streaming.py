@@ -151,6 +151,7 @@ def engine_setup():
         ]
     )
     store = CacheStore(100_000.0)
+    store.reserve(catalog)
     config = StreamingConfig(
         fraction=1.0,
         base_segment_kb=100.0,
@@ -294,10 +295,10 @@ class TestAdmissionAndTrim:
 
     def test_whole_object_mode_admits_all_or_nothing(self, engine_setup):
         engine, store = engine_setup
+        catalog = Catalog([MediaObject(object_id=0, duration=100.0, bitrate=48.0)])
+        store.reserve(catalog)
         whole = StreamingDeliveryEngine(
-            replace(engine.config, prefix_caching=False),
-            Catalog([MediaObject(object_id=0, duration=100.0, bitrate=48.0)]),
-            store,
+            replace(engine.config, prefix_caching=False), catalog, store
         )
         assert whole.admission_target(0, 250.0, 4800.0) == 4800.0
         assert whole.admission_target(0, 0.0, 4800.0) == 0.0
@@ -486,8 +487,10 @@ def stream_sessions(draw):
 )
 def test_serve_matches_the_reference_session(session):
     obj, config, required_rate, stored, bandwidth, waited, measuring = session
+    catalog = Catalog([obj])
     store = CacheStore(1e12)
-    engine = StreamingDeliveryEngine(config, Catalog([obj]), store)
+    store.reserve(catalog)
+    engine = StreamingDeliveryEngine(config, catalog, store)
     if stored > 0.0:
         store.set_cached_bytes(0, stored)
     expected, moves, trims, left, played = _reference_session(
