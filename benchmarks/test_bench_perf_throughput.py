@@ -234,8 +234,9 @@ def measure_throughput() -> dict:
     # Per-client last-mile draws: replay a 200k-request multi-client trace
     # on the columnar fast path with a heterogeneous client cloud attached
     # vs the same workload with the hop unmodeled.  The overhead isolates
-    # the composition machinery (one batched last-mile draw + two
-    # per-request bottleneck compares); the client column itself is free.
+    # the composition machinery (one batched last-mile draw per replay
+    # window + two per-request bottleneck compares); the client column
+    # itself is free.
     hetero_workload = build_workload(
         scale=FULL_SCALE, seed=BENCH_SEED, num_clients=CLIENT_COUNT
     )

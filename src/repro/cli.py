@@ -169,46 +169,59 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--fault-link-flaps", type=int, default=0, metavar="N",
                      help="inject this many random last-mile link flaps "
                           "(requires --client-clouds)")
-    run.add_argument("--fault-mean-duration", type=float, default=600.0,
+    # The tuning flags of a subsystem default to None ("not given"): the
+    # subsystem's config builder refuses each one given while the subsystem
+    # is off (_refuse_given), and the config's own default applies otherwise.
+    run.add_argument("--fault-mean-duration", type=float, default=None,
                      metavar="SECONDS",
                      help="mean episode duration for the random faults "
-                          "(exponentially distributed)")
-    run.add_argument("--fault-severity", type=float, default=0.1, metavar="FRACTION",
-                     help="bandwidth multiplier a flapping path collapses to")
-    run.add_argument("--fault-timeout-factor", type=float, default=4.0, metavar="X",
+                          "(exponentially distributed; default 600; requires "
+                          "a fault episode count)")
+    run.add_argument("--fault-severity", type=float, default=None, metavar="FRACTION",
+                     help="bandwidth multiplier a flapping path collapses to "
+                          "(default 0.1; requires a fault episode count)")
+    run.add_argument("--fault-timeout-factor", type=float, default=None, metavar="X",
                      help="a fetch times out when the degraded transfer would "
-                          "take more than X times its expected time")
-    run.add_argument("--fault-max-retries", type=int, default=2, metavar="N",
-                     help="retries per timed-out fetch (exponential backoff)")
-    run.add_argument("--fault-backoff", type=float, default=1.0, metavar="SECONDS",
-                     help="base backoff delay before the first retry")
-    run.add_argument("--fault-no-serve-stale", action="store_true",
+                          "take more than X times its expected time (default "
+                          "4; requires a fault episode count)")
+    run.add_argument("--fault-max-retries", type=int, default=None, metavar="N",
+                     help="retries per timed-out fetch (exponential backoff; "
+                          "default 2; requires a fault episode count)")
+    run.add_argument("--fault-backoff", type=float, default=None, metavar="SECONDS",
+                     help="base backoff delay before the first retry (default "
+                          "1; requires a fault episode count)")
+    run.add_argument("--fault-no-serve-stale", action="store_true", default=None,
                      help="fail requests to unreachable origins outright "
-                          "instead of serving the cached prefix stale")
-    run.add_argument("--fault-seed", type=int, default=0,
-                     help="seed of the dedicated fault random stream")
+                          "instead of serving the cached prefix stale "
+                          "(requires a fault episode count)")
+    run.add_argument("--fault-seed", type=int, default=None,
+                     help="seed of the dedicated fault random stream (default "
+                          "0; requires a fault episode count)")
     run.add_argument("--streaming-fraction", type=float, default=None,
                      metavar="FRACTION",
                      help="treat this fraction of the catalog as media streams "
                           "fetched as segment-wise sessions with partial-object "
                           "(prefix) caching and per-session QoE metrics "
                           "(see docs/streaming.md); enables streaming delivery")
-    run.add_argument("--streaming-whole-object", action="store_true",
+    run.add_argument("--streaming-whole-object", action="store_true", default=None,
                      help="ablation: cache selected streams whole-or-nothing "
                           "instead of as segment-quantised prefixes "
                           "(requires --streaming-fraction)")
-    run.add_argument("--streaming-segment-kb", type=float, default=256.0,
+    run.add_argument("--streaming-segment-kb", type=float, default=None,
                      metavar="KB",
                      help="base segment size for the streaming segmentation "
-                          "scheme (segments grow exponentially from this)")
-    run.add_argument("--streaming-prefetch", type=int, default=1, metavar="N",
+                          "scheme (segments grow exponentially from this; "
+                          "default 256; requires --streaming-fraction)")
+    run.add_argument("--streaming-prefetch", type=int, default=None, metavar="N",
                      help="extra segments prefetched past each admission "
-                          "target while a session is playing")
-    run.add_argument("--streaming-abandon-after", type=float, default=60.0,
+                          "target while a session is playing (default 1; "
+                          "requires --streaming-fraction)")
+    run.add_argument("--streaming-abandon-after", type=float, default=None,
                      metavar="SECONDS",
                      help="a session abandons rather than wait longer than "
                           "this for full-quality startup (it degrades to a "
-                          "sustainable layer subset first when possible)")
+                          "sustainable layer subset first when possible; "
+                          "default 60; requires --streaming-fraction)")
     run.add_argument("--tiers", type=int, default=None, metavar="N",
                      help="replay against an N-tier cache hierarchy (edge pop "
                           "-> parents -> origin) instead of one proxy; each "
@@ -231,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--sibling-bandwidth", type=float, default=None,
                      metavar="KBPS",
                      help="bandwidth of a sibling-served transfer "
-                          "(default: unconstrained)")
+                          "(default: unconstrained; requires --sibling-lookup)")
     run.add_argument("--shards", type=int, default=None, metavar="N",
                      help="partition the trace into N client-group shards and "
                           "replay each in its own worker process, then merge "
@@ -241,20 +254,23 @@ def build_parser() -> argparse.ArgumentParser:
                      help="record a windowed metrics timeline and write it to "
                           "this JSON file (also prints a short table; see "
                           "docs/observability.md)")
-    run.add_argument("--metrics-window", type=float, default=60.0,
+    run.add_argument("--metrics-window", type=float, default=None,
                      metavar="SECONDS",
-                     help="simulated-time window width for --metrics-out")
+                     help="simulated-time window width for --metrics-out "
+                          "(default 60; requires --metrics-out)")
     run.add_argument("--trace-out", default=None, metavar="FILE",
                      help="write a structured JSONL event trace (admissions, "
                           "evictions, re-keys, fault episodes, retries) to "
                           "this file")
-    run.add_argument("--trace-level", choices=("info", "debug"), default="info",
+    run.add_argument("--trace-level", choices=("info", "debug"), default=None,
                      help="lowest event level kept by --trace-out (debug adds "
-                          "per-object cache admissions/evictions and retries)")
-    run.add_argument("--trace-sample", type=float, default=1.0,
+                          "per-object cache admissions/evictions and retries; "
+                          "default info; requires --trace-out)")
+    run.add_argument("--trace-sample", type=float, default=None,
                      metavar="FRACTION",
                      help="deterministically keep this fraction of sampled "
-                          "trace events (run-start/run-end are always kept)")
+                          "trace events (run-start/run-end are always kept; "
+                          "default 1; requires --trace-out)")
     run.add_argument("--profile", action="store_true",
                      help="time the run's stages (workload draw, topology "
                           "build, replay, policy ops, estimator, fault "
@@ -319,12 +335,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_given(enabler: str, *flags: tuple) -> None:
+    """Refuse the first of ``flags`` (``(flag, value)`` pairs, ``value``
+    ``None`` when the flag was not given) that was given: ``enabler``,
+    which switches on what it tunes, is off, so it would change nothing."""
+    for flag, value in flags:
+        if value is not None:
+            raise ConfigurationError(f"{flag} requires {enabler}")
+
+
+def _given(**values) -> dict:
+    """The keyword arguments among ``values`` whose flag was given."""
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def _client_cloud_config(args: argparse.Namespace) -> Optional[ClientCloudConfig]:
     """Build a :class:`ClientCloudConfig` from the shared CLI flags."""
     if args.client_clouds is None:
-        if args.client_bandwidth is not None:
-            _log.error("--client-bandwidth requires --client-clouds")
-            raise SystemExit(2)
+        _refuse_given("--client-clouds", ("--client-bandwidth", args.client_bandwidth))
         return None
     if args.client_bandwidth is not None:
         return ClientCloudConfig(
@@ -339,39 +367,56 @@ def _fault_config(args: argparse.Namespace) -> Optional[FaultConfig]:
     """Build a :class:`FaultConfig` from the ``run --fault-*`` flags."""
     if not (args.fault_origin_outages or args.fault_bandwidth_flaps
             or args.fault_link_flaps):
+        _refuse_given(
+            "--fault-origin-outages, --fault-bandwidth-flaps or --fault-link-flaps",
+            ("--fault-mean-duration", args.fault_mean_duration),
+            ("--fault-severity", args.fault_severity),
+            ("--fault-timeout-factor", args.fault_timeout_factor),
+            ("--fault-max-retries", args.fault_max_retries),
+            ("--fault-backoff", args.fault_backoff),
+            ("--fault-no-serve-stale", args.fault_no_serve_stale),
+            ("--fault-seed", args.fault_seed),
+        )
         return None
     if args.fault_link_flaps and args.client_clouds is None:
-        _log.error("--fault-link-flaps requires --client-clouds (there is no "
-                   "modeled last mile to fail)")
-        raise SystemExit(2)
+        raise ConfigurationError("--fault-link-flaps requires --client-clouds "
+                                 "(there is no modeled last mile to fail)")
     return FaultConfig(
         random_origin_outages=args.fault_origin_outages,
         random_bandwidth_flaps=args.fault_bandwidth_flaps,
         random_link_flaps=args.fault_link_flaps,
-        mean_duration_s=args.fault_mean_duration,
-        severity=args.fault_severity,
-        seed=args.fault_seed,
-        timeout_factor=args.fault_timeout_factor,
-        max_retries=args.fault_max_retries,
-        backoff_base_s=args.fault_backoff,
         serve_stale=not args.fault_no_serve_stale,
+        **_given(
+            mean_duration_s=args.fault_mean_duration,
+            severity=args.fault_severity,
+            seed=args.fault_seed,
+            timeout_factor=args.fault_timeout_factor,
+            max_retries=args.fault_max_retries,
+            backoff_base_s=args.fault_backoff,
+        ),
     )
 
 
 def _streaming_config(args: argparse.Namespace) -> Optional[StreamingConfig]:
     """Build a :class:`StreamingConfig` from the ``run --streaming-*`` flags."""
     if args.streaming_fraction is None:
-        if args.streaming_whole_object:
-            _log.error("--streaming-whole-object requires --streaming-fraction")
-            raise SystemExit(2)
+        _refuse_given(
+            "--streaming-fraction",
+            ("--streaming-whole-object", args.streaming_whole_object),
+            ("--streaming-segment-kb", args.streaming_segment_kb),
+            ("--streaming-prefetch", args.streaming_prefetch),
+            ("--streaming-abandon-after", args.streaming_abandon_after),
+        )
         return None
     return StreamingConfig(
         fraction=args.streaming_fraction,
         prefix_caching=not args.streaming_whole_object,
-        base_segment_kb=args.streaming_segment_kb,
-        prefetch_segments=args.streaming_prefetch,
-        abandon_after_s=args.streaming_abandon_after,
         seed=args.seed,
+        **_given(
+            base_segment_kb=args.streaming_segment_kb,
+            prefetch_segments=args.streaming_prefetch,
+            abandon_after_s=args.streaming_abandon_after,
+        ),
     )
 
 
@@ -383,13 +428,11 @@ def _parse_tier_values(raw: Optional[str], tiers: int, flag: str,
     try:
         values = [float(part) for part in raw.split(",") if part.strip()]
     except ValueError:
-        _log.error("%s expects comma-separated numbers, got %r", flag, raw)
-        raise SystemExit(2)
+        raise ConfigurationError(f"{flag} expects comma-separated numbers, got {raw!r}")
     if len(values) == 1:
         return values * tiers
     if len(values) != tiers:
-        _log.error("%s needs 1 or %d value(s), got %d", flag, tiers, len(values))
-        raise SystemExit(2)
+        raise ConfigurationError(f"{flag} needs 1 or {tiers} value(s), got {len(values)}")
     return values
 
 
@@ -397,24 +440,22 @@ def _hierarchy_config(args: argparse.Namespace):
     """Build a :class:`HierarchyConfig` from the ``run --tiers`` family."""
     from repro.sim.hierarchy import CacheTier, HierarchyConfig
 
+    if not args.sibling_lookup:
+        _refuse_given("--sibling-lookup", ("--sibling-bandwidth", args.sibling_bandwidth))
     if args.tiers is None:
-        for flag, value in (("--tier-cache-kb", args.tier_cache_kb),
-                            ("--tier-uplink", args.tier_uplink),
-                            ("--sibling-lookup", args.sibling_lookup or None),
-                            ("--shards", args.shards)):
-            if value is not None:
-                _log.error("%s requires --tiers", flag)
-                raise SystemExit(2)
-        if args.pops != 1:
-            _log.error("--pops requires --tiers")
-            raise SystemExit(2)
+        _refuse_given(
+            "--tiers",
+            ("--tier-cache-kb", args.tier_cache_kb),
+            ("--tier-uplink", args.tier_uplink),
+            ("--sibling-lookup", args.sibling_lookup or None),
+            ("--shards", args.shards),
+            ("--pops", None if args.pops == 1 else args.pops),
+        )
         return None
     if args.tiers < 1:
-        _log.error("--tiers must be at least 1, got %d", args.tiers)
-        raise SystemExit(2)
+        raise ConfigurationError(f"--tiers must be at least 1, got {args.tiers}")
     if args.tier_cache_kb is None:
-        _log.error("--tiers requires --tier-cache-kb")
-        raise SystemExit(2)
+        raise ConfigurationError("--tiers requires --tier-cache-kb")
     caches = _parse_tier_values(args.tier_cache_kb, args.tiers,
                                 "--tier-cache-kb", 0.0)
     uplinks = _parse_tier_values(args.tier_uplink, args.tiers,
@@ -442,15 +483,25 @@ def _hierarchy_config(args: argparse.Namespace):
 
 def _observability_config(args: argparse.Namespace) -> Optional[ObservabilityConfig]:
     """Build an :class:`ObservabilityConfig` from the ``run`` obs flags."""
+    if args.metrics_out is None:
+        _refuse_given("--metrics-out", ("--metrics-window", args.metrics_window))
+    if args.trace_out is None:
+        _refuse_given(
+            "--trace-out",
+            ("--trace-level", args.trace_level),
+            ("--trace-sample", args.trace_sample),
+        )
     if not (args.metrics_out or args.trace_out or args.profile):
         return None
     return ObservabilityConfig(
-        window_s=args.metrics_window,
         timeline=args.metrics_out is not None,
         trace_path=args.trace_out,
-        trace_level=args.trace_level,
-        trace_sample=args.trace_sample,
         profile=args.profile,
+        **_given(
+            window_s=args.metrics_window,
+            trace_level=args.trace_level,
+            trace_sample=args.trace_sample,
+        ),
     )
 
 
@@ -470,8 +521,12 @@ def _run_single(args: argparse.Namespace) -> int:
     workload_config = WorkloadConfig(seed=args.seed)
     if args.scale != 1.0:
         workload_config = workload_config.scaled(args.scale)
+    # Every subsystem's flags are checked here, before the workload draw.
     client_clouds = _client_cloud_config(args)
     hierarchy = _hierarchy_config(args)
+    faults = _fault_config(args)
+    streaming = _streaming_config(args)
+    observability = _observability_config(args)
     if client_clouds is not None:
         # One distinct client per last-mile group keeps the CLI surface
         # simple; the library supports many clients per group.
@@ -498,10 +553,10 @@ def _run_single(args: argparse.Namespace) -> int:
         reactive_passive=args.reactive_passive,
         reactive_hysteresis=args.reactive_hysteresis,
         reactive_rekey_cap=args.reactive_rekey_cap,
-        faults=_fault_config(args),
-        streaming=_streaming_config(args),
+        faults=faults,
+        streaming=streaming,
         hierarchy=hierarchy,
-        observability=_observability_config(args),
+        observability=observability,
         seed=args.seed,
     )
     fleet = None
@@ -509,8 +564,7 @@ def _run_single(args: argparse.Namespace) -> int:
         from repro.analysis.parallel import run_sharded_fleet
 
         if args.shards < 1:
-            _log.error("--shards must be at least 1, got %d", args.shards)
-            raise SystemExit(2)
+            raise ConfigurationError(f"--shards must be at least 1, got {args.shards}")
         fleet = run_sharded_fleet(
             workload,
             config,
@@ -607,7 +661,7 @@ def _run_single(args: argparse.Namespace) -> int:
         payload = result.timeline.as_dict()
         Path(args.metrics_out).write_text(_json.dumps(payload) + "\n")
         print(f"metrics timeline: {result.timeline.num_windows} window(s) of "
-              f"{args.metrics_window:g} s -> {args.metrics_out}")
+              f"{config.observability.window_s:g} s -> {args.metrics_out}")
         print(format_timeline(result.timeline))
     if args.trace_out:
         print(f"event trace: {args.trace_out}")
@@ -645,9 +699,8 @@ def _run_ingest(args: argparse.Namespace) -> int:
     from repro.trace.ingest import ingest_access_log
     from repro.units import DEFAULT_BITRATE_KBPS
 
-    if args.append and not args.out:
-        _log.error("--append requires --out")
-        return 2
+    if not args.out:
+        _refuse_given("--out", ("--append", args.append or None))
     _require_directory("--out", args.out)
     # Validate the shared client-cloud flags up front (the bandwidth-
     # without-groups error in particular), and be loud about the one case

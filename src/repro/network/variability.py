@@ -37,8 +37,11 @@ class BandwidthVariabilityModel:
         """Draw ``size`` i.i.d. sample-to-mean ratios (mean ~ 1).
 
         One ``size=n`` call must consume ``rng`` exactly like ``n``
-        consecutive ``size=1`` calls: the replay draws every request's
-        ratio in one batch.
+        consecutive ``size=1`` calls, and so like any run of consecutive
+        calls whose sizes sum to ``n``: the replay draws its requests'
+        ratios in one batch per window of requests
+        (:meth:`repro.sim.kernel.KernelContext.load_window`), so the
+        window size must not move a value.
         """
         raise NotImplementedError
 

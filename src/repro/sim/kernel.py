@@ -29,15 +29,15 @@ however it likes as long as the observable sequence is preserved, and
 splitting a run at any request must not change a bit of the result
 (``tests/test_sim_kernel.py`` checks this down to one request per chunk).
 
-The whole-trace columns are the trace's own and the drawn observed
-bandwidths (origin, and last mile with client clouds), all numpy arrays.
-The loop reads Python lists, which cost 32 to 36 bytes per element where
-the array costs 8, so the context lists one *window* of
-:data:`WINDOW_ROWS` requests at a time (:meth:`KernelContext.load_window`)
-and derives the window's client groups, group base bandwidths and pops
-from its client ids: replay memory is the numpy columns plus one window,
-whatever the trace's length.  The loop indexes a window's lists with
-window-local indices.
+The only whole-trace columns are the trace's own numpy arrays (object
+ids, times, client ids).  The loop reads Python lists, which cost 32 to
+36 bytes per element where the array costs 8, so the context lists one
+*window* of :data:`WINDOW_ROWS` requests at a time
+(:meth:`KernelContext.load_window`): it derives the window's client
+groups, group base bandwidths and pops from its client ids and draws the
+window's observed bandwidths (below).  A replay's memory beyond the trace
+and its catalog-sized tables is one window, whatever the trace's length.
+The loop indexes a window's lists with window-local indices.
 
 Each measured request ends in one *outcome row* (cache KB, server KB,
 delay, quality, added value, status, retries; see
@@ -62,29 +62,34 @@ one, so it is the one list of what the loop reads.  Adding a subsystem
 to the simulator means adding one stage hook here (see
 ``docs/architecture.md``).
 
-All pre-draw logic also lives here: :func:`predraw_ratios` (every
-request's origin variability ratio, in one batch) and
-:func:`last_mile_sequences` (the groups' base bandwidths and every
-request's observed last mile) are resolved once by :func:`build_context`
-before replay starts, so neither chunk boundaries nor window ends ever
-move a random draw.  Each side's
-batch comes from the one variability model its paths share; a topology
-whose origin paths, or whose client-cloud paths, carry more than one
-model instance is refused with a
-:class:`~repro.exceptions.ConfigurationError` before the first request.
+All bandwidth-draw logic also lives here.  A request's observed origin
+bandwidth is its path's base modulated by a variability ratio, and with a
+client cloud its observed last mile is its group's base modulated by
+another, each floored at 1 KB/s.  :meth:`KernelContext.load_window` draws
+each side's ratios for its window as one batch (:func:`_observed`): the
+origin's from the run's generator, the last mile's from the client
+cloud's own, which :func:`build_context` creates.  A bundled model's
+batch of ``n`` consumes its generator exactly like ``n`` one-ratio draws,
+so with the windows loaded once each, in trace order, every request gets
+the ratio one whole-trace batch would give it: neither chunk boundaries,
+window ends nor the probe rounds fired between chunks (whose generator is
+their own) move a value.  Each side's batches come from the one
+variability model its paths share; a topology whose origin paths, or
+whose client-cloud paths, carry more than one model instance is refused
+with a :class:`~repro.exceptions.ConfigurationError` by
+:func:`build_context`, before the first request.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Optional
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.sim.faults import stale_quality
 from repro.sim.metrics import FAILED, OUTCOME_COLUMNS, SERVED, STALE
-from repro.workload.catalog import id_table
+from repro.workload.catalog import dense_ids, id_table
 
 #: The canonical per-request stage order.  A request runs a subsequence of
 #: these stages: those whose subsystem is disabled, or that a branch skips
@@ -114,20 +119,21 @@ BLOCK_ROWS = 4_096
 
 #: Requests per replay window: how many rows of each per-request column
 #: the context holds as Python lists at once (about 100 bytes a row with
-#: ids, times and observed bandwidth, so 1.6 MB).
+#: ids, times and observed bandwidth, so 1.6 MB), and how many ratios a
+#: side draws in one batch.
 WINDOW_ROWS = 16_384
 
 
 # ----------------------------------------------------------------------
-# Pre-draw logic (one home; used by build_context only).
+# Bandwidth-draw logic (one home; used by build_context and load_window).
 # ----------------------------------------------------------------------
 def _shared_model(paths, side: str):
     """The one variability model instance all of ``paths`` carry
     (``None`` when there are no paths).
 
     Raises :class:`ConfigurationError` naming ``side`` when two paths
-    carry different instances: the replay draws a side's ratios as one
-    batch from one model.
+    carry different instances: the replay draws a side's ratios in
+    batches from one model.
     """
     model = None
     for path in paths:
@@ -142,50 +148,21 @@ def _shared_model(paths, side: str):
     return model
 
 
-def predraw_ratios(topology, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw all ``count`` per-request origin variability ratios in one
-    numpy batch from the model the origin paths share.
+def _observed(base: np.ndarray, model, rng: np.random.Generator) -> list:
+    """The observed bandwidths of one window: each request's ``base``
+    times the next ratio ``model`` draws from ``rng``, floor 1 KB/s, as a
+    list.  ``base`` is a fresh gather, computed over in place.
 
-    A bundled model's ``sample_ratio(rng, size=n)`` consumes the generator
-    exactly like ``n`` consecutive ``size=1`` draws, so the batch is
-    elementwise IEEE-identical to drawing each request in turn.  Origin
-    paths carrying more than one model instance are refused.
+    The window's ratios are one batch of ``len(base)``.  A bundled
+    model's ``sample_ratio(rng, size=n)`` consumes the generator exactly
+    like ``n`` consecutive ``size=1`` draws, so the batches of a run's
+    windows, drawn in trace order, are elementwise IEEE-identical to one
+    whole-trace batch or to drawing each request in turn.
     """
-    model = _shared_model(topology.paths, "origin")
-    if model is None:  # An empty registry: the trace has no request.
-        return np.empty(0)
-    return np.asarray(model.sample_ratio(rng, size=count), dtype=np.float64)
-
-
-def last_mile_sequences(topology, trace, seed: tuple) -> Optional[tuple]:
-    """The client cloud's ``(group_base, observed)`` last-mile arrays.
-
-    Returns ``None`` when the topology's client cloud has no modeled
-    last-mile paths — the kernel then skips the composition entirely,
-    reproducing the pre-heterogeneity arithmetic exactly.
-
-    Otherwise a request's client belongs to group ``client_id % groups``.
-    ``group_base`` holds each group's *base* bandwidth (what the cache
-    believes its own last mile sustains — the cache knows its client
-    side, so no estimator is involved), one entry per group;
-    :meth:`KernelContext.load_window` looks each request's up.
-    ``observed`` holds every request's *observed* last-mile bandwidth:
-    its group's base modulated by the model the group paths share, floor
-    1 KB/s, computed in place in the gathered base column.  The ratios
-    are one batch from a dedicated generator seeded with ``seed``, in
-    request order, drawn once per run *before* replay starts.  Cloud
-    paths carrying more than one model instance are refused.
-    """
-    paths = topology.clients.paths
-    if not paths:
-        return None
-    model = _shared_model(paths, "client-cloud")
-    group_base = np.array([path.base_bandwidth for path in paths], dtype=np.float64)
-    observed = group_base[trace.client_ids_array % len(paths)]
-    ratios = model.sample_ratio(np.random.default_rng(seed), size=len(trace))
-    np.multiply(observed, np.asarray(ratios, dtype=np.float64), out=observed)
-    np.maximum(observed, 1.0, out=observed)
-    return group_base, observed
+    ratios = np.asarray(model.sample_ratio(rng, size=len(base)), dtype=np.float64)
+    np.multiply(base, ratios, out=base)
+    np.maximum(base, 1.0, out=base)
+    return base.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -220,24 +197,30 @@ class KernelContext:
 
     Built by :func:`build_context`; consumed by :func:`serve_batch`.  The
     outcome block (``outcomes``, whose row 0 is request
-    ``outcome_origin``) and the ``tl_boundary`` cursor are *run state*
-    carried across chunks.  ``columns`` holds the run's whole-trace
-    numpy columns, each paired with the slot (``ids``, ``times``,
-    ``observed_seq``, ``lm_observed``) that holds, as a list, the rows of
-    the window :meth:`load_window` loaded last, whose row 0 is request
-    ``window_start``; from the window's ``clients`` it derives
-    ``lm_groups`` and ``lm_base`` (with ``group_base``) and ``pops``.  A
-    slot whose column the run lacks stays ``None``.  Everything else is
-    read-only for the run.  Call :meth:`finish` exactly once after the
-    replay completes.
+    ``outcome_origin``), the ``tl_boundary`` cursor and the two
+    generators (``origin_rng``, ``cloud_rng``) are *run state* carried
+    across chunks.  ``id_column``, ``time_column`` and ``client_column``
+    are the trace's whole numpy columns (``client_column`` only with a
+    client cloud or several pops).  The window slots (``ids``,
+    ``times``, ``observed_seq``, ``lm_groups``, ``lm_base``,
+    ``lm_observed``, ``pops``) hold, as lists, the rows of the window
+    :meth:`load_window` loaded last, whose row 0 is request
+    ``window_start``; a slot the run has no use for holds ``None``.
+    Everything else is read-only for the run.  Call :meth:`finish`
+    exactly once after the replay completes.
     """
 
     __slots__ = (
         # Static bindings (read-only during replay).
         "requests",
-        "columns",
-        "clients",
+        "id_column",
+        "time_column",
+        "client_column",
+        "base_keys",
+        "base_lut",
+        "origin_model",
         "group_base",
+        "cloud_model",
         "num_pops",
         "warmup_cutoff",
         "verify_store",
@@ -269,6 +252,8 @@ class KernelContext:
         "lm_groups",
         "pops",
         # Run state (carried across chunks).
+        "origin_rng",
+        "cloud_rng",
         "tl_boundary",
         "outcomes",
         "outcome_origin",
@@ -276,27 +261,40 @@ class KernelContext:
 
     def load_window(self, start: int) -> int:
         """Load the window that starts at request ``start``: the next
-        :data:`WINDOW_ROWS` rows (fewer at the trace's end) of every
-        column, and of every column derived from the client ids, as
-        lists.  Returns the request the window stops before.
+        :data:`WINDOW_ROWS` requests (fewer at the trace's end) as lists
+        of their ids, times and observed bandwidths, and of what the run
+        derives from their client ids (client group, the group's base and
+        observed last mile, pop).  Returns the request the window stops
+        before.
+
+        Each side draws the window's ratios as the next batch from its
+        generator, so the replay loads every window once, in trace order.
         """
         stop = min(start + WINDOW_ROWS, self.requests)
         self.window_start = start
         # Drop the last window's lists first, so that a window switch
-        # never holds two lists of one column.
-        for name, column in self.columns:
-            setattr(self, name, None)
-            setattr(self, name, column[start:stop].tolist())
-        if self.clients is not None:
-            self.lm_groups = self.lm_base = self.pops = None
-            clients = self.clients[start:stop]
+        # never holds two lists of one column, and draw before listing
+        # ids and times, so that the draws' arrays are gone by then.
+        self.ids = self.times = self.observed_seq = None
+        self.lm_groups = self.lm_base = self.lm_observed = self.pops = None
+        ids = self.id_column[start:stop]
+        keys = ids if self.base_keys is None else np.searchsorted(self.base_keys, ids)
+        self.observed_seq = _observed(
+            self.base_lut[keys], self.origin_model, self.origin_rng
+        )
+        if self.client_column is not None:
+            clients = self.client_column[start:stop]
             group_base = self.group_base
             if group_base is not None:
                 groups = clients % len(group_base)
+                base = group_base[groups]
+                self.lm_base = base.tolist()
+                self.lm_observed = _observed(base, self.cloud_model, self.cloud_rng)
                 self.lm_groups = groups.tolist()
-                self.lm_base = group_base[groups].tolist()
             if self.num_pops > 1:
                 self.pops = (clients % self.num_pops).tolist()
+        self.ids = ids.tolist()
+        self.times = self.time_column[start:stop].tolist()
         return stop
 
     def reduce(self, count: int) -> None:
@@ -351,11 +349,13 @@ def build_context(
     """Assemble the per-run :class:`KernelContext` for a columnar ``trace``.
 
     Binds each configured subsystem's stage methods and attributes,
-    draws the last mile, prefills the per-object entry table and
-    vectorises the whole observed-bandwidth column from one batch of
-    ratios drawn from ``rng``.  The per-request columns stay numpy
-    arrays; the replay loop loads each window's lists with
-    :meth:`KernelContext.load_window` before serving it.
+    prefills the per-object entry table and base-bandwidth lookup, and
+    checks that each side's paths share one variability model.  The
+    per-request columns stay numpy arrays; the replay loop loads each
+    window's lists with :meth:`KernelContext.load_window`, which draws
+    the window's origin ratios from ``rng`` and its last-mile ratios
+    from a generator seeded with ``client_cloud_seed``, before serving
+    it.
 
     ``rekeyer`` is the *passive-reactive* rekeyer (already gated by the
     config).  With the run's ``profiler``
@@ -418,48 +418,62 @@ def build_context(
     ctx.tl_boundary = timeline.first_boundary if timeline is not None else _INF
 
     # The per-request columns, kept as numpy arrays for the whole run;
-    # load_window lists one window of each at a time, and derives the
-    # client group, group base and pop columns from the client ids.
+    # load_window lists one window of each at a time, derives the client
+    # group, group base and pop columns from the client ids and draws the
+    # window's observed bandwidths.
     ids_array = trace.object_ids_array
-    columns = [("ids", ids_array), ("times", trace.times_array)]
-    ctx.lm_base = ctx.lm_observed = ctx.lm_groups = ctx.pops = None
-    ctx.group_base = ctx.clients = None
+    ctx.id_column = ids_array
+    ctx.time_column = trace.times_array
     ctx.num_pops = num_pops
-    last_mile = last_mile_sequences(topology, trace, client_cloud_seed)
-    if last_mile is not None:
-        ctx.group_base, lm_observed = last_mile
-        columns.append(("lm_observed", lm_observed))
-    if last_mile is not None or num_pops > 1:
-        ctx.clients = trace.client_ids_array
+    # A client cloud's requests come from group ``client_id % groups``;
+    # the cache knows its own client side, so each group's base is what
+    # it believes that group's last mile sustains.
+    cloud_paths = topology.clients.paths
+    if cloud_paths:
+        ctx.cloud_model = _shared_model(cloud_paths, "client-cloud")
+        ctx.cloud_rng = np.random.default_rng(client_cloud_seed)
+        ctx.group_base = np.array(
+            [path.base_bandwidth for path in cloud_paths], dtype=np.float64
+        )
+    else:
+        ctx.cloud_model = ctx.cloud_rng = ctx.group_base = None
+    ctx.client_column = (
+        trace.client_ids_array if cloud_paths or num_pops > 1 else None
+    )
 
     # Resolve every distinct object once.  Dense ids (0..N-1 for
     # generated and ingested catalogs) index a list; sparse ids key a
-    # dict, so ``entries[object_id]`` serves both without a remap.
-    unique_ids = np.unique(ids_array)
+    # dict, so ``entries[object_id]`` serves both without a remap.  Dense
+    # ids are found with a presence mask over their range, which sorts no
+    # copy of the id column.
+    low, high = (int(ids_array.min()), int(ids_array.max())) if total else (0, -1)
+    if dense_ids(low, high, total):
+        present = np.zeros(high + 1, dtype=bool)
+        present[ids_array] = True
+        unique_ids = np.flatnonzero(present)
+    else:
+        unique_ids = np.unique(ids_array)
     object_ids = unique_ids.tolist()
     entries = id_table(object_ids, total, None)
     for object_id in object_ids:
         entries[object_id] = _make_entry(catalog_get, path_for, object_id)
     ctx.entries = entries
 
-    # Vectorise the whole observed-bandwidth column (elementwise
-    # IEEE-identical to the scalar base * ratio, floor 1.0), in place in
-    # the freshly gathered base column.  Sparse ids find their base
-    # through their position among the sorted distinct ids.
-    ratio_array = predraw_ratios(topology, rng, total)
+    # Each object's base bandwidth, for load_window's gather: dense ids
+    # index the lookup, sparse ids their position among the sorted
+    # distinct ids.
     unique_base = np.array(
         [entries[object_id][1] for object_id in object_ids], dtype=np.float64
     )
     if isinstance(entries, list):
-        base_lut = np.zeros(len(entries), dtype=np.float64)
-        base_lut[unique_ids] = unique_base
-        base = base_lut[ids_array]
+        ctx.base_keys = None
+        ctx.base_lut = np.zeros(len(entries), dtype=np.float64)
+        ctx.base_lut[unique_ids] = unique_base
     else:
-        base = unique_base[np.searchsorted(unique_ids, ids_array)]
-    np.multiply(base, ratio_array, out=base)
-    np.maximum(base, 1.0, out=base)
-    columns.append(("observed_seq", base))
-    ctx.columns = tuple(columns)
+        ctx.base_keys = unique_ids
+        ctx.base_lut = unique_base
+    ctx.origin_model = _shared_model(topology.paths, "origin")
+    ctx.origin_rng = rng
 
     # The outcome block: one typed double per column and measured request,
     # at most BLOCK_ROWS of them.

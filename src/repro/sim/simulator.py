@@ -18,9 +18,9 @@ The per-request service sequence lives in one place —
 *driver* (:meth:`ProxyCacheSimulator._replay`, see
 ``docs/architecture.md``).  Every run replays the workload's
 :class:`~repro.trace.columnar.ColumnarTrace` columns as they are, and the
-kernel context prefills one entry per distinct object plus a vectorised
-observed-bandwidth column.  ``_replay`` then splits the trace into the
-longest runs uninterrupted by a periodic bandwidth re-measurement round
+kernel context prefills one entry per distinct object.  ``_replay`` then
+splits the trace into the longest runs uninterrupted by a periodic
+bandwidth re-measurement round
 (:class:`~repro.sim.events.ProbeRounds`, configured by
 :attr:`~repro.sim.config.SimulationConfig.remeasurement`), which fires
 after every request strictly before it, and serves each run through
@@ -28,11 +28,12 @@ after every request strictly before it, and serves each run through
 :data:`repro.sim.kernel.WINDOW_ROWS` requests does, so without probes
 each window is one chunk.
 
-Per-client last-mile bandwidth
-(:attr:`~repro.sim.config.SimulationConfig.client_clouds`) is resolved
-once per run by the kernel context builder
-(:func:`repro.sim.kernel.last_mile_sequences`), and each request's
-delivered bandwidth becomes the bottleneck of its two hops — see
+Each window's observed bandwidths are drawn when
+:meth:`~repro.sim.kernel.KernelContext.load_window` lists it: the origin
+side from the run's generator and, with per-client last-mile bandwidth
+(:attr:`~repro.sim.config.SimulationConfig.client_clouds`), the last
+mile from the client cloud's own, and each request's delivered
+bandwidth becomes the bottleneck of its two hops — see
 ``docs/clients.md``.
 """
 
@@ -456,10 +457,11 @@ class ProxyCacheSimulator:
         loop loads the next window's lists
         (:meth:`repro.sim.kernel.KernelContext.load_window`), and it
         serves each run of requests inside one window and between two
-        rounds through :func:`repro.sim.kernel.serve_batch`.  Probes draw
-        from their own random generator (:mod:`repro.sim.events`), so the
-        kernel's pre-drawn bandwidths stay valid while rounds fire
-        between chunks.  Without probes each window is one chunk.
+        rounds through :func:`repro.sim.kernel.serve_batch`.  Each window
+        is loaded once, in trace order, since loading it draws its
+        bandwidths; probes draw from their own random generator
+        (:mod:`repro.sim.events`), so rounds fired between chunks move no
+        request's draw.  Without probes each window is one chunk.
         """
         start = window_end = 0
 

@@ -149,17 +149,25 @@ def _check_bandwidth(bandwidth: float) -> None:
         raise ConfigurationError(f"bandwidth must be non-negative, got {bandwidth}")
 
 
+def dense_ids(low: int, high: int, count: int) -> bool:
+    """Whether ids from ``low`` to ``high``, out of a population of
+    ``count``, are dense: none negative and the largest below
+    ``4 * count + 1024``, so a list indexed by id stays a small multiple
+    of the population."""
+    return low >= 0 and high < 4 * count + 1024
+
+
 def id_table(ids: Sequence[int], count: int, fill) -> Union[list, dict]:
     """A table with a ``fill`` slot for every id in the sorted ``ids``.
 
-    Dense ids (none negative, the largest below ``4 * count + 1024``, where
-    ``count`` is the size of the population they come from) index a list
-    of ``ids[-1] + 1`` slots, so ``table[object_id]`` is one list
-    subscript.  Sparse ids key a dict holding the same slots, so a few huge
-    ids never allocate a list up to the largest one.  Either way every id
-    in ``ids`` can be read and written without a bounds check.
+    Dense ids (:func:`dense_ids`, where ``count`` is the size of the
+    population they come from) index a list of ``ids[-1] + 1`` slots, so
+    ``table[object_id]`` is one list subscript.  Sparse ids key a dict
+    holding the same slots, so a few huge ids never allocate a list up to
+    the largest one.  Either way every id in ``ids`` can be read and
+    written without a bounds check.
     """
-    if ids and (ids[0] < 0 or ids[-1] >= 4 * count + 1024):
+    if ids and not dense_ids(ids[0], ids[-1], count):
         return dict.fromkeys(ids, fill)
     return [fill] * (ids[-1] + 1 if ids else 0)
 

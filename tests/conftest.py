@@ -105,9 +105,27 @@ class ReplayGoldens:
         assert record == self._golden[key], key
 
     def write(self) -> None:
+        """Rewrite :data:`GOLDEN_PATH` with the recorded runs, and print
+        every key the rewrite removes or adds (nothing when the key sets
+        match), so a key no test reads any longer shows."""
+        committed = set()
+        if GOLDEN_PATH.exists():
+            committed = set(json.loads(GOLDEN_PATH.read_text()))
         GOLDEN_PATH.write_text(
             json.dumps(self.recorded, indent=1, sort_keys=True) + "\n"
         )
+        recorded = set(self.recorded)
+        changes = [
+            f"replay golden {change}: {key}"
+            for change, keys in (
+                ("removed", committed - recorded),
+                ("added", recorded - committed),
+            )
+            for key in sorted(keys)
+        ]
+        if changes:
+            # pytest's progress line ends without a newline.
+            print("", *changes, sep="\n")
 
 
 GOLDENS = ReplayGoldens()

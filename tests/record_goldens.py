@@ -7,5 +7,8 @@ Load it explicitly, with ``tests/`` importable::
 Its presence switches ``conftest.GOLDENS`` to recording: every golden
 call site stores its run's record, and the file is rewritten once the
 session ends.  Only tests that reach a golden call site contribute, so
-run the whole ``tests`` directory.
+run the whole ``tests`` directory.  The rewrite prints every key it
+removes from the committed file (``replay golden removed: <key>``) or
+adds to it (``replay golden added: <key>``), and nothing when the key
+sets match.
 """

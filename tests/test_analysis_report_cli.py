@@ -85,6 +85,16 @@ class TestReportFormatting:
         assert "objects" in text
 
 
+def _assert_refused(capsys, tuning, enabler):
+    """``repro run`` given the flag ``tuning`` without ``enabler``, which
+    switches its subsystem on, exits 2 with one error line and replays
+    nothing."""
+    assert main(["run", "--scale", "0.01", *tuning]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {tuning[0]} requires {enabler}\n"
+    assert captured.out == ""
+
+
 class TestCLI:
     def test_parser_knows_both_commands(self):
         parser = build_parser()
@@ -239,14 +249,78 @@ class TestCLI:
         assert exit_code == 0
         assert "whole-object caching" in captured
 
-    def test_streaming_whole_object_requires_fraction(self):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "run", "--policy", "PB", "--scale", "0.01",
-                    "--streaming-whole-object",
-                ]
-            )
+    def test_streaming_whole_object_requires_fraction(self, capsys):
+        _assert_refused(capsys, ["--streaming-whole-object"], "--streaming-fraction")
+
+    @pytest.mark.parametrize(
+        "tuning",
+        [
+            ["--fault-severity", "2"],
+            ["--fault-mean-duration", "0"],
+            ["--fault-max-retries", "-1"],
+            ["--fault-backoff", "-1"],
+            ["--fault-timeout-factor", "0"],
+            ["--fault-seed", "1"],
+            ["--fault-no-serve-stale"],
+        ],
+        ids=lambda tuning: tuning[0],
+    )
+    def test_fault_tuning_requires_an_episode_count(self, tuning, capsys):
+        _assert_refused(
+            capsys,
+            tuning,
+            "--fault-origin-outages, --fault-bandwidth-flaps or --fault-link-flaps",
+        )
+
+    @pytest.mark.parametrize(
+        "tuning",
+        [
+            ["--streaming-segment-kb", "0"],
+            ["--streaming-prefetch", "-1"],
+            ["--streaming-abandon-after", "-1"],
+        ],
+        ids=lambda tuning: tuning[0],
+    )
+    def test_streaming_tuning_requires_a_fraction(self, tuning, capsys):
+        _assert_refused(capsys, tuning, "--streaming-fraction")
+
+    def test_sibling_bandwidth_requires_sibling_lookup(self, capsys):
+        _assert_refused(capsys, ["--sibling-bandwidth", "0"], "--sibling-lookup")
+
+    def test_metrics_window_requires_metrics_out(self, capsys):
+        _assert_refused(capsys, ["--metrics-window", "nan"], "--metrics-out")
+
+    @pytest.mark.parametrize(
+        "tuning",
+        [["--trace-sample", "2"], ["--trace-level", "debug"]],
+        ids=lambda tuning: tuning[0],
+    )
+    def test_trace_tuning_requires_trace_out(self, tuning, capsys):
+        _assert_refused(capsys, tuning, "--trace-out")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--client-bandwidth", "40"], "--client-bandwidth requires --client-clouds"),
+            (["--pops", "2"], "--pops requires --tiers"),
+            (["--tiers", "2"], "--tiers requires --tier-cache-kb"),
+            (["--tiers", "0", "--tier-cache-kb", "100"], "--tiers must be at least 1, got 0"),
+            (
+                ["--tiers", "2", "--tier-cache-kb", "1,2,3"],
+                "--tier-cache-kb needs 1 or 2 value(s), got 3",
+            ),
+            (
+                ["--tiers", "1", "--tier-cache-kb", "100", "--shards", "0"],
+                "--shards must be at least 1, got 0",
+            ),
+        ],
+        ids=["client-bandwidth", "pops", "tiers", "tiers-0", "tier-cache-kb", "shards-0"],
+    )
+    def test_every_refusal_returns_2_from_main(self, flags, message, capsys):
+        """The CLI's own refusals take ``main``'s one error path: one
+        error line, and ``main`` returns 2 instead of raising."""
+        assert main(["run", "--scale", "0.01", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_experiment_command_streaming(self, capsys):
         exit_code = main(

@@ -112,17 +112,26 @@ class TestDeliveryTopology:
 class TestSampleObserved:
     @pytest.mark.parametrize("name", sorted(BUNDLED_MODELS))
     def test_batch_matches_consecutive_scalar_draws(self, name):
-        """The replay draws every request's ratio in one batch: for each
-        bundled model that batch must equal one-at-a-time draws from the
-        same seed, elementwise and IEEE-identical."""
+        """The replay draws its requests' ratios in one batch per window,
+        and the windows' sizes are the replay's choice: for each bundled
+        model a batch must equal one-at-a-time draws, and consecutive
+        batches of uneven sizes, from the same seed, elementwise and
+        IEEE-identical."""
         model = BUNDLED_MODELS[name]
         scalar_rng = np.random.default_rng(42)
         scalars = [float(model.sample_ratio(scalar_rng, size=1)[0]) for _ in range(64)]
         batch = model.sample_ratio(np.random.default_rng(42), size=64)
         assert batch.tolist() == scalars
+        split_rng = np.random.default_rng(42)
+        split = [model.sample_ratio(split_rng, size=size) for size in (1, 7, 56)]
+        assert np.concatenate(split).tolist() == scalars
         path = NetworkPath(0, 80.0, variability=model)
+        expected = [max(80.0 * ratio, 1.0) for ratio in scalars]
         observed = path.sample_observed(np.random.default_rng(42), size=64)
-        assert observed.tolist() == [max(80.0 * ratio, 1.0) for ratio in scalars]
+        assert observed.tolist() == expected
+        split_rng = np.random.default_rng(42)
+        split = [path.sample_observed(split_rng, size=size) for size in (1, 7, 56)]
+        assert np.concatenate(split).tolist() == expected
 
     def test_floor_and_shapes(self):
         path = NetworkPath(0, 1e-6 + 1.0)  # constant variability, near the floor
